@@ -1,5 +1,5 @@
-//! Incremental vs reference LinQ scoring (the acceptance yardstick:
-//! ≥2× routing the 16-qubit RCS benchmark).
+//! LinQ routing (Algorithm 1 + Eq. 1) of the 16-qubit RCS and QFT-64
+//! benchmarks.
 //!
 //! Run with: `cargo bench -p tilt-bench --bench router`
 
@@ -10,7 +10,6 @@ use tilt_benchmarks::rcs::random_circuit_sampling;
 use tilt_circuit::Circuit;
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
-use tilt_compiler::route::LinqConfig;
 use tilt_compiler::{DeviceSpec, RouterKind};
 
 fn bench_workload(c: &mut Criterion, name: &str, circuit: &Circuit, head: usize) {
@@ -19,24 +18,13 @@ fn bench_workload(c: &mut Criterion, name: &str, circuit: &Circuit, head: usize)
     let initial = InitialMapping::Identity.build(&native, spec.n_ions());
     let mut group = c.benchmark_group(format!("router_{name}"));
     group.sample_size(10);
-    for (id, cfg) in [
-        ("incremental", LinqConfig::default()),
-        (
-            "reference",
-            LinqConfig {
-                incremental: false,
-                ..LinqConfig::default()
-            },
-        ),
-    ] {
-        let kind = RouterKind::Linq(cfg);
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                kind.route(black_box(&native), spec, &initial)
-                    .expect("benchmark workloads route")
-            });
+    group.bench_function("linq", |b| {
+        b.iter(|| {
+            RouterKind::default()
+                .route(black_box(&native), spec, &initial)
+                .expect("benchmark workloads route")
         });
-    }
+    });
     group.finish();
 }
 

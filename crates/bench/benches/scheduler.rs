@@ -1,6 +1,5 @@
-//! Incremental vs rescan Algorithm-2 scheduling (the acceptance
-//! yardstick: ≥3× moves/sec on the 16-qubit RCS benchmark; QFT-32
-//! covers the many-position regime).
+//! Algorithm-2 scheduling of routed workloads: the 16-qubit RCS
+//! benchmark, and QFT-32 for the many-position regime.
 //!
 //! Run with: `cargo bench -p tilt-bench --bench scheduler`
 
@@ -11,7 +10,7 @@ use tilt_benchmarks::rcs::random_circuit_sampling;
 use tilt_circuit::Circuit;
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
-use tilt_compiler::schedule::{schedule_with, ScheduleConfig, SchedulerKind};
+use tilt_compiler::schedule::{schedule, SchedulerKind};
 use tilt_compiler::{DeviceSpec, RouterKind};
 
 fn bench_workload(c: &mut Criterion, name: &str, circuit: &Circuit, head: usize) {
@@ -24,20 +23,15 @@ fn bench_workload(c: &mut Criterion, name: &str, circuit: &Circuit, head: usize)
     let lowered = decompose(&routed.circuit);
     let mut group = c.benchmark_group(format!("scheduler_{name}"));
     group.sample_size(10);
-    for (id, config) in [
-        (
-            "incremental",
-            ScheduleConfig::new(SchedulerKind::GreedyMaxExecutable),
-        ),
-        (
-            "rescan",
-            ScheduleConfig::rescan(SchedulerKind::GreedyMaxExecutable),
-        ),
-    ] {
-        group.bench_function(id, |b| {
-            b.iter(|| schedule_with(black_box(&lowered), spec, config));
+    group.bench_function("greedy", |b| {
+        b.iter(|| {
+            schedule(
+                black_box(&lowered),
+                spec,
+                SchedulerKind::GreedyMaxExecutable,
+            )
         });
-    }
+    });
     group.finish();
 }
 

@@ -57,21 +57,21 @@ const FILES: [&str; 7] = [
 /// `simd.speedup` is the dispatched-tier vs forced-scalar ratio; on a
 /// scalar-only runner both the baseline median and the current run sit
 /// at ~1.0 (the tiers coincide), so the gate stays quiet there and only
-/// bites when an AVX2 runner's SIMD win erodes.
-const GATING: [(&str, &str); 3] = [
+/// bites when an AVX2 runner's SIMD win erodes. The router and scheduler
+/// run one engine each, so they have no same-run ratio to gate on; older
+/// baselines' `speedup` fields there are ignored.
+const GATING: [(&str, &str); 2] = [
     ("BENCH_statevec.json", "speedup"),
     ("BENCH_statevec.json", "simd.speedup"),
-    ("BENCH_router.json", "speedup"),
 ];
 
 /// Cross-run absolute throughput, plus the engine batch ratio (which
 /// can hinge on runner core count): advisory only.
-const ADVISORY: [(&str, &str); 18] = [
+const ADVISORY: [(&str, &str); 17] = [
     ("BENCH_statevec.json", "optimized_gates_per_sec"),
     ("BENCH_statevec.json", "simd.simd_gates_per_sec"),
     ("BENCH_statevec.json", "permutation.parallel_gates_per_sec"),
-    ("BENCH_router.json", "incremental_routes_per_sec"),
-    ("BENCH_router.json", "reference_routes_per_sec"),
+    ("BENCH_router.json", "routes_per_sec"),
     ("BENCH_engine.json", "batch_circuits_per_sec"),
     ("BENCH_engine.json", "batch_speedup"),
     // Per-circuit throughput with strict static verification on: the
@@ -101,9 +101,8 @@ const ADVISORY: [(&str, &str); 18] = [
 /// One run's records, keyed by file name.
 type Run = Vec<(&'static str, Option<Json>)>;
 
-/// One scheduler workload's metrics:
-/// `(name, speedup, moves/sec, pruned_speedup)`.
-type WorkloadRow = (String, Option<f64>, Option<f64>, Option<f64>);
+/// One scheduler workload's `(name, moves/sec)`.
+type WorkloadRow = (String, Option<f64>);
 
 fn load(dir: &Path, file: &str, warn_missing: bool) -> Option<Json> {
     let path = dir.join(file);
@@ -208,8 +207,7 @@ fn check(label: &str, baseline: Option<f64>, cur: Option<f64>, gating: bool) -> 
     dropped
 }
 
-/// `(benchmark name, same-run speedup, absolute moves/sec, pruned vs
-/// full-argmax speedup)` per scheduler workload.
+/// `(benchmark name, absolute moves/sec)` per scheduler workload.
 fn scheduler_workloads(j: &Json) -> Vec<WorkloadRow> {
     j.get("workloads")
         .and_then(Json::as_array)
@@ -217,10 +215,7 @@ fn scheduler_workloads(j: &Json) -> Vec<WorkloadRow> {
             ws.iter()
                 .filter_map(|w| {
                     let name = w.get("benchmark")?.as_str()?.to_string();
-                    let speedup = w.get("speedup").and_then(Json::as_f64);
-                    let rate = w.get("incremental_moves_per_sec").and_then(Json::as_f64);
-                    let pruned = w.get("pruned_speedup").and_then(Json::as_f64);
-                    Some((name, speedup, rate, pruned))
+                    Some((name, w.get("moves_per_sec").and_then(Json::as_f64)))
                 })
                 .collect()
         })
@@ -258,8 +253,9 @@ fn main() -> ExitCode {
     }
 
     // Scheduler records hold one entry per workload; median each
-    // workload's speedup across the baseline runs and flag workloads
-    // that vanished from the current run.
+    // workload's throughput across the baseline runs (advisory, like
+    // every absolute rate) and flag workloads that vanished from the
+    // current run.
     let sched = |records: &Run| -> Option<Json> {
         records
             .iter()
@@ -271,44 +267,27 @@ fn main() -> ExitCode {
         .filter_map(|run| sched(run).map(|j| scheduler_workloads(&j)))
         .collect();
     if let Some(cur) = sched(&cur_records) {
-        let per_workload = |name: &str, pick: fn(&WorkloadRow) -> Option<f64>| {
-            median(
+        let cur_ws = scheduler_workloads(&cur);
+        for (name, cur_rate) in &cur_ws {
+            let baseline = median(
                 prev_sched
                     .iter()
-                    .filter_map(|ws| ws.iter().find(|(n, ..)| n == name).and_then(pick))
+                    .filter_map(|ws| ws.iter().find(|(n, _)| n == name).and_then(|(_, r)| *r))
                     .collect(),
-            )
-        };
-        let cur_ws = scheduler_workloads(&cur);
-        for (name, cur_speedup, cur_rate, cur_pruned) in &cur_ws {
-            let dropped = check(
-                &format!("BENCH_scheduler.json:{name}:speedup"),
-                per_workload(name, |(_, s, _, _)| *s),
-                *cur_speedup,
-                true,
             );
-            regressed |= dropped;
             check(
-                &format!("BENCH_scheduler.json:{name}:incremental_moves_per_sec"),
-                per_workload(name, |(_, _, r, _)| *r),
+                &format!("BENCH_scheduler.json:{name}:moves_per_sec"),
+                baseline,
                 *cur_rate,
-                false,
-            );
-            // Pruned vs full-argmax is a same-run ratio, but it is new
-            // this cycle: advisory until a baseline window accumulates.
-            check(
-                &format!("BENCH_scheduler.json:{name}:pruned_speedup"),
-                per_workload(name, |(_, _, _, p)| *p),
-                *cur_pruned,
                 false,
             );
         }
         let baseline_names: std::collections::BTreeSet<&str> = prev_sched
             .iter()
-            .flat_map(|ws| ws.iter().map(|(n, ..)| n.as_str()))
+            .flat_map(|ws| ws.iter().map(|(n, _)| n.as_str()))
             .collect();
         for name in baseline_names {
-            if !cur_ws.iter().any(|(n, ..)| n == name) {
+            if !cur_ws.iter().any(|(n, _)| n == name) {
                 println!(
                     "warn: BENCH_scheduler.json: workload {name} present in a baseline run is missing from this one"
                 );

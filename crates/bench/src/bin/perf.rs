@@ -13,12 +13,9 @@
 //!   forced-scalar fallback on the same QFT (~1.0× on scalar-only
 //!   hosts, where the two tiers coincide).
 //! * `BENCH_router.json` — routes/sec pushing the 16-qubit RCS
-//!   benchmark through LinQ, incremental vs the retained reference
-//!   scorer.
+//!   benchmark through LinQ.
 //! * `BENCH_scheduler.json` — moves/sec scheduling QFT/RCS/QAOA
-//!   workloads through Algorithm 2: the default bound-pruned engine vs
-//!   the retained rescan engine, plus the unpruned incremental engine
-//!   (`full_argmax_secs`) isolating the lazy-argmax win.
+//!   workloads through Algorithm 2.
 //! * `BENCH_engine.json` — circuits/sec pushing a batch of small
 //!   circuits through the `Engine` session API, batch/service mode
 //!   (per-worker scratch reuse + pool fan-out) vs one `run` call per
@@ -61,8 +58,7 @@ use tilt_benchmarks::stream::rcs_stream;
 use tilt_circuit::{Circuit, Qubit};
 use tilt_compiler::decompose::decompose;
 use tilt_compiler::mapping::InitialMapping;
-use tilt_compiler::route::LinqConfig;
-use tilt_compiler::schedule::{schedule_with, ScheduleConfig, SchedulerKind};
+use tilt_compiler::schedule::{schedule, SchedulerKind};
 use tilt_compiler::{DeviceSpec, RouterKind};
 use tilt_engine::{
     Backend, Engine, NullSink, Service, SimMethod, TiltError, VerifyLevel, DEFAULT_STREAM_WINDOW,
@@ -268,38 +264,31 @@ fn main() {
     let native = decompose(&random_circuit_sampling(4, 4, 16, 7));
     let spec = DeviceSpec::new(16, 4).expect("valid device");
     let initial = InitialMapping::Identity.build(&native, 16);
-    let route_time = |cfg: LinqConfig| {
-        let kind = RouterKind::Linq(cfg);
-        time_median(9, || {
-            std::hint::black_box(kind.route(&native, spec, &initial).expect("rcs16 routes"));
-        })
-    };
-    let t_inc = route_time(LinqConfig::default());
-    let t_ref = route_time(LinqConfig {
-        incremental: false,
-        ..LinqConfig::default()
+    let t_route = time_median(9, || {
+        std::hint::black_box(
+            RouterKind::default()
+                .route(&native, spec, &initial)
+                .expect("rcs16 routes"),
+        );
     });
     let router = Json::object()
         .set("benchmark", "rcs16_head4")
         .set("n_qubits", 16usize)
         .set("native_gates", native.len())
-        .set("incremental_secs", t_inc)
-        .set("reference_secs", t_ref)
-        .set("incremental_routes_per_sec", 1.0 / t_inc)
-        .set("reference_routes_per_sec", 1.0 / t_ref)
-        .set("speedup", t_ref / t_inc)
+        .set("secs", t_route)
+        .set("routes_per_sec", 1.0 / t_route)
         .set("threads", rayon_threads())
         .set("kernel_tier", tilt_statevec::simd::tier_name())
         .set("peak_rss_kb", peak_rss_kb());
     std::fs::write("BENCH_router.json", router.render()).expect("write BENCH_router.json");
     table.row([
         "LinQ rcs16".to_string(),
-        format!("{:.0} routes/s", 1.0 / t_ref),
-        format!("{:.0} routes/s", 1.0 / t_inc),
-        format!("{:.2}x", t_ref / t_inc),
+        "-".to_string(),
+        format!("{:.0} routes/s", 1.0 / t_route),
+        "-".to_string(),
     ]);
 
-    // --- Algorithm 2 scheduling, incremental vs rescan --------------------
+    // --- Algorithm 2 scheduling -------------------------------------------
     let workloads: [(&str, Circuit, usize); 4] = [
         ("qft24_head8", qft(24), 8),
         ("qft32_head8", qft(32), 8),
@@ -316,22 +305,10 @@ fn main() {
             .expect("perf workloads route");
         let lowered = decompose(&routed.circuit);
         let kind = SchedulerKind::GreedyMaxExecutable;
-        // Both engines produce this exact program (decision-identical);
-        // schedule once for the counts, then time the engines.
-        let program = schedule_with(&lowered, spec, ScheduleConfig::new(kind));
+        let program = schedule(&lowered, spec, kind);
         let moves = program.move_count() as f64;
-        let t_fast = time_median(5, || {
-            std::hint::black_box(schedule_with(&lowered, spec, ScheduleConfig::new(kind)));
-        });
-        let t_full = time_median(3, || {
-            std::hint::black_box(schedule_with(
-                &lowered,
-                spec,
-                ScheduleConfig::unpruned(kind),
-            ));
-        });
-        let t_slow = time_median(3, || {
-            std::hint::black_box(schedule_with(&lowered, spec, ScheduleConfig::rescan(kind)));
+        let t_sched = time_median(5, || {
+            std::hint::black_box(schedule(&lowered, spec, kind));
         });
         records.push(
             Json::object()
@@ -339,25 +316,14 @@ fn main() {
                 .set("n_qubits", circuit.n_qubits())
                 .set("scheduled_gates", program.gate_count())
                 .set("moves", moves)
-                .set("incremental_secs", t_fast)
-                .set("full_argmax_secs", t_full)
-                .set("rescan_secs", t_slow)
-                .set("incremental_moves_per_sec", moves / t_fast)
-                .set("rescan_moves_per_sec", moves / t_slow)
-                .set("speedup", t_slow / t_fast)
-                .set("pruned_speedup", t_full / t_fast),
+                .set("secs", t_sched)
+                .set("moves_per_sec", moves / t_sched),
         );
         table.row([
             format!("scheduler {name}"),
-            format!("{:.0} moves/s", moves / t_slow),
-            format!("{:.0} moves/s", moves / t_fast),
-            format!("{:.2}x", t_slow / t_fast),
-        ]);
-        table.row([
-            format!("sched {name} argmax"),
-            format!("{:.0} moves/s", moves / t_full),
-            format!("{:.0} moves/s", moves / t_fast),
-            format!("{:.2}x", t_full / t_fast),
+            "-".to_string(),
+            format!("{:.0} moves/s", moves / t_sched),
+            "-".to_string(),
         ]);
     }
     let scheduler = Json::object()

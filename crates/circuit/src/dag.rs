@@ -204,19 +204,6 @@ impl ReadyTracker {
     /// Panics if `i` is not currently ready (dependency violation) or was
     /// already completed.
     pub fn complete(&mut self, dag: &Dag, i: usize) {
-        self.complete_notify(dag, i, |_| {});
-    }
-
-    /// [`ReadyTracker::complete`], invoking `on_ready` for every
-    /// successor that became ready as a result. Incremental consumers
-    /// (the tape scheduler's per-position indexes) use the callback to
-    /// learn the newly-unlocked frontier without re-scanning
-    /// [`ReadyTracker::ready`].
-    ///
-    /// # Panics
-    ///
-    /// As [`ReadyTracker::complete`].
-    pub fn complete_notify(&mut self, dag: &Dag, i: usize, mut on_ready: impl FnMut(usize)) {
         assert!(!self.done[i], "gate {i} completed twice");
         assert_eq!(
             self.indeg[i], 0,
@@ -236,7 +223,6 @@ impl ReadyTracker {
             if self.indeg[s] == 0 {
                 self.ready_slot[s] = self.ready.len();
                 self.ready.push(s);
-                on_ready(s);
             }
         }
     }
@@ -244,14 +230,6 @@ impl ReadyTracker {
     /// True when `i` has been completed.
     pub fn is_complete(&self, i: usize) -> bool {
         self.done[i]
-    }
-
-    /// Number of direct predecessors of `i` not yet completed (0 for
-    /// ready gates). O(1) — the tracker maintains the residual
-    /// in-degrees anyway, so incremental consumers need not re-scan
-    /// `dag.preds(i)`.
-    pub fn pending_preds(&self, i: usize) -> usize {
-        self.indeg[i]
     }
 
     /// Number of completed gates.

@@ -4,10 +4,9 @@
 //! sessions whose specs and policies fingerprint identically produce
 //! byte-identical compile output for the same circuit (the pipeline is
 //! deterministic — even the stochastic baseline router is seeded), so a
-//! cached result can stand in for a fresh compile. Every semantic field
-//! is written, including knobs (like `LinqConfig::incremental`) that are
-//! proven decision-identical — hashing more than necessary only costs a
-//! spurious miss, never a wrong hit.
+//! cached result can stand in for a fresh compile. Every field that can
+//! change the output is written; hashing more than necessary would only
+//! cost a spurious miss, never a wrong hit.
 
 use crate::mapping::InitialMapping;
 use crate::route::{LinqConfig, RouterKind, StochasticConfig};
@@ -25,8 +24,7 @@ impl Fingerprint for LinqConfig {
     fn fingerprint_into(&self, h: &mut Hasher) {
         h.write_opt_usize(self.max_swap_len)
             .write_f64(self.alpha)
-            .write_usize(self.lookahead)
-            .write_bool(self.incremental);
+            .write_usize(self.lookahead);
     }
 }
 
@@ -101,10 +99,6 @@ mod tests {
             }),
             RouterKind::Linq(LinqConfig {
                 lookahead: 64,
-                ..LinqConfig::default()
-            }),
-            RouterKind::Linq(LinqConfig {
-                incremental: false,
                 ..LinqConfig::default()
             }),
             RouterKind::Stochastic(StochasticConfig::default()),

@@ -53,6 +53,6 @@ pub use pipeline::streaming::{CollectSink, ProgramSink, StreamSummary, Streaming
 pub use pipeline::{CompileOutput, CompileReport, CompileScratch, Compiler};
 pub use program::{TiltOp, TiltProgram};
 pub use route::{RouteOutcome, RouterKind};
-pub use schedule::{ScheduleConfig, SchedulerKind};
+pub use schedule::SchedulerKind;
 pub use spec::DeviceSpec;
 pub use verify::{Diagnostic, Severity, StreamVerifier};

@@ -16,8 +16,7 @@
 //! * the logical→physical [`Mapping`] and the router's swap/opposing
 //!   counters, look-ahead window and policy state (LinQ weight cache or
 //!   the stochastic policy's RNG);
-//! * the scheduler's dependency frontier (the incremental equivalent of
-//!   the `ReadyTracker` seed engine state), head position, and
+//! * the scheduler's dependency frontier, head position, and
 //!   per-position score caches;
 //! * the report accumulators (move count/distance, gate counts, pass
 //!   timings).

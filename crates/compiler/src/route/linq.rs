@@ -44,12 +44,6 @@ pub struct LinqConfig {
     /// contributions vanish numerically after a few tens of layers, so a
     /// window is equivalent to the full sum at a fraction of the cost.
     pub lookahead: usize,
-    /// Use the incremental scorer (the default). `false` selects the
-    /// retained reference scorer, which rebuilds the look-ahead weights
-    /// and a hash-map qubit index for **every** swap decision; both
-    /// scorers choose identical swaps (see the `scorers_agree` test), so
-    /// this knob exists purely as the benchmark baseline.
-    pub incremental: bool,
 }
 
 impl Default for LinqConfig {
@@ -58,7 +52,6 @@ impl Default for LinqConfig {
             max_swap_len: None,
             alpha: 0.9,
             lookahead: 128,
-            incremental: true,
         }
     }
 }
@@ -113,8 +106,8 @@ impl LinqConfig {
 
 /// Stateful LinQ policy (implements Algorithm 1 one swap at a time).
 ///
-/// The default scorer is *incremental*: the decayed Eq. 1 weights for
-/// the current look-ahead window are cached per pending-gate cursor
+/// The scorer is *incremental*: the decayed Eq. 1 weights for the
+/// current look-ahead window are cached per pending-gate cursor
 /// (several swap decisions usually serve one gate), and the gates
 /// touching a candidate's two ions come from the route-wide
 /// [`PendingIndex`](super::PendingIndex) instead of a per-decision
@@ -122,8 +115,7 @@ impl LinqConfig {
 /// comparison only ever subtracts scores *within one decision*, so the
 /// constant `Σ D(g)·α^Δ(g)` base term of Eq. 1 cancels and each
 /// candidate needs only its **delta** over the gates its two ions
-/// touch. The reference scorer (`incremental: false`) recomputes the
-/// full Eq. 1 sum per decision, as the seed did.
+/// touch. The tests keep the seed's full-sum scorer as a reference.
 pub(crate) struct LinqPolicy {
     cfg: LinqConfig,
     max_swap_len: usize,
@@ -222,73 +214,8 @@ impl LinqPolicy {
         delta
     }
 
-    /// The seed scorer, retained as the benchmark baseline: rebuilds
-    /// the window weights and a hash-map qubit index for every swap
-    /// decision and scores candidates as `base + delta`.
-    fn reference_score_candidates(
-        &self,
-        state: &RouteState<'_>,
-        mut consider: impl FnMut(usize, usize, f64),
-        candidates: &[(usize, usize)],
-    ) {
-        let window_end = state.pending.len().min(state.cursor + self.cfg.lookahead);
-        let window = &state.pending[state.cursor..window_end];
-        let cur_layer = window[0].layer;
-
-        let mut base_score = 0.0f64;
-        let mut weights = Vec::with_capacity(window.len());
-        let mut touching: std::collections::HashMap<Qubit, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, g) in window.iter().enumerate() {
-            let w = self
-                .cfg
-                .alpha
-                .powi(g.layer.saturating_sub(cur_layer) as i32);
-            weights.push(w);
-            base_score += (state.mapping.distance(g.a, g.b) as f64) * w;
-            touching.entry(g.a).or_default().push(i);
-            touching.entry(g.b).or_default().push(i);
-        }
-
-        for &(pa, pb) in candidates {
-            let la = state.mapping.logical_at(pa);
-            let lb = state.mapping.logical_at(pb);
-            let vpos = |q: Qubit| -> usize {
-                let p = state.mapping.position_of(q);
-                if p == pa {
-                    pb
-                } else if p == pb {
-                    pa
-                } else {
-                    p
-                }
-            };
-            let mut delta = 0.0f64;
-            let mut visit = |idx: usize| {
-                let g = &window[idx];
-                let old = state.mapping.distance(g.a, g.b) as f64;
-                let new = vpos(g.a).abs_diff(vpos(g.b)) as f64;
-                delta += (new - old) * weights[idx];
-            };
-            if let Some(list) = touching.get(&la) {
-                for &i in list {
-                    visit(i);
-                }
-            }
-            if let Some(list) = touching.get(&lb) {
-                for &i in list {
-                    let g = &window[i];
-                    if g.a != la && g.b != la {
-                        visit(i);
-                    }
-                }
-            }
-            consider(pa, pb, base_score + delta);
-        }
-    }
-
     /// Algorithm 1 candidate enumeration: calls `consider(pa, pb)` for
-    /// every legal swap, in a fixed order shared by both scorers.
+    /// every legal swap, in a fixed order.
     fn for_each_candidate(&self, state: &RouteState<'_>, mut consider: impl FnMut(usize, usize)) {
         let (lo, hi) = state.endpoints();
         debug_assert!(hi - lo >= state.spec.head_size());
@@ -305,29 +232,14 @@ impl LinqPolicy {
 
 impl SwapPolicy for LinqPolicy {
     fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
+        self.refresh_window(state);
         let mut best: Option<((usize, usize), f64)> = None;
-        let mut consider = |pa: usize, pb: usize, s: f64| {
-            let better = match best {
-                None => true,
-                Some((_, bs)) => s < bs - 1e-12,
-            };
-            if better {
+        self.for_each_candidate(state, |pa, pb| {
+            let s = self.score_delta(state, pa, pb);
+            if best.is_none_or(|(_, bs)| s < bs - 1e-12) {
                 best = Some(((pa, pb), s));
             }
-        };
-        if self.cfg.incremental {
-            // Allocation-free hot path: score each candidate as it is
-            // enumerated.
-            self.refresh_window(state);
-            self.for_each_candidate(state, |pa, pb| {
-                let s = self.score_delta(state, pa, pb);
-                consider(pa, pb, s);
-            });
-        } else {
-            let mut candidates = Vec::new();
-            self.for_each_candidate(state, |pa, pb| candidates.push((pa, pb)));
-            self.reference_score_candidates(state, consider, &candidates);
-        }
+        });
         best.expect("an unexecutable gate always has swap candidates")
             .0
     }
@@ -337,8 +249,76 @@ impl SwapPolicy for LinqPolicy {
 mod tests {
     use super::*;
     use crate::mapping::{InitialMapping, Mapping};
-    use crate::route::{RouteOutcome, RouterKind};
+    use crate::route::{route_with_policy, RouteOutcome, RouterKind};
+    use std::collections::HashMap;
     use tilt_circuit::Circuit;
+
+    /// The seed's scorer, the reference the incremental one is checked
+    /// against: it rebuilds the window weights and a hash-map qubit
+    /// index for every swap decision and scores each candidate as the
+    /// full Eq. 1 sum, `base + delta`.
+    struct ReferencePolicy(LinqPolicy);
+
+    impl SwapPolicy for ReferencePolicy {
+        fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
+            let policy = &self.0;
+            let window_end = state.pending.len().min(state.cursor + policy.cfg.lookahead);
+            let window = &state.pending[state.cursor..window_end];
+            let cur_layer = window[0].layer;
+
+            let mut base_score = 0.0f64;
+            let mut weights = Vec::with_capacity(window.len());
+            let mut touching: HashMap<Qubit, Vec<usize>> = HashMap::new();
+            for (i, g) in window.iter().enumerate() {
+                let w = policy
+                    .cfg
+                    .alpha
+                    .powi(g.layer.saturating_sub(cur_layer) as i32);
+                weights.push(w);
+                base_score += (state.mapping.distance(g.a, g.b) as f64) * w;
+                touching.entry(g.a).or_default().push(i);
+                touching.entry(g.b).or_default().push(i);
+            }
+
+            let mut best: Option<((usize, usize), f64)> = None;
+            policy.for_each_candidate(state, |pa, pb| {
+                let la = state.mapping.logical_at(pa);
+                let lb = state.mapping.logical_at(pb);
+                let vpos = |q: Qubit| -> usize {
+                    let p = state.mapping.position_of(q);
+                    if p == pa {
+                        pb
+                    } else if p == pb {
+                        pa
+                    } else {
+                        p
+                    }
+                };
+                let mut delta = 0.0f64;
+                let mut visit = |idx: usize| {
+                    let g = &window[idx];
+                    let old = state.mapping.distance(g.a, g.b) as f64;
+                    let new = vpos(g.a).abs_diff(vpos(g.b)) as f64;
+                    delta += (new - old) * weights[idx];
+                };
+                for &i in touching.get(&la).into_iter().flatten() {
+                    visit(i);
+                }
+                for &i in touching.get(&lb).into_iter().flatten() {
+                    let g = &window[i];
+                    if g.a != la && g.b != la {
+                        visit(i);
+                    }
+                }
+                let s = base_score + delta;
+                if best.is_none_or(|(_, bs)| s < bs - 1e-12) {
+                    best = Some(((pa, pb), s));
+                }
+            });
+            best.expect("an unexecutable gate always has swap candidates")
+                .0
+        }
+    }
 
     fn route_linq(c: &Circuit, n: usize, head: usize, cfg: LinqConfig) -> RouteOutcome {
         let spec = DeviceSpec::new(n, head).unwrap();
@@ -460,10 +440,6 @@ mod tests {
         // The incremental scorer drops the constant Eq. 1 base term
         // (argmin-invariant); the routed circuits must match the seed
         // scorer's exactly, swap for swap.
-        let reference = LinqConfig {
-            incremental: false,
-            ..LinqConfig::default()
-        };
         let mut workloads: Vec<(Circuit, usize, usize)> = Vec::new();
         let mut crossing = Circuit::new(24);
         for i in 0..8 {
@@ -481,7 +457,10 @@ mod tests {
         workloads.push((ladder, 16, 4));
         for (circuit, n, head) in workloads {
             let fast = route_linq(&circuit, n, head, LinqConfig::default());
-            let slow = route_linq(&circuit, n, head, reference);
+            let spec = DeviceSpec::new(n, head).unwrap();
+            let initial = InitialMapping::Identity.build(&circuit, n);
+            let mut reference = ReferencePolicy(LinqPolicy::new(LinqConfig::default(), spec));
+            let slow = route_with_policy(&circuit, spec, &initial, &mut reference);
             assert_eq!(fast.circuit, slow.circuit);
             assert_eq!(fast.swap_count, slow.swap_count);
             assert_eq!(fast.opposing_swap_count, slow.opposing_swap_count);

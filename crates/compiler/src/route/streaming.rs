@@ -282,10 +282,6 @@ mod tests {
         vec![
             RouterKind::Linq(LinqConfig::default()),
             RouterKind::Linq(LinqConfig {
-                incremental: false,
-                ..LinqConfig::default()
-            }),
-            RouterKind::Linq(LinqConfig {
                 max_swap_len: Some(3),
                 lookahead: 17,
                 ..LinqConfig::default()

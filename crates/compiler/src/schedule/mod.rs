@@ -11,30 +11,21 @@
 //! the head over the oldest ready gate each round; it exists to quantify
 //! the benefit of Eq. 2 (ablation, DESIGN.md §5).
 //!
-//! Three engines implement the Eq. 2 policies. The seed **rescan**
-//! engine recomputes every position's executable-gate count from
-//! scratch each round; the **incremental** engine ([`incremental`])
-//! keeps per-position counts in a bucket index and rescores only the
-//! positions whose counts a round's retired/unlocked gates could have
-//! changed; the default **bound-pruned** engine additionally skips
-//! rescoring dirty positions whose monotone score ceiling (the
-//! incomplete gates covering the position) provably cannot beat the
-//! round's incumbent — the "lazy argmax". All three make identical
-//! decisions (see the `engines_agree` tests and
-//! `tests/scheduler_equivalence.rs`); the slower engines are retained
-//! behind [`ScheduleConfig::rescan`] and [`ScheduleConfig::unpruned`]
-//! as reference paths and benchmark baselines, mirroring the router's
-//! `LinqConfig` knob.
+//! One engine runs every policy: the horizon-bounded `StreamScheduler`
+//! (`streaming`), which [`schedule`] drives over a whole circuit and
+//! the windowed compiler drives gate by gate. It caches per-position
+//! scores, rescores only the positions a round could have changed, and
+//! skips those whose score ceiling cannot beat the round's incumbent.
+//! The seed's rescan-every-position loop survives only as the test
+//! oracle every decision is checked against.
 
-mod incremental;
 mod streaming;
 
 pub(crate) use streaming::StreamScheduler;
 
-use crate::program::{TiltOp, TiltProgram};
+use crate::program::TiltProgram;
 use crate::spec::DeviceSpec;
-use std::collections::{HashMap, HashSet};
-use tilt_circuit::{Circuit, Dag, Gate, ReadyTracker};
+use tilt_circuit::Circuit;
 
 /// Which tape-scheduling policy to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,87 +64,14 @@ impl SchedulerKind {
     }
 }
 
-/// Full scheduling configuration: the policy plus the engine that
-/// evaluates it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduleConfig {
-    /// Which tape-scheduling policy to run.
-    pub kind: SchedulerKind,
-    /// Engine selection for the Eq. 2 policies: `true` (the default)
-    /// maintains per-position executable-gate counts incrementally;
-    /// `false` re-derives every position's count each round, as the
-    /// seed did. All engines produce identical programs; the rescan
-    /// engine exists as the benchmark baseline.
-    pub incremental: bool,
-    /// With the incremental engine, `true` (the default) also prunes the
-    /// argmax: dirty positions whose score ceiling cannot beat the
-    /// round's incumbent skip their cascade walk entirely. `false`
-    /// rescores every dirty position (the PR-3 engine, retained as the
-    /// pruning baseline). Ignored when `incremental` is `false`.
-    pub pruned: bool,
-    /// Eligibility horizon: each scheduling round only considers gates
-    /// whose index lies below `min(floor + horizon, n)`, where `floor`
-    /// is the smallest incomplete gate index. Circuits shorter than the
-    /// horizon are unaffected (the bound never binds and the monolithic
-    /// engines run unchanged); longer circuits are scheduled by the
-    /// bounded-memory streaming engine so that one-shot compiles agree
-    /// byte for byte with the windowed `pipeline::streaming` path,
-    /// whose working set is O(horizon) rather than O(circuit).
-    pub horizon: usize,
-}
-
-/// The default eligibility horizon ([`ScheduleConfig::horizon`]):
-/// generous enough that every realistic in-memory circuit schedules on
-/// the unbounded engines, small enough that million-gate streams keep
-/// a bounded working set.
+/// The eligibility horizon every schedule runs under: each round only
+/// considers gates whose index lies below `min(floor + horizon, n)`,
+/// where `floor` is the smallest incomplete gate index. Generous enough
+/// that every realistic in-memory circuit schedules as the paper's
+/// unbounded Algorithm 2, small enough that million-gate streams keep a
+/// bounded working set; a one-shot compile and the windowed pipeline
+/// share it, so they agree byte for byte at any length.
 pub const DEFAULT_HORIZON: usize = 1 << 17;
-
-impl Default for ScheduleConfig {
-    fn default() -> Self {
-        ScheduleConfig::new(SchedulerKind::default())
-    }
-}
-
-impl ScheduleConfig {
-    /// The bound-pruned incremental engine (the default) running `kind`.
-    pub fn new(kind: SchedulerKind) -> Self {
-        ScheduleConfig {
-            kind,
-            incremental: true,
-            pruned: true,
-            horizon: DEFAULT_HORIZON,
-        }
-    }
-
-    /// The incremental engine without argmax pruning — every dirty
-    /// position is rescored each round.
-    pub fn unpruned(kind: SchedulerKind) -> Self {
-        ScheduleConfig {
-            kind,
-            incremental: true,
-            pruned: false,
-            horizon: DEFAULT_HORIZON,
-        }
-    }
-
-    /// The retained seed engine running `kind` — rescans every head
-    /// position per decision.
-    pub fn rescan(kind: SchedulerKind) -> Self {
-        ScheduleConfig {
-            kind,
-            incremental: false,
-            pruned: false,
-            horizon: DEFAULT_HORIZON,
-        }
-    }
-
-    /// Overrides the eligibility horizon (clamped to at least 1).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        self.horizon = horizon.max(1);
-        self
-    }
-}
 
 /// Schedules a routed physical circuit into an executable [`TiltProgram`].
 ///
@@ -185,222 +103,194 @@ impl ScheduleConfig {
 /// # Ok::<(), tilt_compiler::CompileError>(())
 /// ```
 pub fn schedule(physical: &Circuit, spec: DeviceSpec, kind: SchedulerKind) -> TiltProgram {
-    schedule_with(physical, spec, ScheduleConfig::new(kind))
+    streaming::schedule_stream_monolithic(physical, spec, kind, DEFAULT_HORIZON)
 }
 
-/// [`schedule`] with an explicit engine choice; see [`ScheduleConfig`].
-///
-/// # Panics
-///
-/// As [`schedule`].
-pub fn schedule_with(physical: &Circuit, spec: DeviceSpec, config: ScheduleConfig) -> TiltProgram {
-    for g in physical {
-        if let Some(d) = g.span() {
-            assert!(
-                d < spec.head_size(),
-                "unrouted gate {g:?} spans {d} ≥ head size {}",
-                spec.head_size()
-            );
-        }
-    }
-    let horizon = config.horizon.max(1);
-    if horizon < physical.len() {
-        // The eligibility horizon binds: schedule on the bounded-window
-        // engines so the result matches the streaming pipeline exactly.
-        // The rescan config keeps its role as the reference engine via
-        // the horizon-capped seed loop.
-        return match config.kind.penalty_permille() {
-            Some(_) if config.incremental => {
-                streaming::schedule_stream_monolithic(physical, spec, config.kind, horizon)
-            }
-            _ => streaming::schedule_rescan_capped(physical, spec, config.kind, horizon),
-        };
-    }
-    match config.kind.penalty_permille() {
-        Some(penalty) if config.incremental && config.pruned => {
-            incremental::schedule_incremental_pruned(physical, spec, penalty)
-        }
-        Some(penalty) if config.incremental => {
-            incremental::schedule_incremental(physical, spec, penalty)
-        }
-        // NaiveNextGate never scores positions, so there is nothing to
-        // maintain incrementally; it always runs on the rescan loop.
-        _ => schedule_rescan(physical, spec, config.kind),
-    }
-}
+/// The scheduler oracle: the seed's rescan-every-position loop, with
+/// every scoring and drain step filtered to gates below the per-round
+/// eligibility bound `E = min(floor + horizon, n)`. At a horizon no
+/// shorter than the circuit the filter is vacuous and this is the seed
+/// engine. Slow and monolithic by design — each round recounts every
+/// position's cascade from scratch with fresh hash containers.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::SchedulerKind;
+    use crate::program::{TiltOp, TiltProgram};
+    use crate::spec::DeviceSpec;
+    use std::collections::{HashMap, HashSet};
+    use tilt_circuit::{Circuit, Dag, Gate, ReadyTracker};
 
-/// The seed engine: one full pass over every head position per
-/// decision.
-fn schedule_rescan(physical: &Circuit, spec: DeviceSpec, kind: SchedulerKind) -> TiltProgram {
-    let dag = Dag::new(physical);
-    let mut tracker = ReadyTracker::new(&dag);
-    let mut ops: Vec<TiltOp> = Vec::with_capacity(physical.len());
-    let mut head: Option<usize> = None;
+    pub(crate) fn schedule_rescan_capped(
+        physical: &Circuit,
+        spec: DeviceSpec,
+        kind: SchedulerKind,
+        horizon: usize,
+    ) -> TiltProgram {
+        let horizon = horizon.max(1);
+        let dag = Dag::new(physical);
+        let mut tracker = ReadyTracker::new(&dag);
+        let gates = physical.gates();
+        let n = gates.len();
+        let mut ops: Vec<TiltOp> = Vec::with_capacity(n);
+        let mut head: Option<usize> = None;
+        let mut floor = 0usize;
 
-    while !tracker.is_done() {
-        let pos = match kind {
-            SchedulerKind::GreedyMaxExecutable => {
-                best_position(physical, &dag, &tracker, spec, head, 0)
+        while !tracker.is_done() {
+            while floor < n && tracker.is_complete(floor) {
+                floor += 1;
             }
-            SchedulerKind::DistanceDiscounted { penalty_permille } => best_position(
-                physical,
-                &dag,
-                &tracker,
-                spec,
-                head,
-                penalty_permille as i64,
-            ),
-            SchedulerKind::NaiveNextGate => {
-                let oldest = *tracker
-                    .ready()
-                    .iter()
-                    .min()
-                    .expect("tracker not done implies ready gates exist");
-                leftmost_position_covering(physical, spec, oldest)
-            }
-        };
+            let e = floor.saturating_add(horizon).min(n);
 
-        if head != Some(pos) {
-            if head.is_some() {
-                ops.push(TiltOp::Move { to: pos });
-            }
-            head = Some(pos);
-        }
+            let pos = match kind.penalty_permille() {
+                None => {
+                    let oldest = *tracker
+                        .ready()
+                        .iter()
+                        .filter(|&&i| i < e)
+                        .min()
+                        .expect("floor gate is always ready and eligible");
+                    spec.covering_head_positions(gates[oldest].qubits().iter().map(|q| q.index()))
+                        .map_or(0, |r| *r.start())
+                }
+                Some(penalty) => {
+                    // Ties prefer the smaller head travel, then the
+                    // leftmost position (the ascending scan keeps the
+                    // first of equals).
+                    let mut best: Option<(i64, usize, usize)> = None;
+                    for p in spec.head_positions() {
+                        let count = executable_count(&dag, &tracker, gates, spec, p, e);
+                        if count == 0 {
+                            continue;
+                        }
+                        let dist = head.map_or(0, |h| h.abs_diff(p));
+                        let score = count as i64 * 1000 - penalty * dist as i64;
+                        if best.is_none_or(|(bs, bd, _)| score > bs || (score == bs && dist < bd)) {
+                            best = Some((score, dist, p));
+                        }
+                    }
+                    let Some((_, _, p)) = best else {
+                        // Barrier relief: the eligible ready set is all
+                        // barriers — complete them (min-index) without
+                        // moving the head.
+                        let mut relieved = false;
+                        while let Some(i) = tracker
+                            .ready()
+                            .iter()
+                            .copied()
+                            .filter(|&i| i < e && matches!(gates[i], Gate::Barrier))
+                            .min()
+                        {
+                            tracker.complete(&dag, i);
+                            relieved = true;
+                        }
+                        assert!(relieved, "no head position can execute any ready gate");
+                        continue;
+                    };
+                    p
+                }
+            };
 
-        // Drain the cascade of executable gates at `pos` in dependency
-        // order, mutating the global tracker.
-        let mut executed_any = false;
-        loop {
-            let next = tracker
+            if head != Some(pos) {
+                if head.is_some() {
+                    ops.push(TiltOp::Move { to: pos });
+                }
+                head = Some(pos);
+            }
+
+            let mut executed_any = false;
+            while let Some(i) = tracker
                 .ready()
                 .iter()
                 .copied()
-                .filter(|&i| gate_fits(physical.gates()[i], spec, pos))
-                .min();
-            let Some(i) = next else { break };
-            tracker.complete(&dag, i);
-            executed_any = true;
-            let gate = physical.gates()[i];
-            if !matches!(gate, Gate::Barrier) {
-                ops.push(TiltOp::Gate {
-                    gate,
-                    head_pos: pos,
+                .filter(|&i| i < e && fits(gates[i], spec, pos))
+                .min()
+            {
+                tracker.complete(&dag, i);
+                executed_any = true;
+                let gate = gates[i];
+                if !matches!(gate, Gate::Barrier) {
+                    ops.push(TiltOp::Gate {
+                        gate,
+                        head_pos: pos,
+                    });
+                }
+            }
+            assert!(executed_any, "scheduler made no progress at position {pos}");
+        }
+
+        TiltProgram::new(spec, ops)
+    }
+
+    /// True when every operand of `g` is covered by the head at `pos`
+    /// (barriers fit anywhere).
+    fn fits(g: Gate, spec: DeviceSpec, pos: usize) -> bool {
+        g.qubits().iter().all(|q| spec.covers(pos, q.index()))
+    }
+
+    /// Eq. 2's `n_p` below the bound `e`: ready gates covered by the
+    /// head execute, unlocking covered successors transitively (in
+    /// dependency order, exactly as the drain would); barriers cascade
+    /// but do not count.
+    fn executable_count(
+        dag: &Dag,
+        tracker: &ReadyTracker,
+        gates: &[Gate],
+        spec: DeviceSpec,
+        pos: usize,
+        e: usize,
+    ) -> usize {
+        let mut queue: Vec<usize> = tracker
+            .ready()
+            .iter()
+            .copied()
+            .filter(|&i| i < e && fits(gates[i], spec, pos))
+            .collect();
+        let mut seen: HashSet<usize> = HashSet::new();
+        let mut local_indeg: HashMap<usize, usize> = HashMap::new();
+        let mut count = 0usize;
+        while let Some(i) = queue.pop() {
+            if !seen.insert(i) {
+                continue;
+            }
+            if !matches!(gates[i], Gate::Barrier) {
+                count += 1;
+            }
+            for &s in dag.succs(i) {
+                if s >= e {
+                    continue;
+                }
+                let remaining = local_indeg.entry(s).or_insert_with(|| {
+                    dag.preds(s)
+                        .iter()
+                        .filter(|&&p| !tracker.is_complete(p))
+                        .count()
                 });
+                *remaining -= 1;
+                if *remaining == 0 && fits(gates[s], spec, pos) {
+                    queue.push(s);
+                }
             }
         }
-        assert!(
-            executed_any,
-            "scheduler made no progress at position {pos}; this is a bug"
-        );
+        count
     }
-
-    TiltProgram::new(spec, ops)
-}
-
-/// True when every operand of `g` is covered by the head at `pos`
-/// (barriers fit anywhere).
-fn gate_fits(g: Gate, spec: DeviceSpec, pos: usize) -> bool {
-    g.qubits().iter().all(|q| spec.covers(pos, q.index()))
-}
-
-/// Algorithm 2 scoring loop: the executable-gate count `n_p` for every
-/// head position (discounted by travel distance at `penalty_permille`
-/// thousandths of a gate per ion spacing), returning the argmax. Ties
-/// prefer staying at the current head position (a free non-move), then
-/// the closest position, then the leftmost.
-fn best_position(
-    physical: &Circuit,
-    dag: &Dag,
-    tracker: &ReadyTracker,
-    spec: DeviceSpec,
-    head: Option<usize>,
-    penalty_permille: i64,
-) -> usize {
-    let mut best_pos = 0usize;
-    let mut best_score = i64::MIN;
-    let mut best_dist = usize::MAX;
-    let mut any = false;
-    for p in spec.head_positions() {
-        let count = executable_count(physical, dag, tracker, spec, p);
-        if count == 0 {
-            continue;
-        }
-        any = true;
-        let dist = head.map_or(0, |h| h.abs_diff(p));
-        let score = count as i64 * 1000 - penalty_permille * dist as i64;
-        if score > best_score || (score == best_score && dist < best_dist) {
-            best_score = score;
-            best_pos = p;
-            best_dist = dist;
-        }
-    }
-    assert!(
-        any,
-        "no head position can execute any ready gate; circuit is unroutable"
-    );
-    best_pos
-}
-
-/// Counts the cascade of gates executable at head position `pos` without
-/// mutating the global tracker: ready gates covered by the head execute,
-/// potentially unlocking successors that are also covered, and so on
-/// (dependency order, exactly as the real drain loop would).
-fn executable_count(
-    physical: &Circuit,
-    dag: &Dag,
-    tracker: &ReadyTracker,
-    spec: DeviceSpec,
-    pos: usize,
-) -> usize {
-    let mut queue: Vec<usize> = tracker
-        .ready()
-        .iter()
-        .copied()
-        .filter(|&i| gate_fits(physical.gates()[i], spec, pos))
-        .collect();
-    let mut executed: HashSet<usize> = HashSet::new();
-    // Local in-degree adjustments for gates unlocked during the cascade.
-    let mut local_indeg: HashMap<usize, usize> = HashMap::new();
-    let mut count = 0usize;
-
-    while let Some(i) = queue.pop() {
-        if !executed.insert(i) {
-            continue;
-        }
-        if !matches!(physical.gates()[i], Gate::Barrier) {
-            count += 1;
-        }
-        for &s in dag.succs(i) {
-            let remaining = local_indeg.entry(s).or_insert_with(|| {
-                dag.preds(s)
-                    .iter()
-                    .filter(|&&p| !tracker.is_complete(p))
-                    .count()
-            });
-            *remaining -= 1;
-            if *remaining == 0 && gate_fits(physical.gates()[s], spec, pos) {
-                queue.push(s);
-            }
-        }
-    }
-    count
-}
-
-/// The leftmost head position covering gate `i` (barriers default to 0).
-fn leftmost_position_covering(physical: &Circuit, spec: DeviceSpec, i: usize) -> usize {
-    let g = physical.gates()[i];
-    spec.covering_head_positions(g.qubits().iter().map(|q| q.index()))
-        .map(|r| *r.start())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::schedule_rescan_capped;
     use super::*;
-    use tilt_circuit::Qubit;
+    use crate::mapping::InitialMapping;
+    use crate::{Compiler, RouterKind};
+    use proptest::prelude::*;
+    use tilt_circuit::{Gate, Qubit};
 
     fn spec(n: usize, head: usize) -> DeviceSpec {
         DeviceSpec::new(n, head).unwrap()
+    }
+
+    /// The oracle at the horizon [`schedule`] runs under.
+    fn oracle(c: &Circuit, spec: DeviceSpec, kind: SchedulerKind) -> TiltProgram {
+        schedule_rescan_capped(c, spec, kind, DEFAULT_HORIZON)
     }
 
     #[test]
@@ -528,11 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn all_three_engines_agree_on_structured_workloads() {
+    fn engine_matches_oracle_on_structured_workloads() {
         // Mixed zones, chains, barriers, and single-qubit traffic: the
-        // incremental and bound-pruned engines must reproduce the seed
-        // engine's program op-for-op (positions, moves, and
-        // executed-gate order).
+        // engine must reproduce the oracle's program op-for-op
+        // (positions, moves, and executed-gate order).
         let mut zones = Circuit::new(32);
         for r in 0..4 {
             for i in 0..28 {
@@ -556,37 +445,15 @@ mod tests {
             pingpong.xx(Qubit(11), Qubit(12), 0.3);
         }
         let workloads = [(zones, 32usize, 8usize), (fenced, 16, 4), (pingpong, 24, 4)];
-        let kinds = [
-            SchedulerKind::GreedyMaxExecutable,
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 250,
-            },
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 2000,
-            },
-        ];
         for (c, n, head) in &workloads {
-            for kind in kinds {
-                let pruned = schedule_with(c, spec(*n, *head), ScheduleConfig::new(kind));
-                let unpruned = schedule_with(c, spec(*n, *head), ScheduleConfig::unpruned(kind));
-                let slow = schedule_with(c, spec(*n, *head), ScheduleConfig::rescan(kind));
-                assert_eq!(unpruned, slow, "{kind:?} diverged on {n}-ion workload");
+            for kind in KINDS {
                 assert_eq!(
-                    pruned, slow,
-                    "{kind:?} pruning diverged on {n}-ion workload"
+                    schedule(c, spec(*n, *head), kind),
+                    oracle(c, spec(*n, *head), kind),
+                    "{kind:?} diverged on {n}-ion workload"
                 );
             }
         }
-    }
-
-    #[test]
-    fn schedule_defaults_to_the_incremental_engine() {
-        let mut c = Circuit::new(16);
-        c.xx(Qubit(0), Qubit(1), 0.5);
-        c.xx(Qubit(14), Qubit(15), 0.5);
-        let via_kind = schedule(&c, spec(16, 4), SchedulerKind::GreedyMaxExecutable);
-        let via_config = schedule_with(&c, spec(16, 4), ScheduleConfig::default());
-        assert_eq!(via_kind, via_config);
     }
 
     #[test]
@@ -619,5 +486,198 @@ mod tests {
             SchedulerKind::GreedyMaxExecutable,
         );
         assert!(p.ops().is_empty());
+    }
+
+    /// The compiler pipeline's programs are the oracle's schedule of
+    /// the same lowered stream, end to end.
+    #[test]
+    fn pipeline_schedule_matches_the_oracle() {
+        let mut c = Circuit::new(32);
+        for i in 0..16 {
+            c.cnot(Qubit(i), Qubit(31 - i));
+        }
+        let spec = spec(32, 8);
+        let out = Compiler::new(spec).compile(&c).expect("compiles");
+        let lowered = crate::decompose::decompose(&out.routed.circuit);
+        assert_eq!(
+            out.program,
+            oracle(&lowered, spec, SchedulerKind::GreedyMaxExecutable)
+        );
+    }
+
+    const KINDS: [SchedulerKind; 4] = [
+        SchedulerKind::GreedyMaxExecutable,
+        SchedulerKind::DistanceDiscounted {
+            penalty_permille: 250,
+        },
+        SchedulerKind::DistanceDiscounted {
+            penalty_permille: 2000,
+        },
+        SchedulerKind::NaiveNextGate,
+    ];
+
+    /// Device shapes worth covering: narrow and wide heads, few and many
+    /// head positions.
+    fn spec_strategy() -> impl Strategy<Value = DeviceSpec> {
+        prop_oneof![
+            Just(spec(16, 4)),
+            Just(spec(24, 6)),
+            Just(spec(32, 8)),
+            Just(spec(12, 12)),
+        ]
+    }
+
+    fn kind_strategy() -> impl Strategy<Value = SchedulerKind> {
+        prop_oneof![
+            Just(SchedulerKind::GreedyMaxExecutable),
+            (1u32..3000).prop_map(|penalty_permille| SchedulerKind::DistanceDiscounted {
+                penalty_permille
+            }),
+            Just(SchedulerKind::NaiveNextGate),
+        ]
+    }
+
+    /// Eligibility horizons from "one gate" up to the default: most
+    /// draws bind on the generated circuits, so the capped regime gets
+    /// random coverage, not only the fixed seeds.
+    fn horizon_strategy() -> impl Strategy<Value = usize> {
+        prop_oneof![1usize..8, 8usize..64, 64usize..160, Just(DEFAULT_HORIZON)]
+    }
+
+    /// A random *routed* circuit on `spec`: all two-qubit spans stay under
+    /// the head, with single-qubit gates and barriers mixed in.
+    fn routed_circuit_strategy(spec: DeviceSpec) -> impl Strategy<Value = Circuit> {
+        let n = spec.n_ions();
+        let head = spec.head_size();
+        let two_q = move |(a, d): (usize, usize)| {
+            let b = if a + d < n { a + d } else { a - d.min(a) };
+            if a == b {
+                Gate::Rx(Qubit(a), 0.3)
+            } else {
+                Gate::Xx(Qubit(a), Qubit(b), 0.4)
+            }
+        };
+        // The shim's `prop_oneof!` is unweighted; repeat the two-qubit arm
+        // to keep the stream dominated by schedulable gate traffic.
+        let gate = prop_oneof![
+            (0..n, 1..head).prop_map(two_q),
+            (0..n, 1..head).prop_map(two_q),
+            (0..n, 1..head).prop_map(two_q),
+            (0..n, 1..head).prop_map(two_q),
+            (0..n).prop_map(|q| Gate::Rz(Qubit(q), 0.7)),
+            (0..n).prop_map(|q| Gate::Rz(Qubit(q), 0.7)),
+            Just(Gate::Barrier),
+        ];
+        prop::collection::vec(gate, 1..120).prop_map(move |gates| Circuit::from_gates(n, gates))
+    }
+
+    /// Rounds shaped like `repetition_code`: data ions on even
+    /// positions, ancillas on odd ones; each round runs a random subset
+    /// and order of neighbour parity gates and ancilla measure/resets,
+    /// then closes with a barrier. A transversal readout may follow the
+    /// last fence, or the circuit may end on it.
+    fn fenced_rounds_strategy(spec: DeviceSpec) -> impl Strategy<Value = Circuit> {
+        let n = spec.n_ions();
+        let step = (0..n / 2, 0u8..4).prop_map(move |(j, op)| {
+            let a = 2 * j + 1;
+            let right = if a + 1 < n { a + 1 } else { a - 1 };
+            match op {
+                0 => Gate::Xx(Qubit(a - 1), Qubit(a), 0.5),
+                1 => Gate::Xx(Qubit(a.min(right)), Qubit(a.max(right)), 0.5),
+                2 => Gate::Measure(Qubit(a)),
+                _ => Gate::Reset(Qubit(a)),
+            }
+        });
+        let rounds = prop::collection::vec(prop::collection::vec(step, 0..2 * n), 1..6);
+        (rounds, any::<bool>()).prop_map(move |(rounds, readout)| {
+            let mut c = Circuit::new(n);
+            for round in rounds {
+                for g in round {
+                    c.push(g);
+                }
+                c.barrier();
+            }
+            if readout {
+                for q in (0..n).step_by(2) {
+                    c.measure(Qubit(q));
+                }
+            }
+            c
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random routed circuits the engine reproduces the oracle
+        /// op-for-op — moves, head positions, executed-gate order —
+        /// under every policy, at the default horizon and at a random
+        /// (usually binding) one.
+        #[test]
+        fn engine_matches_oracle_on_random_circuits(
+            (spec, circuit) in spec_strategy().prop_flat_map(|s| (Just(s), routed_circuit_strategy(s))),
+            kind in kind_strategy(),
+            horizon in horizon_strategy(),
+        ) {
+            prop_assert_eq!(
+                schedule(&circuit, spec, kind),
+                oracle(&circuit, spec, kind),
+                "{:?} diverged on:\n{}", kind, circuit
+            );
+            prop_assert_eq!(
+                streaming::schedule_stream_monolithic(&circuit, spec, kind, horizon),
+                schedule_rescan_capped(&circuit, spec, kind, horizon),
+                "{:?} at H={} diverged on:\n{}", kind, horizon, circuit
+            );
+        }
+
+        /// Barrier-fenced syndrome rounds: the shape whose barrier
+        /// successors the engine narrows by their span's ranges.
+        #[test]
+        fn engine_matches_oracle_on_fenced_rounds(
+            (spec, circuit) in spec_strategy().prop_flat_map(|s| (Just(s), fenced_rounds_strategy(s))),
+            kind in kind_strategy(),
+            horizon in horizon_strategy(),
+        ) {
+            prop_assert_eq!(
+                streaming::schedule_stream_monolithic(&circuit, spec, kind, horizon),
+                schedule_rescan_capped(&circuit, spec, kind, horizon),
+                "{:?} at H={} diverged on:\n{}", kind, horizon, circuit
+            );
+        }
+
+        /// Same comparison after real routing: random long-range
+        /// circuits go through decomposition and LinQ swap insertion,
+        /// then the lowered stream is scheduled.
+        #[test]
+        fn engine_matches_oracle_after_routing(
+            pairs in prop::collection::vec((0usize..24, 0usize..24, 1u32..3), 1..25),
+            kind in kind_strategy(),
+            horizon in horizon_strategy(),
+        ) {
+            let spec = spec(24, 6);
+            let mut c = Circuit::new(24);
+            for (a, b, kind_sel) in pairs {
+                if a == b {
+                    c.rz(Qubit(a), 0.4);
+                } else if kind_sel == 1 {
+                    c.cnot(Qubit(a), Qubit(b));
+                } else {
+                    c.xx(Qubit(a), Qubit(b), 0.9);
+                }
+            }
+            let native = crate::decompose::decompose(&c);
+            let initial = InitialMapping::Identity.build(&native, spec.n_ions());
+            let routed = RouterKind::default()
+                .route(&native, spec, &initial)
+                .expect("random circuits on 24 ions route");
+            let lowered = crate::decompose::decompose(&routed.circuit);
+            prop_assert_eq!(schedule(&lowered, spec, kind), oracle(&lowered, spec, kind));
+            prop_assert_eq!(
+                streaming::schedule_stream_monolithic(&lowered, spec, kind, horizon),
+                schedule_rescan_capped(&lowered, spec, kind, horizon),
+                "{:?} at H={}", kind, horizon
+            );
+        }
     }
 }

@@ -87,6 +87,7 @@ proptest! {
     /// from a random initial state.
     #[test]
     fn optimized_paths_match_naive(circuit in circuit_strategy(), seed in 0u64..1000) {
+        let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
         let reference = probe.clone().run_naive(&circuit);
@@ -106,6 +107,7 @@ proptest! {
     /// amplitude-by-amplitude — no global-phase slack at this level.
     #[test]
     fn apply_matches_naive_exactly(circuit in circuit_strategy(), seed in 0u64..1000) {
+        let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
         let mut fast = State::random(n, seed);
         let mut slow = fast.clone();
@@ -126,6 +128,7 @@ proptest! {
     /// fused execution from |0…0⟩ matches unfused execution.
     #[test]
     fn fused_equals_unfused_from_zero(circuit in circuit_strategy()) {
+        let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
         let fused = State::zero(n).run_with(&circuit, RunOptions::optimized());
         let unfused = State::zero(n).run_with(&circuit, RunOptions::serial_unfused());
@@ -137,6 +140,7 @@ proptest! {
     /// `Toffoli` kernels (forced-rayon modes) to the naive path.
     #[test]
     fn parallel_permutation_kernels_match_naive(circuit in permutation_strategy(), seed in 0u64..1000) {
+        let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
         let reference = probe.clone().run_naive(&circuit);
@@ -155,6 +159,7 @@ proptest! {
     /// match naive.
     #[test]
     fn diagonal_run_batching_matches_naive(circuit in diagonal_strategy(), seed in 0u64..1000) {
+        let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
         let reference = probe.clone().run_naive(&circuit);
@@ -226,6 +231,7 @@ fn diagonal_strategy() -> impl Strategy<Value = Circuit> {
 /// sizes (kept small enough for CI).
 #[test]
 fn deep_circuit_all_modes_agree() {
+    let _guard = simd::test_tier_lock();
     let n = 10;
     let mut c = Circuit::new(n);
     for layer in 0..20 {
@@ -282,6 +288,7 @@ fn cuccaro_adder_fuses_to_monomial_blocks_only() {
 #[test]
 fn cuccaro_adder_all_modes_agree() {
     use tilt::benchmarks::adder::cuccaro_adder;
+    let _guard = simd::test_tier_lock();
     let adder = cuccaro_adder(4); // 10 qubits: cheap enough for debug CI
     let n = adder.n_qubits();
     let probe = State::random(n, 4242);
@@ -554,6 +561,7 @@ fn term_strategy(n: usize) -> impl Strategy<Value = tilt::statevec::kernels::Dia
 /// (the QFT row shape is exactly the workload the batching targets).
 #[test]
 fn wide_diagonal_ladder_all_modes_agree() {
+    let _guard = simd::test_tier_lock();
     let n = 15;
     let mut c = Circuit::new(n);
     for j in 0..n {
