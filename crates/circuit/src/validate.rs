@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Why a circuit failed validation.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidateCircuitError {
     /// A gate references a qubit outside the register.
     QubitOutOfRange {
@@ -95,8 +95,8 @@ pub fn validate_gate(
     n_qubits: usize,
 ) -> Result<(), ValidateCircuitError> {
     use crate::gate::Gate;
-    let qs = g.qubits();
-    for &q in &qs {
+    let qs = g.operands();
+    for &q in qs.iter() {
         if q.index() >= n_qubits {
             return Err(ValidateCircuitError::QubitOutOfRange {
                 gate_index,

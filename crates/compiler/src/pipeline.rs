@@ -5,18 +5,33 @@
 //! quantities the paper's evaluation tracks: swap counts and opposing
 //! ratio (Fig. 6), move counts and tape travel (Table III), and the
 //! wall-clock time of each pass (`t_swap`, `t_move` columns of Table III).
+//!
+//! There is one pass driver, [`StreamingCompiler`]. An in-memory compile
+//! feeds its circuit through it in fixed windows and collects the
+//! scheduled ops and the routed gates.
 
 pub mod streaming;
 
-use crate::decompose::decompose_into;
+use crate::decompose::decompose;
 use crate::error::CompileError;
 use crate::mapping::InitialMapping;
 use crate::program::TiltProgram;
 use crate::route::{RouteOutcome, RouterKind};
-use crate::schedule::{schedule, SchedulerKind};
+use crate::schedule::SchedulerKind;
 use crate::spec::DeviceSpec;
 use std::time::{Duration, Instant};
+use streaming::{CollectSink, StreamingCompiler};
 use tilt_circuit::{validate, Circuit};
+
+/// Input gates per window of an in-memory compile. Output does not
+/// depend on it; it bounds the per-window buffers.
+const COMPILE_WINDOW: usize = 1024;
+
+/// Lowered gates an in-memory compile reserves room for per input gate,
+/// so its output buffers are usually allocated once instead of grown.
+/// A CNOT lowers to five native gates; the paper suite and the
+/// repetition code average about three.
+const LOWERED_PER_INPUT: usize = 3;
 
 /// Per-compilation statistics (the paper's evaluation metrics).
 #[derive(Clone, Debug, PartialEq)]
@@ -55,19 +70,14 @@ pub struct CompileOutput {
     pub report: CompileReport,
 }
 
-/// Reusable per-compilation buffers.
+/// Per-worker compile state for batch callers.
 ///
-/// The pipeline's two transient allocations — the decomposed native
-/// circuit and the swap-lowered physical circuit — live here so that a
-/// caller compiling many circuits (the `tilt-engine` batch path) pays
-/// for them once per worker instead of once per circuit. A fresh
-/// default scratch reproduces the one-shot behaviour exactly: reuse
-/// only recycles `Vec` capacity, never gate content.
+/// The pipeline runs in fixed windows, so its transient buffers are
+/// bounded and allocated per compile; the scratch holds nothing today
+/// and stays in the signature of [`Compiler::compile_with_scratch`] so
+/// batch callers keep one call shape.
 #[derive(Clone, Debug, Default)]
-pub struct CompileScratch {
-    native: Circuit,
-    lowered: Circuit,
-}
+pub struct CompileScratch {}
 
 impl CompileScratch {
     /// An empty scratch (no buffers reserved yet).
@@ -146,11 +156,11 @@ impl Compiler {
         self.compile_with_scratch(circuit, &mut CompileScratch::new())
     }
 
-    /// [`Compiler::compile`] with caller-owned scratch buffers.
+    /// [`Compiler::compile`] with a caller-owned [`CompileScratch`].
     ///
     /// Produces the identical [`CompileOutput`] (same program bytes, same
-    /// statistics); the scratch only recycles allocation capacity between
-    /// calls. Use one scratch per worker when compiling batches.
+    /// statistics). The pipeline's buffers are bounded by its window, so
+    /// the scratch holds nothing and is not read.
     ///
     /// # Errors
     ///
@@ -158,50 +168,48 @@ impl Compiler {
     pub fn compile_with_scratch(
         &self,
         circuit: &Circuit,
-        scratch: &mut CompileScratch,
+        _scratch: &mut CompileScratch,
     ) -> Result<CompileOutput, CompileError> {
         validate(circuit)?;
-        if circuit.n_qubits() > self.spec.n_ions() {
-            return Err(CompileError::CircuitTooWide {
-                circuit_qubits: circuit.n_qubits(),
-                n_ions: self.spec.n_ions(),
-            });
-        }
-
-        // Pass 1: native-gate decomposition (§IV-B).
+        self.spec.check_width(circuit.n_qubits())?;
+        let n_ions = self.spec.n_ions();
+        // `InteractionChain` weighs the whole native interaction graph
+        // before placing an ion: a pre-pass over the decomposed circuit.
+        // Its decompose counts toward `t_decompose`, choosing the mapping
+        // toward `t_swap`.
         let t0 = Instant::now();
-        decompose_into(circuit, &mut scratch.native);
-        let native = &scratch.native;
-        let t_decompose = t0.elapsed();
-
-        // Pass 2: mapping + swap insertion (§IV-C).
-        let t1 = Instant::now();
-        let initial = self.initial_mapping.build(native, self.spec.n_ions());
-        let routed = self.router.route(native, self.spec, &initial)?;
-        let t_swap = t1.elapsed();
-
-        // Lower the inserted SWAPs to native gates (3 XX each), then
-        // pass 3: tape scheduling (§IV-D).
-        let t2 = Instant::now();
-        decompose_into(&routed.circuit, &mut scratch.lowered);
-        let program = schedule(&scratch.lowered, self.spec, self.scheduler);
-        let t_move = t2.elapsed();
-
-        let report = CompileReport {
-            swap_count: routed.swap_count,
-            opposing_swap_count: routed.opposing_swap_count,
-            opposing_ratio: routed.opposing_ratio(),
-            move_count: program.move_count(),
-            move_distance_ions: program.move_distance_ions(),
-            native_gate_count: program.gate_count(),
-            native_two_qubit_count: program.two_qubit_gate_count(),
-            t_decompose,
-            t_swap,
-            t_move,
+        let (initial, t_pre_decompose) = match self.initial_mapping.build_streaming(n_ions) {
+            Some(initial) => (initial, Duration::ZERO),
+            None => {
+                let native = decompose(circuit);
+                let t_pre_decompose = t0.elapsed();
+                (self.initial_mapping.build(&native, n_ions), t_pre_decompose)
+            }
         };
+        let t_mapping = t0.elapsed() - t_pre_decompose;
+        let mut session =
+            StreamingCompiler::with_initial(self, circuit.n_qubits(), COMPILE_WINDOW, initial)?;
+        let expected = circuit.len().saturating_mul(LOWERED_PER_INPUT);
+        session.collect_routed(expected);
+        let mut sink = CollectSink {
+            ops: Vec::with_capacity(expected),
+        };
+        for window in circuit.gates().chunks(COMPILE_WINDOW) {
+            session.advance(window, false, &mut sink);
+        }
+        let (summary, routed) = session.end(&mut sink);
+        let mut report = summary.report;
+        report.t_decompose += t_pre_decompose;
+        report.t_swap += t_mapping;
         Ok(CompileOutput {
-            program,
-            routed,
+            program: TiltProgram::new(self.spec, sink.ops),
+            routed: RouteOutcome {
+                circuit: routed.expect("the routed tap was set"),
+                initial_mapping: summary.initial_mapping,
+                final_mapping: summary.final_mapping,
+                swap_count: report.swap_count,
+                opposing_swap_count: report.opposing_swap_count,
+            },
             report,
         })
     }

@@ -1,15 +1,14 @@
-//! Bounded-memory streaming compilation.
+//! The compile pipeline's pass driver.
 //!
-//! [`StreamingCompiler`] runs the same three passes as
-//! [`Compiler::compile`] — decompose, route, schedule — over a gate
-//! *stream* instead of a materialized [`Circuit`], holding only
-//! O(window + look-ahead) state: the current input window, the router's
-//! pruned pending suffix ([`StreamRouter`]), and the scheduler's active
-//! horizon ([`StreamScheduler`]). Scheduled ops leave through a
-//! [`ProgramSink`] as increments; concatenating every increment yields
-//! **exactly** the monolithic program's op stream — decision identity is
-//! the correctness bar, pinned by the in-crate equivalence tests and
-//! `tests/streaming_equivalence.rs`.
+//! [`StreamingCompiler`] runs the three passes — decompose, route,
+//! schedule — over a gate stream, holding only O(window + look-ahead)
+//! state: the current input window, the router's pruned pending suffix
+//! ([`StreamRouter`]), and the scheduler's active horizon
+//! ([`StreamScheduler`]). Scheduled ops leave through a [`ProgramSink`]
+//! as increments. It is the only pass driver: [`Compiler::compile`]
+//! feeds an in-memory circuit through it in fixed windows and collects
+//! the ops, so every window size yields the same op stream, pinned by
+//! the equivalence tests and `tests/streaming_equivalence.rs`.
 //!
 //! Carry-over state between windows:
 //!
@@ -21,20 +20,21 @@
 //! * the report accumulators (move count/distance, gate counts, pass
 //!   timings).
 //!
-//! Two configurations cannot stream and are rejected up front rather
-//! than silently diverging from the monolithic result:
-//! [`InitialMapping::InteractionChain`] must weigh the complete
-//! interaction graph before placing the first ion, and a window can
-//! never be scheduled before its successors' dependencies are known —
-//! which is why the scheduler ingests up to its eligibility horizon
-//! before committing any round instead of scheduling each window in
-//! isolation.
+//! A window is never scheduled before its successors' dependencies are
+//! known: the scheduler ingests up to its eligibility horizon before
+//! committing any round instead of scheduling each window in isolation.
+//! [`InitialMapping::InteractionChain`] weighs the whole interaction
+//! graph before placing the first ion, so a true stream rejects it; an
+//! in-memory compile runs it as a pre-pass and then streams.
+//!
+//! [`InitialMapping::InteractionChain`]: crate::InitialMapping::InteractionChain
 
 use super::{CompileReport, Compiler};
-use crate::decompose::decompose_into;
+use crate::decompose::decompose_gate;
 use crate::error::CompileError;
 use crate::mapping::Mapping;
-use crate::program::TiltOp;
+use crate::program::{OpTally, TiltOp};
+use crate::route::opposing_ratio;
 use crate::route::streaming::StreamRouter;
 use crate::schedule::{StreamScheduler, DEFAULT_HORIZON};
 use crate::spec::DeviceSpec;
@@ -44,7 +44,7 @@ use tilt_circuit::{validate_gate, Circuit, Gate};
 /// Receives scheduled program increments from the streaming pipeline.
 ///
 /// `emit` is called with each non-empty batch of ops in execution order;
-/// the concatenation of all batches equals the monolithic
+/// the concatenation of all batches equals the in-memory compile's
 /// [`TiltProgram::ops`](crate::TiltProgram::ops) stream byte for byte.
 pub trait ProgramSink {
     /// Consumes the next increment of the scheduled op stream.
@@ -74,7 +74,7 @@ impl ProgramSink for CollectSink {
 /// What a completed streaming compile reports.
 #[derive(Clone, Debug)]
 pub struct StreamSummary {
-    /// The same statistics the monolithic pipeline reports — identical
+    /// The same statistics an in-memory compile reports — identical
     /// values except the wall-clock fields.
     pub report: CompileReport,
     /// Number of non-empty increments handed to the sink.
@@ -87,7 +87,8 @@ pub struct StreamSummary {
     pub final_mapping: Mapping,
 }
 
-/// Push-based streaming counterpart of [`Compiler::compile`].
+/// Push-based streaming compilation with the same output as
+/// [`Compiler::compile`].
 ///
 /// Feed program gates with [`push`](StreamingCompiler::push); every
 /// `window` input gates the pipeline advances all three passes and
@@ -99,7 +100,7 @@ pub struct StreamingCompiler {
     n_qubits: usize,
     window: usize,
     /// Buffered input program gates of the current window.
-    buffer: Circuit,
+    buffer: Vec<Gate>,
     /// Decompose-pass scratch (native expansion of the window).
     native: Circuit,
     /// Swap-lowering scratch (native expansion of routed increments).
@@ -108,15 +109,15 @@ pub struct StreamingCompiler {
     scheduler: StreamScheduler,
     /// Scheduled ops awaiting the next flush.
     ops: Vec<TiltOp>,
+    /// Collects every routed gate when set (in-memory compiles keep the
+    /// routed circuit for the Fig. 6 metrics and the verifier).
+    routed: Option<Circuit>,
     initial_mapping: Mapping,
     input_gate_count: usize,
     increments: usize,
-    // Report accumulators (the monolithic fold, applied incrementally).
-    move_count: usize,
-    move_distance_ions: usize,
-    last_head: Option<usize>,
-    native_gate_count: usize,
-    native_two_qubit_count: usize,
+    /// Move/gate counts and travel, folded over the ops as they are
+    /// scheduled.
+    tally: OpTally,
     t_decompose: Duration,
     t_swap: Duration,
     t_move: Duration,
@@ -137,14 +138,11 @@ impl StreamingCompiler {
     ///
     /// [`InitialMapping::InteractionChain`]: crate::InitialMapping::InteractionChain
     pub fn new(compiler: &Compiler, n_qubits: usize, window: usize) -> Result<Self, CompileError> {
-        let spec = compiler.spec;
-        if n_qubits > spec.n_ions() {
-            return Err(CompileError::CircuitTooWide {
-                circuit_qubits: n_qubits,
-                n_ions: spec.n_ions(),
-            });
-        }
-        let Some(initial) = compiler.initial_mapping.build_streaming(spec.n_ions()) else {
+        compiler.spec.check_width(n_qubits)?;
+        let Some(initial) = compiler
+            .initial_mapping
+            .build_streaming(compiler.spec.n_ions())
+        else {
             return Err(CompileError::StreamingUnsupported {
                 reason: format!(
                     "initial mapping {:?} must inspect the whole circuit before placing ions",
@@ -152,30 +150,49 @@ impl StreamingCompiler {
                 ),
             });
         };
+        Self::with_initial(compiler, n_qubits, window, initial)
+    }
+
+    /// [`StreamingCompiler::new`] from an already-built starting
+    /// permutation.
+    pub(crate) fn with_initial(
+        compiler: &Compiler,
+        n_qubits: usize,
+        window: usize,
+        initial: Mapping,
+    ) -> Result<Self, CompileError> {
+        let spec = compiler.spec;
+        spec.check_width(n_qubits)?;
         let router = StreamRouter::new(&compiler.router, spec, initial.clone())?;
         let scheduler = StreamScheduler::new(spec, compiler.scheduler, DEFAULT_HORIZON);
         Ok(StreamingCompiler {
             spec,
             n_qubits,
             window: window.max(1),
-            buffer: Circuit::new(n_qubits),
+            buffer: Vec::new(),
             native: Circuit::new(n_qubits),
             lowered: Circuit::new(spec.n_ions()),
             router,
             scheduler,
             ops: Vec::new(),
+            routed: None,
             initial_mapping: initial,
             input_gate_count: 0,
             increments: 0,
-            move_count: 0,
-            move_distance_ions: 0,
-            last_head: None,
-            native_gate_count: 0,
-            native_two_qubit_count: 0,
+            tally: OpTally::default(),
             t_decompose: Duration::ZERO,
             t_swap: Duration::ZERO,
             t_move: Duration::ZERO,
         })
+    }
+
+    /// Keeps every routed gate, for [`StreamingCompiler::end`] to return,
+    /// and sizes the routed circuit and the scheduler's per-gate state for
+    /// about `expected` lowered gates.
+    pub(crate) fn collect_routed(&mut self, expected: usize) {
+        self.routed = Some(Circuit::with_capacity(self.spec.n_ions(), expected));
+        // Beyond its horizon the scheduler retires gates as it goes.
+        self.scheduler.reserve(expected.min(2 * DEFAULT_HORIZON));
     }
 
     /// Ingests the next program gate; advances the pipeline and flushes
@@ -184,38 +201,39 @@ impl StreamingCompiler {
     /// # Errors
     ///
     /// [`CompileError::InvalidCircuit`] with the offending gate's global
-    /// index, exactly as the monolithic validation pass reports it.
+    /// index, exactly as whole-circuit validation reports it.
     pub fn push(&mut self, g: Gate, sink: &mut dyn ProgramSink) -> Result<(), CompileError> {
-        validate_gate(&g, self.input_gate_count, self.n_qubits)?;
-        self.input_gate_count += 1;
+        validate_gate(&g, self.input_gate_count + self.buffer.len(), self.n_qubits)?;
         self.buffer.push(g);
         if self.buffer.len() >= self.window {
-            self.process_window(false, sink);
+            self.flush_buffer(false, sink);
         }
         Ok(())
     }
 
     /// Declares end of input, drains every pass, flushes the final
     /// increment, and reports.
-    pub fn finish(mut self, sink: &mut dyn ProgramSink) -> StreamSummary {
-        self.process_window(true, sink);
+    pub fn finish(self, sink: &mut dyn ProgramSink) -> StreamSummary {
+        self.end(sink).0
+    }
+
+    /// [`StreamingCompiler::finish`], also returning the routed circuit
+    /// when [`StreamingCompiler::collect_routed`] was called.
+    pub(crate) fn end(mut self, sink: &mut dyn ProgramSink) -> (StreamSummary, Option<Circuit>) {
+        self.flush_buffer(true, sink);
         debug_assert!(self.scheduler.is_done());
         let swap_count = self.router.swap_count();
         let opposing_swap_count = self.router.opposing_swap_count();
-        let opposing_ratio = if swap_count == 0 {
-            0.0
-        } else {
-            opposing_swap_count as f64 / swap_count as f64
-        };
-        StreamSummary {
+        let opposing_ratio = opposing_ratio(opposing_swap_count, swap_count);
+        let summary = StreamSummary {
             report: CompileReport {
                 swap_count,
                 opposing_swap_count,
                 opposing_ratio,
-                move_count: self.move_count,
-                move_distance_ions: self.move_distance_ions,
-                native_gate_count: self.native_gate_count,
-                native_two_qubit_count: self.native_two_qubit_count,
+                move_count: self.tally.moves,
+                move_distance_ions: self.tally.move_distance_ions,
+                native_gate_count: self.tally.gates,
+                native_two_qubit_count: self.tally.two_qubit_gates,
                 t_decompose: self.t_decompose,
                 t_swap: self.t_swap,
                 t_move: self.t_move,
@@ -224,23 +242,34 @@ impl StreamingCompiler {
             input_gate_count: self.input_gate_count,
             initial_mapping: self.initial_mapping,
             final_mapping: self.router.mapping().clone(),
-        }
+        };
+        (summary, self.routed)
     }
 
-    /// Runs the buffered window through decompose → route → schedule and
-    /// flushes any scheduled ops.
-    fn process_window(&mut self, eof: bool, sink: &mut dyn ProgramSink) {
+    fn flush_buffer(&mut self, eof: bool, sink: &mut dyn ProgramSink) {
+        let buffer = std::mem::take(&mut self.buffer);
+        self.advance(&buffer, eof, sink);
+        self.buffer = buffer;
+        self.buffer.clear();
+    }
+
+    /// Runs one window of already-validated input gates through
+    /// decompose → route → schedule and flushes any scheduled ops.
+    pub(crate) fn advance(&mut self, gates: &[Gate], eof: bool, sink: &mut dyn ProgramSink) {
+        self.input_gate_count += gates.len();
+
         // Pass 1: native-gate decomposition (§IV-B) of this window.
         let t0 = Instant::now();
-        decompose_into(&self.buffer, &mut self.native);
+        self.native.reset(self.n_qubits);
+        for g in gates {
+            decompose_gate(&mut self.native, g);
+        }
         self.t_decompose += t0.elapsed();
 
         // Pass 2: mapping + swap insertion (§IV-C), carried across
         // windows by the router.
         let t1 = Instant::now();
-        for g in self.native.gates() {
-            self.router.push(*g);
-        }
+        self.router.extend(self.native.gates());
         if eof {
             self.router.finish_input();
         }
@@ -251,7 +280,10 @@ impl StreamingCompiler {
         let t2 = Instant::now();
         self.lowered.reset(self.spec.n_ions());
         for g in self.router.drain_routed() {
-            crate::decompose::decompose_gate(&mut self.lowered, &g);
+            if let Some(routed) = &mut self.routed {
+                routed.push(g);
+            }
+            decompose_gate(&mut self.lowered, &g);
         }
         for g in self.lowered.gates() {
             self.scheduler.push(*g);
@@ -259,42 +291,16 @@ impl StreamingCompiler {
         if eof {
             self.scheduler.finish_input();
         }
-        let emitted_from = self.ops.len();
         self.scheduler.run_rounds(&mut self.ops);
         self.t_move += t2.elapsed();
 
-        self.accumulate(emitted_from);
-        self.buffer.reset(self.n_qubits);
+        for op in &self.ops {
+            self.tally.push(op);
+        }
         if !self.ops.is_empty() {
             sink.emit(&self.ops);
             self.increments += 1;
             self.ops.clear();
-        }
-    }
-
-    /// Folds the ops appended since `from` into the report accumulators
-    /// (the same fold `TiltProgram`'s count/distance methods apply to the
-    /// finished op stream).
-    fn accumulate(&mut self, from: usize) {
-        for op in &self.ops[from..] {
-            match *op {
-                TiltOp::Move { to } => {
-                    if let Some(p) = self.last_head {
-                        self.move_distance_ions += p.abs_diff(to);
-                    }
-                    self.last_head = Some(to);
-                    self.move_count += 1;
-                }
-                TiltOp::Gate { gate, head_pos } => {
-                    if self.last_head.is_none() {
-                        self.last_head = Some(head_pos);
-                    }
-                    self.native_gate_count += 1;
-                    if gate.is_two_qubit() {
-                        self.native_two_qubit_count += 1;
-                    }
-                }
-            }
         }
     }
 }
@@ -303,7 +309,7 @@ impl Compiler {
     /// Streaming counterpart of [`Compiler::compile`]: pulls gates off
     /// `gates`, compiles in `window`-gate increments, and emits scheduled
     /// ops through `sink`. The concatenated increments equal the
-    /// monolithic program's op stream exactly.
+    /// in-memory compile's op stream exactly.
     ///
     /// # Errors
     ///
@@ -329,9 +335,11 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::decompose;
     use crate::mapping::InitialMapping;
+    use crate::pipeline::CompileOutput;
     use crate::route::{LinqConfig, RouterKind, StochasticConfig};
-    use crate::schedule::SchedulerKind;
+    use crate::schedule::{schedule, SchedulerKind};
     use tilt_circuit::Qubit;
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -410,11 +418,65 @@ mod tests {
         ]
     }
 
+    /// The passes run one after another over whole circuits, routed by
+    /// the seed's monolithic router loop.
+    fn oracle_compile(compiler: &Compiler, c: &Circuit) -> CompileOutput {
+        let spec = compiler.spec;
+        let native = decompose(c);
+        let initial = compiler.initial_mapping.build(&native, spec.n_ions());
+        let routed = crate::route::oracle::route(&compiler.router, &native, spec, &initial);
+        let program = schedule(&decompose(&routed.circuit), spec, compiler.scheduler);
+        let report = CompileReport {
+            swap_count: routed.swap_count,
+            opposing_swap_count: routed.opposing_swap_count,
+            opposing_ratio: routed.opposing_ratio(),
+            move_count: program.move_count(),
+            move_distance_ions: program.move_distance_ions(),
+            native_gate_count: program.gate_count(),
+            native_two_qubit_count: program.two_qubit_gate_count(),
+            t_decompose: Duration::ZERO,
+            t_swap: Duration::ZERO,
+            t_move: Duration::ZERO,
+        };
+        CompileOutput {
+            program,
+            routed,
+            report,
+        }
+    }
+
+    #[test]
+    fn in_memory_compile_matches_the_pass_by_pass_oracle() {
+        let c = workload(24, 400, 0xA11CE);
+        let mut chain = Compiler::new(DeviceSpec::new(24, 6).unwrap());
+        chain.initial_mapping(InitialMapping::InteractionChain);
+        for compiler in configs().into_iter().chain([chain]) {
+            let got = compiler.compile(&c).unwrap();
+            let want = oracle_compile(&compiler, &c);
+            assert_eq!(got.program, want.program, "{compiler:?}");
+            assert_eq!(got.routed.circuit, want.routed.circuit);
+            assert_eq!(got.routed.initial_mapping, want.routed.initial_mapping);
+            assert_eq!(got.routed.final_mapping, want.routed.final_mapping);
+            assert_eq!(got.routed.swap_count, want.routed.swap_count);
+            assert_eq!(
+                got.routed.opposing_swap_count,
+                want.routed.opposing_swap_count
+            );
+            let untimed = |r: &CompileReport| CompileReport {
+                t_decompose: Duration::ZERO,
+                t_swap: Duration::ZERO,
+                t_move: Duration::ZERO,
+                ..r.clone()
+            };
+            assert_eq!(untimed(&got.report), want.report);
+        }
+    }
+
     #[test]
     fn streamed_compile_matches_monolithic_across_windows() {
         let c = workload(24, 400, 0xA11CE);
         for compiler in configs() {
-            let mono = compiler.compile(&c).unwrap();
+            let mono = oracle_compile(&compiler, &c);
             for window in [1usize, 64, 1024, usize::MAX] {
                 let mut sink = CollectSink::default();
                 let summary = compiler

@@ -94,12 +94,18 @@ impl TiltProgram {
         &self.ops
     }
 
+    /// The count/distance fold over the whole op stream.
+    fn tally(&self) -> OpTally {
+        let mut tally = OpTally::default();
+        for op in &self.ops {
+            tally.push(op);
+        }
+        tally
+    }
+
     /// Number of tape movements (`#moves` in Table III).
     pub fn move_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TiltOp::Move { .. }))
-            .count()
+        self.tally().moves
     }
 
     /// Total tape travel distance in ion spacings.
@@ -107,37 +113,17 @@ impl TiltProgram {
     /// Multiply by the ion spacing (5 µm, §II-B) for the `dist(µm)` column
     /// of Table III.
     pub fn move_distance_ions(&self) -> usize {
-        let mut dist = 0usize;
-        let mut pos: Option<usize> = None;
-        for op in &self.ops {
-            match *op {
-                TiltOp::Move { to } => {
-                    if let Some(p) = pos {
-                        dist += p.abs_diff(to);
-                    }
-                    pos = Some(to);
-                }
-                TiltOp::Gate { head_pos, .. } => {
-                    if pos.is_none() {
-                        pos = Some(head_pos);
-                    }
-                }
-            }
-        }
-        dist
+        self.tally().move_distance_ions
     }
 
     /// Number of gate operations.
     pub fn gate_count(&self) -> usize {
-        self.ops.len() - self.move_count()
+        self.tally().gates
     }
 
     /// Number of two-qubit gate operations.
     pub fn two_qubit_gate_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TiltOp::Gate { gate, .. } if gate.is_two_qubit()))
-            .count()
+        self.tally().two_qubit_gates
     }
 
     /// Iterates over the gates only, with their head positions.
@@ -158,6 +144,41 @@ impl TiltProgram {
                 TiltOp::Move { to } => *to,
             })
             .next()
+    }
+}
+
+/// Move and gate counts and tape travel, folded one op at a time: the
+/// fold behind [`TiltProgram`]'s counters and the streaming compile
+/// report.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct OpTally {
+    pub(crate) moves: usize,
+    pub(crate) move_distance_ions: usize,
+    pub(crate) gates: usize,
+    pub(crate) two_qubit_gates: usize,
+    /// Head position after the ops so far; travel starts from the first
+    /// position the head is seen at.
+    last_head: Option<usize>,
+}
+
+impl OpTally {
+    pub(crate) fn push(&mut self, op: &TiltOp) {
+        match *op {
+            TiltOp::Move { to } => {
+                if let Some(p) = self.last_head {
+                    self.move_distance_ions += p.abs_diff(to);
+                }
+                self.last_head = Some(to);
+                self.moves += 1;
+            }
+            TiltOp::Gate { gate, head_pos } => {
+                self.last_head.get_or_insert(head_pos);
+                self.gates += 1;
+                if gate.is_two_qubit() {
+                    self.two_qubit_gates += 1;
+                }
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! small circuits (see the `linq_vs_exact` tests and the ablation bench);
 //! it is deliberately guarded against large instances.
 
-use super::{is_opposing, pending_gates, PendingIndex, RouteOutcome};
+use super::{is_opposing, PendingGate, PendingIndex, RouteOutcome, Skeleton};
 use crate::error::CompileError;
 use crate::mapping::Mapping;
 use crate::spec::DeviceSpec;
@@ -79,12 +79,7 @@ pub fn optimal_route(
     initial: &Mapping,
     cfg: &ExactConfig,
 ) -> Result<RouteOutcome, CompileError> {
-    if native.n_qubits() > spec.n_ions() {
-        return Err(CompileError::CircuitTooWide {
-            circuit_qubits: native.n_qubits(),
-            n_ions: spec.n_ions(),
-        });
-    }
+    spec.check_width(native.n_qubits())?;
     if spec.n_ions() > cfg.max_ions {
         return Err(CompileError::InvalidRouterConfig {
             reason: format!(
@@ -104,7 +99,8 @@ pub fn optimal_route(
         });
     }
 
-    let pending = pending_gates(native);
+    let mut skeleton = Skeleton::new(native.n_qubits());
+    let pending: Vec<PendingGate> = native.iter().filter_map(|g| skeleton.push(g)).collect();
     let n = spec.n_ions();
 
     // Advance through every already-executable gate (free transitions).

@@ -139,15 +139,6 @@ impl LinqPolicy {
         }
     }
 
-    /// Forgets the cached look-ahead window; the next decision rebuilds
-    /// it from scratch. The streaming router periodically rebases its
-    /// pending list (dropping the already-routed prefix), which shifts
-    /// the cursor coordinate the cache is keyed on — the rebuilt weights
-    /// are identical, so decisions are unaffected.
-    pub(crate) fn invalidate_window(&mut self) {
-        self.cached_cursor = usize::MAX;
-    }
-
     /// Rebuilds the per-window weight cache when the routing cursor has
     /// moved since the last decision.
     fn refresh_window(&mut self, state: &RouteState<'_>) {
@@ -231,6 +222,13 @@ impl LinqPolicy {
 }
 
 impl SwapPolicy for LinqPolicy {
+    /// Forgets the cached look-ahead window; the next decision rebuilds
+    /// it from scratch. The rebuilt weights are identical, so decisions
+    /// are unaffected.
+    fn invalidate_window(&mut self) {
+        self.cached_cursor = usize::MAX;
+    }
+
     fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize) {
         self.refresh_window(state);
         let mut best: Option<((usize, usize), f64)> = None;
@@ -249,7 +247,8 @@ impl SwapPolicy for LinqPolicy {
 mod tests {
     use super::*;
     use crate::mapping::{InitialMapping, Mapping};
-    use crate::route::{route_with_policy, RouteOutcome, RouterKind};
+    use crate::route::oracle::route_with_policy;
+    use crate::route::{RouteOutcome, RouterKind};
     use std::collections::HashMap;
     use tilt_circuit::Circuit;
 

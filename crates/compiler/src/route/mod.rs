@@ -65,29 +65,45 @@ pub(crate) struct PendingGate {
     pub layer: usize,
 }
 
-/// ASAP layering of the two-qubit skeleton: only two-qubit gates advance
-/// per-qubit levels (single-qubit gates are transparent; barriers
-/// synchronise everything).
-pub(crate) fn pending_gates(native: &Circuit) -> Vec<PendingGate> {
-    let mut level = vec![0usize; native.n_qubits()];
-    let mut barrier_level = 0usize;
-    let mut pending = Vec::with_capacity(native.len() / 2);
-    for g in native {
+/// Incremental ASAP layering of the two-qubit skeleton: only two-qubit
+/// gates advance per-qubit levels (single-qubit gates are transparent;
+/// barriers synchronise everything).
+pub(crate) struct Skeleton {
+    level: Vec<usize>,
+    /// Highest level reached so far. Levels never decrease, so this
+    /// equals the max over all qubits a barrier synchronises to.
+    peak: usize,
+    barrier_level: usize,
+}
+
+impl Skeleton {
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        Skeleton {
+            level: vec![0; n_qubits],
+            peak: 0,
+            barrier_level: 0,
+        }
+    }
+
+    /// Layers the next gate in program order; `Some` for two-qubit gates.
+    pub(crate) fn push(&mut self, g: &Gate) -> Option<PendingGate> {
         if matches!(g, Gate::Barrier) {
-            barrier_level = barrier_level.max(level.iter().copied().max().unwrap_or(0));
-            continue;
+            self.barrier_level = self.peak;
+            return None;
         }
         if !g.is_two_qubit() {
-            continue;
+            return None;
         }
-        let qs = g.qubits();
+        let qs = g.operands();
         let (a, b) = (qs[0], qs[1]);
-        let layer = level[a.index()].max(level[b.index()]).max(barrier_level);
-        level[a.index()] = layer + 1;
-        level[b.index()] = layer + 1;
-        pending.push(PendingGate { a, b, layer });
+        let layer = self.level[a.index()]
+            .max(self.level[b.index()])
+            .max(self.barrier_level);
+        self.level[a.index()] = layer + 1;
+        self.level[b.index()] = layer + 1;
+        self.peak = self.peak.max(layer + 1);
+        Some(PendingGate { a, b, layer })
     }
-    pending
 }
 
 /// Per-qubit index into the pending-gate list: for each logical qubit,
@@ -154,6 +170,10 @@ impl RouteState<'_> {
 /// guarantees router termination).
 pub(crate) trait SwapPolicy {
     fn choose_swap(&mut self, state: &RouteState<'_>) -> (usize, usize);
+
+    /// Forgets state keyed on pending-list coordinates, which the
+    /// streaming router shifts when it drops the routed prefix.
+    fn invalidate_window(&mut self) {}
 }
 
 /// Result of routing: the physical circuit and the statistics Fig. 6
@@ -177,11 +197,16 @@ pub struct RouteOutcome {
 impl RouteOutcome {
     /// Opposing-swap ratio (Fig. 6a); zero when no swaps were inserted.
     pub fn opposing_ratio(&self) -> f64 {
-        if self.swap_count == 0 {
-            0.0
-        } else {
-            self.opposing_swap_count as f64 / self.swap_count as f64
-        }
+        opposing_ratio(self.opposing_swap_count, self.swap_count)
+    }
+}
+
+/// `opposing / swaps`, zero when no swaps were inserted.
+pub(crate) fn opposing_ratio(opposing: usize, swaps: usize) -> f64 {
+    if swaps == 0 {
+        0.0
+    } else {
+        opposing as f64 / swaps as f64
     }
 }
 
@@ -202,6 +227,14 @@ impl RouterKind {
         }
     }
 
+    /// A fresh instance of this swap policy for `spec`.
+    pub(crate) fn policy(&self, spec: DeviceSpec) -> Box<dyn SwapPolicy + Send> {
+        match self {
+            RouterKind::Linq(cfg) => Box::new(linq::LinqPolicy::new(*cfg, spec)),
+            RouterKind::Stochastic(cfg) => Box::new(stochastic::StochasticPolicy::new(*cfg)),
+        }
+    }
+
     /// The widest swap this policy may insert on `spec`, in ion
     /// spacings — the cap the `tilt/swap-chain` verifier rule checks
     /// routed circuits against.
@@ -215,7 +248,9 @@ impl RouterKind {
 
     /// Routes `native` (a circuit already lowered to the native gate set or
     /// at least to two-qubit granularity) onto `spec`, starting from
-    /// `initial` and inserting swaps with this policy.
+    /// `initial` and inserting swaps with this policy. Drives the same
+    /// incremental router the compile pipeline runs, over the whole
+    /// circuit.
     ///
     /// # Errors
     ///
@@ -229,78 +264,11 @@ impl RouterKind {
         spec: DeviceSpec,
         initial: &Mapping,
     ) -> Result<RouteOutcome, CompileError> {
-        if native.n_qubits() > spec.n_ions() {
-            return Err(CompileError::CircuitTooWide {
-                circuit_qubits: native.n_qubits(),
-                n_ions: spec.n_ions(),
-            });
-        }
-        self.validate(spec)?;
-        match self {
-            RouterKind::Linq(cfg) => {
-                let mut policy = linq::LinqPolicy::new(*cfg, spec);
-                Ok(route_with_policy(native, spec, initial, &mut policy))
-            }
-            RouterKind::Stochastic(cfg) => {
-                let mut policy = stochastic::StochasticPolicy::new(*cfg);
-                Ok(route_with_policy(native, spec, initial, &mut policy))
-            }
-        }
-    }
-}
-
-/// Shared routing loop: walk the circuit in program order (a topological
-/// order), inserting the policy's swaps before each unexecutable gate.
-pub(crate) fn route_with_policy(
-    native: &Circuit,
-    spec: DeviceSpec,
-    initial: &Mapping,
-    policy: &mut dyn SwapPolicy,
-) -> RouteOutcome {
-    let pending = pending_gates(native);
-    let index = PendingIndex::build(&pending, spec.n_ions());
-
-    let mut out = Circuit::with_capacity(spec.n_ions(), native.len() + native.len() / 4);
-    let mut mapping = initial.clone();
-    let mut cursor = 0usize;
-    let mut swap_count = 0usize;
-    let mut opposing_swap_count = 0usize;
-
-    for g in native {
-        if g.is_two_qubit() {
-            let qs = g.qubits();
-            while mapping.distance(qs[0], qs[1]) >= spec.head_size() {
-                let (pa, pb) = {
-                    let state = RouteState {
-                        spec,
-                        mapping: &mapping,
-                        pending: &pending,
-                        index: &index,
-                        cursor,
-                    };
-                    policy.choose_swap(&state)
-                };
-                debug_assert!(pa != pb && pa.abs_diff(pb) < spec.head_size());
-                if is_opposing(&mapping, &pending, &index, cursor, pa, pb) {
-                    opposing_swap_count += 1;
-                }
-                out.swap(Qubit(pa.min(pb)), Qubit(pa.max(pb)));
-                mapping.swap_positions(pa, pb);
-                swap_count += 1;
-            }
-            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
-            cursor += 1;
-        } else {
-            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
-        }
-    }
-
-    RouteOutcome {
-        circuit: out,
-        initial_mapping: initial.clone(),
-        final_mapping: mapping,
-        swap_count,
-        opposing_swap_count,
+        spec.check_width(native.n_qubits())?;
+        let mut router = streaming::StreamRouter::new(self, spec, initial.clone())?;
+        router.extend(native.gates());
+        router.finish_input();
+        Ok(router.into_outcome(initial.clone()))
     }
 }
 
@@ -357,6 +325,99 @@ fn is_opposing(
         mapping.distance(g.a, g.b)
     };
     vdist(ga) < dist(ga) && vdist(gb) < dist(gb)
+}
+
+/// The router oracle: the seed's monolithic loop over a materialized
+/// circuit, with the pending list built up front. The incremental router
+/// must match it decision for decision.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// ASAP layering of the two-qubit skeleton over a whole circuit.
+    pub(crate) fn pending_gates(native: &Circuit) -> Vec<PendingGate> {
+        let mut level = vec![0usize; native.n_qubits()];
+        let mut barrier_level = 0usize;
+        let mut pending = Vec::with_capacity(native.len() / 2);
+        for g in native {
+            if matches!(g, Gate::Barrier) {
+                barrier_level = barrier_level.max(level.iter().copied().max().unwrap_or(0));
+                continue;
+            }
+            if !g.is_two_qubit() {
+                continue;
+            }
+            let qs = g.qubits();
+            let (a, b) = (qs[0], qs[1]);
+            let layer = level[a.index()].max(level[b.index()]).max(barrier_level);
+            level[a.index()] = layer + 1;
+            level[b.index()] = layer + 1;
+            pending.push(PendingGate { a, b, layer });
+        }
+        pending
+    }
+
+    /// Walks the circuit in program order (a topological order),
+    /// inserting the policy's swaps before each unexecutable gate.
+    pub(crate) fn route_with_policy(
+        native: &Circuit,
+        spec: DeviceSpec,
+        initial: &Mapping,
+        policy: &mut dyn SwapPolicy,
+    ) -> RouteOutcome {
+        let pending = pending_gates(native);
+        let index = PendingIndex::build(&pending, spec.n_ions());
+
+        let mut out = Circuit::with_capacity(spec.n_ions(), native.len() + native.len() / 4);
+        let mut mapping = initial.clone();
+        let mut cursor = 0usize;
+        let mut swap_count = 0usize;
+        let mut opposing_swap_count = 0usize;
+
+        for g in native {
+            if g.is_two_qubit() {
+                let qs = g.qubits();
+                while mapping.distance(qs[0], qs[1]) >= spec.head_size() {
+                    let (pa, pb) = {
+                        let state = RouteState {
+                            spec,
+                            mapping: &mapping,
+                            pending: &pending,
+                            index: &index,
+                            cursor,
+                        };
+                        policy.choose_swap(&state)
+                    };
+                    if is_opposing(&mapping, &pending, &index, cursor, pa, pb) {
+                        opposing_swap_count += 1;
+                    }
+                    out.swap(Qubit(pa.min(pb)), Qubit(pa.max(pb)));
+                    mapping.swap_positions(pa, pb);
+                    swap_count += 1;
+                }
+                cursor += 1;
+            }
+            out.push(g.map_qubits(|q| Qubit(mapping.position_of(q))));
+        }
+
+        RouteOutcome {
+            circuit: out,
+            initial_mapping: initial.clone(),
+            final_mapping: mapping,
+            swap_count,
+            opposing_swap_count,
+        }
+    }
+
+    /// [`route_with_policy`] with `kind`'s policy.
+    pub(crate) fn route(
+        kind: &RouterKind,
+        native: &Circuit,
+        spec: DeviceSpec,
+        initial: &Mapping,
+    ) -> RouteOutcome {
+        route_with_policy(native, spec, initial, kind.policy(spec).as_mut())
+    }
 }
 
 #[cfg(test)]
@@ -515,7 +576,7 @@ mod tests {
         c.rz(Qubit(1), 0.5);
         c.xx(Qubit(1), Qubit(2), 0.1);
         c.xx(Qubit(0), Qubit(3), 0.1);
-        let pending = pending_gates(&c);
+        let pending = oracle::pending_gates(&c);
         assert_eq!(pending.len(), 3);
         assert_eq!(pending[0].layer, 0);
         assert_eq!(pending[1].layer, 1); // chained through q1, rotations transparent

@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn trial_loop_matches_seed_semantics() {
-        use crate::route::route_with_policy;
+        use crate::route::oracle::route_with_policy;
         for (n, head, seed) in [
             (16usize, 4usize, 0u64),
             (24, 6, 7),

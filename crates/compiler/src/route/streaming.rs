@@ -1,15 +1,17 @@
-//! Incremental swap insertion for the streaming pipeline.
+//! The incremental router: the only swap-insertion loop.
 //!
-//! [`StreamRouter`] replays [`route_with_policy`]'s per-gate loop over a
-//! gate stream instead of a materialized circuit, holding only a bounded
-//! suffix of the two-qubit skeleton in memory. Decision identity with the
-//! monolithic router rests on one observation: every policy decision and
-//! the opposing-swap classifier inspect the pending list only inside
-//! `[cursor, cursor + K)` with `K = max(lookahead, OPPOSING_HORIZON)` —
-//! so a two-qubit gate is routed only once `K` pending gates beyond it
-//! have been ingested (or the stream ended), at which point every
-//! `min(len, cursor + K)` the scorers compute equals the monolithic
-//! value.
+//! [`StreamRouter`] routes a gate stream while holding only a bounded
+//! suffix of the two-qubit skeleton in memory. [`RouterKind::route`]
+//! drives it over a whole circuit and the compile pipeline drives it one
+//! window at a time, so both produce the same routed gates.
+//!
+//! A two-qubit gate is routed only once `K = max(lookahead,
+//! OPPOSING_HORIZON)` pending gates beyond it have been ingested (or the
+//! stream ended): every policy decision and the opposing-swap classifier
+//! inspect the pending list only inside `[cursor, cursor + K)`, so each
+//! `min(len, cursor + K)` they compute is the value a router that saw
+//! the whole circuit would compute. The tests check every decision
+//! against the seed's monolithic loop (`route::oracle`).
 //!
 //! The already-routed prefix of the pending list is dropped in chunks
 //! ([`PRUNE_CHUNK`]); indices are rebased to local coordinates and the
@@ -18,34 +20,25 @@
 
 use std::collections::VecDeque;
 
-use super::{is_opposing, linq, stochastic, PendingGate, PendingIndex, RouteState};
-use super::{RouterKind, SwapPolicy, OPPOSING_HORIZON};
+use super::{is_opposing, PendingGate, PendingIndex, RouteOutcome, RouteState};
+use super::{RouterKind, Skeleton, SwapPolicy, OPPOSING_HORIZON};
 use crate::error::CompileError;
 use crate::mapping::Mapping;
 use crate::spec::DeviceSpec;
-use tilt_circuit::{Gate, Qubit};
+use tilt_circuit::{Circuit, Gate, Qubit};
 
 /// Routed-prefix length at which the pending list is rebased.
 const PRUNE_CHUNK: usize = 4096;
 
-/// The policy instance carried across windows.
-enum StreamPolicy {
-    Linq(linq::LinqPolicy),
-    Stochastic(stochastic::StochasticPolicy),
-}
-
-/// Incremental counterpart of [`route_with_policy`]: push native gates,
-/// drain routed (physical-coordinate) gates, identical output.
+/// Push native gates, drain routed (physical-coordinate) gates.
 pub(crate) struct StreamRouter {
     spec: DeviceSpec,
-    policy: StreamPolicy,
+    /// The policy instance, carried across windows.
+    policy: Box<dyn SwapPolicy + Send>,
     /// Pending gates required beyond the cursor before a decision is
-    /// arithmetic-identical to the monolithic router's.
+    /// arithmetic-identical to one made seeing the whole circuit.
     ahead: usize,
-    /// Two-qubit skeleton layering state (incremental `pending_gates`).
-    level: Vec<usize>,
-    level_peak: usize,
-    barrier_level: usize,
+    skeleton: Skeleton,
     /// Pending two-qubit gates in **local** coordinates: entry `i` is
     /// skeleton gate `base + i`.
     pending: Vec<PendingGate>,
@@ -77,23 +70,15 @@ impl StreamRouter {
         initial: Mapping,
     ) -> Result<Self, CompileError> {
         kind.validate(spec)?;
-        let (policy, ahead) = match kind {
-            RouterKind::Linq(cfg) => (
-                StreamPolicy::Linq(linq::LinqPolicy::new(*cfg, spec)),
-                cfg.lookahead.max(OPPOSING_HORIZON),
-            ),
-            RouterKind::Stochastic(cfg) => (
-                StreamPolicy::Stochastic(stochastic::StochasticPolicy::new(*cfg)),
-                OPPOSING_HORIZON,
-            ),
+        let ahead = match kind {
+            RouterKind::Linq(cfg) => cfg.lookahead.max(OPPOSING_HORIZON),
+            RouterKind::Stochastic(_) => OPPOSING_HORIZON,
         };
         Ok(StreamRouter {
             spec,
-            policy,
+            policy: kind.policy(spec),
             ahead,
-            level: vec![0; spec.n_ions()],
-            level_peak: 0,
-            barrier_level: 0,
+            skeleton: Skeleton::new(spec.n_ions()),
             pending: Vec::new(),
             index: PendingIndex::build(&[], spec.n_ions()),
             base: 0,
@@ -107,34 +92,34 @@ impl StreamRouter {
         })
     }
 
-    /// Ingests the next native gate (program order) and routes as much of
+    /// Ingests the next native gates (program order) and routes as much of
     /// the queue as the ingest-ahead requirement allows.
-    pub(crate) fn push(&mut self, g: Gate) {
-        debug_assert!(!self.eof, "push after finish_input");
-        if matches!(g, Gate::Barrier) {
-            // Levels never decrease, so the running peak equals the
-            // monolithic per-barrier max scan.
-            self.barrier_level = self.level_peak;
-        } else if g.is_two_qubit() {
-            let qs = g.qubits();
-            let (a, b) = (qs[0], qs[1]);
-            let layer = self.level[a.index()]
-                .max(self.level[b.index()])
-                .max(self.barrier_level);
-            self.level[a.index()] = layer + 1;
-            self.level[b.index()] = layer + 1;
-            self.level_peak = self.level_peak.max(layer + 1);
-            let i = u32::try_from(self.pending.len()).expect("pending window fits u32");
-            self.index.per_qubit[a.index()].push(i);
-            self.index.per_qubit[b.index()].push(i);
-            self.pending.push(PendingGate { a, b, layer });
+    pub(crate) fn extend(&mut self, gates: &[Gate]) {
+        debug_assert!(!self.eof, "extend after finish_input");
+        for &g in gates {
+            // After a drain the queue is empty or starts with a blocked
+            // two-qubit gate, which only a new pending gate can unblock.
+            let unblocks = self.queue.is_empty() || g.is_two_qubit();
+            self.add_pending(&g);
+            self.queue.push_back(g);
+            if unblocks {
+                self.drain();
+            }
         }
-        self.queue.push_back(g);
-        self.drain();
+    }
+
+    /// Layers `g` into the two-qubit skeleton and indexes it.
+    fn add_pending(&mut self, g: &Gate) {
+        if let Some(pending) = self.skeleton.push(g) {
+            let i = u32::try_from(self.pending.len()).expect("pending window fits u32");
+            self.index.per_qubit[pending.a.index()].push(i);
+            self.index.per_qubit[pending.b.index()].push(i);
+            self.pending.push(pending);
+        }
     }
 
     /// Declares end of input: the remaining queue routes unconditionally
-    /// (truncated windows now match the monolithic end-of-circuit ones).
+    /// (truncated windows now match the whole circuit's end).
     pub(crate) fn finish_input(&mut self) {
         self.eof = true;
         self.drain();
@@ -144,6 +129,18 @@ impl StreamRouter {
     /// Routed gates produced since the last call, in program order.
     pub(crate) fn drain_routed(&mut self) -> std::vec::Drain<'_, Gate> {
         self.out.drain(..)
+    }
+
+    /// The finished routing, with every undrained routed gate as the
+    /// physical circuit.
+    pub(crate) fn into_outcome(self, initial_mapping: Mapping) -> RouteOutcome {
+        RouteOutcome {
+            circuit: Circuit::from_gates(self.spec.n_ions(), self.out),
+            initial_mapping,
+            final_mapping: self.mapping,
+            swap_count: self.swap_count,
+            opposing_swap_count: self.opposing_swap_count,
+        }
     }
 
     /// Number of inserted SWAP gates so far.
@@ -169,51 +166,52 @@ impl StreamRouter {
 
     fn drain(&mut self) {
         while let Some(&g) = self.queue.front() {
-            if g.is_two_qubit() {
-                if !self.eof && self.pending.len() < self.cursor + self.ahead {
-                    break;
-                }
-                let qs = g.qubits();
-                while self.mapping.distance(qs[0], qs[1]) >= self.spec.head_size() {
-                    let state = RouteState {
-                        spec: self.spec,
-                        mapping: &self.mapping,
-                        pending: &self.pending,
-                        index: &self.index,
-                        cursor: self.cursor,
-                    };
-                    let (pa, pb) = match &mut self.policy {
-                        StreamPolicy::Linq(p) => p.choose_swap(&state),
-                        StreamPolicy::Stochastic(p) => p.choose_swap(&state),
-                    };
-                    debug_assert!(pa != pb && pa.abs_diff(pb) < self.spec.head_size());
-                    if is_opposing(
-                        &self.mapping,
-                        &self.pending,
-                        &self.index,
-                        self.cursor,
-                        pa,
-                        pb,
-                    ) {
-                        self.opposing_swap_count += 1;
-                    }
-                    self.out
-                        .push(Gate::Swap(Qubit(pa.min(pb)), Qubit(pa.max(pb))));
-                    self.mapping.swap_positions(pa, pb);
-                    self.swap_count += 1;
-                }
-                self.out
-                    .push(g.map_qubits(|q| Qubit(self.mapping.position_of(q))));
-                self.cursor += 1;
-            } else {
-                self.out
-                    .push(g.map_qubits(|q| Qubit(self.mapping.position_of(q))));
+            if g.is_two_qubit() && !self.eof && self.pending.len() < self.cursor + self.ahead {
+                break;
             }
+            self.route_gate(g);
             self.queue.pop_front();
         }
         if self.cursor >= PRUNE_CHUNK {
             self.rebase();
         }
+    }
+
+    /// Algorithm 1 for one gate: inserts the policy's swaps until a
+    /// two-qubit gate fits under the head, then emits the gate in
+    /// physical coordinates.
+    fn route_gate(&mut self, g: Gate) {
+        if g.is_two_qubit() {
+            let qs = g.operands();
+            while self.mapping.distance(qs[0], qs[1]) >= self.spec.head_size() {
+                let state = RouteState {
+                    spec: self.spec,
+                    mapping: &self.mapping,
+                    pending: &self.pending,
+                    index: &self.index,
+                    cursor: self.cursor,
+                };
+                let (pa, pb) = self.policy.choose_swap(&state);
+                debug_assert!(pa != pb && pa.abs_diff(pb) < self.spec.head_size());
+                if is_opposing(
+                    &self.mapping,
+                    &self.pending,
+                    &self.index,
+                    self.cursor,
+                    pa,
+                    pb,
+                ) {
+                    self.opposing_swap_count += 1;
+                }
+                self.out
+                    .push(Gate::Swap(Qubit(pa.min(pb)), Qubit(pa.max(pb))));
+                self.mapping.swap_positions(pa, pb);
+                self.swap_count += 1;
+            }
+            self.cursor += 1;
+        }
+        self.out
+            .push(g.map_qubits(|q| Qubit(self.mapping.position_of(q))));
     }
 
     /// Drops the routed prefix `[0, cursor)` of the pending list and
@@ -231,9 +229,7 @@ impl StreamRouter {
                 *i -= cut;
             }
         }
-        if let StreamPolicy::Linq(p) = &mut self.policy {
-            p.invalidate_window();
-        }
+        self.policy.invalidate_window();
     }
 }
 
@@ -241,7 +237,7 @@ impl StreamRouter {
 mod tests {
     use super::*;
     use crate::mapping::InitialMapping;
-    use crate::route::{LinqConfig, RouteOutcome, StochasticConfig};
+    use crate::route::{oracle, LinqConfig, StochasticConfig};
     use tilt_circuit::Circuit;
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -292,11 +288,17 @@ mod tests {
 
     fn stream_route(kind: &RouterKind, c: &Circuit, spec: DeviceSpec) -> (Vec<Gate>, RouteOutcome) {
         let initial = InitialMapping::Identity.build(c, spec.n_ions());
-        let mono = kind.route(c, spec, &initial).unwrap();
+        let mono = oracle::route(kind, c, spec, &initial);
+        // The whole-circuit entry point drives the same router.
+        let whole = kind.route(c, spec, &initial).unwrap();
+        assert_eq!(whole.circuit, mono.circuit, "{kind:?}");
+        assert_eq!(whole.final_mapping, mono.final_mapping, "{kind:?}");
+        assert_eq!(whole.swap_count, mono.swap_count, "{kind:?}");
+        assert_eq!(whole.opposing_swap_count, mono.opposing_swap_count);
         let mut sr = StreamRouter::new(kind, spec, initial).unwrap();
         let mut got = Vec::new();
         for g in c {
-            sr.push(*g);
+            sr.extend(&[*g]);
             got.extend(sr.drain_routed());
         }
         sr.finish_input();
@@ -340,12 +342,12 @@ mod tests {
         }
         let kind = RouterKind::Linq(LinqConfig::default());
         let initial = InitialMapping::Identity.build(&c, n);
-        let mono = kind.route(&c, spec, &initial).unwrap();
+        let mono = oracle::route(&kind, &c, spec, &initial);
         let mut sr = StreamRouter::new(&kind, spec, initial).unwrap();
         let mut got = Vec::new();
         let mut peak_window = 0usize;
         for g in &c {
-            sr.push(*g);
+            sr.extend(&[*g]);
             peak_window = peak_window.max(sr.window_len());
             got.extend(sr.drain_routed());
         }

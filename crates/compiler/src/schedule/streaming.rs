@@ -295,9 +295,10 @@ impl StreamScheduler {
     }
 
     /// Reserves room for `additional` more gates of per-gate state, so
-    /// a one-shot schedule of a known-length circuit allocates it once
-    /// instead of growing (and transiently copying) it gate by gate.
-    fn reserve(&mut self, additional: usize) {
+    /// a one-shot schedule of a circuit of known (or estimated) length
+    /// allocates it once instead of growing (and transiently copying) it
+    /// gate by gate.
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.recs.reserve_exact(additional);
         self.need.reserve_exact(additional);
         self.need_epoch.reserve_exact(additional);

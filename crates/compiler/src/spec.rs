@@ -27,6 +27,17 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
+    /// Rejects a register wider than the tape.
+    pub(crate) fn check_width(&self, n_qubits: usize) -> Result<(), CompileError> {
+        if n_qubits > self.n_ions {
+            return Err(CompileError::CircuitTooWide {
+                circuit_qubits: n_qubits,
+                n_ions: self.n_ions,
+            });
+        }
+        Ok(())
+    }
+
     /// Creates a device with `n_ions` tape positions and a head covering
     /// `head_size` positions.
     ///

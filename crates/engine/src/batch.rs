@@ -7,31 +7,22 @@
 //! * **Parallel fan-out.** Circuits within a window are compiled
 //!   concurrently on the work-stealing pool (`rayon::par_chunks_mut`),
 //!   each landing in its own pre-allocated result slot.
-//! * **Per-worker scratch reuse.** Every pool thread keeps a
-//!   thread-local [`EngineScratch`] whose transient compile buffers
-//!   (decomposed native circuit, swap-lowered circuit) are recycled
-//!   across every circuit that worker processes — the allocation cost
-//!   of pipeline setup is paid per worker, not per circuit.
+//! * **Panic isolation.** A compile that panics costs exactly its own
+//!   circuit's result, never the worker, the pool, or the window.
 //!
 //! Reports stream back **in submission order**: the batch advances one
 //! bounded window at a time, so memory stays proportional to the window
 //! size (not the batch) and the callback variant observes circuit `i`
 //! before circuit `i + window` starts compiling.
 
-use crate::{Engine, EngineScratch, RunReport, TiltError};
+use crate::{Engine, RunReport, TiltError};
 use rayon::prelude::*;
-use std::cell::RefCell;
 use tilt_circuit::Circuit;
 
 /// Circuits processed concurrently per window: enough slack for the
 /// pool to stay busy across uneven circuit sizes, small enough that
 /// streaming consumers see results promptly.
 const WINDOW_PER_THREAD: usize = 4;
-
-thread_local! {
-    /// One scratch per pool worker, reused across circuits and batches.
-    static SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
-}
 
 /// One batch slot: the circuit moves in, the report moves out.
 type Slot = (Option<Circuit>, Option<Result<RunReport, TiltError>>);
@@ -94,30 +85,16 @@ impl Engine {
             if slots.is_empty() {
                 return;
             }
-            // One slot per chunk: the pool steals whole circuits, and
-            // each worker compiles through its thread-local scratch.
-            // The scratch is *taken* out of the cell for the duration
-            // of the run rather than held via `borrow_mut`: the shim
-            // pool's help-first `join` can execute another stolen slot
-            // on this thread while a future parallel stage inside the
-            // run waits, and a held borrow would panic there — a taken
-            // scratch just hands the re-entrant run a fresh default.
+            // One slot per chunk: the pool steals whole circuits.
             slots.par_chunks_mut(1).for_each(|chunk| {
                 let slot = &mut chunk[0];
                 let circuit = slot.0.take().expect("slot filled exactly once");
                 // Panic isolation: a compile that panics (a compiler bug
                 // on one poisoned circuit) must cost exactly that
                 // circuit its result — not the worker, the pool, or the
-                // rest of the window. The scratch is taken and restored
-                // *inside* the unwind boundary so a mid-compile panic
-                // discards its possibly-corrupt buffers; the worker's
-                // next circuit starts from a fresh default.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut scratch = SCRATCH.with(RefCell::take);
-                    let result = self.run_with_scratch(&circuit, &mut scratch);
-                    SCRATCH.with(|s| *s.borrow_mut() = scratch);
-                    result
-                }));
+                // rest of the window.
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(&circuit)));
                 slot.1 = Some(outcome.unwrap_or_else(|payload| {
                     Err(TiltError::Internal {
                         // `.as_ref()`: downcast the payload itself, not
@@ -196,8 +173,7 @@ mod tests {
         );
         assert!(reports[2].is_ok(), "pool and window survive the panic");
         drop(guard);
-        // The worker whose scratch was discarded mid-panic still
-        // compiles correctly afterwards.
+        // The worker that panicked still compiles correctly afterwards.
         let again = engine.run_batch(vec![chain(37, 2)]);
         assert!(again[0].is_ok());
     }

@@ -12,8 +12,8 @@
 //! * [`Engine::run`] — compile and estimate a single circuit, returning
 //!   the unified [`RunReport`].
 //! * [`Engine::run_batch`] — many circuits through one session,
-//!   fanned out over the work-stealing pool with per-worker scratch
-//!   buffers reused across circuits (the ROADMAP's "service mode").
+//!   fanned out over the work-stealing pool (the ROADMAP's "service
+//!   mode").
 //! * [`Engine::run_batch_streaming`] — the same, delivering each report
 //!   to a callback in submission order as windows complete.
 //!
@@ -67,18 +67,15 @@ pub use verify::VerifyLevel;
 use cache::CacheEntry;
 use std::sync::Arc;
 use std::time::Instant;
-use tilt_circuit::Circuit;
-use tilt_compiler::decompose::decompose_into;
-use tilt_compiler::{
-    CompileScratch, Compiler, DeviceSpec, InitialMapping, RouterKind, SchedulerKind,
-};
+use tilt_circuit::{validate, Circuit};
+use tilt_compiler::decompose::decompose;
+use tilt_compiler::{Compiler, DeviceSpec, InitialMapping, RouterKind, SchedulerKind};
 use tilt_hash::{Digest, Fingerprint, Hasher};
-use tilt_qccd::{compile_qccd, estimate_qccd_success, QccdParams, QccdSpec};
+use tilt_qccd::{compile_qccd, estimate_qccd_success, QccdError, QccdParams, QccdSpec};
 use tilt_scale::{compile_scaled, estimate_scaled, ScaleSpec};
-use tilt_sim::cooling::CoolingTrigger;
 use tilt_sim::{
-    estimate_success, estimate_success_with_cooling, execution_time_us, CooledSuccessReport,
-    CoolingPolicy, ExecTimeModel, GateTimeModel, NoiseModel,
+    estimate_success_with_cooling, execution_time_us, CoolingPolicy, ExecTimeModel, GateTimeModel,
+    NoiseModel,
 };
 
 /// The target architecture of a session.
@@ -399,14 +396,6 @@ fn config_fingerprint(
     h.digest()
 }
 
-/// Per-run scratch buffers, reused across circuits within a batch
-/// worker (one per pool thread).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct EngineScratch {
-    compile: CompileScratch,
-    native: Circuit,
-}
-
 /// A compile→simulate session bound to one backend and one set of
 /// models.
 ///
@@ -516,19 +505,8 @@ impl Engine {
     /// # Ok::<(), tilt_engine::TiltError>(())
     /// ```
     pub fn run(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
-        self.run_with_scratch(circuit, &mut EngineScratch::default())
-    }
-
-    /// [`Engine::run`] with caller-owned scratch — identical output, but
-    /// transient compile buffers are recycled between calls. The batch
-    /// layer hands one scratch to each pool worker.
-    pub(crate) fn run_with_scratch(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut EngineScratch,
-    ) -> Result<RunReport, TiltError> {
         let Some(cache) = &self.cache else {
-            return self.run_uncached(circuit, scratch);
+            return self.run_uncached(circuit);
         };
         let key = CacheKey {
             circuit: cache.circuit_key(circuit),
@@ -544,23 +522,19 @@ impl Engine {
             // hits from parallel batch workers do not serialize.
             return Ok(report.clone());
         }
-        let report = self.run_uncached(circuit, scratch)?;
+        let report = self.run_uncached(circuit)?;
         cache.insert(key, CacheEntry::of(report.clone()));
         Ok(report)
     }
 
     /// The uncached compile→estimate path (also the upgrade path for
     /// entries restored from a snapshot, which carry only wire data).
-    fn run_uncached(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut EngineScratch,
-    ) -> Result<RunReport, TiltError> {
+    fn run_uncached(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
         #[cfg(any(test, feature = "faults"))]
         crate::faults::before_compile(circuit.n_qubits());
         let mut report = match &self.backend {
-            Backend::Tilt(_) => self.run_tilt(circuit, scratch),
-            Backend::Qccd(spec) => self.run_qccd(circuit, *spec, scratch),
+            Backend::Tilt(_) => self.run_tilt(circuit),
+            Backend::Qccd(spec) => self.run_qccd(circuit, *spec),
             Backend::Scaled(spec) => self.run_scaled(circuit, *spec),
         }?;
         // Simulation runs on the *logical* input circuit (what the user
@@ -584,51 +558,23 @@ impl Engine {
         Ok(report)
     }
 
-    fn run_tilt(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut EngineScratch,
-    ) -> Result<RunReport, TiltError> {
+    fn run_tilt(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
         let compiler = self
             .compiler
             .as_ref()
             .expect("Tilt backend always carries a compiler");
-        let output = compiler.compile_with_scratch(circuit, &mut scratch.compile)?;
-        // `CoolingPolicy::never` takes the plain estimator path so the
-        // session API is bit-identical to the legacy
-        // `Compiler::compile` + `estimate_success` flow.
-        let success = if matches!(self.cooling.trigger, CoolingTrigger::Never) {
-            CooledSuccessReport {
-                report: estimate_success(&output.program, &self.noise, &self.gate_times),
-                cooling_rounds: 0,
-                cooling_time_us: 0.0,
-            }
-        } else {
-            estimate_success_with_cooling(
-                &output.program,
-                &self.noise,
-                &self.gate_times,
-                &self.cooling,
-            )
-        };
+        let output = compiler.compile(circuit)?;
+        let success = estimate_success_with_cooling(
+            &output.program,
+            &self.noise,
+            &self.gate_times,
+            &self.cooling,
+        );
         let exec_time_us = execution_time_us(&output.program, &self.gate_times, &self.exec_time)
             + success.cooling_time_us;
-        let r = &output.report;
-        let compile = CompileStats {
-            swap_count: r.swap_count,
-            opposing_swap_count: r.opposing_swap_count,
-            move_count: r.move_count,
-            move_distance: r.move_distance_ions,
-            native_gate_count: r.native_gate_count,
-            native_two_qubit_count: r.native_two_qubit_count,
-            epr_pairs: 0,
-            t_decompose: r.t_decompose,
-            t_swap: r.t_swap,
-            t_move: r.t_move,
-        };
         Ok(RunReport {
             backend: BackendKind::Tilt,
-            compile,
+            compile: CompileStats::tilt(&output.report),
             ln_success: success.report.ln_success,
             success: success.report.success,
             exec_time_us,
@@ -638,19 +584,17 @@ impl Engine {
         })
     }
 
-    fn run_qccd(
-        &self,
-        circuit: &Circuit,
-        spec: QccdSpec,
-        scratch: &mut EngineScratch,
-    ) -> Result<RunReport, TiltError> {
+    fn run_qccd(&self, circuit: &Circuit, spec: QccdSpec) -> Result<RunReport, TiltError> {
+        // Validate the program gates: the decomposition below would
+        // otherwise carry a bad operand or angle into the router.
+        validate(circuit).map_err(QccdError::InvalidCircuit)?;
         // Lower to the native set first so gate counts are comparable
         // with the TILT backend (the Fig. 8 methodology).
         let t0 = Instant::now();
-        decompose_into(circuit, &mut scratch.native);
+        let native = decompose(circuit);
         let t_decompose = t0.elapsed();
         let t1 = Instant::now();
-        let program = compile_qccd(&scratch.native, &spec)?;
+        let program = compile_qccd(&native, &spec)?;
         let t_swap = t1.elapsed();
         let report =
             estimate_qccd_success(&program, &self.noise, &self.gate_times, &self.qccd_params);
@@ -683,21 +627,11 @@ impl Engine {
     fn run_scaled(&self, circuit: &Circuit, spec: ScaleSpec) -> Result<RunReport, TiltError> {
         let program = compile_scaled(circuit, &spec)?;
         let report = estimate_scaled(&program, &self.noise, &self.gate_times);
-        let mut compile = CompileStats {
-            swap_count: report.total_swaps,
-            move_count: report.total_moves,
-            epr_pairs: program.epr_pairs,
-            ..CompileStats::default()
-        };
-        for out in &program.elu_outputs {
-            compile.opposing_swap_count += out.report.opposing_swap_count;
-            compile.move_distance += out.report.move_distance_ions;
-            compile.native_gate_count += out.report.native_gate_count;
-            compile.native_two_qubit_count += out.report.native_two_qubit_count;
-            compile.t_decompose += out.report.t_decompose;
-            compile.t_swap += out.report.t_swap;
-            compile.t_move += out.report.t_move;
-        }
+        let compile = CompileStats::scaled(
+            &report,
+            program.epr_pairs,
+            program.elu_outputs.iter().map(|out| &out.report),
+        );
         Ok(RunReport {
             backend: BackendKind::Scaled,
             compile,

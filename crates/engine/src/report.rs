@@ -10,7 +10,7 @@
 use crate::sim::SimReport;
 use std::time::Duration;
 use tilt_compiler::verify::Diagnostic;
-use tilt_compiler::{CompileOutput, TiltProgram};
+use tilt_compiler::{CompileOutput, CompileReport, TiltProgram};
 use tilt_qccd::{QccdProgram, QccdReport};
 use tilt_scale::{ScaleReport, ScaledProgram};
 use tilt_sim::CooledSuccessReport;
@@ -65,6 +65,49 @@ pub struct CompileStats {
     pub t_swap: Duration,
     /// Wall-clock time of scheduling (`t_move` of Table III).
     pub t_move: Duration,
+}
+
+impl CompileStats {
+    /// The TILT statistics of one LinQ compile.
+    pub(crate) fn tilt(r: &CompileReport) -> Self {
+        CompileStats {
+            swap_count: r.swap_count,
+            opposing_swap_count: r.opposing_swap_count,
+            move_count: r.move_count,
+            move_distance: r.move_distance_ions,
+            native_gate_count: r.native_gate_count,
+            native_two_qubit_count: r.native_two_qubit_count,
+            epr_pairs: 0,
+            t_decompose: r.t_decompose,
+            t_swap: r.t_swap,
+            t_move: r.t_move,
+        }
+    }
+
+    /// The per-ELU sum of a scaled compile; the swap and move totals come
+    /// from the aggregate `report`.
+    pub(crate) fn scaled<'a>(
+        report: &ScaleReport,
+        epr_pairs: usize,
+        elus: impl IntoIterator<Item = &'a CompileReport>,
+    ) -> Self {
+        let mut sum = CompileStats {
+            swap_count: report.total_swaps,
+            move_count: report.total_moves,
+            epr_pairs,
+            ..CompileStats::default()
+        };
+        for r in elus {
+            sum.opposing_swap_count += r.opposing_swap_count;
+            sum.move_distance += r.move_distance_ions;
+            sum.native_gate_count += r.native_gate_count;
+            sum.native_two_qubit_count += r.native_two_qubit_count;
+            sum.t_decompose += r.t_decompose;
+            sum.t_swap += r.t_swap;
+            sum.t_move += r.t_move;
+        }
+        sum
+    }
 }
 
 /// Backend-specific artifacts of a run.

@@ -1,28 +1,26 @@
 //! Bounded-memory streaming runs: compile and estimate a gate stream
 //! without ever materializing the circuit or the compiled program.
 //!
-//! [`Engine::run`] holds the whole input circuit, the routed native
-//! circuit, and the full scheduled [`TiltProgram`](tilt_compiler::TiltProgram)
-//! in memory at once — O(circuit) three times over, which walls off
-//! million-gate workloads. [`Engine::run_streaming`] instead pulls gates
-//! from an iterator, pushes them through the windowed
-//! [`StreamingCompiler`](tilt_compiler::StreamingCompiler) (sharded
-//! per-ELU on the scaled backend), folds every emitted op straight into
-//! the streaming estimators, and hands scheduled-op increments to a
-//! [`StreamSink`]. Peak memory is O(window) + the scheduler horizon;
+//! [`Engine::run`] and [`Engine::run_streaming`] run the same pass
+//! driver, [`StreamingCompiler`](tilt_compiler::StreamingCompiler)
+//! (sharded per-ELU on the scaled backend), and the same estimator
+//! folds. [`Engine::run`] keeps the input circuit, the routed circuit
+//! and the scheduled [`TiltProgram`](tilt_compiler::TiltProgram) for
+//! inspection. [`Engine::run_streaming`] instead pulls gates from an
+//! iterator, folds every emitted op straight into the estimators
+//! (sympathetic cooling included), and hands scheduled-op increments to
+//! a [`StreamSink`]. Peak memory is O(window) + the scheduler horizon;
 //! the resulting op stream, `ln_success`, and `exec_time_us` are
-//! **bit-identical** to the monolithic run.
+//! **bit-identical** to [`Engine::run`].
 //!
-//! Restrictions (each returns [`TiltError::Config`], see the respective
-//! feature for why it is whole-circuit by nature):
+//! Restrictions (each returns an error, see the respective feature for
+//! why it is whole-circuit by nature):
 //!
 //! * logical-circuit simulation (`.simulate(..)`) replays the *input*
-//!   circuit, which a stream does not retain;
+//!   circuit, which a stream does not retain ([`TiltError::Config`]);
 //! * post-compile verification (`.verify(..)`) checks the complete
 //!   compiled artifacts (`tilt lint --stream` covers the
-//!   window-applicable rules instead);
-//! * sympathetic cooling re-walks the schedule to splice cooling
-//!   rounds in;
+//!   window-applicable rules instead; [`TiltError::Config`]);
 //! * the `InteractionChain` initial mapping scans the whole circuit's
 //!   interaction graph (rejected by the compiler as
 //!   `StreamingUnsupported`).
@@ -42,7 +40,6 @@ use tilt_circuit::qasm::QasmStream;
 use tilt_circuit::{Circuit, Gate};
 use tilt_compiler::{StreamingCompiler, TiltOp};
 use tilt_scale::ScaledStreamingCompiler;
-use tilt_sim::cooling::CoolingTrigger;
 use tilt_sim::streaming::{ExecTimeAccumulator, SuccessAccumulator};
 
 /// Default streaming window (input gates buffered per flush): large
@@ -82,14 +79,14 @@ pub struct StreamOutcome {
     /// Which backend ran.
     pub backend: BackendKind,
     /// Normalized compile statistics — field-identical to the
-    /// monolithic run's [`CompileStats`] (timings excepted).
+    /// in-memory run's [`CompileStats`] (timings excepted).
     pub compile: CompileStats,
     /// Natural log of the success probability (bit-identical to the
-    /// monolithic estimate).
+    /// in-memory estimate).
     pub ln_success: f64,
     /// Success probability.
     pub success: f64,
-    /// Execution-time estimate in µs (bit-identical to the monolithic
+    /// Execution-time estimate in µs (bit-identical to the in-memory
     /// estimate).
     pub exec_time_us: f64,
     /// Non-empty increments delivered to the sink.
@@ -124,13 +121,6 @@ impl Engine {
                     .into(),
             });
         }
-        if !matches!(self.cooling.trigger, CoolingTrigger::Never) {
-            return Err(TiltError::Config {
-                reason: "streaming runs cannot schedule sympathetic cooling \
-                         (cooling insertion re-walks the schedule); drop .cooling(..)"
-                    .into(),
-            });
-        }
         Ok(())
     }
 
@@ -139,7 +129,7 @@ impl Engine {
     ///
     /// Decision-identical to [`Engine::run`] on the same gates: the
     /// concatenated increments, `ln_success`, and `exec_time_us` match
-    /// the monolithic run bit for bit, at every window size.
+    /// the in-memory run bit for bit, at every window size.
     ///
     /// # Errors
     ///
@@ -236,7 +226,8 @@ impl Engine {
             .as_ref()
             .expect("Tilt backend always carries a compiler");
         let mut streaming = StreamingCompiler::new(compiler, n_qubits, window)?;
-        let mut success = SuccessAccumulator::new(n_ions, &self.noise, &self.gate_times);
+        let mut success =
+            SuccessAccumulator::with_cooling(n_ions, &self.noise, &self.gate_times, &self.cooling);
         let mut exec = ExecTimeAccumulator::new(n_ions, &self.gate_times, &self.exec_time);
         let summary = {
             let mut adapter = |ops: &[TiltOp]| {
@@ -251,25 +242,13 @@ impl Engine {
             }
             streaming.finish(&mut adapter)
         };
-        let s = success.finish();
-        let r = &summary.report;
+        let s = success.finish_cooled();
         Ok(StreamOutcome {
             backend: BackendKind::Tilt,
-            compile: CompileStats {
-                swap_count: r.swap_count,
-                opposing_swap_count: r.opposing_swap_count,
-                move_count: r.move_count,
-                move_distance: r.move_distance_ions,
-                native_gate_count: r.native_gate_count,
-                native_two_qubit_count: r.native_two_qubit_count,
-                epr_pairs: 0,
-                t_decompose: r.t_decompose,
-                t_swap: r.t_swap,
-                t_move: r.t_move,
-            },
-            ln_success: s.ln_success,
-            success: s.success,
-            exec_time_us: exec.finish(),
+            compile: CompileStats::tilt(&summary.report),
+            ln_success: s.report.ln_success,
+            success: s.report.success,
+            exec_time_us: exec.finish() + s.cooling_time_us,
             increments: summary.increments,
             input_gate_count: summary.input_gate_count,
         })
@@ -292,22 +271,11 @@ impl Engine {
             }
             session.finish(&mut adapter)?
         };
-        // The monolithic `run_scaled` aggregation over per-ELU reports.
-        let mut compile = CompileStats {
-            swap_count: summary.report.total_swaps,
-            move_count: summary.report.total_moves,
-            epr_pairs: summary.epr_pairs,
-            ..CompileStats::default()
-        };
-        for elu in &summary.elu_summaries {
-            compile.opposing_swap_count += elu.report.opposing_swap_count;
-            compile.move_distance += elu.report.move_distance_ions;
-            compile.native_gate_count += elu.report.native_gate_count;
-            compile.native_two_qubit_count += elu.report.native_two_qubit_count;
-            compile.t_decompose += elu.report.t_decompose;
-            compile.t_swap += elu.report.t_swap;
-            compile.t_move += elu.report.t_move;
-        }
+        let compile = CompileStats::scaled(
+            &summary.report,
+            summary.epr_pairs,
+            summary.elu_summaries.iter().map(|elu| &elu.report),
+        );
         Ok(StreamOutcome {
             backend: BackendKind::Scaled,
             compile,
@@ -499,6 +467,32 @@ mod tests {
     }
 
     #[test]
+    fn streamed_cooling_is_bit_identical_to_the_in_memory_run() {
+        let c = workload(16, 600, 17);
+        for policy in [CoolingPolicy::threshold(0.5), CoolingPolicy::periodic(3)] {
+            let engine = Engine::builder()
+                .backend(Backend::Tilt(DeviceSpec::new(16, 4).unwrap()))
+                .cooling(policy)
+                .build()
+                .unwrap();
+            let mono = engine.run(&c).unwrap();
+            let rounds = match &mono.detail {
+                crate::RunDetail::Tilt { success, .. } => success.cooling_rounds,
+                _ => unreachable!("TILT backend"),
+            };
+            assert!(rounds > 0, "{policy:?} must cool at least once");
+            for window in [1usize, 64, usize::MAX] {
+                let out = engine
+                    .run_streaming(16, c.gates().iter().copied(), window, &mut NullSink)
+                    .unwrap();
+                assert_eq!(out.ln_success.to_bits(), mono.ln_success.to_bits());
+                assert_eq!(out.success.to_bits(), mono.success.to_bits());
+                assert_eq!(out.exec_time_us.to_bits(), mono.exec_time_us.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn whole_circuit_features_are_rejected() {
         let spec = DeviceSpec::new(8, 4).unwrap();
         let gates = [Gate::H(Qubit(0))];
@@ -512,12 +506,7 @@ mod tests {
             .verify(VerifyLevel::Warn)
             .build()
             .unwrap();
-        let cooled = Engine::builder()
-            .backend(Backend::Tilt(spec))
-            .cooling(CoolingPolicy::threshold(2.0))
-            .build()
-            .unwrap();
-        for (engine, what) in [(sim, "simulate"), (verify, "lint"), (cooled, "cooling")] {
+        for (engine, what) in [(sim, "simulate"), (verify, "lint")] {
             let err = engine
                 .run_streaming(8, gates.iter().copied(), 64, &mut NullSink)
                 .unwrap_err();

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use tilt_circuit::ValidateCircuitError;
 
 /// Why building or compiling for a QCCD device failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -20,6 +21,15 @@ pub enum QccdError {
         /// Usable qubit slots.
         usable_slots: usize,
     },
+    /// The input circuit failed structural validation.
+    InvalidCircuit(ValidateCircuitError),
+    /// A gate acts on more than two qubits; decompose the circuit first.
+    UnsupportedGate {
+        /// Index of the gate in the input circuit.
+        gate_index: usize,
+        /// Its qubit count.
+        arity: usize,
+    },
 }
 
 impl fmt::Display for QccdError {
@@ -33,11 +43,23 @@ impl fmt::Display for QccdError {
                 f,
                 "circuit needs {circuit_qubits} qubits but the trap array holds {usable_slots} with headroom"
             ),
+            QccdError::InvalidCircuit(e) => write!(f, "invalid input circuit: {e}"),
+            QccdError::UnsupportedGate { gate_index, arity } => write!(
+                f,
+                "gate {gate_index} acts on {arity} qubits; the QCCD router needs two-qubit granularity"
+            ),
         }
     }
 }
 
-impl Error for QccdError {}
+impl Error for QccdError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            QccdError::InvalidCircuit(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

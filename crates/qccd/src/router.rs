@@ -10,7 +10,7 @@
 use crate::error::QccdError;
 use crate::program::{QccdOp, QccdProgram};
 use crate::spec::QccdSpec;
-use tilt_circuit::{Circuit, Gate};
+use tilt_circuit::{Circuit, Gate, ValidateCircuitError};
 
 /// Mutable trap-array state during routing.
 struct TrapArray {
@@ -152,35 +152,44 @@ impl TrapArray {
 /// primitive trace.
 ///
 /// The circuit should be at two-qubit granularity (CNOT level or native);
-/// three-qubit gates are rejected by validation in practice — decompose
-/// first.
+/// decompose three-qubit gates first. Only what routing relies on is
+/// checked here; run [`tilt_circuit::validate`] for the full structural
+/// check (the session API does, before decomposing).
 ///
 /// # Errors
 ///
-/// Returns [`QccdError::CircuitTooWide`] when the circuit does not fit on
-/// the array with transport headroom.
-///
-/// # Panics
-///
-/// Panics on gates of arity 3 (decompose Toffolis first).
+/// Returns [`QccdError::CircuitTooWide`] when the circuit does not fit
+/// on the array with transport headroom, [`QccdError::InvalidCircuit`]
+/// for an operand outside the register, and
+/// [`QccdError::UnsupportedGate`] for a gate on three or more qubits.
 pub fn compile_qccd(circuit: &Circuit, spec: &QccdSpec) -> Result<QccdProgram, QccdError> {
-    if circuit.n_qubits() > spec.usable_slots() {
+    let n_qubits = circuit.n_qubits();
+    if n_qubits > spec.usable_slots() {
         return Err(QccdError::CircuitTooWide {
-            circuit_qubits: circuit.n_qubits(),
+            circuit_qubits: n_qubits,
             usable_slots: spec.usable_slots(),
         });
     }
 
-    let mut array = TrapArray::new(*spec, circuit.n_qubits());
-    for g in circuit {
+    let mut array = TrapArray::new(*spec, n_qubits);
+    for (gate_index, g) in circuit.iter().enumerate() {
+        let qs = g.operands();
+        if let Some(q) = qs.iter().find(|q| q.index() >= n_qubits) {
+            return Err(QccdError::InvalidCircuit(
+                ValidateCircuitError::QubitOutOfRange {
+                    gate_index,
+                    qubit: q.index(),
+                    n_qubits,
+                },
+            ));
+        }
         match g {
             Gate::Barrier => {}
             Gate::Measure(q) | Gate::Reset(q) => {
                 let (trap, _) = array.loc[q.index()];
                 array.ops.push(QccdOp::Measure { trap });
             }
-            g if g.is_two_qubit() => {
-                let qs = g.qubits();
+            _ if qs.len() == 2 => {
                 let (a, b) = (qs[0].index(), qs[1].index());
                 let (ta, _) = array.loc[a];
                 let (tb, _) = array.loc[b];
@@ -201,11 +210,16 @@ pub fn compile_qccd(circuit: &Circuit, spec: &QccdSpec) -> Result<QccdProgram, Q
                     distance: ia.abs_diff(ib),
                 });
             }
-            g if g.arity() == 1 => {
-                let (trap, _) = array.loc[g.qubits()[0].index()];
+            _ if qs.len() == 1 => {
+                let (trap, _) = array.loc[qs[0].index()];
                 array.ops.push(QccdOp::SingleQubitGate { trap });
             }
-            other => panic!("QCCD router requires two-qubit granularity, got {other:?}"),
+            _ => {
+                return Err(QccdError::UnsupportedGate {
+                    gate_index,
+                    arity: qs.len(),
+                })
+            }
         }
     }
     Ok(QccdProgram::new(*spec, array.ops))

@@ -1,9 +1,10 @@
 //! Splitting a circuit across ELUs and estimating the modular machine.
 
 use crate::partition::Partition;
-use crate::spec::{ScaleError, ScaleSpec};
-use tilt_circuit::{Circuit, Gate, Qubit};
-use tilt_compiler::{CompileOutput, Compiler};
+use crate::spec::{ScaleError, ScaleSpec, COMM_SLOTS};
+use tilt_circuit::{validate_gate, Circuit, Gate, Qubit};
+use tilt_compiler::decompose::decompose_gate;
+use tilt_compiler::{CompileOutput, CompileReport};
 use tilt_sim::{estimate_success, execution_time_us, ExecTimeModel, GateTimeModel, NoiseModel};
 
 /// A circuit compiled onto an ELU array.
@@ -50,101 +51,175 @@ impl ScaleReport {
     }
 }
 
-/// Compiles `circuit` onto the ELU array described by `spec`.
+/// The decompose → split → teleport-template fold, one input gate at a
+/// time: the only ELU splitter, shared by [`compile_scaled`] and the
+/// streaming compiler.
 ///
-/// The circuit is lowered to two-qubit granularity first. Local gates go
-/// to their ELU verbatim (relabelled to local positions). A remote gate
-/// between ELUs `A` and `B` is lowered to the gate-teleportation
-/// template: in `A`, a CNOT from the data ion onto the communication ion
-/// plus its measurement; in `B`, the original interaction applied from
-/// the communication ion plus its measurement; one EPR pair is consumed.
-/// Each ELU's stream is then compiled by its own LinQ instance.
-///
-/// # Errors
-///
-/// Propagates ELU-geometry validation and per-ELU compilation failures.
-pub fn compile_scaled(circuit: &Circuit, spec: &ScaleSpec) -> Result<ScaledProgram, ScaleError> {
-    let native = tilt_compiler::decompose::decompose(circuit);
-    let partition = Partition::new(spec, circuit.n_qubits());
-    let n_elus = partition.n_elus();
+/// Local gates go to their ELU verbatim (relabelled to local positions).
+/// A remote gate between ELUs `A` and `B` is lowered to the
+/// gate-teleportation template: in `A`, a CNOT from the data ion onto the
+/// communication ion plus its measurement; in `B`, the original
+/// interaction applied from the communication ion plus its measurement;
+/// one EPR pair is consumed.
+pub(crate) struct Splitter {
+    pub(crate) partition: Partition,
+    n_qubits: usize,
+    pub(crate) epr_pairs: usize,
+    /// Per-ELU usage of each comm slot: once a communication ion has
+    /// hosted (and been measured for) one EPR half, it must be pumped
+    /// back to |0⟩ before the next remote gate can reuse it.
+    comm_used: Vec<[bool; COMM_SLOTS]>,
+    /// Scratch for the per-gate native decomposition.
+    native: Circuit,
+    pub(crate) input_gate_count: usize,
+}
 
-    let mut streams: Vec<Circuit> = (0..n_elus)
-        .map(|_| Circuit::new(spec.ions_per_elu()))
-        .collect();
-    let mut epr_pairs = 0usize;
-    // Per-ELU usage of each comm slot: once a communication ion has
-    // hosted (and been measured for) one EPR half, it must be pumped
-    // back to |0⟩ before the next remote gate can reuse it.
-    let mut comm_used: Vec<[bool; crate::spec::COMM_SLOTS]> =
-        vec![[false; crate::spec::COMM_SLOTS]; n_elus];
-
-    for gate in &native {
-        match gate {
-            Gate::Barrier => {
-                for s in &mut streams {
-                    s.barrier();
-                }
-            }
-            g if g.is_two_qubit() => {
-                let qs = g.qubits();
-                let (a, b) = (qs[0].index(), qs[1].index());
-                let (ea, eb) = (partition.elu_of(a), partition.elu_of(b));
-                let (la, lb) = (Qubit(partition.local_of(a)), Qubit(partition.local_of(b)));
-                if ea == eb {
-                    streams[ea].push(g.map_qubits(|q| if q.index() == a { la } else { lb }));
-                } else {
-                    // Gate teleportation: alternate comm slots so
-                    // back-to-back remote gates can overlap. A slot that
-                    // already served a remote gate holds a measured ion;
-                    // reset it before replaying the template onto it.
-                    let slot = epr_pairs % crate::spec::COMM_SLOTS;
-                    let comm = Qubit(partition.comm_position(slot));
-                    epr_pairs += 1;
-                    for e in [ea, eb] {
-                        if std::mem::replace(&mut comm_used[e][slot], true) {
-                            streams[e].reset_qubit(comm);
-                        }
-                    }
-                    streams[ea].cnot(la, comm);
-                    streams[ea].measure(comm);
-                    streams[eb].push(g.map_qubits(|q| if q.index() == a { comm } else { lb }));
-                    streams[eb].measure(comm);
-                }
-            }
-            g => {
-                let q = match g.qubits().first() {
-                    Some(q) => q.index(),
-                    None => continue,
-                };
-                let e = partition.elu_of(q);
-                let local = Qubit(partition.local_of(q));
-                streams[e].push(g.map_qubits(|_| local));
-            }
+impl Splitter {
+    pub(crate) fn new(spec: &ScaleSpec, n_qubits: usize) -> Self {
+        let partition = Partition::new(spec, n_qubits);
+        let n_elus = partition.n_elus();
+        Splitter {
+            partition,
+            n_qubits,
+            epr_pairs: 0,
+            comm_used: vec![[false; COMM_SLOTS]; n_elus],
+            native: Circuit::new(n_qubits),
+            input_gate_count: 0,
         }
     }
 
-    let device = spec.validate_policies()?;
-    let mut compiler = Compiler::new(device);
-    compiler
-        .router(spec.router)
-        .scheduler(spec.scheduler)
-        .initial_mapping(spec.initial_mapping);
-    let mut elu_outputs = Vec::with_capacity(n_elus);
-    for (e, stream) in streams.iter().enumerate() {
-        let out = compiler
-            .compile(stream)
-            .map_err(|err| ScaleError::EluCompile {
-                elu: e,
-                reason: err.to_string(),
-            })?;
-        elu_outputs.push(out);
+    /// Validates the next input gate, then hands each ELU's share of its
+    /// native expansion to `emit(elu, gate)`, in program order.
+    ///
+    /// # Errors
+    ///
+    /// [`ScaleError::InvalidCircuit`] with the gate's input index.
+    pub(crate) fn split(
+        &mut self,
+        g: &Gate,
+        mut emit: impl FnMut(usize, Gate),
+    ) -> Result<(), ScaleError> {
+        validate_gate(g, self.input_gate_count, self.n_qubits)?;
+        self.input_gate_count += 1;
+        self.native.reset(self.n_qubits);
+        decompose_gate(&mut self.native, g);
+        let partition = &self.partition;
+        for gate in self.native.gates() {
+            match *gate {
+                Gate::Barrier => {
+                    for e in 0..partition.n_elus() {
+                        emit(e, Gate::Barrier);
+                    }
+                }
+                g if g.is_two_qubit() => {
+                    let qs = g.operands();
+                    let (a, b) = (qs[0].index(), qs[1].index());
+                    let (ea, eb) = (partition.elu_of(a), partition.elu_of(b));
+                    let (la, lb) = (Qubit(partition.local_of(a)), Qubit(partition.local_of(b)));
+                    if ea == eb {
+                        emit(ea, g.map_qubits(|q| if q.index() == a { la } else { lb }));
+                        continue;
+                    }
+                    // Alternate comm slots so back-to-back remote gates
+                    // can overlap. A slot that already served a remote
+                    // gate holds a measured ion; reset it before
+                    // replaying the template onto it.
+                    let slot = self.epr_pairs % COMM_SLOTS;
+                    let comm = Qubit(partition.comm_position(slot));
+                    self.epr_pairs += 1;
+                    for e in [ea, eb] {
+                        if std::mem::replace(&mut self.comm_used[e][slot], true) {
+                            emit(e, Gate::Reset(comm));
+                        }
+                    }
+                    emit(ea, Gate::Cnot(la, comm));
+                    emit(ea, Gate::Measure(comm));
+                    emit(eb, g.map_qubits(|q| if q.index() == a { comm } else { lb }));
+                    emit(eb, Gate::Measure(comm));
+                }
+                g => {
+                    let Some(q) = g.operands().first().map(|q| q.index()) else {
+                        continue;
+                    };
+                    let local = Qubit(partition.local_of(q));
+                    emit(partition.elu_of(q), g.map_qubits(|_| local));
+                }
+            }
+        }
+        Ok(())
     }
+}
 
+/// The §VII aggregation over per-ELU `(ln_success, exec_time_us, report)`
+/// in ELU order: the only one, shared by [`estimate_scaled`] and the
+/// streaming compiler.
+///
+/// ELU success rates multiply with the EPR fidelity of every remote
+/// gate. The makespan is the slowest ELU plus EPR generation, which
+/// overlaps up to [`COMM_SLOTS`] pairs in flight (the splitter
+/// alternates comm slots for exactly this), so the photonic term
+/// serializes only across generation *rounds*.
+pub(crate) fn aggregate<'a>(
+    spec: &ScaleSpec,
+    epr_pairs: usize,
+    elus: impl IntoIterator<Item = (f64, f64, &'a CompileReport)>,
+) -> ScaleReport {
+    let mut ln_success = 0.0f64;
+    let mut slowest_elu_us = 0.0f64;
+    let mut total_moves = 0usize;
+    let mut total_swaps = 0usize;
+    for (elu_ln_success, elu_us, report) in elus {
+        ln_success += elu_ln_success;
+        slowest_elu_us = slowest_elu_us.max(elu_us);
+        total_moves += report.move_count;
+        total_swaps += report.swap_count;
+    }
+    ln_success += epr_pairs as f64 * spec.epr.fidelity.ln();
+    let epr_rounds = epr_pairs.div_ceil(COMM_SLOTS);
+    ScaleReport {
+        ln_success,
+        success: ln_success.exp(),
+        remote_gates: epr_pairs,
+        exec_time_us: slowest_elu_us + epr_rounds as f64 * spec.epr.generation_us,
+        total_moves,
+        total_swaps,
+    }
+}
+
+/// Compiles `circuit` onto the ELU array described by `spec`.
+///
+/// The [`Splitter`] lowers each gate to two-qubit granularity and
+/// splits it across the ELUs (remote gates become gate-teleportation
+/// templates consuming one EPR pair each); each ELU's stream is then
+/// compiled by its own LinQ instance.
+///
+/// # Errors
+///
+/// Propagates ELU-policy validation, invalid input gates (with their
+/// index in `circuit`), and per-ELU compilation failures.
+pub fn compile_scaled(circuit: &Circuit, spec: &ScaleSpec) -> Result<ScaledProgram, ScaleError> {
+    let compiler = spec.elu_compiler()?;
+    let mut splitter = Splitter::new(spec, circuit.n_qubits());
+    let mut streams = vec![Circuit::new(spec.ions_per_elu()); splitter.partition.n_elus()];
+    for g in circuit {
+        splitter.split(g, |e, gate| {
+            streams[e].push(gate);
+        })?;
+    }
+    let elu_outputs = streams
+        .iter()
+        .enumerate()
+        .map(|(e, stream)| {
+            compiler
+                .compile(stream)
+                .map_err(|err| ScaleError::elu(e, &err))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(ScaledProgram {
         spec: *spec,
-        partition,
+        partition: splitter.partition,
         elu_outputs,
-        epr_pairs,
+        epr_pairs: splitter.epr_pairs,
     })
 }
 
@@ -159,38 +234,24 @@ pub fn estimate_scaled(
     noise: &NoiseModel,
     times: &GateTimeModel,
 ) -> ScaleReport {
-    let mut ln_success = 0.0f64;
-    let mut slowest_elu_us = 0.0f64;
-    let mut total_moves = 0usize;
-    let mut total_swaps = 0usize;
-    for out in &program.elu_outputs {
-        let s = estimate_success(&out.program, noise, times);
-        ln_success += s.ln_success;
-        let t = execution_time_us(&out.program, times, &ExecTimeModel::default());
-        slowest_elu_us = slowest_elu_us.max(t);
-        total_moves += out.report.move_count;
-        total_swaps += out.report.swap_count;
-    }
-    ln_success += program.epr_pairs as f64 * program.spec.epr.fidelity.ln();
-    // Up to COMM_SLOTS pairs generate concurrently (the compiler
-    // alternates comm slots for exactly this overlap), so the photonic
-    // term serializes only across generation *rounds*.
-    let epr_rounds = program.epr_pairs.div_ceil(crate::spec::COMM_SLOTS);
-    ScaleReport {
-        ln_success,
-        success: ln_success.exp(),
-        remote_gates: program.epr_pairs,
-        exec_time_us: slowest_elu_us + epr_rounds as f64 * program.spec.epr.generation_us,
-        total_moves,
-        total_swaps,
-    }
+    aggregate(
+        &program.spec,
+        program.epr_pairs,
+        program.elu_outputs.iter().map(|out| {
+            (
+                estimate_success(&out.program, noise, times).ln_success,
+                execution_time_us(&out.program, times, &ExecTimeModel::default()),
+                &out.report,
+            )
+        }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tilt_benchmarks::qaoa::qaoa_maxcut;
-    use tilt_compiler::DeviceSpec;
+    use tilt_compiler::{Compiler, DeviceSpec};
 
     fn models() -> (NoiseModel, GateTimeModel) {
         (NoiseModel::default(), GateTimeModel::default())

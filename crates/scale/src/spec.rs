@@ -2,7 +2,8 @@
 
 use std::error::Error;
 use std::fmt;
-use tilt_compiler::{DeviceSpec, InitialMapping, RouterKind, SchedulerKind};
+use tilt_circuit::ValidateCircuitError;
+use tilt_compiler::{Compiler, DeviceSpec, InitialMapping, RouterKind, SchedulerKind};
 
 /// Ion slots reserved per ELU for the photonic communication qubits.
 pub const COMM_SLOTS: usize = 2;
@@ -53,6 +54,9 @@ pub enum ScaleError {
         /// Human-readable description.
         reason: String,
     },
+    /// An input gate failed validation; the error carries its index in
+    /// the input circuit or stream.
+    InvalidCircuit(ValidateCircuitError),
     /// An underlying LinQ compilation failed (carries the rendered error).
     EluCompile {
         /// Which ELU failed.
@@ -66,6 +70,7 @@ impl fmt::Display for ScaleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScaleError::InvalidSpec { reason } => write!(f, "invalid ELU spec: {reason}"),
+            ScaleError::InvalidCircuit(e) => write!(f, "invalid input gate: {e}"),
             ScaleError::EluCompile { elu, reason } => {
                 write!(f, "ELU {elu} failed to compile: {reason}")
             }
@@ -73,7 +78,30 @@ impl fmt::Display for ScaleError {
     }
 }
 
-impl Error for ScaleError {}
+impl ScaleError {
+    /// ELU `elu`'s LinQ compile failed with `err`.
+    pub(crate) fn elu(elu: usize, err: &tilt_compiler::CompileError) -> Self {
+        ScaleError::EluCompile {
+            elu,
+            reason: err.to_string(),
+        }
+    }
+}
+
+impl Error for ScaleError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ScaleError::InvalidCircuit(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<ValidateCircuitError> for ScaleError {
+    fn from(e: ValidateCircuitError) -> Self {
+        ScaleError::InvalidCircuit(e)
+    }
+}
 
 impl ScaleSpec {
     /// Creates an ELU template: `ions_per_elu` tape positions (of which
@@ -163,6 +191,16 @@ impl ScaleSpec {
                 reason: e.to_string(),
             })?;
         Ok(device)
+    }
+
+    /// The LinQ compiler every ELU runs, after [`ScaleSpec::validate_policies`].
+    pub(crate) fn elu_compiler(&self) -> Result<Compiler, ScaleError> {
+        let mut compiler = Compiler::new(self.validate_policies()?);
+        compiler
+            .router(self.router)
+            .scheduler(self.scheduler)
+            .initial_mapping(self.initial_mapping);
+        Ok(compiler)
     }
 
     /// Tape length of each ELU.

@@ -1,17 +1,16 @@
 //! Sharded streaming compilation: one bounded-memory LinQ session per
 //! ELU, fed from a single pass over the input gate stream.
 //!
-//! [`compile_scaled`](crate::compile_scaled) materializes the whole
-//! native circuit, the per-ELU gate streams, and every ELU's compiled
-//! program before any estimation runs — O(circuit) memory three times
-//! over. [`ScaledStreamingCompiler`] replays the exact same
-//! decompose→split→teleport-template fold one input gate at a time,
-//! dispatching each ELU's share into that ELU's own
-//! [`StreamingCompiler`] and folding the emitted ops straight into the
-//! streaming estimators. Peak memory is O(window · ELUs) plus the
-//! per-ELU scheduler horizons, independent of circuit length, and the
-//! per-ELU op streams plus the final [`ScaleReport`] are bit-identical
-//! to the monolithic path.
+//! [`compile_scaled`](crate::compile_scaled) keeps every ELU's gate
+//! stream and compiled program so they can be inspected and verified.
+//! [`ScaledStreamingCompiler`] runs the same splitter one input gate at a
+//! time, dispatching each ELU's share into that ELU's own
+//! [`StreamingCompiler`], folding the emitted ops straight into the
+//! estimator folds, and aggregating with the same ELU aggregation as
+//! [`estimate_scaled`](crate::estimate_scaled). Peak memory is
+//! O(window · ELUs) plus the per-ELU scheduler horizons, independent of
+//! circuit length, and the per-ELU op streams plus the final
+//! [`ScaleReport`] are bit-identical to the in-memory path.
 //!
 //! Shard compiles fan out across the work-stealing pool: gates buffer
 //! into per-ELU inboxes during the split, and each macro-window the pool
@@ -19,14 +18,13 @@
 //! drained to the sink **in ELU order** after each fan-out, so the
 //! delivery order is deterministic regardless of pool scheduling.
 
-use crate::partition::Partition;
-use crate::spec::{ScaleError, ScaleSpec, COMM_SLOTS};
+use crate::program::{aggregate, Splitter};
+use crate::spec::{ScaleError, ScaleSpec};
 use crate::ScaleReport;
 use rayon::prelude::*;
-use tilt_circuit::{validate_gate, Circuit, Gate, Qubit};
-use tilt_compiler::decompose::decompose_gate;
+use tilt_circuit::Gate;
 use tilt_compiler::pipeline::streaming::StreamSummary;
-use tilt_compiler::{Compiler, StreamingCompiler, TiltOp};
+use tilt_compiler::{CompileError, ProgramSink, StreamingCompiler, TiltOp};
 use tilt_sim::streaming::{ExecTimeAccumulator, SuccessAccumulator};
 use tilt_sim::{ExecTimeModel, GateTimeModel, NoiseModel};
 
@@ -48,7 +46,7 @@ impl<F: FnMut(usize, &[TiltOp])> ScaledSink for F {
 #[derive(Clone, Debug)]
 pub struct ScaledStreamSummary {
     /// The aggregate estimate — bit-identical to
-    /// [`estimate_scaled`](crate::estimate_scaled) over the monolithic
+    /// [`estimate_scaled`](crate::estimate_scaled) over the in-memory
     /// [`ScaledProgram`](crate::ScaledProgram).
     pub report: ScaleReport,
     /// Per-ELU compile summaries, in ELU order.
@@ -63,72 +61,57 @@ pub struct ScaledStreamSummary {
 
 /// One ELU's slice of the streaming session.
 struct Shard {
-    /// `None` only transiently inside [`ScaledStreamingCompiler::finish`],
-    /// where the pool consumes it.
+    /// `None` after [`Shard::finish`] consumes it.
     compiler: Option<StreamingCompiler>,
     /// Gates split to this ELU since the last fan-out.
     inbox: Vec<Gate>,
-    /// Ops emitted by this shard during the current fan-out, awaiting
-    /// the ordered drain.
-    outbox: Vec<TiltOp>,
-    success: SuccessAccumulator,
-    /// `None` after [`ScaledStreamingCompiler::finish`] consumes it.
-    exec: Option<ExecTimeAccumulator>,
-    exec_us: Option<f64>,
+    sink: ShardSink,
     summary: Option<StreamSummary>,
-    err: Option<tilt_compiler::CompileError>,
+    err: Option<CompileError>,
+}
+
+/// Folds a shard's emitted ops into its estimators and its outbox.
+struct ShardSink {
+    success: SuccessAccumulator,
+    exec: ExecTimeAccumulator,
+    /// Ops emitted during the current fan-out, awaiting the ordered
+    /// drain.
+    outbox: Vec<TiltOp>,
+}
+
+impl ProgramSink for ShardSink {
+    fn emit(&mut self, ops: &[TiltOp]) {
+        for op in ops {
+            self.success.push(op);
+            self.exec.push(op);
+        }
+        self.outbox.extend_from_slice(ops);
+    }
 }
 
 impl Shard {
-    /// Pushes every inboxed gate through this shard's pipeline, folding
-    /// emitted ops into the estimators and the outbox. Runs on a pool
-    /// worker.
+    /// Pushes every inboxed gate through this shard's pipeline. Runs on
+    /// a pool worker.
     fn feed(&mut self) {
-        if self.err.is_some() {
-            self.inbox.clear();
-            return;
-        }
-        let mut inbox = std::mem::take(&mut self.inbox);
-        let compiler = self.compiler.as_mut().expect("shard still live");
-        let success = &mut self.success;
-        let exec = self.exec.as_mut().expect("shard still live");
-        let outbox = &mut self.outbox;
-        let mut sink = |ops: &[TiltOp]| {
-            for op in ops {
-                success.push(op);
-                exec.push(op);
-            }
-            outbox.extend_from_slice(ops);
-        };
-        for g in inbox.drain(..) {
-            if let Err(e) = compiler.push(g, &mut sink) {
-                self.err = Some(e);
-                break;
+        if let (Some(compiler), None) = (self.compiler.as_mut(), &self.err) {
+            for g in self.inbox.drain(..) {
+                if let Err(e) = compiler.push(g, &mut self.sink) {
+                    self.err = Some(e);
+                    break;
+                }
             }
         }
-        self.inbox = inbox;
+        self.inbox.clear();
     }
 
     /// [`Shard::feed`] plus the end-of-stream flush; consumes the
     /// pipeline. Runs on a pool worker.
     fn finish(&mut self) {
         self.feed();
-        if self.err.is_some() {
-            return;
+        if self.err.is_none() {
+            let compiler = self.compiler.take().expect("finish runs once");
+            self.summary = Some(compiler.finish(&mut self.sink));
         }
-        let compiler = self.compiler.take().expect("finish runs once");
-        let success = &mut self.success;
-        let mut exec = self.exec.take().expect("finish runs once");
-        let outbox = &mut self.outbox;
-        let summary = compiler.finish(&mut |ops: &[TiltOp]| {
-            for op in ops {
-                success.push(op);
-                exec.push(op);
-            }
-            outbox.extend_from_slice(ops);
-        });
-        self.summary = Some(summary);
-        self.exec_us = Some(exec.finish());
     }
 }
 
@@ -139,21 +122,13 @@ impl Shard {
 /// and collect the aggregate [`ScaleReport`] at the end.
 pub struct ScaledStreamingCompiler {
     spec: ScaleSpec,
-    partition: Partition,
-    n_qubits: usize,
+    splitter: Splitter,
     shards: Vec<Shard>,
-    epr_pairs: usize,
-    /// Per-ELU usage of each comm slot (see the monolithic splitter: a
-    /// recycled slot holds a measured ion and must be reset first).
-    comm_used: Vec<[bool; COMM_SLOTS]>,
-    /// Scratch for the per-gate native decomposition.
-    native: Circuit,
     /// Gates buffered across all inboxes since the last fan-out.
     buffered: usize,
     /// Total buffered gates that trigger a fan-out.
     window: usize,
     increments: usize,
-    input_gate_count: usize,
 }
 
 impl ScaledStreamingCompiler {
@@ -176,50 +151,38 @@ impl ScaledStreamingCompiler {
         noise: &NoiseModel,
         times: &GateTimeModel,
     ) -> Result<Self, ScaleError> {
-        let device = spec.validate_policies()?;
-        let partition = Partition::new(spec, n_qubits);
-        let n_elus = partition.n_elus();
-        let mut compiler = Compiler::new(device);
-        compiler
-            .router(spec.router)
-            .scheduler(spec.scheduler)
-            .initial_mapping(spec.initial_mapping);
+        let compiler = spec.elu_compiler()?;
+        let splitter = Splitter::new(spec, n_qubits);
+        let n_elus = splitter.partition.n_elus();
         let mut shards = Vec::with_capacity(n_elus);
         for e in 0..n_elus {
             let streaming = StreamingCompiler::new(&compiler, spec.ions_per_elu(), window)
-                .map_err(|err| ScaleError::EluCompile {
-                    elu: e,
-                    reason: err.to_string(),
-                })?;
+                .map_err(|err| ScaleError::elu(e, &err))?;
             shards.push(Shard {
                 compiler: Some(streaming),
                 inbox: Vec::new(),
-                outbox: Vec::new(),
-                success: SuccessAccumulator::new(spec.ions_per_elu(), noise, times),
-                // `estimate_scaled` hardcodes the default shuttle model
-                // for every ELU; so does the streaming fold.
-                exec: Some(ExecTimeAccumulator::new(
-                    spec.ions_per_elu(),
-                    times,
-                    &ExecTimeModel::default(),
-                )),
-                exec_us: None,
+                sink: ShardSink {
+                    success: SuccessAccumulator::new(spec.ions_per_elu(), noise, times),
+                    // `estimate_scaled` uses the default shuttle model for
+                    // every ELU; so does the streaming fold.
+                    exec: ExecTimeAccumulator::new(
+                        spec.ions_per_elu(),
+                        times,
+                        &ExecTimeModel::default(),
+                    ),
+                    outbox: Vec::new(),
+                },
                 summary: None,
                 err: None,
             });
         }
         Ok(ScaledStreamingCompiler {
             spec: *spec,
-            partition,
-            n_qubits,
+            splitter,
             shards,
-            epr_pairs: 0,
-            comm_used: vec![[false; COMM_SLOTS]; n_elus],
-            native: Circuit::new(n_qubits),
             buffered: 0,
             window: window.max(1),
             increments: 0,
-            input_gate_count: 0,
         })
     }
 
@@ -237,85 +200,15 @@ impl ScaledStreamingCompiler {
     /// reported with their global stream index) and per-ELU compile
     /// failures.
     pub fn push(&mut self, g: Gate, sink: &mut dyn ScaledSink) -> Result<(), ScaleError> {
-        validate_gate(&g, self.input_gate_count, self.n_qubits).map_err(|e| {
-            ScaleError::InvalidSpec {
-                reason: format!("invalid input gate: {e}"),
-            }
+        let (shards, buffered) = (&mut self.shards, &mut self.buffered);
+        self.splitter.split(&g, |e, gate| {
+            shards[e].inbox.push(gate);
+            *buffered += 1;
         })?;
-        self.input_gate_count += 1;
-        // The monolithic splitter's fold, verbatim, over this gate's
-        // native expansion. The scratch circuit is taken out of `self`
-        // for the duration so `split` can borrow the shards mutably.
-        let mut native = std::mem::replace(&mut self.native, Circuit::new(0));
-        native.reset(self.n_qubits);
-        decompose_gate(&mut native, &g);
-        for gate in native.gates() {
-            self.split(gate);
-        }
-        self.native = native;
         if self.buffered >= self.window {
             self.fan_out(sink)?;
         }
         Ok(())
-    }
-
-    /// Routes one native gate to its shard inbox(es) — the same match as
-    /// `compile_scaled`'s splitter.
-    fn split(&mut self, gate: &Gate) {
-        match gate {
-            Gate::Barrier => {
-                for s in &mut self.shards {
-                    s.inbox.push(Gate::Barrier);
-                }
-                self.buffered += self.shards.len();
-            }
-            g if g.is_two_qubit() => {
-                let qs = g.qubits();
-                let (a, b) = (qs[0].index(), qs[1].index());
-                let (ea, eb) = (self.partition.elu_of(a), self.partition.elu_of(b));
-                let (la, lb) = (
-                    Qubit(self.partition.local_of(a)),
-                    Qubit(self.partition.local_of(b)),
-                );
-                if ea == eb {
-                    self.shards[ea]
-                        .inbox
-                        .push(g.map_qubits(|q| if q.index() == a { la } else { lb }));
-                    self.buffered += 1;
-                } else {
-                    let slot = self.epr_pairs % COMM_SLOTS;
-                    let comm = Qubit(self.partition.comm_position(slot));
-                    self.epr_pairs += 1;
-                    for e in [ea, eb] {
-                        if std::mem::replace(&mut self.comm_used[e][slot], true) {
-                            self.shards[e].inbox.push(Gate::Reset(comm));
-                            self.buffered += 1;
-                        }
-                    }
-                    self.shards[ea].inbox.push(Gate::Cnot(la, comm));
-                    self.shards[ea].inbox.push(Gate::Measure(comm));
-                    self.shards[eb].inbox.push(g.map_qubits(|q| {
-                        if q.index() == a {
-                            comm
-                        } else {
-                            lb
-                        }
-                    }));
-                    self.shards[eb].inbox.push(Gate::Measure(comm));
-                    self.buffered += 4;
-                }
-            }
-            g => {
-                let q = match g.qubits().first() {
-                    Some(q) => q.index(),
-                    None => return,
-                };
-                let e = self.partition.elu_of(q);
-                let local = Qubit(self.partition.local_of(q));
-                self.shards[e].inbox.push(g.map_qubits(|_| local));
-                self.buffered += 1;
-            }
-        }
     }
 
     /// Advances every shard's pipeline on the pool, then drains emitted
@@ -332,16 +225,13 @@ impl ScaledStreamingCompiler {
     /// reported error is deterministic regardless of pool scheduling).
     fn drain(&mut self, sink: &mut dyn ScaledSink) -> Result<(), ScaleError> {
         for (e, shard) in self.shards.iter_mut().enumerate() {
-            if !shard.outbox.is_empty() {
-                sink.emit(e, &shard.outbox);
+            if !shard.sink.outbox.is_empty() {
+                sink.emit(e, &shard.sink.outbox);
                 self.increments += 1;
-                shard.outbox.clear();
+                shard.sink.outbox.clear();
             }
             if let Some(err) = &shard.err {
-                return Err(ScaleError::EluCompile {
-                    elu: e,
-                    reason: err.to_string(),
-                });
+                return Err(ScaleError::elu(e, err));
             }
         }
         Ok(())
@@ -358,36 +248,28 @@ impl ScaledStreamingCompiler {
         });
         self.drain(sink)?;
 
-        // `estimate_scaled`'s aggregation fold, in the same ELU order
-        // with the same floating-point operation sequence.
-        let mut ln_success = 0.0f64;
-        let mut slowest_elu_us = 0.0f64;
-        let mut total_moves = 0usize;
-        let mut total_swaps = 0usize;
-        let mut elu_summaries = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            let summary = shard.summary.take().expect("finish ran on every shard");
-            ln_success += shard.success.finish().ln_success;
-            slowest_elu_us = slowest_elu_us.max(shard.exec_us.expect("finish ran"));
-            total_moves += summary.report.move_count;
-            total_swaps += summary.report.swap_count;
-            elu_summaries.push(summary);
-        }
-        ln_success += self.epr_pairs as f64 * self.spec.epr.fidelity.ln();
-        let epr_rounds = self.epr_pairs.div_ceil(COMM_SLOTS);
+        let report = aggregate(
+            &self.spec,
+            self.splitter.epr_pairs,
+            self.shards.iter().map(|shard| {
+                let summary = shard.summary.as_ref().expect("finish ran on every shard");
+                (
+                    shard.sink.success.finish().ln_success,
+                    shard.sink.exec.finish(),
+                    &summary.report,
+                )
+            }),
+        );
         Ok(ScaledStreamSummary {
-            report: ScaleReport {
-                ln_success,
-                success: ln_success.exp(),
-                remote_gates: self.epr_pairs,
-                exec_time_us: slowest_elu_us + epr_rounds as f64 * self.spec.epr.generation_us,
-                total_moves,
-                total_swaps,
-            },
-            elu_summaries,
-            epr_pairs: self.epr_pairs,
+            report,
+            elu_summaries: self
+                .shards
+                .iter_mut()
+                .filter_map(|shard| shard.summary.take())
+                .collect(),
+            epr_pairs: self.splitter.epr_pairs,
             increments: self.increments,
-            input_gate_count: self.input_gate_count,
+            input_gate_count: self.splitter.input_gate_count,
         })
     }
 }
@@ -419,6 +301,7 @@ mod tests {
     use super::*;
     use crate::{compile_scaled, estimate_scaled};
     use tilt_benchmarks::qaoa::qaoa_maxcut;
+    use tilt_circuit::{Circuit, Qubit};
 
     fn collect_streams(
         spec: &ScaleSpec,

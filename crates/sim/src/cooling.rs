@@ -12,9 +12,9 @@
 
 use crate::gate_time::GateTimeModel;
 use crate::noise::NoiseModel;
+use crate::streaming::SuccessAccumulator;
 use crate::success::SuccessReport;
-use tilt_circuit::Gate;
-use tilt_compiler::{TiltOp, TiltProgram};
+use tilt_compiler::TiltProgram;
 
 /// When to run a sympathetic-cooling round.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,6 +59,16 @@ impl CoolingPolicy {
         CoolingPolicy {
             trigger: CoolingTrigger::EveryMoves(moves),
             cooling_us: 400.0,
+        }
+    }
+
+    /// Whether a move that leaves the chain at `quanta`, `moves_since_cool`
+    /// moves after the last round, triggers a cooling round.
+    pub(crate) fn triggers(&self, quanta: f64, moves_since_cool: usize) -> bool {
+        match self.trigger {
+            CoolingTrigger::Never => false,
+            CoolingTrigger::QuantaThreshold(t) => quanta > t,
+            CoolingTrigger::EveryMoves(n) => n > 0 && moves_since_cool >= n,
         }
     }
 }
@@ -108,64 +118,11 @@ pub fn estimate_success_with_cooling(
     times: &GateTimeModel,
     policy: &CoolingPolicy,
 ) -> CooledSuccessReport {
-    let k = noise.k_for_chain(program.spec().n_ions());
-    let mut quanta = 0.0f64;
-    let mut moves_since_cool = 0usize;
-    let mut ln_success = 0.0f64;
-    let mut cooling_rounds = 0usize;
-    let (mut two_q, mut one_q, mut meas, mut moves) = (0usize, 0usize, 0usize, 0usize);
-
+    let mut acc = SuccessAccumulator::with_cooling(program.spec().n_ions(), noise, times, policy);
     for op in program.ops() {
-        match op {
-            TiltOp::Move { .. } => {
-                moves += 1;
-                moves_since_cool += 1;
-                quanta += k;
-                let cool = match policy.trigger {
-                    CoolingTrigger::Never => false,
-                    CoolingTrigger::QuantaThreshold(t) => quanta > t,
-                    CoolingTrigger::EveryMoves(n) => n > 0 && moves_since_cool >= n,
-                };
-                if cool {
-                    quanta = 0.0;
-                    moves_since_cool = 0;
-                    cooling_rounds += 1;
-                }
-            }
-            TiltOp::Gate { gate, .. } => {
-                let f = match gate {
-                    Gate::Measure(_) | Gate::Reset(_) => {
-                        meas += 1;
-                        noise.measurement_fidelity()
-                    }
-                    g if g.is_two_qubit() => {
-                        two_q += 1;
-                        noise.two_qubit_fidelity(times.gate_us(g), quanta)
-                    }
-                    Gate::Barrier => 1.0,
-                    _ => {
-                        one_q += 1;
-                        noise.single_qubit_fidelity()
-                    }
-                };
-                ln_success += f.ln();
-            }
-        }
+        acc.push(op);
     }
-
-    CooledSuccessReport {
-        report: SuccessReport {
-            ln_success,
-            success: ln_success.exp(),
-            two_qubit_gates: two_q,
-            single_qubit_gates: one_q,
-            measurements: meas,
-            moves,
-            final_quanta: quanta,
-        },
-        cooling_rounds,
-        cooling_time_us: cooling_rounds as f64 * policy.cooling_us,
-    }
+    acc.finish_cooled()
 }
 
 #[cfg(test)]

@@ -4,11 +4,12 @@
 //! the sum over depth layers of each layer's maximum gate time. Gates
 //! executed at the same head position on disjoint qubits share a layer
 //! (the head's lasers drive them simultaneously); a tape move fences
-//! layering, since nothing executes while the chain is in flight.
+//! layering, since nothing executes while the chain is in flight. The
+//! fold itself is [`ExecTimeAccumulator`].
 
 use crate::gate_time::GateTimeModel;
-use tilt_circuit::Gate;
-use tilt_compiler::{TiltOp, TiltProgram};
+use crate::streaming::ExecTimeAccumulator;
+use tilt_compiler::TiltProgram;
 
 /// Shuttle-speed parameters for Eq. 5.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,47 +58,11 @@ pub fn execution_time_us(
     times: &GateTimeModel,
     exec: &ExecTimeModel,
 ) -> f64 {
-    let n = program.spec().n_ions();
-    let mut total_us = 0.0f64;
-
-    // Per-qubit layer index and per-layer maximum duration for the current
-    // head-position segment.
-    let mut level = vec![0usize; n];
-    let mut layer_max: Vec<f64> = Vec::new();
-    let flush = |layer_max: &mut Vec<f64>, level: &mut Vec<usize>| -> f64 {
-        let t: f64 = layer_max.iter().sum();
-        layer_max.clear();
-        level.iter_mut().for_each(|l| *l = 0);
-        t
-    };
-
+    let mut acc = ExecTimeAccumulator::new(program.spec().n_ions(), times, exec);
     for op in program.ops() {
-        match op {
-            TiltOp::Move { .. } => {
-                total_us += flush(&mut layer_max, &mut level);
-            }
-            TiltOp::Gate { gate, .. } => {
-                if matches!(gate, Gate::Barrier) {
-                    continue;
-                }
-                let qs = gate.qubits();
-                let layer = qs.iter().map(|q| level[q.index()]).max().unwrap_or(0);
-                for q in &qs {
-                    level[q.index()] = layer + 1;
-                }
-                if layer_max.len() <= layer {
-                    layer_max.resize(layer + 1, 0.0);
-                }
-                let dur = times.gate_us(gate);
-                if dur > layer_max[layer] {
-                    layer_max[layer] = dur;
-                }
-            }
-        }
+        acc.push(op);
     }
-    total_us += flush(&mut layer_max, &mut level);
-    total_us += exec.travel_um(program) / exec.shuttle_um_per_us;
-    total_us
+    acc.finish()
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 
 use crate::gate_time::GateTimeModel;
 use crate::noise::NoiseModel;
+use crate::streaming::SuccessAccumulator;
 use crate::success::SuccessReport;
-use tilt_circuit::{Circuit, Gate};
+use tilt_circuit::Circuit;
 use tilt_compiler::decompose::decompose;
+use tilt_compiler::TiltOp;
 
 /// Estimates the success rate of `circuit` on an ideal fully-connected
 /// trapped-ion device.
@@ -35,40 +37,12 @@ pub fn estimate_ideal_success(
     noise: &NoiseModel,
     times: &GateTimeModel,
 ) -> SuccessReport {
-    let native = decompose(circuit);
-    let mut ln_success = 0.0f64;
-    let mut two_q = 0usize;
-    let mut one_q = 0usize;
-    let mut meas = 0usize;
-
-    for g in &native {
-        let f = match g {
-            Gate::Barrier => 1.0,
-            Gate::Measure(_) | Gate::Reset(_) => {
-                meas += 1;
-                noise.measurement_fidelity()
-            }
-            g if g.is_two_qubit() => {
-                two_q += 1;
-                noise.two_qubit_fidelity(times.gate_us(g), 0.0)
-            }
-            _ => {
-                one_q += 1;
-                noise.single_qubit_fidelity()
-            }
-        };
-        ln_success += f.ln();
+    // A program that never moves: the Eq. 4 fold on a cold chain.
+    let mut acc = SuccessAccumulator::new(circuit.n_qubits(), noise, times);
+    for &gate in &decompose(circuit) {
+        acc.push(&TiltOp::Gate { gate, head_pos: 0 });
     }
-
-    SuccessReport {
-        ln_success,
-        success: ln_success.exp(),
-        two_qubit_gates: two_q,
-        single_qubit_gates: one_q,
-        measurements: meas,
-        moves: 0,
-        final_quanta: 0.0,
-    }
+    acc.finish()
 }
 
 #[cfg(test)]

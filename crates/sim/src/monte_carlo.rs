@@ -18,10 +18,10 @@
 
 use crate::gate_time::GateTimeModel;
 use crate::noise::NoiseModel;
+use crate::success::estimate_success;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tilt_circuit::Gate;
-use tilt_compiler::{TiltOp, TiltProgram};
+use tilt_compiler::TiltProgram;
 
 /// Result of a Monte Carlo estimation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -68,30 +68,9 @@ pub fn sample_success(
     seed: u64,
 ) -> MonteCarloReport {
     assert!(shots > 0, "need at least one shot");
-    // Fold the independent per-gate trials straight into one
-    // shot-survival probability (log space guards against underflow on
-    // long programs); each shot then reduces to a single Bernoulli draw
-    // against `p_shot = Π fᵢ`.
-    let k = noise.k_for_chain(program.spec().n_ions());
-    let mut quanta = 0.0f64;
-    let mut log_p = 0.0f64;
-    for op in program.ops() {
-        match op {
-            TiltOp::Move { .. } => quanta += k,
-            TiltOp::Gate { gate, .. } => {
-                let f = match gate {
-                    Gate::Measure(_) | Gate::Reset(_) => noise.measurement_fidelity(),
-                    Gate::Barrier => 1.0,
-                    g if g.is_two_qubit() => noise.two_qubit_fidelity(times.gate_us(g), quanta),
-                    _ => noise.single_qubit_fidelity(),
-                };
-                if f < 1.0 {
-                    log_p += f.ln();
-                }
-            }
-        }
-    }
-    let p_shot = log_p.exp();
+    // The independent per-gate trials collapse into one shot-survival
+    // probability, `p_shot = Π fᵢ`: the Eq. 4 fold's success estimate.
+    let p_shot = estimate_success(program, noise, times).success;
 
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut successes = 0usize;

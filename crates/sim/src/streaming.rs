@@ -1,13 +1,14 @@
-//! Streaming estimator accumulators for bounded-memory compilation.
+//! The estimator folds: Eq. 4 success and Eq. 5 execution time, one op
+//! at a time.
 //!
-//! [`estimate_success`](crate::estimate_success) and
-//! [`execution_time_us`](crate::execution_time_us) are both sequential
-//! folds over the scheduled op stream; these accumulators apply the
-//! *same* folds one op at a time, so a streaming compile that never
-//! materializes its [`TiltProgram`](tilt_compiler::TiltProgram) can still
-//! produce **bit-identical** `ln_success` and `exec_time_us` to the
-//! monolithic path. Every floating-point operation happens in the same
-//! order with the same operands; nothing is re-associated.
+//! Both estimates are sequential folds over the scheduled op stream.
+//! [`SuccessAccumulator`] and [`ExecTimeAccumulator`] are the only
+//! implementations: [`estimate_success`](crate::estimate_success),
+//! [`estimate_success_with_cooling`](crate::estimate_success_with_cooling)
+//! and [`execution_time_us`](crate::execution_time_us) drive them over a
+//! finished [`TiltProgram`](tilt_compiler::TiltProgram), and a streaming
+//! compile drives them over each increment as it is scheduled, so both
+//! produce **bit-identical** `ln_success` and `exec_time_us`.
 //!
 //! ```
 //! use tilt_circuit::{Circuit, Qubit};
@@ -30,6 +31,7 @@
 //! # Ok::<(), tilt_compiler::CompileError>(())
 //! ```
 
+use crate::cooling::{CooledSuccessReport, CoolingPolicy};
 use crate::exec_time::ExecTimeModel;
 use crate::gate_time::GateTimeModel;
 use crate::noise::NoiseModel;
@@ -37,17 +39,21 @@ use crate::success::SuccessReport;
 use tilt_circuit::Gate;
 use tilt_compiler::TiltOp;
 
-/// The [`estimate_success`](crate::estimate_success) fold, applied one
-/// op at a time.
+/// The Eq. 4 success fold, applied one op at a time.
 ///
-/// State is O(1): the chain's accumulated motional quanta, the running
-/// log-fidelity, and the op-class counters.
+/// Every [`TiltOp::Move`] adds `k(n)` motional quanta (with the `√n`
+/// chain-length scaling) and may trigger a sympathetic-cooling round
+/// that resets them; every two-qubit gate contributes the Eq. 4 fidelity
+/// at the chain's current heat; single-qubit gates contribute a constant
+/// fidelity. Fidelities multiply in log space so deep circuits underflow
+/// gracefully. State is O(1).
 #[derive(Clone, Debug)]
 pub struct SuccessAccumulator {
     noise: NoiseModel,
     times: GateTimeModel,
+    cooling: CoolingPolicy,
     /// Per-move quanta for this chain length (`k(n)` with the `√n`
-    /// scaling), fixed at construction like the monolithic estimator.
+    /// scaling), fixed at construction.
     k: f64,
     quanta: f64,
     ln_success: f64,
@@ -55,15 +61,28 @@ pub struct SuccessAccumulator {
     one_q: usize,
     meas: usize,
     moves: usize,
+    moves_since_cool: usize,
+    cooling_rounds: usize,
 }
 
 impl SuccessAccumulator {
     /// Starts an estimate for a chain of `n_ions` ions under `noise` and
-    /// `times`.
+    /// `times`, without cooling.
     pub fn new(n_ions: usize, noise: &NoiseModel, times: &GateTimeModel) -> Self {
+        SuccessAccumulator::with_cooling(n_ions, noise, times, &CoolingPolicy::never())
+    }
+
+    /// [`SuccessAccumulator::new`] under a sympathetic-cooling policy.
+    pub fn with_cooling(
+        n_ions: usize,
+        noise: &NoiseModel,
+        times: &GateTimeModel,
+        cooling: &CoolingPolicy,
+    ) -> Self {
         SuccessAccumulator {
             noise: *noise,
             times: *times,
+            cooling: *cooling,
             k: noise.k_for_chain(n_ions),
             quanta: 0.0,
             ln_success: 0.0,
@@ -71,6 +90,8 @@ impl SuccessAccumulator {
             one_q: 0,
             meas: 0,
             moves: 0,
+            moves_since_cool: 0,
+            cooling_rounds: 0,
         }
     }
 
@@ -79,10 +100,18 @@ impl SuccessAccumulator {
         match op {
             TiltOp::Move { .. } => {
                 self.moves += 1;
+                self.moves_since_cool += 1;
                 self.quanta += self.k;
+                if self.cooling.triggers(self.quanta, self.moves_since_cool) {
+                    self.quanta = 0.0;
+                    self.moves_since_cool = 0;
+                    self.cooling_rounds += 1;
+                }
             }
             TiltOp::Gate { gate, .. } => {
                 let f = match gate {
+                    // Resets are measurement-class operations (optical
+                    // pumping): same fidelity budget, counted together.
                     Gate::Measure(_) | Gate::Reset(_) => {
                         self.meas += 1;
                         self.noise.measurement_fidelity()
@@ -98,7 +127,7 @@ impl SuccessAccumulator {
                         self.noise.single_qubit_fidelity()
                     }
                 };
-                self.ln_success += f.ln();
+                self.ln_success += f.ln(); // ln(0) = -inf propagates correctly
             }
         }
     }
@@ -106,20 +135,29 @@ impl SuccessAccumulator {
     /// The estimate over everything pushed so far. The accumulator stays
     /// usable; this is a snapshot, not a terminator.
     pub fn finish(&self) -> SuccessReport {
-        SuccessReport {
-            ln_success: self.ln_success,
-            success: self.ln_success.exp(),
-            two_qubit_gates: self.two_q,
-            single_qubit_gates: self.one_q,
-            measurements: self.meas,
-            moves: self.moves,
-            final_quanta: self.quanta,
+        self.finish_cooled().report
+    }
+
+    /// [`SuccessAccumulator::finish`] with the cooling rounds and the
+    /// time they cost.
+    pub fn finish_cooled(&self) -> CooledSuccessReport {
+        CooledSuccessReport {
+            report: SuccessReport {
+                ln_success: self.ln_success,
+                success: self.ln_success.exp(),
+                two_qubit_gates: self.two_q,
+                single_qubit_gates: self.one_q,
+                measurements: self.meas,
+                moves: self.moves,
+                final_quanta: self.quanta,
+            },
+            cooling_rounds: self.cooling_rounds,
+            cooling_time_us: self.cooling_rounds as f64 * self.cooling.cooling_us,
         }
     }
 }
 
-/// The [`execution_time_us`](crate::execution_time_us) fold, applied one
-/// op at a time.
+/// The Eq. 5 execution-time fold, applied one op at a time.
 ///
 /// State is O(chain): the per-qubit layer indices and per-layer maxima
 /// of the current head-position segment (a tape move fences layering, so
@@ -151,17 +189,14 @@ impl ExecTimeAccumulator {
         }
     }
 
-    fn flush_segment(&mut self) {
-        self.total_us += self.layer_max.iter().sum::<f64>();
-        self.layer_max.clear();
-        self.level.iter_mut().for_each(|l| *l = 0);
-    }
-
     /// Folds one scheduled op into the estimate.
     pub fn push(&mut self, op: &TiltOp) {
         match op {
             TiltOp::Move { to } => {
-                self.flush_segment();
+                // A move fences layering: close the segment.
+                self.total_us += self.layer_max.iter().sum::<f64>();
+                self.layer_max.clear();
+                self.level.fill(0);
                 if let Some(p) = self.last_head {
                     self.move_distance_ions += p.abs_diff(*to);
                 }
@@ -191,13 +226,11 @@ impl ExecTimeAccumulator {
     }
 
     /// Total execution time in µs over everything pushed so far: the
-    /// final segment flush plus the Eq. 5 travel term.
-    ///
-    /// Unlike [`SuccessAccumulator::finish`] this *is* a terminator —
-    /// the trailing segment is flushed into the total.
-    pub fn finish(mut self) -> f64 {
-        self.flush_segment();
-        self.total_us
+    /// open segment's layers plus the Eq. 5 travel term. Like
+    /// [`SuccessAccumulator::finish`] this is a snapshot, not a
+    /// terminator.
+    pub fn finish(&self) -> f64 {
+        (self.total_us + self.layer_max.iter().sum::<f64>())
             + self.move_distance_ions as f64 * self.exec.ion_spacing_um
                 / self.exec.shuttle_um_per_us
     }
@@ -206,9 +239,107 @@ impl ExecTimeAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{estimate_success, execution_time_us};
+    use crate::cooling::CoolingTrigger;
+    use crate::{estimate_success, estimate_success_with_cooling, execution_time_us};
     use tilt_circuit::{Circuit, Qubit};
     use tilt_compiler::{Compiler, DeviceSpec, TiltProgram};
+
+    /// The seed's whole-program Eq. 4 loop (with cooling), kept as the
+    /// oracle the fold is checked against.
+    fn oracle_success(
+        program: &TiltProgram,
+        noise: &NoiseModel,
+        times: &GateTimeModel,
+        policy: &CoolingPolicy,
+    ) -> CooledSuccessReport {
+        let k = noise.k_for_chain(program.spec().n_ions());
+        let (mut quanta, mut ln_success) = (0.0f64, 0.0f64);
+        let (mut since, mut rounds) = (0usize, 0usize);
+        let (mut two_q, mut one_q, mut meas, mut moves) = (0usize, 0usize, 0usize, 0usize);
+        for op in program.ops() {
+            match op {
+                TiltOp::Move { .. } => {
+                    moves += 1;
+                    since += 1;
+                    quanta += k;
+                    let cool = match policy.trigger {
+                        CoolingTrigger::Never => false,
+                        CoolingTrigger::QuantaThreshold(t) => quanta > t,
+                        CoolingTrigger::EveryMoves(n) => n > 0 && since >= n,
+                    };
+                    if cool {
+                        quanta = 0.0;
+                        since = 0;
+                        rounds += 1;
+                    }
+                }
+                TiltOp::Gate { gate, .. } => {
+                    let f = match gate {
+                        Gate::Measure(_) | Gate::Reset(_) => {
+                            meas += 1;
+                            noise.measurement_fidelity()
+                        }
+                        g if g.is_two_qubit() => {
+                            two_q += 1;
+                            noise.two_qubit_fidelity(times.gate_us(g), quanta)
+                        }
+                        Gate::Barrier => 1.0,
+                        _ => {
+                            one_q += 1;
+                            noise.single_qubit_fidelity()
+                        }
+                    };
+                    ln_success += f.ln();
+                }
+            }
+        }
+        CooledSuccessReport {
+            report: SuccessReport {
+                ln_success,
+                success: ln_success.exp(),
+                two_qubit_gates: two_q,
+                single_qubit_gates: one_q,
+                measurements: meas,
+                moves,
+                final_quanta: quanta,
+            },
+            cooling_rounds: rounds,
+            cooling_time_us: rounds as f64 * policy.cooling_us,
+        }
+    }
+
+    /// The seed's whole-program Eq. 5 loop, kept as the oracle.
+    fn oracle_exec_time(program: &TiltProgram, times: &GateTimeModel, exec: &ExecTimeModel) -> f64 {
+        let mut total_us = 0.0f64;
+        let mut level = vec![0usize; program.spec().n_ions()];
+        let mut layer_max: Vec<f64> = Vec::new();
+        for op in program.ops() {
+            match op {
+                TiltOp::Move { .. } => {
+                    total_us += layer_max.iter().sum::<f64>();
+                    layer_max.clear();
+                    level.iter_mut().for_each(|l| *l = 0);
+                }
+                TiltOp::Gate { gate, .. } => {
+                    if matches!(gate, Gate::Barrier) {
+                        continue;
+                    }
+                    let qs = gate.qubits();
+                    let layer = qs.iter().map(|q| level[q.index()]).max().unwrap_or(0);
+                    for q in &qs {
+                        level[q.index()] = layer + 1;
+                    }
+                    if layer_max.len() <= layer {
+                        layer_max.resize(layer + 1, 0.0);
+                    }
+                    layer_max[layer] = layer_max[layer].max(times.gate_us(gate));
+                }
+            }
+        }
+        total_us += layer_max.iter().sum::<f64>();
+        total_us += exec.travel_um(program) / exec.shuttle_um_per_us;
+        total_us
+    }
 
     fn workload(n: usize, gates: usize, seed: u64) -> Circuit {
         let mut c = Circuit::new(n);
@@ -255,7 +386,8 @@ mod tests {
         let (noise, times) = (NoiseModel::default(), GateTimeModel::default());
         for (n, head, gates, seed) in [(8, 4, 60, 3), (16, 4, 400, 11), (24, 8, 900, 29)] {
             let p = compile(&workload(n, gates, seed), n, head);
-            let mono = estimate_success(&p, &noise, &times);
+            let mono = oracle_success(&p, &noise, &times, &CoolingPolicy::never()).report;
+            assert_eq!(estimate_success(&p, &noise, &times), mono);
             let mut acc = SuccessAccumulator::new(n, &noise, &times);
             for op in p.ops() {
                 acc.push(op);
@@ -277,12 +409,35 @@ mod tests {
         let exec = ExecTimeModel::default();
         for (n, head, gates, seed) in [(8, 4, 60, 5), (16, 4, 400, 17), (24, 8, 900, 31)] {
             let p = compile(&workload(n, gates, seed), n, head);
-            let mono = execution_time_us(&p, &times, &exec);
+            let mono = oracle_exec_time(&p, &times, &exec);
+            assert_eq!(
+                execution_time_us(&p, &times, &exec).to_bits(),
+                mono.to_bits()
+            );
             let mut acc = ExecTimeAccumulator::new(n, &times, &exec);
             for op in p.ops() {
                 acc.push(op);
             }
             assert_eq!(acc.finish(), mono);
+        }
+    }
+
+    #[test]
+    fn cooled_fold_is_bit_identical_to_the_seed_loop() {
+        let (noise, times) = (NoiseModel::default(), GateTimeModel::default());
+        let p = compile(&workload(16, 400, 11), 16, 4);
+        for policy in [
+            CoolingPolicy::threshold(0.5),
+            CoolingPolicy::periodic(3),
+            CoolingPolicy::periodic(0),
+        ] {
+            let want = oracle_success(&p, &noise, &times, &policy);
+            let got = estimate_success_with_cooling(&p, &noise, &times, &policy);
+            assert_eq!(got, want, "{policy:?}");
+            assert_eq!(
+                got.report.ln_success.to_bits(),
+                want.report.ln_success.to_bits()
+            );
         }
     }
 

@@ -6,11 +6,12 @@
 //! `m·k`) and multiplying fidelities in log space so that deep circuits
 //! underflow gracefully (QFT success rates reach 10⁻¹⁴ and below in the
 //! paper — far outside `f64` product stability if multiplied naively).
+//! The fold itself is [`SuccessAccumulator`].
 
 use crate::gate_time::GateTimeModel;
 use crate::noise::NoiseModel;
-use tilt_circuit::Gate;
-use tilt_compiler::{TiltOp, TiltProgram};
+use crate::streaming::SuccessAccumulator;
+use tilt_compiler::TiltProgram;
 
 /// Outcome of a success-rate estimation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -68,52 +69,11 @@ pub fn estimate_success(
     noise: &NoiseModel,
     times: &GateTimeModel,
 ) -> SuccessReport {
-    let k = noise.k_for_chain(program.spec().n_ions());
-    let mut quanta = 0.0f64;
-    let mut ln_success = 0.0f64;
-    let mut two_q = 0usize;
-    let mut one_q = 0usize;
-    let mut meas = 0usize;
-    let mut moves = 0usize;
-
+    let mut acc = SuccessAccumulator::new(program.spec().n_ions(), noise, times);
     for op in program.ops() {
-        match op {
-            TiltOp::Move { .. } => {
-                moves += 1;
-                quanta += k;
-            }
-            TiltOp::Gate { gate, .. } => {
-                let f = match gate {
-                    // Resets are measurement-class operations (optical
-                    // pumping): same fidelity budget, counted together.
-                    Gate::Measure(_) | Gate::Reset(_) => {
-                        meas += 1;
-                        noise.measurement_fidelity()
-                    }
-                    g if g.is_two_qubit() => {
-                        two_q += 1;
-                        noise.two_qubit_fidelity(times.gate_us(g), quanta)
-                    }
-                    Gate::Barrier => 1.0,
-                    _ => {
-                        one_q += 1;
-                        noise.single_qubit_fidelity()
-                    }
-                };
-                ln_success += f.ln(); // ln(0) = -inf propagates correctly
-            }
-        }
+        acc.push(op);
     }
-
-    SuccessReport {
-        ln_success,
-        success: ln_success.exp(),
-        two_qubit_gates: two_q,
-        single_qubit_gates: one_q,
-        measurements: meas,
-        moves,
-        final_quanta: quanta,
-    }
+    acc.finish()
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! specs and misfit circuits must surface as the right [`TiltError`]
 //! variant, with messages that keep the numbers a user needs.
 
-use tilt::circuit::Circuit;
-use tilt::compiler::CompileError;
-use tilt::engine::{Backend, Engine, TiltError};
+use tilt::circuit::{Circuit, ValidateCircuitError};
+use tilt::compiler::{CompileError, InitialMapping};
+use tilt::engine::{Backend, Engine, NullSink, TiltError};
 use tilt::prelude::*;
 use tilt::qccd::QccdError;
 use tilt::scale::ScaleError;
@@ -106,15 +106,84 @@ fn scaled_degenerate_elu_is_invalid_spec() {
 
 #[test]
 fn scaled_per_elu_failure_names_the_elu() {
-    let mut bad = Circuit::new(16);
-    bad.rz(Qubit(0), f64::NAN);
-    let engine = Engine::scaled(ScaleSpec::new(10, 4).unwrap());
-    let err = engine.run(&bad).unwrap_err();
+    // Every ELU's streaming compiler rejects a whole-circuit initial
+    // mapping; the first one to fail is named.
+    let spec = ScaleSpec::new(10, 4)
+        .unwrap()
+        .with_initial_mapping(InitialMapping::InteractionChain);
+    let engine = Engine::scaled(spec);
+    let err = engine
+        .run_streaming(16, [Gate::H(Qubit(0))], 64, &mut NullSink)
+        .unwrap_err();
     assert!(matches!(
         err,
         TiltError::Scale(ScaleError::EluCompile { elu: 0, .. })
     ));
     assert!(err.to_string().contains("ELU 0"), "{err}");
+}
+
+/// The three kinds of malformed gate, each placed at input index 2.
+fn malformed_circuits(n: usize) -> Vec<(&'static str, Circuit)> {
+    let bad = [
+        ("out-of-range operand", Gate::Cnot(Qubit(1), Qubit(n + 3))),
+        ("out-of-range single", Gate::H(Qubit(n))),
+        ("non-finite angle", Gate::Rz(Qubit(0), f64::INFINITY)),
+        ("NaN angle", Gate::Rx(Qubit(2), f64::NAN)),
+        ("repeated operand", Gate::Cnot(Qubit(3), Qubit(3))),
+        (
+            "repeated Toffoli operand",
+            Gate::Toffoli(Qubit(1), Qubit(2), Qubit(1)),
+        ),
+    ];
+    bad.into_iter()
+        .map(|(what, g)| {
+            let mut c = Circuit::new(n);
+            c.h(Qubit(0)).cnot(Qubit(0), Qubit(n - 1));
+            c.push(g);
+            c.cnot(Qubit(1), Qubit(2));
+            (what, c)
+        })
+        .collect()
+}
+
+/// The validation error a backend wraps, if `err` is one.
+fn invalid_circuit(err: &TiltError) -> Option<&ValidateCircuitError> {
+    match err {
+        TiltError::Compile(CompileError::InvalidCircuit(e))
+        | TiltError::Qccd(QccdError::InvalidCircuit(e))
+        | TiltError::Scale(ScaleError::InvalidCircuit(e)) => Some(e),
+        _ => None,
+    }
+}
+
+fn gate_index(e: &ValidateCircuitError) -> usize {
+    match *e {
+        ValidateCircuitError::QubitOutOfRange { gate_index, .. }
+        | ValidateCircuitError::DuplicateOperand { gate_index, .. }
+        | ValidateCircuitError::NonFiniteAngle { gate_index } => gate_index,
+    }
+}
+
+#[test]
+fn malformed_input_is_a_typed_error_on_every_backend_and_path() {
+    let n = 16;
+    let engines = [
+        ("tilt", Engine::tilt(DeviceSpec::new(n, 4).unwrap())),
+        ("qccd", Engine::qccd(QccdSpec::for_qubits(n, 5).unwrap())),
+        ("scaled", Engine::scaled(ScaleSpec::new(10, 4).unwrap())),
+    ];
+    for (backend, engine) in &engines {
+        for (what, c) in malformed_circuits(n) {
+            let run = engine.run(&c).unwrap_err();
+            let streamed = engine
+                .run_streaming(n, c.gates().iter().copied(), 1, &mut NullSink)
+                .unwrap_err();
+            let e = invalid_circuit(&run)
+                .unwrap_or_else(|| panic!("{backend}/{what}: untyped {run:?}"));
+            assert_eq!(gate_index(e), 2, "{backend}/{what}: {run}");
+            assert_eq!(streamed, run, "{backend}/{what}: both paths agree");
+        }
+    }
 }
 
 #[test]

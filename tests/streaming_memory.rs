@@ -11,10 +11,11 @@
 //! child entry no-ops when the variables are absent, so a stray
 //! `cargo test -- --ignored` run stays green.
 //!
-//! Calibration (debug profile, 8×8 RCS, window 65 536): at 2 000 cycles
-//! (~184k gates, ~640k lowered ops) streaming completes under 96 MB
-//! while the monolithic path aborts under 192 MB; at 11 000 cycles
-//! (~1.01M gates) streaming completes under 96 MB while the monolithic
+//! Calibration (debug profile, 8×8 RCS, window 65 536): at 4 000 cycles
+//! (~368k gates, ~1.27M lowered ops) streaming completes under 99 MB
+//! while the in-memory path, which holds the input circuit, the routed
+//! circuit and the scheduled program, needs 282 MB; at 11 000 cycles
+//! (~1.01M gates) streaming completes under 96 MB while the in-memory
 //! path aborts under 640 MB. The ceilings below sit between the two
 //! floors with at least ~1.4× margin on each side.
 
@@ -94,14 +95,13 @@ fn assert_separation(cycles: usize, limit_kb: usize, expect_gates: usize) {
     );
 }
 
-/// In-suite proof: ~184k input gates (≈640k lowered ops, several
+/// In-suite proof: ~368k input gates (≈1.27M lowered ops, several
 /// scheduler-horizon flushes) under a 144 MB ceiling. Streaming's
-/// measured floor is ≤96 MB (and it runs without allocator pressure at
-/// 144 MB); the monolithic path needs >192 MB and aborts within a
-/// second.
+/// measured floor is 99 MB (and it runs without allocator pressure at
+/// 144 MB); the in-memory path needs 282 MB and aborts.
 #[test]
 fn streaming_fits_under_a_ceiling_the_monolithic_compile_exceeds() {
-    let cycles = 2_000;
+    let cycles = 4_000;
     let expect_gates = Circuit::from_gates(ROWS * COLS, rcs_stream(ROWS, COLS, cycles, SEED)).len();
     assert_separation(cycles, 144 * 1024, expect_gates);
 }
