@@ -12,7 +12,7 @@ use tilt_circuit::{qasm, Circuit};
 use tilt_compiler::route::exact::optimal_route;
 use tilt_compiler::schedule::schedule;
 use tilt_compiler::{CompileOutput, DeviceSpec, InitialMapping, TiltProgram};
-use tilt_engine::{Backend, Engine, RunReport};
+use tilt_engine::{Backend, Engine, NullSink, RunReport};
 use tilt_qccd::QccdSpec;
 use tilt_report::{fmt_success, Table};
 use tilt_sim::{estimate_ideal_success, GateTimeModel, NoiseModel};
@@ -229,7 +229,8 @@ pub fn simulate(args: &[String]) -> Result<String, String> {
 
 /// `tilt-cli lint <file.qasm>` — compile for a TILT machine (or, under
 /// `--scaled`, an ELU array) and run the static program-invariant
-/// verifier over the compiled artifacts.
+/// verifier over the compiled artifacts; under `--stream` the verifier
+/// folds ride the bounded-memory pipeline and report the same findings.
 ///
 /// Human output is one line per diagnostic plus a summary; `--json`
 /// emits the diagnostics as a JSON array (empty when clean). Any
@@ -242,162 +243,59 @@ pub fn lint(args: &[String]) -> Result<String, String> {
             "`lint` drives the session API; use `compile` to inspect --router exact output".into(),
         );
     }
-    if opts.stream {
-        return lint_stream(&opts);
-    }
-    let circuit = load_circuit(&opts)?;
-    if opts.scaled {
-        return lint_scaled(&opts, &circuit);
-    }
-    let spec = device(&opts, &circuit)?;
-    // Warn, not strict: lint's job is to *report* every finding, then
-    // decide the exit code itself (strict would stop at the first).
-    let report = Engine::builder()
-        .backend(Backend::Tilt(spec))
-        .router(opts.router_kind())
-        .scheduler(opts.scheduler)
-        .verify(tilt_engine::VerifyLevel::Warn)
-        .build()
-        .map_err(|e| e.to_string())?
-        .run(&circuit)
-        .map_err(|e| e.to_string())?;
-    let clean_note = format!(
-        "clean ({} native ops verified)",
-        report.compile.native_gate_count
-    );
-    finish_lint(&opts, &report.diagnostics, &clean_note)
-}
-
-/// The ELU-array geometry a `--scaled` lint describes (same flags and
-/// head clamp as the `scale` command).
-fn scale_spec(opts: &Options) -> Result<tilt_scale::ScaleSpec, String> {
-    tilt_scale::ScaleSpec::new(opts.elu_ions, opts.head.min(opts.elu_ions))
-        .map_err(|e| e.to_string())
-}
-
-/// The `--scaled` flavour of monolithic `lint`: compile across the ELU
-/// array and run the full scaled rule pack (`scaled/comm-slot-budget`,
-/// `scaled/measured-unreset`, plus the TILT pack per ELU).
-fn lint_scaled(opts: &Options, circuit: &Circuit) -> Result<String, String> {
-    let spec = scale_spec(opts)?;
-    let report = Engine::builder()
-        .backend(Backend::Scaled(spec))
-        .verify(tilt_engine::VerifyLevel::Warn)
-        .build()
-        .map_err(|e| e.to_string())?
-        .run(circuit)
-        .map_err(|e| e.to_string())?;
-    let elus = match &report.detail {
-        tilt_engine::RunDetail::Scaled { program, .. } => program.elu_outputs.len(),
-        _ => unreachable!("a Scaled backend produces Scaled detail"),
-    };
-    let clean_note = format!(
-        "clean ({} native ops across {elus} ELUs verified)",
-        report.compile.native_gate_count
-    );
-    finish_lint(opts, &report.diagnostics, &clean_note)
-}
-
-/// The `--stream` flavour of `lint`: stream the source through the
-/// bounded-memory windowed pipeline and run the window-applicable
-/// rules incrementally over every delivered increment, with global op
-/// indices — the diagnostics match what the monolithic walk would
-/// report for those rules, at O(window) peak memory. On the TILT
-/// backend that is `tilt/head-span`; under `--scaled` it is the per-op
-/// half of `scaled/comm-slot-budget` plus `tilt/head-span` per ELU.
-/// The whole-program rules (`tilt/swap-chain`, `tilt/mapping-bijection`,
-/// `tilt/schedule-order`, the EPR ledger, `scaled/measured-unreset`)
-/// need finished artifacts and only run on the monolithic path.
-fn lint_stream(opts: &Options) -> Result<String, String> {
-    if opts.method.is_some() || opts.emit_program || opts.emit_qasm || opts.batch {
+    if opts.stream && (opts.method.is_some() || opts.emit_program || opts.emit_qasm || opts.batch) {
         return Err("`lint --stream` takes none of --method/--emit-*/--batch".into());
     }
+    // A stream is sized by its header and never parsed whole.
+    let (circuit, width) = if opts.stream {
+        (None, probe_stream_width(&opts.target)?)
+    } else {
+        let circuit = load_circuit(&opts)?;
+        let width = circuit.n_qubits();
+        (Some(circuit), width)
+    };
+    // Warn, not strict: lint's job is to *report* every finding, then
+    // decide the exit code itself (strict would stop at the first).
+    let mut builder = Engine::builder().verify(tilt_engine::VerifyLevel::Warn);
+    let mut elus = String::new();
     if opts.scaled {
-        return lint_stream_scaled(opts);
+        let spec = tilt_scale::ScaleSpec::new(opts.elu_ions, opts.head.min(opts.elu_ions))
+            .map_err(|e| e.to_string())?;
+        elus = format!(" across {} ELUs", spec.elus_for(width));
+        builder = builder.backend(Backend::Scaled(spec));
+    } else {
+        let ions = opts.ions.unwrap_or(width);
+        let spec = DeviceSpec::new(ions, opts.head.min(ions)).map_err(|e| e.to_string())?;
+        builder = builder
+            .backend(Backend::Tilt(spec))
+            .router(opts.router_kind())
+            .scheduler(opts.scheduler);
     }
-    let width = probe_stream_width(&opts.target)?;
-    let ions = opts.ions.unwrap_or(width);
-    let spec = DeviceSpec::new(ions, opts.head.min(ions)).map_err(|e| e.to_string())?;
-    // No `.verify(...)`: streaming runs reject the whole-program
-    // verifier by construction; the windowed rule runs in the sink.
-    let engine = Engine::builder()
-        .backend(Backend::Tilt(spec))
-        .router(opts.router_kind())
-        .scheduler(opts.scheduler)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let window = opts
-        .stream_window
-        .unwrap_or(tilt_engine::DEFAULT_STREAM_WINDOW);
-    let mut verifier = tilt_compiler::StreamVerifier::new(spec);
-    let mut sink = |_shard: usize, chunk: &[tilt_compiler::TiltOp]| {
-        verifier.push(chunk);
+    let engine = builder.build().map_err(|e| e.to_string())?;
+    let (diags, native_ops, how) = match circuit {
+        Some(circuit) => {
+            let r = engine.run(&circuit).map_err(|e| e.to_string())?;
+            (
+                r.diagnostics,
+                r.compile.native_gate_count,
+                "verified".into(),
+            )
+        }
+        None => {
+            let window = opts
+                .stream_window
+                .unwrap_or(tilt_engine::DEFAULT_STREAM_WINDOW);
+            let outcome = engine
+                .run_streaming_qasm(open_stream(&opts.target)?, window, &mut NullSink)
+                .map_err(|e| e.to_string())?;
+            let how = format!(
+                "stream-verified in {} increments, window {window}",
+                outcome.increments
+            );
+            (outcome.diagnostics, outcome.compile.native_gate_count, how)
+        }
     };
-    let outcome = engine
-        .run_streaming_qasm(open_stream(&opts.target)?, window, &mut sink)
-        .map_err(|e| e.to_string())?;
-    let ops_seen = verifier.ops_seen();
-    let clean_note = format!(
-        "clean ({ops_seen} ops stream-verified in {} increments, window {window})",
-        outcome.increments
-    );
-    finish_lint(opts, &verifier.finish(), &clean_note)
-}
 
-/// `lint --stream --scaled`: the sharded streaming compile delivers
-/// per-ELU op increments; each feeds the incremental half of
-/// `scaled/comm-slot-budget` (per-ELU gate indices, as the monolithic
-/// walk assigns them) and a per-ELU `tilt/head-span` verifier whose
-/// messages carry the same `elu N:` prefix the monolithic scaled pack
-/// uses for its per-ELU TILT findings.
-fn lint_stream_scaled(opts: &Options) -> Result<String, String> {
-    let width = probe_stream_width(&opts.target)?;
-    let spec = scale_spec(opts)?;
-    let elu_spec =
-        DeviceSpec::new(spec.ions_per_elu(), spec.head_size()).map_err(|e| e.to_string())?;
-    let n_elus = spec.elus_for(width);
-    let engine = Engine::builder()
-        .backend(Backend::Scaled(spec))
-        .build()
-        .map_err(|e| e.to_string())?;
-    let window = opts
-        .stream_window
-        .unwrap_or(tilt_engine::DEFAULT_STREAM_WINDOW);
-    let mut budget = tilt_scale::StreamScaledVerifier::new(spec.data_capacity(), n_elus);
-    let mut heads: Vec<tilt_compiler::StreamVerifier> = (0..n_elus)
-        .map(|_| tilt_compiler::StreamVerifier::new(elu_spec))
-        .collect();
-    let mut sink = |elu: usize, chunk: &[tilt_compiler::TiltOp]| {
-        budget.push(elu, chunk);
-        heads[elu].push(chunk);
-    };
-    let outcome = engine
-        .run_streaming_qasm(open_stream(&opts.target)?, window, &mut sink)
-        .map_err(|e| e.to_string())?;
-    let gates_seen = budget.gates_seen();
-    let mut diags = budget.finish();
-    for (e, head) in heads.into_iter().enumerate() {
-        diags.extend(head.finish().into_iter().map(|mut d| {
-            d.message = format!("elu {e}: {}", d.message);
-            d
-        }));
-    }
-    let clean_note = format!(
-        "clean ({gates_seen} gates across {n_elus} ELUs stream-verified in {} increments, \
-         window {window})",
-        outcome.increments
-    );
-    finish_lint(opts, &diags, &clean_note)
-}
-
-/// Shared lint epilogue: renders the findings per the output flags
-/// (JSON array under `--json`, one line per diagnostic plus a summary
-/// otherwise) and turns error-severity findings into a nonzero exit.
-fn finish_lint(
-    opts: &Options,
-    diags: &[tilt_compiler::Diagnostic],
-    clean_note: &str,
-) -> Result<String, String> {
     let errors = diags
         .iter()
         .filter(|d| d.severity == tilt_engine::Severity::Error)
@@ -416,19 +314,15 @@ fn finish_lint(
         format!("{}\n", tilt_report::Json::Arr(arr).render())
     } else {
         let mut text = String::new();
-        for d in diags {
+        for d in &diags {
             let _ = writeln!(text, "{d}");
         }
-        let _ = writeln!(
-            text,
-            "lint `{}`: {}",
-            opts.target,
-            if diags.is_empty() {
-                clean_note.to_string()
-            } else {
-                format!("{} diagnostic(s), {} error(s)", diags.len(), errors)
-            }
-        );
+        let verdict = if diags.is_empty() {
+            format!("clean ({native_ops} native ops{elus} {how})")
+        } else {
+            format!("{} diagnostic(s), {errors} error(s)", diags.len())
+        };
+        let _ = writeln!(text, "lint `{}`: {verdict}", opts.target);
         text
     };
     if errors > 0 {
@@ -1351,6 +1245,26 @@ mod tests {
         let out = lint(&v(&[&path, "--head", "3", "--stream", "--json"])).unwrap();
         let parsed = tilt_report::Json::parse(out.trim()).unwrap();
         assert_eq!(parsed.as_array().map(<[_]>::len), Some(0), "{out}");
+    }
+
+    #[test]
+    fn lint_stream_reports_what_the_in_memory_lint_reports() {
+        // Measuring a qubit and computing on it again is a
+        // `scaled/measured-unreset` finding, so both runs fail alike.
+        let path = write_temp(
+            "lint-stream-same.qasm",
+            "qreg q[16];\nh q[3];\nmeasure q[3] -> c[3];\ncx q[3], q[12];\ncx q[0], q[15];\n",
+        );
+        for scaled in [false, true] {
+            let mut args = vec![path.as_str(), "--head", "4", "--json"];
+            if scaled {
+                args.extend(["--scaled", "--elu-ions", "10"]);
+            }
+            let mono = lint(&v(&args));
+            args.extend(["--stream", "--stream-window", "1"]);
+            assert_eq!(lint(&v(&args)), mono, "scaled: {scaled}");
+            assert_eq!(mono.is_err(), scaled, "{mono:?}");
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@ commands:
   lint     <file.qasm>   compile and statically verify the program
                          invariants (--json for machine-readable output;
                          exits nonzero on any error-severity finding;
-                         --stream checks the window-applicable rules
-                         incrementally at O(window) memory; --scaled
-                         lints the ELU-array backend instead)
+                         --stream runs every rule on the streaming
+                         pipeline at O(window) memory, with the same
+                         findings; --scaled lints the ELU-array backend)
   qccd     <file.qasm>   route on the QCCD comparator architecture
   scale    <file.qasm>   split across MUSIQC-style TILT modules (ELUs)
   bench    <name|all>    run a paper benchmark (adder, bv, qaoa, rcs, qft, sqrt)

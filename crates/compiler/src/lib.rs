@@ -50,9 +50,11 @@ pub mod viz;
 pub use error::CompileError;
 pub use mapping::{InitialMapping, Mapping};
 pub use pipeline::streaming::{CollectSink, ProgramSink, StreamSummary, StreamingCompiler};
-pub use pipeline::{CompileOutput, CompileReport, CompileScratch, Compiler};
+#[allow(deprecated)]
+pub use pipeline::CompileScratch;
+pub use pipeline::{CompileOutput, CompileReport, Compiler};
 pub use program::{TiltOp, TiltProgram};
 pub use route::{RouteOutcome, RouterKind};
 pub use schedule::SchedulerKind;
 pub use spec::DeviceSpec;
-pub use verify::{Diagnostic, Severity, StreamVerifier};
+pub use verify::{Diagnostic, Severity, TiltVerifier};

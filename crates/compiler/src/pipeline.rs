@@ -70,19 +70,16 @@ pub struct CompileOutput {
     pub report: CompileReport,
 }
 
-/// Per-worker compile state for batch callers.
-///
-/// The pipeline runs in fixed windows, so its transient buffers are
-/// bounded and allocated per compile; the scratch holds nothing today
-/// and stays in the signature of [`Compiler::compile_with_scratch`] so
-/// batch callers keep one call shape.
+/// Formerly per-worker compile state; the windowed pipeline needs none.
+#[deprecated(note = "holds nothing; call `Compiler::compile`")]
 #[derive(Clone, Debug, Default)]
 pub struct CompileScratch {}
 
+#[allow(deprecated)]
 impl CompileScratch {
-    /// An empty scratch (no buffers reserved yet).
+    /// An empty scratch.
     pub fn new() -> Self {
-        CompileScratch::default()
+        CompileScratch {}
     }
 }
 
@@ -153,23 +150,6 @@ impl Compiler {
     /// Fails when the circuit is structurally invalid, wider than the
     /// tape, or the router configuration is inconsistent with the device.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompileOutput, CompileError> {
-        self.compile_with_scratch(circuit, &mut CompileScratch::new())
-    }
-
-    /// [`Compiler::compile`] with a caller-owned [`CompileScratch`].
-    ///
-    /// Produces the identical [`CompileOutput`] (same program bytes, same
-    /// statistics). The pipeline's buffers are bounded by its window, so
-    /// the scratch holds nothing and is not read.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiler::compile`].
-    pub fn compile_with_scratch(
-        &self,
-        circuit: &Circuit,
-        _scratch: &mut CompileScratch,
-    ) -> Result<CompileOutput, CompileError> {
         validate(circuit)?;
         self.spec.check_width(circuit.n_qubits())?;
         let n_ions = self.spec.n_ions();
@@ -190,21 +170,22 @@ impl Compiler {
         let mut session =
             StreamingCompiler::with_initial(self, circuit.n_qubits(), COMPILE_WINDOW, initial)?;
         let expected = circuit.len().saturating_mul(LOWERED_PER_INPUT);
-        session.collect_routed(expected);
+        session.reserve(expected);
         let mut sink = CollectSink {
             ops: Vec::with_capacity(expected),
+            routed: Vec::with_capacity(expected),
         };
         for window in circuit.gates().chunks(COMPILE_WINDOW) {
             session.advance(window, false, &mut sink);
         }
-        let (summary, routed) = session.end(&mut sink);
+        let summary = session.finish(&mut sink);
         let mut report = summary.report;
         report.t_decompose += t_pre_decompose;
         report.t_swap += t_mapping;
         Ok(CompileOutput {
             program: TiltProgram::new(self.spec, sink.ops),
             routed: RouteOutcome {
-                circuit: routed.expect("the routed tap was set"),
+                circuit: Circuit::from_gates(n_ions, sink.routed),
                 initial_mapping: summary.initial_mapping,
                 final_mapping: summary.final_mapping,
                 swap_count: report.swap_count,
@@ -212,6 +193,17 @@ impl Compiler {
             },
             report,
         })
+    }
+
+    /// [`Compiler::compile`]; the scratch is not read.
+    #[deprecated(note = "the scratch holds nothing; call `Compiler::compile`")]
+    #[allow(deprecated)]
+    pub fn compile_with_scratch(
+        &self,
+        circuit: &Circuit,
+        _scratch: &mut CompileScratch,
+    ) -> Result<CompileOutput, CompileError> {
+        self.compile(circuit)
     }
 }
 

@@ -4,11 +4,12 @@
 //! schedule — over a gate stream, holding only O(window + look-ahead)
 //! state: the current input window, the router's pruned pending suffix
 //! ([`StreamRouter`]), and the scheduler's active horizon
-//! ([`StreamScheduler`]). Scheduled ops leave through a [`ProgramSink`]
-//! as increments. It is the only pass driver: [`Compiler::compile`]
-//! feeds an in-memory circuit through it in fixed windows and collects
-//! the ops, so every window size yields the same op stream, pinned by
-//! the equivalence tests and `tests/streaming_equivalence.rs`.
+//! ([`StreamScheduler`]). Each window's routed gates and then its
+//! scheduled ops leave through a [`ProgramSink`] as increments. It is
+//! the only pass driver: [`Compiler::compile`] feeds an in-memory
+//! circuit through it in fixed windows and collects both streams, so
+//! every window size yields the same op stream, pinned by the
+//! equivalence tests and `tests/streaming_equivalence.rs`.
 //!
 //! Carry-over state between windows:
 //!
@@ -49,6 +50,13 @@ use tilt_circuit::{validate_gate, Circuit, Gate};
 pub trait ProgramSink {
     /// Consumes the next increment of the scheduled op stream.
     fn emit(&mut self, ops: &[TiltOp]);
+
+    /// Consumes the next non-empty batch of routed gates (physical
+    /// circuit, explicit SWAPs), before the ops of the same window. The
+    /// batches concatenate to the in-memory compile's
+    /// [`RouteOutcome::circuit`](crate::RouteOutcome::circuit). Ignored
+    /// by default.
+    fn routed(&mut self, _gates: &[Gate]) {}
 }
 
 /// Any `FnMut(&[TiltOp])` is a sink.
@@ -58,16 +66,23 @@ impl<F: FnMut(&[TiltOp])> ProgramSink for F {
     }
 }
 
-/// A sink that simply collects every op (testing, small programs).
+/// A sink that simply collects every op and routed gate (in-memory
+/// compiles, testing).
 #[derive(Debug, Default)]
 pub struct CollectSink {
     /// All ops emitted so far, in execution order.
     pub ops: Vec<TiltOp>,
+    /// All routed gates so far, in program order.
+    pub routed: Vec<Gate>,
 }
 
 impl ProgramSink for CollectSink {
     fn emit(&mut self, ops: &[TiltOp]) {
         self.ops.extend_from_slice(ops);
+    }
+
+    fn routed(&mut self, gates: &[Gate]) {
+        self.routed.extend_from_slice(gates);
     }
 }
 
@@ -109,9 +124,6 @@ pub struct StreamingCompiler {
     scheduler: StreamScheduler,
     /// Scheduled ops awaiting the next flush.
     ops: Vec<TiltOp>,
-    /// Collects every routed gate when set (in-memory compiles keep the
-    /// routed circuit for the Fig. 6 metrics and the verifier).
-    routed: Option<Circuit>,
     initial_mapping: Mapping,
     input_gate_count: usize,
     increments: usize,
@@ -175,7 +187,6 @@ impl StreamingCompiler {
             router,
             scheduler,
             ops: Vec::new(),
-            routed: None,
             initial_mapping: initial,
             input_gate_count: 0,
             increments: 0,
@@ -186,11 +197,14 @@ impl StreamingCompiler {
         })
     }
 
-    /// Keeps every routed gate, for [`StreamingCompiler::end`] to return,
-    /// and sizes the routed circuit and the scheduler's per-gate state for
-    /// about `expected` lowered gates.
-    pub(crate) fn collect_routed(&mut self, expected: usize) {
-        self.routed = Some(Circuit::with_capacity(self.spec.n_ions(), expected));
+    /// The starting permutation the router places ions with.
+    pub fn initial_mapping(&self) -> &Mapping {
+        &self.initial_mapping
+    }
+
+    /// Sizes the scheduler's per-gate state for about `expected` lowered
+    /// gates.
+    pub(crate) fn reserve(&mut self, expected: usize) {
         // Beyond its horizon the scheduler retires gates as it goes.
         self.scheduler.reserve(expected.min(2 * DEFAULT_HORIZON));
     }
@@ -213,19 +227,13 @@ impl StreamingCompiler {
 
     /// Declares end of input, drains every pass, flushes the final
     /// increment, and reports.
-    pub fn finish(self, sink: &mut dyn ProgramSink) -> StreamSummary {
-        self.end(sink).0
-    }
-
-    /// [`StreamingCompiler::finish`], also returning the routed circuit
-    /// when [`StreamingCompiler::collect_routed`] was called.
-    pub(crate) fn end(mut self, sink: &mut dyn ProgramSink) -> (StreamSummary, Option<Circuit>) {
+    pub fn finish(mut self, sink: &mut dyn ProgramSink) -> StreamSummary {
         self.flush_buffer(true, sink);
         debug_assert!(self.scheduler.is_done());
         let swap_count = self.router.swap_count();
         let opposing_swap_count = self.router.opposing_swap_count();
         let opposing_ratio = opposing_ratio(opposing_swap_count, swap_count);
-        let summary = StreamSummary {
+        StreamSummary {
             report: CompileReport {
                 swap_count,
                 opposing_swap_count,
@@ -242,8 +250,7 @@ impl StreamingCompiler {
             input_gate_count: self.input_gate_count,
             initial_mapping: self.initial_mapping,
             final_mapping: self.router.mapping().clone(),
-        };
-        (summary, self.routed)
+        }
     }
 
     fn flush_buffer(&mut self, eof: bool, sink: &mut dyn ProgramSink) {
@@ -278,12 +285,10 @@ impl StreamingCompiler {
         // Lower routed SWAPs to native gates, then pass 3: tape
         // scheduling (§IV-D) up to the carry-over horizon.
         let t2 = Instant::now();
+        let routed = self.router.routed_mut();
         self.lowered.reset(self.spec.n_ions());
-        for g in self.router.drain_routed() {
-            if let Some(routed) = &mut self.routed {
-                routed.push(g);
-            }
-            decompose_gate(&mut self.lowered, &g);
+        for g in routed.iter() {
+            decompose_gate(&mut self.lowered, g);
         }
         for g in self.lowered.gates() {
             self.scheduler.push(*g);
@@ -294,6 +299,10 @@ impl StreamingCompiler {
         self.scheduler.run_rounds(&mut self.ops);
         self.t_move += t2.elapsed();
 
+        if !routed.is_empty() {
+            sink.routed(routed);
+            routed.clear();
+        }
         for op in &self.ops {
             self.tally.push(op);
         }

@@ -126,9 +126,10 @@ impl StreamRouter {
         debug_assert!(self.queue.is_empty());
     }
 
-    /// Routed gates produced since the last call, in program order.
-    pub(crate) fn drain_routed(&mut self) -> std::vec::Drain<'_, Gate> {
-        self.out.drain(..)
+    /// Routed gates produced since the caller last cleared them, in
+    /// program order.
+    pub(crate) fn routed_mut(&mut self) -> &mut Vec<Gate> {
+        &mut self.out
     }
 
     /// The finished routing, with every undrained routed gate as the
@@ -299,10 +300,10 @@ mod tests {
         let mut got = Vec::new();
         for g in c {
             sr.extend(&[*g]);
-            got.extend(sr.drain_routed());
+            got.append(sr.routed_mut());
         }
         sr.finish_input();
-        got.extend(sr.drain_routed());
+        got.append(sr.routed_mut());
         assert_eq!(sr.swap_count(), mono.swap_count, "{kind:?}");
         assert_eq!(
             sr.opposing_swap_count(),
@@ -349,10 +350,10 @@ mod tests {
         for g in &c {
             sr.extend(&[*g]);
             peak_window = peak_window.max(sr.window_len());
-            got.extend(sr.drain_routed());
+            got.append(sr.routed_mut());
         }
         sr.finish_input();
-        got.extend(sr.drain_routed());
+        got.append(sr.routed_mut());
         assert_eq!(got, mono.circuit.gates());
         assert_eq!(sr.swap_count(), mono.swap_count);
         assert_eq!(sr.mapping(), &mono.final_mapping);

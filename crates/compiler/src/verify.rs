@@ -6,17 +6,14 @@
 //! charged, an over-long swap could not execute at any head position,
 //! and a scrambled schedule breaks the circuit's dependency order. The
 //! pipeline debug-asserts these invariants while building programs;
-//! this module re-checks them *from the finished artifact* in release
-//! builds, so every emitted program can be validated independently of
-//! the pass that produced it — the safety net the streaming/sharded
-//! compilation plans need before compile windows stop being
-//! whole-program.
+//! this module re-checks them in release builds, independently of the
+//! pass that produced the artifacts.
 //!
-//! The rule engine is deliberately boring: each rule walks a compiled
-//! artifact and appends [`Diagnostic`]s. Backend-specific rule packs
-//! live next to their program types — [`verify_tilt`] here, the QCCD
-//! pack in `tilt-qccd`, the ELU-array pack in `tilt-scale` — and the
-//! session layer (`tilt-engine`) dispatches on the run's backend.
+//! The rule pack is one fold, [`TiltVerifier`]: a [`ProgramSink`] that
+//! a streamed compile checks every rule with as it goes, and that
+//! [`verify_tilt`] drives over a finished [`CompileOutput`]. The QCCD
+//! pack lives in `tilt-qccd`, the ELU-array fold in `tilt-scale`, and
+//! the session layer (`tilt-engine`) dispatches on the run's backend.
 //!
 //! # TILT tape rules
 //!
@@ -26,6 +23,9 @@
 //! | `tilt/swap-chain` | every inserted SWAP spans `1..=max_swap_len` positions |
 //! | `tilt/mapping-bijection` | replaying the routed swaps over the initial mapping lands exactly on the recorded final mapping |
 //! | `tilt/schedule-order` | the scheduled op stream preserves each ion's gate order from the routed circuit, and no gate is dropped or invented |
+//!
+//! Findings come out grouped by rule in that order, each group in
+//! stream order, whatever the chunking of the input.
 //!
 //! # Example
 //!
@@ -42,10 +42,14 @@
 //! # Ok::<(), tilt_compiler::CompileError>(())
 //! ```
 
-use crate::decompose::decompose;
+use crate::decompose::decompose_gate;
+use crate::mapping::Mapping;
+use crate::pipeline::streaming::ProgramSink;
 use crate::pipeline::CompileOutput;
 use crate::program::TiltOp;
-use tilt_circuit::Gate;
+use crate::spec::DeviceSpec;
+use std::collections::VecDeque;
+use tilt_circuit::{Circuit, Gate};
 
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -110,238 +114,204 @@ impl std::fmt::Display for Diagnostic {
 /// ([`crate::route::RouterKind::max_swap_span`] resolves it for the
 /// configured policy).
 pub fn verify_tilt(out: &CompileOutput, max_swap_len: usize) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    head_span(out, &mut diags);
-    swap_chain(out, max_swap_len, &mut diags);
-    mapping_bijection(out, &mut diags);
-    schedule_order(out, &mut diags);
-    diags
+    let mut verifier = TiltVerifier::new(
+        *out.program.spec(),
+        max_swap_len,
+        out.routed.initial_mapping.clone(),
+    );
+    verifier.routed(out.routed.circuit.gates());
+    verifier.emit(out.program.ops());
+    verifier.finish(&out.routed.final_mapping)
 }
 
-/// `tilt/head-span`: gates covered, moves in range.
-fn head_span(out: &CompileOutput, diags: &mut Vec<Diagnostic>) {
-    let spec = *out.program.spec();
-    for (i, op) in out.program.ops().iter().enumerate() {
-        head_span_op(&spec, i, op, diags);
+/// The TILT tape rule pack as a fold over one compile's routed gates
+/// ([`ProgramSink::routed`]) and scheduled ops ([`ProgramSink::emit`]).
+///
+/// Routed gates must arrive before the ops scheduled from them, as the
+/// pass driver sends them; any such chunking yields the same findings,
+/// with global indices. Memory is the mapping plus, per ion, the
+/// lowered routed gates not yet scheduled, which the scheduler horizon
+/// bounds.
+#[derive(Debug)]
+pub struct TiltVerifier {
+    spec: DeviceSpec,
+    max_swap_len: usize,
+    /// The initial mapping with every routed swap so far applied.
+    mapping: Mapping,
+    routed_seen: usize,
+    ops_seen: usize,
+    head_span: Vec<Diagnostic>,
+    swap_chain: Vec<Diagnostic>,
+    bijection: Vec<Diagnostic>,
+    /// `tilt/schedule-order` per ion: the lowered routed gates no op has
+    /// executed yet, or `None` after a finding on the ion (every later
+    /// gate on it is out of step, which would only repeat the finding).
+    expected: Vec<Option<VecDeque<Gate>>>,
+    order: Vec<Diagnostic>,
+    /// Swap-lowering scratch.
+    lowered: Circuit,
+}
+
+impl TiltVerifier {
+    /// A verifier for a compile on `spec`'s tape whose router caps swap
+    /// spans at `max_swap_len` and starts from `initial_mapping`.
+    pub fn new(spec: DeviceSpec, max_swap_len: usize, initial_mapping: Mapping) -> TiltVerifier {
+        let n = spec.n_ions();
+        TiltVerifier {
+            spec,
+            max_swap_len,
+            mapping: initial_mapping,
+            routed_seen: 0,
+            ops_seen: 0,
+            head_span: Vec::new(),
+            swap_chain: Vec::new(),
+            bijection: Vec::new(),
+            expected: vec![Some(VecDeque::new()); n],
+            order: Vec::new(),
+            lowered: Circuit::new(n),
+        }
     }
-}
 
-/// The per-op body of `tilt/head-span`, shared by the whole-program
-/// walk and the incremental [`StreamVerifier`].
-fn head_span_op(
-    spec: &crate::spec::DeviceSpec,
-    i: usize,
-    op: &TiltOp,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let max_head = spec.n_ions() - spec.head_size();
-    match op {
-        TiltOp::Move { to } => {
-            if *to > max_head {
+    /// The initial mapping with every routed swap seen so far applied.
+    pub fn mapping(&self) -> &Mapping {
+        &self.mapping
+    }
+
+    /// Ends both streams: checks the replayed mapping against the
+    /// compile's `final_mapping` and reports every finding, grouped by
+    /// rule in the order of the module's rule table.
+    pub fn finish(mut self, final_mapping: &Mapping) -> Vec<Diagnostic> {
+        if self.mapping != *final_mapping {
+            self.bijection.push(Diagnostic::error(
+                "tilt/mapping-bijection",
+                self.routed_seen,
+                "replaying the routed swaps does not reproduce the recorded final mapping".into(),
+            ));
+        }
+        let mut diags = self.head_span;
+        diags.append(&mut self.swap_chain);
+        diags.append(&mut self.bijection);
+        diags.append(&mut self.order);
+        for (qi, queue) in self.expected.iter().enumerate() {
+            if let Some(queue) = queue.as_ref().filter(|q| !q.is_empty()) {
                 diags.push(Diagnostic::error(
-                    "tilt/head-span",
-                    i,
-                    format!("move targets head position {to}, past the last valid {max_head}"),
+                    "tilt/schedule-order",
+                    self.ops_seen,
+                    format!(
+                        "position {qi} is missing {} scheduled gate(s) from the routed circuit",
+                        queue.len()
+                    ),
                 ));
             }
         }
-        TiltOp::Gate { gate, head_pos } => {
-            if *head_pos > max_head {
-                diags.push(Diagnostic::error(
+        diags
+    }
+}
+
+impl ProgramSink for TiltVerifier {
+    /// `tilt/head-span`: gates covered, moves in range. And
+    /// `tilt/schedule-order`: the program must preserve every ion's gate
+    /// subsequence from the (swap-lowered) routed circuit. The op stream
+    /// is serial, so "never two ops on one ion at once" holds by
+    /// construction; any reordering that crosses a data dependency shows
+    /// up as a per-ion subsequence mismatch.
+    fn emit(&mut self, ops: &[TiltOp]) {
+        let (n, head) = (self.spec.n_ions(), self.spec.head_size());
+        let max_head = n - head;
+        for op in ops {
+            let i = self.ops_seen;
+            self.ops_seen += 1;
+            let (gate, head_pos) = match *op {
+                TiltOp::Gate { gate, head_pos } => (gate, head_pos),
+                TiltOp::Move { to } => {
+                    if to > max_head {
+                        self.head_span.push(Diagnostic::error(
+                            "tilt/head-span",
+                            i,
+                            format!(
+                                "move targets head position {to}, past the last valid {max_head}"
+                            ),
+                        ));
+                    }
+                    continue;
+                }
+            };
+            if head_pos > max_head {
+                self.head_span.push(Diagnostic::error(
                     "tilt/head-span",
                     i,
                     format!("{gate} recorded at head {head_pos}, past the last valid {max_head}"),
                 ));
             }
             for q in gate.qubits() {
-                if q.index() >= spec.n_ions() || !spec.covers(*head_pos, q.index()) {
-                    diags.push(Diagnostic::error(
+                let qi = q.index();
+                if qi >= n || !self.spec.covers(head_pos, qi) {
+                    self.head_span.push(Diagnostic::error(
                         "tilt/head-span",
                         i,
+                        format!("{gate} at head {head_pos} leaves position {qi} outside the {head}-wide head"),
+                    ));
+                }
+                let Some(Some(queue)) = self.expected.get_mut(qi) else {
+                    continue;
+                };
+                let message = match queue.pop_front() {
+                    Some(want) if want == gate => continue,
+                    Some(want) => {
+                        format!("position {qi} executes {gate} but its next dependency is {want}")
+                    }
+                    None => {
+                        format!("position {qi} executes {gate} beyond its routed gate sequence")
+                    }
+                };
+                self.expected[qi] = None;
+                self.order
+                    .push(Diagnostic::error("tilt/schedule-order", i, message));
+            }
+        }
+    }
+
+    /// `tilt/swap-chain` and `tilt/mapping-bijection`; each gate's
+    /// lowering joins the per-ion sequences `tilt/schedule-order` checks.
+    fn routed(&mut self, gates: &[Gate]) {
+        for g in gates {
+            let i = self.routed_seen;
+            self.routed_seen += 1;
+            if let Gate::Swap(a, b) = g {
+                let (a, b) = (a.index(), b.index());
+                let span = a.abs_diff(b);
+                if span == 0 || span > self.max_swap_len {
+                    self.swap_chain.push(Diagnostic::error(
+                        "tilt/swap-chain",
+                        i,
                         format!(
-                            "{gate} at head {head_pos} leaves position {} outside the \
-                             {}-wide head",
-                            q.index(),
-                            spec.head_size()
+                            "routed swap ({a}, {b}) spans {span} positions, outside the router's \
+                             1..={} cap",
+                            self.max_swap_len
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-/// Incremental evaluation of the window-applicable TILT rules over a
-/// streaming compile's op increments.
-///
-/// Only `tilt/head-span` is window-applicable: it is a pure per-op
-/// predicate, so checking each increment as it arrives is exactly the
-/// whole-program walk with the indices offset by the ops already seen.
-/// The other three rules need whole-compilation artifacts (the routed
-/// circuit, the final mapping, every ion's complete gate sequence) and
-/// cannot run on a window without false verdicts — use the monolithic
-/// [`verify_tilt`] for those.
-///
-/// Diagnostics carry **global** op indices: pushing a stream in any
-/// window partition yields byte-identical findings.
-#[derive(Debug)]
-pub struct StreamVerifier {
-    spec: crate::spec::DeviceSpec,
-    next_index: usize,
-    diags: Vec<Diagnostic>,
-}
-
-impl StreamVerifier {
-    /// A verifier for a streaming compile on `spec`'s tape.
-    pub fn new(spec: crate::spec::DeviceSpec) -> StreamVerifier {
-        StreamVerifier {
-            spec,
-            next_index: 0,
-            diags: Vec::new(),
-        }
-    }
-
-    /// Checks one op increment; indices continue from prior pushes.
-    pub fn push(&mut self, ops: &[TiltOp]) {
-        for op in ops {
-            head_span_op(&self.spec, self.next_index, op, &mut self.diags);
-            self.next_index += 1;
-        }
-    }
-
-    /// Total ops checked so far.
-    pub fn ops_seen(&self) -> usize {
-        self.next_index
-    }
-
-    /// Findings accumulated so far (borrowed; [`StreamVerifier::finish`]
-    /// consumes).
-    pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diags
-    }
-
-    /// Consumes the verifier, returning every finding.
-    pub fn finish(self) -> Vec<Diagnostic> {
-        self.diags
-    }
-}
-
-/// `tilt/swap-chain`: inserted swaps span `1..=max_swap_len`.
-fn swap_chain(out: &CompileOutput, max_swap_len: usize, diags: &mut Vec<Diagnostic>) {
-    for (i, g) in out.routed.circuit.iter().enumerate() {
-        if let Gate::Swap(a, b) = g {
-            let span = a.index().abs_diff(b.index());
-            if span == 0 || span > max_swap_len {
-                diags.push(Diagnostic::error(
-                    "tilt/swap-chain",
-                    i,
-                    format!(
-                        "routed swap ({}, {}) spans {span} positions, outside the router's \
-                         1..={max_swap_len} cap",
-                        a.index(),
-                        b.index()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// `tilt/mapping-bijection`: the routed swap sequence transforms the
-/// initial layout into exactly the recorded final layout.
-fn mapping_bijection(out: &CompileOutput, diags: &mut Vec<Diagnostic>) {
-    let mut m = out.routed.initial_mapping.clone();
-    let n = m.len();
-    for (i, g) in out.routed.circuit.iter().enumerate() {
-        if let Gate::Swap(a, b) = g {
-            if a.index() >= n || b.index() >= n {
-                diags.push(Diagnostic::error(
-                    "tilt/mapping-bijection",
-                    i,
-                    format!(
-                        "swap ({}, {}) references a position outside the {n}-ion tape",
-                        a.index(),
-                        b.index()
-                    ),
-                ));
-                continue;
-            }
-            m.swap_positions(a.index(), b.index());
-        }
-    }
-    if m != out.routed.final_mapping {
-        diags.push(Diagnostic::error(
-            "tilt/mapping-bijection",
-            out.routed.circuit.len(),
-            "replaying the routed swaps does not reproduce the recorded final mapping".into(),
-        ));
-    }
-}
-
-/// `tilt/schedule-order`: the scheduled program preserves every ion's
-/// gate subsequence from the (swap-lowered) routed circuit.
-///
-/// The op stream is serial, so "never two ops on one ion at once" holds
-/// by construction; the meaningful DAG property on a serial stream is
-/// that per-ion order survives scheduling — any reordering that crosses
-/// a data dependency shows up as a per-ion subsequence mismatch.
-fn schedule_order(out: &CompileOutput, diags: &mut Vec<Diagnostic>) {
-    let spec = *out.program.spec();
-    let n = spec.n_ions();
-    let lowered = decompose(&out.routed.circuit);
-    let mut expected: Vec<Vec<Gate>> = vec![Vec::new(); n];
-    for g in &lowered {
-        for q in g.qubits() {
-            if q.index() < n {
-                expected[q.index()].push(*g);
-            }
-        }
-    }
-
-    let mut cursor = vec![0usize; n];
-    // One report per ion: after a mismatch every later gate on that ion
-    // is out of step, which would only repeat the same finding.
-    let mut desynced = vec![false; n];
-    for (i, op) in out.program.ops().iter().enumerate() {
-        let TiltOp::Gate { gate, .. } = op else {
-            continue;
-        };
-        for q in gate.qubits() {
-            let qi = q.index();
-            if qi >= n || desynced[qi] {
-                continue;
-            }
-            match expected[qi].get(cursor[qi]) {
-                Some(want) if *want == *gate => cursor[qi] += 1,
-                Some(want) => {
-                    desynced[qi] = true;
-                    diags.push(Diagnostic::error(
-                        "tilt/schedule-order",
+                let n = self.mapping.len();
+                if a >= n || b >= n {
+                    self.bijection.push(Diagnostic::error(
+                        "tilt/mapping-bijection",
                         i,
-                        format!("position {qi} executes {gate} but its next dependency is {want}"),
+                        format!("swap ({a}, {b}) references a position outside the {n}-ion tape"),
                     ));
-                }
-                None => {
-                    desynced[qi] = true;
-                    diags.push(Diagnostic::error(
-                        "tilt/schedule-order",
-                        i,
-                        format!("position {qi} executes {gate} beyond its routed gate sequence"),
-                    ));
+                } else {
+                    self.mapping.swap_positions(a, b);
                 }
             }
-        }
-    }
-    for qi in 0..n {
-        if !desynced[qi] && cursor[qi] < expected[qi].len() {
-            diags.push(Diagnostic::error(
-                "tilt/schedule-order",
-                out.program.ops().len(),
-                format!(
-                    "position {qi} is missing {} scheduled gate(s) from the routed circuit",
-                    expected[qi].len() - cursor[qi]
-                ),
-            ));
+            let n = self.spec.n_ions();
+            self.lowered.reset(n);
+            decompose_gate(&mut self.lowered, g);
+            for lg in self.lowered.gates() {
+                for q in lg.qubits() {
+                    if let Some(Some(queue)) = self.expected.get_mut(q.index()) {
+                        queue.push_back(*lg);
+                    }
+                }
+            }
         }
     }
 }
@@ -352,8 +322,7 @@ mod tests {
     use crate::pipeline::Compiler;
     use crate::program::TiltProgram;
     use crate::route::{LinqConfig, RouterKind};
-    use crate::spec::DeviceSpec;
-    use tilt_circuit::{Circuit, Qubit};
+    use tilt_circuit::Qubit;
 
     fn compiled(n: usize, head: usize) -> CompileOutput {
         let mut c = Circuit::new(n);
@@ -428,48 +397,77 @@ mod tests {
         );
     }
 
+    /// Replays `out` through the fold in `chunk`-sized pieces, every
+    /// routed gate first.
+    fn fold(out: &CompileOutput, cap: usize, chunk: usize) -> Vec<Diagnostic> {
+        let spec = *out.program.spec();
+        let mut v = TiltVerifier::new(spec, cap, out.routed.initial_mapping.clone());
+        out.routed
+            .circuit
+            .gates()
+            .chunks(chunk)
+            .for_each(|c| v.routed(c));
+        out.program.ops().chunks(chunk).for_each(|c| v.emit(c));
+        v.finish(&out.routed.final_mapping)
+    }
+
     #[test]
-    fn stream_verifier_matches_head_span_at_every_window_split() {
-        // Corrupt two ops at known indices, then push the op stream in
-        // several window partitions: the findings (rules AND global
-        // indices) must be byte-identical to the whole-program walk.
-        let out = compiled(16, 4);
+    fn findings_do_not_depend_on_chunking() {
+        // Corrupt every rule at once: a gate shifted off its head, a
+        // move past the tape end, two dependent gates reordered, an
+        // invented gate, and an over-long routed swap.
+        let mut out = compiled(16, 4);
         let spec = *out.program.spec();
         let mut ops = out.program.ops().to_vec();
-        let idx = ops
-            .iter()
-            .position(|op| matches!(op, TiltOp::Gate { gate, .. } if gate.is_two_qubit()))
-            .unwrap();
-        if let TiltOp::Gate { head_pos, .. } = &mut ops[idx] {
+        let gates: Vec<usize> = (0..ops.len())
+            .filter(|&i| matches!(ops[i], TiltOp::Gate { gate, .. } if gate.is_two_qubit()))
+            .collect();
+        if let TiltOp::Gate { head_pos, .. } = &mut ops[gates[0]] {
             *head_pos = spec.n_ions() - spec.head_size();
         }
+        ops.swap(gates[1], gates[2]);
         ops.push(TiltOp::Move { to: spec.n_ions() });
-        let mut whole = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            head_span_op(&spec, i, op, &mut whole);
+        ops.push(TiltOp::Gate {
+            gate: Gate::Rx(Qubit(3), 0.5),
+            head_pos: 0,
+        });
+        out.program = TiltProgram::new_unchecked(spec, ops);
+        let swap = out
+            .routed
+            .circuit
+            .iter()
+            .position(|g| matches!(g, Gate::Swap(..)))
+            .unwrap();
+        out.routed.circuit.gates_mut()[swap] = Gate::Swap(Qubit(0), Qubit(9));
+        let whole = verify_tilt(&out, 3);
+        for rule in [
+            "tilt/head-span",
+            "tilt/swap-chain",
+            "tilt/mapping-bijection",
+            "tilt/schedule-order",
+        ] {
+            assert!(whole.iter().any(|d| d.rule == rule), "{rule}: {whole:?}");
         }
-        assert!(whole.iter().any(|d| d.op_index == idx));
-        assert!(whole.iter().any(|d| d.op_index == ops.len() - 1));
-        for window in [1, 3, 7, ops.len(), ops.len() + 5] {
-            let mut sv = StreamVerifier::new(spec);
-            for chunk in ops.chunks(window) {
-                sv.push(chunk);
-            }
-            assert_eq!(sv.ops_seen(), ops.len());
-            assert_eq!(sv.finish(), whole, "window {window}");
+        for chunk in [1, 3, 7, usize::MAX] {
+            assert_eq!(fold(&out, 3, chunk), whole, "chunk {chunk}");
         }
     }
 
     #[test]
-    fn stream_verifier_is_clean_on_a_clean_compile() {
-        let out = compiled(16, 4);
-        let mut sv = StreamVerifier::new(*out.program.spec());
-        for chunk in out.program.ops().chunks(5) {
-            sv.push(chunk);
+    fn streamed_compile_verifies_clean_in_its_sink() {
+        let mut c = Circuit::new(16);
+        for i in 0..200 {
+            c.cnot(Qubit(i % 16), Qubit((i * 7 + 3) % 16));
         }
-        assert!(sv.diagnostics().is_empty());
-        assert_eq!(sv.ops_seen(), out.program.ops().len());
-        assert_eq!(sv.finish(), Vec::new());
+        let spec = DeviceSpec::new(16, 4).unwrap();
+        let compiler = Compiler::new(spec);
+        for window in [1, 64, usize::MAX] {
+            let mut v = TiltVerifier::new(spec, 3, Mapping::identity(16));
+            let summary = compiler
+                .compile_stream(16, c.gates().iter().copied(), window, &mut v)
+                .unwrap();
+            assert_eq!(v.finish(&summary.final_mapping), Vec::new());
+        }
     }
 
     #[test]

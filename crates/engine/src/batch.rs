@@ -89,19 +89,10 @@ impl Engine {
             slots.par_chunks_mut(1).for_each(|chunk| {
                 let slot = &mut chunk[0];
                 let circuit = slot.0.take().expect("slot filled exactly once");
-                // Panic isolation: a compile that panics (a compiler bug
-                // on one poisoned circuit) must cost exactly that
-                // circuit its result — not the worker, the pool, or the
-                // rest of the window.
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(&circuit)));
-                slot.1 = Some(outcome.unwrap_or_else(|payload| {
-                    Err(TiltError::Internal {
-                        // `.as_ref()`: downcast the payload itself, not
-                        // the box holding it.
-                        message: crate::error::panic_message(payload.as_ref()),
-                    })
-                }));
+                // Panic isolation: a compile that panics must cost
+                // exactly that circuit its result — not the worker, the
+                // pool, or the rest of the window.
+                slot.1 = Some(crate::error::isolated(|| self.run(&circuit)));
             });
             for (_, report) in slots {
                 sink(next_index, report.expect("window fully processed"));

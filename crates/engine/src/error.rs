@@ -110,16 +110,21 @@ impl Error for TiltError {
     }
 }
 
-/// Renders a caught panic payload for [`TiltError::Internal`]: the
-/// panic message when it was a string, a placeholder otherwise.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with a non-string payload".to_string()
-    }
+/// Runs `run` behind a panic boundary: a panic (a compiler bug on one
+/// poisoned input) becomes [`TiltError::Internal`] with the panic
+/// message when it was a string, costing one result, not the caller.
+pub(crate) fn isolated<T>(run: impl FnOnce() -> Result<T, TiltError>) -> Result<T, TiltError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        // Downcast the payload itself, not the box holding it.
+        let message = if let Some(s) = payload.as_ref().downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.as_ref().downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "panic with a non-string payload".to_string()
+        };
+        Err(TiltError::Internal { message })
+    })
 }
 
 impl From<CompileError> for TiltError {

@@ -544,16 +544,7 @@ impl Engine {
             report.sim = Some(sim::simulate(circuit, method, seed)?);
         }
         if self.verify != VerifyLevel::Off {
-            let diags = verify::check(&report, self.router);
-            if self.verify == VerifyLevel::Strict {
-                if let Some(first) = diags.iter().find(|d| d.severity == Severity::Error) {
-                    return Err(TiltError::Verify {
-                        count: diags.len(),
-                        first: first.to_string(),
-                    });
-                }
-            }
-            report.diagnostics = diags;
+            report.diagnostics = verify::enforce(self.verify, verify::check(&report, self.router))?;
         }
         Ok(report)
     }

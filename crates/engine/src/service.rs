@@ -83,8 +83,12 @@
 //! memo (there is no whole-circuit digest to key on), and compile
 //! through the **shared session only** — per-request override fields
 //! are rejected with `invalid_request`; send `{"op":"configure"}` first
-//! to rebind. A mid-stream failure (bad QASM past the first window)
-//! emits its error line *after* the increments already delivered.
+//! to rebind. A session configured with `"verify"` verifies streams
+//! too, with every rule: under `"strict"` a finding fails the stream
+//! with kind `verify_failed`, exactly as it fails a windowed run. A
+//! mid-stream failure (bad QASM past the first window, or a strict
+//! verifier finding at the end) emits its error line *after* the
+//! increments already delivered.
 //!
 //! Every failure — malformed JSON, QASM parse error, a circuit wider
 //! than the backend, an unknown backend name, a compile error, a shed
@@ -105,11 +109,14 @@
 //!
 //! An optional [`AdmissionControl`] (shared across every loop the CLI
 //! runs — stdio or all TCP connections together) bounds aggregate
-//! in-flight requests and bytes. A run request that would exceed the
-//! budget is **shed immediately** with kind `overloaded` and a
-//! `retry_after_ms` backoff hint instead of queuing unboundedly;
-//! everything already admitted completes. Shed counts surface in
-//! `{"op":"stats"}` and the exit summary.
+//! in-flight requests and bytes. Every run request that compiles —
+//! windowed, override or stream — holds a permit from admission until
+//! its last response line is written; one that would exceed the budget
+//! is **shed immediately** with kind `overloaded` and a
+//! `retry_after_ms` backoff hint instead of queuing unboundedly.
+//! Cache hits (including override hits) and control ops need no
+//! permit. Everything already admitted completes. Shed counts surface
+//! in `{"op":"stats"}` and the exit summary.
 //!
 //! # Session reconfiguration
 //!
@@ -755,7 +762,9 @@ impl Service {
                 // order survives. On an all-hits stream the window
                 // stays empty and this is the whole hot path. Hits
                 // bypass admission: they hold no compile slot.
-                if let Some(resp) = self.cached_response(&item, self.engine.config_fingerprint()) {
+                if let Some(resp) =
+                    cached_wire_response(&self.cache, &item, self.engine.config_fingerprint())
+                {
                     self.flush(pending, output)?;
                     self.stats
                         .record(item.enqueued.elapsed().as_micros() as u64, true);
@@ -763,23 +772,11 @@ impl Service {
                     output.flush()?;
                     return Ok(false);
                 }
-                // Admission: a compile must fit the shared in-flight
-                // budget or be shed *now* — queuing it anyway is how a
-                // flood turns into unbounded latency for everyone.
-                if let Some(admission) = &self.admission {
-                    match admission.try_admit(line.len()) {
-                        Ok(permit) => item.permit = Some(permit),
-                        Err(retry_after_ms) => {
-                            self.stats.shed_overloaded += 1;
-                            pending.push(PendingItem::Resolved {
-                                enqueued: item.enqueued,
-                                response: overloaded_json(&item.id, retry_after_ms),
-                            });
-                            self.after_enqueue(pending, output)?;
-                            return Ok(false);
-                        }
-                    }
-                }
+                let Ok(permit) = self.admit(line.len(), &item.id, item.enqueued, pending) else {
+                    self.after_enqueue(pending, output)?;
+                    return Ok(false);
+                };
+                item.permit = permit;
                 pending.push(PendingItem::Run(*item));
                 self.after_enqueue(pending, output)?;
             }
@@ -800,11 +797,14 @@ impl Service {
                 // config's fingerprint, so distinct override sessions
                 // cache independently (and never collide with the
                 // default session).
-                if let Some(resp) = self.cached_response(&item, engine.config_fingerprint()) {
+                if let Some(resp) =
+                    cached_wire_response(&self.cache, &item, engine.config_fingerprint())
+                {
                     self.stats
                         .record(item.enqueued.elapsed().as_micros() as u64, true);
                     writeln!(output, "{}", resp.render())?;
-                } else {
+                } else if let Ok(_permit) = self.admit(line.len(), &item.id, item.enqueued, pending)
+                {
                     let mut item = *item;
                     let circuit = item
                         .circuit
@@ -813,16 +813,14 @@ impl Service {
                     // The same isolation boundary as the batch workers:
                     // a panicking override compile costs its request,
                     // not the loop.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.run(circuit.as_ref())
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(TiltError::Internal {
-                            message: crate::error::panic_message(payload.as_ref()),
-                        })
-                    });
-                    self.respond(&item, result, output)?;
+                    let result = crate::error::isolated(|| engine.run(circuit.as_ref()));
+                    self.stats
+                        .record(item.enqueued.elapsed().as_micros() as u64, result.is_ok());
+                    let resp = run_response(&item.id, &result, item.emit_program);
+                    writeln!(output, "{}", resp.render())?;
                 }
+                // A shed request's `overloaded` line waits in the window.
+                self.flush(pending, output)?;
                 output.flush()?;
             }
             Request::RunStream(item) => {
@@ -834,9 +832,11 @@ impl Service {
                     self.stats
                         .record(item.enqueued.elapsed().as_micros() as u64, false);
                     writeln!(output, "{}", deadline_json(&item.id).render())?;
-                } else {
+                } else if let Ok(_permit) = self.admit(line.len(), &item.id, item.enqueued, pending)
+                {
                     self.run_stream(&item, output)?;
                 }
+                self.flush(pending, output)?;
                 output.flush()?;
             }
             Request::Configure { id, rebind } => {
@@ -878,6 +878,31 @@ impl Service {
             }
         }
         Ok(false)
+    }
+
+    /// Admission: a compile must fit the shared in-flight budget or be
+    /// shed *now* — queuing it anyway is how a flood turns into
+    /// unbounded latency for everyone. The permit (`None` without
+    /// admission control) is held until the request's last response
+    /// line; a shed request's `overloaded` response waits in `pending`.
+    fn admit(
+        &mut self,
+        bytes: usize,
+        id: &Json,
+        enqueued: Instant,
+        pending: &mut Vec<PendingItem>,
+    ) -> Result<Option<AdmissionPermit>, ()> {
+        let Some(admission) = &self.admission else {
+            return Ok(None);
+        };
+        admission
+            .try_admit(bytes)
+            .map(Some)
+            .map_err(|retry_after_ms| {
+                self.stats.shed_overloaded += 1;
+                let response = overloaded_json(id, retry_after_ms);
+                pending.push(PendingItem::Resolved { enqueued, response });
+            })
     }
 
     /// Post-enqueue bookkeeping shared by admitted and pre-resolved
@@ -1052,19 +1077,6 @@ impl Service {
         output.flush()
     }
 
-    fn respond<W: Write>(
-        &mut self,
-        item: &RunItem,
-        result: Result<RunReport, TiltError>,
-        output: &mut W,
-    ) -> io::Result<()> {
-        let ok = result.is_ok();
-        let resp = run_response(&item.id, &result, item.emit_program);
-        self.stats
-            .record(item.enqueued.elapsed().as_micros() as u64, ok);
-        writeln!(output, "{}", resp.render())
-    }
-
     /// Runs one streaming request: increment lines straight to the
     /// wire, then the final report line. The compile cache, parse memo,
     /// and window are all bypassed — there is no whole-circuit digest
@@ -1072,34 +1084,22 @@ impl Service {
     fn run_stream<W: Write>(&mut self, item: &StreamItem, output: &mut W) -> io::Result<()> {
         // Width gate, same contract as the parsed path: the backends
         // size themselves to the register, so the cap must hold before
-        // any allocation. The probe stops at the `qreg` header.
-        let mut probe = qasm::QasmStream::new(item.qasm.as_bytes());
-        match probe.require_n_qubits() {
-            Ok(n) if n > MAX_REQUEST_IONS => {
-                let error = format!(
-                    "circuit register of {n} qubits exceeds the service cap of {MAX_REQUEST_IONS}"
-                );
-                self.stats
-                    .record(item.enqueued.elapsed().as_micros() as u64, false);
-                return writeln!(
-                    output,
-                    "{}",
-                    error_json(&item.id, KIND_INVALID_REQUEST, &error).render()
-                );
-            }
-            Ok(_) => {}
-            Err(e) => {
-                // A header the stream cannot start from (missing or
-                // malformed `qreg`) fails before any compile — same
-                // `invalid_request` kind as the monolithic parse path.
-                self.stats
-                    .record(item.enqueued.elapsed().as_micros() as u64, false);
-                return writeln!(
-                    output,
-                    "{}",
-                    error_json(&item.id, KIND_INVALID_REQUEST, &e.to_string()).render()
-                );
-            }
+        // any allocation. The probe stops at the `qreg` header; one the
+        // stream cannot start from (missing or malformed) fails before
+        // any compile — same `invalid_request` kind as the monolithic
+        // parse path.
+        let header = match qasm::QasmStream::new(item.qasm.as_bytes()).require_n_qubits() {
+            Ok(n) if n > MAX_REQUEST_IONS => Err(format!(
+                "circuit register of {n} qubits exceeds the service cap of {MAX_REQUEST_IONS}"
+            )),
+            Ok(_) => Ok(()),
+            Err(e) => Err(e.to_string()),
+        };
+        if let Err(error) = header {
+            self.stats
+                .record(item.enqueued.elapsed().as_micros() as u64, false);
+            let resp = error_json(&item.id, KIND_INVALID_REQUEST, &error);
+            return writeln!(output, "{}", resp.render());
         }
         let mut io_err: Option<io::Error> = None;
         let mut increment = 0usize;
@@ -1124,14 +1124,9 @@ impl Service {
         };
         // The same isolation boundary as the batch workers: a panicking
         // streaming compile costs its request, not the loop.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = crate::error::isolated(|| {
             self.engine
                 .run_streaming_qasm(item.qasm.as_bytes(), item.window, &mut sink)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(TiltError::Internal {
-                message: crate::error::panic_message(payload.as_ref()),
-            })
         });
         if let Some(e) = io_err {
             return Err(e);
@@ -1139,28 +1134,11 @@ impl Service {
         let ok = result.is_ok();
         let resp = match result {
             Ok(outcome) => stream_response(&item.id, &outcome),
-            Err(e) => {
-                let kind = match e {
-                    // Mid-stream QASM/reader failures are request
-                    // defects, like a monolithic parse error.
-                    TiltError::Stream { .. } => KIND_INVALID_REQUEST,
-                    TiltError::Internal { .. } => KIND_INTERNAL,
-                    _ => KIND_COMPILE,
-                };
-                error_json(&item.id, kind, &e.to_string())
-            }
+            Err(e) => error_json(&item.id, error_kind(&e), &e.to_string()),
         };
         self.stats
             .record(item.enqueued.elapsed().as_micros() as u64, ok);
         writeln!(output, "{}", resp.render())
-    }
-
-    /// The response for `item` if its `(circuit, config)` key is
-    /// resident in the cache. Renders through the same [`WireReport`]
-    /// path as a fresh compile, so hit and miss responses are
-    /// byte-identical.
-    fn cached_response(&self, item: &RunItem, config: Digest) -> Option<Json> {
-        cached_wire_response(&self.cache, item, config)
     }
 
     /// Turns one input line into a request, folding every failure into
@@ -1564,8 +1542,9 @@ impl Service {
     }
 }
 
-/// Looks up and renders `item`'s cached response (free function so the
-/// flush callback can call it under split borrows).
+/// The response for `item` if its `(circuit, config)` key is resident
+/// in the cache, rendered through the same [`WireReport`] path as a
+/// fresh compile, so hit and miss responses are byte-identical.
 fn cached_wire_response(cache: &CompileCache, item: &RunItem, config: Digest) -> Option<Json> {
     let key = CacheKey {
         circuit: item.digest,
@@ -1589,15 +1568,7 @@ fn cached_wire_response(cache: &CompileCache, item: &RunItem, config: Digest) ->
 /// cached responses are byte-identical by construction.
 fn run_response(id: &Json, result: &Result<RunReport, TiltError>, emit_program: bool) -> Json {
     match result {
-        Err(e) => {
-            let kind = match e {
-                TiltError::Internal { .. } => KIND_INTERNAL,
-                TiltError::NonClifford { .. } => KIND_NON_CLIFFORD,
-                TiltError::Verify { .. } => KIND_VERIFY_FAILED,
-                _ => KIND_COMPILE,
-            };
-            error_json(id, kind, &e.to_string())
-        }
+        Err(e) => error_json(id, error_kind(e), &e.to_string()),
         Ok(report) => {
             let mut wire = WireReport::of(report);
             if emit_program {
@@ -1605,6 +1576,19 @@ fn run_response(id: &Json, result: &Result<RunReport, TiltError>, emit_program: 
             }
             wire.response(id, emit_program)
         }
+    }
+}
+
+/// The wire `kind` of a failed run, streamed or not.
+fn error_kind(e: &TiltError) -> &'static str {
+    match e {
+        // Mid-stream QASM/reader failures are request defects, like a
+        // monolithic parse error.
+        TiltError::Stream { .. } => KIND_INVALID_REQUEST,
+        TiltError::Internal { .. } => KIND_INTERNAL,
+        TiltError::NonClifford { .. } => KIND_NON_CLIFFORD,
+        TiltError::Verify { .. } => KIND_VERIFY_FAILED,
+        _ => KIND_COMPILE,
     }
 }
 
@@ -2266,6 +2250,59 @@ mod tests {
         assert!(ok(&resps[0]) && ok(&resps[2]), "{resps:?}");
         assert_eq!(summary.stats.shed_overloaded, 0);
         assert_eq!(summary.cache.hits, 1);
+    }
+
+    #[test]
+    fn override_and_stream_lanes_take_an_admission_permit() {
+        let admission = Arc::new(AdmissionControl::new(1, usize::MAX));
+        let mut s = tilt_service(8, 4).with_admission(Arc::clone(&admission));
+        let held = admission.try_admit(0).unwrap();
+        let input = concat!(
+            "{\"id\":1,\"head\":2,\"qasm\":\"qreg q[8];\\ncx q[0], q[7];\\n\"}\n",
+            "{\"id\":2,\"stream\":true,\"qasm\":\"qreg q[8];\\ncx q[0], q[7];\\n\"}\n",
+        );
+        let (resps, summary) = drive(&mut s, input);
+        assert_eq!(resps.len(), 2, "{resps:?}");
+        for resp in &resps {
+            assert_eq!(err_kind(resp), "overloaded", "{resp:?}");
+        }
+        assert_eq!(summary.stats.shed_overloaded, 2);
+        // With the budget free again both lanes compile, and each
+        // releases its permit after its last line.
+        drop(held);
+        let (resps, _) = drive(&mut s, input);
+        assert!(ok(&resps[0]) && ok(resps.last().unwrap()), "{resps:?}");
+        assert_eq!(admission.counters().in_flight, 0);
+    }
+
+    #[test]
+    fn strict_streams_verify_and_answer_ok() {
+        let mut s = tilt_service(8, 4);
+        let input = concat!(
+            "{\"op\":\"configure\",\"verify\":\"strict\"}\n",
+            "{\"id\":1,\"stream\":true,\"stream_window\":1,\"qasm\":\"qreg q[8];\\nh q[0];\\ncx q[0], q[7];\\n\"}\n",
+        );
+        let (resps, _) = drive(&mut s, input);
+        let last = resps.last().unwrap();
+        assert!(ok(last), "{resps:?}");
+        assert_eq!(last.get("streamed"), Some(&Json::Bool(true)));
+        let increments = last.get("increments").unwrap().as_f64().unwrap() as usize;
+        assert!(increments >= 1);
+        // The configure ack, the increment lines, the final report.
+        assert_eq!(resps.len(), increments + 2, "{resps:?}");
+    }
+
+    #[test]
+    fn failed_runs_share_one_wire_kind_mapping() {
+        let verify = TiltError::Verify {
+            count: 1,
+            first: "error[tilt/head-span] op 0: example".into(),
+        };
+        assert_eq!(error_kind(&verify), "verify_failed");
+        let stream = TiltError::Stream {
+            reason: "line 3".into(),
+        };
+        assert_eq!(error_kind(&stream), "invalid_request");
     }
 
     #[test]

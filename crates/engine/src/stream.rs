@@ -8,19 +8,18 @@
 //! and the scheduled [`TiltProgram`](tilt_compiler::TiltProgram) for
 //! inspection. [`Engine::run_streaming`] instead pulls gates from an
 //! iterator, folds every emitted op straight into the estimators
-//! (sympathetic cooling included), and hands scheduled-op increments to
-//! a [`StreamSink`]. Peak memory is O(window) + the scheduler horizon;
-//! the resulting op stream, `ln_success`, and `exec_time_us` are
-//! **bit-identical** to [`Engine::run`].
+//! (sympathetic cooling included) and, under `.verify(..)`, into the
+//! verifier folds, and hands scheduled-op increments to a
+//! [`StreamSink`]. Peak memory is O(window) + the scheduler horizon;
+//! the resulting op stream, `ln_success`, `exec_time_us` and
+//! diagnostics are **identical** to [`Engine::run`], and a strict
+//! session fails a stream with the same [`TiltError::Verify`].
 //!
 //! Restrictions (each returns an error, see the respective feature for
 //! why it is whole-circuit by nature):
 //!
 //! * logical-circuit simulation (`.simulate(..)`) replays the *input*
 //!   circuit, which a stream does not retain ([`TiltError::Config`]);
-//! * post-compile verification (`.verify(..)`) checks the complete
-//!   compiled artifacts (`tilt lint --stream` covers the
-//!   window-applicable rules instead; [`TiltError::Config`]);
 //! * the `InteractionChain` initial mapping scans the whole circuit's
 //!   interaction graph (rejected by the compiler as
 //!   `StreamingUnsupported`).
@@ -33,13 +32,14 @@
 
 use crate::error::TiltError;
 use crate::report::{BackendKind, CompileStats};
-use crate::verify::VerifyLevel;
+use crate::verify::{self, VerifyLevel};
 use crate::{Backend, Engine};
 use std::io::BufRead;
 use tilt_circuit::qasm::QasmStream;
 use tilt_circuit::{Circuit, Gate};
-use tilt_compiler::{StreamingCompiler, TiltOp};
-use tilt_scale::ScaledStreamingCompiler;
+use tilt_compiler::verify::{Diagnostic, TiltVerifier};
+use tilt_compiler::{ProgramSink, StreamingCompiler, TiltOp};
+use tilt_scale::{ScaledSink, ScaledStreamingCompiler, ScaledVerifier};
 use tilt_sim::streaming::{ExecTimeAccumulator, SuccessAccumulator};
 
 /// Default streaming window (input gates buffered per flush): large
@@ -47,28 +47,20 @@ use tilt_sim::streaming::{ExecTimeAccumulator, SuccessAccumulator};
 /// memory stays tens of megabytes below any million-gate circuit.
 pub const DEFAULT_STREAM_WINDOW: usize = 65_536;
 
-/// Receives scheduled-op increments as streaming windows complete.
-///
-/// `shard` is the ELU index on the scaled backend and always 0 on the
-/// monolithic TILT backend. Concatenating every increment of one shard
-/// reproduces that shard's monolithic program exactly.
-pub trait StreamSink {
-    /// Delivers one non-empty increment of shard `shard`'s op stream.
-    fn emit(&mut self, shard: usize, ops: &[TiltOp]);
-}
-
-impl<F: FnMut(usize, &[TiltOp])> StreamSink for F {
-    fn emit(&mut self, shard: usize, ops: &[TiltOp]) {
-        self(shard, ops);
-    }
-}
+/// Receives scheduled-op increments as streaming windows complete: the
+/// ELU array's sink, whose `shard` argument is the ELU index on the
+/// scaled backend and always 0 on the monolithic TILT backend (an
+/// engine stream delivers no routed gates). Concatenating every
+/// increment of one shard reproduces that shard's monolithic program
+/// exactly; any `FnMut(usize, &[TiltOp])` is one.
+pub use tilt_scale::ScaledSink as StreamSink;
 
 /// A sink that discards the op stream — for callers that only want the
 /// final [`StreamOutcome`] statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSink;
 
-impl StreamSink for NullSink {
+impl ScaledSink for NullSink {
     fn emit(&mut self, _shard: usize, _ops: &[TiltOp]) {}
 }
 
@@ -93,6 +85,8 @@ pub struct StreamOutcome {
     pub increments: usize,
     /// Program gates consumed from the input stream.
     pub input_gate_count: usize,
+    /// Verifier findings, as [`RunReport::diagnostics`](crate::RunReport).
+    pub diagnostics: Vec<Diagnostic>,
 }
 
 impl StreamOutcome {
@@ -103,38 +97,19 @@ impl StreamOutcome {
 }
 
 impl Engine {
-    /// Rejects session features that require the whole circuit or the
-    /// whole compiled program.
-    fn check_streamable(&self) -> Result<(), TiltError> {
-        if self.sim.is_some() {
-            return Err(TiltError::Config {
-                reason: "streaming runs cannot simulate the logical circuit \
-                         (the simulator replays the whole input); drop .simulate(..)"
-                    .into(),
-            });
-        }
-        if self.verify != VerifyLevel::Off {
-            return Err(TiltError::Config {
-                reason: "streaming runs cannot post-verify the compiled artifacts \
-                         (the verifier needs the whole program); drop .verify(..) \
-                         or use `tilt lint --stream` for the windowed rules"
-                    .into(),
-            });
-        }
-        Ok(())
-    }
-
     /// Compiles and estimates a gate stream in O(window) memory,
     /// delivering scheduled-op increments to `sink`.
     ///
     /// Decision-identical to [`Engine::run`] on the same gates: the
     /// concatenated increments, `ln_success`, and `exec_time_us` match
-    /// the in-memory run bit for bit, at every window size.
+    /// the in-memory run bit for bit, and the diagnostics exactly, at
+    /// every window size.
     ///
     /// # Errors
     ///
     /// Backend compile errors; [`TiltError::Config`] for session
-    /// features that are whole-circuit by nature (see the module docs).
+    /// features that are whole-circuit by nature (see the module docs);
+    /// [`TiltError::Verify`] when a strict session finds an error.
     ///
     /// # Example
     ///
@@ -203,7 +178,13 @@ impl Engine {
         window: usize,
         sink: &mut dyn StreamSink,
     ) -> Result<StreamOutcome, TiltError> {
-        self.check_streamable()?;
+        if self.sim.is_some() {
+            return Err(TiltError::Config {
+                reason: "streaming runs cannot simulate the logical circuit \
+                         (the simulator replays the whole input); drop .simulate(..)"
+                    .into(),
+            });
+        }
         #[cfg(any(test, feature = "faults"))]
         crate::faults::before_compile(n_qubits);
         match &self.backend {
@@ -226,23 +207,33 @@ impl Engine {
             .as_ref()
             .expect("Tilt backend always carries a compiler");
         let mut streaming = StreamingCompiler::new(compiler, n_qubits, window)?;
-        let mut success =
-            SuccessAccumulator::with_cooling(n_ions, &self.noise, &self.gate_times, &self.cooling);
-        let mut exec = ExecTimeAccumulator::new(n_ions, &self.gate_times, &self.exec_time);
-        let summary = {
-            let mut adapter = |ops: &[TiltOp]| {
-                for op in ops {
-                    success.push(op);
-                    exec.push(op);
-                }
-                sink.emit(0, ops);
-            };
-            for g in gates {
-                streaming.push(g?, &mut adapter)?;
-            }
-            streaming.finish(&mut adapter)
+        let spec = compiler.spec();
+        let mut adapter = TiltAdapter {
+            success: SuccessAccumulator::with_cooling(
+                n_ions,
+                &self.noise,
+                &self.gate_times,
+                &self.cooling,
+            ),
+            exec: ExecTimeAccumulator::new(n_ions, &self.gate_times, &self.exec_time),
+            verifier: (self.verify != VerifyLevel::Off).then(|| {
+                TiltVerifier::new(
+                    spec,
+                    self.router.max_swap_span(spec),
+                    streaming.initial_mapping().clone(),
+                )
+            }),
+            sink,
         };
-        let s = success.finish_cooled();
+        for g in gates {
+            streaming.push(g?, &mut adapter)?;
+        }
+        let summary = streaming.finish(&mut adapter);
+        let diagnostics = match adapter.verifier {
+            Some(v) => verify::enforce(self.verify, v.finish(&summary.final_mapping))?,
+            None => Vec::new(),
+        };
+        let (s, exec) = (adapter.success.finish_cooled(), adapter.exec);
         Ok(StreamOutcome {
             backend: BackendKind::Tilt,
             compile: CompileStats::tilt(&summary.report),
@@ -251,6 +242,7 @@ impl Engine {
             exec_time_us: exec.finish() + s.cooling_time_us,
             increments: summary.increments,
             input_gate_count: summary.input_gate_count,
+            diagnostics,
         })
     }
 
@@ -264,12 +256,24 @@ impl Engine {
     ) -> Result<StreamOutcome, TiltError> {
         let mut session =
             ScaledStreamingCompiler::new(&spec, n_qubits, window, &self.noise, &self.gate_times)?;
-        let summary = {
-            let mut adapter = |elu: usize, ops: &[TiltOp]| sink.emit(elu, ops);
-            for g in gates {
-                session.push(g?, &mut adapter)?;
-            }
-            session.finish(&mut adapter)?
+        let mut adapter = ScaledAdapter {
+            verifier: (self.verify != VerifyLevel::Off)
+                .then(|| ScaledVerifier::new(&spec, session.initial_mappings().cloned())),
+            sink,
+        };
+        for g in gates {
+            session.push(g?, &mut adapter)?;
+        }
+        let summary = session.finish(&mut adapter)?;
+        let diagnostics = match adapter.verifier {
+            Some(v) => verify::enforce(
+                self.verify,
+                v.finish(
+                    summary.elu_summaries.iter().map(|elu| &elu.final_mapping),
+                    summary.epr_pairs,
+                ),
+            )?,
+            None => Vec::new(),
         };
         let compile = CompileStats::scaled(
             &summary.report,
@@ -284,6 +288,7 @@ impl Engine {
             exec_time_us: summary.report.exec_time_us,
             increments: summary.increments,
             input_gate_count: summary.input_gate_count,
+            diagnostics,
         })
     }
 
@@ -310,7 +315,58 @@ impl Engine {
             exec_time_us: report.exec_time_us,
             increments: 0,
             input_gate_count,
+            diagnostics: report.diagnostics,
         })
+    }
+}
+
+/// A TILT stream's program sink: the estimator folds, the verifier fold
+/// when the session verifies, then the caller's sink.
+struct TiltAdapter<'a> {
+    success: SuccessAccumulator,
+    exec: ExecTimeAccumulator,
+    verifier: Option<TiltVerifier>,
+    sink: &'a mut dyn StreamSink,
+}
+
+impl ProgramSink for TiltAdapter<'_> {
+    fn emit(&mut self, ops: &[TiltOp]) {
+        for op in ops {
+            self.success.push(op);
+            self.exec.push(op);
+        }
+        if let Some(v) = &mut self.verifier {
+            v.emit(ops);
+        }
+        self.sink.emit(0, ops);
+    }
+
+    fn routed(&mut self, gates: &[Gate]) {
+        if let Some(v) = &mut self.verifier {
+            v.routed(gates);
+        }
+    }
+}
+
+/// A scaled stream's sink: the verifier fold when the session
+/// verifies, then the caller's sink.
+struct ScaledAdapter<'a> {
+    verifier: Option<ScaledVerifier>,
+    sink: &'a mut dyn StreamSink,
+}
+
+impl ScaledSink for ScaledAdapter<'_> {
+    fn emit(&mut self, elu: usize, ops: &[TiltOp]) {
+        if let Some(v) = &mut self.verifier {
+            v.emit(elu, ops);
+        }
+        self.sink.emit(elu, ops);
+    }
+
+    fn routed(&mut self, elu: usize, gates: &[Gate]) {
+        if let Some(v) = &mut self.verifier {
+            v.routed(elu, gates);
+        }
     }
 }
 
@@ -501,16 +557,41 @@ mod tests {
             .simulate(SimMethod::Auto)
             .build()
             .unwrap();
-        let verify = Engine::builder()
-            .backend(Backend::Tilt(spec))
-            .verify(VerifyLevel::Warn)
-            .build()
-            .unwrap();
-        for (engine, what) in [(sim, "simulate"), (verify, "lint")] {
-            let err = engine
-                .run_streaming(8, gates.iter().copied(), 64, &mut NullSink)
-                .unwrap_err();
-            assert!(matches!(err, TiltError::Config { .. }), "{what}: {err}");
+        let err = sim
+            .run_streaming(8, gates.iter().copied(), 64, &mut NullSink)
+            .unwrap_err();
+        assert!(matches!(err, TiltError::Config { .. }), "simulate: {err}");
+    }
+
+    #[test]
+    fn streamed_runs_verify_like_the_in_memory_run() {
+        let c = workload(16, 600, 23);
+        let backends = [
+            Backend::Tilt(DeviceSpec::new(16, 4).unwrap()),
+            Backend::Scaled(ScaleSpec::new(10, 4).unwrap()),
+            Backend::Qccd(QccdSpec::for_qubits(16, 5).unwrap()),
+        ];
+        for backend in backends {
+            for level in [VerifyLevel::Warn, VerifyLevel::Strict] {
+                let engine = Engine::builder()
+                    .backend(backend)
+                    .verify(level)
+                    .build()
+                    .unwrap();
+                // The workload measures and reuses qubits, which the
+                // scaled pack reports: strict fails both runs alike.
+                let mono = engine.run(&c).map(|r| r.diagnostics);
+                for window in [1usize, 64, usize::MAX] {
+                    let out = engine
+                        .run_streaming(16, c.gates().iter().copied(), window, &mut NullSink)
+                        .map(|o| o.diagnostics);
+                    assert_eq!(
+                        format!("{out:?}"),
+                        format!("{mono:?}"),
+                        "{backend:?} {window}"
+                    );
+                }
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Post-compile static verification riding along with every run.
+//! Static verification riding along with every run.
 //!
 //! A session can ask the engine to re-check each compiled artifact
 //! against the program invariants its backend promises — operands
@@ -6,8 +6,10 @@
 //! routes that actually connect, comm ions reset between
 //! teleportations. The rule packs themselves live next to the compilers
 //! they audit ([`tilt_compiler::verify`], `tilt_qccd::verify`,
-//! [`tilt_scale::verify_scaled`]); this module selects the pack for the
-//! session's backend and decides what a finding *means*:
+//! [`tilt_scale::verify`]); the TILT and ELU-array packs are folds that
+//! a streamed run puts in its sink, so it reports what `run` reports.
+//! This module selects the pack for the session's backend and decides
+//! what a finding *means*:
 //!
 //! * [`VerifyLevel::Off`] (default) — no checking; report shapes stay
 //!   bit-identical to pre-verifier sessions.
@@ -15,13 +17,14 @@
 //!   [`RunReport::diagnostics`](crate::RunReport::diagnostics), succeed
 //!   anyway.
 //! * [`VerifyLevel::Strict`] — like `Warn`, but any error-severity
-//!   finding fails the run with [`TiltError::Verify`](crate::TiltError).
+//!   finding fails the run with [`TiltError::Verify`], streamed or not.
 //!
 //! The level is folded into the session's config fingerprint (when not
 //! `Off`), so cached reports carry the diagnostics their key promised.
 
+use crate::error::TiltError;
 use crate::report::{RunDetail, RunReport};
-use tilt_compiler::verify::{verify_tilt, Diagnostic};
+use tilt_compiler::verify::{verify_tilt, Diagnostic, Severity};
 use tilt_compiler::RouterKind;
 
 /// How much the session cares about verifier findings.
@@ -79,6 +82,23 @@ pub(crate) fn check(report: &RunReport, router: RouterKind) -> Vec<Diagnostic> {
         RunDetail::Qccd { program, .. } => tilt_qccd::verify::verify_qccd(program),
         RunDetail::Scaled { program, .. } => tilt_scale::verify_scaled(program),
     }
+}
+
+/// Applies the session's `level` to a run's findings: under
+/// [`VerifyLevel::Strict`] any error-severity finding fails the run.
+pub(crate) fn enforce(
+    level: VerifyLevel,
+    diags: Vec<Diagnostic>,
+) -> Result<Vec<Diagnostic>, TiltError> {
+    if level == VerifyLevel::Strict {
+        if let Some(first) = diags.iter().find(|d| d.severity == Severity::Error) {
+            return Err(TiltError::Verify {
+                count: diags.len(),
+                first: first.to_string(),
+            });
+        }
+    }
+    Ok(diags)
 }
 
 #[cfg(test)]

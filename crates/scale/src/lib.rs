@@ -43,4 +43,4 @@ pub use partition::Partition;
 pub use program::{compile_scaled, estimate_scaled, ScaleReport, ScaledProgram};
 pub use spec::{EprModel, ScaleError, ScaleSpec, COMM_SLOTS};
 pub use streaming::{run_scaled_stream, ScaledSink, ScaledStreamSummary, ScaledStreamingCompiler};
-pub use verify::{verify_scaled, StreamScaledVerifier};
+pub use verify::{verify_scaled, ScaledVerifier};

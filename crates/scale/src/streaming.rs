@@ -24,7 +24,7 @@ use crate::ScaleReport;
 use rayon::prelude::*;
 use tilt_circuit::Gate;
 use tilt_compiler::pipeline::streaming::StreamSummary;
-use tilt_compiler::{CompileError, ProgramSink, StreamingCompiler, TiltOp};
+use tilt_compiler::{CompileError, Mapping, ProgramSink, StreamingCompiler, TiltOp};
 use tilt_sim::streaming::{ExecTimeAccumulator, SuccessAccumulator};
 use tilt_sim::{ExecTimeModel, GateTimeModel, NoiseModel};
 
@@ -34,6 +34,10 @@ pub trait ScaledSink {
     /// Concatenating every increment for a given ELU reproduces that
     /// ELU's monolithic program exactly.
     fn emit(&mut self, elu: usize, ops: &[TiltOp]);
+
+    /// Delivers ELU `elu`'s next batch of routed gates, as
+    /// [`ProgramSink::routed`] does. Ignored by default.
+    fn routed(&mut self, _elu: usize, _gates: &[Gate]) {}
 }
 
 impl<F: FnMut(usize, &[TiltOp])> ScaledSink for F {
@@ -70,12 +74,13 @@ struct Shard {
     err: Option<CompileError>,
 }
 
-/// Folds a shard's emitted ops into its estimators and its outbox.
+/// Folds a shard's emitted ops into its estimators and its outboxes.
 struct ShardSink {
     success: SuccessAccumulator,
     exec: ExecTimeAccumulator,
-    /// Ops emitted during the current fan-out, awaiting the ordered
-    /// drain.
+    /// Routed gates and ops produced during the current fan-out,
+    /// awaiting the ordered drain.
+    routed: Vec<Gate>,
     outbox: Vec<TiltOp>,
 }
 
@@ -86,6 +91,10 @@ impl ProgramSink for ShardSink {
             self.exec.push(op);
         }
         self.outbox.extend_from_slice(ops);
+    }
+
+    fn routed(&mut self, gates: &[Gate]) {
+        self.routed.extend_from_slice(gates);
     }
 }
 
@@ -170,6 +179,7 @@ impl ScaledStreamingCompiler {
                         times,
                         &ExecTimeModel::default(),
                     ),
+                    routed: Vec::new(),
                     outbox: Vec::new(),
                 },
                 summary: None,
@@ -189,6 +199,12 @@ impl ScaledStreamingCompiler {
     /// Number of ELUs this session compiles onto.
     pub fn n_elus(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Each ELU's starting permutation, in ELU order.
+    pub fn initial_mappings(&self) -> impl Iterator<Item = &Mapping> {
+        let compilers = self.shards.iter().filter_map(|s| s.compiler.as_ref());
+        compilers.map(StreamingCompiler::initial_mapping)
     }
 
     /// Ingests the next program gate, fanning a shard advance when the
@@ -225,6 +241,10 @@ impl ScaledStreamingCompiler {
     /// reported error is deterministic regardless of pool scheduling).
     fn drain(&mut self, sink: &mut dyn ScaledSink) -> Result<(), ScaleError> {
         for (e, shard) in self.shards.iter_mut().enumerate() {
+            if !shard.sink.routed.is_empty() {
+                sink.routed(e, &shard.sink.routed);
+                shard.sink.routed.clear();
+            }
             if !shard.sink.outbox.is_empty() {
                 sink.emit(e, &shard.sink.outbox);
                 self.increments += 1;

@@ -13,26 +13,142 @@
 //! | `scaled/measured-unreset` | no gate acts on an ion that was measured and not yet reset |
 //! | `scaled/comm-slot-budget` | every operand fits the ELU tape (data ions below the comm block, comm traffic inside the [`COMM_SLOTS`](crate::COMM_SLOTS) block) and comm-ion measurements account for exactly two per recorded EPR pair |
 //! | `tilt/*` | each ELU's LinQ output passes the full TILT tape rule pack |
+//!
+//! The pack is one fold, [`ScaledVerifier`]: a [`TiltVerifier`] per ELU
+//! plus the `scaled/*` rules, as a [`ScaledSink`] a sharded streaming
+//! compile feeds, and that [`verify_scaled`] drives over a finished
+//! [`ScaledProgram`].
 
 use crate::program::ScaledProgram;
-use crate::spec::COMM_SLOTS;
+use crate::spec::{ScaleSpec, COMM_SLOTS};
+use crate::streaming::ScaledSink;
 use tilt_circuit::Gate;
-use tilt_compiler::verify::{verify_tilt, Diagnostic};
+use tilt_compiler::verify::{Diagnostic, TiltVerifier};
+use tilt_compiler::{Mapping, ProgramSink, TiltOp};
 
 /// Runs the scaled rule pack (plus the TILT pack per ELU) over one
 /// compiled ELU array.
 pub fn verify_scaled(program: &ScaledProgram) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let capacity = program.spec.data_capacity();
-    let ions_per_elu = capacity + COMM_SLOTS;
-    let mut comm_measures = 0usize;
+    let outs = &program.elu_outputs;
+    let mut verifier = ScaledVerifier::new(
+        &program.spec,
+        outs.iter().map(|out| out.routed.initial_mapping.clone()),
+    );
+    for (e, out) in outs.iter().enumerate() {
+        verifier.routed(e, out.routed.circuit.gates());
+        verifier.emit(e, out.program.ops());
+    }
+    verifier.finish(
+        outs.iter().map(|out| &out.routed.final_mapping),
+        program.epr_pairs,
+    )
+}
 
-    for (e, out) in program.elu_outputs.iter().enumerate() {
-        // Every scheduled operand must fit the ELU tape.
-        for (i, (g, _)) in out.program.gates().enumerate() {
+/// The scaled rule pack as a fold over each ELU's routed gates and
+/// scheduled ops, delivered as to a [`TiltVerifier`].
+///
+/// Findings come out per ELU — the comm-slot findings, then
+/// `scaled/measured-unreset`, then that ELU's TILT findings prefixed
+/// `elu N:` — and the EPR ledger last.
+#[derive(Debug)]
+pub struct ScaledVerifier {
+    capacity: usize,
+    elus: Vec<EluVerifier>,
+}
+
+/// One ELU's share of a [`ScaledVerifier`].
+#[derive(Debug)]
+struct EluVerifier {
+    tilt: TiltVerifier,
+    /// `scaled/comm-slot-budget` indexes gates, not moves.
+    gates_seen: usize,
+    routed_seen: usize,
+    /// Ions measured and not yet reset.
+    measured: Vec<bool>,
+    /// Measurements of comm ions, in logical coordinates.
+    comm_measures: usize,
+    comm_slot: Vec<Diagnostic>,
+    unreset: Vec<Diagnostic>,
+}
+
+impl ScaledVerifier {
+    /// A verifier for an array on `spec` whose ELUs start from
+    /// `initial_mappings`, in ELU order.
+    pub fn new(spec: &ScaleSpec, initial_mappings: impl IntoIterator<Item = Mapping>) -> Self {
+        let device = spec
+            .elu_device()
+            .expect("a ScaleSpec always describes a valid ELU device");
+        // Each ELU's artifacts must pass the tape rules against the
+        // spec's own router cap.
+        let cap = spec.router.max_swap_span(device);
+        ScaledVerifier {
+            capacity: spec.data_capacity(),
+            elus: initial_mappings
+                .into_iter()
+                .map(|initial| EluVerifier {
+                    tilt: TiltVerifier::new(device, cap, initial),
+                    gates_seen: 0,
+                    routed_seen: 0,
+                    measured: vec![false; spec.ions_per_elu()],
+                    comm_measures: 0,
+                    comm_slot: Vec::new(),
+                    unreset: Vec::new(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Ends every ELU's streams: checks each against its compile's
+    /// final mapping and the comm-ion measurements against the
+    /// `epr_pairs` recorded, and reports every finding.
+    pub fn finish<'a>(
+        self,
+        final_mappings: impl IntoIterator<Item = &'a Mapping>,
+        epr_pairs: usize,
+    ) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        let mut comm_measures = 0usize;
+        for (e, (elu, final_mapping)) in self.elus.into_iter().zip(final_mappings).enumerate() {
+            comm_measures += elu.comm_measures;
+            diags.extend(elu.comm_slot);
+            diags.extend(elu.unreset);
+            for mut d in elu.tilt.finish(final_mapping) {
+                d.message = format!("elu {e}: {}", d.message);
+                diags.push(d);
+            }
+        }
+        // Gate teleportation measures one comm ion in each endpoint ELU,
+        // so the comm-ion measurement count pins down the EPR ledger.
+        if comm_measures != 2 * epr_pairs {
+            diags.push(Diagnostic::error(
+                "scaled/comm-slot-budget",
+                0,
+                format!(
+                    "{comm_measures} comm-ion measurements across the array, but {epr_pairs} EPR \
+                     pairs were recorded (expected {})",
+                    2 * epr_pairs
+                ),
+            ));
+        }
+        diags
+    }
+}
+
+impl ScaledSink for ScaledVerifier {
+    /// `scaled/comm-slot-budget`: every scheduled operand must fit the
+    /// ELU tape.
+    fn emit(&mut self, e: usize, ops: &[TiltOp]) {
+        let capacity = self.capacity;
+        let elu = &mut self.elus[e];
+        for op in ops {
+            let TiltOp::Gate { gate: g, .. } = op else {
+                continue;
+            };
+            let i = elu.gates_seen;
+            elu.gates_seen += 1;
             for q in g.qubits() {
-                if q.index() >= ions_per_elu {
-                    diags.push(Diagnostic::error(
+                if q.index() >= capacity + COMM_SLOTS {
+                    elu.comm_slot.push(Diagnostic::error(
                         "scaled/comm-slot-budget",
                         i,
                         format!(
@@ -44,31 +160,38 @@ pub fn verify_scaled(program: &ScaledProgram) -> Vec<Diagnostic> {
                 }
             }
         }
+        elu.tilt.emit(ops);
+    }
 
-        // The PR 4 bug class: gate on a measured, unreset ion. The walk
-        // runs over the *routed* circuit — the scheduled stream
-        // decomposes swaps into native gates, which hides where the
-        // collapsed state travels.
-        let mut measured = vec![false; ions_per_elu];
-        for (i, g) in out.routed.circuit.iter().enumerate() {
+    /// `scaled/measured-unreset`, checked on the *routed* circuit: the
+    /// scheduled stream decomposes swaps into native gates, which hides
+    /// where the collapsed state travels. Also counts comm-ion
+    /// measurements for the EPR ledger.
+    fn routed(&mut self, e: usize, gates: &[Gate]) {
+        let capacity = self.capacity;
+        let elu = &mut self.elus[e];
+        let ions = elu.measured.len();
+        for g in gates {
+            let i = elu.routed_seen;
+            elu.routed_seen += 1;
             match g {
-                Gate::Measure(q) if q.index() < ions_per_elu => {
-                    measured[q.index()] = true;
+                Gate::Measure(q) if q.index() < ions => {
+                    elu.measured[q.index()] = true;
                 }
-                Gate::Reset(q) if q.index() < ions_per_elu => {
-                    measured[q.index()] = false;
+                Gate::Reset(q) if q.index() < ions => {
+                    elu.measured[q.index()] = false;
                 }
                 // A SWAP is unitary even on a collapsed ion: it relocates
                 // the dirty state rather than computing on it, so the
                 // taint travels with it.
-                Gate::Swap(a, b) if a.index() < ions_per_elu && b.index() < ions_per_elu => {
-                    measured.swap(a.index(), b.index());
+                Gate::Swap(a, b) if a.index() < ions && b.index() < ions => {
+                    elu.measured.swap(a.index(), b.index());
                 }
                 Gate::Barrier => {}
                 g => {
                     for q in g.qubits() {
-                        if q.index() < ions_per_elu && measured[q.index()] {
-                            diags.push(Diagnostic::error(
+                        if q.index() < ions && elu.measured[q.index()] {
+                            elu.unreset.push(Diagnostic::error(
                                 "scaled/measured-unreset",
                                 i,
                                 format!(
@@ -81,131 +204,18 @@ pub fn verify_scaled(program: &ScaledProgram) -> Vec<Diagnostic> {
                     }
                 }
             }
-        }
-
-        // Comm-ion measurements are counted in *logical* coordinates:
-        // routing may swap a comm ion away from its home position, so
-        // the physical measure target says nothing. Replay the routed
-        // circuit's mapping instead.
-        let mut m = out.routed.initial_mapping.clone();
-        for g in &out.routed.circuit {
-            match g {
-                Gate::Swap(a, b) if a.index() < m.len() && b.index() < m.len() => {
-                    m.swap_positions(a.index(), b.index());
-                }
-                Gate::Measure(q)
-                    if q.index() < m.len() && m.logical_at(q.index()).index() >= capacity =>
-                {
-                    comm_measures += 1;
-                }
-                _ => {}
-            }
-        }
-
-        // Each ELU is an ordinary TILT compilation; its artifacts must
-        // pass the tape rules against the spec's own router cap.
-        let cap = program.spec.router.max_swap_span(*out.program.spec());
-        for mut d in verify_tilt(out, cap) {
-            d.message = format!("elu {e}: {}", d.message);
-            diags.push(d);
-        }
-    }
-
-    // Gate teleportation measures one comm ion in each endpoint ELU, so
-    // the comm-ion measurement count pins down the EPR ledger.
-    if comm_measures != 2 * program.epr_pairs {
-        diags.push(Diagnostic::error(
-            "scaled/comm-slot-budget",
-            0,
-            format!(
-                "{} comm-ion measurements across the array, but {} EPR pairs were recorded \
-                 (expected {})",
-                comm_measures,
-                program.epr_pairs,
-                2 * program.epr_pairs
-            ),
-        ));
-    }
-    diags
-}
-
-/// Incremental evaluation of the window-applicable half of
-/// `scaled/comm-slot-budget` over a sharded streaming compile's
-/// per-ELU op increments.
-///
-/// The operand-fits-the-tape predicate is per-op, so it can run on
-/// each increment as a shard delivers it. The rule's other half (the
-/// EPR ledger balanced against comm-ion measurements) and the
-/// `scaled/measured-unreset` replay both need whole-array artifacts
-/// and stay in [`verify_scaled`].
-///
-/// Diagnostics carry the same indices the monolithic walk would
-/// assign: the per-ELU *gate* index (moves are not counted), tracked
-/// globally across pushes for each ELU.
-#[derive(Debug)]
-pub struct StreamScaledVerifier {
-    capacity: usize,
-    next_gate_index: Vec<usize>,
-    diags: Vec<Diagnostic>,
-}
-
-impl StreamScaledVerifier {
-    /// A verifier for a streaming compile over `n_elus` shards on a
-    /// spec with `capacity` data ions per ELU.
-    pub fn new(capacity: usize, n_elus: usize) -> StreamScaledVerifier {
-        StreamScaledVerifier {
-            capacity,
-            next_gate_index: vec![0; n_elus],
-            diags: Vec::new(),
-        }
-    }
-
-    /// Checks one ELU's op increment; that ELU's gate indices continue
-    /// from its prior pushes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elu` is outside the shard count given to
-    /// [`StreamScaledVerifier::new`].
-    pub fn push(&mut self, elu: usize, ops: &[tilt_compiler::TiltOp]) {
-        let ions_per_elu = self.capacity + COMM_SLOTS;
-        let capacity = self.capacity;
-        for op in ops {
-            let tilt_compiler::TiltOp::Gate { gate: g, .. } = op else {
-                continue;
-            };
-            let i = self.next_gate_index[elu];
-            self.next_gate_index[elu] += 1;
-            for q in g.qubits() {
-                if q.index() >= ions_per_elu {
-                    self.diags.push(Diagnostic::error(
-                        "scaled/comm-slot-budget",
-                        i,
-                        format!(
-                            "elu {elu}: {g} touches position {}, past the {capacity} data + \
-                             {COMM_SLOTS} comm ions",
-                            q.index()
-                        ),
-                    ));
+            // Comm-ion measurements are counted in *logical*
+            // coordinates: routing may swap a comm ion away from its
+            // home position, so the physical measure target says
+            // nothing. The TILT fold replays the routed swaps.
+            let m = elu.tilt.mapping();
+            if let Gate::Measure(q) = g {
+                if q.index() < m.len() && m.logical_at(q.index()).index() >= capacity {
+                    elu.comm_measures += 1;
                 }
             }
+            elu.tilt.routed(std::slice::from_ref(g));
         }
-    }
-
-    /// Total gates checked so far across every ELU.
-    pub fn gates_seen(&self) -> usize {
-        self.next_gate_index.iter().sum()
-    }
-
-    /// Findings accumulated so far (borrowed;
-    /// [`StreamScaledVerifier::finish`] consumes).
-    pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diags
-    }
-
-    /// Consumes the verifier, returning every finding.
-    pub fn finish(self) -> Vec<Diagnostic> {
-        self.diags
     }
 }
 
@@ -215,7 +225,7 @@ mod tests {
     use crate::program::compile_scaled;
     use crate::spec::ScaleSpec;
     use tilt_circuit::{Circuit, Qubit};
-    use tilt_compiler::{TiltOp, TiltProgram};
+    use tilt_compiler::TiltProgram;
 
     fn remote_heavy() -> ScaledProgram {
         let mut c = Circuit::new(16);
@@ -297,47 +307,5 @@ mod tests {
             diags.iter().any(|d| d.rule == "scaled/comm-slot-budget"),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn stream_verifier_matches_the_monolithic_walk_at_every_window_split() {
-        // Corrupt one ELU's op stream, then push each ELU's ops in
-        // window partitions: findings must match the monolithic per-op
-        // walk exactly, including the per-ELU *gate* indices (moves are
-        // not counted), at every split.
-        let mut p = remote_heavy();
-        let out = &mut p.elu_outputs[1];
-        let spec = *out.program.spec();
-        let mut ops = out.program.ops().to_vec();
-        ops.push(TiltOp::Gate {
-            gate: Gate::Rx(Qubit(spec.n_ions()), 0.5),
-            head_pos: 0,
-        });
-        out.program = TiltProgram::new_unchecked(spec, ops);
-        let capacity = p.spec.data_capacity();
-        let whole: Vec<Diagnostic> = verify_scaled(&p)
-            .into_iter()
-            .filter(|d| d.rule == "scaled/comm-slot-budget" && d.message.contains("elu 1"))
-            .collect();
-        assert!(!whole.is_empty());
-        for window in [1, 3, 16, usize::MAX] {
-            let mut sv = StreamScaledVerifier::new(capacity, p.elu_outputs.len());
-            for (e, out) in p.elu_outputs.iter().enumerate() {
-                for chunk in out
-                    .program
-                    .ops()
-                    .chunks(window.min(out.program.ops().len()))
-                {
-                    sv.push(e, chunk);
-                }
-            }
-            let total: usize = p
-                .elu_outputs
-                .iter()
-                .map(|o| o.program.gates().count())
-                .sum();
-            assert_eq!(sv.gates_seen(), total);
-            assert_eq!(sv.finish(), whole, "window {window}");
-        }
     }
 }

@@ -157,10 +157,10 @@
 //!
 //! `tilt lint --json` emits the diagnostics as a JSON array and the
 //! exit status is nonzero on any error-severity finding;
-//! `tilt lint --stream` verifies the window-applicable rules
-//! incrementally over the bounded-memory path (`--scaled` does the
-//! same per ELU shard on the modular backend). See
-//! `crates/compiler/README.md` for the per-backend rule taxonomy.
+//! `tilt lint --stream` runs every rule over the bounded-memory path
+//! and prints the same findings (`--scaled` lints the modular
+//! backend, either way). See `crates/compiler/README.md` for the
+//! per-backend rule taxonomy.
 //!
 //! The per-pass building blocks (`Compiler`, `estimate_success`,
 //! `compile_qccd`, `compile_scaled`, …) remain available for callers
