@@ -18,8 +18,7 @@
 //!   workloads through Algorithm 2.
 //! * `BENCH_engine.json` — circuits/sec pushing a batch of small
 //!   circuits through the `Engine` session API, batch/service mode
-//!   (per-worker scratch reuse + pool fan-out) vs one `run` call per
-//!   circuit.
+//!   (pool fan-out) vs one `run` call per circuit.
 //! * `BENCH_service.json` — requests/sec driving the same workload as
 //!   JSON-lines wire requests through the `tilt serve` core (a
 //!   self-driving client over in-memory buffers: QASM parse, protocol
@@ -336,8 +335,7 @@ fn main() {
     // --- Engine batch/service mode vs one run() per circuit --------------
     // Many small circuits is the service-mode case the ROADMAP targets:
     // per-circuit setup (transient compile buffers) dominates, so the
-    // batch path's per-worker scratch reuse plus pool fan-out should
-    // beat a loop of single runs.
+    // batch path's pool fan-out should beat a loop of single runs.
     let circuits = engine_workload();
     let n_circuits = circuits.len() as f64;
     let engine = Engine::tilt(DeviceSpec::new(16, 4).expect("valid device"));

@@ -66,36 +66,9 @@ pub fn parse_qasm(source: &str) -> Result<Circuit, ParseQasmError> {
     let mut gates: Vec<Gate> = Vec::new();
     let mut in_gate_def = false;
 
-    for (lineno, raw_line) in source.lines().enumerate() {
-        let lineno = lineno + 1;
-        // Strip line comments.
-        let line = match raw_line.find("//") {
-            Some(i) => &raw_line[..i],
-            None => raw_line,
-        };
-
-        // Skip custom gate-definition bodies (we know the semantics of the
-        // gates the emitter defines).
-        if in_gate_def {
-            if line.contains('}') {
-                in_gate_def = false;
-            }
-            continue;
-        }
-        let trimmed = line.trim();
-        if trimmed.starts_with("gate ") {
-            if !trimmed.contains('}') {
-                in_gate_def = true;
-            }
-            continue;
-        }
-
-        for stmt in line.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
-            }
-            parse_statement(stmt, lineno, &mut n_qubits, &mut gates)?;
+    for (lineno, line) in source.lines().enumerate() {
+        for stmt in statements(line, &mut in_gate_def) {
+            parse_statement(stmt, lineno + 1, &mut n_qubits, &mut gates)?;
         }
     }
 
@@ -105,6 +78,24 @@ pub fn parse_qasm(source: &str) -> Result<Circuit, ParseQasmError> {
         None => return err(1, "no qreg declaration found"),
     };
     Ok(Circuit::from_gates(n, gates))
+}
+
+/// The statements of one source line: line comment stripped, split on
+/// `;`. Custom gate-definition bodies are skipped (we know the semantics
+/// of the gates the emitter defines); `in_gate_def` carries an open body
+/// across lines.
+pub(super) fn statements<'l>(
+    line: &'l str,
+    in_gate_def: &mut bool,
+) -> impl Iterator<Item = &'l str> {
+    let line = line.find("//").map_or(line, |i| &line[..i]);
+    let skip = *in_gate_def || line.trim().starts_with("gate ");
+    if skip {
+        *in_gate_def = !line.contains('}');
+    }
+    line.split(';')
+        .map(str::trim)
+        .filter(move |stmt| !skip && !stmt.is_empty())
 }
 
 pub(super) fn parse_statement(

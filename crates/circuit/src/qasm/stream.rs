@@ -21,7 +21,7 @@
 //! # Ok::<(), tilt_circuit::qasm::QasmStreamError>(())
 //! ```
 
-use super::parse::{parse_statement, ParseQasmError};
+use super::parse::{parse_statement, statements, ParseQasmError};
 use crate::gate::Gate;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -138,31 +138,8 @@ impl<R: BufRead> QasmStream<R> {
         }
         self.lineno += 1;
 
-        // Mirror `parse_qasm`'s per-line handling exactly: strip line
-        // comments, skip custom gate-definition bodies, split on `;`.
-        let line = match self.line.find("//") {
-            Some(i) => &self.line[..i],
-            None => &self.line[..],
-        };
-        if self.in_gate_def {
-            if line.contains('}') {
-                self.in_gate_def = false;
-            }
-            return Ok(());
-        }
-        let trimmed = line.trim();
-        if trimmed.starts_with("gate ") {
-            if !trimmed.contains('}') {
-                self.in_gate_def = true;
-            }
-            return Ok(());
-        }
-
-        for stmt in line.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
-            }
+        // `parse_qasm`'s own per-line handling.
+        for stmt in statements(&self.line, &mut self.in_gate_def) {
             parse_statement(stmt, self.lineno, &mut self.n_qubits, &mut self.scratch)?;
             if !self.scratch.is_empty() && self.n_qubits.is_none() {
                 self.scratch.clear();

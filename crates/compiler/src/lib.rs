@@ -50,8 +50,6 @@ pub mod viz;
 pub use error::CompileError;
 pub use mapping::{InitialMapping, Mapping};
 pub use pipeline::streaming::{CollectSink, ProgramSink, StreamSummary, StreamingCompiler};
-#[allow(deprecated)]
-pub use pipeline::CompileScratch;
 pub use pipeline::{CompileOutput, CompileReport, Compiler};
 pub use program::{TiltOp, TiltProgram};
 pub use route::{RouteOutcome, RouterKind};

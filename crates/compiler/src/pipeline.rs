@@ -7,21 +7,21 @@
 //! wall-clock time of each pass (`t_swap`, `t_move` columns of Table III).
 //!
 //! There is one pass driver, [`StreamingCompiler`]. An in-memory compile
-//! feeds its circuit through it in fixed windows and collects the
+//! opens it over the whole circuit ([`StreamingCompiler::for_circuit`]),
+//! feeds the circuit through in fixed windows and collects the
 //! scheduled ops and the routed gates.
 
 pub mod streaming;
 
-use crate::decompose::decompose;
 use crate::error::CompileError;
 use crate::mapping::InitialMapping;
 use crate::program::TiltProgram;
 use crate::route::{RouteOutcome, RouterKind};
 use crate::schedule::SchedulerKind;
 use crate::spec::DeviceSpec;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use streaming::{CollectSink, StreamingCompiler};
-use tilt_circuit::{validate, Circuit};
+use tilt_circuit::Circuit;
 
 /// Input gates per window of an in-memory compile. Output does not
 /// depend on it; it bounds the per-window buffers.
@@ -68,19 +68,6 @@ pub struct CompileOutput {
     pub routed: RouteOutcome,
     /// Aggregate statistics.
     pub report: CompileReport,
-}
-
-/// Formerly per-worker compile state; the windowed pipeline needs none.
-#[deprecated(note = "holds nothing; call `Compiler::compile`")]
-#[derive(Clone, Debug, Default)]
-pub struct CompileScratch {}
-
-#[allow(deprecated)]
-impl CompileScratch {
-    /// An empty scratch.
-    pub fn new() -> Self {
-        CompileScratch {}
-    }
 }
 
 /// The LinQ compiler: a configurable three-pass pipeline.
@@ -150,60 +137,13 @@ impl Compiler {
     /// Fails when the circuit is structurally invalid, wider than the
     /// tape, or the router configuration is inconsistent with the device.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompileOutput, CompileError> {
-        validate(circuit)?;
-        self.spec.check_width(circuit.n_qubits())?;
-        let n_ions = self.spec.n_ions();
-        // `InteractionChain` weighs the whole native interaction graph
-        // before placing an ion: a pre-pass over the decomposed circuit.
-        // Its decompose counts toward `t_decompose`, choosing the mapping
-        // toward `t_swap`.
-        let t0 = Instant::now();
-        let (initial, t_pre_decompose) = match self.initial_mapping.build_streaming(n_ions) {
-            Some(initial) => (initial, Duration::ZERO),
-            None => {
-                let native = decompose(circuit);
-                let t_pre_decompose = t0.elapsed();
-                (self.initial_mapping.build(&native, n_ions), t_pre_decompose)
-            }
-        };
-        let t_mapping = t0.elapsed() - t_pre_decompose;
-        let mut session =
-            StreamingCompiler::with_initial(self, circuit.n_qubits(), COMPILE_WINDOW, initial)?;
-        let expected = circuit.len().saturating_mul(LOWERED_PER_INPUT);
-        session.reserve(expected);
-        let mut sink = CollectSink {
-            ops: Vec::with_capacity(expected),
-            routed: Vec::with_capacity(expected),
-        };
+        let mut session = StreamingCompiler::for_circuit(self, circuit)?;
+        let mut sink = CollectSink::for_input(circuit.len());
         for window in circuit.gates().chunks(COMPILE_WINDOW) {
             session.advance(window, false, &mut sink);
         }
         let summary = session.finish(&mut sink);
-        let mut report = summary.report;
-        report.t_decompose += t_pre_decompose;
-        report.t_swap += t_mapping;
-        Ok(CompileOutput {
-            program: TiltProgram::new(self.spec, sink.ops),
-            routed: RouteOutcome {
-                circuit: Circuit::from_gates(n_ions, sink.routed),
-                initial_mapping: summary.initial_mapping,
-                final_mapping: summary.final_mapping,
-                swap_count: report.swap_count,
-                opposing_swap_count: report.opposing_swap_count,
-            },
-            report,
-        })
-    }
-
-    /// [`Compiler::compile`]; the scratch is not read.
-    #[deprecated(note = "the scratch holds nothing; call `Compiler::compile`")]
-    #[allow(deprecated)]
-    pub fn compile_with_scratch(
-        &self,
-        circuit: &Circuit,
-        _scratch: &mut CompileScratch,
-    ) -> Result<CompileOutput, CompileError> {
-        self.compile(circuit)
+        Ok(sink.into_output(self.spec, summary))
     }
 }
 

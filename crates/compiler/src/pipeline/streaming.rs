@@ -25,22 +25,24 @@
 //! known: the scheduler ingests up to its eligibility horizon before
 //! committing any round instead of scheduling each window in isolation.
 //! [`InitialMapping::InteractionChain`] weighs the whole interaction
-//! graph before placing the first ion, so a true stream rejects it; an
-//! in-memory compile runs it as a pre-pass and then streams.
+//! graph before placing the first ion, so a true stream rejects it; a
+//! session opened over a whole circuit
+//! ([`StreamingCompiler::for_circuit`]) runs it as a pre-pass and then
+//! streams.
 //!
 //! [`InitialMapping::InteractionChain`]: crate::InitialMapping::InteractionChain
 
-use super::{CompileReport, Compiler};
-use crate::decompose::decompose_gate;
+use super::{CompileOutput, CompileReport, Compiler, COMPILE_WINDOW, LOWERED_PER_INPUT};
+use crate::decompose::{decompose, decompose_gate};
 use crate::error::CompileError;
 use crate::mapping::Mapping;
-use crate::program::{OpTally, TiltOp};
-use crate::route::opposing_ratio;
+use crate::program::{OpTally, TiltOp, TiltProgram};
 use crate::route::streaming::StreamRouter;
+use crate::route::{opposing_ratio, RouteOutcome};
 use crate::schedule::{StreamScheduler, DEFAULT_HORIZON};
 use crate::spec::DeviceSpec;
 use std::time::{Duration, Instant};
-use tilt_circuit::{validate_gate, Circuit, Gate};
+use tilt_circuit::{validate, validate_gate, Circuit, Gate};
 
 /// Receives scheduled program increments from the streaming pipeline.
 ///
@@ -74,6 +76,34 @@ pub struct CollectSink {
     pub ops: Vec<TiltOp>,
     /// All routed gates so far, in program order.
     pub routed: Vec<Gate>,
+}
+
+impl CollectSink {
+    /// A sink with room for the output of about `gates` input gates.
+    pub fn for_input(gates: usize) -> Self {
+        let expected = gates.saturating_mul(LOWERED_PER_INPUT);
+        CollectSink {
+            ops: Vec::with_capacity(expected),
+            routed: Vec::with_capacity(expected),
+        }
+    }
+
+    /// The in-memory compile output on `spec` of the session that fed
+    /// this sink and ended with `summary`.
+    pub fn into_output(self, spec: DeviceSpec, summary: StreamSummary) -> CompileOutput {
+        let report = summary.report;
+        CompileOutput {
+            program: TiltProgram::new(spec, self.ops),
+            routed: RouteOutcome {
+                circuit: Circuit::from_gates(spec.n_ions(), self.routed),
+                initial_mapping: summary.initial_mapping,
+                final_mapping: summary.final_mapping,
+                swap_count: report.swap_count,
+                opposing_swap_count: report.opposing_swap_count,
+            },
+            report,
+        }
+    }
 }
 
 impl ProgramSink for CollectSink {
@@ -165,9 +195,42 @@ impl StreamingCompiler {
         Self::with_initial(compiler, n_qubits, window, initial)
     }
 
+    /// A session over the whole of `circuit`, to be fed its gates:
+    /// validates it, sizes the scheduler for it, and places ions by a
+    /// pre-pass when the initial mapping needs the whole circuit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Compiler::compile`].
+    pub fn for_circuit(compiler: &Compiler, circuit: &Circuit) -> Result<Self, CompileError> {
+        validate(circuit)?;
+        compiler.spec.check_width(circuit.n_qubits())?;
+        let n_ions = compiler.spec.n_ions();
+        let t0 = Instant::now();
+        let (initial, t_decompose) = match compiler.initial_mapping.build_streaming(n_ions) {
+            Some(initial) => (initial, Duration::ZERO),
+            None => {
+                let native = decompose(circuit);
+                let t_decompose = t0.elapsed();
+                (compiler.initial_mapping.build(&native, n_ions), t_decompose)
+            }
+        };
+        // The pre-pass decompose counts toward `t_decompose`, placement
+        // toward `t_swap`.
+        let t_swap = t0.elapsed() - t_decompose;
+        let mut session =
+            Self::with_initial(compiler, circuit.n_qubits(), COMPILE_WINDOW, initial)?;
+        // Beyond its horizon the scheduler retires gates as it goes.
+        let expected = circuit.len().saturating_mul(LOWERED_PER_INPUT);
+        session.scheduler.reserve(expected.min(2 * DEFAULT_HORIZON));
+        session.t_decompose = t_decompose;
+        session.t_swap = t_swap;
+        Ok(session)
+    }
+
     /// [`StreamingCompiler::new`] from an already-built starting
     /// permutation.
-    pub(crate) fn with_initial(
+    fn with_initial(
         compiler: &Compiler,
         n_qubits: usize,
         window: usize,
@@ -200,13 +263,6 @@ impl StreamingCompiler {
     /// The starting permutation the router places ions with.
     pub fn initial_mapping(&self) -> &Mapping {
         &self.initial_mapping
-    }
-
-    /// Sizes the scheduler's per-gate state for about `expected` lowered
-    /// gates.
-    pub(crate) fn reserve(&mut self, expected: usize) {
-        // Beyond its horizon the scheduler retires gates as it goes.
-        self.scheduler.reserve(expected.min(2 * DEFAULT_HORIZON));
     }
 
     /// Ingests the next program gate; advances the pipeline and flushes

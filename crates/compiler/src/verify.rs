@@ -50,6 +50,7 @@ use crate::program::TiltOp;
 use crate::spec::DeviceSpec;
 use std::collections::VecDeque;
 use tilt_circuit::{Circuit, Gate};
+use tilt_hash::Fingerprint;
 
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,9 +130,9 @@ pub fn verify_tilt(out: &CompileOutput, max_swap_len: usize) -> Vec<Diagnostic> 
 ///
 /// Routed gates must arrive before the ops scheduled from them, as the
 /// pass driver sends them; any such chunking yields the same findings,
-/// with global indices. Memory is the mapping plus, per ion, the
-/// lowered routed gates not yet scheduled, which the scheduler horizon
-/// bounds.
+/// with global indices. Memory is the mapping plus, per ion, a key of
+/// each lowered routed gate not yet scheduled, which the scheduler
+/// horizon bounds.
 #[derive(Debug)]
 pub struct TiltVerifier {
     spec: DeviceSpec,
@@ -143,10 +144,11 @@ pub struct TiltVerifier {
     head_span: Vec<Diagnostic>,
     swap_chain: Vec<Diagnostic>,
     bijection: Vec<Diagnostic>,
-    /// `tilt/schedule-order` per ion: the lowered routed gates no op has
-    /// executed yet, or `None` after a finding on the ion (every later
-    /// gate on it is out of step, which would only repeat the finding).
-    expected: Vec<Option<VecDeque<Gate>>>,
+    /// `tilt/schedule-order` per ion: the [`order_key`]s of the lowered
+    /// routed gates no op has executed yet, or `None` after a finding on
+    /// the ion (every later gate on it is out of step, which would only
+    /// repeat the finding).
+    expected: Vec<Option<VecDeque<u64>>>,
     order: Vec<Diagnostic>,
     /// Swap-lowering scratch.
     lowered: Circuit,
@@ -221,44 +223,41 @@ impl ProgramSink for TiltVerifier {
         for op in ops {
             let i = self.ops_seen;
             self.ops_seen += 1;
+            let mut head_span = |message: String| {
+                self.head_span
+                    .push(Diagnostic::error("tilt/head-span", i, message));
+            };
             let (gate, head_pos) = match *op {
                 TiltOp::Gate { gate, head_pos } => (gate, head_pos),
                 TiltOp::Move { to } => {
                     if to > max_head {
-                        self.head_span.push(Diagnostic::error(
-                            "tilt/head-span",
-                            i,
-                            format!(
-                                "move targets head position {to}, past the last valid {max_head}"
-                            ),
+                        head_span(format!(
+                            "move targets head position {to}, past the last valid {max_head}"
                         ));
                     }
                     continue;
                 }
             };
             if head_pos > max_head {
-                self.head_span.push(Diagnostic::error(
-                    "tilt/head-span",
-                    i,
-                    format!("{gate} recorded at head {head_pos}, past the last valid {max_head}"),
+                head_span(format!(
+                    "{gate} recorded at head {head_pos}, past the last valid {max_head}"
                 ));
             }
+            let key = order_key(&gate);
             for q in gate.qubits() {
                 let qi = q.index();
                 if qi >= n || !self.spec.covers(head_pos, qi) {
-                    self.head_span.push(Diagnostic::error(
-                        "tilt/head-span",
-                        i,
-                        format!("{gate} at head {head_pos} leaves position {qi} outside the {head}-wide head"),
+                    head_span(format!(
+                        "{gate} at head {head_pos} leaves position {qi} outside the {head}-wide head"
                     ));
                 }
                 let Some(Some(queue)) = self.expected.get_mut(qi) else {
                     continue;
                 };
                 let message = match queue.pop_front() {
-                    Some(want) if want == gate => continue,
-                    Some(want) => {
-                        format!("position {qi} executes {gate} but its next dependency is {want}")
+                    Some(want) if want == key => continue,
+                    Some(_) => {
+                        format!("position {qi} executes {gate} out of its routed gate order")
                     }
                     None => {
                         format!("position {qi} executes {gate} beyond its routed gate sequence")
@@ -306,14 +305,23 @@ impl ProgramSink for TiltVerifier {
             self.lowered.reset(n);
             decompose_gate(&mut self.lowered, g);
             for lg in self.lowered.gates() {
+                let key = order_key(lg);
                 for q in lg.qubits() {
                     if let Some(Some(queue)) = self.expected.get_mut(q.index()) {
-                        queue.push_back(*lg);
+                        queue.push_back(key);
                     }
                 }
             }
         }
     }
+}
+
+/// A gate's identity for `tilt/schedule-order`: its 128-bit fingerprint
+/// folded to 64 bits, a quarter of the gate's size, since the queues
+/// hold every routed gate the scheduler has not yet executed.
+fn order_key(g: &Gate) -> u64 {
+    let d = g.fingerprint().0;
+    (d ^ (d >> 64)) as u64
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! one circuit or a thousand through them:
 //!
 //! * [`Engine::run`] — compile and estimate a single circuit, returning
-//!   the unified [`RunReport`].
+//!   the unified [`RunReport`]. It runs the backend's one pass, which
+//!   [`Engine::run_streaming`] runs over a gate stream (see [`stream`]).
 //! * [`Engine::run_batch`] — many circuits through one session,
 //!   fanned out over the work-stealing pool (the ROADMAP's "service
 //!   mode").
@@ -66,17 +67,13 @@ pub use verify::VerifyLevel;
 
 use cache::CacheEntry;
 use std::sync::Arc;
-use std::time::Instant;
-use tilt_circuit::{validate, Circuit};
-use tilt_compiler::decompose::decompose;
+use stream::{Out, Run};
+use tilt_circuit::Circuit;
 use tilt_compiler::{Compiler, DeviceSpec, InitialMapping, RouterKind, SchedulerKind};
 use tilt_hash::{Digest, Fingerprint, Hasher};
-use tilt_qccd::{compile_qccd, estimate_qccd_success, QccdError, QccdParams, QccdSpec};
-use tilt_scale::{compile_scaled, estimate_scaled, ScaleSpec};
-use tilt_sim::{
-    estimate_success_with_cooling, execution_time_us, CoolingPolicy, ExecTimeModel, GateTimeModel,
-    NoiseModel,
-};
+use tilt_qccd::{QccdParams, QccdSpec};
+use tilt_scale::ScaleSpec;
+use tilt_sim::{CoolingPolicy, ExecTimeModel, GateTimeModel, NoiseModel};
 
 /// The target architecture of a session.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,7 +101,7 @@ impl Backend {
 ///
 /// Every knob defaults to the paper's configuration: LinQ routing with
 /// greedy scheduling, the Eq. 3/4/5 models, no sympathetic cooling.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineBuilder {
     backend: Option<Backend>,
     noise: NoiseModel,
@@ -129,26 +126,6 @@ pub struct EngineBuilder {
     sim_seed: u64,
     /// Post-compile static verification (off by default).
     verify: VerifyLevel,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder {
-            backend: None,
-            noise: NoiseModel::default(),
-            gate_times: GateTimeModel::default(),
-            exec_time: ExecTimeModel::default(),
-            cooling: CoolingPolicy::never(),
-            qccd_params: QccdParams::default(),
-            router: None,
-            scheduler: None,
-            initial_mapping: None,
-            cache: None,
-            sim_method: None,
-            sim_seed: 0,
-            verify: VerifyLevel::Off,
-        }
-    }
 }
 
 impl EngineBuilder {
@@ -300,19 +277,7 @@ impl EngineBuilder {
         };
         // The config half of the compile-cache key, computed once from
         // the *resolved* configuration (post-overlay, post-default).
-        let config_fp = config_fingerprint(
-            &backend,
-            self.router.unwrap_or_default(),
-            self.scheduler.unwrap_or_default(),
-            self.initial_mapping.unwrap_or_default(),
-            &self.noise,
-            &self.gate_times,
-            &self.exec_time,
-            &self.cooling,
-            &self.qccd_params,
-            self.sim_method.map(|m| (m, self.sim_seed)),
-            self.verify,
-        );
+        let config_fp = self.config_fingerprint(&backend);
         Ok(Engine {
             backend,
             compiler,
@@ -328,72 +293,61 @@ impl EngineBuilder {
             config_fp,
         })
     }
-}
 
-/// Fingerprints exactly the configuration surface each backend's
-/// compile + estimate path consults. Distinct backends write distinct
-/// leading tags, so a TILT session and a QCCD session never share keys
-/// even on improbable hash agreement of their specs.
-#[allow(clippy::too_many_arguments)]
-fn config_fingerprint(
-    backend: &Backend,
-    router: RouterKind,
-    scheduler: SchedulerKind,
-    initial_mapping: InitialMapping,
-    noise: &NoiseModel,
-    gate_times: &GateTimeModel,
-    exec_time: &ExecTimeModel,
-    cooling: &CoolingPolicy,
-    qccd_params: &QccdParams,
-    sim: Option<(SimMethod, u64)>,
-    verify: VerifyLevel,
-) -> Digest {
-    let mut h = Hasher::new();
-    match backend {
-        Backend::Tilt(spec) => {
-            h.write_str("tilt");
-            spec.fingerprint_into(&mut h);
-            router.fingerprint_into(&mut h);
-            scheduler.fingerprint_into(&mut h);
-            initial_mapping.fingerprint_into(&mut h);
-            noise.fingerprint_into(&mut h);
-            gate_times.fingerprint_into(&mut h);
-            exec_time.fingerprint_into(&mut h);
-            cooling.fingerprint_into(&mut h);
+    /// Fingerprints exactly the configuration surface each backend's
+    /// compile + estimate path consults. Distinct backends write
+    /// distinct leading tags, so a TILT session and a QCCD session never
+    /// share keys even on improbable hash agreement of their specs.
+    fn config_fingerprint(&self, backend: &Backend) -> Digest {
+        let mut h = Hasher::new();
+        match backend {
+            Backend::Tilt(spec) => {
+                h.write_str("tilt");
+                spec.fingerprint_into(&mut h);
+                self.router.unwrap_or_default().fingerprint_into(&mut h);
+                self.scheduler.unwrap_or_default().fingerprint_into(&mut h);
+                self.initial_mapping
+                    .unwrap_or_default()
+                    .fingerprint_into(&mut h);
+                self.noise.fingerprint_into(&mut h);
+                self.gate_times.fingerprint_into(&mut h);
+                self.exec_time.fingerprint_into(&mut h);
+                self.cooling.fingerprint_into(&mut h);
+            }
+            Backend::Qccd(spec) => {
+                h.write_str("qccd");
+                spec.fingerprint_into(&mut h);
+                self.qccd_params.fingerprint_into(&mut h);
+                self.noise.fingerprint_into(&mut h);
+                self.gate_times.fingerprint_into(&mut h);
+            }
+            // The scaled spec already carries its per-ELU policies (the
+            // builder overlay ran before this), its geometry, and the
+            // photonic-link model.
+            Backend::Scaled(spec) => {
+                h.write_str("scaled");
+                spec.fingerprint_into(&mut h);
+                self.noise.fingerprint_into(&mut h);
+                self.gate_times.fingerprint_into(&mut h);
+            }
         }
-        Backend::Qccd(spec) => {
-            h.write_str("qccd");
-            spec.fingerprint_into(&mut h);
-            qccd_params.fingerprint_into(&mut h);
-            noise.fingerprint_into(&mut h);
-            gate_times.fingerprint_into(&mut h);
+        // Simulation outcomes live inside the cached report, so the method
+        // and seed must split the key space; sessions without simulation
+        // write nothing and keep their pre-simulation fingerprints.
+        if let Some(method) = self.sim_method {
+            h.write_str("sim");
+            h.write_tag(method.tag());
+            h.write_u64(self.sim_seed);
         }
-        // The scaled spec already carries its per-ELU policies (the
-        // builder overlay ran before this), its geometry, and the
-        // photonic-link model.
-        Backend::Scaled(spec) => {
-            h.write_str("scaled");
-            spec.fingerprint_into(&mut h);
-            noise.fingerprint_into(&mut h);
-            gate_times.fingerprint_into(&mut h);
+        // Diagnostics ride inside the cached report, so the level must
+        // split the key space; `Off` sessions write nothing and keep their
+        // pre-verifier fingerprints.
+        if self.verify != VerifyLevel::Off {
+            h.write_str("verify");
+            h.write_tag(self.verify.tag());
         }
+        h.digest()
     }
-    // Simulation outcomes live inside the cached report, so the method
-    // and seed must split the key space; sessions without simulation
-    // write nothing and keep their pre-simulation fingerprints.
-    if let Some((method, seed)) = sim {
-        h.write_str("sim");
-        h.write_tag(method.tag());
-        h.write_u64(seed);
-    }
-    // Diagnostics ride inside the cached report, so the level must
-    // split the key space; `Off` sessions write nothing and keep their
-    // pre-verifier fingerprints.
-    if verify != VerifyLevel::Off {
-        h.write_str("verify");
-        h.write_tag(verify.tag());
-    }
-    h.digest()
 }
 
 /// A compile→simulate session bound to one backend and one set of
@@ -528,110 +482,38 @@ impl Engine {
     }
 
     /// The uncached compile→estimate path (also the upgrade path for
-    /// entries restored from a snapshot, which carry only wire data).
+    /// entries restored from a snapshot, which carry only wire data):
+    /// the backend's pass into a collecting sink.
     fn run_uncached(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
-        #[cfg(any(test, feature = "faults"))]
-        crate::faults::before_compile(circuit.n_qubits());
-        let mut report = match &self.backend {
-            Backend::Tilt(_) => self.run_tilt(circuit),
-            Backend::Qccd(spec) => self.run_qccd(circuit, *spec),
-            Backend::Scaled(spec) => self.run_scaled(circuit, *spec),
-        }?;
+        let run = Run {
+            n_qubits: circuit.n_qubits(),
+            whole: Some(circuit),
+            gates: &mut std::iter::empty(),
+            // QCCD windows (the tape backends window a whole circuit
+            // themselves); small enough to stay in cache.
+            window: 1024,
+        };
+        let mut collect = Out::Collect {
+            shards: Vec::new(),
+            qccd: Vec::new(),
+        };
+        let (out, detail) = self.pass(run, &mut collect)?;
         // Simulation runs on the *logical* input circuit (what the user
         // wrote), not the routed native program — outcomes are
         // architecture-independent by construction.
-        if let Some((method, seed)) = self.sim {
-            report.sim = Some(sim::simulate(circuit, method, seed)?);
-        }
-        if self.verify != VerifyLevel::Off {
-            report.diagnostics = verify::enforce(self.verify, verify::check(&report, self.router))?;
-        }
-        Ok(report)
-    }
-
-    fn run_tilt(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
-        let compiler = self
-            .compiler
-            .as_ref()
-            .expect("Tilt backend always carries a compiler");
-        let output = compiler.compile(circuit)?;
-        let success = estimate_success_with_cooling(
-            &output.program,
-            &self.noise,
-            &self.gate_times,
-            &self.cooling,
-        );
-        let exec_time_us = execution_time_us(&output.program, &self.gate_times, &self.exec_time)
-            + success.cooling_time_us;
-        Ok(RunReport {
-            backend: BackendKind::Tilt,
-            compile: CompileStats::tilt(&output.report),
-            ln_success: success.report.ln_success,
-            success: success.report.success,
-            exec_time_us,
-            sim: None,
-            diagnostics: Vec::new(),
-            detail: RunDetail::Tilt { output, success },
-        })
-    }
-
-    fn run_qccd(&self, circuit: &Circuit, spec: QccdSpec) -> Result<RunReport, TiltError> {
-        // Validate the program gates: the decomposition below would
-        // otherwise carry a bad operand or angle into the router.
-        validate(circuit).map_err(QccdError::InvalidCircuit)?;
-        // Lower to the native set first so gate counts are comparable
-        // with the TILT backend (the Fig. 8 methodology).
-        let t0 = Instant::now();
-        let native = decompose(circuit);
-        let t_decompose = t0.elapsed();
-        let t1 = Instant::now();
-        let program = compile_qccd(&native, &spec)?;
-        let t_swap = t1.elapsed();
-        let report =
-            estimate_qccd_success(&program, &self.noise, &self.gate_times, &self.qccd_params);
-        let compile = CompileStats {
-            swap_count: 0,
-            opposing_swap_count: 0,
-            move_count: report.transports,
-            move_distance: report.shuttle_segments,
-            native_gate_count: report.two_qubit_gates
-                + report.single_qubit_gates
-                + report.measurements,
-            native_two_qubit_count: report.two_qubit_gates,
-            epr_pairs: 0,
-            t_decompose,
-            t_swap,
-            t_move: std::time::Duration::ZERO,
+        let sim = match self.sim {
+            Some((method, seed)) => Some(sim::simulate(circuit, method, seed)?),
+            None => None,
         };
         Ok(RunReport {
-            backend: BackendKind::Qccd,
-            compile,
-            ln_success: report.ln_success,
-            success: report.success,
-            exec_time_us: report.exec_time_us,
-            sim: None,
-            diagnostics: Vec::new(),
-            detail: RunDetail::Qccd { program, report },
-        })
-    }
-
-    fn run_scaled(&self, circuit: &Circuit, spec: ScaleSpec) -> Result<RunReport, TiltError> {
-        let program = compile_scaled(circuit, &spec)?;
-        let report = estimate_scaled(&program, &self.noise, &self.gate_times);
-        let compile = CompileStats::scaled(
-            &report,
-            program.epr_pairs,
-            program.elu_outputs.iter().map(|out| &out.report),
-        );
-        Ok(RunReport {
-            backend: BackendKind::Scaled,
-            compile,
-            ln_success: report.ln_success,
-            success: report.success,
-            exec_time_us: report.exec_time_us,
-            sim: None,
-            diagnostics: Vec::new(),
-            detail: RunDetail::Scaled { program, report },
+            backend: out.backend,
+            compile: out.compile,
+            ln_success: out.ln_success,
+            success: out.success,
+            exec_time_us: out.exec_time_us,
+            sim,
+            diagnostics: out.diagnostics,
+            detail: detail.expect("a collecting sink rebuilds the detail"),
         })
     }
 }

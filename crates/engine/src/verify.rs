@@ -6,10 +6,9 @@
 //! routes that actually connect, comm ions reset between
 //! teleportations. The rule packs themselves live next to the compilers
 //! they audit ([`tilt_compiler::verify`], `tilt_qccd::verify`,
-//! [`tilt_scale::verify`]); the TILT and ELU-array packs are folds that
-//! a streamed run puts in its sink, so it reports what `run` reports.
-//! This module selects the pack for the session's backend and decides
-//! what a finding *means*:
+//! [`tilt_scale::verify`]). Each pack is a fold that the backend's pass
+//! feeds as it compiles, so a streamed run reports what `run` reports.
+//! This module decides what a finding *means*:
 //!
 //! * [`VerifyLevel::Off`] (default) — no checking; report shapes stay
 //!   bit-identical to pre-verifier sessions.
@@ -23,9 +22,7 @@
 //! `Off`), so cached reports carry the diagnostics their key promised.
 
 use crate::error::TiltError;
-use crate::report::{RunDetail, RunReport};
-use tilt_compiler::verify::{verify_tilt, Diagnostic, Severity};
-use tilt_compiler::RouterKind;
+use tilt_compiler::verify::{Diagnostic, Severity};
 
 /// How much the session cares about verifier findings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -70,26 +67,14 @@ impl std::fmt::Display for VerifyLevel {
     }
 }
 
-/// Runs the backend-appropriate rule pack over a finished run's
-/// artifacts. `router` is the session's resolved routing policy — it
-/// bounds the swap-chain rule on the TILT backend (the scaled pack
-/// reads the cap off its own spec).
-pub(crate) fn check(report: &RunReport, router: RouterKind) -> Vec<Diagnostic> {
-    match &report.detail {
-        RunDetail::Tilt { output, .. } => {
-            verify_tilt(output, router.max_swap_span(*output.program.spec()))
-        }
-        RunDetail::Qccd { program, .. } => tilt_qccd::verify::verify_qccd(program),
-        RunDetail::Scaled { program, .. } => tilt_scale::verify_scaled(program),
-    }
-}
-
-/// Applies the session's `level` to a run's findings: under
-/// [`VerifyLevel::Strict`] any error-severity finding fails the run.
+/// Applies the session's `level` to a run's findings, `None` when the
+/// session does not verify: under [`VerifyLevel::Strict`] any
+/// error-severity finding fails the run.
 pub(crate) fn enforce(
     level: VerifyLevel,
-    diags: Vec<Diagnostic>,
+    found: Option<Vec<Diagnostic>>,
 ) -> Result<Vec<Diagnostic>, TiltError> {
+    let diags = found.unwrap_or_default();
     if level == VerifyLevel::Strict {
         if let Some(first) = diags.iter().find(|d| d.severity == Severity::Error) {
             return Err(TiltError::Verify {

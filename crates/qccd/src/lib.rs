@@ -51,6 +51,6 @@ pub mod verify;
 pub use error::QccdError;
 pub use params::QccdParams;
 pub use program::{QccdOp, QccdProgram};
-pub use router::compile_qccd;
-pub use sim::{estimate_qccd_success, QccdReport};
+pub use router::{compile_qccd, QccdRouter};
+pub use sim::{estimate_qccd_success, QccdEstimator, QccdReport};
 pub use spec::QccdSpec;

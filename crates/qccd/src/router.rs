@@ -12,18 +12,38 @@ use crate::program::{QccdOp, QccdProgram};
 use crate::spec::QccdSpec;
 use tilt_circuit::{Circuit, Gate, ValidateCircuitError};
 
-/// Mutable trap-array state during routing.
-struct TrapArray {
+/// The greedy router as a fold over the trap array, one gate at a time;
+/// [`compile_qccd`] drives it over a whole circuit.
+pub struct QccdRouter {
     spec: QccdSpec,
     /// Chain contents per trap, in physical order (logical qubit ids).
     chains: Vec<Vec<usize>>,
     /// logical qubit → (trap, index in chain).
     loc: Vec<(usize, usize)>,
+    /// Primitives routed since the last drain.
     ops: Vec<QccdOp>,
+    gates_seen: usize,
 }
 
-impl TrapArray {
-    fn new(spec: QccdSpec, n_qubits: usize) -> Self {
+impl QccdRouter {
+    /// A router for an `n_qubits`-wide register, placed contiguously
+    /// across `spec`'s traps.
+    ///
+    /// # Errors
+    ///
+    /// [`QccdError::CircuitTooWide`], as [`compile_qccd`].
+    pub fn new(spec: &QccdSpec, n_qubits: usize) -> Result<Self, QccdError> {
+        if n_qubits > spec.usable_slots() {
+            return Err(QccdError::CircuitTooWide {
+                circuit_qubits: n_qubits,
+                usable_slots: spec.usable_slots(),
+            });
+        }
+        Ok(QccdRouter::place(*spec, n_qubits))
+    }
+
+    /// Places `n_qubits` contiguously, without the headroom check.
+    fn place(spec: QccdSpec, n_qubits: usize) -> Self {
         let traps = spec.n_traps();
         let base = n_qubits / traps;
         let extra = n_qubits % traps;
@@ -39,11 +59,12 @@ impl TrapArray {
             next += fill;
             chains.push(chain);
         }
-        TrapArray {
+        QccdRouter {
             spec,
             chains,
             loc,
             ops: Vec::new(),
+            gates_seen: 0,
         }
     }
 
@@ -146,6 +167,70 @@ impl TrapArray {
         // Recursion bounded by `depth` guard in `transport`.
         self.transport(victim, evict_to, depth);
     }
+
+    /// Routes the next gate, queueing its primitives.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile_qccd`], with the gate's index in the routed stream.
+    pub fn route(&mut self, g: &Gate) -> Result<(), QccdError> {
+        let (gate_index, n_qubits) = (self.gates_seen, self.loc.len());
+        self.gates_seen += 1;
+        let qs = g.operands();
+        if let Some(q) = qs.iter().find(|q| q.index() >= n_qubits) {
+            return Err(QccdError::InvalidCircuit(
+                ValidateCircuitError::QubitOutOfRange {
+                    gate_index,
+                    qubit: q.index(),
+                    n_qubits,
+                },
+            ));
+        }
+        match g {
+            Gate::Barrier => {}
+            Gate::Measure(q) | Gate::Reset(q) => {
+                let (trap, _) = self.loc[q.index()];
+                self.ops.push(QccdOp::Measure { trap });
+            }
+            _ if qs.len() == 2 => {
+                let (a, b) = (qs[0].index(), qs[1].index());
+                let (ta, _) = self.loc[a];
+                let (tb, _) = self.loc[b];
+                if ta != tb {
+                    // Move the endpoint from the more crowded trap, which
+                    // balances occupancy; ties move `a`.
+                    let (mover, target) = if self.chains[ta].len() >= self.chains[tb].len() {
+                        (a, tb)
+                    } else {
+                        (b, ta)
+                    };
+                    self.transport(mover, target, 0);
+                }
+                let (trap, ia) = self.loc[a];
+                let (_, ib) = self.loc[b];
+                self.ops.push(QccdOp::TwoQubitGate {
+                    trap,
+                    distance: ia.abs_diff(ib),
+                });
+            }
+            _ if qs.len() == 1 => {
+                let (trap, _) = self.loc[qs[0].index()];
+                self.ops.push(QccdOp::SingleQubitGate { trap });
+            }
+            _ => {
+                return Err(QccdError::UnsupportedGate {
+                    gate_index,
+                    arity: qs.len(),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes the primitives routed since the last drain.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, QccdOp> {
+        self.ops.drain(..)
+    }
 }
 
 /// Routes `circuit` onto the QCCD array described by `spec`, producing the
@@ -163,66 +248,11 @@ impl TrapArray {
 /// for an operand outside the register, and
 /// [`QccdError::UnsupportedGate`] for a gate on three or more qubits.
 pub fn compile_qccd(circuit: &Circuit, spec: &QccdSpec) -> Result<QccdProgram, QccdError> {
-    let n_qubits = circuit.n_qubits();
-    if n_qubits > spec.usable_slots() {
-        return Err(QccdError::CircuitTooWide {
-            circuit_qubits: n_qubits,
-            usable_slots: spec.usable_slots(),
-        });
+    let mut router = QccdRouter::new(spec, circuit.n_qubits())?;
+    for g in circuit {
+        router.route(g)?;
     }
-
-    let mut array = TrapArray::new(*spec, n_qubits);
-    for (gate_index, g) in circuit.iter().enumerate() {
-        let qs = g.operands();
-        if let Some(q) = qs.iter().find(|q| q.index() >= n_qubits) {
-            return Err(QccdError::InvalidCircuit(
-                ValidateCircuitError::QubitOutOfRange {
-                    gate_index,
-                    qubit: q.index(),
-                    n_qubits,
-                },
-            ));
-        }
-        match g {
-            Gate::Barrier => {}
-            Gate::Measure(q) | Gate::Reset(q) => {
-                let (trap, _) = array.loc[q.index()];
-                array.ops.push(QccdOp::Measure { trap });
-            }
-            _ if qs.len() == 2 => {
-                let (a, b) = (qs[0].index(), qs[1].index());
-                let (ta, _) = array.loc[a];
-                let (tb, _) = array.loc[b];
-                if ta != tb {
-                    // Move the endpoint from the more crowded trap, which
-                    // balances occupancy; ties move `a`.
-                    let (mover, target) = if array.chains[ta].len() >= array.chains[tb].len() {
-                        (a, tb)
-                    } else {
-                        (b, ta)
-                    };
-                    array.transport(mover, target, 0);
-                }
-                let (trap, ia) = array.loc[a];
-                let (_, ib) = array.loc[b];
-                array.ops.push(QccdOp::TwoQubitGate {
-                    trap,
-                    distance: ia.abs_diff(ib),
-                });
-            }
-            _ if qs.len() == 1 => {
-                let (trap, _) = array.loc[qs[0].index()];
-                array.ops.push(QccdOp::SingleQubitGate { trap });
-            }
-            _ => {
-                return Err(QccdError::UnsupportedGate {
-                    gate_index,
-                    arity: qs.len(),
-                })
-            }
-        }
-    }
-    Ok(QccdProgram::new(*spec, array.ops))
+    Ok(QccdProgram::new(*spec, router.ops))
 }
 
 #[cfg(test)]
@@ -300,7 +330,7 @@ mod tests {
         // Drive transports directly: fill trap 1 to capacity, then force
         // one more arrival — make_room must evict an edge ion first.
         let spec = QccdSpec::new(2, 5).unwrap();
-        let mut array = TrapArray::new(spec, 8); // chains 4/4
+        let mut array = QccdRouter::place(spec, 8); // chains 4/4
         array.transport(0, 1, 0); // trap 1 now holds 5 (full)
         assert_eq!(array.chains[1].len(), 5);
         array.transport(1, 1, 0); // needs an eviction
@@ -333,7 +363,7 @@ mod tests {
     #[test]
     fn balanced_initial_placement() {
         let spec = QccdSpec::for_qubits(10, 4).unwrap(); // 3 traps
-        let array = TrapArray::new(spec, 10);
+        let array = QccdRouter::place(spec, 10);
         let lens: Vec<usize> = array.chains.iter().map(Vec::len).collect();
         assert_eq!(lens, vec![4, 3, 3]);
         // Location table is consistent.

@@ -8,10 +8,11 @@
 
 use crate::params::QccdParams;
 use crate::program::{QccdOp, QccdProgram};
+use crate::spec::QccdSpec;
 use tilt_sim::{GateTimeModel, NoiseModel};
 
 /// Outcome of a QCCD estimation.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct QccdReport {
     /// Natural log of the success probability.
     pub ln_success: f64,
@@ -70,90 +71,120 @@ pub fn estimate_qccd_success(
     times: &GateTimeModel,
     params: &QccdParams,
 ) -> QccdReport {
-    let n_traps = program.spec().n_traps();
-    let mut quanta = vec![0.0f64; n_traps];
-    let mut in_flight = 0.0f64;
-    let mut ln_success = 0.0f64;
-    let mut exec_time_us = 0.0f64;
-    let mut peak_quanta = 0.0f64;
-    let (mut two_q, mut one_q, mut meas) = (0usize, 0usize, 0usize);
-    let (mut transports, mut segments, mut cooling_rounds) = (0usize, 0usize, 0usize);
+    let mut estimator = QccdEstimator::new(program.spec(), noise, times, params);
+    estimator.push(program.ops());
+    estimator.finish()
+}
 
-    // Chain-length scaling of heating, as for TILT tape moves (§IV-E).
-    let scale = |len: usize| (len as f64 / noise.n_ref).sqrt();
+/// The QCCD estimate as a fold over the primitive trace, as it is
+/// routed; [`estimate_qccd_success`] drives it over a whole program.
+/// State is one heat level per trap.
+#[derive(Clone, Debug)]
+pub struct QccdEstimator {
+    noise: NoiseModel,
+    times: GateTimeModel,
+    params: QccdParams,
+    quanta: Vec<f64>,
+    in_flight: f64,
+    report: QccdReport,
+}
 
-    for op in program.ops() {
-        match *op {
-            QccdOp::EdgeMove {
-                trap,
-                sites,
-                chain_len,
-            } => {
-                quanta[trap] += params.edge_move_quanta_per_site * sites as f64 * scale(chain_len);
-                exec_time_us += params.edge_move_us_per_site * sites as f64;
-            }
-            QccdOp::Split {
-                trap,
-                chain_len_before,
-            } => {
-                transports += 1;
-                quanta[trap] += params.split_quanta * scale(chain_len_before);
-                exec_time_us += params.split_us;
-            }
-            QccdOp::ShuttleSegment { .. } => {
-                segments += 1;
-                in_flight += params.shuttle_quanta_per_segment;
-                exec_time_us += params.shuttle_segment_us;
-            }
-            QccdOp::Merge {
-                trap,
-                chain_len_after,
-            } => {
-                quanta[trap] += params.merge_quanta * scale(chain_len_after) + in_flight;
-                in_flight = 0.0;
-                exec_time_us += params.merge_us;
-            }
-            QccdOp::TwoQubitGate { trap, distance } => {
-                two_q += 1;
-                let f = noise.two_qubit_fidelity(times.two_qubit_us(distance), quanta[trap]);
-                ln_success += f.ln();
-                exec_time_us += times.two_qubit_us(distance);
-            }
-            QccdOp::SingleQubitGate { .. } => {
-                one_q += 1;
-                ln_success += noise.single_qubit_fidelity().ln();
-                exec_time_us += times.single_qubit_us;
-            }
-            QccdOp::Measure { .. } => {
-                meas += 1;
-                ln_success += noise.measurement_fidelity().ln();
-                exec_time_us += times.measure_us;
-            }
-        }
-        // Sympathetic cooling: any chain past the threshold is re-cooled.
-        for q in &mut quanta {
-            if *q > peak_quanta {
-                peak_quanta = *q;
-            }
-            if *q > params.cooling_threshold_quanta {
-                *q = 0.0;
-                cooling_rounds += 1;
-                exec_time_us += params.cooling_us;
-            }
+impl QccdEstimator {
+    /// Starts an estimate for a trace on `spec` under the given models.
+    pub fn new(
+        spec: &QccdSpec,
+        noise: &NoiseModel,
+        times: &GateTimeModel,
+        params: &QccdParams,
+    ) -> Self {
+        QccdEstimator {
+            noise: *noise,
+            times: *times,
+            params: *params,
+            quanta: vec![0.0; spec.n_traps()],
+            in_flight: 0.0,
+            report: QccdReport::default(),
         }
     }
 
-    QccdReport {
-        ln_success,
-        success: ln_success.exp(),
-        two_qubit_gates: two_q,
-        single_qubit_gates: one_q,
-        measurements: meas,
-        transports,
-        shuttle_segments: segments,
-        cooling_rounds,
-        exec_time_us,
-        peak_quanta,
+    /// Folds the next primitives of the trace into the estimate.
+    pub fn push(&mut self, ops: &[QccdOp]) {
+        let (noise, times, params) = (&self.noise, &self.times, &self.params);
+        let quanta = &mut self.quanta;
+        let (mut r, mut in_flight) = (self.report, self.in_flight);
+        // Chain-length scaling of heating, as for TILT tape moves (§IV-E).
+        let scale = |len: usize| (len as f64 / noise.n_ref).sqrt();
+        for op in ops {
+            match *op {
+                QccdOp::EdgeMove {
+                    trap,
+                    sites,
+                    chain_len,
+                } => {
+                    quanta[trap] +=
+                        params.edge_move_quanta_per_site * sites as f64 * scale(chain_len);
+                    r.exec_time_us += params.edge_move_us_per_site * sites as f64;
+                }
+                QccdOp::Split {
+                    trap,
+                    chain_len_before,
+                } => {
+                    r.transports += 1;
+                    quanta[trap] += params.split_quanta * scale(chain_len_before);
+                    r.exec_time_us += params.split_us;
+                }
+                QccdOp::ShuttleSegment { .. } => {
+                    r.shuttle_segments += 1;
+                    in_flight += params.shuttle_quanta_per_segment;
+                    r.exec_time_us += params.shuttle_segment_us;
+                }
+                QccdOp::Merge {
+                    trap,
+                    chain_len_after,
+                } => {
+                    quanta[trap] += params.merge_quanta * scale(chain_len_after) + in_flight;
+                    in_flight = 0.0;
+                    r.exec_time_us += params.merge_us;
+                }
+                QccdOp::TwoQubitGate { trap, distance } => {
+                    r.two_qubit_gates += 1;
+                    let f = noise.two_qubit_fidelity(times.two_qubit_us(distance), quanta[trap]);
+                    r.ln_success += f.ln();
+                    r.exec_time_us += times.two_qubit_us(distance);
+                }
+                QccdOp::SingleQubitGate { .. } => {
+                    r.single_qubit_gates += 1;
+                    r.ln_success += noise.single_qubit_fidelity().ln();
+                    r.exec_time_us += times.single_qubit_us;
+                }
+                QccdOp::Measure { .. } => {
+                    r.measurements += 1;
+                    r.ln_success += noise.measurement_fidelity().ln();
+                    r.exec_time_us += times.measure_us;
+                }
+            }
+            // Sympathetic cooling: any chain past the threshold is re-cooled.
+            for q in quanta.iter_mut() {
+                if *q > r.peak_quanta {
+                    r.peak_quanta = *q;
+                }
+                if *q > params.cooling_threshold_quanta {
+                    *q = 0.0;
+                    r.cooling_rounds += 1;
+                    r.exec_time_us += params.cooling_us;
+                }
+            }
+        }
+        self.report = r;
+        self.in_flight = in_flight;
+    }
+
+    /// The estimate over everything pushed so far.
+    pub fn finish(&self) -> QccdReport {
+        QccdReport {
+            success: self.report.ln_success.exp(),
+            ..self.report
+        }
     }
 }
 
@@ -161,7 +192,6 @@ pub fn estimate_qccd_success(
 mod tests {
     use super::*;
     use crate::compile_qccd;
-    use crate::spec::QccdSpec;
     use tilt_circuit::{Circuit, Qubit};
 
     fn estimate(c: &Circuit, spec: &QccdSpec) -> QccdReport {

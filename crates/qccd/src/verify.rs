@@ -14,179 +14,172 @@
 //! | `qccd/shuttle-route` | every transport is a well-formed split → adjacent-segment shuttle → merge sequence, and nothing else executes mid-flight |
 
 use crate::program::{QccdOp, QccdProgram};
+use crate::spec::QccdSpec;
 use tilt_compiler::verify::Diagnostic;
 
 /// Runs the QCCD rule pack over one compiled trace.
 pub fn verify_qccd(program: &QccdProgram) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let spec = program.spec();
-    let n_traps = spec.n_traps();
-    let capacity = spec.capacity();
+    let mut verifier = QccdVerifier::new(program.spec());
+    verifier.push(program.ops());
+    verifier.finish()
+}
 
-    // In-flight ion position for the shuttle state machine; `None`
-    // between transports.
-    let mut in_flight: Option<usize> = None;
-    for (i, op) in program.ops().iter().enumerate() {
-        let check_trap = |t: usize, what: &str, diags: &mut Vec<Diagnostic>| {
-            if t >= n_traps {
-                diags.push(Diagnostic::error(
-                    "qccd/trap-index",
-                    i,
-                    format!("{what} references trap {t}, outside the {n_traps}-trap array"),
-                ));
-            }
-        };
-        match *op {
-            QccdOp::EdgeMove {
-                trap,
-                sites,
-                chain_len,
-            } => {
-                check_trap(trap, "edge move", &mut diags);
-                if chain_len > capacity {
-                    diags.push(Diagnostic::error(
-                        "qccd/trap-capacity",
-                        i,
-                        format!(
+/// The QCCD rule pack as a fold over the primitive trace, as it is
+/// routed; [`verify_qccd`] drives it over a whole program. Findings come
+/// out in trace order.
+#[derive(Clone, Debug)]
+pub struct QccdVerifier {
+    n_traps: usize,
+    capacity: usize,
+    /// In-flight ion position for the shuttle state machine; `None`
+    /// between transports.
+    in_flight: Option<usize>,
+    ops_seen: usize,
+    diags: Vec<Diagnostic>,
+}
+
+impl QccdVerifier {
+    /// A verifier for a trace on `spec`.
+    pub fn new(spec: &QccdSpec) -> Self {
+        QccdVerifier {
+            n_traps: spec.n_traps(),
+            capacity: spec.capacity(),
+            in_flight: None,
+            ops_seen: 0,
+            diags: Vec::new(),
+        }
+    }
+
+    /// Checks the next primitives of the trace.
+    pub fn push(&mut self, ops: &[QccdOp]) {
+        const ROUTE: &str = "qccd/shuttle-route";
+        let (n_traps, cap) = (self.n_traps, self.capacity);
+        for op in ops {
+            let i = self.ops_seen;
+            self.ops_seen += 1;
+            let mut flag = |rule, message: String| {
+                self.diags.push(Diagnostic::error(rule, i, message));
+            };
+            // The op's name, the traps it names, and its capacity finding.
+            let (what, traps, capacity) = match *op {
+                QccdOp::EdgeMove {
+                    trap,
+                    sites,
+                    chain_len,
+                } => {
+                    let finding = if chain_len > cap {
+                        Some(format!(
                             "edge move records a {chain_len}-ion chain in trap {trap}, over \
-                             the {capacity}-ion capacity"
-                        ),
-                    ));
-                } else if sites >= chain_len {
-                    diags.push(Diagnostic::error(
-                        "qccd/trap-capacity",
-                        i,
-                        format!("edge move of {sites} sites cannot fit a {chain_len}-ion chain"),
-                    ));
+                             the {cap}-ion capacity"
+                        ))
+                    } else {
+                        (sites >= chain_len).then(|| {
+                            format!("edge move of {sites} sites cannot fit a {chain_len}-ion chain")
+                        })
+                    };
+                    ("edge move", [Some(trap), None], finding)
                 }
+                QccdOp::Split {
+                    trap,
+                    chain_len_before: n,
+                } => {
+                    let finding = (n == 0 || n > cap).then(|| {
+                        format!("split records a {n}-ion chain in trap {trap}, outside 1..={cap}")
+                    });
+                    ("split", [Some(trap), None], finding)
+                }
+                QccdOp::ShuttleSegment { from, to } => {
+                    ("shuttle segment", [Some(from), Some(to)], None)
+                }
+                QccdOp::Merge {
+                    trap,
+                    chain_len_after: n,
+                } => {
+                    let finding = (n == 0 || n > cap)
+                        .then(|| format!("merge grows trap {trap} to {n} ions, outside 1..={cap}"));
+                    ("merge", [Some(trap), None], finding)
+                }
+                QccdOp::TwoQubitGate { trap, distance } => {
+                    let finding = (distance == 0 || distance >= cap).then(|| {
+                        format!("two-qubit gate at distance {distance} cannot fit a {cap}-ion trap")
+                    });
+                    ("two-qubit gate", [Some(trap), None], finding)
+                }
+                QccdOp::SingleQubitGate { trap } | QccdOp::Measure { trap } => {
+                    ("gate", [Some(trap), None], None)
+                }
+            };
+            for t in traps.into_iter().flatten().filter(|&t| t >= n_traps) {
+                flag(
+                    "qccd/trap-index",
+                    format!("{what} references trap {t}, outside the {n_traps}-trap array"),
+                );
             }
-            QccdOp::Split {
-                trap,
-                chain_len_before,
-            } => {
-                check_trap(trap, "split", &mut diags);
-                if chain_len_before == 0 || chain_len_before > capacity {
-                    diags.push(Diagnostic::error(
-                        "qccd/trap-capacity",
-                        i,
-                        format!(
-                            "split records a {chain_len_before}-ion chain in trap {trap}, \
-                             outside 1..={capacity}"
-                        ),
-                    ));
-                }
-                if in_flight.is_some() {
-                    diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        "split issued while another ion is already in transit".into(),
-                    ));
-                }
-                in_flight = Some(trap);
+            if let Some(message) = capacity {
+                flag("qccd/trap-capacity", message);
             }
-            QccdOp::ShuttleSegment { from, to } => {
-                check_trap(from, "shuttle segment", &mut diags);
-                check_trap(to, "shuttle segment", &mut diags);
-                if from.abs_diff(to) != 1 {
-                    diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        format!("shuttle segment {from}→{to} skips over non-adjacent traps"),
-                    ));
+            // The split → segment → merge state machine; a segment
+            // resyncs to its destination so one corruption yields one
+            // finding, not a cascade.
+            match *op {
+                QccdOp::Split { trap, .. } => {
+                    let previous = self.in_flight.replace(trap);
+                    if previous.is_some() {
+                        let message = "split issued while another ion is already in transit";
+                        flag(ROUTE, message.into());
+                    }
                 }
-                match in_flight {
-                    Some(at) if at == from => {}
-                    Some(at) => diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        format!("shuttle segment departs trap {from} but the ion is at trap {at}"),
-                    )),
-                    None => diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        "shuttle segment with no split ion in transit".into(),
-                    )),
-                }
-                // Resync to the segment's destination so one corruption
-                // yields one finding, not a cascade.
-                in_flight = Some(to);
-            }
-            QccdOp::Merge {
-                trap,
-                chain_len_after,
-            } => {
-                check_trap(trap, "merge", &mut diags);
-                if chain_len_after == 0 || chain_len_after > capacity {
-                    diags.push(Diagnostic::error(
-                        "qccd/trap-capacity",
-                        i,
-                        format!(
-                            "merge grows trap {trap} to {chain_len_after} ions, outside \
-                             1..={capacity}"
+                QccdOp::ShuttleSegment { from, to } => {
+                    if from.abs_diff(to) != 1 {
+                        let message =
+                            format!("shuttle segment {from}→{to} skips over non-adjacent traps");
+                        flag(ROUTE, message);
+                    }
+                    match self.in_flight.replace(to) {
+                        Some(at) if at == from => {}
+                        Some(at) => flag(
+                            ROUTE,
+                            format!(
+                                "shuttle segment departs trap {from} but the ion is at trap {at}"
+                            ),
                         ),
-                    ));
+                        None => flag(ROUTE, "shuttle segment with no split ion in transit".into()),
+                    }
                 }
-                match in_flight.take() {
+                QccdOp::Merge { trap, .. } => match self.in_flight.take() {
                     Some(at) if at == trap => {}
-                    Some(at) => diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
+                    Some(at) => flag(
+                        ROUTE,
                         format!("merge into trap {trap} but the ion is at trap {at}"),
-                    )),
-                    None => diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        "merge with no split ion in transit".into(),
-                    )),
+                    ),
+                    None => flag(ROUTE, "merge with no split ion in transit".into()),
+                },
+                QccdOp::EdgeMove { .. } => {}
+                _ if self.in_flight.is_some() => {
+                    flag(ROUTE, format!("{what} executed while an ion is in transit"));
                 }
-            }
-            QccdOp::TwoQubitGate { trap, distance } => {
-                check_trap(trap, "two-qubit gate", &mut diags);
-                if distance == 0 || distance >= capacity {
-                    diags.push(Diagnostic::error(
-                        "qccd/trap-capacity",
-                        i,
-                        format!(
-                            "two-qubit gate at distance {distance} cannot fit a \
-                             {capacity}-ion trap"
-                        ),
-                    ));
-                }
-                if in_flight.is_some() {
-                    diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        "two-qubit gate executed while an ion is in transit".into(),
-                    ));
-                }
-            }
-            QccdOp::SingleQubitGate { trap } | QccdOp::Measure { trap } => {
-                check_trap(trap, "gate", &mut diags);
-                if in_flight.is_some() {
-                    diags.push(Diagnostic::error(
-                        "qccd/shuttle-route",
-                        i,
-                        "gate executed while an ion is in transit".into(),
-                    ));
-                }
+                _ => {}
             }
         }
     }
-    if in_flight.is_some() {
-        diags.push(Diagnostic::error(
-            "qccd/shuttle-route",
-            program.ops().len(),
-            "trace ends with an ion split off and never merged".into(),
-        ));
+
+    /// Ends the trace and reports every finding.
+    pub fn finish(mut self) -> Vec<Diagnostic> {
+        if self.in_flight.is_some() {
+            self.diags.push(Diagnostic::error(
+                "qccd/shuttle-route",
+                self.ops_seen,
+                "trace ends with an ion split off and never merged".into(),
+            ));
+        }
+        self.diags
     }
-    diags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::compile_qccd;
-    use crate::spec::QccdSpec;
     use tilt_circuit::{Circuit, Qubit};
 
     fn traced() -> QccdProgram {

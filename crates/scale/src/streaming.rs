@@ -22,7 +22,7 @@ use crate::program::{aggregate, Splitter};
 use crate::spec::{ScaleError, ScaleSpec};
 use crate::ScaleReport;
 use rayon::prelude::*;
-use tilt_circuit::Gate;
+use tilt_circuit::{Circuit, Gate};
 use tilt_compiler::pipeline::streaming::StreamSummary;
 use tilt_compiler::{CompileError, Mapping, ProgramSink, StreamingCompiler, TiltOp};
 use tilt_sim::streaming::{ExecTimeAccumulator, SuccessAccumulator};
@@ -68,7 +68,7 @@ struct Shard {
     /// `None` after [`Shard::finish`] consumes it.
     compiler: Option<StreamingCompiler>,
     /// Gates split to this ELU since the last fan-out.
-    inbox: Vec<Gate>,
+    inbox: Circuit,
     sink: ShardSink,
     summary: Option<StreamSummary>,
     err: Option<CompileError>,
@@ -103,14 +103,15 @@ impl Shard {
     /// a pool worker.
     fn feed(&mut self) {
         if let (Some(compiler), None) = (self.compiler.as_mut(), &self.err) {
-            for g in self.inbox.drain(..) {
+            for &g in self.inbox.gates() {
                 if let Err(e) = compiler.push(g, &mut self.sink) {
                     self.err = Some(e);
                     break;
                 }
             }
         }
-        self.inbox.clear();
+        let width = self.inbox.n_qubits();
+        self.inbox.reset(width);
     }
 
     /// [`Shard::feed`] plus the end-of-stream flush; consumes the
@@ -161,15 +162,56 @@ impl ScaledStreamingCompiler {
         times: &GateTimeModel,
     ) -> Result<Self, ScaleError> {
         let compiler = spec.elu_compiler()?;
+        let mut session = Self::open(spec, n_qubits, window, noise, times);
+        for (e, shard) in session.shards.iter_mut().enumerate() {
+            let elu = StreamingCompiler::new(&compiler, spec.ions_per_elu(), window);
+            shard.compiler = Some(elu.map_err(|err| ScaleError::elu(e, &err))?);
+        }
+        Ok(session)
+    }
+
+    /// A session over the whole of `circuit`, split up front: each ELU
+    /// opens over its whole share ([`StreamingCompiler::for_circuit`]),
+    /// so whole-circuit placements such as `InteractionChain` apply.
+    /// Push nothing more; [`ScaledStreamingCompiler::finish`] compiles.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile_scaled`](crate::compile_scaled).
+    pub fn for_circuit(
+        spec: &ScaleSpec,
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        times: &GateTimeModel,
+    ) -> Result<Self, ScaleError> {
+        let compiler = spec.elu_compiler()?;
+        let mut session = Self::open(spec, circuit.n_qubits(), usize::MAX, noise, times);
+        // No pipeline is open yet, and no window fills: the split only
+        // fills the inboxes.
+        for &g in circuit {
+            session.push(g, &mut |_: usize, _: &[TiltOp]| {})?;
+        }
+        for (e, shard) in session.shards.iter_mut().enumerate() {
+            let elu = StreamingCompiler::for_circuit(&compiler, &shard.inbox);
+            shard.compiler = Some(elu.map_err(|err| ScaleError::elu(e, &err))?);
+        }
+        Ok(session)
+    }
+
+    /// A session with every ELU's inbox and estimator folds, and no
+    /// pipeline opened yet.
+    fn open(
+        spec: &ScaleSpec,
+        n_qubits: usize,
+        window: usize,
+        noise: &NoiseModel,
+        times: &GateTimeModel,
+    ) -> Self {
         let splitter = Splitter::new(spec, n_qubits);
-        let n_elus = splitter.partition.n_elus();
-        let mut shards = Vec::with_capacity(n_elus);
-        for e in 0..n_elus {
-            let streaming = StreamingCompiler::new(&compiler, spec.ions_per_elu(), window)
-                .map_err(|err| ScaleError::elu(e, &err))?;
-            shards.push(Shard {
-                compiler: Some(streaming),
-                inbox: Vec::new(),
+        let shards = (0..splitter.partition.n_elus())
+            .map(|_| Shard {
+                compiler: None,
+                inbox: Circuit::new(spec.ions_per_elu()),
                 sink: ShardSink {
                     success: SuccessAccumulator::new(spec.ions_per_elu(), noise, times),
                     // `estimate_scaled` uses the default shuttle model for
@@ -184,21 +226,16 @@ impl ScaledStreamingCompiler {
                 },
                 summary: None,
                 err: None,
-            });
-        }
-        Ok(ScaledStreamingCompiler {
+            })
+            .collect();
+        ScaledStreamingCompiler {
             spec: *spec,
             splitter,
             shards,
             buffered: 0,
             window: window.max(1),
             increments: 0,
-        })
-    }
-
-    /// Number of ELUs this session compiles onto.
-    pub fn n_elus(&self) -> usize {
-        self.shards.len()
+        }
     }
 
     /// Each ELU's starting permutation, in ELU order.
@@ -321,7 +358,7 @@ mod tests {
     use super::*;
     use crate::{compile_scaled, estimate_scaled};
     use tilt_benchmarks::qaoa::qaoa_maxcut;
-    use tilt_circuit::{Circuit, Qubit};
+    use tilt_circuit::Qubit;
 
     fn collect_streams(
         spec: &ScaleSpec,

@@ -10,7 +10,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `scaled/measured-unreset` | no gate acts on an ion that was measured and not yet reset |
+//! | `scaled/measured-unreset` | no gate acts on a comm ion that was measured and not yet reset |
 //! | `scaled/comm-slot-budget` | every operand fits the ELU tape (data ions below the comm block, comm traffic inside the [`COMM_SLOTS`](crate::COMM_SLOTS) block) and comm-ion measurements account for exactly two per recorded EPR pair |
 //! | `tilt/*` | each ELU's LinQ output passes the full TILT tape rule pack |
 //!
@@ -165,8 +165,10 @@ impl ScaledSink for ScaledVerifier {
 
     /// `scaled/measured-unreset`, checked on the *routed* circuit: the
     /// scheduled stream decomposes swaps into native gates, which hides
-    /// where the collapsed state travels. Also counts comm-ion
-    /// measurements for the EPR ledger.
+    /// where the collapsed state travels. Only comm ions are tainted by
+    /// a measurement: a data qubit measured mid-circuit may be reused,
+    /// as on the tape. Also counts comm-ion measurements for the EPR
+    /// ledger.
     fn routed(&mut self, e: usize, gates: &[Gate]) {
         let capacity = self.capacity;
         let elu = &mut self.elus[e];
@@ -175,8 +177,14 @@ impl ScaledSink for ScaledVerifier {
             let i = elu.routed_seen;
             elu.routed_seen += 1;
             match g {
+                // Comm ions are told apart in *logical* coordinates:
+                // routing may swap a comm ion away from its home
+                // position, so the physical measure target says nothing.
+                // The TILT fold replays the routed swaps.
                 Gate::Measure(q) if q.index() < ions => {
-                    elu.measured[q.index()] = true;
+                    let comm = elu.tilt.mapping().logical_at(q.index()).index() >= capacity;
+                    elu.measured[q.index()] = comm;
+                    elu.comm_measures += usize::from(comm);
                 }
                 Gate::Reset(q) if q.index() < ions => {
                     elu.measured[q.index()] = false;
@@ -204,16 +212,6 @@ impl ScaledSink for ScaledVerifier {
                     }
                 }
             }
-            // Comm-ion measurements are counted in *logical*
-            // coordinates: routing may swap a comm ion away from its
-            // home position, so the physical measure target says
-            // nothing. The TILT fold replays the routed swaps.
-            let m = elu.tilt.mapping();
-            if let Gate::Measure(q) = g {
-                if q.index() < m.len() && m.logical_at(q.index()).index() >= capacity {
-                    elu.comm_measures += 1;
-                }
-            }
             elu.tilt.routed(std::slice::from_ref(g));
         }
     }
@@ -238,6 +236,13 @@ mod tests {
     #[test]
     fn clean_compile_verifies_clean() {
         assert_eq!(verify_scaled(&remote_heavy()), Vec::new());
+        // A data qubit measured mid-circuit and computed on again needs
+        // no reset: only comm ions are tainted by a measurement.
+        let mut c = Circuit::new(8);
+        c.h(Qubit(0)).measure(Qubit(0)).h(Qubit(0));
+        c.cnot(Qubit(0), Qubit(1));
+        let p = compile_scaled(&c, &ScaleSpec::new(10, 4).unwrap()).unwrap();
+        assert_eq!(verify_scaled(&p), Vec::new());
     }
 
     #[test]

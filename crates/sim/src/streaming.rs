@@ -96,6 +96,7 @@ impl SuccessAccumulator {
     }
 
     /// Folds one scheduled op into the estimate.
+    #[inline]
     pub fn push(&mut self, op: &TiltOp) {
         match op {
             TiltOp::Move { .. } => {
@@ -190,6 +191,7 @@ impl ExecTimeAccumulator {
     }
 
     /// Folds one scheduled op into the estimate.
+    #[inline]
     pub fn push(&mut self, op: &TiltOp) {
         match op {
             TiltOp::Move { to } => {

@@ -11,7 +11,8 @@
 
 use tilt::benchmarks::bv::bernstein_vazirani;
 use tilt::benchmarks::qaoa::qaoa_maxcut;
-use tilt::engine::{Backend, Engine};
+use tilt::compiler::InitialMapping;
+use tilt::engine::{Backend, Engine, RunDetail};
 use tilt::prelude::*;
 use tilt::sim::ExecTimeModel;
 
@@ -123,27 +124,40 @@ fn engine_matches_legacy_qccd_path() {
 }
 
 /// The scaled backend reproduces the legacy `compile_scaled` +
-/// `estimate_scaled` flow exactly.
+/// `estimate_scaled` flow exactly, also under the whole-circuit
+/// `InteractionChain` placement, which an in-memory run must keep
+/// accepting.
 #[test]
 fn engine_matches_legacy_scaled_path() {
     let circuit = qaoa_maxcut(32, 2, 1);
-    let spec = ScaleSpec::new(18, 8).unwrap();
+    let base = ScaleSpec::new(18, 8).unwrap();
+    for spec in [
+        base,
+        base.with_initial_mapping(InitialMapping::InteractionChain),
+    ] {
+        let program = compile_scaled(&circuit, &spec).unwrap();
+        let legacy = estimate_scaled(&program, &NoiseModel::default(), &GateTimeModel::default());
 
-    let program = compile_scaled(&circuit, &spec).unwrap();
-    let legacy = estimate_scaled(&program, &NoiseModel::default(), &GateTimeModel::default());
-
-    let report = Engine::builder()
-        .backend(Backend::Scaled(spec))
-        .verify(VerifyLevel::Strict)
-        .build()
-        .unwrap()
-        .run(&circuit)
-        .unwrap();
-    let s = report.scale_report().unwrap();
-    assert_eq!(s, &legacy);
-    assert_eq!(report.compile.epr_pairs, program.epr_pairs);
-    assert_eq!(report.compile.swap_count, legacy.total_swaps);
-    assert_eq!(report.compile.move_count, legacy.total_moves);
+        let report = Engine::builder()
+            .backend(Backend::Scaled(spec))
+            .verify(VerifyLevel::Strict)
+            .build()
+            .unwrap()
+            .run(&circuit)
+            .unwrap();
+        let s = report.scale_report().unwrap();
+        assert_eq!(s, &legacy, "{:?}", spec.initial_mapping);
+        assert_eq!(report.compile.epr_pairs, program.epr_pairs);
+        assert_eq!(report.compile.swap_count, legacy.total_swaps);
+        assert_eq!(report.compile.move_count, legacy.total_moves);
+        let RunDetail::Scaled { program: ran, .. } = &report.detail else {
+            unreachable!("scaled backend");
+        };
+        for (e, (ran, legacy)) in ran.elu_outputs.iter().zip(&program.elu_outputs).enumerate() {
+            assert_eq!(ran.program, legacy.program, "ELU {e}");
+            assert_eq!(ran.routed.initial_mapping, legacy.routed.initial_mapping);
+        }
+    }
 }
 
 /// A mixed bag of generated circuits for the batch acceptance check.

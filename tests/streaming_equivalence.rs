@@ -3,7 +3,7 @@
 //! byte-identical to the monolithic one — same program op stream (and
 //! rendered program text), same final mapping, same `ln_success`, same
 //! `exec_time_us` — across the TILT, scaled (sharded per-ELU), and
-//! QCCD (buffered fallback) backends. A window that changed a routing
+//! QCCD (gate-by-gate) backends. A window that changed a routing
 //! or scheduling decision would silently change the physics the
 //! estimates model, so *any* divergence here is a bug, never a tuning
 //! trade-off.
@@ -157,7 +157,7 @@ fn scaled_streaming_matches_per_elu_programs_at_every_window() {
 }
 
 #[test]
-fn qccd_streaming_fallback_matches_the_monolithic_run() {
+fn qccd_streaming_matches_the_monolithic_run() {
     let mut c = Circuit::new(20);
     for i in 0..19 {
         c.cnot(Qubit(i), Qubit(i + 1));
@@ -175,8 +175,8 @@ fn qccd_streaming_fallback_matches_the_monolithic_run() {
             .unwrap();
         assert_eq!(outcome.ln_success.to_bits(), mono.ln_success.to_bits());
         assert_eq!(outcome.exec_time_us.to_bits(), mono.exec_time_us.to_bits());
-        // The QCCD path buffers (transport scheduling is whole-circuit);
-        // it reports zero increments rather than pretending to stream.
+        // QCCD routes gate by gate, but its primitives are not tape
+        // ops: the stream delivers no increments.
         assert_eq!(outcome.increments, 0);
     }
 }

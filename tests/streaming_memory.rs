@@ -16,13 +16,16 @@
 //! while the in-memory path, which holds the input circuit, the routed
 //! circuit and the scheduled program, needs 282 MB; at 11 000 cycles
 //! (~1.01M gates) streaming completes under 96 MB while the in-memory
-//! path aborts under 640 MB. The ceilings below sit between the two
-//! floors with at least ~1.4× margin on each side.
+//! path aborts under 640 MB. On the QCCD backend (17-ion traps) the
+//! 4 000-cycle stream completes under 35 MB, the in-memory run needs at
+//! least 90 MB (it aborts under every ceiling up to 88 MB), and a
+//! stream that buffers the circuit needs 220 MB. The ceilings below sit
+//! between the two floors with at least ~1.4× margin on each side.
 
 use std::process::{Command, Output};
 use tilt::benchmarks::stream::rcs_stream;
 use tilt::compiler::TiltOp;
-use tilt::engine::{Backend, Engine, DEFAULT_STREAM_WINDOW};
+use tilt::engine::{Backend, Engine, NullSink, DEFAULT_STREAM_WINDOW};
 use tilt::prelude::*;
 
 const MODE_VAR: &str = "TILT_MEM_CHILD_MODE";
@@ -30,6 +33,8 @@ const CYCLES_VAR: &str = "TILT_MEM_CHILD_CYCLES";
 const ROWS: usize = 8;
 const COLS: usize = 8;
 const SEED: u64 = 11;
+/// Trap capacity of the QCCD child's array.
+const QCCD_IONS_PER_TRAP: usize = 17;
 
 /// Re-runs this test binary's `child_compile_under_rlimit` under an
 /// address-space ceiling of `limit_kb` kilobytes.
@@ -106,7 +111,32 @@ fn streaming_fits_under_a_ceiling_the_monolithic_compile_exceeds() {
     assert_separation(cycles, 144 * 1024, expect_gates);
 }
 
-/// The ISSUE's headline acceptance bar: a ≥1M-gate circuit compiles
+/// QCCD streams too: the greedy router needs no look-ahead, so the
+/// same ~368k-gate workload routes and estimates under a 56 MB ceiling
+/// (measured floor 35 MB) that the in-memory QCCD run, which holds the
+/// circuit and the primitive trace, exceeds (measured floor 90 MB). A
+/// stream that buffers the circuit aborts too.
+#[test]
+fn qccd_stream_fits_under_a_ceiling_the_in_memory_run_exceeds() {
+    let (cycles, limit_kb) = (4_000, 56 * 1024);
+    let expect_gates = Circuit::from_gates(ROWS * COLS, rcs_stream(ROWS, COLS, cycles, SEED)).len();
+    let stream = spawn_child("qccd", cycles, limit_kb);
+    let out = stdout_of(&stream);
+    assert!(
+        stream.status.success(),
+        "QCCD stream must fit in {limit_kb} KB:\n{out}\n{}",
+        String::from_utf8_lossy(&stream.stderr)
+    );
+    assert!(out.contains(&format!("gates={expect_gates}")), "{out}");
+    let mono = spawn_child("qccd-mono", cycles, limit_kb);
+    let mono_out = stdout_of(&mono);
+    assert!(
+        !mono.status.success() && !mono_out.contains("CHILD_MONO_OK"),
+        "the in-memory QCCD run must exceed {limit_kb} KB:\n{mono_out}"
+    );
+}
+
+/// The headline acceptance bar: a ≥1M-gate circuit compiles
 /// under an enforced rlimit the monolithic path exceeds. Slower (~30 s
 /// debug), so `#[ignore]`d for on-demand / CI runs:
 /// `cargo test --test streaming_memory -- --ignored --exact million_gate_circuit_compiles_under_an_enforced_rlimit`
@@ -151,12 +181,32 @@ fn child_compile_under_rlimit() {
         .parse()
         .expect("numeric cycles");
     let n = ROWS * COLS;
-    let spec = DeviceSpec::new(n, 16).unwrap();
-    let engine = Engine::builder()
-        .backend(Backend::Tilt(spec))
-        .build()
-        .unwrap();
+    let backend = if mode.starts_with("qccd") {
+        Backend::Qccd(QccdSpec::for_qubits(n, QCCD_IONS_PER_TRAP).unwrap())
+    } else {
+        Backend::Tilt(DeviceSpec::new(n, 16).unwrap())
+    };
+    let engine = Engine::builder().backend(backend).build().unwrap();
     match mode.as_str() {
+        "qccd" => {
+            let outcome = engine
+                .run_streaming(
+                    n,
+                    rcs_stream(ROWS, COLS, cycles, SEED),
+                    DEFAULT_STREAM_WINDOW,
+                    &mut NullSink,
+                )
+                .unwrap();
+            println!(
+                "CHILD_QCCD_OK transports={} gates={}",
+                outcome.compile.move_count, outcome.input_gate_count
+            );
+        }
+        "qccd-mono" => {
+            let circuit = Circuit::from_gates(n, rcs_stream(ROWS, COLS, cycles, SEED));
+            let report = engine.run(&circuit).unwrap();
+            println!("CHILD_MONO_OK transports={}", report.compile.move_count);
+        }
         "stream" => {
             let mut sink = |_shard: usize, _ops: &[TiltOp]| {};
             let outcome = engine
