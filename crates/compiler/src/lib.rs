@@ -51,7 +51,7 @@ pub use error::CompileError;
 pub use mapping::{InitialMapping, Mapping};
 pub use pipeline::streaming::{CollectSink, ProgramSink, StreamSummary, StreamingCompiler};
 pub use pipeline::{CompileOutput, CompileReport, Compiler};
-pub use program::{TiltOp, TiltProgram};
+pub use program::{OpLines, TiltOp, TiltProgram};
 pub use route::{RouteOutcome, RouterKind};
 pub use schedule::SchedulerKind;
 pub use spec::DeviceSpec;

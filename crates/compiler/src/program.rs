@@ -192,7 +192,19 @@ impl fmt::Display for TiltProgram {
             self.gate_count(),
             self.move_count()
         )?;
-        for op in &self.ops {
+        write!(f, "{}", OpLines(&self.ops))
+    }
+}
+
+/// The program listing's body format: one line per op, as
+/// [`TiltProgram`]'s `Display` prints it below its header line. A
+/// streamed increment renders through this too, so concatenating a
+/// shard's increments reproduces the monolithic body.
+pub struct OpLines<'a>(pub &'a [TiltOp]);
+
+impl fmt::Display for OpLines<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for op in self.0 {
             match op {
                 TiltOp::Move { to } => writeln!(f, "  move -> {to}")?,
                 TiltOp::Gate { gate, head_pos } => writeln!(f, "  [{head_pos:>3}] {gate}")?,

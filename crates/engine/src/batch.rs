@@ -19,10 +19,13 @@ use crate::{Engine, RunReport, TiltError};
 use rayon::prelude::*;
 use tilt_circuit::Circuit;
 
-/// Circuits processed concurrently per window: enough slack for the
-/// pool to stay busy across uneven circuit sizes, small enough that
-/// streaming consumers see results promptly.
-const WINDOW_PER_THREAD: usize = 4;
+/// Circuits processed concurrently per window (and the service's
+/// default in-flight window): four per pool thread, at least 8 — enough
+/// slack for the pool to stay busy across uneven circuit sizes, small
+/// enough that streaming consumers see results promptly.
+pub(crate) fn default_window() -> usize {
+    (rayon::current_num_threads() * 4).max(8)
+}
 
 /// One batch slot: the circuit moves in, the report moves out.
 type Slot = (Option<Circuit>, Option<Result<RunReport, TiltError>>);
@@ -73,7 +76,7 @@ impl Engine {
     where
         F: FnMut(usize, Result<RunReport, TiltError>),
     {
-        let window = (rayon::current_num_threads() * WINDOW_PER_THREAD).max(8);
+        let window = default_window();
         let mut iter = circuits.into_iter();
         let mut next_index = 0usize;
         loop {

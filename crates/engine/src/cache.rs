@@ -52,8 +52,9 @@
 //! fingerprint no longer matches any key the server computes, so they
 //! age out of the LRU untouched.
 
-use crate::report::{BackendKind, RunReport};
+use crate::report::{BackendKind, CompileStats, RunReport};
 use crate::sim::{SimReport, SimulatorKind};
+use crate::stream::StreamOutcome;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
@@ -129,9 +130,27 @@ impl WireReport {
     /// Projects a fresh run report onto the wire fields (program text
     /// stays lazy — see [`CacheEntry::program_text`]).
     pub fn of(report: &RunReport) -> WireReport {
-        let c = &report.compile;
+        let scalars = [report.ln_success, report.success, report.exec_time_us];
         WireReport {
-            backend: report.backend,
+            sim: report.sim.clone(),
+            ..WireReport::project(report.backend, &report.compile, scalars)
+        }
+    }
+
+    /// Projects a streaming run's outcome, which carries neither a
+    /// simulation nor a program.
+    pub(crate) fn of_stream(outcome: &StreamOutcome) -> WireReport {
+        let scalars = [outcome.ln_success, outcome.success, outcome.exec_time_us];
+        WireReport::project(outcome.backend, &outcome.compile, scalars)
+    }
+
+    fn project(
+        backend: BackendKind,
+        c: &CompileStats,
+        [ln_success, success, exec_time_us]: [f64; 3],
+    ) -> WireReport {
+        WireReport {
+            backend,
             swaps: c.swap_count,
             opposing_swaps: c.opposing_swap_count,
             moves: c.move_count,
@@ -139,21 +158,19 @@ impl WireReport {
             native_gates: c.native_gate_count,
             native_two_qubit: c.native_two_qubit_count,
             epr_pairs: c.epr_pairs,
-            ln_success: report.ln_success,
-            success: report.success,
-            exec_time_us: report.exec_time_us,
+            ln_success,
+            success,
+            exec_time_us,
             program_text: None,
-            sim: report.sim.clone(),
+            sim: None,
         }
     }
 
-    /// Renders the response body shared by fresh and cached paths —
-    /// the single place the wire field order is defined.
-    pub(crate) fn response(&self, id: &Json, emit_program: bool) -> Json {
-        let mut resp = Json::object()
-            .set("id", id.clone())
-            .set("ok", true)
-            .set("backend", self.backend.to_string())
+    /// Appends the compile/estimate fields every successful response
+    /// carries, windowed or streamed — the single place their wire
+    /// order is defined.
+    pub(crate) fn fields(&self, resp: Json) -> Json {
+        resp.set("backend", self.backend.to_string())
             .set("swaps", self.swaps)
             .set("opposing_swaps", self.opposing_swaps)
             .set("moves", self.moves)
@@ -163,7 +180,12 @@ impl WireReport {
             .set("epr_pairs", self.epr_pairs)
             .set("ln_success", self.ln_success)
             .set("success", self.success)
-            .set("exec_time_us", self.exec_time_us);
+            .set("exec_time_us", self.exec_time_us)
+    }
+
+    /// Renders the response body shared by fresh and cached paths.
+    pub(crate) fn response(&self, id: &Json, emit_program: bool) -> Json {
+        let mut resp = self.fields(Json::object().set("id", id.clone()).set("ok", true));
         if let Some(sim) = &self.sim {
             let mut body = Json::object()
                 .set("simulator", sim.simulator.to_string())

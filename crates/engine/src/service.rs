@@ -39,8 +39,9 @@
 //!   CLI's `--default-deadline-ms` supplies a default for requests that
 //!   name none.
 //! * Per-request **overrides** (each optional; present ⇒ the request
-//!   compiles through its own one-off engine instead of the shared
-//!   session): `backend` (`"tilt"|"qccd"|"scaled"`), `ions` (tilt
+//!   compiles under an engine built from the session prototype with
+//!   these fields overlaid, and caches under that engine's config
+//!   fingerprint): `backend` (`"tilt"|"qccd"|"scaled"`), `ions` (tilt
 //!   only), `head` (tilt, and the per-ELU head for scaled),
 //!   `router` (`"linq"|"stochastic"`), `max_swap_len`, `alpha`,
 //!   `scheduler` (`"greedy"|"naive"`), `ions_per_trap` (qccd),
@@ -78,14 +79,19 @@
 //! them per shard reproduces the monolithic program body. `shard` is
 //! the ELU index on the scaled backend and always 0 on tilt.
 //!
-//! Streaming requests run immediately (after a window flush, so
-//! submission order survives), bypass the compile cache and the parse
-//! memo (there is no whole-circuit digest to key on), and compile
-//! through the **shared session only** — per-request override fields
-//! are rejected with `invalid_request`; send `{"op":"configure"}` first
-//! to rebind. A session configured with `"verify"` verifies streams
-//! too, with every rule: under `"strict"` a finding fails the stream
-//! with kind `verify_failed`, exactly as it fails a windowed run. A
+//! Streaming requests take the one request lane (see *Backpressure and
+//! memory*) but never join the window: they drain it, take their
+//! admission permit, and compile at once. They bypass the compile cache
+//! and the parse memo (a cache entry holds no increment lines to
+//! replay), and compile through the **shared session only** —
+//! per-request override fields are rejected with `invalid_request`;
+//! send `{"op":"configure"}` first to rebind. The `qreg` header is read
+//! when the request is parsed: a stream without one, or wider than the
+//! service cap, is an `invalid_request` like unparsable QASM on a
+//! windowed run, whatever its deadline or the admission budget. A
+//! session configured with `"verify"` verifies streams too, with every
+//! rule: under `"strict"` a finding fails the stream with kind
+//! `verify_failed`, exactly as it fails a windowed run. A
 //! mid-stream failure (bad QASM past the first window, or a strict
 //! verifier finding at the end) emits its error line *after* the
 //! increments already delivered.
@@ -109,11 +115,11 @@
 //!
 //! An optional [`AdmissionControl`] (shared across every loop the CLI
 //! runs — stdio or all TCP connections together) bounds aggregate
-//! in-flight requests and bytes. Every run request that compiles —
-//! windowed, override or stream — holds a permit from admission until
-//! its last response line is written; one that would exceed the budget
-//! is **shed immediately** with kind `overloaded` and a
-//! `retry_after_ms` backoff hint instead of queuing unboundedly.
+//! in-flight requests and bytes. Every run request that compiles holds a
+//! permit from admission until its last response line is written; one
+//! that would exceed the budget is **shed immediately** with kind
+//! `overloaded` and a `retry_after_ms` backoff hint instead of queuing
+//! unboundedly.
 //! Cache hits (including override hits) and control ops need no
 //! permit. Everything already admitted completes. Shed counts surface
 //! in `{"op":"stats"}` and the exit summary.
@@ -144,14 +150,21 @@
 //!
 //! # Backpressure and memory
 //!
-//! Default-session requests accumulate in a bounded window (at most
-//! [`Service::window`] in flight) and fan out through
-//! [`Engine::run_batch_streaming`], which preserves submission order.
-//! Memory is proportional to the window, never to the total stream
-//! length; `stats.max_in_flight` reports the high-water mark so tests
-//! can pin the bound. Requests that need their own engine (overrides),
-//! `stats`, `shutdown`, and error lines all flush the window first so
-//! ordering survives.
+//! Every run request — default session, override, or stream — takes one
+//! lane: it is shed if its deadline has passed, answered from the cache
+//! if its `(circuit, config)` pair is resident (parsed payloads only),
+//! shed if admission refuses it, and otherwise joins the window or, for
+//! a stream, runs at once. The window holds at most [`Service::window`]
+//! requests under **one config fingerprint** and fans out through
+//! [`Engine::run_batch_streaming`], which preserves submission order:
+//! consecutive requests under one config — the session's, or the same
+//! override fields repeated — compile in parallel and share its
+//! within-window dedup. A request that cannot join (a stream, or a run
+//! under another config) drains the window before taking its permit, as
+//! do `configure`, `stats`, `shutdown`, and error lines, so ordering
+//! survives. Memory is proportional to the window, never to the total
+//! stream length; `stats.max_in_flight` reports the high-water mark so
+//! tests can pin the bound.
 //!
 //! Batching is **flush-before-blocking**: only input that is already
 //! buffered on the wire coalesces into a window — the loop drains
@@ -172,6 +185,7 @@
 //! rule, nothing buffered to lose).
 
 use crate::admission::{AdmissionControl, AdmissionPermit};
+use crate::batch::default_window;
 use crate::cache::{CacheCounters, CacheKey, CompileCache, WireReport};
 use crate::stream::{StreamOutcome, DEFAULT_STREAM_WINDOW};
 use crate::{Backend, Engine, EngineBuilder, RunReport, TiltError};
@@ -182,17 +196,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tilt_circuit::{qasm, Circuit, Gate};
 use tilt_compiler::route::{LinqConfig, StochasticConfig};
-use tilt_compiler::{DeviceSpec, RouterKind, SchedulerKind, TiltOp};
+use tilt_compiler::{DeviceSpec, OpLines, RouterKind, SchedulerKind, TiltOp};
 use tilt_hash::{Digest, Hasher};
 use tilt_qccd::QccdSpec;
 use tilt_report::Json;
 use tilt_scale::ScaleSpec;
 use tilt_sim::NoiseModel;
 
-/// Power-of-two latency buckets: bucket `i` counts requests that took
-/// `[2^(i-1), 2^i)` µs (bucket 0 is `< 1 µs`). 40 buckets cover up to
-/// ~2^39 µs ≈ 6 days — far beyond any single compile.
-const LATENCY_BUCKETS: usize = 40;
+/// Log-linear latency buckets: one per µs below 16 µs, then 8 per power
+/// of two up to 2^40 µs ≈ 12 days — far beyond any single compile.
+const LATENCY_BUCKETS: usize = 8 * 38;
 
 /// Longest request line the loop will buffer. A newline-free byte flood
 /// would otherwise grow the accumulator without bound and abort the
@@ -234,8 +247,9 @@ const OVERRIDE_KEYS: [&str; 12] = [
     "verify",
 ];
 
-/// A fixed-size log₂ latency histogram: bounded memory no matter how
-/// many requests stream through, quantiles at power-of-two resolution.
+/// A fixed-size log-linear latency histogram: bounded memory no matter
+/// how many requests stream through, and quantiles that overstate the
+/// true value by at most one sub-bucket, 12.5%.
 #[derive(Clone, Debug)]
 struct LatencyHistogram {
     buckets: [u64; LATENCY_BUCKETS],
@@ -251,12 +265,15 @@ impl LatencyHistogram {
     }
 
     fn record_us(&mut self, us: u64) {
-        let bucket = (u64::BITS - us.leading_zeros()) as usize; // floor(log2)+1, 0 for us=0
+        // `us` in [8 << shift, 16 << shift) lands in sub-bucket
+        // `us >> shift` of 8..16; below 16 µs the shift is 0.
+        let shift = (u64::BITS - us.leading_zeros()).saturating_sub(4);
+        let bucket = 8 * shift as usize + (us >> shift) as usize;
         self.buckets[bucket.min(LATENCY_BUCKETS - 1)] += 1;
         self.count += 1;
     }
 
-    /// The upper bound (µs) of the bucket holding the `q`-quantile
+    /// The largest value (µs) of the bucket holding the `q`-quantile
     /// request, `0 < q <= 1`; 0 when nothing was recorded.
     fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -264,13 +281,13 @@ impl LatencyHistogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        let bucket = self.buckets.iter().position(|&n| {
             seen += n;
-            if seen >= rank {
-                return 1u64 << i;
-            }
-        }
-        1u64 << (LATENCY_BUCKETS - 1)
+            seen >= rank
+        });
+        let bucket = bucket.unwrap_or(LATENCY_BUCKETS - 1) as u64;
+        let shift = (bucket / 8).saturating_sub(1);
+        ((bucket - 8 * shift + 1) << shift) - 1
     }
 }
 
@@ -319,9 +336,10 @@ impl ServiceStats {
     }
 
     /// Median request latency in µs: parse → response written,
-    /// including any window queue wait (power-of-two bucket
-    /// resolution). Under interactive traffic this is compile time;
-    /// under a load generator streaming ahead it includes batching.
+    /// including any window queue wait (log-linear buckets, at most
+    /// 12.5% above the true value). Under interactive traffic this is
+    /// compile time; under a load generator streaming ahead it includes
+    /// batching.
     pub fn p50_us(&self) -> u64 {
         self.latency.quantile_us(0.50)
     }
@@ -429,24 +447,22 @@ impl ParseMemo {
     }
 }
 
-/// One buffered run request awaiting its window flush.
+/// One run request, from parse until its last response line.
 struct RunItem {
     id: Json,
-    /// Taken (not cloned) by the window flush — `None` afterwards. The
-    /// [`Arc`] is shared with the parse memo; a cache-hit response
-    /// drops it untouched.
-    circuit: Option<Arc<Circuit>>,
-    /// Salted compile-cache key of the circuit (the circuit half of
-    /// its full key — see [`CompileCache::circuit_key`]).
-    digest: Digest,
+    /// The engine it compiles under: the session's, or one built from
+    /// its override fields. Its config fingerprint keys the cache probe
+    /// and binds the window it joins.
+    engine: Arc<Engine>,
+    payload: Payload,
     emit_program: bool,
     enqueued: Instant,
     /// When the request stops being worth compiling (`deadline_ms`
     /// or the service default). Checked at enqueue and at dequeue.
     deadline: Option<Instant>,
     /// The admission slot this request occupies, released when the item
-    /// drops (its response written, or the request shed at dequeue).
-    /// `None` when the service runs without admission control.
+    /// drops (its last response line written, or the request shed at
+    /// dequeue). `None` when the service runs without admission control.
     permit: Option<AdmissionPermit>,
 }
 
@@ -456,20 +472,21 @@ impl RunItem {
     }
 }
 
-/// One streaming run request (`"stream": true`): compiled immediately
-/// through the shared session's bounded-memory pipeline, never buffered
-/// in the window.
-struct StreamItem {
-    id: Json,
-    /// The QASM payload; pulled statement-by-statement, never parsed
-    /// into a [`Circuit`].
-    qasm: Box<str>,
-    /// Input gates per compile window.
-    window: usize,
-    /// Attach each increment's rendered ops as `program`.
-    emit_program: bool,
-    enqueued: Instant,
-    deadline: Option<Instant>,
+/// What a run request compiles.
+enum Payload {
+    /// A parsed circuit: cached and windowed. The circuit is taken (not
+    /// cloned) by the window flush; the [`Arc`] is shared with the parse
+    /// memo, and a cache-hit response drops it untouched. `digest` is its
+    /// salted compile-cache key (the circuit half of its full key — see
+    /// [`CompileCache::circuit_key`]).
+    Parsed {
+        circuit: Option<Arc<Circuit>>,
+        digest: Digest,
+    },
+    /// A QASM text pulled statement-by-statement through the
+    /// bounded-memory pipeline in compile windows of `window` input gates
+    /// (`"stream": true`), never parsed into a [`Circuit`].
+    Stream { qasm: Box<str>, window: usize },
 }
 
 /// One entry of the buffered window: either a run awaiting its compile,
@@ -483,15 +500,8 @@ enum PendingItem {
 
 /// What one input line asks for.
 enum Request {
-    /// Compile through the shared session engine (windowed).
+    /// Compile a circuit, parsed or streamed, under its engine.
     Run(Box<RunItem>),
-    /// Compile through a one-off engine built from per-request
-    /// overrides (runs immediately, after a flush).
-    RunOverride(Box<RunItem>, Box<Engine>),
-    /// Stream-compile the payload in O(window) memory, emitting one
-    /// increment line per flushed window (`"stream": true`; runs
-    /// immediately, after a flush).
-    RunStream(Box<StreamItem>),
     /// Rebind the loop's default session (`{"op":"configure"}`);
     /// `rebind` is `None` when the message named no override field (an
     /// acknowledged no-op).
@@ -501,10 +511,9 @@ enum Request {
     },
     Stats,
     Shutdown,
-    /// The line could not become a run: respond with this error object.
+    /// The line could not become a request: answer `invalid_request`.
     Bad {
         id: Json,
-        kind: &'static str,
         error: String,
     },
 }
@@ -526,7 +535,7 @@ const KIND_VERIFY_FAILED: &str = "verify_failed";
 /// prototype for per-request override engines, so overrides inherit the
 /// session's models and only replace what the request names.
 pub struct Service {
-    engine: Engine,
+    engine: Arc<Engine>,
     proto: EngineBuilder,
     window: usize,
     stats: ServiceStats,
@@ -557,12 +566,11 @@ impl Service {
     ///
     /// Any [`EngineBuilder::build`] error: no backend, invalid router
     /// configuration for the device.
-    pub fn new(builder: EngineBuilder) -> Result<Service, TiltError> {
-        let mut builder = builder;
+    pub fn new(mut builder: EngineBuilder) -> Result<Service, TiltError> {
         if builder.cache.is_none() {
             builder = builder.compile_cache(Arc::new(CompileCache::default()));
         }
-        let engine = builder.clone().build()?;
+        let engine = Arc::new(builder.clone().build()?);
         let cache = Arc::clone(
             engine
                 .compile_cache()
@@ -571,7 +579,7 @@ impl Service {
         Ok(Service {
             engine,
             proto: builder,
-            window: (rayon::current_num_threads() * 4).max(8),
+            window: default_window(),
             stats: ServiceStats::new(),
             cache,
             parse_memo: ParseMemo::default(),
@@ -599,11 +607,7 @@ impl Service {
     /// Caps the in-flight request window (`0` restores the default,
     /// 4 × pool threads with a floor of 8).
     pub fn with_window(mut self, window: usize) -> Service {
-        if window > 0 {
-            self.window = window;
-        } else {
-            self.window = (rayon::current_num_threads() * 4).max(8);
-        }
+        self.window = if window > 0 { window } else { default_window() };
         self
     }
 
@@ -673,15 +677,12 @@ impl Service {
                 // One newline-free flood must not grow the accumulator
                 // (and eventually the process) without bound: reject it
                 // now, drop what arrived, skip the rest of the line.
-                self.flush(&mut pending, &mut output)?;
-                self.stats.record(0, false);
                 let error = format!("request line exceeds the {MAX_LINE_BYTES}-byte limit");
-                writeln!(
-                    output,
-                    "{}",
-                    error_json(&Json::Null, KIND_INVALID_REQUEST, &error).render()
-                )?;
-                output.flush()?;
+                let bad = Request::Bad {
+                    id: Json::Null,
+                    error,
+                };
+                self.answer(bad, 0, &mut pending, &mut output)?;
                 acc.clear();
                 scanned = 0;
                 discarding = true;
@@ -743,141 +744,110 @@ impl Service {
         if line.is_empty() {
             return Ok(false);
         }
-        match self.parse_request(line) {
-            Request::Run(mut item) => {
-                // An already-dead request is shed before anything else —
-                // not even a cache hit resurrects it; the contract is
-                // "expired ⇒ `deadline_exceeded`", unconditionally.
-                if item.expired(Instant::now()) {
-                    self.stats.shed_deadline += 1;
-                    pending.push(PendingItem::Resolved {
-                        enqueued: item.enqueued,
-                        response: deadline_json(&item.id),
-                    });
-                    self.after_enqueue(pending, output)?;
-                    return Ok(false);
-                }
-                // Cache probe: a previously seen (circuit, config) pair
-                // answers immediately — after a flush, so submission
-                // order survives. On an all-hits stream the window
-                // stays empty and this is the whole hot path. Hits
-                // bypass admission: they hold no compile slot.
-                if let Some(resp) =
-                    cached_wire_response(&self.cache, &item, self.engine.config_fingerprint())
-                {
-                    self.flush(pending, output)?;
-                    self.stats
-                        .record(item.enqueued.elapsed().as_micros() as u64, true);
-                    writeln!(output, "{}", resp.render())?;
-                    output.flush()?;
-                    return Ok(false);
-                }
-                let Ok(permit) = self.admit(line.len(), &item.id, item.enqueued, pending) else {
-                    self.after_enqueue(pending, output)?;
-                    return Ok(false);
-                };
-                item.permit = permit;
-                pending.push(PendingItem::Run(*item));
-                self.after_enqueue(pending, output)?;
+        let request = self.parse_request(line);
+        self.answer(request, line.len(), pending, output)
+    }
+
+    /// Answers one request of `bytes` wire bytes; `Ok(true)` means an
+    /// acknowledged shutdown request.
+    fn answer<W: Write>(
+        &mut self,
+        request: Request,
+        bytes: usize,
+        pending: &mut Vec<PendingItem>,
+        output: &mut W,
+    ) -> io::Result<bool> {
+        let (resp, shutdown) = match request {
+            Request::Run(item) => {
+                self.run(*item, bytes, pending, output)?;
+                return Ok(false);
             }
-            Request::RunOverride(item, engine) => {
-                // Preserve submission order around the one-off run.
-                self.flush(pending, output)?;
-                if item.expired(Instant::now()) {
-                    // Same deadline contract as the windowed path; the
-                    // one-off engine is dropped unused.
-                    self.stats.shed_deadline += 1;
-                    self.stats
-                        .record(item.enqueued.elapsed().as_micros() as u64, false);
-                    writeln!(output, "{}", deadline_json(&item.id).render())?;
-                    output.flush()?;
-                    return Ok(false);
-                }
-                // Overrides key the cache under *their* overlaid
-                // config's fingerprint, so distinct override sessions
-                // cache independently (and never collide with the
-                // default session).
-                if let Some(resp) =
-                    cached_wire_response(&self.cache, &item, engine.config_fingerprint())
-                {
-                    self.stats
-                        .record(item.enqueued.elapsed().as_micros() as u64, true);
-                    writeln!(output, "{}", resp.render())?;
-                } else if let Ok(_permit) = self.admit(line.len(), &item.id, item.enqueued, pending)
-                {
-                    let mut item = *item;
-                    let circuit = item
-                        .circuit
-                        .take()
-                        .expect("override items carry their circuit");
-                    // The same isolation boundary as the batch workers:
-                    // a panicking override compile costs its request,
-                    // not the loop.
-                    let result = crate::error::isolated(|| engine.run(circuit.as_ref()));
-                    self.stats
-                        .record(item.enqueued.elapsed().as_micros() as u64, result.is_ok());
-                    let resp = run_response(&item.id, &result, item.emit_program);
-                    writeln!(output, "{}", resp.render())?;
-                }
-                // A shed request's `overloaded` line waits in the window.
-                self.flush(pending, output)?;
-                output.flush()?;
-            }
-            Request::RunStream(item) => {
-                // Streaming runs bypass the window; drain it first so
-                // submission order survives.
-                self.flush(pending, output)?;
-                if item.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.stats.shed_deadline += 1;
-                    self.stats
-                        .record(item.enqueued.elapsed().as_micros() as u64, false);
-                    writeln!(output, "{}", deadline_json(&item.id).render())?;
-                } else if let Ok(_permit) = self.admit(line.len(), &item.id, item.enqueued, pending)
-                {
-                    self.run_stream(&item, output)?;
-                }
-                self.flush(pending, output)?;
-                output.flush()?;
-            }
+            // A configure takes effect for later lines only: buffered
+            // runs keep the engine they were parsed under.
             Request::Configure { id, rebind } => {
-                // The window compiled under the old session; drain it
-                // before the rebind takes effect.
-                self.flush(pending, output)?;
                 if let Some(rebind) = rebind {
                     let (proto, engine) = *rebind;
                     self.proto = proto;
-                    self.engine = engine;
+                    self.engine = Arc::new(engine);
                 }
-                let resp = Json::object()
+                let ack = Json::object()
                     .set("id", id)
                     .set("ok", true)
                     .set("configured", true)
                     .set("backend", self.engine.backend().kind().to_string());
-                writeln!(output, "{}", resp.render())?;
-                output.flush()?;
+                (Some(ack), false)
             }
-            Request::Stats => {
-                self.flush(pending, output)?;
-                let stats = self.stats.to_json(self.window, self.cache.counters());
-                let resp = Json::object().set("ok", true).set("stats", stats);
-                writeln!(output, "{}", resp.render())?;
-                output.flush()?;
-            }
+            // Rendered below, once the counters include the window.
+            Request::Stats => (None, false),
             Request::Shutdown => {
-                self.flush(pending, output)?;
-                let resp = Json::object().set("ok", true).set("shutdown", true);
-                writeln!(output, "{}", resp.render())?;
-                output.flush()?;
-                return Ok(true);
+                let ack = Json::object().set("ok", true).set("shutdown", true);
+                (Some(ack), true)
             }
-            Request::Bad { id, kind, error } => {
-                self.flush(pending, output)?;
+            Request::Bad { id, error } => {
                 self.stats.record(0, false);
-                writeln!(output, "{}", error_json(&id, kind, &error).render())?;
-                output.flush()?;
+                (Some(error_json(&id, KIND_INVALID_REQUEST, &error)), false)
             }
+        };
+        // Control and error lines answer after everything buffered
+        // before them.
+        self.flush(pending, output)?;
+        let resp = resp.unwrap_or_else(|| {
+            let stats = self.stats.to_json(self.window, self.cache.counters());
+            Json::object().set("ok", true).set("stats", stats)
+        });
+        writeln!(output, "{}", resp.render())?;
+        output.flush()?;
+        Ok(shutdown)
+    }
+
+    /// The one run lane: shed an expired request, answer a cache hit,
+    /// take an admission permit, then join the window or run the stream.
+    fn run<W: Write>(
+        &mut self,
+        mut item: RunItem,
+        bytes: usize,
+        pending: &mut Vec<PendingItem>,
+        output: &mut W,
+    ) -> io::Result<()> {
+        // An already-dead request is shed before anything else — not
+        // even a cache hit resurrects it; the contract is "expired ⇒
+        // `deadline_exceeded`", unconditionally.
+        if item.expired(Instant::now()) {
+            self.stats.shed_deadline += 1;
+            pending.push(PendingItem::Resolved {
+                enqueued: item.enqueued,
+                response: deadline_json(&item.id),
+            });
+            return self.after_enqueue(pending, output);
         }
-        Ok(false)
+        // Cache probe under the item's own config fingerprint: a
+        // previously seen (circuit, config) pair answers immediately —
+        // after a flush, so submission order survives. On an all-hits
+        // stream the window stays empty and this is the whole hot path.
+        // Hits bypass admission: they hold no compile slot.
+        if let Some(resp) = cached_wire_response(&self.cache, &item) {
+            self.flush(pending, output)?;
+            self.stats
+                .record(item.enqueued.elapsed().as_micros() as u64, true);
+            writeln!(output, "{}", resp.render())?;
+            return output.flush();
+        }
+        // The window compiles under one config fingerprint: a stream,
+        // or a run under another config, drains it before taking its
+        // own permit.
+        if !joins_window(pending, &item) {
+            self.flush(pending, output)?;
+        }
+        let Ok(permit) = self.admit(bytes, &item.id, item.enqueued, pending) else {
+            return self.after_enqueue(pending, output);
+        };
+        item.permit = permit;
+        if let Payload::Stream { qasm, window } = &item.payload {
+            self.run_stream(&item, qasm, *window, output)?;
+            return output.flush();
+        }
+        pending.push(PendingItem::Run(item));
+        self.after_enqueue(pending, output)
     }
 
     /// Admission: a compile must fit the shared in-flight budget or be
@@ -919,8 +889,9 @@ impl Service {
         Ok(())
     }
 
-    /// Runs the buffered window through the shared session and writes
-    /// one response line per request, in submission order.
+    /// Runs the buffered window through the engine its runs share (one
+    /// config fingerprint — see [`joins_window`]) and writes one response
+    /// line per request, in submission order.
     ///
     /// Duplicate circuits **within** one window are compiled once: the
     /// pre-window cache probe cannot catch them (their leader has not
@@ -945,53 +916,43 @@ impl Service {
             return Ok(());
         }
         let mut items = std::mem::take(pending);
-        // Per item: either the slot its compile result lives in, or the
-        // response it already owns; per slot: the leader item index
-        // (the first occurrence of that circuit digest).
-        enum Lane {
-            Slot(usize),
-            Resolved(Json),
-        }
-        let mut lane: Vec<Lane> = Vec::with_capacity(items.len());
+        let engine = window_engine(&items).cloned();
+        // Per run item, the slot its compile result lives in; per slot,
+        // the leader item index (the first occurrence of that circuit
+        // digest).
+        let mut slot_of: Vec<usize> = vec![0; items.len()];
         let mut leader_of_slot: Vec<usize> = Vec::new();
         let mut slot_of_digest: HashMap<Digest, usize> = HashMap::new();
         let mut circuits: Vec<Circuit> = Vec::new();
         let now = Instant::now();
         for (i, entry) in items.iter_mut().enumerate() {
-            let item = match entry {
-                PendingItem::Resolved { response, .. } => {
-                    lane.push(Lane::Resolved(std::mem::replace(response, Json::Null)));
-                    continue;
-                }
-                PendingItem::Run(item) => item,
+            let PendingItem::Run(item) = entry else {
+                continue;
             };
             if item.expired(now) {
-                // Dequeue-time deadline check: the compile never runs.
+                // Dequeue-time deadline check: the compile never runs,
+                // and the circuit and permit go now.
                 self.stats.shed_deadline += 1;
-                item.circuit = None;
-                item.permit = None;
-                lane.push(Lane::Resolved(deadline_json(&item.id)));
+                *entry = PendingItem::Resolved {
+                    enqueued: item.enqueued,
+                    response: deadline_json(&item.id),
+                };
                 continue;
             }
-            let arc = item.circuit.take().expect("each item is flushed once");
-            match slot_of_digest.entry(item.digest) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    lane.push(Lane::Slot(*slot.get()));
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(circuits.len());
-                    lane.push(Lane::Slot(circuits.len()));
-                    leader_of_slot.push(i);
-                    // Unshared payloads (memo since cleared) move for
-                    // free; shared ones clone only here, on an actual
-                    // compile.
-                    circuits.push(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()));
-                }
-            }
+            let Payload::Parsed { circuit, digest } = &mut item.payload else {
+                unreachable!("streams never join the window");
+            };
+            let arc = circuit.take().expect("each item is flushed once");
+            slot_of[i] = *slot_of_digest.entry(*digest).or_insert_with(|| {
+                leader_of_slot.push(i);
+                // Unshared payloads (memo since cleared) move for free;
+                // shared ones clone only here, on an actual compile.
+                circuits.push(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()));
+                circuits.len() - 1
+            });
         }
         let mut results: Vec<Option<Result<RunReport, TiltError>>> = Vec::new();
         results.resize_with(circuits.len(), || None);
-        let config = self.engine.config_fingerprint();
         let mut io_err: Option<io::Error> = None;
         let mut next = 0usize;
         // Split borrows: the emitter mutates stats and output while the
@@ -999,48 +960,37 @@ impl Service {
         // writable: slot results arrive in submission order, and a
         // follower's leader always precedes it, so the write pointer
         // `next` only ever waits on the slot that just completed — no
-        // response is held back for a later compile. Resolved lanes are
-        // always writable and interleave at their positions.
-        let (engine, stats, cache) = (&self.engine, &mut self.stats, &self.cache);
+        // response is held back for a later compile. Resolved entries
+        // are always writable and interleave at their positions.
+        let (stats, cache) = (&mut self.stats, &self.cache);
         let emit_ready = |results: &[Option<Result<RunReport, TiltError>>],
                           next: &mut usize,
                           stats: &mut ServiceStats,
                           output: &mut W,
                           io_err: &mut Option<io::Error>| {
-            while *next < items.len() {
-                let enqueued;
-                let (resp, ok) = match &lane[*next] {
-                    Lane::Resolved(resp) => {
-                        enqueued = match &items[*next] {
-                            PendingItem::Resolved { enqueued, .. } => *enqueued,
-                            PendingItem::Run(item) => item.enqueued,
-                        };
-                        (resp.clone(), false)
+            while io_err.is_none() && *next < items.len() {
+                let (resp, ok, enqueued) = match &items[*next] {
+                    PendingItem::Resolved { enqueued, response } => {
+                        (response.clone(), false, *enqueued)
                     }
-                    Lane::Slot(s) => {
-                        let Some(result) = results[*s].as_ref() else {
+                    PendingItem::Run(item) => {
+                        let s = slot_of[*next];
+                        let Some(result) = results[s].as_ref() else {
                             break;
                         };
-                        let PendingItem::Run(item) = &items[*next] else {
-                            unreachable!("slot lanes always hold run items");
-                        };
-                        enqueued = item.enqueued;
-                        if leader_of_slot[*s] == *next {
-                            (
-                                run_response(&item.id, result, item.emit_program),
-                                result.is_ok(),
-                            )
-                        } else {
-                            // Follower: the leader's insert has landed,
-                            // so this is a real cache lookup (and counts
-                            // as such); the leader's result backstops an
-                            // errored or instantly evicted entry.
-                            match cached_wire_response(cache, item, config) {
-                                Some(resp) => (resp, true),
-                                None => (
-                                    run_response(&item.id, result, item.emit_program),
-                                    result.is_ok(),
-                                ),
+                        // A follower's leader has inserted, so its lookup
+                        // is a real cache hit (and counts as such); the
+                        // leader's result backstops an errored or
+                        // instantly evicted entry.
+                        let follower = leader_of_slot[s] != *next;
+                        match follower
+                            .then(|| cached_wire_response(cache, item))
+                            .flatten()
+                        {
+                            Some(resp) => (resp, true, item.enqueued),
+                            None => {
+                                let resp = run_response(&item.id, result, item.emit_program);
+                                (resp, result.is_ok(), item.enqueued)
                             }
                         }
                     }
@@ -1048,25 +998,20 @@ impl Service {
                 stats.record(enqueued.elapsed().as_micros() as u64, ok);
                 if let Err(e) = writeln!(output, "{}", resp.render()) {
                     *io_err = Some(e);
-                    return;
                 }
                 *next += 1;
             }
         };
-        if !circuits.is_empty() {
+        if let Some(engine) = engine.filter(|_| !circuits.is_empty()) {
             engine.run_batch_streaming(circuits, |slot, result| {
                 results[slot] = Some(result);
-                if io_err.is_none() {
-                    emit_ready(&results, &mut next, &mut *stats, &mut *output, &mut io_err);
-                }
+                emit_ready(&results, &mut next, &mut *stats, &mut *output, &mut io_err);
             });
         }
-        // Drain the tail: trailing resolved lanes after the last slot
+        // Drain the tail: trailing resolved entries after the last slot
         // (and the whole window when every entry was pre-resolved — the
         // batch never fires its sink for an empty circuit list).
-        if io_err.is_none() {
-            emit_ready(&results, &mut next, &mut *stats, &mut *output, &mut io_err);
-        }
+        emit_ready(&results, &mut next, &mut *stats, &mut *output, &mut io_err);
         if let Some(e) = io_err {
             return Err(e);
         }
@@ -1077,30 +1022,15 @@ impl Service {
         output.flush()
     }
 
-    /// Runs one streaming request: increment lines straight to the
-    /// wire, then the final report line. The compile cache, parse memo,
-    /// and window are all bypassed — there is no whole-circuit digest
-    /// to key on and nothing to buffer.
-    fn run_stream<W: Write>(&mut self, item: &StreamItem, output: &mut W) -> io::Result<()> {
-        // Width gate, same contract as the parsed path: the backends
-        // size themselves to the register, so the cap must hold before
-        // any allocation. The probe stops at the `qreg` header; one the
-        // stream cannot start from (missing or malformed) fails before
-        // any compile — same `invalid_request` kind as the monolithic
-        // parse path.
-        let header = match qasm::QasmStream::new(item.qasm.as_bytes()).require_n_qubits() {
-            Ok(n) if n > MAX_REQUEST_IONS => Err(format!(
-                "circuit register of {n} qubits exceeds the service cap of {MAX_REQUEST_IONS}"
-            )),
-            Ok(_) => Ok(()),
-            Err(e) => Err(e.to_string()),
-        };
-        if let Err(error) = header {
-            self.stats
-                .record(item.enqueued.elapsed().as_micros() as u64, false);
-            let resp = error_json(&item.id, KIND_INVALID_REQUEST, &error);
-            return writeln!(output, "{}", resp.render());
-        }
+    /// Runs one admitted streaming request under its engine: increment
+    /// lines straight to the wire, then the final report line.
+    fn run_stream<W: Write>(
+        &mut self,
+        item: &RunItem,
+        qasm: &str,
+        window: usize,
+        output: &mut W,
+    ) -> io::Result<()> {
         let mut io_err: Option<io::Error> = None;
         let mut increment = 0usize;
         let mut sink = |shard: usize, ops: &[TiltOp]| {
@@ -1116,7 +1046,7 @@ impl Service {
                 .set("shard", shard)
                 .set("ops", ops.len());
             if item.emit_program {
-                line = line.set("program", render_ops(ops));
+                line = line.set("program", OpLines(ops).to_string());
             }
             if let Err(e) = writeln!(output, "{}", line.render()) {
                 io_err = Some(e);
@@ -1125,8 +1055,8 @@ impl Service {
         // The same isolation boundary as the batch workers: a panicking
         // streaming compile costs its request, not the loop.
         let result = crate::error::isolated(|| {
-            self.engine
-                .run_streaming_qasm(item.qasm.as_bytes(), item.window, &mut sink)
+            item.engine
+                .run_streaming_qasm(qasm.as_bytes(), window, &mut sink)
         });
         if let Some(e) = io_err {
             return Err(e);
@@ -1146,145 +1076,129 @@ impl Service {
     fn parse_request(&mut self, line: &str) -> Request {
         let enqueued = Instant::now();
         let obj = match Json::parse(line) {
-            Ok(j @ Json::Obj(_)) => j,
-            Ok(_) => {
+            Ok(obj @ Json::Obj(_)) => obj,
+            parsed => {
+                let error = match parsed {
+                    Err(e) => format!("malformed request: {e}"),
+                    Ok(_) => "request must be a JSON object".into(),
+                };
                 return Request::Bad {
                     id: Json::Null,
-                    kind: KIND_INVALID_REQUEST,
-                    error: "request must be a JSON object".into(),
-                }
-            }
-            Err(e) => {
-                return Request::Bad {
-                    id: Json::Null,
-                    kind: KIND_INVALID_REQUEST,
-                    error: format!("malformed request: {e}"),
-                }
+                    error,
+                };
             }
         };
         let id = obj.get("id").cloned().unwrap_or(Json::Null);
-        let bad = |error: String| Request::Bad {
-            id: id.clone(),
-            kind: KIND_INVALID_REQUEST,
-            error,
+        let request = match obj.get("op").and_then(Json::as_str) {
+            None | Some("run") => self
+                .parse_run(&obj, id.clone(), enqueued)
+                .map(|item| Request::Run(Box::new(item))),
+            Some("configure") => self.override_builder(&obj, None).and_then(|builder| {
+                let rebind = match builder {
+                    None => None,
+                    Some(builder) => {
+                        let engine = builder.clone().build().map_err(|e| e.to_string())?;
+                        Some(Box::new((builder, engine)))
+                    }
+                };
+                Ok(Request::Configure {
+                    id: id.clone(),
+                    rebind,
+                })
+            }),
+            Some("stats") => Ok(Request::Stats),
+            Some("shutdown") => Ok(Request::Shutdown),
+            Some(other) => Err(format!("unknown op `{other}`")),
         };
+        request.unwrap_or_else(|error| Request::Bad { id, error })
+    }
 
-        match obj.get("op").and_then(Json::as_str) {
-            None | Some("run") => {}
-            Some("configure") => {
-                let rebind = match self.override_builder(&obj, None) {
-                    Ok(None) => None,
-                    Ok(Some(builder)) => match builder.clone().build() {
-                        Ok(engine) => Some(Box::new((builder, engine))),
-                        Err(e) => return bad(e.to_string()),
-                    },
-                    Err(error) => return bad(error),
-                };
-                return Request::Configure { id, rebind };
-            }
-            Some("stats") => return Request::Stats,
-            Some("shutdown") => return Request::Shutdown,
-            Some(other) => return bad(format!("unknown op `{other}`")),
-        }
-
-        let Some(qasm_text) = obj.get("qasm").and_then(Json::as_str) else {
-            return bad("run request needs a string `qasm` field".into());
+    /// Turns a run request's fields into its item: the payload gated by
+    /// the service width cap, the deadline, and the engine the request
+    /// compiles under.
+    fn parse_run(&mut self, obj: &Json, id: Json, enqueued: Instant) -> Result<RunItem, String> {
+        let qasm_text = obj
+            .get("qasm")
+            .and_then(Json::as_str)
+            .ok_or("run request needs a string `qasm` field")?;
+        let stream = match obj.get("stream") {
+            None | Some(Json::Bool(false)) => false,
+            Some(Json::Bool(true)) => true,
+            Some(_) => return Err("`stream` must be a boolean".into()),
         };
-        match obj.get("stream") {
-            None | Some(Json::Bool(false)) => {}
-            Some(Json::Bool(true)) => {
-                // Streaming runs never materialize a Circuit, so every
-                // override path (which sizes its machine to the parsed
-                // circuit) is off the table by construction.
-                if OVERRIDE_KEYS.iter().any(|k| obj.get(k).is_some()) {
-                    return bad("streaming requests compile through the shared session and \
-                         accept no per-request overrides; send {\"op\":\"configure\"} \
-                         first to rebind"
-                        .into());
+        let (payload, deadline, engine) = if stream {
+            // Streaming runs never materialize a Circuit, so every
+            // override path (which sizes its machine to the parsed
+            // circuit) is off the table by construction.
+            if OVERRIDE_KEYS.iter().any(|k| obj.get(k).is_some()) {
+                return Err("streaming requests compile through the shared session and \
+                     accept no per-request overrides; send {\"op\":\"configure\"} \
+                     first to rebind"
+                    .into());
+            }
+            let window = match obj.get("stream_window") {
+                None => DEFAULT_STREAM_WINDOW,
+                Some(v) => match v.as_f64() {
+                    Some(x) if x >= 1.0 && x.fract() == 0.0 => x as usize,
+                    _ => return Err("`stream_window` must be a positive integer".into()),
+                },
+            };
+            let deadline = self.parse_deadline(obj, enqueued)?;
+            // The stream sizes its machine from the `qreg` header, so
+            // the probe stops there; one the stream cannot start from
+            // (missing or malformed) is as invalid as unparsable QASM.
+            let n_qubits = qasm::QasmStream::new(qasm_text.as_bytes())
+                .require_n_qubits()
+                .map_err(|e| e.to_string())?;
+            width_gate(n_qubits)?;
+            let payload = Payload::Stream {
+                qasm: qasm_text.into(),
+                window,
+            };
+            (payload, deadline, Arc::clone(&self.engine))
+        } else {
+            // Parse memo: a repeated payload skips its QASM parse
+            // (parsing is deterministic, and the hit verified the text
+            // matches) and reuses the memoized cache key.
+            let text_key = ParseMemo::text_key(qasm_text);
+            let (circuit, digest) = match self.parse_memo.get(text_key, qasm_text) {
+                Some(hit) => (hit.circuit, hit.key),
+                None => {
+                    let circuit = qasm::parse_qasm(qasm_text).map_err(|e| e.to_string())?;
+                    width_gate(circuit.n_qubits())?;
+                    let key = self.cache.circuit_key(&circuit);
+                    let circuit = Arc::new(circuit);
+                    self.parse_memo.insert(
+                        text_key,
+                        MemoHit {
+                            text: Arc::from(qasm_text),
+                            circuit: Arc::clone(&circuit),
+                            key,
+                        },
+                    );
+                    (circuit, key)
                 }
-                let window = match obj.get("stream_window") {
-                    None => DEFAULT_STREAM_WINDOW,
-                    Some(v) => match v.as_f64() {
-                        Some(x) if x >= 1.0 && x.fract() == 0.0 => x as usize,
-                        _ => return bad("`stream_window` must be a positive integer".into()),
-                    },
-                };
-                let deadline = match self.parse_deadline(&obj, enqueued) {
-                    Ok(d) => d,
-                    Err(e) => return bad(e),
-                };
-                return Request::RunStream(Box::new(StreamItem {
-                    id,
-                    qasm: qasm_text.into(),
-                    window,
-                    emit_program: matches!(obj.get("emit_program"), Some(Json::Bool(true))),
-                    enqueued,
-                    deadline,
-                }));
-            }
-            Some(_) => return bad("`stream` must be a boolean".into()),
-        }
-        // Parse memo: a repeated payload skips its QASM parse (parsing
-        // is deterministic, and the hit verified the text matches) and
-        // reuses the memoized cache key.
-        let text_key = ParseMemo::text_key(qasm_text);
-        let (circuit, digest) = match self.parse_memo.get(text_key, qasm_text) {
-            Some(hit) => (hit.circuit, hit.key),
-            None => {
-                let circuit = match qasm::parse_qasm(qasm_text) {
-                    Ok(c) => c,
-                    Err(e) => return bad(e.to_string()),
-                };
-                // Width gate *before* any backend sizes itself to the
-                // circuit: the scaled partitioner and the QCCD trap
-                // array allocate proportionally to the register, so a
-                // `qreg q[10^12]` request must die here as a structured
-                // error, not as an allocation abort.
-                if circuit.n_qubits() > MAX_REQUEST_IONS {
-                    return bad(format!(
-                        "circuit register of {} qubits exceeds the service cap of {MAX_REQUEST_IONS}",
-                        circuit.n_qubits()
-                    ));
-                }
-                let key = self.cache.circuit_key(&circuit);
-                let circuit = Arc::new(circuit);
-                self.parse_memo.insert(
-                    text_key,
-                    MemoHit {
-                        text: Arc::from(qasm_text),
-                        circuit: Arc::clone(&circuit),
-                        key,
-                    },
-                );
-                (circuit, key)
-            }
+            };
+            let deadline = self.parse_deadline(obj, enqueued)?;
+            let engine = match self.override_builder(obj, Some(circuit.as_ref()))? {
+                None => Arc::clone(&self.engine),
+                Some(builder) => Arc::new(builder.build().map_err(|e| e.to_string())?),
+            };
+            let payload = Payload::Parsed {
+                circuit: Some(circuit),
+                digest,
+            };
+            (payload, deadline, engine)
         };
-        let emit_program = matches!(obj.get("emit_program"), Some(Json::Bool(true)));
-        let deadline = match self.parse_deadline(&obj, enqueued) {
-            Ok(d) => d,
-            Err(e) => return bad(e),
-        };
-        let engine = match self.override_builder(&obj, Some(circuit.as_ref())) {
-            Ok(None) => None,
-            Ok(Some(builder)) => match builder.build() {
-                Ok(engine) => Some(engine),
-                Err(e) => return bad(e.to_string()),
-            },
-            Err(error) => return bad(error),
-        };
-        let item = Box::new(RunItem {
-            id: id.clone(),
-            digest,
-            circuit: Some(circuit),
-            emit_program,
+        Ok(RunItem {
+            id,
+            engine,
+            payload,
+            emit_program: matches!(obj.get("emit_program"), Some(Json::Bool(true))),
             enqueued,
             deadline,
             permit: None,
-        });
-        match engine {
-            None => Request::Run(item),
-            Some(engine) => Request::RunOverride(item, Box::new(engine)),
-        }
+        })
     }
 
     /// Resolves a request's `deadline_ms` field, falling back to the
@@ -1456,16 +1370,12 @@ impl Service {
             });
         }
 
-        let default_backend = match self.engine.backend() {
-            Backend::Tilt(_) => "tilt",
-            Backend::Qccd(_) => "qccd",
-            Backend::Scaled(_) => "scaled",
-        };
+        let default_backend = self.engine.backend().kind().to_string();
         let backend = match obj
             .get("backend")
             .map(|b| b.as_str().ok_or("`backend` must be a string"))
             .transpose()?
-            .unwrap_or(default_backend)
+            .unwrap_or(&default_backend)
         {
             "tilt" => {
                 let spec = DeviceSpec::new(ions, head).map_err(|e| e.to_string())?;
@@ -1542,13 +1452,47 @@ impl Service {
     }
 }
 
+/// Width gate *before* any backend sizes itself to a register: the
+/// scaled partitioner and the QCCD trap array allocate proportionally
+/// to it, so a `qreg q[10^12]` request — parsed or streamed — must die
+/// here as a structured error, not as an allocation abort.
+fn width_gate(n_qubits: usize) -> Result<(), String> {
+    if n_qubits > MAX_REQUEST_IONS {
+        return Err(format!(
+            "circuit register of {n_qubits} qubits exceeds the service cap of {MAX_REQUEST_IONS}"
+        ));
+    }
+    Ok(())
+}
+
+/// The engine the window's runs compile under; `None` while it holds
+/// only pre-resolved responses.
+fn window_engine(pending: &[PendingItem]) -> Option<&Arc<Engine>> {
+    pending.iter().find_map(|entry| match entry {
+        PendingItem::Run(item) => Some(&item.engine),
+        PendingItem::Resolved { .. } => None,
+    })
+}
+
+/// Whether `item` may join the buffered window: parsed runs do, under
+/// the config fingerprint the window's runs already share.
+fn joins_window(pending: &[PendingItem], item: &RunItem) -> bool {
+    matches!(item.payload, Payload::Parsed { .. })
+        && window_engine(pending)
+            .is_none_or(|e| e.config_fingerprint() == item.engine.config_fingerprint())
+}
+
 /// The response for `item` if its `(circuit, config)` key is resident
 /// in the cache, rendered through the same [`WireReport`] path as a
-/// fresh compile, so hit and miss responses are byte-identical.
-fn cached_wire_response(cache: &CompileCache, item: &RunItem, config: Digest) -> Option<Json> {
+/// fresh compile, so hit and miss responses are byte-identical. Streams
+/// never hit: a cache entry holds no increment lines to replay.
+fn cached_wire_response(cache: &CompileCache, item: &RunItem) -> Option<Json> {
+    let Payload::Parsed { digest, .. } = item.payload else {
+        return None;
+    };
     let key = CacheKey {
-        circuit: item.digest,
-        config,
+        circuit: digest,
+        config: item.engine.config_fingerprint(),
     };
     let entry = cache.get_wire(key)?;
     // Clone the wire view only when the response must carry program
@@ -1592,42 +1536,16 @@ fn error_kind(e: &TiltError) -> &'static str {
     }
 }
 
-/// Renders a streaming increment's ops in the per-op format of
-/// [`TiltProgram`](tilt_compiler::TiltProgram)'s `Display` body, so
-/// concatenating every increment of one shard reproduces the monolithic
-/// `emit_program` text minus its header line.
-fn render_ops(ops: &[TiltOp]) -> String {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for op in ops {
-        let _ = match op {
-            TiltOp::Move { to } => writeln!(text, "  move -> {to}"),
-            TiltOp::Gate { gate, head_pos } => writeln!(text, "  [{head_pos:>3}] {gate}"),
-        };
-    }
-    text
-}
-
 /// The final response line of a streaming run: the monolithic wire
 /// fields (bit-identical numbers — the streaming pipeline is
-/// decision-identical) plus the streaming markers.
+/// decision-identical) between the streaming markers.
 fn stream_response(id: &Json, outcome: &StreamOutcome) -> Json {
-    let c = &outcome.compile;
-    Json::object()
+    let head = Json::object()
         .set("id", id.clone())
         .set("ok", true)
-        .set("streamed", true)
-        .set("backend", outcome.backend.to_string())
-        .set("swaps", c.swap_count)
-        .set("opposing_swaps", c.opposing_swap_count)
-        .set("moves", c.move_count)
-        .set("move_distance", c.move_distance)
-        .set("native_gates", c.native_gate_count)
-        .set("native_two_qubit", c.native_two_qubit_count)
-        .set("epr_pairs", c.epr_pairs)
-        .set("ln_success", outcome.ln_success)
-        .set("success", outcome.success)
-        .set("exec_time_us", outcome.exec_time_us)
+        .set("streamed", true);
+    WireReport::of_stream(outcome)
+        .fields(head)
         .set("increments", outcome.increments)
         .set("input_gates", outcome.input_gate_count)
 }
@@ -2450,5 +2368,126 @@ mod tests {
         assert!(h.quantile_us(0.5) <= h.quantile_us(0.99));
         assert!(h.quantile_us(0.99) >= 8192);
         assert_eq!(LatencyHistogram::new().quantile_us(0.5), 0);
+    }
+
+    #[test]
+    fn latency_histogram_resolves_within_one_sub_bucket() {
+        let p50 = |us: u64| {
+            let mut h = LatencyHistogram::new();
+            h.record_us(us);
+            h.quantile_us(0.5)
+        };
+        assert_ne!(p50(700), p50(1000), "700 µs and 1,000 µs must differ");
+        let spot = (0..=4096).chain((1..=40).map(|k| (1u64 << k) - 1));
+        for us in spot.chain([700, 1000, 123_457]) {
+            let q = p50(us);
+            assert!(q >= us && q - us <= us / 8, "{us} µs reads as {q} µs");
+        }
+        // 98 fast requests and 2 slow ones: the p99 is a slow one.
+        let mut h = LatencyHistogram::new();
+        for _ in 0..98 {
+            h.record_us(100);
+        }
+        h.record_us(520);
+        h.record_us(520);
+        let p99 = h.quantile_us(0.99);
+        assert!((520..=585).contains(&p99), "p99 of 520 µs reads {p99}");
+    }
+
+    /// `n` distinct 8-qubit circuits, as QASM text.
+    fn distinct_circuits(n: usize) -> Vec<String> {
+        (1..=n)
+            .map(|k| format!("qreg q[8];\nh q[0];\ncx q[0], q[{k}];\ncx q[{k}], q[7];\n"))
+            .collect()
+    }
+
+    fn run_line(id: usize, extra: &str, qasm: &str) -> String {
+        format!(
+            "{{\"id\":{id}{extra},\"qasm\":\"{}\"}}\n",
+            qasm.replace('\n', "\\n")
+        )
+    }
+
+    /// The response a dedicated engine renders for `qasm`.
+    fn dedicated(builder: EngineBuilder, id: usize, qasm: &str) -> String {
+        let report = builder
+            .build()
+            .unwrap()
+            .run(&qasm::parse_qasm(qasm).unwrap());
+        run_response(&Json::from(id as f64), &report, false).render()
+    }
+
+    fn tilt_8_4() -> EngineBuilder {
+        Engine::builder().backend(Backend::Tilt(DeviceSpec::new(8, 4).unwrap()))
+    }
+
+    #[test]
+    fn same_config_overrides_ride_one_window() {
+        let mut s = tilt_service(8, 4);
+        let circuits = distinct_circuits(5);
+        let input: String = (0..5)
+            .map(|i| run_line(i, ",\"scheduler\":\"naive\"", &circuits[i]))
+            .collect();
+        let (resps, summary) = drive(&mut s, &input);
+        assert_eq!(summary.stats.max_in_flight, 5, "all five share one window");
+        assert_eq!(resps.len(), 5);
+        for (i, resp) in resps.iter().enumerate() {
+            let naive = tilt_8_4().scheduler(SchedulerKind::NaiveNextGate);
+            assert_eq!(resp.render(), dedicated(naive, i, &circuits[i]));
+        }
+    }
+
+    #[test]
+    fn duplicate_override_pair_in_one_window_is_one_miss_plus_one_hit() {
+        let mut s = tilt_service(8, 4);
+        let circuit = &distinct_circuits(1)[0];
+        let line = run_line(1, ",\"scheduler\":\"naive\"", circuit);
+        let (resps, summary) = drive(&mut s, &format!("{line}{line}"));
+        assert_eq!(summary.stats.max_in_flight, 2, "the pair shares one window");
+        assert!(ok(&resps[0]), "{resps:?}");
+        assert_eq!(resps[0].render(), resps[1].render());
+        assert_eq!((summary.cache.misses, summary.cache.hits), (1, 1));
+    }
+
+    #[test]
+    fn a_default_request_between_two_override_configs_answers_in_order() {
+        let mut s = tilt_service(8, 4);
+        let circuits = distinct_circuits(3);
+        let input = run_line(0, ",\"scheduler\":\"naive\"", &circuits[0])
+            + &run_line(1, "", &circuits[1])
+            + &run_line(2, ",\"router\":\"stochastic\"", &circuits[2]);
+        let (resps, _) = drive(&mut s, &input);
+        let stochastic = RouterKind::Stochastic(StochasticConfig::default());
+        let expected = [
+            dedicated(
+                tilt_8_4().scheduler(SchedulerKind::NaiveNextGate),
+                0,
+                &circuits[0],
+            ),
+            dedicated(tilt_8_4(), 1, &circuits[1]),
+            dedicated(tilt_8_4().router(stochastic), 2, &circuits[2]),
+        ];
+        let got: Vec<String> = resps.iter().map(Json::render).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn stream_headers_are_checked_before_deadline_and_admission() {
+        let admission = Arc::new(AdmissionControl::new(1, usize::MAX));
+        let mut s = tilt_service(8, 4).with_admission(Arc::clone(&admission));
+        let _held = admission.try_admit(0).unwrap();
+        let input = concat!(
+            "{\"id\":1,\"stream\":true,\"deadline_ms\":0,\"qasm\":\"h q[0];\\n\"}\n",
+            "{\"id\":2,\"stream\":true,\"qasm\":\"qreg q[5000];\\n\"}\n",
+        );
+        let (resps, summary) = drive(&mut s, input);
+        for resp in &resps {
+            assert_eq!(err_kind(resp), "invalid_request", "{resp:?}");
+        }
+        assert!(err_msg(&resps[1]).contains("service cap"), "{resps:?}");
+        assert_eq!(
+            summary.stats.shed_deadline + summary.stats.shed_overloaded,
+            0
+        );
     }
 }
