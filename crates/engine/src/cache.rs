@@ -44,13 +44,18 @@
 //! [`CompileCache::save`] snapshots the wire view of every entry as one
 //! JSON object per line (through the workspace's own [`Json`] writer) to
 //! `compile-cache.jsonl` under a directory; [`CompileCache::load`]
-//! replays it. Every line embeds a `check` digest over its own payload:
-//! a corrupted, truncated, hand-edited, or version-skewed line fails
-//! verification and is dropped individually — a bad snapshot degrades to
-//! a cold start, never to a wrong response. Stale-but-valid entries
-//! (from a session configured differently) are harmless: their config
-//! fingerprint no longer matches any key the server computes, so they
-//! age out of the LRU untouched.
+//! replays it. Every line ends in a fixed-width `,"check":"<32 hex>"}`
+//! tail: a digest over the line's own bytes before the `check` field
+//! (plus the closing `}`), which `load` verifies before it parses
+//! anything. A corrupted, truncated, hand-edited, or version-skewed line
+//! fails verification and is dropped individually — a bad snapshot
+//! degrades to a cold start, never to a wrong response. The writer's
+//! output is canonical, so this is the same digest over the same bytes
+//! as a digest of the re-rendered payload, and snapshots written before
+//! the loader checked raw bytes still load: the format version stays 1.
+//! Stale-but-valid entries (from a session configured differently) are
+//! harmless: their config fingerprint no longer matches any key the
+//! server computes, so they age out of the LRU untouched.
 
 use crate::report::{BackendKind, CompileStats, RunReport};
 use crate::sim::{SimReport, SimulatorKind};
@@ -456,6 +461,15 @@ impl CompileCache {
         Some(entry)
     }
 
+    /// The wire view of a resident entry, for inspection: counts no hit
+    /// and leaves its recency alone.
+    pub fn peek_wire(&self, key: CacheKey) -> Option<WireReport> {
+        self.state()
+            .map
+            .get(&key)
+            .map(|slot| slot.entry.wire.clone())
+    }
+
     /// Inserts (or replaces) an entry, evicting least-recently-used
     /// entries while either bound (entry count, payload bytes) is
     /// exceeded.
@@ -534,9 +548,7 @@ impl CompileCache {
             let header = Json::object()
                 .set("v", SNAPSHOT_VERSION)
                 .set("salt", Digest(state.salt).to_hex());
-            let check = payload_check(&header);
-            text.push_str(&header.set("check", check.to_hex()).render());
-            text.push('\n');
+            push_sealed(&mut text, &header);
             for key in state.order.values() {
                 let slot = &state.map[key];
                 let wire = &slot.entry.wire;
@@ -578,9 +590,7 @@ impl CompileCache {
                         payload = payload.set("sim_random", r);
                     }
                 }
-                let check = payload_check(&payload);
-                text.push_str(&payload.set("check", check.to_hex()).render());
-                text.push('\n');
+                push_sealed(&mut text, &payload);
                 written += 1;
             }
         }
@@ -594,9 +604,11 @@ impl CompileCache {
 
     /// Restores entries from `dir/compile-cache.jsonl`, adopting the
     /// snapshot's salt (so its keys keep matching future requests —
-    /// call this at startup, before serving). Every line is verified
-    /// against its embedded `check` digest; entry lines that fail to
-    /// parse, verify, or carry the expected fields are dropped
+    /// call this at startup, before serving). Every line is verified in
+    /// one pass: its bytes before the `check` field must hash to the
+    /// embedded `check` digest before the line is parsed and decoded
+    /// (eagerly — an entry is ready to serve once loaded). Entry lines
+    /// that fail to verify, parse, or carry the expected fields are dropped
     /// individually, and a bad **header** rejects the whole snapshot
     /// (without the right salt its keys could never be hit anyway). A
     /// missing snapshot file is an empty load, not an error. Returns
@@ -632,16 +644,61 @@ impl CompileCache {
     }
 }
 
+/// The two halves of the `,"check":"<32 hex>"}` tail that closes every
+/// snapshot line, and its fixed width.
+const CHECK_PREFIX: &str = ",\"check\":\"";
+const CHECK_SUFFIX: &str = "\"}";
+const CHECK_TAIL_LEN: usize = CHECK_PREFIX.len() + 32 + CHECK_SUFFIX.len();
+
+/// The integrity digest of one rendered snapshot payload (the line's
+/// object without its `check` field).
+fn payload_check(payload: &str) -> Digest {
+    let mut h = Hasher::new();
+    h.write_str(payload);
+    h.digest()
+}
+
+/// Renders `payload` once, then closes it with the check tail and a
+/// newline: the line is the payload's own bytes with `,"check":…`
+/// spliced in before its final `}`.
+fn push_sealed(text: &mut String, payload: &Json) {
+    let rendered = payload.render();
+    let check = payload_check(&rendered);
+    text.push_str(&rendered[..rendered.len() - 1]);
+    text.push_str(CHECK_PREFIX);
+    text.push_str(&check.to_hex());
+    text.push_str(CHECK_SUFFIX);
+    text.push('\n');
+}
+
+/// Verifies one snapshot line against its own bytes and parses the
+/// payload object. The line must end in the fixed-width check tail; the
+/// bytes before it plus a closing `}` are the payload, which must hash
+/// to the check before it is parsed at all. A writer's line is
+/// canonical, so any edit (a changed byte, inserted whitespace, a moved
+/// `check`, trailing bytes) breaks either the tail or the digest.
+fn verified_payload(line: &str) -> Option<Json> {
+    let split = line.len().checked_sub(CHECK_TAIL_LEN)?;
+    let hex = line
+        .as_bytes()
+        .get(split..)?
+        .strip_prefix(CHECK_PREFIX.as_bytes())?
+        .strip_suffix(CHECK_SUFFIX.as_bytes())?;
+    let check = Digest::from_hex(std::str::from_utf8(hex).ok()?)?;
+    // The tail is ASCII, so `split` is a char boundary.
+    let mut payload = String::with_capacity(split + 1);
+    payload.push_str(line.get(..split)?);
+    payload.push('}');
+    if payload_check(&payload) != check {
+        return None;
+    }
+    Json::parse(&payload).ok()
+}
+
 /// Verifies and decodes the snapshot header line, returning its salt.
 fn parse_snapshot_header(line: &str) -> Option<u128> {
-    let Ok(Json::Obj(mut entries)) = Json::parse(line) else {
-        return None;
-    };
-    let check_at = entries.iter().position(|(k, _)| k == "check")?;
-    let (_, check) = entries.remove(check_at);
-    let check = Digest::from_hex(check.as_str()?)?;
-    let header = Json::Obj(entries);
-    if payload_check(&header) != check || header.get("v")?.as_f64()? != SNAPSHOT_VERSION {
+    let header = verified_payload(line)?;
+    if header.get("v")?.as_f64()? != SNAPSHOT_VERSION {
         return None;
     }
     // Headers carry no entry fields — a swapped header/entry line
@@ -652,28 +709,9 @@ fn parse_snapshot_header(line: &str) -> Option<u128> {
     Some(Digest::from_hex(header.get("salt")?.as_str()?)?.0)
 }
 
-/// The integrity digest of one snapshot payload (the rendered line
-/// without its `check` field).
-fn payload_check(payload: &Json) -> Digest {
-    let mut h = Hasher::new();
-    h.write_str(&payload.render());
-    h.digest()
-}
-
 /// Verifies and decodes one snapshot line; `None` rejects it.
 fn parse_snapshot_line(line: &str) -> Option<(CacheKey, CacheEntry)> {
-    let Ok(Json::Obj(mut entries)) = Json::parse(line) else {
-        return None;
-    };
-    // Detach the check field, re-render the remainder, and compare: any
-    // byte-level tampering either breaks the parse above or lands here.
-    let check_at = entries.iter().position(|(k, _)| k == "check")?;
-    let (_, check) = entries.remove(check_at);
-    let check = Digest::from_hex(check.as_str()?)?;
-    let payload = Json::Obj(entries);
-    if payload_check(&payload) != check {
-        return None;
-    }
+    let payload = verified_payload(line)?;
     if payload.get("v")?.as_f64()? != SNAPSHOT_VERSION {
         return None;
     }

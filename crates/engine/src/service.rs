@@ -512,9 +512,12 @@ enum Request {
     Stats,
     Shutdown,
     /// The line could not become a request: answer `invalid_request`.
+    /// `enqueued` is when the line arrived, so its latency counts from
+    /// receipt to the written error.
     Bad {
         id: Json,
         error: String,
+        enqueued: Instant,
     },
 }
 
@@ -681,6 +684,7 @@ impl Service {
                 let bad = Request::Bad {
                     id: Json::Null,
                     error,
+                    enqueued: Instant::now(),
                 };
                 self.answer(bad, 0, &mut pending, &mut output)?;
                 acc.clear();
@@ -757,6 +761,7 @@ impl Service {
         pending: &mut Vec<PendingItem>,
         output: &mut W,
     ) -> io::Result<bool> {
+        let mut bad_since = None;
         let (resp, shutdown) = match request {
             Request::Run(item) => {
                 self.run(*item, bytes, pending, output)?;
@@ -783,8 +788,12 @@ impl Service {
                 let ack = Json::object().set("ok", true).set("shutdown", true);
                 (Some(ack), true)
             }
-            Request::Bad { id, error } => {
-                self.stats.record(0, false);
+            Request::Bad {
+                id,
+                error,
+                enqueued,
+            } => {
+                bad_since = Some(enqueued);
                 (Some(error_json(&id, KIND_INVALID_REQUEST, &error)), false)
             }
         };
@@ -796,6 +805,10 @@ impl Service {
             Json::object().set("ok", true).set("stats", stats)
         });
         writeln!(output, "{}", resp.render())?;
+        if let Some(enqueued) = bad_since {
+            self.stats
+                .record(enqueued.elapsed().as_micros() as u64, false);
+        }
         output.flush()?;
         Ok(shutdown)
     }
@@ -1085,6 +1098,7 @@ impl Service {
                 return Request::Bad {
                     id: Json::Null,
                     error,
+                    enqueued,
                 };
             }
         };
@@ -1110,7 +1124,11 @@ impl Service {
             Some("shutdown") => Ok(Request::Shutdown),
             Some(other) => Err(format!("unknown op `{other}`")),
         };
-        request.unwrap_or_else(|error| Request::Bad { id, error })
+        request.unwrap_or_else(|error| Request::Bad {
+            id,
+            error,
+            enqueued,
+        })
     }
 
     /// Turns a run request's fields into its item: the payload gated by
@@ -1755,6 +1773,26 @@ mod tests {
         assert!(!ok(&resp));
         assert_eq!(err_kind(&resp), "verify_failed");
         assert!(err_msg(&resp).contains("3 diagnostic(s)"));
+    }
+
+    #[test]
+    fn error_lines_record_their_real_latency() {
+        // Three lines whose QASM parses thousands of gates before an
+        // unknown one, and one small valid run: errors are the majority,
+        // so the median is an error line's receipt-to-response time.
+        let bad_qasm = format!("qreg q[8];\\n{}bogus q[0];\\n", "h q[0];\\n".repeat(5000));
+        let mut input = String::new();
+        for id in 1..=3 {
+            input += &format!("{{\"id\":{id},\"qasm\":\"{bad_qasm}\"}}\n");
+        }
+        input += "{\"id\":4,\"qasm\":\"qreg q[8];\\nh q[0];\\ncx q[0], q[7];\\n\"}\n";
+        let mut s = tilt_service(8, 4);
+        let (resps, summary) = drive(&mut s, &input);
+        assert_eq!(resps.len(), 4);
+        assert!(resps[..3].iter().all(|r| err_kind(r) == "invalid_request"));
+        assert!(ok(&resps[3]));
+        assert_eq!((summary.stats.errors, summary.stats.ok), (3, 1));
+        assert!(summary.stats.p50_us() >= 1, "error lines timed at 0 µs");
     }
 
     #[test]

@@ -64,6 +64,7 @@ impl Json {
     /// input or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             at: 0,
             depth: 0,
@@ -173,6 +174,7 @@ impl std::error::Error for JsonParseError {}
 const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
     depth: usize,
@@ -292,49 +294,45 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.at) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            // Surrogates (from writers other than ours)
-                            // are replaced rather than rejected.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.at += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.at..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary.
+            let Some(run) = self.bytes[self.at..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.at = self.bytes.len();
+                return Err(self.error("unterminated string"));
+            };
+            out.push_str(&self.text[self.at..self.at + run]);
+            self.at += run;
+            if self.bytes[self.at] == b'"' {
+                self.at += 1;
+                return Ok(out);
             }
+            self.at += 1;
+            match self.bytes.get(self.at) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.at + 1..self.at + 5)
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.error("bad \\u escape"))?;
+                    // Surrogates (from writers other than ours) are
+                    // replaced rather than rejected.
+                    out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                    self.at += 4;
+                }
+                _ => return Err(self.error("bad escape")),
+            }
+            self.at += 1;
         }
     }
 
@@ -346,8 +344,8 @@ impl Parser<'_> {
         ) {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii number");
-        text.parse::<f64>()
+        self.text[start..self.at]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error("malformed number"))
     }
@@ -355,19 +353,27 @@ impl Parser<'_> {
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs escaping is ASCII, so each run of bytes
+    // between two of them is whole UTF-8 and copies in one go.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -422,6 +428,7 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn renders_nested_structures() {
@@ -511,6 +518,63 @@ mod tests {
         assert!(Json::parse(&at_cap).is_ok());
         let wide = format!("[{}]", vec!["[1]"; 1000].join(","));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    /// One piece of a generated string: a control character, a quote, a
+    /// backslash, a multibyte scalar, a long run that needs no escaping,
+    /// or a single printable ASCII character.
+    fn piece() -> impl Strategy<Value = String> {
+        let scalar = |c: u32| char::from_u32(c).expect("valid scalar").to_string();
+        prop_oneof![
+            (0u32..0x20).prop_map(scalar),
+            Just("\"".to_string()),
+            Just("\\".to_string()),
+            (0x80u32..0xd800).prop_map(scalar),
+            (0xe000u32..0x11_0000).prop_map(scalar),
+            (1usize..3000, 0x20u8..0x7f).prop_map(|(n, b)| {
+                let c = if matches!(b, b'"' | b'\\') {
+                    'x'
+                } else {
+                    b as char
+                };
+                c.to_string().repeat(n)
+            }),
+            (0x20u32..0x7f).prop_map(scalar),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn string_render_then_parse_round_trips(pieces in prop::collection::vec(piece(), 0..24)) {
+            let s = pieces.concat();
+            let text = Json::from(s.as_str()).render();
+            prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s)));
+        }
+    }
+
+    #[test]
+    fn string_errors_report_the_same_offsets() {
+        let err = Json::parse("{\"k\":\"abc").unwrap_err();
+        assert_eq!((err.message.as_str(), err.at), ("unterminated string", 9));
+        // A long run (multibyte included) before a bad escape: the offset
+        // is the byte after the backslash.
+        let run = "é".repeat(2000) + &"a".repeat(3000);
+        let err = Json::parse(&format!("\"{run}\\q\"")).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("bad escape", 1 + run.len() + 1)
+        );
+        let err = Json::parse(&format!("\"{run}\\u12\"")).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("bad \\u escape", 1 + run.len() + 1)
+        );
+        let err = Json::parse(&format!("\"{run}\\")).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("bad escape", 1 + run.len() + 1)
+        );
     }
 
     #[test]

@@ -9,7 +9,11 @@ use std::io::Cursor;
 use std::sync::Arc;
 use tilt::benchmarks::qaoa::qaoa_maxcut;
 use tilt::circuit::qasm;
-use tilt::engine::{Backend, CompileCache, Engine, EngineBuilder, Service};
+use tilt::engine::{
+    Backend, BackendKind, CacheKey, CompileCache, Engine, EngineBuilder, Service, SimReport,
+    SimulatorKind, WireReport,
+};
+use tilt::hash::Digest;
 use tilt::prelude::*;
 use tilt::report::Json;
 use tilt::sim::{CoolingPolicy, ExecTimeModel};
@@ -399,4 +403,116 @@ fn service_duplicates_hit_across_default_and_override_sessions() {
     assert_eq!(summary.cache.hits, 2);
     assert_eq!(summary.cache.misses, 2);
     assert_eq!(summary.cache.entries, 2);
+}
+
+/// A snapshot as `CompileCache::save` writes it, committed byte for
+/// byte: a salt header, an entry whose program text holds a newline, a
+/// quote, a backslash and non-ASCII text, and an entry with simulation
+/// fields. Every later loader must accept it unchanged.
+const SNAPSHOT_FIXTURE: &str = r##"{"v":1,"salt":"0000000000005eed0fc15edb0fc0ffee","check":"599b9d8ef66487def5406fa7ab857211"}
+{"v":1,"circuit":"0123456789abcdef0011223344556677","config":"0000000000000000000000000000c0f1","backend":"tilt","swaps":2,"opposing_swaps":1,"moves":3,"move_distance":7,"native_gates":12,"native_two_qubit":4,"epr_pairs":0,"ln_success":-0.0625,"success":0.9394130628134758,"exec_time_us":412.5,"program":"move -> 4\n  [  0] ms q[0], q[3] // \"ancilla\" \\ tape\n  [  1] rz(π/2) q[1] — ключ ✓\n","check":"b8e8e196510e2f4339b348d758b1c35a"}
+{"v":1,"circuit":"000000000000000000000000feedbeef","config":"0000000000000000000000000000c0f1","backend":"qccd","swaps":2,"opposing_swaps":1,"moves":5,"move_distance":7,"native_gates":12,"native_two_qubit":4,"epr_pairs":0,"ln_success":-0.0625,"success":0.9394130628134758,"exec_time_us":412.5,"sim_simulator":"stabilizer","sim_bitstring":"0110","sim_measurements":4,"sim_deterministic":3,"sim_random":1,"check":"ede5bb2ef4b29e566474964f5edb6c73"}
+"##;
+
+fn fixture_key(circuit: u128) -> CacheKey {
+    CacheKey {
+        circuit: Digest(circuit),
+        config: Digest(0xc0f1),
+    }
+}
+
+fn fixture_wire(backend: BackendKind, moves: usize) -> WireReport {
+    WireReport {
+        backend,
+        swaps: 2,
+        opposing_swaps: 1,
+        moves,
+        move_distance: 7,
+        native_gates: 12,
+        native_two_qubit: 4,
+        epr_pairs: 0,
+        ln_success: -0.0625,
+        success: 0.9394130628134758,
+        exec_time_us: 412.5,
+        program_text: None,
+        sim: None,
+    }
+}
+
+/// Loads `text` as a snapshot from a fresh directory.
+fn load_snapshot(tag: &str, text: &str) -> (CompileCache, (usize, usize)) {
+    let dir = scratch_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("compile-cache.jsonl"), text).unwrap();
+    let cache = CompileCache::new(8);
+    let counts = cache.load(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (cache, counts)
+}
+
+/// The committed snapshot loads with no rejections into the exact wire
+/// reports it was written from, and saving them again reproduces it
+/// byte for byte.
+#[test]
+fn committed_snapshot_fixture_loads_and_resaves_byte_identically() {
+    let (cache, counts) = load_snapshot("fixture", SNAPSHOT_FIXTURE);
+    assert_eq!(counts, (2, 0));
+
+    let mut program = fixture_wire(BackendKind::Tilt, 3);
+    program.program_text = Some(
+        "move -> 4\n  [  0] ms q[0], q[3] // \"ancilla\" \\ tape\n  [  1] rz(π/2) q[1] — ключ ✓\n"
+            .to_string(),
+    );
+    let mut simulated = fixture_wire(BackendKind::Qccd, 5);
+    simulated.sim = Some(SimReport {
+        simulator: SimulatorKind::Stabilizer,
+        bitstring: "0110".to_string(),
+        measurements: 4,
+        deterministic_measurements: Some(3),
+        random_measurements: Some(1),
+    });
+    let key = fixture_key(0x0123_4567_89ab_cdef_0011_2233_4455_6677);
+    assert_eq!(cache.peek_wire(key), Some(program));
+    assert_eq!(cache.peek_wire(fixture_key(0xfeed_beef)), Some(simulated));
+
+    let dir = scratch_dir("fixture-resave");
+    assert_eq!(cache.save(&dir).unwrap(), 2);
+    let resaved = std::fs::read_to_string(dir.join("compile-cache.jsonl")).unwrap();
+    assert_eq!(
+        resaved, SNAPSHOT_FIXTURE,
+        "the writer's byte format is pinned"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Entry lines the loader must reject: each edit is applied to the
+/// fixture's program line, under the intact header.
+#[test]
+fn non_canonical_snapshot_lines_are_rejected() {
+    let lines: Vec<&str> = SNAPSHOT_FIXTURE.lines().collect();
+    let (header, line, other) = (lines[0], lines[1], lines[2]);
+    let tail_at = line.rfind(",\"check\":").unwrap();
+    let (body, tail) = line.split_at(tail_at);
+    let check = &tail[",\"check\":".len()..tail.len() - 1];
+    let other_check =
+        &other[other.rfind(",\"check\":").unwrap() + ",\"check\":".len()..other.len() - 1];
+    let cases = [
+        ("whitespace", line.replace("\"swaps\":2", "\"swaps\": 2")),
+        (
+            "check first",
+            format!("{{\"check\":{check},{}}}", &body[1..]),
+        ),
+        ("trailing space", format!("{line} ")),
+        ("trailing brace", format!("{line}}}")),
+        // `é` replaces the tail's comma, so its two bytes straddle the
+        // fixed-width tail boundary.
+        ("straddling char", format!("{body}é{}", &tail[1..])),
+        ("wrong bytes", line.replace(check, other_check)),
+    ];
+    for (what, bad) in cases {
+        assert_ne!(bad, line, "{what}: the edit applies");
+        let (cache, counts) = load_snapshot("noncanonical", &format!("{header}\n{bad}\n"));
+        assert_eq!(counts, (0, 1), "{what}: {bad}");
+        assert_eq!(cache.counters().entries, 0, "{what}");
+    }
 }
