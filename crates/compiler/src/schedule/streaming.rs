@@ -38,7 +38,9 @@
 //! non-barrier gate since the previous one (falling back to
 //! barrier-chaining over an empty span). A non-barrier gate therefore
 //! has at most two qubit-successors plus its closing barrier — three
-//! inline slots — while barriers keep a spill list. Only predecessors
+//! inline slots. Barrier successor lists sit back to back in one spill
+//! buffer (only the newest barrier's list can still grow), and each
+//! barrier's record holds the bounds of its run. Only predecessors
 //! still incomplete at push time create edges, so a gate's residual
 //! `pending` count is its number of incomplete predecessors.
 //!
@@ -52,12 +54,27 @@
 //! first ceiling strictly below the incumbent; see the crate README for
 //! the proof sketch. Every decision matches the capped rescan oracle
 //! the `schedule` tests check it against.
+//!
+//! The ceiling and the dirty marks cost O(1) per gate, whatever its
+//! covering range, because the argmax already walks every position once
+//! per round:
+//!
+//! - **Ceiling.** `cover_diff` is a difference array: a gate joining the
+//!   window adds 1 at `lo` and −1 at `hi + 1`, an executed one the
+//!   reverse, and the argmax walk reads `cover[p]` as the running sum.
+//! - **Dirty marks.** A range mark is the same +1/−1 pair on a second
+//!   difference array; the walk folds the running sum into the
+//!   per-position dirty flags and clears the pairs it passes.
+//! - **Ready lists.** The drain lists an unlocked successor at its
+//!   covering positions only when the successor does not join the
+//!   drain. One that joins runs in the same drain, so its entries would
+//!   only be scanned and thrown away later.
 
 use super::SchedulerKind;
 use crate::program::{TiltOp, TiltProgram};
 use crate::spec::DeviceSpec;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use tilt_circuit::{Circuit, Gate};
 
 /// Sentinel for "no gate" in the per-qubit last-writer table.
@@ -73,8 +90,8 @@ struct GateRec {
     /// Distinct incomplete predecessors remaining.
     pending: u32,
     /// Forward edges of a non-barrier gate: ≤ 2 qubit-successors + the
-    /// closing barrier. Barriers keep theirs in
-    /// [`StreamScheduler::barrier_succs`].
+    /// closing barrier. A barrier's are the run `succs[0]..succs[1]` of
+    /// [`StreamScheduler::barrier_succs`] (global offsets).
     succs: [u32; 3],
     /// Non-barrier predecessors incomplete at push time, for the dirty-
     /// range narrowing walk (a barrier predecessor covers every
@@ -96,6 +113,42 @@ impl GateRec {
     }
 }
 
+/// The successor lists of the retained barriers, back to back in push
+/// order.
+#[derive(Default)]
+struct BarrierSuccs {
+    /// Global offset of `ids[0]`; the runs below it were retired.
+    base: usize,
+    ids: Vec<u32>,
+}
+
+impl BarrierSuccs {
+    /// Global offset one past the last entry.
+    fn end(&self) -> u32 {
+        (self.base + self.ids.len()) as u32
+    }
+}
+
+/// How much work a scheduler has done: tallied unconditionally, so the
+/// counts describe the shipped engine, and read by the tests that pin
+/// the work each decision costs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct SchedulerWork {
+    /// Scheduling rounds, barrier-relief rounds included.
+    pub(crate) rounds: u64,
+    /// Dirty positions entered into a round's argmax.
+    pub(crate) candidates: u64,
+    /// Candidates rescored with a cascade walk (the rest were pruned).
+    pub(crate) rescored: u64,
+    /// Successor edges the cascade walks relaxed.
+    pub(crate) cascade_steps: u64,
+    /// Entries pushed onto the per-position ready lists.
+    pub(crate) ready_pushes: u64,
+    /// Ready-list entries scanned while dropping completed gates.
+    pub(crate) ready_scanned: u64,
+}
+
 /// The bounded-memory scheduler: push gates, drain [`TiltOp`]s.
 pub(crate) struct StreamScheduler {
     spec: DeviceSpec,
@@ -107,8 +160,7 @@ pub(crate) struct StreamScheduler {
     /// Global index of `recs[0]`; everything below is retired.
     base: usize,
     recs: Vec<GateRec>,
-    /// Successor lists of barriers (keyed by global index).
-    barrier_succs: HashMap<usize, Vec<u32>>,
+    barrier_succs: BarrierSuccs,
     /// Gates ingested so far.
     total: usize,
     eof: bool,
@@ -126,17 +178,22 @@ pub(crate) struct StreamScheduler {
     last_barrier: Option<usize>,
 
     // --- per-position scoring state (Eq. 2 engines only) -------------
-    /// Incomplete, *active*, non-barrier gates covering each position —
-    /// the monotone score ceiling of the pruned argmax.
-    cover: Vec<u32>,
+    /// Difference array (`n_positions + 1` entries) of the score
+    /// ceiling: its prefix sum through `p` is `cover[p]`, the
+    /// incomplete, *active*, non-barrier gates covering `p`.
+    cover_diff: Vec<i32>,
     counts: Vec<u32>,
     dirty: Vec<bool>,
+    /// Range marks not yet folded into `dirty`, as a difference array
+    /// (`n_positions + 1` entries) the argmax walk folds and clears.
+    dirty_diff: Vec<i32>,
     ready_at: Vec<Vec<u32>>,
     candidates: Vec<(i64, u32)>,
 
     // --- cascade scratch (aligned with `recs`) -----------------------
-    need: Vec<u32>,
-    need_epoch: Vec<u32>,
+    /// `(epoch, unmet)`: the predecessors a gate still waits on in the
+    /// cascade walk stamped `epoch`.
+    need: Vec<(u32, u32)>,
     epoch: u32,
     succ_epoch: Vec<u32>,
     succ_epoch_counter: u32,
@@ -145,6 +202,10 @@ pub(crate) struct StreamScheduler {
     executed: Vec<usize>,
 
     head: Option<usize>,
+    work: SchedulerWork,
+    /// Check the incremental state against a recount after every round.
+    #[cfg(test)]
+    audit: bool,
 }
 
 impl StreamScheduler {
@@ -157,7 +218,7 @@ impl StreamScheduler {
             n_positions,
             base: 0,
             recs: Vec::new(),
-            barrier_succs: HashMap::new(),
+            barrier_succs: BarrierSuccs::default(),
             total: 0,
             eof: false,
             floor: 0,
@@ -166,13 +227,13 @@ impl StreamScheduler {
             last_on: vec![NO_GATE; spec.n_ions()],
             span_start: 0,
             last_barrier: None,
-            cover: vec![0; n_positions],
+            cover_diff: vec![0; n_positions + 1],
             counts: vec![0; n_positions],
             dirty: vec![false; n_positions],
+            dirty_diff: vec![0; n_positions + 1],
             ready_at: vec![Vec::new(); n_positions],
             candidates: Vec::new(),
             need: Vec::new(),
-            need_epoch: Vec::new(),
             epoch: 0,
             succ_epoch: Vec::new(),
             succ_epoch_counter: 0,
@@ -180,11 +241,23 @@ impl StreamScheduler {
             heap: BinaryHeap::new(),
             executed: Vec::new(),
             head: None,
+            work: SchedulerWork::default(),
+            #[cfg(test)]
+            audit: false,
         }
     }
 
     fn done_at(&self, idx: usize) -> bool {
         idx < self.base || self.recs[idx - self.base].done
+    }
+
+    /// Appends `succ` to the successor list of `barrier`, which must be
+    /// the newest barrier (the only list that can still grow).
+    fn push_barrier_succ(&mut self, barrier: usize, succ: usize) {
+        let rec = &mut self.recs[barrier - self.base];
+        debug_assert_eq!(rec.succs[1], self.barrier_succs.end());
+        rec.succs[1] += 1;
+        self.barrier_succs.ids.push(succ as u32);
     }
 
     /// Ingests the next gate of the physical stream.
@@ -242,11 +315,14 @@ impl StreamScheduler {
                 if let Some(lb) = self.last_barrier {
                     if !self.done_at(lb) {
                         pending = 1;
-                        self.barrier_succs.entry(lb).or_default().push(idx as u32);
+                        self.push_barrier_succ(lb, idx);
                     }
                 }
             }
             rec.pending = pending;
+            // Its own successor list starts empty at the spill's end.
+            let end = self.barrier_succs.end();
+            rec.succs = [end, end, 0];
             self.last_barrier = Some(idx);
             self.span_start = idx + 1;
             self.last_on.fill(NO_GATE);
@@ -266,7 +342,7 @@ impl StreamScheduler {
                 if let Some(lb) = self.last_barrier {
                     if !self.done_at(lb) {
                         rec.pending = 1;
-                        self.barrier_succs.entry(lb).or_default().push(idx as u32);
+                        self.push_barrier_succ(lb, idx);
                     }
                 }
             } else {
@@ -289,8 +365,7 @@ impl StreamScheduler {
         }
 
         self.recs.push(rec);
-        self.need.push(0);
-        self.need_epoch.push(0);
+        self.need.push((0, 0));
         self.succ_epoch.push(0);
     }
 
@@ -301,7 +376,6 @@ impl StreamScheduler {
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.recs.reserve_exact(additional);
         self.need.reserve_exact(additional);
-        self.need_epoch.reserve_exact(additional);
         self.succ_epoch.reserve_exact(additional);
     }
 
@@ -329,7 +403,12 @@ impl StreamScheduler {
             if !self.eof && self.total < self.floor + self.horizon {
                 break;
             }
-            self.round(ops);
+            let e = (self.floor + self.horizon).min(self.total);
+            self.round(e, ops);
+            #[cfg(test)]
+            if self.audit {
+                self.check_incremental_state(e);
+            }
             self.maybe_compact();
         }
     }
@@ -339,31 +418,30 @@ impl StreamScheduler {
     /// scores), and enter the per-position ready lists when already
     /// unblocked.
     fn activate(&mut self, e: usize) {
+        let mut pushes = 0u64;
         for idx in self.active_end..e {
             let rec = &self.recs[idx - self.base];
             debug_assert!(!rec.done);
             let (lo, hi) = (rec.lo as usize, rec.hi as usize);
             if self.penalty.is_some() {
                 if !rec.is_barrier() {
-                    for p in lo..=hi {
-                        self.cover[p] += 1;
-                    }
+                    add_range(&mut self.cover_diff, lo, hi, 1);
                 }
-                for p in lo..=hi {
-                    self.dirty[p] = true;
-                }
+                add_range(&mut self.dirty_diff, lo, hi, 1);
             }
             if rec.pending == 0 {
+                pushes += (hi - lo + 1) as u64;
                 for p in lo..=hi {
                     self.ready_at[p].push(idx as u32);
                 }
             }
         }
+        self.work.ready_pushes += pushes;
         self.active_end = e;
     }
 
-    fn round(&mut self, ops: &mut Vec<TiltOp>) {
-        let e = (self.floor + self.horizon).min(self.total);
+    fn round(&mut self, e: usize, ops: &mut Vec<TiltOp>) {
+        self.work.rounds += 1;
         if e > self.active_end {
             self.activate(e);
         }
@@ -420,9 +498,13 @@ impl StreamScheduler {
 
     /// Completes, in min-index order, the ready gates listed at
     /// position `at` plus every eligible successor they unlock that
-    /// `joins` admits, recording them in `executed`.
+    /// `joins` admits, recording them in `executed`. An unlocked
+    /// successor that does not join goes onto the ready lists of its
+    /// covering positions; one that joins runs here and is never listed.
     fn drain(&mut self, at: usize, e: usize, joins: impl Fn(&GateRec) -> bool) {
         self.heap.clear();
+        self.work.ready_scanned += self.ready_at[at].len() as u64;
+        let mut pushes = 0u64;
         {
             let base = self.base;
             let recs = &self.recs;
@@ -440,22 +522,25 @@ impl StreamScheduler {
             rec.done = true;
             self.n_done += 1;
             let rec = *rec;
-            for &s in succs_of(&rec, &self.barrier_succs, i) {
+            for &s in succs_of(&rec, &self.barrier_succs) {
                 let s = s as usize;
                 let srec = &mut self.recs[s - self.base];
                 srec.pending -= 1;
                 if srec.pending == 0 && s < e {
-                    let (lo, hi) = (srec.lo as usize, srec.hi as usize);
                     if joins(srec) {
                         self.heap.push(Reverse(s));
-                    }
-                    for p in lo..=hi {
-                        self.ready_at[p].push(s as u32);
+                    } else {
+                        let (lo, hi) = (srec.lo as usize, srec.hi as usize);
+                        pushes += (hi - lo + 1) as u64;
+                        for p in lo..=hi {
+                            self.ready_at[p].push(s as u32);
+                        }
                     }
                 }
             }
             self.executed.push(i);
         }
+        self.work.ready_pushes += pushes;
     }
 
     /// When a round's argmax finds no countable gate anywhere, the
@@ -491,14 +576,10 @@ impl StreamScheduler {
             let rec = &self.recs[i - self.base];
             let (lo, hi) = (rec.lo as usize, rec.hi as usize);
             if !rec.is_barrier() {
-                for p in lo..=hi {
-                    self.cover[p] -= 1;
-                }
+                add_range(&mut self.cover_diff, lo, hi, -1);
             }
-            for p in lo..=hi {
-                self.dirty[p] = true;
-            }
-            for &s in succs_of(rec, &self.barrier_succs, i) {
+            add_range(&mut self.dirty_diff, lo, hi, 1);
+            for &s in succs_of(rec, &self.barrier_succs) {
                 let s = s as usize;
                 if s >= e {
                     // Not yet eligible: activation will dirty its full
@@ -510,11 +591,8 @@ impl StreamScheduler {
                     continue;
                 }
                 self.succ_epoch[sslot] = self.succ_epoch_counter;
-                let Some((slo, shi)) = self.admissible_range(s) else {
-                    continue;
-                };
-                for p in slo..=shi {
-                    self.dirty[p] = true;
+                if let Some((slo, shi)) = self.admissible_range(s) {
+                    add_range(&mut self.dirty_diff, slo, shi, 1);
                 }
             }
         }
@@ -562,18 +640,26 @@ impl StreamScheduler {
     fn best_position(&mut self, penalty: i64, e: usize) -> Option<usize> {
         let mut best: Option<(i64, usize, usize)> = None;
         self.candidates.clear();
+        // The running sums of the two difference arrays are `cover[pos]`
+        // and the range marks pending at `pos`, folded in as we pass.
+        let (mut cover, mut marks) = (0i32, 0i32);
         for pos in 0..self.n_positions {
+            cover += self.cover_diff[pos];
+            marks += std::mem::take(&mut self.dirty_diff[pos]);
             let dist = self.head.map_or(0, |h| h.abs_diff(pos));
-            if self.dirty[pos] {
-                let bound = self.cover[pos] as i64 * 1000 - penalty * dist as i64;
+            if marks > 0 || self.dirty[pos] {
+                self.dirty[pos] = true;
+                let bound = cover as i64 * 1000 - penalty * dist as i64;
                 self.candidates.push((bound, pos as u32));
             } else if self.counts[pos] > 0 {
                 let score = self.counts[pos] as i64 * 1000 - penalty * dist as i64;
                 consider(&mut best, (score, dist, pos));
             }
         }
+        self.dirty_diff[self.n_positions] = 0;
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.sort_unstable_by(|a, b| b.cmp(a));
+        let mut rescored = 0u64;
         for &(bound, p) in &candidates {
             if let Some((bs, _, _)) = best {
                 if bound < bs {
@@ -582,6 +668,7 @@ impl StreamScheduler {
                 }
             }
             let pos = p as usize;
+            rescored += 1;
             self.dirty[pos] = false;
             let count = self.cascade_count(pos, e);
             self.counts[pos] = count;
@@ -593,6 +680,8 @@ impl StreamScheduler {
                 );
             }
         }
+        self.work.candidates += candidates.len() as u64;
+        self.work.rescored += rescored;
         self.candidates = candidates;
         best.map(|(_, _, pos)| pos)
     }
@@ -601,6 +690,7 @@ impl StreamScheduler {
     /// ready gates covered by `pos` execute, unlocking covered active
     /// successors transitively; barriers cascade but do not count.
     fn cascade_count(&mut self, pos: usize, e: usize) -> u32 {
+        self.work.ready_scanned += self.ready_at[pos].len() as u64;
         {
             let base = self.base;
             let recs = &self.recs;
@@ -611,7 +701,9 @@ impl StreamScheduler {
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.need_epoch.fill(u32::MAX);
+            for slot in &mut self.need {
+                slot.0 = u32::MAX;
+            }
             self.epoch = 1;
         }
         let epoch = self.epoch;
@@ -619,30 +711,32 @@ impl StreamScheduler {
         self.stack
             .extend(self.ready_at[pos].iter().map(|&g| g as usize));
 
-        let (base, recs, stack) = (self.base, &self.recs, &mut self.stack);
-        let (need, need_epoch) = (&mut self.need, &mut self.need_epoch);
+        let (base, recs, stack, need) = (self.base, &self.recs, &mut self.stack, &mut self.need);
         let mut count = 0u32;
+        let mut steps = 0u64;
         while let Some(i) = stack.pop() {
             let rec = &recs[i - base];
             if !rec.is_barrier() {
                 count += 1;
             }
-            for &s in succs_of(rec, &self.barrier_succs, i) {
+            for &s in succs_of(rec, &self.barrier_succs) {
                 let s = s as usize;
                 if s >= e {
                     continue;
                 }
+                steps += 1;
                 let sslot = s - base;
-                if need_epoch[sslot] != epoch {
-                    need_epoch[sslot] = epoch;
-                    need[sslot] = recs[sslot].pending;
+                let slot = &mut need[sslot];
+                if slot.0 != epoch {
+                    *slot = (epoch, recs[sslot].pending);
                 }
-                need[sslot] -= 1;
-                if need[sslot] == 0 && recs[sslot].covers(pos) {
+                slot.1 -= 1;
+                if slot.1 == 0 && recs[sslot].covers(pos) {
                     stack.push(s);
                 }
             }
         }
+        self.work.cascade_steps += steps;
         count
     }
 
@@ -653,14 +747,25 @@ impl StreamScheduler {
         if retired < 1024 || retired * 2 < self.recs.len() {
             return;
         }
+        // The last retired barrier's run ends where the retained
+        // barriers' runs begin; a stream with an empty spill skips the
+        // scan for it.
+        if !self.barrier_succs.ids.is_empty() {
+            if let Some(b) = self.recs[..retired].iter().rev().find(|r| r.is_barrier()) {
+                let end = b.succs[1] as usize;
+                self.barrier_succs
+                    .ids
+                    .drain(..end - self.barrier_succs.base);
+                self.barrier_succs.base = end;
+            }
+        }
         self.recs.drain(..retired);
         self.need.drain(..retired);
-        self.need_epoch.drain(..retired);
         self.succ_epoch.drain(..retired);
         self.base = self.floor;
         let base = self.base;
-        self.barrier_succs.retain(|&k, _| k >= base);
         for list in &mut self.ready_at {
+            self.work.ready_scanned += list.len() as u64;
             let recs = &self.recs;
             list.retain(|&g| {
                 let g = g as usize;
@@ -668,13 +773,47 @@ impl StreamScheduler {
             });
         }
     }
+
+    /// Checks the incremental scoring state against a recount: each
+    /// `cover[p]` is the number of incomplete, eligible, non-barrier
+    /// gates covering `p`, and each clean position's cached count is
+    /// the cascade count a fresh walk gives.
+    #[cfg(test)]
+    fn check_incremental_state(&mut self, e: usize) {
+        if self.penalty.is_none() {
+            return;
+        }
+        let (mut cover, mut marks) = (0i32, 0i32);
+        for p in 0..self.n_positions {
+            cover += self.cover_diff[p];
+            marks += self.dirty_diff[p];
+            let live = self.recs[..e - self.base]
+                .iter()
+                .filter(|r| !r.done && !r.is_barrier() && r.covers(p))
+                .count();
+            assert_eq!(cover, live as i32, "cover[{p}] at E={e}");
+            if marks == 0 && !self.dirty[p] {
+                let work = self.work;
+                let fresh = self.cascade_count(p, e);
+                self.work = work;
+                assert_eq!(self.counts[p], fresh, "clean count at {p}, E={e}");
+            }
+        }
+    }
 }
 
-/// The successors of `rec`, the gate at global index `i`: inline for an
-/// ordinary gate, the spill list for a barrier.
-fn succs_of<'a>(rec: &'a GateRec, spill: &'a HashMap<usize, Vec<u32>>, i: usize) -> &'a [u32] {
+/// Adds `by` over positions `lo..=hi` of the difference array `diff`.
+fn add_range(diff: &mut [i32], lo: usize, hi: usize, by: i32) {
+    diff[lo] += by;
+    diff[hi + 1] -= by;
+}
+
+/// The successors of `rec`: inline for an ordinary gate, its run of the
+/// spill buffer for a barrier.
+fn succs_of<'a>(rec: &'a GateRec, spill: &'a BarrierSuccs) -> &'a [u32] {
     if rec.is_barrier() {
-        spill.get(&i).map_or(&[], Vec::as_slice)
+        let (lo, hi) = (rec.succs[0] as usize, rec.succs[1] as usize);
+        &spill.ids[lo - spill.base..hi - spill.base]
     } else {
         &rec.succs[..rec.n_succs as usize]
     }
@@ -864,29 +1003,164 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compaction_keeps_memory_bounded() {
-        let sp = spec(8, 4);
-        let mut s = StreamScheduler::new(sp, SchedulerKind::GreedyMaxExecutable, 64);
+    /// Runs `c` through a fresh engine, pushing and scheduling gate by
+    /// gate, and returns it finished.
+    fn run_engine(
+        c: &Circuit,
+        sp: DeviceSpec,
+        kind: SchedulerKind,
+        horizon: usize,
+        audit: bool,
+    ) -> StreamScheduler {
+        let mut s = StreamScheduler::new(sp, kind, horizon);
+        s.audit = audit;
         let mut ops = Vec::new();
-        for i in 0..200_000usize {
-            s.push(Gate::Xx(Qubit(i % 7), Qubit(i % 7 + 1), 0.1));
+        for &g in c.gates() {
+            s.push(g);
             s.run_rounds(&mut ops);
         }
-        // The retained window tracks the horizon, not the stream.
-        assert!(
-            s.recs.len() < 8 * 64 + 2048,
-            "resident window grew to {}",
-            s.recs.len()
-        );
         s.finish_input();
         s.run_rounds(&mut ops);
         assert!(s.is_done());
-        assert_eq!(
-            ops.iter()
-                .filter(|o| matches!(o, TiltOp::Gate { .. }))
-                .count(),
-            200_000
-        );
+        s
+    }
+
+    /// QEC-shaped syndrome rounds: parity gates between each ancilla (odd
+    /// ions) and its data neighbours, ancilla measure and reset, and a
+    /// closing barrier per round.
+    fn fenced_rounds(n: usize, rounds: usize, seed: u64) -> Circuit {
+        let mut c = Circuit::new(n);
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        for _ in 0..rounds {
+            for a in (1..n - 1).step_by(2) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if !state.is_multiple_of(4) {
+                    c.xx(Qubit(a - 1), Qubit(a), 0.5);
+                    c.xx(Qubit(a), Qubit(a + 1), 0.5);
+                }
+                c.measure(Qubit(a));
+                c.push(Gate::Reset(Qubit(a)));
+            }
+            c.barrier();
+        }
+        c
+    }
+
+    #[test]
+    fn work_counters_pin_decisions_and_shrink_ready_lists() {
+        // (rounds, candidates, rescored, cascade steps, ready-list pushes,
+        // ready-list entries scanned) per kind in `KINDS` order and horizon,
+        // recorded from the engine that listed every gate the drain
+        // unlocked and looped over covering ranges per position. The
+        // decision work must match it exactly; the ready-list work must
+        // come in below it.
+        const BEFORE: [[[u64; 6]; 3]; 4] = [
+            [
+                [256, 4573, 975, 961, 3115, 4459],
+                [151, 2044, 1961, 4107, 3115, 4476],
+                [151, 1706, 1623, 3728, 3115, 4366],
+            ],
+            [
+                [282, 4958, 860, 489, 3115, 3972],
+                [162, 2093, 1978, 3955, 3115, 4501],
+                [162, 1792, 1677, 3684, 3115, 4407],
+            ],
+            [
+                [404, 5760, 1735, 491, 3115, 3993],
+                [256, 2647, 2209, 4925, 3115, 4831],
+                [256, 2242, 1961, 4787, 3115, 4786],
+            ],
+            [
+                [287, 0, 0, 0, 3115, 3206],
+                [208, 0, 0, 0, 3115, 3064],
+                [208, 0, 0, 0, 3115, 3064],
+            ],
+        ];
+        let c = workload(24, 600, 11);
+        for (kind, before) in KINDS.into_iter().zip(BEFORE) {
+            for (horizon, want) in [7usize, 150, super::super::DEFAULT_HORIZON]
+                .into_iter()
+                .zip(before)
+            {
+                let w = run_engine(&c, spec(24, 6), kind, horizon, false).work;
+                let [rounds, candidates, rescored, steps, pushes, scanned] = want;
+                assert_eq!(
+                    (w.rounds, w.candidates, w.rescored, w.cascade_steps),
+                    (rounds, candidates, rescored, steps),
+                    "decision work, kind {kind:?} H={horizon}"
+                );
+                assert!(
+                    w.ready_pushes < pushes && w.ready_scanned < scanned,
+                    "ready-list work {w:?}, kind {kind:?} H={horizon}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_state_matches_a_recount_after_every_round() {
+        for seed in 0..4u64 {
+            let mixed = workload(20, 200, seed);
+            let fenced = fenced_rounds(20, 6, seed);
+            for c in [&mixed, &fenced] {
+                for kind in KINDS {
+                    for horizon in [1usize, 2, 7, 32, 150] {
+                        run_engine(c, spec(20, 5), kind, horizon, true);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_memory_bounded() {
+        let sp = spec(8, 4);
+        // A barrier-free chain stream, and syndrome rounds whose fences
+        // fill the barrier spill buffer.
+        let chain = (0..200_000usize).map(|i| Gate::Xx(Qubit(i % 7), Qubit(i % 7 + 1), 0.1));
+        let fenced = fenced_rounds(8, 12_000, 5);
+        let streams: [(Box<dyn Iterator<Item = Gate>>, usize); 2] = [
+            (Box::new(chain), 200_000),
+            (
+                Box::new(fenced.gates().to_vec().into_iter()),
+                fenced
+                    .gates()
+                    .iter()
+                    .filter(|g| !matches!(g, Gate::Barrier))
+                    .count(),
+            ),
+        ];
+        for (gates, n_ops) in streams {
+            let mut s = StreamScheduler::new(sp, SchedulerKind::GreedyMaxExecutable, 64);
+            let mut ops = Vec::new();
+            for g in gates {
+                s.push(g);
+                s.run_rounds(&mut ops);
+                // The retained window tracks the horizon, not the stream.
+                // Each retained gate is listed at most once per covering
+                // position and is at most one barrier's successor, so the
+                // ready lists and the barrier spill track it too.
+                let listed: usize = s.ready_at.iter().map(Vec::len).sum();
+                assert!(
+                    s.recs.len() < 8 * 64 + 2048
+                        && listed <= sp.n_head_positions() * s.recs.len()
+                        && s.barrier_succs.ids.len() <= s.recs.len(),
+                    "resident window grew to {} gates, {listed} ready-list entries, {} barrier successors",
+                    s.recs.len(),
+                    s.barrier_succs.ids.len()
+                );
+            }
+            s.finish_input();
+            s.run_rounds(&mut ops);
+            assert!(s.is_done());
+            assert_eq!(
+                ops.iter()
+                    .filter(|o| matches!(o, TiltOp::Gate { .. }))
+                    .count(),
+                n_ops
+            );
+        }
     }
 }
