@@ -12,8 +12,11 @@
 //! | `fig8`   | Fig. 8 — TILT vs Ideal TI vs QCCD success rates |
 //! | `ablation` | DESIGN.md §5 — design-choice ablations |
 //!
-//! Criterion benches (`cargo bench`) time the compiler passes behind
-//! Table III's `t_swap`/`t_move` columns.
+//! Performance is tracked outside this crate: the repository benchmark
+//! (`perfbench/`) times the end-to-end workloads, and
+//! `bench/ledger.jsonl` records them with the exact Algorithm 2 work
+//! behind Table III's `t_move` column, which `tilt-compiler`'s tests
+//! hold every change to.
 
 use tilt_circuit::Circuit;
 use tilt_compiler::{CompileOutput, Compiler, DeviceSpec, RouterKind};

@@ -131,7 +131,7 @@ impl BarrierSuccs {
 
 /// How much work a scheduler has done: tallied unconditionally, so the
 /// counts describe the shipped engine, and read by the tests that pin
-/// the work each decision costs.
+/// the work each decision costs, the ledger gate among them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) struct SchedulerWork {
@@ -1162,5 +1162,136 @@ mod tests {
                 n_ops
             );
         }
+    }
+}
+
+/// The ledger gate: the scheduler work on each input that the last line
+/// of `bench/ledger.jsonl` names in `scheduler_work_inputs`, recomputed
+/// through the public pipeline and held to that line's `change` values.
+/// Decision work must match exactly, so a change that moves a decision
+/// has to append a ledger line; ready-list work may drift up to
+/// [`READY_SLACK`] above the ledger.
+#[cfg(test)]
+mod ledger_gate {
+    use super::*;
+    use crate::{Compiler, StreamingCompiler};
+    use std::cell::Cell;
+    use tilt_benchmarks::qec::repetition_code;
+    use tilt_benchmarks::stream::rcs_stream;
+    use tilt_benchmarks::suite::paper_suite;
+    use tilt_report::Json;
+
+    const LEDGER: &str = include_str!("../../../../bench/ledger.jsonl");
+
+    /// Ready-list work may exceed the ledger by this factor.
+    const READY_SLACK: f64 = 1.2;
+
+    thread_local! {
+        /// The work of every scheduler dropped on this thread.
+        static DROPPED_WORK: Cell<SchedulerWork> = Cell::new(SchedulerWork::default());
+    }
+
+    /// Banks each scheduler's work as it goes, so the gate can read the
+    /// schedulers that `Compiler::compile` and a `StreamingCompiler` own.
+    impl Drop for StreamScheduler {
+        fn drop(&mut self) {
+            let (w, mut sum) = (self.work, DROPPED_WORK.get());
+            sum.rounds += w.rounds;
+            sum.candidates += w.candidates;
+            sum.rescored += w.rescored;
+            sum.cascade_steps += w.cascade_steps;
+            sum.ready_pushes += w.ready_pushes;
+            sum.ready_scanned += w.ready_scanned;
+            DROPPED_WORK.set(sum);
+        }
+    }
+
+    /// The work of the schedulers `run` drops on this thread.
+    fn work_of(run: impl FnOnce()) -> SchedulerWork {
+        DROPPED_WORK.take();
+        run();
+        DROPPED_WORK.take()
+    }
+
+    /// The `scheduler_work.<workload>.change` counters of the last line.
+    fn recorded(workload: &str) -> SchedulerWork {
+        let last = LEDGER.lines().rfind(|l| !l.trim().is_empty()).unwrap();
+        let line = Json::parse(last).expect("the last ledger line parses");
+        let change = line
+            .get("scheduler_work")
+            .and_then(|w| w.get(workload))
+            .and_then(|w| w.get("change"))
+            .unwrap_or_else(|| panic!("no scheduler_work.{workload}.change in the last line"));
+        let count = |key: &str| {
+            let x = change.get(key).and_then(Json::as_f64);
+            x.unwrap_or_else(|| panic!("no {key} for {workload}")) as u64
+        };
+        SchedulerWork {
+            rounds: count("rounds"),
+            candidates: count("candidates"),
+            rescored: count("rescored"),
+            cascade_steps: count("cascade_steps"),
+            ready_pushes: count("ready_pushes"),
+            ready_scanned: count("ready_scanned"),
+        }
+    }
+
+    fn check(workload: &str, got: SchedulerWork) {
+        let want = recorded(workload);
+        let decisions = |w: SchedulerWork| (w.rounds, w.candidates, w.rescored, w.cascade_steps);
+        assert_eq!(
+            decisions(got),
+            decisions(want),
+            "{workload}: (rounds, candidates, rescored, cascade_steps) differ from the \
+             ledger; a change to scheduling decisions appends a ledger line"
+        );
+        for (name, got, want) in [
+            ("ready_pushes", got.ready_pushes, want.ready_pushes),
+            ("ready_scanned", got.ready_scanned, want.ready_scanned),
+        ] {
+            assert!(
+                got as f64 <= want as f64 * READY_SLACK,
+                "{workload}: {name} {got} is more than {READY_SLACK}x the ledger's {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn fig8_sweep_work_matches_the_ledger() {
+        let work = work_of(|| {
+            for head in [16, 32] {
+                for bench in paper_suite() {
+                    let spec = DeviceSpec::new(bench.circuit.n_qubits(), head).unwrap();
+                    Compiler::new(spec).compile(&bench.circuit).unwrap();
+                }
+            }
+        });
+        check("fig8_sweep", work);
+    }
+
+    #[test]
+    fn qec_verify_work_matches_the_ledger() {
+        let circuit = repetition_code(251, 10);
+        let spec = DeviceSpec::new(circuit.n_qubits(), 16).unwrap();
+        let work = work_of(|| {
+            Compiler::new(spec).compile(&circuit).unwrap();
+        });
+        check("qec_verify", work);
+    }
+
+    #[test]
+    fn stream_million_work_matches_the_ledger() {
+        // The engine's default stream window.
+        const WINDOW: usize = 65_536;
+        let compiler = Compiler::new(DeviceSpec::new(64, 16).unwrap());
+        let work = work_of(|| {
+            let mut session = StreamingCompiler::new(&compiler, 64, WINDOW).unwrap();
+            let mut sink = |_: &[TiltOp]| {};
+            for g in rcs_stream(8, 8, 11_000, 1) {
+                session.push(g, &mut sink).unwrap();
+            }
+            session.finish(&mut sink);
+        });
+        check("stream_million", work);
     }
 }

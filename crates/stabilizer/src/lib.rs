@@ -518,4 +518,16 @@ mod tests {
         assert_eq!(r.random_measurements, 1);
         assert!(r.outcomes.iter().all(|&b| b == r.outcomes[0]));
     }
+
+    #[test]
+    fn quiet_distance_251_memory_reads_all_zeros() {
+        // 501 qubits, 10 syndrome rounds: 2,500 syndrome bits plus 251
+        // data readouts, every one fixed by the all-zero start, so a
+        // wrong update rule shows up as a random or a flipped bit.
+        let c = tilt_benchmarks::qec::repetition_code(251, 10);
+        let r = run(&c, 7).unwrap();
+        assert_eq!(r.outcomes.len(), 2_751);
+        assert_eq!(r.deterministic_measurements, 2_751);
+        assert!(r.outcomes.iter().all(|&b| !b));
+    }
 }

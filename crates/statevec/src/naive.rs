@@ -3,9 +3,11 @@
 //! This is the seed implementation of gate application: one full scan
 //! of all `2^n` amplitudes per gate with a bit-test branch in the loop
 //! body. It is kept in-tree, bit-for-bit, as the semantic baseline the
-//! optimized kernels are property-tested and benchmarked against (see
-//! `tests/statevec_kernel_equivalence.rs` and the `statevec_kernels`
-//! criterion bench).
+//! optimized kernels are property-tested and timed against (see
+//! `tests/statevec_kernel_equivalence.rs` and `tests/same_run_ratios.rs`).
+//! Those suites sit outside the crate and call [`apply_naive`] and
+//! `State::run_naive` as their reference oracle, so both stay public
+//! rather than `#[cfg(test)]`.
 //!
 //! The only change from the seed is hoisting the `Rz`/`ZZ` phase
 //! factors out of the amplitude loops — the seed recomputed `sin`/`cos`

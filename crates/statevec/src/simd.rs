@@ -22,12 +22,12 @@
 //!   suspected kernel regression can be pinned to dispatch by rerunning
 //!   with `TILT_SIMD=off`).
 //!
-//! The resolved tier is recorded in every `BENCH_*.json` (field
-//! `kernel_tier`), and [`force_scalar`] lets tests and the `perf`
-//! binary compare both tiers inside one process. Every entry point here
-//! has the matching scalar kernel as its portable fallback and is
-//! pinned equivalent at 1e-12 by `tests/statevec_kernel_equivalence.rs`
-//! under both tiers.
+//! The resolved tier is recorded in `bench/ledger.jsonl` (field
+//! `same_run.kernel_tier`), and [`force_scalar`] lets tests, the
+//! same-run speedup gate among them, compare both tiers inside one
+//! process. Every entry point here has the matching scalar kernel as
+//! its portable fallback and is pinned equivalent at 1e-12 by
+//! `tests/statevec_kernel_equivalence.rs` under both tiers.
 //!
 //! # Cache blocking
 //!
@@ -97,16 +97,16 @@ pub fn tier() -> Tier {
     *TIER.get_or_init(detect)
 }
 
-/// [`tier`]'s stable name — the `kernel_tier` field of the bench
-/// records.
+/// [`tier`]'s stable name — the `same_run.kernel_tier` field of the
+/// bench ledger.
 pub fn tier_name() -> &'static str {
     tier().name()
 }
 
 /// Forces the scalar tier on (`true`) or restores detection (`false`).
 ///
-/// A test/bench hook: the equivalence suites and the `perf` binary use
-/// it to run both tiers in one process. Takes effect on the next kernel
+/// A test hook: the equivalence suites and the same-run speedup gate
+/// use it to run both tiers in one process. Takes effect on the next kernel
 /// call; not intended for use while kernels run on other threads.
 pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
