@@ -1,21 +1,23 @@
 //! Subcommand implementations (string in → report text out).
 //!
-//! Every simulating subcommand (`run`, `simulate`, `qccd`, `scale`,
-//! `bench`) is a client of the [`tilt_engine::Engine`] session API; the
-//! legacy pass-by-pass pipeline survives only where the session API
-//! deliberately does not reach — the exact router (a search, not a
-//! policy) and the compile-only introspection commands.
+//! Every command is a client of the [`tilt_engine::Engine`] session
+//! API, and every engine is built by [`builder`]: the flags decode into
+//! [`Overrides`] and the engine's one overlay turns them into a session
+//! sized for the circuit, exactly as the service does for wire fields.
+//! `run --backend tilt|qccd|scaled` reports on any backend.
 
-use crate::args::{Options, RouterChoice, ServeOptions};
+use crate::args::{Options, ServeOptions};
 use std::fmt::Write as _;
 use tilt_circuit::{qasm, Circuit};
-use tilt_compiler::route::exact::optimal_route;
-use tilt_compiler::schedule::schedule;
-use tilt_compiler::{CompileOutput, DeviceSpec, InitialMapping, TiltProgram};
-use tilt_engine::{Backend, Engine, NullSink, RunReport};
-use tilt_qccd::QccdSpec;
+use tilt_engine::{
+    Backend, BackendKind, CompileStats, Engine, EngineBuilder, NullSink, Overrides, RunDetail,
+    RunReport, TiltError, VerifyLevel,
+};
 use tilt_report::{fmt_success, Table};
-use tilt_sim::{estimate_ideal_success, GateTimeModel, NoiseModel};
+use tilt_sim::estimate_ideal_success;
+
+/// The tape `serve` sizes its session to when `--ions` is absent.
+const SERVE_WIDTH: usize = 64;
 
 /// Loads the target as a QASM file.
 fn load_circuit(opts: &Options) -> Result<Circuit, String> {
@@ -24,24 +26,76 @@ fn load_circuit(opts: &Options) -> Result<Circuit, String> {
     qasm::parse_qasm(&source).map_err(|e| e.to_string())
 }
 
-/// The tape for a `width`-qubit register: `--ions` or the width, with
-/// the head clamped to the tape so the default `--head 16` works on
-/// narrow circuits.
-fn device(opts: &Options, width: usize) -> Result<DeviceSpec, String> {
-    let ions = opts.ions.unwrap_or(width);
-    DeviceSpec::new(ions, opts.head.min(ions)).map_err(|e| e.to_string())
+/// The engine prototype the flags name for a `width`-qubit register —
+/// the one place a command's options become an engine. It overlays no
+/// base backend, and the operator's own dimensions are not capped.
+fn builder(o: &Overrides, width: usize) -> Result<EngineBuilder, String> {
+    Engine::builder().overlay(o, width)
 }
 
-/// A TILT engine session configured from the command-line options.
-fn tilt_engine(opts: &Options, spec: DeviceSpec) -> Result<Engine, String> {
-    let mut builder = Engine::builder()
-        .backend(Backend::Tilt(spec))
-        .router(opts.router_kind())
-        .scheduler(opts.scheduler);
-    if let Some(method) = opts.method {
-        builder = builder.simulate(method);
+/// The engine [`builder`] describes, built.
+fn engine(o: &Overrides, width: usize) -> Result<Engine, String> {
+    builder(o, width)?.build().map_err(|e| e.to_string())
+}
+
+/// The machine a session runs a `width`-qubit register on, as a phrase.
+fn machine(backend: &Backend, width: usize) -> String {
+    match backend {
+        Backend::Tilt(s) => format!("{} ions, head {}", s.n_ions(), s.head_size()),
+        Backend::Qccd(s) => format!("QCCD, {} traps × {} capacity", s.n_traps(), s.capacity()),
+        Backend::Scaled(s) => format!(
+            "{} ELUs of {} ions (head {})",
+            s.elus_for(width),
+            s.ions_per_elu(),
+            s.head_size()
+        ),
     }
-    builder.build().map_err(|e| e.to_string())
+}
+
+/// The compile statistics every backend reports, in its own terms.
+fn describe(c: &CompileStats, kind: BackendKind) -> String {
+    let mut text = String::new();
+    if kind == BackendKind::Qccd {
+        let _ = writeln!(
+            text,
+            "transports: {} ({} shuttle segments)",
+            c.move_count, c.move_distance
+        );
+    } else {
+        let ratio = if c.swap_count == 0 {
+            0.0
+        } else {
+            c.opposing_swap_count as f64 / c.swap_count as f64
+        };
+        let _ = writeln!(
+            text,
+            "swaps: {} (opposing {}, ratio {ratio:.2})",
+            c.swap_count, c.opposing_swap_count
+        );
+        let _ = writeln!(
+            text,
+            "moves: {} (distance {} ion spacings)",
+            c.move_count, c.move_distance
+        );
+    }
+    if kind == BackendKind::Scaled {
+        let _ = writeln!(text, "remote gates: {} (EPR pairs)", c.epr_pairs);
+    }
+    let _ = writeln!(
+        text,
+        "native gates: {} ({} two-qubit)",
+        c.native_gate_count, c.native_two_qubit_count
+    );
+    text
+}
+
+/// The success line every run and stream ends its numbers with.
+fn success_line(success: f64, log10_success: f64, exec_time_us: f64) -> String {
+    format!(
+        "success: {} (log10 {log10_success:.2}), execution time: {:.3} ms\n",
+        fmt_success(success),
+        exec_time_us / 1e3
+    )
 }
 
 /// Renders the logical-simulation line of a report, when present.
@@ -67,186 +121,83 @@ fn describe_sim(report: &RunReport) -> String {
     text
 }
 
-/// Runs the *compile-only* pipeline per the options (including the
-/// exact router, which bypasses the policy-based routing entirely).
-/// The compile-only commands (`compile`, `timeline`) stay on the pass
-/// layer deliberately: `Engine::run` would also walk the scheduled
-/// program for success/exec-time estimates they discard.
-fn run_pipeline(opts: &Options, circuit: &Circuit) -> Result<CompileOutput, String> {
-    let spec = device(opts, circuit.n_qubits())?;
-    if opts.router == RouterChoice::Exact {
-        // Exact routing: decompose → optimal route → lower swaps → schedule.
-        let native = tilt_compiler::decompose::decompose(circuit);
-        let initial = InitialMapping::Identity.build(&native, spec.n_ions());
-        let routed = optimal_route(&native, spec, &initial, &opts.exact_config())
-            .map_err(|e| e.to_string())?;
-        let lowered = tilt_compiler::decompose::decompose(&routed.circuit);
-        let program = schedule(&lowered, spec, opts.scheduler);
-        let report = tilt_compiler::CompileReport {
-            swap_count: routed.swap_count,
-            opposing_swap_count: routed.opposing_swap_count,
-            opposing_ratio: routed.opposing_ratio(),
-            move_count: program.move_count(),
-            move_distance_ions: program.move_distance_ions(),
-            native_gate_count: program.gate_count(),
-            native_two_qubit_count: program.two_qubit_gate_count(),
-            t_decompose: std::time::Duration::ZERO,
-            t_swap: std::time::Duration::ZERO,
-            t_move: std::time::Duration::ZERO,
-        };
-        return Ok(CompileOutput {
-            program,
-            routed,
-            report,
-        });
-    }
-    let mut compiler = tilt_compiler::Compiler::new(spec);
-    compiler
-        .router(opts.router_kind())
-        .scheduler(opts.scheduler);
-    compiler.compile(circuit).map_err(|e| e.to_string())
-}
-
-fn describe(out: &CompileOutput, program: &TiltProgram) -> String {
-    let r = &out.report;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "device: {} ions, head {}",
-        program.spec().n_ions(),
-        program.spec().head_size()
-    );
-    let _ = writeln!(
-        text,
-        "swaps: {} (opposing {}, ratio {:.2})",
-        r.swap_count, r.opposing_swap_count, r.opposing_ratio
-    );
-    let _ = writeln!(
-        text,
-        "moves: {} (distance {} ion spacings)",
-        r.move_count, r.move_distance_ions
-    );
-    let _ = writeln!(
-        text,
-        "native gates: {} ({} two-qubit)",
-        r.native_gate_count, r.native_two_qubit_count
-    );
-    text
-}
-
-fn emit_extras(opts: &Options, out: &CompileOutput) -> String {
-    let mut text = String::new();
-    if opts.emit_qasm {
-        text.push_str("\n-- routed physical circuit (OpenQASM) --\n");
-        text.push_str(&qasm::to_qasm(&out.routed.circuit));
-    }
-    if opts.emit_program {
-        text.push_str("\n-- scheduled program --\n");
-        let _ = write!(text, "{}", out.program);
-    }
-    text
-}
-
-/// `tilt-cli compile <file.qasm>`
-pub fn compile(args: &[String]) -> Result<String, String> {
+/// `tilt-cli run <file.qasm> [--backend tilt|qccd|scaled]` — one
+/// circuit through the session API.
+/// `tilt-cli run <dir> --batch` — every `.qasm` in the directory as one
+/// batch, one table row per circuit.
+pub fn run(args: &[String]) -> Result<String, String> {
     let opts = Options::parse(args).map_err(|e| e.to_string())?;
+    if opts.stream {
+        return run_stream_file(&opts);
+    }
+    if opts.batch {
+        return run_batch_dir(&opts);
+    }
     let circuit = load_circuit(&opts)?;
-    let out = run_pipeline(&opts, &circuit)?;
-    let mut text = format!("compiled `{}`: {}\n", opts.target, circuit.stats());
-    text.push_str(&describe(&out, &out.program));
-    text.push_str(&emit_extras(&opts, &out));
+    let width = circuit.n_qubits();
+    let engine = engine(&opts.overrides, width)?;
+    let report = engine.run(&circuit).map_err(|e| e.to_string())?;
+    let mut text = format!("ran `{}`: {}\n", opts.target, circuit.stats());
+    let _ = writeln!(text, "device: {}", machine(engine.backend(), width));
+    text.push_str(&describe(&report.compile, report.backend));
+    text.push_str(&success_line(
+        report.success,
+        report.log10_success(),
+        report.exec_time_us,
+    ));
+    match &report.detail {
+        RunDetail::Tilt { success, .. } => {
+            let ideal = estimate_ideal_success(&circuit, engine.noise(), engine.gate_times());
+            let _ = writeln!(text, "ideal TI: {}", fmt_success(ideal.success));
+            let _ = writeln!(
+                text,
+                "heat: {:.2} quanta after {} moves",
+                success.report.final_quanta, success.report.moves
+            );
+        }
+        RunDetail::Qccd { report: q, .. } => {
+            let _ = writeln!(
+                text,
+                "cooling rounds: {}, peak heat: {:.1} quanta",
+                q.cooling_rounds, q.peak_quanta
+            );
+        }
+        RunDetail::Scaled { .. } => {}
+    }
+    text.push_str(&describe_sim(&report));
+    if opts.emit_qasm || opts.emit_program {
+        let out = report.tilt_output().ok_or_else(|| {
+            format!(
+                "--emit-qasm/--emit-program print a TILT program; --backend {} has none",
+                report.backend
+            )
+        })?;
+        if opts.emit_qasm {
+            text.push_str("\n-- routed physical circuit (OpenQASM) --\n");
+            text.push_str(&qasm::to_qasm(&out.routed.circuit));
+        }
+        if opts.emit_program {
+            text.push_str("\n-- scheduled program --\n");
+            let _ = write!(text, "{}", out.program);
+        }
+    }
     Ok(text)
 }
 
-/// The numbers `simulate` prints, whichever path produced them.
-struct SimulateOutcome {
-    out: CompileOutput,
-    success: f64,
-    log10_success: f64,
-    final_quanta: f64,
-    moves: usize,
-    exec_time_us: f64,
-}
-
-/// `tilt-cli simulate <file.qasm>`
-pub fn simulate(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
-    let circuit = load_circuit(&opts)?;
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
-    let o = if opts.router == RouterChoice::Exact {
-        // The exact router bypasses the session API; estimate its
-        // output with the free-function estimators.
-        use tilt_sim::{estimate_success, execution_time_us, ExecTimeModel};
-        let out = run_pipeline(&opts, &circuit)?;
-        let s = estimate_success(&out.program, &noise, &times);
-        let exec_time_us = execution_time_us(&out.program, &times, &ExecTimeModel::default());
-        SimulateOutcome {
-            out,
-            success: s.success,
-            log10_success: s.log10_success(),
-            final_quanta: s.final_quanta,
-            moves: s.moves,
-            exec_time_us,
-        }
-    } else {
-        let spec = device(&opts, circuit.n_qubits())?;
-        let report = tilt_engine(&opts, spec)?
-            .run(&circuit)
-            .map_err(|e| e.to_string())?;
-        let s = report.tilt_success().expect("Tilt backend").report;
-        let (success, log10_success, exec_time_us) =
-            (report.success, report.log10_success(), report.exec_time_us);
-        let tilt_engine::RunDetail::Tilt { output: out, .. } = report.detail else {
-            unreachable!("a Tilt backend produces Tilt detail");
-        };
-        SimulateOutcome {
-            out,
-            success,
-            log10_success,
-            final_quanta: s.final_quanta,
-            moves: s.moves,
-            exec_time_us,
-        }
-    };
-
-    let ideal = estimate_ideal_success(&circuit, &noise, &times);
-    let mut text = format!("simulated `{}`: {}\n", opts.target, circuit.stats());
-    text.push_str(&describe(&o.out, &o.out.program));
-    let _ = writeln!(
-        text,
-        "success: {} (log10 {:.2}), ideal TI {}",
-        fmt_success(o.success),
-        o.log10_success,
-        fmt_success(ideal.success)
-    );
-    let _ = writeln!(
-        text,
-        "heat: {:.2} quanta after {} moves",
-        o.final_quanta, o.moves
-    );
-    let _ = writeln!(text, "execution time: {:.3} ms", o.exec_time_us / 1e3);
-    text.push_str(&emit_extras(&opts, &o.out));
-    Ok(text)
-}
-
-/// `tilt-cli lint <file.qasm>` — compile for a TILT machine (or, under
-/// `--scaled`, an ELU array) and run the static program-invariant
-/// verifier over the compiled artifacts; under `--stream` the verifier
-/// folds ride the bounded-memory pipeline and report the same findings.
+/// `tilt-cli lint <file.qasm>` — compile for the `--backend` machine
+/// and run the static program-invariant verifier over the compiled
+/// artifacts; under `--stream` the verifier folds ride the
+/// bounded-memory pipeline and report the same findings.
 ///
 /// Human output is one line per diagnostic plus a summary; `--json`
 /// emits the diagnostics as a JSON array (empty when clean). Any
 /// error-severity finding makes the command fail, so the exit code is
 /// the lint verdict.
 pub fn lint(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
-    if opts.router == RouterChoice::Exact {
-        return Err(
-            "`lint` drives the session API; use `compile` to inspect --router exact output".into(),
-        );
-    }
-    if opts.stream && (opts.method.is_some() || opts.emit_program || opts.emit_qasm || opts.batch) {
+    let mut opts = Options::parse(args).map_err(|e| e.to_string())?;
+    if opts.stream
+        && (opts.overrides.method.is_some() || opts.emit_program || opts.emit_qasm || opts.batch)
+    {
         return Err("`lint --stream` takes none of --method/--emit-*/--batch".into());
     }
     // A stream is sized by its header and never parsed whole.
@@ -259,20 +210,12 @@ pub fn lint(args: &[String]) -> Result<String, String> {
     };
     // Warn, not strict: lint's job is to *report* every finding, then
     // decide the exit code itself (strict would stop at the first).
-    let mut builder = Engine::builder().verify(tilt_engine::VerifyLevel::Warn);
-    let mut elus = String::new();
-    if opts.scaled {
-        let spec = tilt_scale::ScaleSpec::new(opts.elu_ions, opts.head.min(opts.elu_ions))
-            .map_err(|e| e.to_string())?;
-        elus = format!(" across {} ELUs", spec.elus_for(width));
-        builder = builder.backend(Backend::Scaled(spec));
-    } else {
-        builder = builder
-            .backend(Backend::Tilt(device(&opts, width)?))
-            .router(opts.router_kind())
-            .scheduler(opts.scheduler);
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
+    opts.overrides.verify = Some(VerifyLevel::Warn);
+    let engine = engine(&opts.overrides, width)?;
+    let elus = match engine.backend() {
+        Backend::Scaled(spec) => format!(" across {} ELUs", spec.elus_for(width)),
+        _ => String::new(),
+    };
     let (diags, native_ops, how) = match circuit {
         Some(circuit) => {
             let r = engine.run(&circuit).map_err(|e| e.to_string())?;
@@ -337,93 +280,29 @@ pub fn lint(args: &[String]) -> Result<String, String> {
 pub fn timeline(args: &[String]) -> Result<String, String> {
     let opts = Options::parse(args).map_err(|e| e.to_string())?;
     let circuit = load_circuit(&opts)?;
-    let out = run_pipeline(&opts, &circuit)?;
+    let report = engine(&opts.overrides, circuit.n_qubits())?
+        .run(&circuit)
+        .map_err(|e| e.to_string())?;
+    let program = report.tilt_program().ok_or_else(|| {
+        format!(
+            "`timeline` draws a TILT tape; --backend {} has none",
+            report.backend
+        )
+    })?;
     let mut text = format!("timeline of `{}`\n", opts.target);
-    text.push_str(&tilt_compiler::viz::render_timeline(&out.program));
+    text.push_str(&tilt_compiler::viz::render_timeline(program));
     Ok(text)
 }
 
-/// `tilt-cli scale <file.qasm>`
-pub fn scale(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
-    let circuit = load_circuit(&opts)?;
-    let spec = tilt_scale::ScaleSpec::new(opts.elu_ions, opts.head.min(opts.elu_ions))
-        .map_err(|e| e.to_string())?;
-    let report = Engine::builder()
-        .backend(Backend::Scaled(spec))
-        .build()
-        .map_err(|e| e.to_string())?
-        .run(&circuit)
-        .map_err(|e| e.to_string())?;
-    let scaled = report.scale_report().expect("Scaled backend");
-    let elus = match &report.detail {
-        tilt_engine::RunDetail::Scaled { program, .. } => program.elu_outputs.len(),
-        _ => unreachable!("a Scaled backend produces Scaled detail"),
-    };
-    let mut text = format!(
-        "modular `{}`: {} ELUs of {} ions (head {})\n",
-        opts.target,
-        elus,
-        spec.ions_per_elu(),
-        spec.head_size()
-    );
-    let _ = writeln!(
-        text,
-        "remote gates: {} (EPR pairs), local swaps: {}, local moves: {}",
-        scaled.remote_gates, report.compile.swap_count, report.compile.move_count
-    );
-    let _ = writeln!(
-        text,
-        "success: {} (log10 {:.2}), makespan {:.3} ms",
-        fmt_success(report.success),
-        report.log10_success(),
-        report.exec_time_us / 1e3
-    );
-    Ok(text)
-}
-
-/// `tilt-cli qccd <file.qasm>`
-pub fn qccd(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
-    let circuit = load_circuit(&opts)?;
-    let spec =
-        QccdSpec::for_qubits(circuit.n_qubits(), opts.ions_per_trap).map_err(|e| e.to_string())?;
-    let report = Engine::builder()
-        .backend(Backend::Qccd(spec))
-        .build()
-        .map_err(|e| e.to_string())?
-        .run(&circuit)
-        .map_err(|e| e.to_string())?;
-    let q = report.qccd_report().expect("Qccd backend");
-    let mut text = format!(
-        "QCCD `{}`: {} traps × {} capacity\n",
-        opts.target,
-        spec.n_traps(),
-        spec.capacity()
-    );
-    let _ = writeln!(
-        text,
-        "transports: {} ({} shuttle segments), cooling rounds: {}",
-        q.transports, q.shuttle_segments, q.cooling_rounds
-    );
-    let _ = writeln!(
-        text,
-        "success: {} (peak heat {:.1} quanta)",
-        fmt_success(report.success),
-        q.peak_quanta
-    );
-    Ok(text)
-}
-
-/// One table row from `(swaps, moves, success, exec µs)` or an error.
-fn metric_row(name: &str, metrics: Result<(usize, usize, f64, f64), String>) -> [String; 5] {
-    match metrics {
-        Ok((swaps, moves, success, exec_us)) => [
+/// One table row for a batch/bench report.
+fn report_row(name: &str, report: &Result<RunReport, TiltError>) -> [String; 5] {
+    match report {
+        Ok(r) => [
             name.to_string(),
-            swaps.to_string(),
-            moves.to_string(),
-            fmt_success(success),
-            format!("{:.3}", exec_us / 1e6),
+            r.compile.swap_count.to_string(),
+            r.compile.move_count.to_string(),
+            fmt_success(r.success),
+            format!("{:.3}", r.exec_time_us / 1e6),
         ],
         Err(e) => [
             name.to_string(),
@@ -433,59 +312,6 @@ fn metric_row(name: &str, metrics: Result<(usize, usize, f64, f64), String>) -> 
             "-".into(),
         ],
     }
-}
-
-/// One table row for a batch/bench report.
-fn report_row(name: &str, report: &Result<RunReport, tilt_engine::TiltError>) -> [String; 5] {
-    metric_row(
-        name,
-        report
-            .as_ref()
-            .map(|r| {
-                (
-                    r.compile.swap_count,
-                    r.compile.move_count,
-                    r.success,
-                    r.exec_time_us,
-                )
-            })
-            .map_err(std::string::ToString::to_string),
-    )
-}
-
-/// `tilt-cli run <file.qasm>` — one circuit through the session API.
-/// `tilt-cli run <dir> --batch` — every `.qasm` in the directory as one
-/// batch, one table row per circuit.
-pub fn run(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
-    if opts.router == RouterChoice::Exact {
-        return Err(
-            "`run` drives the session API; use `compile`/`simulate` for --router exact".into(),
-        );
-    }
-    if opts.stream {
-        return run_stream_file(&opts);
-    }
-    if opts.batch {
-        return run_batch_dir(&opts);
-    }
-    let circuit = load_circuit(&opts)?;
-    let spec = device(&opts, circuit.n_qubits())?;
-    let report = tilt_engine(&opts, spec)?
-        .run(&circuit)
-        .map_err(|e| e.to_string())?;
-    let out = report.tilt_output().expect("Tilt backend");
-    let mut text = format!("ran `{}`: {}\n", opts.target, circuit.stats());
-    text.push_str(&describe(out, &out.program));
-    let _ = writeln!(
-        text,
-        "success: {} (log10 {:.2}), execution time: {:.3} ms",
-        fmt_success(report.success),
-        report.log10_success(),
-        report.exec_time_us / 1e3
-    );
-    text.push_str(&describe_sim(&report));
-    Ok(text)
 }
 
 /// Reads just the QASM prologue of `path` to learn the register width
@@ -514,7 +340,7 @@ fn run_stream_file(opts: &Options) -> Result<String, String> {
     if opts.batch {
         return Err("--stream runs one file; it cannot be combined with --batch".into());
     }
-    if opts.method.is_some() {
+    if opts.overrides.method.is_some() {
         return Err(
             "--stream never materializes the logical circuit, so it cannot simulate; \
              drop --method or drop --stream"
@@ -529,8 +355,7 @@ fn run_stream_file(opts: &Options) -> Result<String, String> {
         );
     }
     let width = probe_stream_width(&opts.target)?;
-    let spec = device(opts, width)?;
-    let engine = tilt_engine(opts, spec)?;
+    let engine = engine(&opts.overrides, width)?;
     let window = opts
         .stream_window
         .unwrap_or(tilt_engine::DEFAULT_STREAM_WINDOW);
@@ -541,34 +366,18 @@ fn run_stream_file(opts: &Options) -> Result<String, String> {
     let outcome = engine
         .run_streaming_qasm(open_stream(&opts.target)?, window, &mut sink)
         .map_err(|e| e.to_string())?;
-    let c = &outcome.compile;
     let mut text = format!(
         "streamed `{}`: {} input gates in {} increments (window {})\n",
         opts.target, outcome.input_gate_count, outcome.increments, window
     );
-    let _ = writeln!(
-        text,
-        "device: {} ions, head {}",
-        spec.n_ions(),
-        spec.head_size()
-    );
-    let _ = writeln!(
-        text,
-        "swaps: {} (opposing {}), moves: {} (distance {} ion spacings)",
-        c.swap_count, c.opposing_swap_count, c.move_count, c.move_distance
-    );
-    let _ = writeln!(
-        text,
-        "native gates: {} ({} two-qubit), scheduled ops delivered: {ops}",
-        c.native_gate_count, c.native_two_qubit_count
-    );
-    let _ = writeln!(
-        text,
-        "success: {} (log10 {:.2}), execution time: {:.3} ms",
-        fmt_success(outcome.success),
+    let _ = writeln!(text, "device: {}", machine(engine.backend(), width));
+    text.push_str(&describe(&outcome.compile, engine.backend().kind()));
+    let _ = writeln!(text, "scheduled ops delivered: {ops}");
+    text.push_str(&success_line(
+        outcome.success,
         outcome.log10_success(),
-        outcome.exec_time_us / 1e3
-    );
+        outcome.exec_time_us,
+    ));
     Ok(text)
 }
 
@@ -603,18 +412,16 @@ fn run_batch_dir(opts: &Options) -> Result<String, String> {
     // One session sized for the widest circuit (or --ions) serves the
     // whole batch; individual misfits surface as per-row errors.
     let widest = circuits.iter().map(Circuit::n_qubits).max().unwrap_or(1);
-    let spec = device(opts, widest)?;
-    let engine = tilt_engine(opts, spec)?;
+    let engine = engine(&opts.overrides, widest)?;
 
     let mut table = Table::new(["circuit", "swaps", "moves", "success", "exec(s)"]);
     engine.run_batch_streaming(circuits, |i, report| {
         table.row(report_row(&names[i], &report));
     });
     let mut text = format!(
-        "batch of {} circuits on {} ions, head {}\n",
+        "batch of {} circuits on {}\n",
         names.len(),
-        spec.n_ions(),
-        spec.head_size()
+        machine(engine.backend(), widest)
     );
     text.push_str(&table.render());
     Ok(text)
@@ -652,15 +459,6 @@ mod sigterm {
     pub fn install() -> &'static AtomicBool {
         &FLAG
     }
-}
-
-/// The engine prototype a `serve` invocation describes.
-fn serve_builder(opts: &ServeOptions) -> Result<tilt_engine::EngineBuilder, String> {
-    let spec = DeviceSpec::new(opts.ions, opts.head.min(opts.ions)).map_err(|e| e.to_string())?;
-    Ok(Engine::builder()
-        .backend(Backend::Tilt(spec))
-        .router(opts.router_kind())
-        .scheduler(opts.scheduler))
 }
 
 /// Process-wide overload policy shared by every serve loop: one
@@ -738,7 +536,7 @@ fn arm_fault_plan() -> Result<(), String> {
 /// dropped individually) and writes it back at drain.
 pub fn serve(args: &[String]) -> Result<String, String> {
     let opts = ServeOptions::parse(args).map_err(|e| e.to_string())?;
-    let builder = serve_builder(&opts)?;
+    let builder = builder(&opts.overrides, SERVE_WIDTH)?;
     #[cfg(feature = "faults")]
     arm_fault_plan()?;
     let policy = ServePolicy::from_opts(&opts);
@@ -1038,28 +836,9 @@ pub fn bench(args: &[String]) -> Result<String, String> {
 
     let mut table = Table::new(["benchmark", "swaps", "moves", "success", "exec(s)"]);
     for b in &selected {
-        let head = opts.head.min(b.circuit.n_qubits());
-        if opts.router == RouterChoice::Exact {
-            // The exact router lives on the pass layer; estimate with
-            // the free-function estimators as before the session API.
-            use tilt_sim::{estimate_success, execution_time_us, ExecTimeModel};
-            let mut bench_opts = opts.clone();
-            bench_opts.ions = Some(b.circuit.n_qubits());
-            bench_opts.head = head;
-            let metrics = run_pipeline(&bench_opts, &b.circuit).map(|out| {
-                let noise = NoiseModel::default();
-                let times = GateTimeModel::default();
-                let s = estimate_success(&out.program, &noise, &times);
-                let t = execution_time_us(&out.program, &times, &ExecTimeModel::default());
-                (out.report.swap_count, out.report.move_count, s.success, t)
-            });
-            table.row(metric_row(b.name, metrics));
-        } else {
-            // One session per benchmark: the suite mixes register widths.
-            let spec = DeviceSpec::new(b.circuit.n_qubits(), head).map_err(|e| e.to_string())?;
-            let report = tilt_engine(&opts, spec)?.run(&b.circuit);
-            table.row(report_row(b.name, &report));
-        }
+        // One session per benchmark: the suite mixes register widths.
+        let report = engine(&opts.overrides, b.circuit.n_qubits())?.run(&b.circuit);
+        table.row(report_row(b.name, &report));
     }
     Ok(table.render())
 }
@@ -1083,7 +862,7 @@ mod tests {
     #[test]
     fn compile_reports_swaps_for_long_gate() {
         let path = write_temp("long.qasm", "qreg q[8];\ncx q[0], q[7];\n");
-        let out = compile(&v(&[&path, "--head", "4"])).unwrap();
+        let out = run(&v(&[&path, "--head", "4"])).unwrap();
         assert!(out.contains("swaps: "));
         assert!(!out.contains("swaps: 0"));
     }
@@ -1091,27 +870,27 @@ mod tests {
     #[test]
     fn compile_emit_qasm_includes_swap_gates() {
         let path = write_temp("emit.qasm", "qreg q[8];\ncx q[0], q[7];\n");
-        let out = compile(&v(&[&path, "--head", "4", "--emit-qasm"])).unwrap();
+        let out = run(&v(&[&path, "--head", "4", "--emit-qasm"])).unwrap();
         assert!(out.contains("swap q["));
     }
 
     #[test]
     fn simulate_prints_probability() {
         let path = write_temp("sim.qasm", "qreg q[4];\nh q[0];\ncx q[0], q[3];\n");
-        let out = simulate(&v(&[&path, "--head", "4"])).unwrap();
+        let out = run(&v(&[&path, "--head", "4"])).unwrap();
         assert!(out.contains("success: 0."), "{out}");
     }
 
     #[test]
     fn missing_file_is_reported() {
-        let e = compile(&v(&["/nonexistent/x.qasm"])).unwrap_err();
+        let e = run(&v(&["/nonexistent/x.qasm"])).unwrap_err();
         assert!(e.contains("cannot read"));
     }
 
     #[test]
     fn bad_qasm_is_reported() {
         let path = write_temp("bad.qasm", "qreg q[2];\nwat q[0];\n");
-        let e = compile(&v(&[&path])).unwrap_err();
+        let e = run(&v(&[&path])).unwrap_err();
         assert!(e.contains("wat"));
     }
 
@@ -1139,13 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_rejects_exact_router() {
-        let path = write_temp("lint-x.qasm", "qreg q[4];\ncx q[0], q[3];\n");
-        let e = lint(&v(&[&path, "--router", "exact"])).unwrap_err();
-        assert!(e.contains("session API"), "{e}");
-    }
-
-    #[test]
     fn timeline_draws_head_bars() {
         let path = write_temp("tl.qasm", "qreg q[8];\ncx q[0], q[1];\ncx q[6], q[7];\n");
         let out = timeline(&v(&[&path, "--head", "4"])).unwrap();
@@ -1156,14 +928,13 @@ mod tests {
     #[test]
     fn default_head_is_clamped_to_a_narrow_tape() {
         // The default head of 16 exceeds this 8-ion tape; every
-        // command clamps it, as `run --stream` and `lint` do.
+        // command clamps it, as `run --stream` does.
         let path = write_temp("narrow.qasm", "qreg q[8];\nh q[0];\ncx q[0], q[7];\n");
         let stream = run(&v(&[&path, "--stream"])).unwrap();
         assert!(stream.contains("head 8"), "{stream}");
         for (name, command) in [
             ("run", run as fn(&[String]) -> Result<String, String>),
-            ("compile", compile),
-            ("simulate", simulate),
+            ("lint", lint),
             ("timeline", timeline),
         ] {
             let out = command(&v(&[&path])).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -1176,16 +947,18 @@ mod tests {
     #[test]
     fn scale_reports_epr_pairs() {
         let path = write_temp("sc.qasm", "qreg q[16];\ncx q[7], q[8];\ncx q[0], q[1];\n");
-        let out = scale(&v(&[&path, "--elu-ions", "10", "--head", "4"])).unwrap();
+        let out = run(&v(&[
+            &path,
+            "--backend",
+            "scaled",
+            "--elu-ions",
+            "10",
+            "--head",
+            "4",
+        ]))
+        .unwrap();
         assert!(out.contains("remote gates: 1"), "{out}");
         assert!(out.contains("2 ELUs"), "{out}");
-    }
-
-    #[test]
-    fn exact_router_on_small_file() {
-        let path = write_temp("exact.qasm", "qreg q[6];\ncx q[0], q[5];\n");
-        let out = compile(&v(&[&path, "--head", "3", "--router", "exact"])).unwrap();
-        assert!(out.contains("swaps: 2"), "{out}");
     }
 
     #[test]
@@ -1275,7 +1048,7 @@ mod tests {
         for scaled in [false, true] {
             let mut args = vec![path.as_str(), "--head", "4", "--json"];
             if scaled {
-                args.extend(["--scaled", "--elu-ions", "10"]);
+                args.extend(["--backend", "scaled", "--elu-ions", "10"]);
             }
             let mono = lint(&v(&args));
             args.extend(["--stream", "--stream-window", "1"]);
@@ -1292,7 +1065,16 @@ mod tests {
             "lint-scaled.qasm",
             "qreg q[16];\ncx q[7], q[8];\ncx q[0], q[1];\n",
         );
-        let out = lint(&v(&[&path, "--scaled", "--elu-ions", "10", "--head", "4"])).unwrap();
+        let out = lint(&v(&[
+            &path,
+            "--backend",
+            "scaled",
+            "--elu-ions",
+            "10",
+            "--head",
+            "4",
+        ]))
+        .unwrap();
         assert!(out.contains("clean"), "{out}");
         assert!(out.contains("2 ELUs verified"), "{out}");
     }
@@ -1305,7 +1087,8 @@ mod tests {
         );
         let out = lint(&v(&[
             &path,
-            "--scaled",
+            "--backend",
+            "scaled",
             "--elu-ions",
             "10",
             "--head",
@@ -1351,13 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn run_rejects_exact_router() {
-        let path = write_temp("run2.qasm", "qreg q[4];\ncx q[0], q[3];\n");
-        let e = run(&v(&[&path, "--router", "exact"])).unwrap_err();
-        assert!(e.contains("session API"), "{e}");
-    }
-
-    #[test]
     fn run_batch_emits_one_row_per_circuit() {
         let dir = std::env::temp_dir().join("tilt-cli-batch-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1392,18 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_exact_router_reaches_the_exact_branch() {
-        // `--router exact` must reach the exact router, not silently
-        // substitute LinQ: BV-64 exceeds the exact search's ion cap,
-        // so the row reports that error — LinQ would have succeeded
-        // and printed swap counts mislabeled as exact results.
-        let text = bench(&v(&["bv", "--head", "16", "--router", "exact"])).unwrap();
-        assert!(text.contains("BV"), "{text}");
-        assert!(text.contains("error"), "{text}");
-        assert!(text.contains("ion cap"), "{text}");
-    }
-
-    #[test]
     fn run_batch_rejects_empty_directory() {
         let dir = std::env::temp_dir().join("tilt-cli-batch-empty");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1414,9 +1178,247 @@ mod tests {
     #[test]
     fn serve_rejects_exact_router_and_bad_spec() {
         let e = serve(&v(&["--router", "exact"])).unwrap_err();
-        assert!(e.contains("not servable"), "{e}");
+        assert!(e.contains("unknown router `exact`"), "{e}");
         let e = serve(&v(&["--ions", "1"])).unwrap_err();
         assert!(!e.is_empty());
+    }
+
+    /// A 24-qubit random CX/H circuit (xorshift64, seed fixed): enough
+    /// routing work that router and scheduler choices show in the
+    /// counts.
+    fn rand24() -> String {
+        let mut s: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut text = String::from("qreg q[24];\n");
+        for _ in 0..200 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let a = (s >> 8) % 24;
+            if s.is_multiple_of(4) {
+                text += &format!("h q[{a}];\n");
+            } else {
+                let b = match (s >> 24) % 24 {
+                    b if b == a => (a + 1) % 24,
+                    b => b,
+                };
+                text += &format!("cx q[{a}], q[{b}];\n");
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn run_backends_print_the_numbers_of_the_retired_commands() {
+        // Expected values recorded from `simulate`/`compile`, `qccd` and
+        // `scale` on this file before `run --backend` replaced them.
+        let path = write_temp("pins24.qasm", &rand24());
+        let cases: [(&[&str], &[&str]); 5] = [
+            (
+                &["--head", "6"],
+                &[
+                    "device: 24 ions, head 6",
+                    "swaps: 128 (opposing 58, ratio 0.45)",
+                    "moves: 169 (distance 821 ion spacings)",
+                    "native gates: 2812 (548 two-qubit)",
+                    "success: 0.1117 (log10 -0.95), execution time: 87.985 ms",
+                    "ideal TI: 0.9074",
+                    "heat: 29.27 quanta after 169 moves",
+                ],
+            ),
+            (
+                &[
+                    "--head",
+                    "6",
+                    "--router",
+                    "stochastic",
+                    "--scheduler",
+                    "naive",
+                ],
+                &[
+                    "swaps: 177 (opposing 53, ratio 0.30)",
+                    "moves: 269 (distance 1483 ion spacings)",
+                    "native gates: 3547 (695 two-qubit)",
+                    "success: 0.0131 (log10 -1.88), execution time: 147.691 ms",
+                    "heat: 46.59 quanta after 269 moves",
+                ],
+            ),
+            (
+                &["--head", "8", "--max-swap-len", "3", "--alpha", "0.5"],
+                &[
+                    "device: 24 ions, head 8",
+                    "swaps: 139 (opposing 58, ratio 0.42)",
+                    "moves: 115 (distance 636 ion spacings)",
+                    "success: 0.1935 (log10 -0.71), execution time: 83.190 ms",
+                    "heat: 19.92 quanta after 115 moves",
+                ],
+            ),
+            (
+                &["--backend", "qccd", "--ions-per-trap", "5"],
+                &[
+                    "QCCD, 5 traps × 7 capacity",
+                    "transports: 133 (276 shuttle segments)",
+                    "cooling rounds: 13, peak heat: 17.2 quanta",
+                    "success: 0.6838 ",
+                ],
+            ),
+            (
+                &["--backend", "scaled", "--elu-ions", "14", "--head", "6"],
+                &[
+                    "2 ELUs of 14 ions (head 6)",
+                    "swaps: 60 ",
+                    "moves: 99 ",
+                    "remote gates: 69 (EPR pairs)",
+                    "success: 0.0170 (log10 -1.77), execution time: 76.260 ms",
+                ],
+            ),
+        ];
+        for (flags, expected) in cases {
+            let mut args = vec![path.as_str()];
+            args.extend(flags);
+            let out = run(&v(&args)).unwrap();
+            for line in expected {
+                assert!(out.contains(line), "{flags:?} lacks `{line}`:\n{out}");
+            }
+        }
+        let out = run(&v(&[&path, "--backend", "qccd"])).unwrap();
+        assert!(out.contains("QCCD, 2 traps × 19 capacity"), "{out}");
+        assert!(
+            out.contains("transports: 71 (71 shuttle segments)"),
+            "{out}"
+        );
+        let out = run(&v(&[&path, "--backend", "scaled"])).unwrap();
+        assert!(out.contains("2 ELUs of 18 ions (head 16)"), "{out}");
+        assert!(out.contains("remote gates: 61 (EPR pairs)"), "{out}");
+        assert!(out.contains("execution time: 71.868 ms"), "{out}");
+    }
+
+    #[test]
+    fn scaled_router_and_scheduler_flags_match_the_service_override() {
+        // Each flag must move the counts off the LinQ/greedy default
+        // (60 swaps, 99 moves) to what the service prints for the same
+        // wire fields.
+        let qasm = rand24();
+        let path = write_temp("scaled-flags.qasm", &qasm);
+        let mut wire = String::new();
+        let variants: [(&[&str], &str); 3] = [
+            (&[], ""),
+            (&["--router", "stochastic"], ",\"router\":\"stochastic\""),
+            (&["--scheduler", "naive"], ",\"scheduler\":\"naive\""),
+        ];
+        let qasm_json = tilt_report::Json::from(qasm.as_str()).render();
+        for (_, fields) in variants {
+            wire += &format!(
+                "{{\"qasm\":{qasm_json},\"backend\":\"scaled\",\"elu_ions\":14,\"head\":6{fields}}}\n"
+            );
+        }
+        let mut service =
+            tilt_engine::Service::new(builder(&Overrides::default(), SERVE_WIDTH).unwrap())
+                .unwrap();
+        let mut out = Vec::new();
+        service
+            .serve(std::io::Cursor::new(wire), &mut out, None)
+            .unwrap();
+        let responses: Vec<_> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| tilt_report::Json::parse(l).unwrap())
+            .collect();
+        let mut seen = Vec::new();
+        for ((flags, _), resp) in variants.iter().zip(&responses) {
+            let mut args = vec![
+                path.as_str(),
+                "--backend",
+                "scaled",
+                "--elu-ions",
+                "14",
+                "--head",
+                "6",
+            ];
+            args.extend(*flags);
+            let text = run(&v(&args)).unwrap();
+            let field = |key: &str| resp.get(key).and_then(tilt_report::Json::as_f64).unwrap();
+            let (swaps, moves) = (field("swaps"), field("moves"));
+            assert!(
+                text.contains(&format!("swaps: {swaps} ")),
+                "{flags:?}: {text}"
+            );
+            assert!(
+                text.contains(&format!("moves: {moves} ")),
+                "{flags:?}: {text}"
+            );
+            seen.push((swaps, moves));
+        }
+        assert_eq!(seen, [(60.0, 99.0), (96.0, 159.0), (60.0, 136.0)]);
+    }
+
+    #[test]
+    fn lint_scaled_verifies_the_program_the_router_flag_names() {
+        let path = write_temp("lint-scaled-router.qasm", &rand24());
+        let args = [
+            &path,
+            "--backend",
+            "scaled",
+            "--elu-ions",
+            "14",
+            "--head",
+            "6",
+        ];
+        let linq = lint(&v(&args)).unwrap();
+        assert!(
+            linq.contains("clean (2409 native ops across 2 ELUs"),
+            "{linq}"
+        );
+        let mut args = args.to_vec();
+        args.extend(["--router", "stochastic"]);
+        let stochastic = lint(&v(&args)).unwrap();
+        assert!(
+            stochastic.contains("clean (2949 native ops across 2 ELUs"),
+            "{stochastic}"
+        );
+    }
+
+    #[test]
+    fn dimensions_a_backend_has_no_use_for_are_rejected() {
+        let path = write_temp("inapplicable.qasm", "qreg q[8];\nh q[0];\ncx q[0], q[7];\n");
+        for flags in [
+            ["--backend", "qccd", "--ions", "5"],
+            ["--backend", "scaled", "--ions", "999"],
+            ["--backend", "qccd", "--head", "3"],
+        ] {
+            let mut args = vec![path.as_str()];
+            args.extend(flags);
+            let e = run(&v(&args)).unwrap_err();
+            assert!(e.contains("does not apply"), "{flags:?}: {e}");
+            let e = lint(&v(&args)).unwrap_err();
+            assert!(e.contains("does not apply"), "{flags:?}: {e}");
+        }
+        let e = timeline(&v(&[&path, "--backend", "qccd"])).unwrap_err();
+        assert!(e.contains("TILT tape"), "{e}");
+        let e = run(&v(&[&path, "--backend", "scaled", "--emit-program"])).unwrap_err();
+        assert!(e.contains("TILT program"), "{e}");
+    }
+
+    #[test]
+    fn streams_match_the_monolithic_run_on_every_backend() {
+        let src = "qreg q[16];\nh q[0];\ncx q[0], q[15];\ncx q[7], q[8];\n";
+        let path = write_temp("stream-backends.qasm", src);
+        for backend in ["tilt", "qccd", "scaled"] {
+            let args = [&path, "--backend", backend];
+            let mono = run(&v(&args)).unwrap();
+            let mut streamed = args.to_vec();
+            streamed.extend(["--stream", "--stream-window", "1"]);
+            let streamed = run(&v(&streamed)).unwrap();
+            let success = |text: &str| {
+                text.lines()
+                    .find(|l| l.starts_with("success: "))
+                    .map(str::to_string)
+            };
+            assert_eq!(
+                success(&mono),
+                success(&streamed),
+                "{backend}: {mono}\n---\n{streamed}"
+            );
+        }
     }
 
     #[test]
@@ -1427,9 +1429,13 @@ mod tests {
         static FLAG: AtomicBool = AtomicBool::new(false);
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let builder =
-            serve_builder(&ServeOptions::parse(&v(&["--ions", "8", "--head", "4"])).unwrap())
-                .unwrap();
+        let builder = builder(
+            &ServeOptions::parse(&v(&["--ions", "8", "--head", "4"]))
+                .unwrap()
+                .overrides,
+            SERVE_WIDTH,
+        )
+        .unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             handle_connection(builder, stream, 4, ServePolicy::default(), &FLAG).unwrap()

@@ -379,6 +379,7 @@ impl Compiler {
     /// # Errors
     ///
     /// As [`StreamingCompiler::new`] and [`StreamingCompiler::push`].
+    #[deprecated(note = "drive a `StreamingCompiler` session: `new`, `push` per gate, `finish`")]
     pub fn compile_stream<I>(
         &self,
         n_qubits: usize,
@@ -544,9 +545,11 @@ mod tests {
             let mono = oracle_compile(&compiler, &c);
             for window in [1usize, 64, 1024, usize::MAX] {
                 let mut sink = CollectSink::default();
-                let summary = compiler
-                    .compile_stream(c.n_qubits(), c.gates().iter().copied(), window, &mut sink)
-                    .unwrap();
+                let mut session = StreamingCompiler::new(&compiler, c.n_qubits(), window).unwrap();
+                for g in c.gates() {
+                    session.push(*g, &mut sink).unwrap();
+                }
+                let summary = session.finish(&mut sink);
                 assert_eq!(sink.ops, mono.program.ops(), "window {window}");
                 assert_eq!(summary.final_mapping, mono.routed.final_mapping);
                 assert_eq!(summary.initial_mapping, mono.routed.initial_mapping);
@@ -607,9 +610,9 @@ mod tests {
         let spec = DeviceSpec::new(8, 4).unwrap();
         let compiler = Compiler::new(spec);
         let mut sink = CollectSink::default();
-        let summary = compiler
-            .compile_stream(8, std::iter::empty(), 64, &mut sink)
-            .unwrap();
+        let summary = StreamingCompiler::new(&compiler, 8, 64)
+            .unwrap()
+            .finish(&mut sink);
         assert!(sink.ops.is_empty());
         assert_eq!(summary.increments, 0);
         assert_eq!(summary.report.native_gate_count, 0);

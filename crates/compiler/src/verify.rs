@@ -327,6 +327,7 @@ fn order_key(g: &Gate) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::streaming::StreamingCompiler;
     use crate::pipeline::Compiler;
     use crate::program::TiltProgram;
     use crate::route::{LinqConfig, RouterKind};
@@ -471,9 +472,11 @@ mod tests {
         let compiler = Compiler::new(spec);
         for window in [1, 64, usize::MAX] {
             let mut v = TiltVerifier::new(spec, 3, Mapping::identity(16));
-            let summary = compiler
-                .compile_stream(16, c.gates().iter().copied(), window, &mut v)
-                .unwrap();
+            let mut session = StreamingCompiler::new(&compiler, 16, window).unwrap();
+            for g in c.gates() {
+                session.push(*g, &mut v).unwrap();
+            }
+            let summary = session.finish(&mut v);
             assert_eq!(v.finish(&summary.final_mapping), Vec::new());
         }
     }

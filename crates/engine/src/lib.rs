@@ -47,6 +47,7 @@ pub mod cache;
 pub mod error;
 #[cfg(any(test, feature = "faults"))]
 pub mod faults;
+pub mod overlay;
 pub mod report;
 pub mod service;
 pub mod sim;
@@ -58,6 +59,7 @@ mod batch;
 pub use admission::{AdmissionControl, AdmissionCounters, AdmissionPermit};
 pub use cache::{CacheCounters, CacheKey, CompileCache, WireReport, DEFAULT_CACHE_CAPACITY};
 pub use error::TiltError;
+pub use overlay::{Overrides, RouterName};
 pub use report::{BackendKind, CompileStats, RunDetail, RunReport};
 pub use service::{Service, ServiceStats, ServiceSummary, ShutdownCause};
 pub use sim::{SimMethod, SimReport, SimulatorKind};

@@ -1,11 +1,12 @@
 //! `tilt serve` — a long-running compile/estimation service over the
 //! session API.
 //!
-//! The ROADMAP's service-mode item has two halves: `run_batch` (landed)
-//! and a persistent process an external load generator can hammer. This
-//! module is the second half: a **JSON-lines protocol** over any
-//! `BufRead`/`Write` pair (stdin/stdout in the CLI, a TCP stream per
-//! connection, in-memory buffers in tests and benchmarks).
+//! A persistent process an external load generator can hammer: a
+//! **JSON-lines protocol** over any `BufRead`/`Write` pair
+//! (stdin/stdout in the CLI, a TCP stream per connection, in-memory
+//! buffers in tests and benchmarks). Per-request override fields decode
+//! into [`Overrides`] and build their engine through the same
+//! [`EngineBuilder::overlay`] the CLI's flags use.
 //!
 //! # Wire protocol
 //!
@@ -188,19 +189,16 @@ use crate::admission::{AdmissionControl, AdmissionPermit};
 use crate::batch::default_window;
 use crate::cache::{CacheCounters, CacheKey, CompileCache, WireReport};
 use crate::stream::{StreamOutcome, DEFAULT_STREAM_WINDOW};
-use crate::{Backend, Engine, EngineBuilder, RunReport, TiltError};
+use crate::{overlay, Backend, Engine, EngineBuilder, Overrides, RunReport, TiltError};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tilt_circuit::{qasm, Circuit, Gate};
-use tilt_compiler::route::{LinqConfig, StochasticConfig};
-use tilt_compiler::{DeviceSpec, OpLines, RouterKind, SchedulerKind, TiltOp};
+use tilt_compiler::{OpLines, TiltOp};
 use tilt_hash::{Digest, Hasher};
-use tilt_qccd::QccdSpec;
 use tilt_report::Json;
-use tilt_scale::ScaleSpec;
 use tilt_sim::NoiseModel;
 
 /// Log-linear latency buckets: one per µs below 16 µs, then 8 per power
@@ -1249,41 +1247,50 @@ impl Service {
         if !OVERRIDE_KEYS.iter().any(|k| obj.get(k).is_some()) {
             return Ok(None);
         }
-
-        let get_usize = |key: &str| -> Result<Option<usize>, String> {
-            match obj.get(key) {
-                None => Ok(None),
-                Some(v) => match v.as_f64() {
-                    Some(x) if x >= 0.0 && x.fract() == 0.0 => Ok(Some(x as usize)),
-                    _ => Err(format!("`{key}` must be a non-negative integer")),
-                },
-            }
+        let count = |key: &str| match obj.get(key).map(Json::as_f64) {
+            None => Ok(None),
+            Some(Some(x)) if x >= 0.0 && x.fract() == 0.0 => Ok(Some(x as usize)),
+            Some(_) => Err(format!("`{key}` must be a non-negative integer")),
         };
         // Machine dimensions additionally respect the service cap —
         // unbounded values would turn one request into a process-wide
         // allocation abort.
-        let get_dim = |key: &str| -> Result<Option<usize>, String> {
-            match get_usize(key)? {
-                Some(x) if x > MAX_REQUEST_IONS => Err(format!(
-                    "`{key}` of {x} exceeds the service cap of {MAX_REQUEST_IONS}"
-                )),
-                other => Ok(other),
-            }
+        let dim = |key: &str| match count(key)? {
+            Some(x) if x > MAX_REQUEST_IONS => Err(format!(
+                "`{key}` of {x} exceeds the service cap of {MAX_REQUEST_IONS}"
+            )),
+            other => Ok(other),
         };
-        let get_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match obj.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| format!("`{key}` must be a number")),
-            }
+        let name = |key: &str| {
+            obj.get(key)
+                .map(|v| {
+                    v.as_str()
+                        .ok_or_else(|| format!("`{key}` must be a string"))
+                })
+                .transpose()
         };
-
-        // Machine sizing when neither the request nor the session
-        // provides a dimension: a run request sizes to its circuit, a
-        // `configure` message (no circuit) to the session's capacity.
-        let sizing = circuit.map(Circuit::n_qubits).unwrap_or_else(|| {
+        let overrides = Overrides {
+            ions: dim("ions")?,
+            head: dim("head")?,
+            max_swap_len: count("max_swap_len")?,
+            alpha: obj
+                .get("alpha")
+                .map(|v| v.as_f64().ok_or("`alpha` must be a number"))
+                .transpose()?,
+            router: name("router")?.map(overlay::parse_router).transpose()?,
+            scheduler: name("scheduler")?
+                .map(overlay::parse_scheduler)
+                .transpose()?,
+            method: name("method")?.map(overlay::parse_method).transpose()?,
+            verify: name("verify")?.map(overlay::parse_verify).transpose()?,
+            noise: self.noise_overlay(obj)?,
+            backend: name("backend")?.map(overlay::parse_backend).transpose()?,
+            ions_per_trap: dim("ions_per_trap")?,
+            elu_ions: dim("elu_ions")?,
+        };
+        // A run request sizes its machine to its circuit, a `configure`
+        // message (no circuit) to the session's capacity.
+        let width = circuit.map(Circuit::n_qubits).unwrap_or_else(|| {
             match self.engine.backend() {
                 Backend::Tilt(spec) => spec.n_ions(),
                 Backend::Qccd(spec) => spec.usable_slots(),
@@ -1292,181 +1299,35 @@ impl Service {
                 Backend::Scaled(_) => 64,
             }
         });
-        // Dimension defaults come from the shared session where they
-        // exist, so an override of (say) just the router keeps the
-        // session's device.
-        let (session_ions, session_head) = match self.engine.backend() {
-            Backend::Tilt(spec) => (Some(spec.n_ions()), Some(spec.head_size())),
-            _ => (None, None),
+        self.proto.clone().overlay(&overrides, width).map(Some)
+    }
+
+    /// The session's noise model with a request's `noise` fields (any
+    /// subset of the Eq. 4 model) laid over it.
+    fn noise_overlay(&self, obj: &Json) -> Result<Option<NoiseModel>, String> {
+        let Some(n) = obj.get("noise") else {
+            return Ok(None);
         };
-        let ions = get_dim("ions")?
-            .or(session_ions)
-            // No session tape to inherit: size to the circuit/session.
-            .unwrap_or(sizing.max(2));
-        let head = get_dim("head")?.or(session_head).unwrap_or(16).min(ions);
-
-        let mut builder = self.proto.clone();
-
-        // Router / scheduler overrides. Partial LinQ overrides overlay
-        // the *session's* router config — naming only `alpha` must not
-        // silently drop the session's `max_swap_len` cap (same
-        // inheritance rule as the noise overlay below).
-        let max_swap_len = get_usize("max_swap_len")?;
-        let alpha = get_f64("alpha")?;
-        let base_linq = match self.proto.router {
-            Some(RouterKind::Linq(cfg)) => cfg,
-            _ => LinqConfig::default(),
+        if !matches!(n, Json::Obj(_)) {
+            return Err("`noise` must be an object".into());
+        }
+        let field = |key: &str, base: f64| -> Result<f64, String> {
+            match n.get(key) {
+                None => Ok(base),
+                Some(v) => v
+                    .as_f64()
+                    .ok_or_else(|| format!("noise field `{key}` must be a number")),
+            }
         };
-        let linq_overlay = LinqConfig {
-            max_swap_len: max_swap_len.or(base_linq.max_swap_len),
-            alpha: alpha.unwrap_or(base_linq.alpha),
-            ..base_linq
-        };
-        match obj.get("router").and_then(Json::as_str) {
-            None => {
-                if max_swap_len.is_some() || alpha.is_some() {
-                    builder = builder.router(RouterKind::Linq(linq_overlay));
-                }
-            }
-            Some("linq") => {
-                builder = builder.router(RouterKind::Linq(linq_overlay));
-            }
-            Some("stochastic") | Some("baseline") => {
-                builder = builder.router(RouterKind::Stochastic(StochasticConfig::default()));
-            }
-            Some(other) => return Err(format!("unknown router `{other}`")),
-        }
-        match obj.get("scheduler").and_then(Json::as_str) {
-            None => {}
-            Some("greedy") => builder = builder.scheduler(SchedulerKind::GreedyMaxExecutable),
-            Some("naive") => builder = builder.scheduler(SchedulerKind::NaiveNextGate),
-            Some(other) => return Err(format!("unknown scheduler `{other}`")),
-        }
-
-        // Simulation method: turns on logical-circuit simulation for
-        // this request (or, via `configure`, the session).
-        if let Some(m) = obj.get("method") {
-            let name = m.as_str().ok_or("`method` must be a string")?;
-            let method = crate::sim::SimMethod::parse(name).ok_or_else(|| {
-                format!("unknown method `{name}` (expected auto, statevec, or stabilizer)")
-            })?;
-            builder = builder.simulate(method);
-        }
-
-        // Verification level: runs the static rule packs on this
-        // request's compiled artifacts (or, via `configure`, on every
-        // run of the session).
-        if let Some(v) = obj.get("verify") {
-            let name = v.as_str().ok_or("`verify` must be a string")?;
-            let level = crate::verify::VerifyLevel::parse(name).ok_or_else(|| {
-                format!("unknown verify level `{name}` (expected off, warn, or strict)")
-            })?;
-            builder = builder.verify(level);
-        }
-
-        // Noise overlay: any subset of the Eq. 4 fields.
-        if let Some(n) = obj.get("noise") {
-            if !matches!(n, Json::Obj(_)) {
-                return Err("`noise` must be an object".into());
-            }
-            let field = |key: &str, base: f64| -> Result<f64, String> {
-                match n.get(key) {
-                    None => Ok(base),
-                    Some(v) => v
-                        .as_f64()
-                        .ok_or_else(|| format!("noise field `{key}` must be a number")),
-                }
-            };
-            let base = self.proto.noise;
-            builder = builder.noise(NoiseModel {
-                gamma_per_us: field("gamma_per_us", base.gamma_per_us)?,
-                epsilon: field("epsilon", base.epsilon)?,
-                single_qubit_error: field("single_qubit_error", base.single_qubit_error)?,
-                measurement_error: field("measurement_error", base.measurement_error)?,
-                k_base: field("k_base", base.k_base)?,
-                n_ref: field("n_ref", base.n_ref)?,
-            });
-        }
-
-        let default_backend = self.engine.backend().kind().to_string();
-        let backend = match obj
-            .get("backend")
-            .map(|b| b.as_str().ok_or("`backend` must be a string"))
-            .transpose()?
-            .unwrap_or(&default_backend)
-        {
-            "tilt" => {
-                let spec = DeviceSpec::new(ions, head).map_err(|e| e.to_string())?;
-                Backend::Tilt(spec)
-            }
-            "qccd" => {
-                // Tape dimensions have no QCCD meaning — reject rather
-                // than silently compile on a machine the client did
-                // not describe.
-                for key in ["ions", "head"] {
-                    if obj.get(key).is_some() {
-                        return Err(format!(
-                            "`{key}` does not apply to the qccd backend; use `ions_per_trap`"
-                        ));
-                    }
-                }
-                // A QCCD session's own machine is inherited wholesale
-                // when the request names no trap dimension; otherwise
-                // the array is sized to the circuit under the requested
-                // (or inherited) trap capacity.
-                let session_spec = match self.engine.backend() {
-                    Backend::Qccd(s) => Some(*s),
-                    _ => None,
-                };
-                match (get_dim("ions_per_trap")?, session_spec) {
-                    (None, Some(spec)) => Backend::Qccd(spec),
-                    (per_trap, session) => {
-                        let per_trap = per_trap.or(session.map(|s| s.capacity())).unwrap_or(17);
-                        let spec = QccdSpec::for_qubits(sizing.max(1), per_trap)
-                            .map_err(|e| e.to_string())?;
-                        Backend::Qccd(spec)
-                    }
-                }
-            }
-            "scaled" => {
-                // The monolithic tape length has no scaled meaning
-                // (`head` does: it is each ELU's head).
-                if obj.get("ions").is_some() {
-                    return Err(
-                        "`ions` does not apply to the scaled backend; use `elu_ions`".into(),
-                    );
-                }
-                // Same inheritance rule: no ELU dimensions named ⇒ the
-                // session's own ELU template (policies included).
-                let session_spec = match self.engine.backend() {
-                    Backend::Scaled(s) => Some(*s),
-                    _ => None,
-                };
-                let elu_override = get_dim("elu_ions")?;
-                let head_override = get_dim("head")?;
-                match (elu_override, head_override, session_spec) {
-                    (None, None, Some(spec)) => Backend::Scaled(spec),
-                    (elu, head, session) => {
-                        let elu = elu.or(session.map(|s| s.ions_per_elu())).unwrap_or(18);
-                        let head = head
-                            .or(session.map(|s| s.head_size()))
-                            .unwrap_or(16)
-                            .min(elu);
-                        let mut spec = ScaleSpec::new(elu, head).map_err(|e| e.to_string())?;
-                        if let Some(s) = session {
-                            spec.epr = s.epr;
-                            spec.router = s.router;
-                            spec.scheduler = s.scheduler;
-                            spec.initial_mapping = s.initial_mapping;
-                        }
-                        Backend::Scaled(spec)
-                    }
-                }
-            }
-            other => return Err(format!("unknown backend `{other}`")),
-        };
-
-        Ok(Some(builder.backend(backend)))
+        let base = self.proto.noise;
+        Ok(Some(NoiseModel {
+            gamma_per_us: field("gamma_per_us", base.gamma_per_us)?,
+            epsilon: field("epsilon", base.epsilon)?,
+            single_qubit_error: field("single_qubit_error", base.single_qubit_error)?,
+            measurement_error: field("measurement_error", base.measurement_error)?,
+            k_base: field("k_base", base.k_base)?,
+            n_ref: field("n_ref", base.n_ref)?,
+        }))
     }
 }
 
@@ -1598,6 +1459,10 @@ fn deadline_json(id: &Json) -> Json {
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use tilt_compiler::route::{LinqConfig, StochasticConfig};
+    use tilt_compiler::{DeviceSpec, RouterKind, SchedulerKind};
+    use tilt_qccd::QccdSpec;
+    use tilt_scale::ScaleSpec;
 
     fn tilt_service(ions: usize, head: usize) -> Service {
         Service::new(Engine::builder().backend(Backend::Tilt(DeviceSpec::new(ions, head).unwrap())))

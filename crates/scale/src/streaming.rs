@@ -331,28 +331,6 @@ impl ScaledStreamingCompiler {
     }
 }
 
-/// One-call streaming compile+estimate over a gate iterator.
-///
-/// # Errors
-///
-/// Same failures as [`ScaledStreamingCompiler::push`] /
-/// [`ScaledStreamingCompiler::finish`].
-pub fn run_scaled_stream<I: IntoIterator<Item = Gate>>(
-    spec: &ScaleSpec,
-    n_qubits: usize,
-    gates: I,
-    window: usize,
-    noise: &NoiseModel,
-    times: &GateTimeModel,
-    sink: &mut dyn ScaledSink,
-) -> Result<ScaledStreamSummary, ScaleError> {
-    let mut session = ScaledStreamingCompiler::new(spec, n_qubits, window, noise, times)?;
-    for g in gates {
-        session.push(g, sink)?;
-    }
-    session.finish(sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,16 +346,13 @@ mod tests {
         let n_elus = spec.elus_for(c.n_qubits());
         let mut streams: Vec<Vec<TiltOp>> = vec![Vec::new(); n_elus];
         let mut sink = |elu: usize, ops: &[TiltOp]| streams[elu].extend_from_slice(ops);
-        let summary = run_scaled_stream(
-            spec,
-            c.n_qubits(),
-            c.gates().iter().copied(),
-            window,
-            &NoiseModel::default(),
-            &GateTimeModel::default(),
-            &mut sink,
-        )
-        .unwrap();
+        let (noise, times) = (NoiseModel::default(), GateTimeModel::default());
+        let mut session =
+            ScaledStreamingCompiler::new(spec, c.n_qubits(), window, &noise, &times).unwrap();
+        for g in c.gates() {
+            session.push(*g, &mut sink).unwrap();
+        }
+        let summary = session.finish(&mut sink).unwrap();
         (streams, summary)
     }
 

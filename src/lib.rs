@@ -158,7 +158,7 @@
 //! `tilt lint --json` emits the diagnostics as a JSON array and the
 //! exit status is nonzero on any error-severity finding;
 //! `tilt lint --stream` runs every rule over the bounded-memory path
-//! and prints the same findings (`--scaled` lints the modular
+//! and prints the same findings (`--backend scaled` lints the modular
 //! backend, either way). See `crates/compiler/README.md` for the
 //! per-backend rule taxonomy.
 //!

@@ -3,12 +3,12 @@
 //! Once every countable gate has run, the scheduler's last rounds see
 //! only barriers ready: no head position can score them, so they retire
 //! in place without moving the tape. Every entry point must agree on
-//! that — the monolithic `Engine::run`, the windowed `compile_stream`,
+//! that — the monolithic `Engine::run`, a windowed `StreamingCompiler`,
 //! and a `tilt serve` request.
 
 use std::io::Cursor;
 use tilt::circuit::qasm::parse_qasm;
-use tilt::compiler::{CollectSink, Compiler, DeviceSpec};
+use tilt::compiler::{CollectSink, Compiler, DeviceSpec, StreamingCompiler};
 use tilt::engine::{Backend, Engine, Service};
 use tilt::report::Json;
 
@@ -36,14 +36,14 @@ fn engine_run_and_compile_stream_agree_on_fenced_tails() {
         let program = report.tilt_program().unwrap();
         for window in [1, 2, 1024] {
             let mut sink = CollectSink::default();
-            let summary = compiler
-                .compile_stream(
-                    circuit.n_qubits(),
-                    circuit.gates().iter().copied(),
-                    window,
-                    &mut sink,
-                )
+            let mut session = StreamingCompiler::new(&compiler, circuit.n_qubits(), window)
                 .unwrap_or_else(|e| panic!("{text} window {window}: {e}"));
+            for g in circuit.gates() {
+                session
+                    .push(*g, &mut sink)
+                    .unwrap_or_else(|e| panic!("{text} window {window}: {e}"));
+            }
+            let summary = session.finish(&mut sink);
             assert_eq!(sink.ops, program.ops(), "{text} window {window}");
             assert_eq!(summary.report.move_count, program.move_count(), "{text}");
         }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use tilt::benchmarks::qft::qft;
 use tilt::benchmarks::stream::{qft_stream, rcs_stream};
 use tilt::circuit::{qasm, Gate, Qubit};
-use tilt::compiler::{CollectSink, TiltOp, TiltProgram};
+use tilt::compiler::{CollectSink, StreamingCompiler, TiltOp, TiltProgram};
 use tilt::engine::{Backend, Engine};
 use tilt::prelude::*;
 
@@ -96,14 +96,11 @@ fn streaming_final_mapping_matches_the_monolithic_router() {
     let mono = compiler.compile(&circuit).unwrap();
     for window in WINDOWS {
         let mut sink = CollectSink::default();
-        let summary = compiler
-            .compile_stream(
-                circuit.n_qubits(),
-                circuit.iter().copied(),
-                window,
-                &mut sink,
-            )
-            .unwrap();
+        let mut session = StreamingCompiler::new(&compiler, circuit.n_qubits(), window).unwrap();
+        for g in &circuit {
+            session.push(*g, &mut sink).unwrap();
+        }
+        let summary = session.finish(&mut sink);
         assert_eq!(
             summary.final_mapping, mono.routed.final_mapping,
             "window {window}"

@@ -13,10 +13,10 @@
 
 use proptest::prelude::*;
 use tilt::compiler::verify::{verify_tilt, TiltVerifier};
-use tilt::compiler::{ProgramSink, TiltOp, TiltProgram};
+use tilt::compiler::{ProgramSink, StreamingCompiler, TiltOp, TiltProgram};
 use tilt::engine::stream::NullSink;
 use tilt::prelude::*;
-use tilt::scale::{run_scaled_stream, verify_scaled, ScaledSink, ScaledVerifier};
+use tilt::scale::{verify_scaled, ScaledSink, ScaledStreamingCompiler, ScaledVerifier};
 
 const WINDOWS: [usize; 3] = [1, 64, 1024];
 
@@ -55,30 +55,24 @@ impl ScaledSink for Recorder {
 /// The chunk boundaries of `circuit` streamed through `compiler`.
 fn tilt_chunks(compiler: &Compiler, circuit: &Circuit, window: usize) -> Vec<Chunk> {
     let mut rec = Recorder::default();
-    compiler
-        .compile_stream(
-            circuit.n_qubits(),
-            circuit.gates().iter().copied(),
-            window,
-            &mut rec,
-        )
-        .unwrap();
+    let mut session = StreamingCompiler::new(compiler, circuit.n_qubits(), window).unwrap();
+    for g in circuit.gates() {
+        session.push(*g, &mut rec).unwrap();
+    }
+    session.finish(&mut rec);
     rec.0
 }
 
 /// The per-ELU chunk boundaries of `circuit` streamed onto `spec`.
 fn scaled_chunks(spec: &ScaleSpec, circuit: &Circuit, window: usize) -> Vec<Chunk> {
     let mut rec = Recorder::default();
-    run_scaled_stream(
-        spec,
-        circuit.n_qubits(),
-        circuit.gates().iter().copied(),
-        window,
-        &NoiseModel::default(),
-        &GateTimeModel::default(),
-        &mut rec,
-    )
-    .unwrap();
+    let (noise, times) = (NoiseModel::default(), GateTimeModel::default());
+    let mut session =
+        ScaledStreamingCompiler::new(spec, circuit.n_qubits(), window, &noise, &times).unwrap();
+    for g in circuit.gates() {
+        session.push(*g, &mut rec).unwrap();
+    }
+    session.finish(&mut rec).unwrap();
     rec.0
 }
 
