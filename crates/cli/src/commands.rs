@@ -10,8 +10,8 @@ use crate::args::{Options, ServeOptions};
 use std::fmt::Write as _;
 use tilt_circuit::{qasm, Circuit};
 use tilt_engine::{
-    Backend, BackendKind, CompileStats, Engine, EngineBuilder, NullSink, Overrides, RunDetail,
-    RunReport, TiltError, VerifyLevel,
+    Backend, CompileStats, Engine, EngineBuilder, NullSink, Overrides, RunDetail, RunReport,
+    TiltError, VerifyLevel,
 };
 use tilt_report::{fmt_success, Table};
 use tilt_sim::estimate_ideal_success;
@@ -52,10 +52,11 @@ fn machine(backend: &Backend, width: usize) -> String {
     }
 }
 
-/// The compile statistics every backend reports, in its own terms.
-fn describe(c: &CompileStats, kind: BackendKind) -> String {
-    let mut text = String::new();
-    if kind == BackendKind::Qccd {
+/// The machine and the compile statistics every backend reports, in
+/// its own terms.
+fn describe(backend: &Backend, width: usize, c: &CompileStats) -> String {
+    let mut text = format!("device: {}\n", machine(backend, width));
+    if let Backend::Qccd(_) = backend {
         let _ = writeln!(
             text,
             "transports: {} ({} shuttle segments)",
@@ -78,7 +79,7 @@ fn describe(c: &CompileStats, kind: BackendKind) -> String {
             c.move_count, c.move_distance
         );
     }
-    if kind == BackendKind::Scaled {
+    if let Backend::Scaled(_) = backend {
         let _ = writeln!(text, "remote gates: {} (EPR pairs)", c.epr_pairs);
     }
     let _ = writeln!(
@@ -138,8 +139,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let engine = engine(&opts.overrides, width)?;
     let report = engine.run(&circuit).map_err(|e| e.to_string())?;
     let mut text = format!("ran `{}`: {}\n", opts.target, circuit.stats());
-    let _ = writeln!(text, "device: {}", machine(engine.backend(), width));
-    text.push_str(&describe(&report.compile, report.backend));
+    text.push_str(&describe(engine.backend(), width, &report.compile));
     text.push_str(&success_line(
         report.success,
         report.log10_success(),
@@ -370,8 +370,7 @@ fn run_stream_file(opts: &Options) -> Result<String, String> {
         "streamed `{}`: {} input gates in {} increments (window {})\n",
         opts.target, outcome.input_gate_count, outcome.increments, window
     );
-    let _ = writeln!(text, "device: {}", machine(engine.backend(), width));
-    text.push_str(&describe(&outcome.compile, engine.backend().kind()));
+    text.push_str(&describe(engine.backend(), width, &outcome.compile));
     let _ = writeln!(text, "scheduled ops delivered: {ops}");
     text.push_str(&success_line(
         outcome.success,
