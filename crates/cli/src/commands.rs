@@ -917,6 +917,13 @@ mod tests {
     }
 
     #[test]
+    fn lint_rejects_exact_router() {
+        let path = write_temp("lint-x.qasm", "qreg q[4];\ncx q[0], q[3];\n");
+        let e = lint(&v(&[&path, "--router", "exact"])).unwrap_err();
+        assert!(e.contains("unknown router `exact`"), "{e}");
+    }
+
+    #[test]
     fn timeline_draws_head_bars() {
         let path = write_temp("tl.qasm", "qreg q[8];\ncx q[0], q[1];\ncx q[6], q[7];\n");
         let out = timeline(&v(&[&path, "--head", "4"])).unwrap();
@@ -996,6 +1003,13 @@ mod tests {
                 .to_string()
         };
         assert_eq!(swaps(&mono), swaps(&streamed));
+    }
+
+    #[test]
+    fn run_rejects_exact_router() {
+        let path = write_temp("run2.qasm", "qreg q[4];\ncx q[0], q[3];\n");
+        let e = run(&v(&[&path, "--router", "exact"])).unwrap_err();
+        assert!(e.contains("unknown router `exact`"), "{e}");
     }
 
     #[test]
