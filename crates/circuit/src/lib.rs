@@ -8,7 +8,9 @@
 //!   trapped-ion native set `{Rx, Ry, Rz, XX}`.
 //! * [`Circuit`] — an ordered gate list with a builder-style API.
 //! * [`Dag`] — per-qubit dependency analysis (front layers, depth,
-//!   topological layering) used by the swap inserter and the tape scheduler.
+//!   topological layering). The compiler's passes stream gates and keep
+//!   their own frontier; only the tape scheduler's test-only reference
+//!   implementation walks a `Dag`.
 //! * [`qasm`] — OpenQASM 2.0 emission for debugging and interchange.
 //! * [`digest`] — canonical structural hashing ([`Circuit::digest`]),
 //!   the circuit half of the engine's compile-cache key.
@@ -30,7 +32,6 @@ pub mod clifford;
 pub mod dag;
 pub mod digest;
 pub mod gate;
-pub mod layers;
 pub mod qasm;
 pub mod qubit;
 pub mod stats;
@@ -39,7 +40,6 @@ pub mod validate;
 pub use circuit::Circuit;
 pub use dag::{Dag, ReadyTracker};
 pub use gate::{Gate, Operands};
-pub use layers::Layers;
 pub use qubit::Qubit;
 pub use stats::CircuitStats;
 pub use validate::{validate, validate_gate, ValidateCircuitError};

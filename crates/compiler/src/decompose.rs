@@ -177,21 +177,6 @@ fn toffoli_gates(c0: Qubit, c1: Qubit, t: Qubit) -> Vec<Gate> {
     ]
 }
 
-/// Number of `XX` interactions a gate costs after decomposition.
-///
-/// Useful for estimating routed-circuit cost without materializing the
-/// native expansion.
-pub fn xx_cost(g: &Gate) -> usize {
-    use Gate::*;
-    match g {
-        Cnot(..) | Cz(..) | Zz(..) | Xx(..) => 1,
-        Cphase(..) => 2,
-        Swap(..) => 3,
-        Toffoli(..) => 6,
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,24 +213,6 @@ mod tests {
                 assert!((t - FRAC_PI_2).abs() < 1e-12);
             }
             ref other => panic!("expected XX, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn xx_costs_match_materialized_expansion() {
-        let cases: Vec<Gate> = vec![
-            Gate::Cnot(Qubit(0), Qubit(1)),
-            Gate::Cz(Qubit(0), Qubit(1)),
-            Gate::Cphase(Qubit(0), Qubit(1), 0.5),
-            Gate::Zz(Qubit(0), Qubit(1), 0.5),
-            Gate::Swap(Qubit(0), Qubit(1)),
-            Gate::Toffoli(Qubit(0), Qubit(1), Qubit(2)),
-            Gate::H(Qubit(0)),
-        ];
-        for g in cases {
-            let mut c = Circuit::new(3);
-            decompose_gate(&mut c, &g);
-            assert_eq!(c.two_qubit_count(), xx_cost(&g), "{g:?}");
         }
     }
 

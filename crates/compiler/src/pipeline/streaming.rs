@@ -370,34 +370,6 @@ impl StreamingCompiler {
     }
 }
 
-impl Compiler {
-    /// Streaming counterpart of [`Compiler::compile`]: pulls gates off
-    /// `gates`, compiles in `window`-gate increments, and emits scheduled
-    /// ops through `sink`. The concatenated increments equal the
-    /// in-memory compile's op stream exactly.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamingCompiler::new`] and [`StreamingCompiler::push`].
-    #[deprecated(note = "drive a `StreamingCompiler` session: `new`, `push` per gate, `finish`")]
-    pub fn compile_stream<I>(
-        &self,
-        n_qubits: usize,
-        gates: I,
-        window: usize,
-        sink: &mut dyn ProgramSink,
-    ) -> Result<StreamSummary, CompileError>
-    where
-        I: IntoIterator<Item = Gate>,
-    {
-        let mut session = StreamingCompiler::new(self, n_qubits, window)?;
-        for g in gates {
-            session.push(g, sink)?;
-        }
-        Ok(session.finish(sink))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

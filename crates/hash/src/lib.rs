@@ -149,12 +149,6 @@ impl Hasher {
         self.write_u64(value.to_bits())
     }
 
-    /// Writes a boolean as a full word.
-    #[inline]
-    pub fn write_bool(&mut self, value: bool) -> &mut Self {
-        self.write_u64(value as u64)
-    }
-
     /// Writes an optional `usize` unambiguously (tag then value).
     #[inline]
     pub fn write_opt_usize(&mut self, value: Option<usize>) -> &mut Self {

@@ -44,26 +44,3 @@ pub use program::{compile_scaled, estimate_scaled, ScaleReport, ScaledProgram};
 pub use spec::{EprModel, ScaleError, ScaleSpec, COMM_SLOTS};
 pub use streaming::{ScaledSink, ScaledStreamSummary, ScaledStreamingCompiler};
 pub use verify::{verify_scaled, ScaledVerifier};
-
-/// One-call streaming compile+estimate over a gate iterator.
-///
-/// # Errors
-///
-/// Same failures as [`ScaledStreamingCompiler::push`] /
-/// [`ScaledStreamingCompiler::finish`].
-#[deprecated(note = "drive a `ScaledStreamingCompiler` session: `new`, `push` per gate, `finish`")]
-pub fn run_scaled_stream<I: IntoIterator<Item = tilt_circuit::Gate>>(
-    spec: &ScaleSpec,
-    n_qubits: usize,
-    gates: I,
-    window: usize,
-    noise: &tilt_sim::NoiseModel,
-    times: &tilt_sim::GateTimeModel,
-    sink: &mut dyn ScaledSink,
-) -> Result<ScaledStreamSummary, ScaleError> {
-    let mut session = ScaledStreamingCompiler::new(spec, n_qubits, window, noise, times)?;
-    for g in gates {
-        session.push(g, sink)?;
-    }
-    session.finish(sink)
-}

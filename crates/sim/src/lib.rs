@@ -35,7 +35,6 @@ pub mod exec_time;
 pub mod fingerprint;
 pub mod gate_time;
 pub mod ideal;
-pub mod monte_carlo;
 pub mod noise;
 pub mod streaming;
 pub mod success;

@@ -19,23 +19,30 @@
 //!   contiguous runs with `swap_with_slice` (memcpy speed) whenever the
 //!   run structure allows.
 //!
-//! Above [`PARALLEL_THRESHOLD`] amplitudes (and when the host has more
-//! than one hardware thread) kernels recursively split the block range
-//! with `rayon::join`, so disjoint slices are processed concurrently
-//! without any unsafe aliasing.
+//! # Parallelism
+//!
+//! Each kernel has exactly one public entry point, whose trailing `par`
+//! argument carries the caller's decision to fan out (`State` makes it
+//! once per call: above [`PARALLEL_THRESHOLD`] amplitudes on a host with
+//! more than one hardware thread, unless `RunOptions::parallel` forces
+//! it). With `par` set, the array is cut into power-of-two, block-aligned
+//! chunks that rayon processes concurrently — disjoint slices, no unsafe
+//! aliasing — and every amplitude sees the same arithmetic as in a
+//! serial run. Two kernels split differently: `apply_1q` on the top
+//! qubit (one block) zips that block's halves in lockstep segments, and
+//! `controlled_x` halves the block range recursively, pruning halves
+//! whose addresses cannot satisfy the controls.
 //!
 //! # Dispatch tiers
 //!
-//! The arithmetic-heavy entry points (`apply_1q`, `apply_2q`,
-//! `diag_1q`, `phase_1q`, `scale_all`, `xx_rotate`, and the diag-run
-//! table sweep) are *dispatchers*: when [`crate::simd`] resolves the
-//! `avx2_fma` tier they call the explicit-SIMD implementation,
-//! otherwise the portable scalar body, which is kept public under a
-//! `*_scalar` name so tests can pin both tiers against each other. The
-//! permutation kernels move memory rather than compute and stay
-//! scalar (`swap_with_slice` is already memcpy-speed). Parallel
-//! variants recurse down to the serial entry points, so they inherit
-//! the dispatch automatically.
+//! The arithmetic-heavy kernels (`apply_1q`, `apply_2q`, `diag_1q`,
+//! `phase_1q`, `scale_all`, `xx_rotate`, and the diag-run table sweep)
+//! resolve their instruction tier per chunk: the explicit-SIMD
+//! implementation when [`crate::simd`] resolves the `avx2_fma` tier,
+//! otherwise a private portable scalar body. Tests pin the two tiers
+//! against each other with [`crate::simd::force_scalar`]. The
+//! permutation kernels move memory rather than compute and stay scalar
+//! (`swap_with_slice` is already memcpy-speed).
 
 use crate::complex::Complex;
 use crate::simd;
@@ -45,7 +52,7 @@ use crate::simd;
 /// amplitudes (1 MiB) keeps leaf work far above a thread spawn.
 pub const PARALLEL_THRESHOLD: usize = 1 << 16;
 
-/// Smallest per-task slice when recursively splitting parallel work.
+/// Smallest per-task slice when splitting parallel work.
 const PARALLEL_GRAIN: usize = 1 << 14;
 
 /// Whether a kernel invocation should fan out.
@@ -71,34 +78,57 @@ fn assert_in_register(len: usize, stride: usize) {
     );
 }
 
+/// Runs `f` over `amps` once, or — when `par` is set and the array is
+/// larger than both one `block` and the grain — over power-of-two chunks
+/// of at least one block, concurrently.
+///
+/// `amps.len()` is a power of two and `block` a power-of-two block
+/// size, so every chunk is block-aligned and the kernel patterns
+/// (periodic in the block size) are offset-independent — `f` can treat
+/// each chunk as a standalone array.
+fn fan_out(
+    amps: &mut [Complex],
+    block: usize,
+    par: bool,
+    f: impl Fn(&mut [Complex]) + Send + Sync,
+) {
+    if par && amps.len() > block.max(PARALLEL_GRAIN) {
+        use rayon::prelude::*;
+        let per_thread = amps.len() / rayon::current_num_threads().max(1);
+        let chunk = per_thread.next_power_of_two().max(block);
+        amps.par_chunks_mut(chunk).for_each(f);
+    } else {
+        f(amps);
+    }
+}
+
 // --- single-qubit kernels -------------------------------------------------
 
-/// Applies the 2×2 matrix `m` to target `q` (dispatching entry point).
-pub fn apply_1q(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2]) {
-    assert_in_register(amps.len(), 1usize << q);
-    if simd::active() {
-        simd::apply_1q(amps, q, m);
-    } else {
-        apply_1q_scalar(amps, q, m);
+/// Applies the 2×2 matrix `m` to target `q`.
+pub fn apply_1q(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2], par: bool) {
+    let stride = 1usize << q;
+    assert_in_register(amps.len(), stride);
+    if par && amps.len() == 2 * stride && amps.len() > PARALLEL_GRAIN {
+        // A single block cannot be chunked: zip its halves in parallel
+        // segments instead.
+        let (lo, hi) = amps.split_at_mut(stride);
+        zip_rotate_parallel(lo, hi, m);
+        return;
     }
+    fan_out(amps, 2 * stride, par, |amps| {
+        if simd::active() {
+            simd::apply_1q(amps, q, m);
+        } else {
+            apply_1q_scalar(amps, q, m);
+        }
+    });
 }
 
 /// Portable scalar body of [`apply_1q`]: serial pair-indexed loop.
-pub fn apply_1q_scalar(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2]) {
+fn apply_1q_scalar(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2]) {
     let stride = 1usize << q;
-    assert_in_register(amps.len(), stride);
     for block in amps.chunks_exact_mut(2 * stride) {
         let (lo, hi) = block.split_at_mut(stride);
-        apply_1q_zip_scalar(lo, hi, m);
-    }
-}
-
-/// Applies `m` to zipped planes of equal length, picking the tier once
-/// per call (shared by the parallel recursion leaves).
-fn apply_1q_zip(lo: &mut [Complex], hi: &mut [Complex], m: [[Complex; 2]; 2]) {
-    if simd::active() && lo.len() >= 2 {
-        simd::apply_1q_zip(lo, hi, m);
-    } else {
         apply_1q_zip_scalar(lo, hi, m);
     }
 }
@@ -112,33 +142,15 @@ fn apply_1q_zip_scalar(lo: &mut [Complex], hi: &mut [Complex], m: [[Complex; 2];
     }
 }
 
-/// Parallel variant of [`apply_1q`]: splits the block range with
-/// `rayon::join` until slices reach the grain size.
-pub fn apply_1q_parallel(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2]) {
-    let stride = 1usize << q;
-    if amps.len() <= PARALLEL_GRAIN.max(2 * stride) {
-        // Either small enough, or a single block: split the block's
-        // halves and zip them in parallel segments.
-        if amps.len() == 2 * stride && amps.len() > PARALLEL_GRAIN {
-            let (lo, hi) = amps.split_at_mut(stride);
-            zip_rotate_parallel(lo, hi, m);
-        } else {
-            apply_1q(amps, q, m);
-        }
-        return;
-    }
-    // Multiple blocks: halve the block list (len is a multiple of
-    // 2*stride and a power of two, so mid stays block-aligned).
-    let mid = amps.len() / 2;
-    let (a, b) = amps.split_at_mut(mid);
-    rayon::join(|| apply_1q_parallel(a, q, m), || apply_1q_parallel(b, q, m));
-}
-
 /// Applies `m` to zipped halves of a single block, splitting both
-/// segments in lockstep.
+/// segments in lockstep and picking the tier at each leaf.
 fn zip_rotate_parallel(lo: &mut [Complex], hi: &mut [Complex], m: [[Complex; 2]; 2]) {
     if lo.len() <= PARALLEL_GRAIN / 2 {
-        apply_1q_zip(lo, hi, m);
+        if simd::active() && lo.len() >= 2 {
+            simd::apply_1q_zip(lo, hi, m);
+        } else {
+            apply_1q_zip_scalar(lo, hi, m);
+        }
         return;
     }
     let mid = lo.len() / 2;
@@ -151,21 +163,22 @@ fn zip_rotate_parallel(lo: &mut [Complex], hi: &mut [Complex], m: [[Complex; 2];
 }
 
 /// Multiplies every amplitude whose bit `q` is set by `phase`
-/// (the `diag(1, phase)` gate: `Z`, `S`, `T`, …). Dispatching entry
-/// point.
-pub fn phase_1q(amps: &mut [Complex], q: usize, phase: Complex) {
-    assert_in_register(amps.len(), 1usize << q);
-    if simd::active() {
-        simd::phase_1q(amps, q, phase);
-    } else {
-        phase_1q_scalar(amps, q, phase);
-    }
+/// (the `diag(1, phase)` gate: `Z`, `S`, `T`, …).
+pub fn phase_1q(amps: &mut [Complex], q: usize, phase: Complex, par: bool) {
+    let stride = 1usize << q;
+    assert_in_register(amps.len(), stride);
+    fan_out(amps, 2 * stride, par, |amps| {
+        if simd::active() {
+            simd::phase_1q(amps, q, phase);
+        } else {
+            phase_1q_scalar(amps, q, phase);
+        }
+    });
 }
 
 /// Portable scalar body of [`phase_1q`].
-pub fn phase_1q_scalar(amps: &mut [Complex], q: usize, phase: Complex) {
+fn phase_1q_scalar(amps: &mut [Complex], q: usize, phase: Complex) {
     let stride = 1usize << q;
-    assert_in_register(amps.len(), stride);
     for block in amps.chunks_exact_mut(2 * stride) {
         for a in &mut block[stride..] {
             *a = *a * phase;
@@ -173,22 +186,23 @@ pub fn phase_1q_scalar(amps: &mut [Complex], q: usize, phase: Complex) {
     }
 }
 
-/// `diag(p0, p1)` on qubit `q` — both factors precomputed (`Rz`).
-/// Dispatching entry point; the SIMD tier cache-blocks the two plane
-/// sweeps.
-pub fn diag_1q(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex) {
-    assert_in_register(amps.len(), 1usize << q);
-    if simd::active() {
-        simd::diag_1q(amps, q, p0, p1);
-    } else {
-        diag_1q_scalar(amps, q, p0, p1);
-    }
+/// `diag(p0, p1)` on qubit `q` — both factors precomputed (`Rz`). The
+/// SIMD tier cache-blocks the two plane sweeps.
+pub fn diag_1q(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex, par: bool) {
+    let stride = 1usize << q;
+    assert_in_register(amps.len(), stride);
+    fan_out(amps, 2 * stride, par, |amps| {
+        if simd::active() {
+            simd::diag_1q(amps, q, p0, p1);
+        } else {
+            diag_1q_scalar(amps, q, p0, p1);
+        }
+    });
 }
 
 /// Portable scalar body of [`diag_1q`]: two full plane passes.
-pub fn diag_1q_scalar(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex) {
+fn diag_1q_scalar(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex) {
     let stride = 1usize << q;
-    assert_in_register(amps.len(), stride);
     for block in amps.chunks_exact_mut(2 * stride) {
         let (lo, hi) = block.split_at_mut(stride);
         for a in lo {
@@ -200,96 +214,42 @@ pub fn diag_1q_scalar(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex) 
     }
 }
 
-/// Parallel contiguous sweep used by the diagonal kernels.
-///
-/// `amps.len()` is a power of two and `min_chunk` a power-of-two block
-/// size, so every chunk is block-aligned and the diagonal patterns
-/// (periodic in the block size) are offset-independent — `f` can treat
-/// each chunk as a standalone array.
-fn par_sweep(amps: &mut [Complex], min_chunk: usize, f: impl Fn(&mut [Complex]) + Send + Sync) {
-    use rayon::prelude::*;
-    let per_thread = amps.len() / rayon::current_num_threads().max(1);
-    let chunk = per_thread.next_power_of_two().max(min_chunk);
-    amps.par_chunks_mut(chunk).for_each(f);
-}
-
-/// Parallel variant of [`diag_1q`]. Only used when `2^(q+1)` divides
-/// the chunk size, which holds because chunks are power-of-two sized
-/// and at least `2^(q+1)`.
-pub fn diag_1q_parallel(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex) {
-    let block = 2usize << q;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        diag_1q(amps, q, p0, p1);
-        return;
-    }
-    par_sweep(amps, block, move |chunk| diag_1q(chunk, q, p0, p1));
-}
-
-/// Parallel variant of [`phase_1q`].
-pub fn phase_1q_parallel(amps: &mut [Complex], q: usize, phase: Complex) {
-    let block = 2usize << q;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        phase_1q(amps, q, phase);
-        return;
-    }
-    par_sweep(amps, block, move |chunk| phase_1q(chunk, q, phase));
-}
-
 // --- two-qubit diagonal kernels -------------------------------------------
 
 /// Multiplies every amplitude with **both** bits `a` and `b` set by
 /// `phase` (`CZ`, `CPhase`). Touches exactly `2^(n-2)` amplitudes.
-pub fn phase_both(amps: &mut [Complex], a: usize, b: usize, phase: Complex) {
+pub fn phase_both(amps: &mut [Complex], a: usize, b: usize, phase: Complex, par: bool) {
     let (qlo, qhi) = (a.min(b), a.max(b));
     let stride_hi = 1usize << qhi;
     assert_in_register(amps.len(), stride_hi);
-    for block in amps.chunks_exact_mut(2 * stride_hi) {
-        // Upper half has bit qhi set; within it, sweep bit qlo set.
-        phase_1q(&mut block[stride_hi..], qlo, phase);
-    }
-}
-
-/// Parallel variant of [`phase_both`].
-pub fn phase_both_parallel(amps: &mut [Complex], a: usize, b: usize, phase: Complex) {
-    let (qlo, qhi) = (a.min(b), a.max(b));
-    let block = 2usize << qhi;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        phase_both(amps, a, b, phase);
-        return;
-    }
-    par_sweep(amps, block, move |chunk| phase_both(chunk, qlo, qhi, phase));
+    fan_out(amps, 2 * stride_hi, par, |amps| {
+        for block in amps.chunks_exact_mut(2 * stride_hi) {
+            // Upper half has bit qhi set; within it, sweep bit qlo set.
+            phase_1q(&mut block[stride_hi..], qlo, phase, false);
+        }
+    });
 }
 
 /// `ZZ(θ)`-style parity phase: amplitudes where bits `a` and `b` agree
 /// get `same`, where they differ get `diff`. Runs are contiguous with
 /// per-run constant factors — no per-amplitude parity computation.
-pub fn phase_parity(amps: &mut [Complex], a: usize, b: usize, same: Complex, diff: Complex) {
-    let (qlo, qhi) = (a.min(b), a.max(b));
-    let stride_hi = 1usize << qhi;
-    assert_in_register(amps.len(), stride_hi);
-    for block in amps.chunks_exact_mut(2 * stride_hi) {
-        let (lo, hi) = block.split_at_mut(stride_hi);
-        diag_1q(lo, qlo, same, diff);
-        diag_1q(hi, qlo, diff, same);
-    }
-}
-
-/// Parallel variant of [`phase_parity`].
-pub fn phase_parity_parallel(
+pub fn phase_parity(
     amps: &mut [Complex],
     a: usize,
     b: usize,
     same: Complex,
     diff: Complex,
+    par: bool,
 ) {
     let (qlo, qhi) = (a.min(b), a.max(b));
-    let block = 2usize << qhi;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        phase_parity(amps, a, b, same, diff);
-        return;
-    }
-    par_sweep(amps, block, move |chunk| {
-        phase_parity(chunk, qlo, qhi, same, diff);
+    let stride_hi = 1usize << qhi;
+    assert_in_register(amps.len(), stride_hi);
+    fan_out(amps, 2 * stride_hi, par, |amps| {
+        for block in amps.chunks_exact_mut(2 * stride_hi) {
+            let (lo, hi) = block.split_at_mut(stride_hi);
+            diag_1q(lo, qlo, same, diff, false);
+            diag_1q(hi, qlo, diff, same, false);
+        }
     });
 }
 
@@ -300,15 +260,39 @@ pub fn phase_parity_parallel(
 ///
 /// Swaps the `t=0` / `t=1` amplitudes of every basis state satisfying
 /// the controls, moving whole contiguous runs where possible.
-pub fn controlled_x(amps: &mut [Complex], ctrl_mask: usize, t: usize) {
+pub fn controlled_x(amps: &mut [Complex], ctrl_mask: usize, t: usize, par: bool) {
     let stride = 1usize << t;
     assert_in_register(amps.len(), stride.max(ctrl_mask));
-    controlled_x_in(amps, 0, ctrl_mask, t);
+    controlled_x_split(amps, 0, ctrl_mask, t, par);
 }
 
 /// [`controlled_x`] over a subslice starting at absolute basis index
-/// `base` (needed because control bits above the target compare against
-/// absolute block addresses).
+/// `base`. With `par`, recursively halves the block range with
+/// `rayon::join`, pruning subtrees whose absolute base can never
+/// satisfy the control bits at or above the subtree's span.
+fn controlled_x_split(amps: &mut [Complex], base: usize, ctrl_mask: usize, t: usize, par: bool) {
+    let block = 2usize << t;
+    // Control bits the whole subtree shares come from `base` alone
+    // (`amps.len()` is a power of two): mismatch ⇒ nothing to do.
+    let above = ctrl_mask & !(amps.len() - 1);
+    if base & above != above {
+        return;
+    }
+    if !par || amps.len() <= block.max(PARALLEL_GRAIN) {
+        controlled_x_in(amps, base, ctrl_mask, t);
+        return;
+    }
+    let mid = amps.len() / 2;
+    let (a, b) = amps.split_at_mut(mid);
+    rayon::join(
+        || controlled_x_split(a, base, ctrl_mask, t, par),
+        || controlled_x_split(b, base + mid, ctrl_mask, t, par),
+    );
+}
+
+/// Serial [`controlled_x`] over a subslice starting at absolute basis
+/// index `base` (control bits above the target compare against absolute
+/// block addresses).
 fn controlled_x_in(amps: &mut [Complex], base: usize, ctrl_mask: usize, t: usize) {
     let stride = 1usize << t;
     let low_ctrl = ctrl_mask & (stride - 1);
@@ -329,35 +313,6 @@ fn controlled_x_in(amps: &mut [Complex], base: usize, ctrl_mask: usize, t: usize
     }
 }
 
-/// Parallel variant of [`controlled_x`]: recursively halves the block
-/// range with `rayon::join`, pruning subtrees whose absolute base can
-/// never satisfy the control bits at or above the subtree's span.
-pub fn controlled_x_parallel(amps: &mut [Complex], ctrl_mask: usize, t: usize) {
-    let stride = 1usize << t;
-    assert_in_register(amps.len(), stride.max(ctrl_mask));
-    controlled_x_split(amps, 0, ctrl_mask, t);
-}
-
-fn controlled_x_split(amps: &mut [Complex], base: usize, ctrl_mask: usize, t: usize) {
-    let block = 2usize << t;
-    // Control bits the whole subtree shares come from `base` alone
-    // (`amps.len()` is a power of two): mismatch ⇒ nothing to do.
-    let above = ctrl_mask & !(amps.len() - 1);
-    if base & above != above {
-        return;
-    }
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        controlled_x_in(amps, base, ctrl_mask, t);
-        return;
-    }
-    let mid = amps.len() / 2;
-    let (a, b) = amps.split_at_mut(mid);
-    rayon::join(
-        || controlled_x_split(a, base, ctrl_mask, t),
-        || controlled_x_split(b, base + mid, ctrl_mask, t),
-    );
-}
-
 /// Swaps `lo[j] ↔ hi[j]` for every offset `j` with all bits of `mask`
 /// set, moving the longest contiguous runs the mask allows.
 fn swap_masked(lo: &mut [Complex], hi: &mut [Complex], mask: usize) {
@@ -375,36 +330,25 @@ fn swap_masked(lo: &mut [Complex], hi: &mut [Complex], mask: usize) {
 
 /// SWAP of qubits `a` and `b`: exchanges the `(a=1, b=0)` and
 /// `(a=0, b=1)` amplitude sets as contiguous runs.
-pub fn swap_qubits(amps: &mut [Complex], a: usize, b: usize) {
+pub fn swap_qubits(amps: &mut [Complex], a: usize, b: usize, par: bool) {
     let (qlo, qhi) = (a.min(b), a.max(b));
     let (slo, shi) = (1usize << qlo, 1usize << qhi);
     assert_in_register(amps.len(), shi);
-    for block in amps.chunks_exact_mut(2 * shi) {
-        let (lo, hi) = block.split_at_mut(shi);
-        // lo: bit qhi = 0; hi: bit qhi = 1. Swap lo's qlo=1 runs with
-        // hi's qlo=0 runs.
-        for (lc, hc) in lo
-            .chunks_exact_mut(2 * slo)
-            .zip(hi.chunks_exact_mut(2 * slo))
-        {
-            let (_, l1) = lc.split_at_mut(slo);
-            let (h0, _) = hc.split_at_mut(slo);
-            l1.swap_with_slice(h0);
+    fan_out(amps, 2 * shi, par, |amps| {
+        for block in amps.chunks_exact_mut(2 * shi) {
+            let (lo, hi) = block.split_at_mut(shi);
+            // lo: bit qhi = 0; hi: bit qhi = 1. Swap lo's qlo=1 runs
+            // with hi's qlo=0 runs.
+            for (lc, hc) in lo
+                .chunks_exact_mut(2 * slo)
+                .zip(hi.chunks_exact_mut(2 * slo))
+            {
+                let (_, l1) = lc.split_at_mut(slo);
+                let (h0, _) = hc.split_at_mut(slo);
+                l1.swap_with_slice(h0);
+            }
         }
-    }
-}
-
-/// Parallel variant of [`swap_qubits`]. The swap pattern is periodic in
-/// the `2^(qhi+1)` block size with no absolute-address dependence, so
-/// power-of-two chunks of at least one block parallelize directly.
-pub fn swap_qubits_parallel(amps: &mut [Complex], a: usize, b: usize) {
-    let qhi = a.max(b);
-    let block = 2usize << qhi;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        swap_qubits(amps, a, b);
-        return;
-    }
-    par_sweep(amps, block, move |chunk| swap_qubits(chunk, a, b));
+    });
 }
 
 // --- batched diagonal runs ------------------------------------------------
@@ -480,14 +424,14 @@ fn is_unit(z: Complex) -> bool {
 /// **once** per run (one node per setting of the run's high qubits),
 /// not once per amplitude block. **Apply**: walk the state against the
 /// tree; every amplitude receives exactly one multiply, from its leaf's
-/// table or scalar. With `parallel`, disjoint subslices fan out via
-/// `rayon::join` above the grain size.
-pub fn apply_diag_run(amps: &mut [Complex], terms: &[DiagTerm], parallel: bool) {
+/// table or scalar. With `par`, disjoint block-aligned chunks fan out
+/// above the grain size.
+pub fn apply_diag_run(amps: &mut [Complex], terms: &[DiagTerm], par: bool) {
     if let Some(t) = terms.iter().map(DiagTerm::top_qubit).max() {
         assert_in_register(amps.len(), 1usize << t);
     }
     let tree = build_diag_tree(terms.to_vec(), Complex::ONE);
-    apply_diag_tree(amps, &tree, parallel);
+    apply_diag_tree(amps, &tree, par);
 }
 
 /// One class of basis states in a batched diagonal run: all indices
@@ -555,47 +499,23 @@ fn build_diag_tree(terms: Vec<DiagTerm>, scalar: Complex) -> DiagNode {
     }
 }
 
-fn apply_diag_tree(amps: &mut [Complex], node: &DiagNode, parallel: bool) {
+fn apply_diag_tree(amps: &mut [Complex], node: &DiagNode, par: bool) {
     match node {
         DiagNode::Scale(s) => {
             if !is_unit(*s) {
-                if parallel && amps.len() > PARALLEL_GRAIN {
-                    scale_all_parallel(amps, *s);
-                } else {
-                    scale_all(amps, *s);
-                }
+                scale_all(amps, *s, par);
             }
         }
-        DiagNode::Leaf(table) => {
-            if parallel && amps.len() > PARALLEL_GRAIN {
-                par_sweep(amps, table.len(), move |chunk| sweep_table(chunk, table));
-            } else {
-                sweep_table(amps, table);
-            }
-        }
+        DiagNode::Leaf(table) => fan_out(amps, table.len(), par, |amps| sweep_table(amps, table)),
         DiagNode::Split { h, lo, hi } => {
             let block = 2usize << h;
-            if parallel && amps.len() > block && amps.len() > PARALLEL_GRAIN {
-                let mid = amps.len() / 2;
-                let (x, y) = amps.split_at_mut(mid);
-                rayon::join(
-                    || apply_diag_tree(x, node, parallel),
-                    || apply_diag_tree(y, node, parallel),
-                );
-                return;
-            }
-            for chunk in amps.chunks_exact_mut(block) {
-                let (clo, chi) = chunk.split_at_mut(block / 2);
-                if parallel && clo.len() > PARALLEL_GRAIN {
-                    rayon::join(
-                        || apply_diag_tree(clo, lo, parallel),
-                        || apply_diag_tree(chi, hi, parallel),
-                    );
-                } else {
-                    apply_diag_tree(clo, lo, parallel);
-                    apply_diag_tree(chi, hi, parallel);
+            fan_out(amps, block, par, |amps| {
+                for chunk in amps.chunks_exact_mut(block) {
+                    let (clo, chi) = chunk.split_at_mut(block / 2);
+                    apply_diag_tree(clo, lo, par);
+                    apply_diag_tree(chi, hi, par);
                 }
-            }
+            });
         }
     }
 }
@@ -627,22 +547,21 @@ fn sweep_table_scalar(amps: &mut [Complex], table: &[Complex]) {
 /// convention (callers transpose beforehand if needed).
 ///
 /// One pass over the state replaces every pass the fused block absorbed.
-/// Dispatching entry point.
-pub fn apply_2q(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4]) {
+pub fn apply_2q(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4], par: bool) {
     debug_assert!(qlo < qhi);
     assert_in_register(amps.len(), 1usize << qhi);
-    if simd::active() {
-        simd::apply_2q(amps, qlo, qhi, m);
-    } else {
-        apply_2q_scalar(amps, qlo, qhi, m);
-    }
+    fan_out(amps, 2usize << qhi, par, |amps| {
+        if simd::active() {
+            simd::apply_2q(amps, qlo, qhi, m);
+        } else {
+            apply_2q_scalar(amps, qlo, qhi, m);
+        }
+    });
 }
 
 /// Portable scalar body of [`apply_2q`].
-pub fn apply_2q_scalar(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4]) {
-    debug_assert!(qlo < qhi);
+fn apply_2q_scalar(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4]) {
     let (slo, shi) = (1usize << qlo, 1usize << qhi);
-    assert_in_register(amps.len(), shi);
     for block in amps.chunks_exact_mut(2 * shi) {
         let (lo, hi) = block.split_at_mut(shi);
         for (lc, hc) in lo
@@ -667,69 +586,34 @@ pub fn apply_2q_scalar(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Comple
     }
 }
 
-/// Parallel variant of [`apply_2q`]: splits the top-level block range.
-pub fn apply_2q_parallel(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4]) {
-    let block = 2usize << qhi;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        apply_2q(amps, qlo, qhi, m);
-        return;
-    }
-    let mid = amps.len() / 2;
-    let (x, y) = amps.split_at_mut(mid);
-    rayon::join(
-        || apply_2q_parallel(x, qlo, qhi, m),
-        || apply_2q_parallel(y, qlo, qhi, m),
-    );
-}
-
 /// Diagonal 4×4 `diag(d[0], d[1], d[2], d[3])` on `(qlo, qhi)`,
 /// `qlo < qhi`, same index convention as [`apply_2q`]: four contiguous
 /// run classes, one precomputed factor each.
-pub fn diag_2q(amps: &mut [Complex], qlo: usize, qhi: usize, d: [Complex; 4]) {
+pub fn diag_2q(amps: &mut [Complex], qlo: usize, qhi: usize, d: [Complex; 4], par: bool) {
     debug_assert!(qlo < qhi);
     let shi = 1usize << qhi;
     assert_in_register(amps.len(), shi);
-    for block in amps.chunks_exact_mut(2 * shi) {
-        let (lo, hi) = block.split_at_mut(shi);
-        diag_1q(lo, qlo, d[0], d[1]);
-        diag_1q(hi, qlo, d[2], d[3]);
-    }
-}
-
-/// Parallel variant of [`diag_2q`].
-pub fn diag_2q_parallel(amps: &mut [Complex], qlo: usize, qhi: usize, d: [Complex; 4]) {
-    let block = 2usize << qhi;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        diag_2q(amps, qlo, qhi, d);
-        return;
-    }
-    par_sweep(amps, block, move |chunk| diag_2q(chunk, qlo, qhi, d));
+    fan_out(amps, 2 * shi, par, |amps| {
+        for block in amps.chunks_exact_mut(2 * shi) {
+            let (lo, hi) = block.split_at_mut(shi);
+            diag_1q(lo, qlo, d[0], d[1], false);
+            diag_1q(hi, qlo, d[2], d[3], false);
+        }
+    });
 }
 
 /// Multiplies every amplitude by `factor` (the deferred global phase
-/// a fused run accumulates). Dispatching entry point.
-pub fn scale_all(amps: &mut [Complex], factor: Complex) {
-    if simd::active() {
-        simd::scale_all(amps, factor);
-    } else {
-        scale_all_scalar(amps, factor);
-    }
-}
-
-/// Portable scalar body of [`scale_all`].
-pub fn scale_all_scalar(amps: &mut [Complex], factor: Complex) {
-    for a in amps {
-        *a = *a * factor;
-    }
-}
-
-/// Parallel variant of [`scale_all`].
-pub fn scale_all_parallel(amps: &mut [Complex], factor: Complex) {
-    if amps.len() <= PARALLEL_GRAIN {
-        scale_all(amps, factor);
-        return;
-    }
-    par_sweep(amps, 1, move |chunk| scale_all(chunk, factor));
+/// a fused run accumulates).
+pub fn scale_all(amps: &mut [Complex], factor: Complex, par: bool) {
+    fan_out(amps, 1, par, |amps| {
+        if simd::active() {
+            simd::scale_all(amps, factor);
+        } else {
+            for a in amps {
+                *a = *a * factor;
+            }
+        }
+    });
 }
 
 // --- the XX Mølmer–Sørensen kernel ----------------------------------------
@@ -737,60 +621,41 @@ pub fn scale_all_parallel(amps: &mut [Complex], factor: Complex) {
 /// `XX(θ) = exp(-iθ/2·X⊗X)` on qubits `a`, `b`: rotates the amplitude
 /// pairs `(x, x ^ (2^a | 2^b))` by `cos = cos(θ/2)`,
 /// `isin = -i·sin(θ/2)`, both precomputed by the caller.
-pub fn xx_rotate(amps: &mut [Complex], a: usize, b: usize, cos: Complex, isin: Complex) {
+pub fn xx_rotate(amps: &mut [Complex], a: usize, b: usize, cos: Complex, isin: Complex, par: bool) {
     let (qlo, qhi) = (a.min(b), a.max(b));
     let (slo, shi) = (1usize << qlo, 1usize << qhi);
     assert_in_register(amps.len(), shi);
-    for block in amps.chunks_exact_mut(2 * shi) {
-        let (lo, hi) = block.split_at_mut(shi);
-        for (lc, hc) in lo
-            .chunks_exact_mut(2 * slo)
-            .zip(hi.chunks_exact_mut(2 * slo))
-        {
-            let (l0, l1) = lc.split_at_mut(slo);
-            let (h0, h1) = hc.split_at_mut(slo);
-            // Orbits: (qlo=0,qhi=0) ↔ (1,1) and (1,0) ↔ (0,1).
-            rotate_zip(l0, h1, cos, isin);
-            rotate_zip(l1, h0, cos, isin);
+    fan_out(amps, 2 * shi, par, |amps| {
+        for block in amps.chunks_exact_mut(2 * shi) {
+            let (lo, hi) = block.split_at_mut(shi);
+            for (lc, hc) in lo
+                .chunks_exact_mut(2 * slo)
+                .zip(hi.chunks_exact_mut(2 * slo))
+            {
+                let (l0, l1) = lc.split_at_mut(slo);
+                let (h0, h1) = hc.split_at_mut(slo);
+                // Orbits: (qlo=0,qhi=0) ↔ (1,1) and (1,0) ↔ (0,1).
+                rotate_zip(l0, h1, cos, isin);
+                rotate_zip(l1, h0, cos, isin);
+            }
         }
-    }
+    });
 }
 
 /// Applies the symmetric 2×2 rotation `[[cos, isin], [isin, cos]]` to
-/// zipped slices. Dispatching entry point (runs of one amplitude —
-/// `qlo = 0` orbits — stay scalar; there is nothing to vectorize).
+/// zipped slices, picking the tier (runs of one amplitude — `qlo = 0`
+/// orbits — stay scalar; there is nothing to vectorize).
 #[inline]
 fn rotate_zip(xs: &mut [Complex], ys: &mut [Complex], cos: Complex, isin: Complex) {
     if simd::active() && xs.len() >= 2 {
         simd::rotate_zip(xs, ys, cos, isin);
     } else {
-        rotate_zip_scalar(xs, ys, cos, isin);
+        for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+            let (ax, ay) = (*x, *y);
+            *x = cos * ax + isin * ay;
+            *y = cos * ay + isin * ax;
+        }
     }
-}
-
-#[inline]
-fn rotate_zip_scalar(xs: &mut [Complex], ys: &mut [Complex], cos: Complex, isin: Complex) {
-    for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
-        let (ax, ay) = (*x, *y);
-        *x = cos * ax + isin * ay;
-        *y = cos * ay + isin * ax;
-    }
-}
-
-/// Parallel variant of [`xx_rotate`]: splits the top-level block range.
-pub fn xx_rotate_parallel(amps: &mut [Complex], a: usize, b: usize, cos: Complex, isin: Complex) {
-    let qhi = a.max(b);
-    let block = 2usize << qhi;
-    if amps.len() <= block.max(PARALLEL_GRAIN) {
-        xx_rotate(amps, a, b, cos, isin);
-        return;
-    }
-    let mid = amps.len() / 2;
-    let (x, y) = amps.split_at_mut(mid);
-    rayon::join(
-        || xx_rotate_parallel(x, a, b, cos, isin),
-        || xx_rotate_parallel(y, a, b, cos, isin),
-    );
 }
 
 #[cfg(test)]
@@ -808,7 +673,7 @@ mod tests {
     #[test]
     fn phase_both_hits_exactly_the_11_subspace() {
         let mut v = ramp(16);
-        phase_both(&mut v, 0, 2, Complex::new(-1.0, 0.0));
+        phase_both(&mut v, 0, 2, Complex::new(-1.0, 0.0), false);
         for (x, a) in v.iter().enumerate() {
             let expect = if x & 0b101 == 0b101 {
                 -(x as f64)
@@ -823,7 +688,7 @@ mod tests {
     fn controlled_x_is_cnot() {
         for (c, t) in [(0usize, 2usize), (2, 0), (1, 3), (3, 1)] {
             let mut v = ramp(16);
-            controlled_x(&mut v, 1 << c, t);
+            controlled_x(&mut v, 1 << c, t, false);
             for (x, a) in v.iter().enumerate() {
                 let src = if x & (1 << c) != 0 { x ^ (1 << t) } else { x };
                 assert_eq!(a.re, src as f64, "c={c} t={t} index {x}");
@@ -834,7 +699,7 @@ mod tests {
     #[test]
     fn controlled_x_two_controls_is_toffoli() {
         let mut v = ramp(8);
-        controlled_x(&mut v, 0b011, 2);
+        controlled_x(&mut v, 0b011, 2, false);
         for (x, a) in v.iter().enumerate() {
             let src = if x & 0b011 == 0b011 { x ^ 0b100 } else { x };
             assert_eq!(a.re, src as f64, "index {x}");
@@ -845,7 +710,7 @@ mod tests {
     fn swap_qubits_permutes_indices() {
         for (a, b) in [(0usize, 1usize), (0, 3), (2, 3), (3, 0)] {
             let mut v = ramp(16);
-            swap_qubits(&mut v, a, b);
+            swap_qubits(&mut v, a, b, false);
             for (x, amp_x) in v.iter().enumerate() {
                 let ba = (x >> a) & 1;
                 let bb = (x >> b) & 1;
@@ -860,7 +725,7 @@ mod tests {
         let mut v = ramp(32);
         let same = Complex::cis(0.3);
         let diff = Complex::cis(-0.3);
-        phase_parity(&mut v, 1, 3, same, diff);
+        phase_parity(&mut v, 1, 3, same, diff, false);
         for (x, a) in v.iter().enumerate() {
             let p = ((x >> 1) ^ (x >> 3)) & 1;
             let expect = amp(x as f64) * if p == 0 { same } else { diff };
@@ -883,15 +748,15 @@ mod tests {
             ] {
                 let mut a = init.clone();
                 let mut b = init.clone();
-                controlled_x(&mut a, mask, t);
-                controlled_x_parallel(&mut b, mask, t);
+                controlled_x(&mut a, mask, t, false);
+                controlled_x(&mut b, mask, t, true);
                 assert_eq!(a, b, "n={n} mask={mask:#b} t={t}");
             }
             for (p, q) in [(0usize, 1usize), (0, n - 1), (2, 4)] {
                 let mut a = init.clone();
                 let mut b = init.clone();
-                swap_qubits(&mut a, p, q);
-                swap_qubits_parallel(&mut b, p, q);
+                swap_qubits(&mut a, p, q, false);
+                swap_qubits(&mut b, p, q, true);
                 assert_eq!(a, b, "n={n} swap({p},{q})");
             }
         }
@@ -972,8 +837,8 @@ mod tests {
                 .map(|i| Complex::new(i as f64, -(i as f64)))
                 .collect();
             let mut b = a.clone();
-            apply_1q(&mut a, q, m);
-            apply_1q_parallel(&mut b, q, m);
+            apply_1q(&mut a, q, m, false);
+            apply_1q(&mut b, q, m, true);
             assert_eq!(a, b, "q={q}");
         }
     }

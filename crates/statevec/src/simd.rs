@@ -25,8 +25,9 @@
 //! The resolved tier is recorded in `bench/ledger.jsonl` (field
 //! `same_run.kernel_tier`), and [`force_scalar`] lets tests, the
 //! same-run speedup gate among them, compare both tiers inside one
-//! process. Every entry point here has the matching scalar kernel as
-//! its portable fallback and is pinned equivalent at 1e-12 by
+//! process. Every entry point here has a matching private scalar body
+//! in [`crate::kernels`] as its portable fallback, and the public
+//! kernels are pinned equivalent at 1e-12 by
 //! `tests/statevec_kernel_equivalence.rs` under both tiers.
 //!
 //! # Cache blocking

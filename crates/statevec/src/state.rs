@@ -13,8 +13,10 @@
 //! scheme); each kernel in turn resolves to the active instruction tier
 //! of [`crate::simd`] — AVX2+FMA on hosts that support it, the portable
 //! scalar loops otherwise — so nothing at this layer depends on the
-//! tier. The seed's branchy full-scan implementation is retained in
-//! [`crate::naive`] as the reference path.
+//! tier. Whether to fan out over threads is decided once per
+//! [`State::apply`], [`State::run_with`] or [`State::run_sampled`] call
+//! and handed to each kernel as-is. The seed's branchy full-scan
+//! implementation is retained in [`crate::naive`] as the reference path.
 
 use crate::complex::Complex;
 use crate::fuse::{self, FusedOp};
@@ -280,11 +282,7 @@ impl State {
             }
             run.flush(&mut self.amps, parallel);
             if !close(global, Complex::ONE) {
-                if parallel {
-                    kernels::scale_all_parallel(&mut self.amps, global);
-                } else {
-                    kernels::scale_all(&mut self.amps, global);
-                }
+                kernels::scale_all(&mut self.amps, global, parallel);
             }
         } else {
             for g in circuit {
@@ -560,21 +558,15 @@ impl DiagRun {
 /// sub-space kernels (the pre-batching dispatch, kept for short runs).
 fn apply_diag_term(amps: &mut [Complex], term: &kernels::DiagTerm, parallel: bool) {
     match *term {
-        kernels::DiagTerm::One { q, p } => phase_dispatch(amps, q, p[1], parallel),
+        kernels::DiagTerm::One { q, p } => kernels::phase_1q(amps, q, p[1], parallel),
         kernels::DiagTerm::Two { qlo, qhi, d } => {
             if close(d[1], Complex::ONE) && close(d[2], Complex::ONE) {
                 // Controlled-phase shape: only the |11⟩ subspace moves.
                 if !close(d[3], Complex::ONE) {
-                    if parallel {
-                        kernels::phase_both_parallel(amps, qlo, qhi, d[3]);
-                    } else {
-                        kernels::phase_both(amps, qlo, qhi, d[3]);
-                    }
+                    kernels::phase_both(amps, qlo, qhi, d[3], parallel);
                 }
-            } else if parallel {
-                kernels::diag_2q_parallel(amps, qlo, qhi, d);
             } else {
-                kernels::diag_2q(amps, qlo, qhi, d);
+                kernels::diag_2q(amps, qlo, qhi, d, parallel);
             }
         }
     }
@@ -605,15 +597,11 @@ fn apply_fused(amps: &mut [Complex], op: FusedOp, parallel: bool, global: &mut C
             } else {
                 (b, a, fuse::transpose_qubits(m))
             };
-            if apply_2q_monomial(amps, qlo, qhi, &m, parallel, global) {
-                // Monomial block (a CNOT/SWAP possibly dressed with
-                // diagonal phases): dispatched as a masked phase sweep
-                // plus the contiguous-run swap kernels instead of a
-                // dense 4×4 pass.
-            } else if parallel {
-                kernels::apply_2q_parallel(amps, qlo, qhi, m);
-            } else {
-                kernels::apply_2q(amps, qlo, qhi, m);
+            // A monomial block (a CNOT/SWAP possibly dressed with
+            // diagonal phases) goes to a masked phase sweep plus the
+            // contiguous-run swap kernels instead of a dense 4×4 pass.
+            if !apply_2q_monomial(amps, qlo, qhi, &m, parallel, global) {
+                kernels::apply_2q(amps, qlo, qhi, m, parallel);
             }
         }
         FusedOp::Passthrough(g) => apply_kernel(amps, &g, parallel),
@@ -679,29 +667,11 @@ fn apply_2q_monomial(
         // Identity (e.g. CNOT·CNOT merged): nothing to move.
         [0, 1, 2, 3] => {}
         // Flip qhi when qlo is set: CNOT(ctrl = qlo, target = qhi).
-        [0, 3, 2, 1] => {
-            if parallel {
-                kernels::controlled_x_parallel(amps, 1usize << qlo, qhi);
-            } else {
-                kernels::controlled_x(amps, 1usize << qlo, qhi);
-            }
-        }
+        [0, 3, 2, 1] => kernels::controlled_x(amps, 1usize << qlo, qhi, parallel),
         // Flip qlo when qhi is set: CNOT(ctrl = qhi, target = qlo).
-        [0, 1, 3, 2] => {
-            if parallel {
-                kernels::controlled_x_parallel(amps, 1usize << qhi, qlo);
-            } else {
-                kernels::controlled_x(amps, 1usize << qhi, qlo);
-            }
-        }
+        [0, 1, 3, 2] => kernels::controlled_x(amps, 1usize << qhi, qlo, parallel),
         // Exchange the mixed basis states: SWAP.
-        [0, 2, 1, 3] => {
-            if parallel {
-                kernels::swap_qubits_parallel(amps, qlo, qhi);
-            } else {
-                kernels::swap_qubits(amps, qlo, qhi);
-            }
-        }
+        [0, 2, 1, 3] => kernels::swap_qubits(amps, qlo, qhi, parallel),
         _ => unreachable!("permutation was checked above"),
     }
     true
@@ -710,19 +680,12 @@ fn apply_2q_monomial(
 /// Routes a single-qubit matrix to the diagonal or general kernel.
 fn apply_1q_dispatch(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2], parallel: bool) {
     if fuse::is_diagonal2(&m) {
-        if parallel {
-            kernels::diag_1q_parallel(amps, q, m[0][0], m[1][1]);
-        } else {
-            kernels::diag_1q(amps, q, m[0][0], m[1][1]);
-        }
-    } else if parallel {
-        kernels::apply_1q_parallel(amps, q, m);
+        kernels::diag_1q(amps, q, m[0][0], m[1][1], parallel);
     } else {
-        kernels::apply_1q(amps, q, m);
+        kernels::apply_1q(amps, q, m, parallel);
     }
 }
 
-/// Optimized single-gate dispatch.
 /// True for multi-qubit gates whose operands repeat (`cx q, q` and
 /// friends — constructible from QASM, which only range-checks).
 fn has_repeated_operands(gate: &Gate) -> bool {
@@ -738,6 +701,8 @@ fn has_repeated_operands(gate: &Gate) -> bool {
     }
 }
 
+/// Optimized single-gate dispatch; `parallel` is passed through to
+/// every kernel unchanged.
 fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
     // The structured kernels assume distinct operand bits; degenerate
     // gates keep the seed's (naive-path) semantics — e.g. `Cz(q, q)`
@@ -752,28 +717,20 @@ fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
             panic!("state-vector verifier cannot measure or reset")
         }
         // Diagonal single-qubit gates: phase sweeps over half the array.
-        Gate::Z(q) => phase_dispatch(amps, q.index(), Complex::new(-1.0, 0.0), parallel),
-        Gate::S(q) => phase_dispatch(amps, q.index(), Complex::I, parallel),
-        Gate::Sdg(q) => phase_dispatch(amps, q.index(), -Complex::I, parallel),
-        Gate::T(q) => phase_dispatch(
-            amps,
-            q.index(),
-            Complex::cis(std::f64::consts::FRAC_PI_4),
-            parallel,
-        ),
-        Gate::Tdg(q) => phase_dispatch(
-            amps,
-            q.index(),
-            Complex::cis(-std::f64::consts::FRAC_PI_4),
-            parallel,
-        ),
+        Gate::Z(q) => kernels::phase_1q(amps, q.index(), Complex::new(-1.0, 0.0), parallel),
+        Gate::S(q) => kernels::phase_1q(amps, q.index(), Complex::I, parallel),
+        Gate::Sdg(q) => kernels::phase_1q(amps, q.index(), -Complex::I, parallel),
+        Gate::T(q) => {
+            let phase = Complex::cis(std::f64::consts::FRAC_PI_4);
+            kernels::phase_1q(amps, q.index(), phase, parallel);
+        }
+        Gate::Tdg(q) => {
+            let phase = Complex::cis(-std::f64::consts::FRAC_PI_4);
+            kernels::phase_1q(amps, q.index(), phase, parallel);
+        }
         Gate::Rz(q, t) => {
             let (lo, hi) = (Complex::cis(-t / 2.0), Complex::cis(t / 2.0));
-            if parallel {
-                kernels::diag_1q_parallel(amps, q.index(), lo, hi);
-            } else {
-                kernels::diag_1q(amps, q.index(), lo, hi);
-            }
+            kernels::diag_1q(amps, q.index(), lo, hi, parallel);
         }
         // Remaining single-qubit unitaries: pair-indexed 2×2 kernel.
         Gate::H(_)
@@ -789,71 +746,31 @@ fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
         // Two-qubit diagonal gates.
         Gate::Cz(a, b) => {
             let phase = Complex::new(-1.0, 0.0);
-            if parallel {
-                kernels::phase_both_parallel(amps, a.index(), b.index(), phase);
-            } else {
-                kernels::phase_both(amps, a.index(), b.index(), phase);
-            }
+            kernels::phase_both(amps, a.index(), b.index(), phase, parallel);
         }
         Gate::Cphase(a, b, lambda) => {
             let phase = Complex::cis(lambda);
-            if parallel {
-                kernels::phase_both_parallel(amps, a.index(), b.index(), phase);
-            } else {
-                kernels::phase_both(amps, a.index(), b.index(), phase);
-            }
+            kernels::phase_both(amps, a.index(), b.index(), phase, parallel);
         }
         Gate::Zz(a, b, t) => {
             let (same, diff) = (Complex::cis(-t / 2.0), Complex::cis(t / 2.0));
-            if parallel {
-                kernels::phase_parity_parallel(amps, a.index(), b.index(), same, diff);
-            } else {
-                kernels::phase_parity(amps, a.index(), b.index(), same, diff);
-            }
+            kernels::phase_parity(amps, a.index(), b.index(), same, diff, parallel);
         }
         // Permutation gates: contiguous-run swaps, fanned out over
         // disjoint block ranges on large states (a single core is
         // memcpy-bound, but multiple cores multiply the bandwidth).
-        Gate::Cnot(c, t) => {
-            if parallel {
-                kernels::controlled_x_parallel(amps, 1usize << c.index(), t.index());
-            } else {
-                kernels::controlled_x(amps, 1usize << c.index(), t.index());
-            }
-        }
-        Gate::Swap(a, b) => {
-            if parallel {
-                kernels::swap_qubits_parallel(amps, a.index(), b.index());
-            } else {
-                kernels::swap_qubits(amps, a.index(), b.index());
-            }
-        }
+        Gate::Cnot(c, t) => kernels::controlled_x(amps, 1usize << c.index(), t.index(), parallel),
+        Gate::Swap(a, b) => kernels::swap_qubits(amps, a.index(), b.index(), parallel),
         Gate::Toffoli(c0, c1, t) => {
             let mask = (1usize << c0.index()) | (1usize << c1.index());
-            if parallel {
-                kernels::controlled_x_parallel(amps, mask, t.index());
-            } else {
-                kernels::controlled_x(amps, mask, t.index());
-            }
+            kernels::controlled_x(amps, mask, t.index(), parallel);
         }
         // The entangling workhorse.
         Gate::Xx(a, b, t) => {
             let cos = Complex::new((t / 2.0).cos(), 0.0);
             let isin = Complex::new(0.0, -(t / 2.0).sin());
-            if parallel {
-                kernels::xx_rotate_parallel(amps, a.index(), b.index(), cos, isin);
-            } else {
-                kernels::xx_rotate(amps, a.index(), b.index(), cos, isin);
-            }
+            kernels::xx_rotate(amps, a.index(), b.index(), cos, isin, parallel);
         }
-    }
-}
-
-fn phase_dispatch(amps: &mut [Complex], q: usize, phase: Complex, parallel: bool) {
-    if parallel {
-        kernels::phase_1q_parallel(amps, q, phase);
-    } else {
-        kernels::phase_1q(amps, q, phase);
     }
 }
 

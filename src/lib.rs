@@ -10,7 +10,7 @@
 //!   policies once, then compiles + simulates one circuit ([`run`](engine::Engine::run))
 //!   or thousands ([`run_batch`](engine::Engine::run_batch)) across any
 //!   backend — TILT, the QCCD comparator, or MUSIQC-style ELU arrays.
-//! * [`circuit`] — quantum-circuit IR (gates, DAG, layers, QASM).
+//! * [`circuit`] — quantum-circuit IR (gates, DAG, QASM).
 //! * [`benchmarks`] — the Table II NISQ workload generators.
 //! * [`compiler`] — LinQ: decomposition, swap insertion (Algorithm 1),
 //!   tape scheduling (Algorithm 2).

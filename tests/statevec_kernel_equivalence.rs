@@ -376,7 +376,7 @@ proptest! {
         m in matrix2(),
     ) {
         use tilt::statevec::kernels::apply_1q;
-        let (dispatched, scalar) = both_tiers(&init, |amps| apply_1q(amps, q, m));
+        let (dispatched, scalar) = both_tiers(&init, |amps| apply_1q(amps, q, m, false));
         let mut naive = init.clone();
         for x in 0..init.len() {
             if x & (1 << q) == 0 {
@@ -401,7 +401,7 @@ proptest! {
         m in matrix4(),
     ) {
         use tilt::statevec::kernels::apply_2q;
-        let (dispatched, scalar) = both_tiers(&init, |amps| apply_2q(amps, qlo, qhi, m));
+        let (dispatched, scalar) = both_tiers(&init, |amps| apply_2q(amps, qlo, qhi, m, false));
         let mut naive = init.clone();
         for x in 0..init.len() {
             if x & (1 << qlo) == 0 && x & (1 << qhi) == 0 {
@@ -429,7 +429,7 @@ proptest! {
         use tilt::statevec::kernels::{diag_1q, phase_1q, scale_all};
         let (p0, p1) = (Complex::cis(t0), Complex::cis(t1));
 
-        let (dispatched, scalar) = both_tiers(&init, |amps| diag_1q(amps, q, p0, p1));
+        let (dispatched, scalar) = both_tiers(&init, |amps| diag_1q(amps, q, p0, p1, false));
         let naive: Vec<Complex> = init
             .iter()
             .enumerate()
@@ -438,7 +438,7 @@ proptest! {
         assert_close(&dispatched, &scalar, "diag_1q dispatched vs scalar");
         assert_close(&dispatched, &naive, "diag_1q dispatched vs naive");
 
-        let (dispatched, scalar) = both_tiers(&init, |amps| phase_1q(amps, q, p1));
+        let (dispatched, scalar) = both_tiers(&init, |amps| phase_1q(amps, q, p1, false));
         let naive: Vec<Complex> = init
             .iter()
             .enumerate()
@@ -447,7 +447,7 @@ proptest! {
         assert_close(&dispatched, &scalar, "phase_1q dispatched vs scalar");
         assert_close(&dispatched, &naive, "phase_1q dispatched vs naive");
 
-        let (dispatched, scalar) = both_tiers(&init, |amps| scale_all(amps, p0));
+        let (dispatched, scalar) = both_tiers(&init, |amps| scale_all(amps, p0, false));
         let naive: Vec<Complex> = init.iter().map(|&a| a * p0).collect();
         assert_close(&dispatched, &scalar, "scale_all dispatched vs scalar");
         assert_close(&dispatched, &naive, "scale_all dispatched vs naive");
@@ -467,7 +467,7 @@ proptest! {
         use tilt::statevec::kernels::xx_rotate;
         let cos = Complex::new((theta / 2.0).cos(), 0.0);
         let isin = Complex::new(0.0, -(theta / 2.0).sin());
-        let (dispatched, scalar) = both_tiers(&init, |amps| xx_rotate(amps, a, b, cos, isin));
+        let (dispatched, scalar) = both_tiers(&init, |amps| xx_rotate(amps, a, b, cos, isin, false));
         let mask = (1 << a) | (1 << b);
         let mut naive = init.clone();
         for x in 0..init.len() {
@@ -580,5 +580,73 @@ fn wide_diagonal_ladder_all_modes_agree() {
         let out = probe.clone().run_with(&c, opts);
         let f = out.fidelity(&reference);
         assert!((f - 1.0).abs() < EPS, "{name}: fidelity {f}");
+    }
+}
+
+/// Serial and forced-parallel execution agree bit for bit above the
+/// auto-parallel threshold, fused and unfused, over every gate kind —
+/// on low qubits and on the top qubit, whose single block `apply_1q`
+/// splits by zipping its halves rather than by chunking. Splitting
+/// only decides which thread touches an amplitude, never the arithmetic
+/// it sees, so `==` on the bits (not a tolerance) is the contract.
+#[test]
+fn serial_and_parallel_kernels_are_bit_identical() {
+    use std::f64::consts::PI;
+    let _guard = simd::test_tier_lock();
+    let n = 17;
+    assert!(1usize << n > tilt::statevec::kernels::PARALLEL_THRESHOLD);
+    let top = n - 1;
+    let q = Qubit;
+    let mut gates = Vec::new();
+    for (a, b, c) in [(0usize, top, 9usize), (7, 0, 12), (top, 3, 1)] {
+        let t = 0.3 + a as f64 * 0.1;
+        gates.extend([
+            Gate::H(q(a)),
+            Gate::X(q(a)),
+            Gate::Y(q(a)),
+            Gate::Z(q(a)),
+            Gate::S(q(a)),
+            Gate::Sdg(q(a)),
+            Gate::T(q(a)),
+            Gate::Tdg(q(a)),
+            Gate::SqrtX(q(a)),
+            Gate::SqrtY(q(a)),
+            Gate::Rx(q(a), t),
+            Gate::Ry(q(a), -t),
+            Gate::Rz(q(a), 2.0 * t),
+            Gate::Cnot(q(a), q(b)),
+            Gate::Cnot(q(b), q(a)),
+            Gate::Cz(q(a), q(b)),
+            Gate::Cphase(q(b), q(a), t),
+            Gate::Zz(q(a), q(b), -t),
+            Gate::Xx(q(a), q(b), t),
+            Gate::Swap(q(a), q(b)),
+            Gate::Toffoli(q(a), q(b), q(c)),
+            Gate::H(q(b)),
+        ]);
+    }
+    // A controlled-phase ladder into the top qubit: one diagonal run
+    // long enough for the batched hierarchical sweep.
+    for k in 1..8 {
+        gates.push(Gate::Cphase(q(top - k), q(top), PI / (1 << k) as f64));
+    }
+    let circuit = Circuit::from_gates(n, gates);
+    let probe = State::random(n, 17);
+    for fuse in [false, true] {
+        let run = |parallel| {
+            let opts = RunOptions {
+                fuse,
+                parallel: Some(parallel),
+            };
+            probe.clone().run_with(&circuit, opts)
+        };
+        let (serial, parallel) = (run(false), run(true));
+        for x in 0..1usize << n {
+            let (a, b) = (serial.amplitude(x), parallel.amplitude(x));
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "fuse={fuse}: amplitude {x} differs: {a:?} vs {b:?}"
+            );
+        }
     }
 }
