@@ -8,8 +8,8 @@ use std::fmt;
 /// A quantum circuit: a register of `n` qubits and an ordered list of gates.
 ///
 /// The order is program order; parallelism is recovered by dependency
-/// analysis ([`crate::Dag`]), not encoded here. Builder methods push gates
-/// and return `&mut self` so construction chains naturally:
+/// analysis, not encoded here. Builder methods push gates and return
+/// `&mut self` so construction chains naturally:
 ///
 /// ```
 /// use tilt_circuit::{Circuit, Qubit};

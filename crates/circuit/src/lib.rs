@@ -7,10 +7,6 @@
 //! * [`Gate`] — the gate set used by the paper's benchmarks plus the
 //!   trapped-ion native set `{Rx, Ry, Rz, XX}`.
 //! * [`Circuit`] — an ordered gate list with a builder-style API.
-//! * [`Dag`] — per-qubit dependency analysis (front layers, depth,
-//!   topological layering). The compiler's passes stream gates and keep
-//!   their own frontier; only the tape scheduler's test-only reference
-//!   implementation walks a `Dag`.
 //! * [`qasm`] — OpenQASM 2.0 emission for debugging and interchange.
 //! * [`digest`] — canonical structural hashing ([`Circuit::digest`]),
 //!   the circuit half of the engine's compile-cache key.
@@ -29,7 +25,6 @@
 
 pub mod circuit;
 pub mod clifford;
-pub mod dag;
 pub mod digest;
 pub mod gate;
 pub mod qasm;
@@ -38,7 +33,6 @@ pub mod stats;
 pub mod validate;
 
 pub use circuit::Circuit;
-pub use dag::{Dag, ReadyTracker};
 pub use gate::{Gate, Operands};
 pub use qubit::Qubit;
 pub use stats::CircuitStats;

@@ -2,12 +2,14 @@
 
 use std::error::Error;
 use std::fmt;
-use tilt_engine::overlay::{parse_backend, parse_method, parse_router, parse_scheduler, Overrides};
+use tilt_engine::overlay::{Overrides, Value};
 
-/// Parsed command-line options shared by all subcommands.
+/// Parsed command-line options: one struct, one grammar for every
+/// subcommand.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
-    /// First positional argument (file path or benchmark name).
+    /// First positional argument (file path or benchmark name); empty
+    /// for `serve`, whose requests arrive on the wire.
     pub target: String,
     /// What the flags name of the engine (`--backend`, `--ions`,
     /// `--head`, `--router`, ...); the rest comes from the defaults.
@@ -29,6 +31,21 @@ pub struct Options {
     /// Input gates per streaming window (`--stream-window`); `None` =
     /// the engine default.
     pub stream_window: Option<usize>,
+    /// `serve`: in-flight request window (`--window`), 0 = auto.
+    pub window: usize,
+    /// `serve`: TCP listen address (`--listen`); stdin/stdout if absent.
+    pub listen: Option<String>,
+    /// `serve`: compile-cache snapshot directory (`--cache-dir`).
+    pub cache_dir: Option<String>,
+    /// `serve`: in-flight run requests across every connection
+    /// (`--max-in-flight`), 0 = unlimited.
+    pub max_in_flight: usize,
+    /// `serve`: in-flight request bytes (`--max-in-flight-bytes`), 0 =
+    /// unlimited.
+    pub max_in_flight_bytes: usize,
+    /// `serve`: deadline for requests naming none
+    /// (`--default-deadline-ms`), 0 = none.
+    pub default_deadline_ms: u64,
 }
 
 /// Why argument parsing failed.
@@ -51,6 +68,21 @@ impl Options {
     /// Returns [`ParseArgsError`] on missing targets, unknown flags, or
     /// unparseable values.
     pub fn parse(args: &[String]) -> Result<Options, ParseArgsError> {
+        Options::parse_for(args, false)
+    }
+
+    /// Parses `serve` arguments: flags only (the serve flags included),
+    /// no positional target.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseArgsError`] on unknown flags, missing values,
+    /// unparseable numbers, or stray positionals.
+    pub fn parse_serve(args: &[String]) -> Result<Options, ParseArgsError> {
+        Options::parse_for(args, true)
+    }
+
+    fn parse_for(args: &[String], serve: bool) -> Result<Options, ParseArgsError> {
         let mut opts = Options {
             target: String::new(),
             overrides: Overrides::default(),
@@ -60,6 +92,12 @@ impl Options {
             batch: false,
             stream: false,
             stream_window: None,
+            window: 0,
+            listen: None,
+            cache_dir: None,
+            max_in_flight: 1024,
+            max_in_flight_bytes: 64 << 20,
+            default_deadline_ms: 0,
         };
         let o = &mut opts.overrides;
         let mut positional: Vec<&String> = Vec::new();
@@ -71,22 +109,11 @@ impl Options {
                     .ok_or_else(|| ParseArgsError(format!("{flag} needs a value")))
             };
             match flag {
-                "--backend" => o.backend = named(parse_backend(value()?))?,
-                "--ions" => o.ions = Some(parse_num(value()?, flag)?),
-                "--head" => o.head = Some(parse_num(value()?, flag)?),
-                "--ions-per-trap" => o.ions_per_trap = Some(parse_num(value()?, flag)?),
-                "--elu-ions" => o.elu_ions = Some(parse_num(value()?, flag)?),
-                "--router" => o.router = named(parse_router(value()?))?,
-                "--max-swap-len" => o.max_swap_len = Some(parse_num(value()?, flag)?),
-                "--alpha" => {
-                    let v = value()?;
-                    o.alpha = Some(
-                        v.parse()
-                            .map_err(|_| ParseArgsError(format!("invalid --alpha `{v}`")))?,
-                    );
+                "--backend" | "--ions" | "--head" | "--ions-per-trap" | "--elu-ions"
+                | "--router" | "--max-swap-len" | "--alpha" | "--scheduler" | "--method" => {
+                    let key = flag[2..].replace('-', "_");
+                    o.set(&key, Value::Arg(value()?)).map_err(ParseArgsError)?;
                 }
-                "--scheduler" => o.scheduler = named(parse_scheduler(value()?))?,
-                "--method" => o.method = named(parse_method(value()?))?,
                 "--json" => opts.json = true,
                 "--emit-program" => opts.emit_program = true,
                 "--emit-qasm" => opts.emit_qasm = true,
@@ -101,6 +128,16 @@ impl Options {
                     }
                     opts.stream_window = Some(w);
                 }
+                "--window" if serve => opts.window = parse_num(value()?, flag)?,
+                "--listen" if serve => opts.listen = Some(value()?.clone()),
+                "--cache-dir" if serve => opts.cache_dir = Some(value()?.clone()),
+                "--max-in-flight" if serve => opts.max_in_flight = parse_num(value()?, flag)?,
+                "--max-in-flight-bytes" if serve => {
+                    opts.max_in_flight_bytes = parse_num(value()?, flag)?;
+                }
+                "--default-deadline-ms" if serve => {
+                    opts.default_deadline_ms = parse_num(value()?, flag)? as u64;
+                }
                 _ if flag.starts_with("--") => {
                     return Err(ParseArgsError(format!("unknown option `{flag}`")))
                 }
@@ -108,6 +145,10 @@ impl Options {
             }
         }
         match positional.as_slice() {
+            [] if serve => Ok(opts),
+            _ if serve => Err(ParseArgsError(
+                "`serve` takes no positional argument".into(),
+            )),
             [target] => {
                 opts.target = (*target).clone();
                 Ok(opts)
@@ -121,100 +162,9 @@ impl Options {
     }
 }
 
-/// A parsed name as a set option, with the parser's error.
-fn named<T>(parsed: Result<T, String>) -> Result<Option<T>, ParseArgsError> {
-    parsed.map(Some).map_err(ParseArgsError)
-}
-
 fn parse_num(text: &str, flag: &str) -> Result<usize, ParseArgsError> {
     text.parse()
         .map_err(|_| ParseArgsError(format!("invalid {flag} value `{text}`")))
-}
-
-/// Parsed options for the `serve` subcommand (which, unlike the other
-/// commands, takes no positional target — requests arrive on the wire).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServeOptions {
-    /// The session engine the flags name, over a 64-ion tape by default.
-    pub overrides: Overrides,
-    /// In-flight request window (`--window`), 0 = auto (4 × pool
-    /// threads, floor 8).
-    pub window: usize,
-    /// TCP listen address (`--listen host:port`); stdin/stdout when
-    /// absent.
-    pub listen: Option<String>,
-    /// Compile-cache persistence directory (`--cache-dir`): snapshot
-    /// entries are reloaded at startup (with digest verification) and
-    /// written back at drain. The in-memory cache runs regardless.
-    pub cache_dir: Option<String>,
-    /// Admission budget: aggregate in-flight run requests across every
-    /// connection (`--max-in-flight`), 0 = unlimited. Default 1024.
-    pub max_in_flight: usize,
-    /// Admission budget: aggregate in-flight request bytes
-    /// (`--max-in-flight-bytes`), 0 = unlimited. Default 64 MiB.
-    pub max_in_flight_bytes: usize,
-    /// Deadline applied to requests that name no `deadline_ms`
-    /// (`--default-deadline-ms`), 0 = none.
-    pub default_deadline_ms: u64,
-}
-
-impl ServeOptions {
-    /// Parses `serve` arguments (flags only, no positional target).
-    ///
-    /// Delegates the shared flag grammar to [`Options::parse`] (with a
-    /// synthetic target, since `serve` has none) after extracting the
-    /// serve-only flags — one grammar, one place to extend it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseArgsError`] on unknown flags, missing values,
-    /// unparseable numbers, or stray positionals.
-    pub fn parse(args: &[String]) -> Result<ServeOptions, ParseArgsError> {
-        // Pull out the serve-only flags, hand the rest to the common
-        // parser with a synthetic positional target.
-        const SYNTHETIC_TARGET: &str = "\u{0}serve";
-        let mut opts = ServeOptions {
-            overrides: Overrides::default(),
-            window: 0,
-            listen: None,
-            cache_dir: None,
-            max_in_flight: 1024,
-            max_in_flight_bytes: 64 << 20,
-            default_deadline_ms: 0,
-        };
-        let mut rest: Vec<String> = vec![SYNTHETIC_TARGET.to_string()];
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let flag = arg.as_str();
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| ParseArgsError(format!("{flag} needs a value")))
-            };
-            match flag {
-                "--window" => opts.window = parse_num(value()?, flag)?,
-                "--listen" => opts.listen = Some(value()?.clone()),
-                "--cache-dir" => opts.cache_dir = Some(value()?.clone()),
-                "--max-in-flight" => opts.max_in_flight = parse_num(value()?, flag)?,
-                "--max-in-flight-bytes" => opts.max_in_flight_bytes = parse_num(value()?, flag)?,
-                "--default-deadline-ms" => {
-                    opts.default_deadline_ms = parse_num(value()?, flag)? as u64;
-                }
-                _ => rest.push(arg.clone()),
-            }
-        }
-        opts.overrides = Options::parse(&rest)
-            .map_err(|e| {
-                // The synthetic target makes any real positional a
-                // "two targets" error; report it in serve's terms.
-                if e.0.starts_with("expected one target") {
-                    ParseArgsError("`serve` takes no positional argument".into())
-                } else {
-                    e
-                }
-            })?
-            .overrides;
-        Ok(opts)
-    }
 }
 
 #[cfg(test)]
@@ -331,14 +281,14 @@ mod tests {
 
     #[test]
     fn serve_options_defaults_and_flags() {
-        let o = ServeOptions::parse(&v(&[])).unwrap();
+        let o = Options::parse_serve(&v(&[])).unwrap();
         assert_eq!((o.overrides, o.window), (Overrides::default(), 0));
         assert_eq!(o.listen, None);
         assert_eq!(o.cache_dir, None);
         assert_eq!(o.max_in_flight, 1024);
         assert_eq!(o.max_in_flight_bytes, 64 << 20);
         assert_eq!(o.default_deadline_ms, 0);
-        let o = ServeOptions::parse(&v(&[
+        let o = Options::parse_serve(&v(&[
             "--ions",
             "32",
             "--head",
@@ -372,15 +322,15 @@ mod tests {
         assert_eq!(o.max_in_flight, 4);
         assert_eq!(o.max_in_flight_bytes, 65536);
         assert_eq!(o.default_deadline_ms, 250);
-        assert!(ServeOptions::parse(&v(&["--cache-dir"])).is_err());
-        assert!(ServeOptions::parse(&v(&["--max-in-flight", "many"])).is_err());
+        assert!(Options::parse_serve(&v(&["--cache-dir"])).is_err());
+        assert!(Options::parse_serve(&v(&["--max-in-flight", "many"])).is_err());
     }
 
     #[test]
     fn serve_options_reject_exact_and_positionals() {
-        assert!(ServeOptions::parse(&v(&["--router", "exact"])).is_err());
-        assert!(ServeOptions::parse(&v(&["file.qasm"])).is_err());
-        assert!(ServeOptions::parse(&v(&["--bogus"])).is_err());
+        assert!(Options::parse_serve(&v(&["--router", "exact"])).is_err());
+        assert!(Options::parse_serve(&v(&["file.qasm"])).is_err());
+        assert!(Options::parse_serve(&v(&["--bogus"])).is_err());
     }
 
     #[test]
@@ -404,5 +354,119 @@ mod tests {
                 .backend(spec)
                 .router(tilt_compiler::RouterKind::Linq(linq)))
         );
+    }
+
+    /// Every option the CLI accepts decodes through the one table in
+    /// `Overrides::set`: a flag and the same wire field build engines
+    /// with one config fingerprint, and both surfaces reject the same
+    /// malformed values.
+    #[test]
+    fn every_option_decodes_alike_on_the_cli_and_the_wire() {
+        use std::sync::Arc;
+        use tilt_engine::{CacheKey, CompileCache, Engine, Service};
+        use tilt_report::Json;
+
+        let qasm = "qreg q[16];\nh q[0];\ncx q[0], q[15];\n";
+        let circuit = tilt_circuit::qasm::parse_qasm(qasm).unwrap();
+        let width = circuit.n_qubits();
+        let cli = |flags: &[&str]| -> Result<Engine, String> {
+            let mut args = vec!["x"];
+            args.extend(flags);
+            let o = Options::parse(&v(&args)).map_err(|e| e.0)?;
+            let builder = Engine::builder().overlay(&o.overrides, width)?;
+            builder.build().map_err(|e| e.to_string())
+        };
+        // One request through a service over the CLI's default session;
+        // the cache it fills names the config its engine compiled under.
+        let wire = |fields: &str| {
+            let cache = Arc::new(CompileCache::default());
+            let session = Engine::builder()
+                .overlay(&Overrides::default(), width)
+                .unwrap()
+                .compile_cache(Arc::clone(&cache));
+            let qasm = Json::from(qasm).render();
+            let line = format!("{{{fields},\"qasm\":{qasm}}}\n");
+            let mut out = Vec::new();
+            Service::new(session)
+                .unwrap()
+                .serve(std::io::Cursor::new(line), &mut out, None)
+                .unwrap();
+            let resp = Json::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+            (resp, cache)
+        };
+        let default = cli(&[]).unwrap().config_fingerprint();
+        let valid: [(&[&str], &str); 12] = [
+            (&["--backend", "qccd"], r#""backend":"qccd""#),
+            (&["--backend", "scaled"], r#""backend":"scaled""#),
+            (&["--ions", "20"], r#""ions":20"#),
+            (&["--head", "4"], r#""head":4"#),
+            (
+                &["--backend", "qccd", "--ions-per-trap", "5"],
+                r#""backend":"qccd","ions_per_trap":5"#,
+            ),
+            (
+                &["--backend", "scaled", "--elu-ions", "10"],
+                r#""backend":"scaled","elu_ions":10"#,
+            ),
+            (&["--router", "stochastic"], r#""router":"stochastic""#),
+            (&["--router", "baseline"], r#""router":"baseline""#),
+            (&["--max-swap-len", "3"], r#""max_swap_len":3"#),
+            (&["--alpha", "0.5"], r#""alpha":0.5"#),
+            (&["--scheduler", "naive"], r#""scheduler":"naive""#),
+            (&["--method", "stabilizer"], r#""method":"stabilizer""#),
+        ];
+        let mut flags_seen = Vec::new();
+        for (flags, fields) in valid {
+            let fp = cli(flags).unwrap().config_fingerprint();
+            assert_ne!(fp, default, "{flags:?} changes nothing");
+            let (resp, cache) = wire(fields);
+            assert_eq!(
+                resp.get("ok"),
+                Some(&Json::Bool(true)),
+                "{fields}: {resp:?}"
+            );
+            let key = CacheKey {
+                circuit: cache.circuit_key(&circuit),
+                config: fp,
+            };
+            assert!(
+                cache.peek_wire(key).is_some(),
+                "{flags:?} and {fields} build different engines"
+            );
+            flags_seen.extend(flags.iter().filter(|f| f.starts_with("--")));
+        }
+        let malformed = [
+            ("--backend", "qpu9000", r#""qpu9000""#),
+            ("--backend", "4", "4"),
+            ("--ions", "lots", r#""lots""#),
+            ("--ions", "-1", "-1"),
+            ("--ions", "1", "1"),
+            ("--head", "2.5", "2.5"),
+            ("--ions-per-trap", "x", r#""x""#),
+            ("--elu-ions", "-2", "-2"),
+            ("--router", "exact", r#""exact""#),
+            ("--max-swap-len", "1.5", "1.5"),
+            ("--alpha", "fast", r#""fast""#),
+            ("--alpha", "1.5", "1.5"),
+            ("--scheduler", "lazy", r#""lazy""#),
+            ("--method", "magic", r#""magic""#),
+        ];
+        for (flag, text, json) in malformed {
+            assert!(cli(&[flag, text]).is_err(), "CLI accepts {flag} {text}");
+            let key = flag[2..].replace('-', "_");
+            let (resp, _) = wire(&format!("\"{key}\":{json}"));
+            let kind = resp.get_path("error.kind").and_then(Json::as_str);
+            assert_eq!(kind, Some("invalid_request"), "{key}: {json}: {resp:?}");
+        }
+        // Every decoder name is a CLI flag covered above, or wire-only.
+        for key in tilt_engine::overlay::KEYS {
+            let flag = format!("--{}", key.replace('_', "-"));
+            if matches!(key, "verify" | "noise") {
+                let e = Options::parse(&v(&["x", &flag, "strict"])).unwrap_err();
+                assert_eq!(e.0, format!("unknown option `{flag}`"));
+            } else {
+                assert!(flags_seen.contains(&flag.as_str()), "{flag} is not covered");
+            }
+        }
     }
 }

@@ -6,12 +6,18 @@
 //! sized for the circuit, exactly as the service does for wire fields.
 //! `run --backend tilt|qccd|scaled` reports on any backend.
 
-use crate::args::{Options, ServeOptions};
+use crate::args::Options;
 use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use tilt_circuit::{qasm, Circuit};
 use tilt_engine::{
-    Backend, CompileStats, Engine, EngineBuilder, NullSink, Overrides, RunDetail, RunReport,
-    TiltError, VerifyLevel,
+    AdmissionControl, Backend, CompileCache, CompileStats, Engine, EngineBuilder, NullSink,
+    Overrides, RunDetail, RunReport, Service, ServiceSummary, TiltError, VerifyLevel,
 };
 use tilt_report::{fmt_success, Table};
 use tilt_sim::estimate_ideal_success;
@@ -460,47 +466,6 @@ mod sigterm {
     }
 }
 
-/// Process-wide overload policy shared by every serve loop: one
-/// admission budget across all connections, one default deadline.
-#[derive(Clone, Default)]
-pub(crate) struct ServePolicy {
-    admission: Option<std::sync::Arc<tilt_engine::AdmissionControl>>,
-    default_deadline: Option<std::time::Duration>,
-}
-
-impl ServePolicy {
-    fn from_opts(opts: &ServeOptions) -> ServePolicy {
-        // 0 on either axis means "that axis unlimited"; both 0 means no
-        // admission control at all.
-        let admission = (opts.max_in_flight > 0 || opts.max_in_flight_bytes > 0).then(|| {
-            let requests = if opts.max_in_flight > 0 {
-                opts.max_in_flight
-            } else {
-                usize::MAX
-            };
-            let bytes = if opts.max_in_flight_bytes > 0 {
-                opts.max_in_flight_bytes
-            } else {
-                usize::MAX
-            };
-            std::sync::Arc::new(tilt_engine::AdmissionControl::new(requests, bytes))
-        });
-        let default_deadline = (opts.default_deadline_ms > 0)
-            .then(|| std::time::Duration::from_millis(opts.default_deadline_ms));
-        ServePolicy {
-            admission,
-            default_deadline,
-        }
-    }
-
-    fn apply(&self, mut service: tilt_engine::Service) -> tilt_engine::Service {
-        if let Some(admission) = &self.admission {
-            service = service.with_admission(std::sync::Arc::clone(admission));
-        }
-        service.with_default_deadline(self.default_deadline)
-    }
-}
-
 /// Arms the engine's fault-injection plan from `TILT_FAULT_PLAN` (only
 /// compiled in under the `faults` feature — the CI chaos smoke builds
 /// it; production builds have no seams to arm).
@@ -534,63 +499,194 @@ fn arm_fault_plan() -> Result<(), String> {
 /// snapshot at startup (entries failing digest verification are
 /// dropped individually) and writes it back at drain.
 pub fn serve(args: &[String]) -> Result<String, String> {
-    let opts = ServeOptions::parse(args).map_err(|e| e.to_string())?;
+    let opts = Options::parse_serve(args).map_err(|e| e.to_string())?;
     let builder = builder(&opts.overrides, SERVE_WIDTH)?;
     #[cfg(feature = "faults")]
     arm_fault_plan()?;
-    let policy = ServePolicy::from_opts(&opts);
     // One process-wide cache: the session engine, every per-request
     // override engine, and every TCP connection share it.
-    let cache = std::sync::Arc::new(tilt_engine::CompileCache::default());
-    let persist = opts.cache_dir.as_deref().map(std::path::PathBuf::from);
-    if let Some(dir) = &persist {
+    let cache = Arc::new(CompileCache::default());
+    let persist = opts.cache_dir.as_deref().map(std::path::Path::new);
+    if let Some(dir) = persist {
         match cache.load(dir) {
-            Ok((loaded, rejected)) if loaded > 0 || rejected > 0 => eprintln!(
-                "tilt serve: compile cache: restored {loaded} entries from {}{}",
-                dir.display(),
-                if rejected > 0 {
-                    format!(" ({rejected} corrupt/stale entries rejected)")
-                } else {
-                    String::new()
-                }
+            Ok((0, 0)) => {}
+            Ok((loaded, 0)) => eprintln!(
+                "tilt serve: compile cache: restored {loaded} entries from {}",
+                dir.display()
             ),
-            Ok(_) => {}
+            Ok((loaded, rejected)) => eprintln!(
+                "tilt serve: compile cache: restored {loaded} entries from {} \
+                 ({rejected} corrupt/stale entries rejected)",
+                dir.display()
+            ),
             Err(e) => eprintln!(
                 "tilt serve: compile cache: cannot read {}: {e} (starting cold)",
                 dir.display()
             ),
         }
     }
+    // Every connection's service: the session the flags name over the
+    // shared cache, one admission budget (0 on an axis leaves it
+    // unlimited) and one default deadline.
     let builder = builder.compile_cache(cache.clone());
+    let limit = |n: usize| if n > 0 { n } else { usize::MAX };
+    let admission = Arc::new(AdmissionControl::new(
+        limit(opts.max_in_flight),
+        limit(opts.max_in_flight_bytes),
+    ));
+    let deadline =
+        (opts.default_deadline_ms > 0).then(|| Duration::from_millis(opts.default_deadline_ms));
+    let session = || -> Result<Service, String> {
+        Ok(Service::new(builder.clone())
+            .map_err(|e| e.to_string())?
+            .with_admission(Arc::clone(&admission))
+            .with_window(opts.window)
+            .with_default_deadline(deadline))
+    };
     // Validate the session config before any I/O so a bad --ions/--head
     // fails fast with a usage error.
-    tilt_engine::Service::new(builder.clone()).map_err(|e| e.to_string())?;
+    session()?;
     let flag = sigterm::install();
-    let out = match &opts.listen {
-        None => serve_stdio(
-            builder,
-            opts.window,
-            policy,
-            flag,
-            &cache,
-            persist.as_deref(),
-        ),
-        Some(addr) => serve_tcp(
-            builder,
-            addr,
-            opts.window,
-            policy,
-            flag,
-            &cache,
-            persist.as_deref(),
-        ),
-    }?;
-    snapshot_cache(&cache, persist.as_deref());
-    Ok(out)
+    let listener = opts.listen.as_deref().map(|addr| -> Result<_, String> {
+        let listener =
+            TcpListener::bind(addr).map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
+        // Non-blocking accept so SIGTERM is noticed between connections.
+        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+        let local = listener.local_addr().map_err(|e| e.to_string())?;
+        eprintln!("tilt serve: listening on {local}");
+        Ok((listener, local))
+    });
+    let listener = listener.transpose()?;
+    let mut workers: Vec<Worker> = Vec::new();
+    if listener.is_none() {
+        let stdio = || Ok((std::io::stdin().lock(), std::io::stdout().lock()));
+        workers.push((spawn_connection(session()?, stdio, None, flag), None));
+    }
+    // Each live connection is a worker thread plus a clone of its
+    // socket, which the drain shuts down. Finished TCP workers are
+    // reaped every pass; otherwise the retained clones would leak one
+    // fd per connection until the listener hits EMFILE. Stdin is a
+    // connection with no socket, and its end ends the loop.
+    while !flag.load(Ordering::SeqCst) {
+        let Some((listener, _)) = &listener else {
+            if workers.iter().all(|(worker, _)| worker.is_finished()) {
+                break;
+            }
+            std::thread::sleep(POLL);
+            continue;
+        };
+        workers.retain(|(worker, _)| !worker.is_finished());
+        match listener.accept() {
+            Ok((stream, peer)) => {
+                // The per-connection loop blocks on reads; switch the
+                // socket back to blocking mode.
+                stream.set_nonblocking(false).map_err(|e| e.to_string())?;
+                let socket = stream.try_clone().ok();
+                let tcp = move || Ok((BufReader::new(stream.try_clone()?), stream));
+                let worker = spawn_connection(session()?, tcp, Some(peer), flag);
+                workers.push((worker, socket));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(e) => return Err(format!("accept failed: {e}")),
+        }
+    }
+    if flag.load(Ordering::SeqCst) {
+        drain(&workers, &cache, persist);
+    }
+    // Stdin's failure is the command's; each TCP connection reported
+    // its own, and the drain saw every worker finish.
+    if listener.is_none() {
+        for (worker, _) in workers {
+            worker
+                .join()
+                .unwrap_or_else(|_| Err("service thread panicked".into()))?;
+        }
+    }
+    snapshot_cache(&cache, persist);
+    Ok(listener.map_or_else(String::new, |(_, local)| {
+        format!("stopped listening on {local}\n")
+    }))
+}
+
+/// How often the serve loop polls the SIGTERM flag, workers, listener.
+const POLL: Duration = Duration::from_millis(20);
+
+/// How long each drain phase waits for the workers.
+const GRACE: Duration = Duration::from_secs(2);
+
+/// One connection's service loop on its thread, plus the socket the
+/// drain shuts down (`None` for stdin).
+type Worker = (
+    JoinHandle<Result<ServiceSummary, String>>,
+    Option<TcpStream>,
+);
+
+/// Serves one connection on its own thread: `open` runs there and
+/// yields the wire, and the loop's summary goes to stderr, tagged with
+/// the TCP peer. A TCP connection's failure is reported there and ends
+/// only that connection.
+fn spawn_connection<R: BufRead, W: Write>(
+    mut service: Service,
+    open: impl FnOnce() -> std::io::Result<(R, W)> + Send + 'static,
+    peer: Option<SocketAddr>,
+    flag: &'static AtomicBool,
+) -> JoinHandle<Result<ServiceSummary, String>> {
+    std::thread::spawn(move || {
+        let served = open()
+            .and_then(|(input, output)| service.serve(input, output, Some(flag)))
+            .map_err(|e| format!("service I/O error: {e}"));
+        match (&served, peer) {
+            (Ok(summary), None) => eprintln!("{}", summary_line(summary)),
+            (Ok(summary), Some(peer)) => eprintln!("{} [{peer}]", summary_line(summary)),
+            (Err(_), None) => {}
+            (Err(e), Some(peer)) => eprintln!("tilt serve: connection {peer} failed: {e}"),
+        }
+        served
+    })
+}
+
+/// The SIGTERM drain. A read blocked on idle input restarts after the
+/// handler runs (glibc `signal()` is `SA_RESTART`), so: close each
+/// socket's read side, and its loop sees EOF, drains and still writes;
+/// then sever a socket stuck writing to a client that stopped reading.
+/// A worker left after that is idle stdin (nothing buffered to lose, by
+/// flush-before-blocking) or a compile past the grace period (its
+/// response is forfeit): snapshot the cache and exit without it.
+fn drain(workers: &[Worker], cache: &CompileCache, persist: Option<&std::path::Path>) {
+    let all_finished = || {
+        let deadline = Instant::now() + GRACE;
+        while workers.iter().any(|(worker, _)| !worker.is_finished()) {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(POLL);
+        }
+        true
+    };
+    for how in [Shutdown::Read, Shutdown::Both] {
+        // The first phase waits even with no socket to close: stdin's
+        // loop may be finishing a compile.
+        let mut wait = how == Shutdown::Read;
+        for (worker, socket) in workers {
+            if let (false, Some(socket)) = (worker.is_finished(), socket) {
+                let _ = socket.shutdown(how);
+                wait = true;
+            }
+        }
+        if wait && all_finished() {
+            return;
+        }
+    }
+    eprintln!(
+        "tilt serve: SIGTERM — grace period expired, exiting \
+         (an in-flight response, if any, is forfeit)"
+    );
+    snapshot_cache(cache, persist);
+    std::process::exit(0);
 }
 
 /// Writes the compile-cache snapshot when persistence is configured.
-fn snapshot_cache(cache: &tilt_engine::CompileCache, dir: Option<&std::path::Path>) {
+fn snapshot_cache(cache: &CompileCache, dir: Option<&std::path::Path>) {
     let Some(dir) = dir else { return };
     match cache.save(dir) {
         Ok(written) => eprintln!(
@@ -604,73 +700,7 @@ fn snapshot_cache(cache: &tilt_engine::CompileCache, dir: Option<&std::path::Pat
     }
 }
 
-/// The stdin/stdout loop, on a worker thread so SIGTERM works even
-/// while the loop is blocked reading idle input. glibc's `signal()`
-/// installs BSD (`SA_RESTART`) semantics, so a blocked `read(2)`
-/// restarts after the handler runs and the in-loop flag check never
-/// executes; the main thread polls the flag instead. By the
-/// flush-before-blocking rule, a loop blocked on input has **zero**
-/// pending responses, so exiting the process at that point loses
-/// nothing.
-fn serve_stdio(
-    builder: tilt_engine::EngineBuilder,
-    window: usize,
-    policy: ServePolicy,
-    flag: &'static std::sync::atomic::AtomicBool,
-    cache: &tilt_engine::CompileCache,
-    persist: Option<&std::path::Path>,
-) -> Result<String, String> {
-    use std::sync::atomic::Ordering;
-    let worker = std::thread::spawn(move || {
-        let mut service = policy.apply(
-            tilt_engine::Service::new(builder)
-                .expect("config validated before the thread spawned")
-                .with_window(window),
-        );
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        service
-            .serve(stdin.lock(), stdout.lock(), Some(flag))
-            .map_err(|e| format!("service I/O error: {e}"))
-    });
-    while !worker.is_finished() {
-        if flag.load(Ordering::SeqCst) {
-            // Grace period: a line mid-compile finishes, flushes, and
-            // the loop notices the flag and returns — then we can
-            // print its real summary. A loop blocked on idle input
-            // never returns (restarted read), but by construction has
-            // nothing buffered, so exiting directly is lossless.
-            // SIGTERM means bounded shutdown: a compile still running
-            // 2 s after the signal forfeits its response.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-            while !worker.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            if !worker.is_finished() {
-                // Either genuinely idle (blocked read, nothing
-                // buffered — lossless) or a compile outlasted the
-                // grace period (its response is forfeit). We cannot
-                // tell which from here, so say so. The cache snapshot
-                // still happens — warm restarts are the point of
-                // persistence, and SIGTERM restarts are the common
-                // case under an orchestrator.
-                eprintln!(
-                    "tilt serve: SIGTERM — grace period expired, exiting \
-                     (an in-flight response, if any, is forfeit)"
-                );
-                snapshot_cache(cache, persist);
-                std::process::exit(0);
-            }
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(30));
-    }
-    let summary = worker.join().map_err(|_| "service thread panicked")??;
-    eprintln!("{}", summary_line(&summary));
-    Ok(String::new())
-}
-
-fn summary_line(summary: &tilt_engine::ServiceSummary) -> String {
+fn summary_line(summary: &ServiceSummary) -> String {
     let s = &summary.stats;
     let c = &summary.cache;
     format!(
@@ -691,128 +721,6 @@ fn summary_line(summary: &tilt_engine::ServiceSummary) -> String {
         c.entries,
         summary.cause
     )
-}
-
-/// One service loop per accepted connection, each on its own thread
-/// over a clone of the engine prototype.
-pub(crate) fn handle_connection(
-    builder: tilt_engine::EngineBuilder,
-    stream: std::net::TcpStream,
-    window: usize,
-    policy: ServePolicy,
-    flag: &'static std::sync::atomic::AtomicBool,
-) -> Result<tilt_engine::ServiceSummary, String> {
-    let reader = std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut service = policy.apply(
-        tilt_engine::Service::new(builder)
-            .map_err(|e| e.to_string())?
-            .with_window(window),
-    );
-    service
-        .serve(reader, stream, Some(flag))
-        .map_err(|e| format!("service I/O error: {e}"))
-}
-
-fn serve_tcp(
-    builder: tilt_engine::EngineBuilder,
-    addr: &str,
-    window: usize,
-    policy: ServePolicy,
-    flag: &'static std::sync::atomic::AtomicBool,
-    cache: &tilt_engine::CompileCache,
-    persist: Option<&std::path::Path>,
-) -> Result<String, String> {
-    use std::sync::atomic::Ordering;
-    let listener =
-        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
-    let local = listener.local_addr().map_err(|e| e.to_string())?;
-    // Non-blocking accept so SIGTERM is noticed between connections.
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-    eprintln!("tilt serve: listening on {local}");
-    // Each live connection: the worker thread plus a clone of its
-    // socket. On SIGTERM the clones are shut down, turning each
-    // worker's restarted-blocking read into EOF — the loops drain
-    // their windows and return, so `join` below terminates. (glibc
-    // `signal()` semantics restart blocked reads, so the flag alone
-    // cannot wake an idle connection.) Finished entries are reaped
-    // every accept-loop pass; otherwise the retained clones would leak
-    // one fd per connection until the listener hits EMFILE.
-    let mut workers: Vec<(std::thread::JoinHandle<()>, Option<std::net::TcpStream>)> = Vec::new();
-    loop {
-        if flag.load(Ordering::SeqCst) {
-            break;
-        }
-        workers.retain(|(handle, _)| !handle.is_finished());
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                // The per-connection loop blocks on reads; switch the
-                // socket back to blocking mode.
-                stream.set_nonblocking(false).map_err(|e| e.to_string())?;
-                let clone = stream.try_clone().ok();
-                let builder = builder.clone();
-                let policy = policy.clone();
-                let handle = std::thread::spawn(move || {
-                    match handle_connection(builder, stream, window, policy, flag) {
-                        Ok(summary) => eprintln!("{} [{peer}]", summary_line(&summary)),
-                        Err(e) => eprintln!("tilt serve: connection {peer} failed: {e}"),
-                    }
-                });
-                workers.push((handle, clone));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            Err(e) => return Err(format!("accept failed: {e}")),
-        }
-    }
-    // Two-phase drain. Phase 1: close only the read side, so each
-    // worker sees EOF, drains its window, and still gets to *write*
-    // the responses and its summary.
-    for (_, stream) in &workers {
-        if let Some(stream) = stream {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-    }
-    let drained = wait_all_finished(&workers, std::time::Duration::from_secs(2));
-    if !drained {
-        // Phase 2: a worker is stuck in a blocking write (client
-        // stopped draining its socket) — sever both directions.
-        for (handle, stream) in &workers {
-            if !handle.is_finished() {
-                if let Some(stream) = stream {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        }
-        if !wait_all_finished(&workers, std::time::Duration::from_secs(2)) {
-            // Last resort (e.g. the socket clone was unavailable at
-            // accept time): shutdown must not wedge.
-            eprintln!("tilt serve: a connection did not drain within the grace period, exiting");
-            snapshot_cache(cache, persist);
-            std::process::exit(0);
-        }
-    }
-    for (handle, _) in workers {
-        let _ = handle.join();
-    }
-    Ok(format!("stopped listening on {local}\n"))
-}
-
-/// Polls until every worker thread finished or `grace` elapsed.
-fn wait_all_finished(
-    workers: &[(std::thread::JoinHandle<()>, Option<std::net::TcpStream>)],
-    grace: std::time::Duration,
-) -> bool {
-    let deadline = std::time::Instant::now() + grace;
-    loop {
-        if workers.iter().all(|(h, _)| h.is_finished()) {
-            return true;
-        }
-        if std::time::Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
 }
 
 /// `tilt-cli bench <name|all>`
@@ -1436,25 +1344,17 @@ mod tests {
 
     #[test]
     fn serve_tcp_connection_round_trips_requests() {
-        use std::io::{BufRead, BufReader, Write};
-        use std::sync::atomic::AtomicBool;
-
         static FLAG: AtomicBool = AtomicBool::new(false);
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let builder = builder(
-            &ServeOptions::parse(&v(&["--ions", "8", "--head", "4"]))
-                .unwrap()
-                .overrides,
-            SERVE_WIDTH,
-        )
-        .unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            handle_connection(builder, stream, 4, ServePolicy::default(), &FLAG).unwrap()
-        });
+        let opts = Options::parse_serve(&v(&["--ions", "8", "--head", "4"])).unwrap();
+        let session = builder(&opts.overrides, SERVE_WIDTH).unwrap();
+        let session = Service::new(session).unwrap().with_window(4);
 
         let mut client = std::net::TcpStream::connect(addr).unwrap();
+        let (stream, peer) = listener.accept().unwrap();
+        let tcp = move || Ok((BufReader::new(stream.try_clone()?), stream));
+        let server = spawn_connection(session, tcp, Some(peer), &FLAG);
         let mut reader = BufReader::new(client.try_clone().unwrap());
         // Interactive request/response: the service must answer while
         // the connection stays open and idle (flush-before-blocking),
@@ -1475,7 +1375,7 @@ mod tests {
         }
         assert_eq!(rest.len(), 1, "{rest:?}");
         assert!(rest[0].contains("\"shutdown\":true"), "{}", rest[0]);
-        let summary = server.join().unwrap();
+        let summary = server.join().unwrap().unwrap();
         assert_eq!(summary.stats.served, 1);
     }
 }

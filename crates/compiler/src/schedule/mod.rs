@@ -52,6 +52,15 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Parses a scheduler name (`greedy`, `naive`).
+    pub fn parse(name: &str) -> Option<SchedulerKind> {
+        match name {
+            "greedy" => Some(SchedulerKind::GreedyMaxExecutable),
+            "naive" => Some(SchedulerKind::NaiveNextGate),
+            _ => None,
+        }
+    }
+
     /// The travel penalty (permille of one executable gate per ion
     /// spacing) the Eq. 2 scorers apply; `None` for policies that do
     /// not score positions.
@@ -115,10 +124,11 @@ pub fn schedule(physical: &Circuit, spec: DeviceSpec, kind: SchedulerKind) -> Ti
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::SchedulerKind;
+    use crate::dag::{Dag, ReadyTracker};
     use crate::program::{TiltOp, TiltProgram};
     use crate::spec::DeviceSpec;
     use std::collections::{HashMap, HashSet};
-    use tilt_circuit::{Circuit, Dag, Gate, ReadyTracker};
+    use tilt_circuit::{Circuit, Gate};
 
     pub(crate) fn schedule_rescan_capped(
         physical: &Circuit,

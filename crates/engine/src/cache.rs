@@ -188,6 +188,28 @@ impl WireReport {
             .set("exec_time_us", self.exec_time_us)
     }
 
+    /// Reads back what [`WireReport::fields`] wrote; `None` when a
+    /// field is missing, of the wrong type, or not finite.
+    fn from_fields(obj: &Json) -> Option<WireReport> {
+        let count = |field: &str| count_field(obj, field);
+        let num = |field: &str| obj.get(field)?.as_f64().filter(|x| x.is_finite());
+        Some(WireReport {
+            backend: BackendKind::parse(obj.get("backend")?.as_str()?)?,
+            swaps: count("swaps")?,
+            opposing_swaps: count("opposing_swaps")?,
+            moves: count("moves")?,
+            move_distance: count("move_distance")?,
+            native_gates: count("native_gates")?,
+            native_two_qubit: count("native_two_qubit")?,
+            epr_pairs: count("epr_pairs")?,
+            ln_success: num("ln_success")?,
+            success: num("success")?,
+            exec_time_us: num("exec_time_us")?,
+            program_text: None,
+            sim: None,
+        })
+    }
+
     /// Renders the response body shared by fresh and cached paths.
     pub(crate) fn response(&self, id: &Json, emit_program: bool) -> Json {
         let mut resp = self.fields(Json::object().set("id", id.clone()).set("ok", true));
@@ -558,21 +580,12 @@ impl CompileCache {
                 {
                     continue;
                 }
-                let mut payload = Json::object()
-                    .set("v", SNAPSHOT_VERSION)
-                    .set("circuit", key.circuit.to_hex())
-                    .set("config", key.config.to_hex())
-                    .set("backend", wire.backend.to_string())
-                    .set("swaps", wire.swaps)
-                    .set("opposing_swaps", wire.opposing_swaps)
-                    .set("moves", wire.moves)
-                    .set("move_distance", wire.move_distance)
-                    .set("native_gates", wire.native_gates)
-                    .set("native_two_qubit", wire.native_two_qubit)
-                    .set("epr_pairs", wire.epr_pairs)
-                    .set("ln_success", wire.ln_success)
-                    .set("success", wire.success)
-                    .set("exec_time_us", wire.exec_time_us);
+                let mut payload = wire.fields(
+                    Json::object()
+                        .set("v", SNAPSHOT_VERSION)
+                        .set("circuit", key.circuit.to_hex())
+                        .set("config", key.config.to_hex()),
+                );
                 if let Some(program) = slot.entry.program_text() {
                     payload = payload.set("program", program);
                 }
@@ -676,7 +689,8 @@ fn push_sealed(text: &mut String, payload: &Json) {
 /// bytes before it plus a closing `}` are the payload, which must hash
 /// to the check before it is parsed at all. A writer's line is
 /// canonical, so any edit (a changed byte, inserted whitespace, a moved
-/// `check`, trailing bytes) breaks either the tail or the digest.
+/// `check`, trailing bytes) breaks either the tail or the digest. The
+/// payload must carry this format's version `v`.
 fn verified_payload(line: &str) -> Option<Json> {
     let split = line.len().checked_sub(CHECK_TAIL_LEN)?;
     let hex = line
@@ -692,15 +706,13 @@ fn verified_payload(line: &str) -> Option<Json> {
     if payload_check(&payload) != check {
         return None;
     }
-    Json::parse(&payload).ok()
+    let payload = Json::parse(&payload).ok()?;
+    (payload.get("v")?.as_f64()? == SNAPSHOT_VERSION).then_some(payload)
 }
 
 /// Verifies and decodes the snapshot header line, returning its salt.
 fn parse_snapshot_header(line: &str) -> Option<u128> {
     let header = verified_payload(line)?;
-    if header.get("v")?.as_f64()? != SNAPSHOT_VERSION {
-        return None;
-    }
     // Headers carry no entry fields — a swapped header/entry line
     // must not smuggle a salt-less record through.
     if header.get("circuit").is_some() {
@@ -709,42 +721,26 @@ fn parse_snapshot_header(line: &str) -> Option<u128> {
     Some(Digest::from_hex(header.get("salt")?.as_str()?)?.0)
 }
 
+/// A non-negative integer field of `obj`.
+fn count_field(obj: &Json, field: &str) -> Option<usize> {
+    let x = obj.get(field)?.as_f64()?;
+    (x >= 0.0 && x.fract() == 0.0).then_some(x as usize)
+}
+
 /// Verifies and decodes one snapshot line; `None` rejects it.
 fn parse_snapshot_line(line: &str) -> Option<(CacheKey, CacheEntry)> {
     let payload = verified_payload(line)?;
-    if payload.get("v")?.as_f64()? != SNAPSHOT_VERSION {
-        return None;
-    }
     let key = CacheKey {
         circuit: Digest::from_hex(payload.get("circuit")?.as_str()?)?,
         config: Digest::from_hex(payload.get("config")?.as_str()?)?,
     };
-    let backend = match payload.get("backend")?.as_str()? {
-        "tilt" => BackendKind::Tilt,
-        "qccd" => BackendKind::Qccd,
-        "scaled" => BackendKind::Scaled,
-        _ => return None,
-    };
-    let count = |field: &str| -> Option<usize> {
-        let x = payload.get(field)?.as_f64()?;
-        (x >= 0.0 && x.fract() == 0.0).then_some(x as usize)
-    };
-    let num = |field: &str| -> Option<f64> {
-        let x = payload.get(field)?.as_f64()?;
-        x.is_finite().then_some(x)
+    let count = |field: &str| count_field(&payload, field);
+    // An optional count: absent is `None`, malformed rejects the line.
+    let optional = |field: &str| match payload.get(field) {
+        None => Some(None),
+        Some(_) => count(field).map(Some),
     };
     let wire = WireReport {
-        backend,
-        swaps: count("swaps")?,
-        opposing_swaps: count("opposing_swaps")?,
-        moves: count("moves")?,
-        move_distance: count("move_distance")?,
-        native_gates: count("native_gates")?,
-        native_two_qubit: count("native_two_qubit")?,
-        epr_pairs: count("epr_pairs")?,
-        ln_success: num("ln_success")?,
-        success: num("success")?,
-        exec_time_us: num("exec_time_us")?,
         program_text: match payload.get("program") {
             None => None,
             Some(p) => Some(p.as_str()?.to_string()),
@@ -752,11 +748,7 @@ fn parse_snapshot_line(line: &str) -> Option<(CacheKey, CacheEntry)> {
         sim: match payload.get("sim_simulator") {
             None => None,
             Some(s) => {
-                let simulator = match s.as_str()? {
-                    "statevec" => SimulatorKind::Statevec,
-                    "stabilizer" => SimulatorKind::Stabilizer,
-                    _ => return None,
-                };
+                let simulator = SimulatorKind::parse(s.as_str()?)?;
                 let bitstring = payload.get("sim_bitstring")?.as_str()?.to_string();
                 if !bitstring.chars().all(|c| c == '0' || c == '1') {
                     return None;
@@ -765,17 +757,12 @@ fn parse_snapshot_line(line: &str) -> Option<(CacheKey, CacheEntry)> {
                     simulator,
                     bitstring,
                     measurements: count("sim_measurements")?,
-                    deterministic_measurements: match payload.get("sim_deterministic") {
-                        None => None,
-                        Some(_) => Some(count("sim_deterministic")?),
-                    },
-                    random_measurements: match payload.get("sim_random") {
-                        None => None,
-                        Some(_) => Some(count("sim_random")?),
-                    },
+                    deterministic_measurements: optional("sim_deterministic")?,
+                    random_measurements: optional("sim_random")?,
                 })
             }
         },
+        ..WireReport::from_fields(&payload)?
     };
     Some((key, CacheEntry { full: None, wire }))
 }

@@ -238,13 +238,17 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`TiltError::Config`] when no backend was selected;
+    /// [`TiltError::Config`] when no backend was selected or the noise
+    /// model is out of range ([`NoiseModel::validate`]);
     /// [`TiltError::Compile`] when the router configuration is
     /// inconsistent with the TILT device spec.
     pub fn build(self) -> Result<Engine, TiltError> {
         let mut backend = self.backend.ok_or_else(|| TiltError::Config {
             reason: "no backend selected: call .backend(Backend::Tilt(spec)) or similar".into(),
         })?;
+        self.noise
+            .validate()
+            .map_err(|reason| TiltError::Config { reason })?;
         let compiler = match &mut backend {
             Backend::Tilt(spec) => {
                 let router = self.router.unwrap_or_default();
@@ -806,6 +810,21 @@ mod tests {
             matches!(err, TiltError::NonClifford { index: 8, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn build_rejects_an_out_of_range_noise_model() {
+        let noise = NoiseModel {
+            epsilon: -1.0,
+            ..NoiseModel::default()
+        };
+        let e = Engine::builder()
+            .backend(Backend::Tilt(DeviceSpec::new(8, 4).unwrap()))
+            .noise(noise)
+            .build()
+            .unwrap_err();
+        assert!(matches!(e, TiltError::Config { .. }), "{e}");
+        assert!(e.to_string().contains("`epsilon`"), "{e}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The CLI's flags and the service's per-request fields name the same
 //! things: a backend, machine dimensions, routing and scheduling
 //! policies, a simulation method, a verification level and a noise
-//! model. Both decode into [`Overrides`], and
+//! model. Both decode through [`Overrides::set`], one table that holds
+//! each name's type check, name parser and error text, and
 //! [`EngineBuilder::overlay`] is the one place those names become an
 //! engine configuration: defaults, head clamping, inheritance from the
 //! base backend, and the rejection of dimensions a backend has no use
@@ -13,6 +14,7 @@ use crate::{Backend, BackendKind, EngineBuilder, SimMethod, VerifyLevel};
 use tilt_compiler::route::{LinqConfig, StochasticConfig};
 use tilt_compiler::{DeviceSpec, RouterKind, SchedulerKind};
 use tilt_qccd::QccdSpec;
+use tilt_report::Json;
 use tilt_scale::ScaleSpec;
 use tilt_sim::NoiseModel;
 
@@ -30,6 +32,17 @@ pub enum RouterName {
     Linq,
     /// The Qiskit-StochasticSwap-style baseline.
     Stochastic,
+}
+
+impl RouterName {
+    /// Parses a router name (`linq`, or `stochastic` alias `baseline`).
+    pub fn parse(name: &str) -> Option<RouterName> {
+        match name {
+            "linq" => Some(RouterName::Linq),
+            "stochastic" | "baseline" => Some(RouterName::Stochastic),
+            _ => None,
+        }
+    }
 }
 
 /// What a caller may name over a base engine configuration. Every field
@@ -62,44 +75,133 @@ pub struct Overrides {
     pub noise: Option<NoiseModel>,
 }
 
-/// Parses a backend name (`tilt`, `qccd`, `scaled`).
-pub fn parse_backend(name: &str) -> Result<BackendKind, String> {
-    match name {
-        "tilt" => Ok(BackendKind::Tilt),
-        "qccd" => Ok(BackendKind::Qccd),
-        "scaled" => Ok(BackendKind::Scaled),
-        other => Err(format!("unknown backend `{other}`")),
+/// An option value as a surface spells it.
+#[derive(Clone, Copy, Debug)]
+pub enum Value<'a> {
+    /// A command-line argument: `--max-swap-len 4` gives `Arg("4")`.
+    Arg(&'a str),
+    /// A field of a run request or a `configure` message.
+    Wire(&'a Json),
+}
+
+impl<'a> Value<'a> {
+    fn count(self, key: &str) -> Result<usize, String> {
+        match self {
+            Value::Arg(text) => text
+                .parse()
+                .map_err(|_| format!("invalid --{} value `{text}`", key.replace('_', "-"))),
+            Value::Wire(v) => match v.as_f64() {
+                Some(x) if x >= 0.0 && x.fract() == 0.0 => Ok(x as usize),
+                _ => Err(format!("`{key}` must be a non-negative integer")),
+            },
+        }
+    }
+
+    fn number(self, key: &str) -> Result<f64, String> {
+        match self {
+            Value::Arg(text) => text
+                .parse()
+                .map_err(|_| format!("invalid --{} `{text}`", key.replace('_', "-"))),
+            Value::Wire(v) => v
+                .as_f64()
+                .ok_or_else(|| format!("`{key}` must be a number")),
+        }
+    }
+
+    /// A name through its type's one parser; an unknown name is an
+    /// "unknown {noun}" error, followed by `expected`.
+    fn name<T>(
+        self,
+        key: &str,
+        parse: fn(&str) -> Option<T>,
+        noun: &str,
+        expected: &str,
+    ) -> Result<T, String> {
+        let name = match self {
+            Value::Arg(text) => text,
+            Value::Wire(v) => v
+                .as_str()
+                .ok_or_else(|| format!("`{key}` must be a string"))?,
+        };
+        parse(name).ok_or_else(|| format!("unknown {noun} `{name}`{expected}"))
+    }
+
+    /// A partial Eq. 4 object over `noise`, range-checked.
+    fn noise(self, key: &str, mut noise: NoiseModel) -> Result<NoiseModel, String> {
+        let Value::Wire(fields @ Json::Obj(_)) = self else {
+            return Err(format!("`{key}` must be an object"));
+        };
+        for (name, slot) in [
+            ("gamma_per_us", &mut noise.gamma_per_us),
+            ("epsilon", &mut noise.epsilon),
+            ("single_qubit_error", &mut noise.single_qubit_error),
+            ("measurement_error", &mut noise.measurement_error),
+            ("k_base", &mut noise.k_base),
+            ("n_ref", &mut noise.n_ref),
+        ] {
+            if let Some(v) = fields.get(name) {
+                *slot = v
+                    .as_f64()
+                    .ok_or_else(|| format!("noise field `{name}` must be a number"))?;
+            }
+        }
+        noise.validate()?;
+        Ok(noise)
     }
 }
 
-/// Parses a router name (`linq`, or `stochastic` alias `baseline`).
-pub fn parse_router(name: &str) -> Result<RouterName, String> {
-    match name {
-        "linq" => Ok(RouterName::Linq),
-        "stochastic" | "baseline" => Ok(RouterName::Stochastic),
-        other => Err(format!("unknown router `{other}`")),
+/// Every option name [`Overrides::set`] decodes, in the order a
+/// request's fields are decoded.
+pub const KEYS: [&str; 12] = [
+    "ions",
+    "head",
+    "max_swap_len",
+    "alpha",
+    "router",
+    "scheduler",
+    "method",
+    "verify",
+    "noise",
+    "backend",
+    "ions_per_trap",
+    "elu_ions",
+];
+
+impl Overrides {
+    /// Decodes `v` as option `key` into its field: the one decoder of
+    /// option names, with each one's type check, name parser and error
+    /// text, for CLI flags and wire fields alike. A `noise` object
+    /// overlays the model already set here (else the default) and must
+    /// pass [`NoiseModel::validate`].
+    ///
+    /// # Errors
+    ///
+    /// An unknown key, a wrongly typed value, an unknown name, or an
+    /// out-of-range noise model.
+    pub fn set(&mut self, key: &str, v: Value<'_>) -> Result<(), String> {
+        match key {
+            "ions" => self.ions = Some(v.count(key)?),
+            "head" => self.head = Some(v.count(key)?),
+            "ions_per_trap" => self.ions_per_trap = Some(v.count(key)?),
+            "elu_ions" => self.elu_ions = Some(v.count(key)?),
+            "max_swap_len" => self.max_swap_len = Some(v.count(key)?),
+            "alpha" => self.alpha = Some(v.number(key)?),
+            "backend" => self.backend = Some(v.name(key, BackendKind::parse, key, "")?),
+            "router" => self.router = Some(v.name(key, RouterName::parse, key, "")?),
+            "scheduler" => self.scheduler = Some(v.name(key, SchedulerKind::parse, key, "")?),
+            "method" => {
+                let expected = " (expected auto, statevec, or stabilizer)";
+                self.method = Some(v.name(key, SimMethod::parse, key, expected)?);
+            }
+            "verify" => {
+                let expected = " (expected off, warn, or strict)";
+                self.verify = Some(v.name(key, VerifyLevel::parse, "verify level", expected)?);
+            }
+            "noise" => self.noise = Some(v.noise(key, self.noise.unwrap_or_default())?),
+            _ => return Err(format!("unknown option `{key}`")),
+        }
+        Ok(())
     }
-}
-
-/// Parses a scheduler name (`greedy`, `naive`).
-pub fn parse_scheduler(name: &str) -> Result<SchedulerKind, String> {
-    match name {
-        "greedy" => Ok(SchedulerKind::GreedyMaxExecutable),
-        "naive" => Ok(SchedulerKind::NaiveNextGate),
-        other => Err(format!("unknown scheduler `{other}`")),
-    }
-}
-
-/// Parses a simulation method name (`auto`, `statevec`, `stabilizer`).
-pub fn parse_method(name: &str) -> Result<SimMethod, String> {
-    SimMethod::parse(name)
-        .ok_or_else(|| format!("unknown method `{name}` (expected auto, statevec, or stabilizer)"))
-}
-
-/// Parses a verification level name (`off`, `warn`, `strict`).
-pub fn parse_verify(name: &str) -> Result<VerifyLevel, String> {
-    VerifyLevel::parse(name)
-        .ok_or_else(|| format!("unknown verify level `{name}` (expected off, warn, or strict)"))
 }
 
 impl EngineBuilder {

@@ -26,6 +26,15 @@ pub enum BackendKind {
     Scaled,
 }
 
+impl BackendKind {
+    /// Parses the spelling [`Display`](std::fmt::Display) writes.
+    pub fn parse(name: &str) -> Option<BackendKind> {
+        [BackendKind::Tilt, BackendKind::Qccd, BackendKind::Scaled]
+            .into_iter()
+            .find(|b| b.to_string() == name)
+    }
+}
+
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {

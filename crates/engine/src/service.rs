@@ -39,20 +39,14 @@
 //!   compiling** (checked at enqueue and again at window dequeue). The
 //!   CLI's `--default-deadline-ms` supplies a default for requests that
 //!   name none.
-//! * Per-request **overrides** (each optional; present ⇒ the request
-//!   compiles under an engine built from the session prototype with
-//!   these fields overlaid, and caches under that engine's config
-//!   fingerprint): `backend` (`"tilt"|"qccd"|"scaled"`), `ions` (tilt
-//!   only), `head` (tilt, and the per-ELU head for scaled),
-//!   `router` (`"linq"|"stochastic"`), `max_swap_len`, `alpha`,
-//!   `scheduler` (`"greedy"|"naive"`), `ions_per_trap` (qccd),
-//!   `elu_ions` (scaled),
-//!   `verify` (`"off"|"warn"|"strict"` — run the static program-invariant
-//!   verifier over the compiled artifacts; `strict` fails the request
-//!   with kind `verify_failed` on any error-severity finding),
-//!   and `noise` (an object overriding any subset of the Eq. 4 model:
-//!   `gamma_per_us`, `epsilon`, `single_qubit_error`,
-//!   `measurement_error`, `k_base`, `n_ref`).
+//! * Per-request **overrides**: each name in
+//!   [`overlay::KEYS`](crate::overlay::KEYS), decoded by the one table
+//!   in [`Overrides::set`] that the CLI's flags use too. Present ⇒ the
+//!   request compiles under an engine built from the session prototype
+//!   with these fields overlaid, and caches under that engine's config
+//!   fingerprint. `noise` is a partial Eq. 4 object over the session's
+//!   model; `"verify":"strict"` fails the request with kind
+//!   `verify_failed` on any error-severity finding.
 //!
 //! # Streaming runs
 //!
@@ -155,8 +149,9 @@
 //! lane: it is shed if its deadline has passed, answered from the cache
 //! if its `(circuit, config)` pair is resident (parsed payloads only),
 //! shed if admission refuses it, and otherwise joins the window or, for
-//! a stream, runs at once. The window holds at most [`Service::window`]
-//! requests under **one config fingerprint** and fans out through
+//! a stream, runs at once. The window holds up to its bound of requests
+//! ([`Service::with_window`]), all under **one config fingerprint**,
+//! and fans out through
 //! [`Engine::run_batch_streaming`], which preserves submission order:
 //! consecutive requests under one config — the session's, or the same
 //! override fields repeated — compile in parallel and share its
@@ -188,8 +183,9 @@
 use crate::admission::{AdmissionControl, AdmissionPermit};
 use crate::batch::default_window;
 use crate::cache::{CacheCounters, CacheKey, CompileCache, WireReport};
+use crate::overlay::{self, Value};
 use crate::stream::{StreamOutcome, DEFAULT_STREAM_WINDOW};
-use crate::{overlay, Backend, Engine, EngineBuilder, Overrides, RunReport, TiltError};
+use crate::{Backend, Engine, EngineBuilder, Overrides, RunReport, TiltError};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -199,7 +195,6 @@ use tilt_circuit::{qasm, Circuit, Gate};
 use tilt_compiler::{OpLines, TiltOp};
 use tilt_hash::{Digest, Hasher};
 use tilt_report::Json;
-use tilt_sim::NoiseModel;
 
 /// Log-linear latency buckets: one per µs below 16 µs, then 8 per power
 /// of two up to 2^40 µs ≈ 12 days — far beyond any single compile.
@@ -226,24 +221,6 @@ const PARSE_MEMO_MAX_BYTES: usize = 64 << 20;
 /// the paper's machines and any request the estimators finish in
 /// reasonable time; the operator's own `--ions` is not capped.
 const MAX_REQUEST_IONS: usize = 4096;
-
-/// Request fields that trigger a per-request override engine (also the
-/// fields a `configure` message accepts). Streaming requests reject
-/// these — they compile through the shared session only.
-const OVERRIDE_KEYS: [&str; 12] = [
-    "backend",
-    "ions",
-    "head",
-    "router",
-    "max_swap_len",
-    "alpha",
-    "scheduler",
-    "ions_per_trap",
-    "elu_ions",
-    "noise",
-    "method",
-    "verify",
-];
 
 /// A fixed-size log-linear latency histogram: bounded memory no matter
 /// how many requests stream through, and quantiles that overstate the
@@ -610,17 +587,6 @@ impl Service {
     pub fn with_window(mut self, window: usize) -> Service {
         self.window = if window > 0 { window } else { default_window() };
         self
-    }
-
-    /// The in-flight window bound.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Counters so far (useful after [`Service::serve`] returns the
-    /// summary by value).
-    pub fn stats(&self) -> &ServiceStats {
-        &self.stats
     }
 
     /// Runs the JSON-lines loop until EOF, a shutdown request, or the
@@ -1105,18 +1071,12 @@ impl Service {
             None | Some("run") => self
                 .parse_run(&obj, id.clone(), enqueued)
                 .map(|item| Request::Run(Box::new(item))),
-            Some("configure") => self.override_builder(&obj, None).and_then(|builder| {
-                let rebind = match builder {
-                    None => None,
-                    Some(builder) => {
-                        let engine = builder.clone().build().map_err(|e| e.to_string())?;
-                        Some(Box::new((builder, engine)))
-                    }
-                };
-                Ok(Request::Configure {
+            Some("configure") => self.override_engine(&obj, None).map(|rebind| {
+                let rebind = rebind.map(Box::new);
+                Request::Configure {
                     id: id.clone(),
                     rebind,
-                })
+                }
             }),
             Some("stats") => Ok(Request::Stats),
             Some("shutdown") => Ok(Request::Shutdown),
@@ -1146,7 +1106,7 @@ impl Service {
             // Streaming runs never materialize a Circuit, so every
             // override path (which sizes its machine to the parsed
             // circuit) is off the table by construction.
-            if OVERRIDE_KEYS.iter().any(|k| obj.get(k).is_some()) {
+            if overlay::KEYS.iter().any(|k| obj.get(k).is_some()) {
                 return Err("streaming requests compile through the shared session and \
                      accept no per-request overrides; send {\"op\":\"configure\"} \
                      first to rebind"
@@ -1196,9 +1156,9 @@ impl Service {
                 }
             };
             let deadline = self.parse_deadline(obj, enqueued)?;
-            let engine = match self.override_builder(obj, Some(circuit.as_ref()))? {
+            let engine = match self.override_engine(obj, Some(circuit.as_ref()))? {
                 None => Arc::clone(&self.engine),
-                Some(builder) => Arc::new(builder.build().map_err(|e| e.to_string())?),
+                Some((_, engine)) => Arc::new(engine),
             };
             let payload = Payload::Parsed {
                 circuit: Some(circuit),
@@ -1234,60 +1194,43 @@ impl Service {
         }
     }
 
-    /// Builds the engine prototype a request's override fields (or a
-    /// `configure` message's fields) describe; `Ok(None)` when no
+    /// Builds the engine (and its prototype) a request's override
+    /// fields, or a `configure` message's, describe; `Ok(None)` when no
     /// override field is present. `circuit` sizes machine defaults for
     /// run requests; a `configure` message (no circuit) sizes them to
     /// the current session instead.
-    fn override_builder(
+    fn override_engine(
         &self,
         obj: &Json,
         circuit: Option<&Circuit>,
-    ) -> Result<Option<EngineBuilder>, String> {
-        if !OVERRIDE_KEYS.iter().any(|k| obj.get(k).is_some()) {
+    ) -> Result<Option<(EngineBuilder, Engine)>, String> {
+        if !overlay::KEYS.iter().any(|k| obj.get(k).is_some()) {
             return Ok(None);
         }
-        let count = |key: &str| match obj.get(key).map(Json::as_f64) {
-            None => Ok(None),
-            Some(Some(x)) if x >= 0.0 && x.fract() == 0.0 => Ok(Some(x as usize)),
-            Some(_) => Err(format!("`{key}` must be a non-negative integer")),
+        // A partial `noise` object overlays the session's model.
+        let mut o = Overrides {
+            noise: Some(self.proto.noise),
+            ..Overrides::default()
         };
-        // Machine dimensions additionally respect the service cap —
-        // unbounded values would turn one request into a process-wide
-        // allocation abort.
-        let dim = |key: &str| match count(key)? {
-            Some(x) if x > MAX_REQUEST_IONS => Err(format!(
-                "`{key}` of {x} exceeds the service cap of {MAX_REQUEST_IONS}"
-            )),
-            other => Ok(other),
-        };
-        let name = |key: &str| {
-            obj.get(key)
-                .map(|v| {
-                    v.as_str()
-                        .ok_or_else(|| format!("`{key}` must be a string"))
-                })
-                .transpose()
-        };
-        let overrides = Overrides {
-            ions: dim("ions")?,
-            head: dim("head")?,
-            max_swap_len: count("max_swap_len")?,
-            alpha: obj
-                .get("alpha")
-                .map(|v| v.as_f64().ok_or("`alpha` must be a number"))
-                .transpose()?,
-            router: name("router")?.map(overlay::parse_router).transpose()?,
-            scheduler: name("scheduler")?
-                .map(overlay::parse_scheduler)
-                .transpose()?,
-            method: name("method")?.map(overlay::parse_method).transpose()?,
-            verify: name("verify")?.map(overlay::parse_verify).transpose()?,
-            noise: self.noise_overlay(obj)?,
-            backend: name("backend")?.map(overlay::parse_backend).transpose()?,
-            ions_per_trap: dim("ions_per_trap")?,
-            elu_ions: dim("elu_ions")?,
-        };
+        for key in overlay::KEYS {
+            if let Some(value) = obj.get(key) {
+                o.set(key, Value::Wire(value))?;
+            }
+        }
+        // Machine dimensions respect the service cap — unbounded values
+        // would turn one request into a process-wide allocation abort.
+        for (key, dim) in [
+            ("ions", o.ions),
+            ("head", o.head),
+            ("ions_per_trap", o.ions_per_trap),
+            ("elu_ions", o.elu_ions),
+        ] {
+            if let Some(x) = dim.filter(|&x| x > MAX_REQUEST_IONS) {
+                return Err(format!(
+                    "`{key}` of {x} exceeds the service cap of {MAX_REQUEST_IONS}"
+                ));
+            }
+        }
         // A run request sizes its machine to its circuit, a `configure`
         // message (no circuit) to the session's capacity.
         let width = circuit.map(Circuit::n_qubits).unwrap_or_else(|| {
@@ -1299,35 +1242,9 @@ impl Service {
                 Backend::Scaled(_) => 64,
             }
         });
-        self.proto.clone().overlay(&overrides, width).map(Some)
-    }
-
-    /// The session's noise model with a request's `noise` fields (any
-    /// subset of the Eq. 4 model) laid over it.
-    fn noise_overlay(&self, obj: &Json) -> Result<Option<NoiseModel>, String> {
-        let Some(n) = obj.get("noise") else {
-            return Ok(None);
-        };
-        if !matches!(n, Json::Obj(_)) {
-            return Err("`noise` must be an object".into());
-        }
-        let field = |key: &str, base: f64| -> Result<f64, String> {
-            match n.get(key) {
-                None => Ok(base),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| format!("noise field `{key}` must be a number")),
-            }
-        };
-        let base = self.proto.noise;
-        Ok(Some(NoiseModel {
-            gamma_per_us: field("gamma_per_us", base.gamma_per_us)?,
-            epsilon: field("epsilon", base.epsilon)?,
-            single_qubit_error: field("single_qubit_error", base.single_qubit_error)?,
-            measurement_error: field("measurement_error", base.measurement_error)?,
-            k_base: field("k_base", base.k_base)?,
-            n_ref: field("n_ref", base.n_ref)?,
-        }))
+        let builder = self.proto.clone().overlay(&o, width)?;
+        let engine = builder.clone().build().map_err(|e| e.to_string())?;
+        Ok(Some((builder, engine)))
     }
 }
 
@@ -1689,6 +1606,47 @@ mod tests {
         assert!(ok(&resps[1]), "{:?}", resps[1]);
         assert_eq!(resps[1].get("backend").unwrap().as_str(), Some("scaled"));
         assert!(resps[1].get("epr_pairs").unwrap().as_f64().unwrap() >= 1.0);
+    }
+
+    #[test]
+    fn out_of_range_noise_is_an_invalid_request_and_never_cached() {
+        // Eq. 4 outside its domain used to answer "ok" with a success of
+        // 127.6, or with null numbers, and cache the result.
+        let mut s = tilt_service(4, 2);
+        let qasm = "qreg q[4];\\nh q[0];\\ncx q[0], q[3];\\n";
+        let input: String = [
+            r#""epsilon":-1"#,
+            r#""single_qubit_error":2"#,
+            r#""measurement_error":-0.5"#,
+            r#""n_ref":0"#,
+            r#""gamma_per_us":1e999"#,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, field)| format!("{{\"id\":{i},\"noise\":{{{field}}},\"qasm\":\"{qasm}\"}}\n"))
+        .collect();
+        let (resps, summary) = drive(&mut s, &input);
+        assert_eq!(resps.len(), 5);
+        for (resp, field) in resps.iter().zip([
+            "epsilon",
+            "single_qubit_error",
+            "measurement_error",
+            "n_ref",
+            "gamma_per_us",
+        ]) {
+            assert_eq!(err_kind(resp), "invalid_request", "{resp:?}");
+            assert!(
+                err_msg(resp).contains(&format!("noise field `{field}`")),
+                "{resp:?}"
+            );
+        }
+        assert_eq!(summary.cache.entries, 0);
+        // In range, the same request compiles.
+        let line = format!(
+            "{{\"noise\":{{\"epsilon\":0.001,\"single_qubit_error\":1}},\"qasm\":\"{qasm}\"}}\n"
+        );
+        let (resps, _) = drive(&mut s, &line);
+        assert!(ok(&resps[0]), "{:?}", resps[0]);
     }
 
     #[test]

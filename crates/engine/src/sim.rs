@@ -43,12 +43,9 @@ pub enum SimMethod {
 impl SimMethod {
     /// Parses the wire/CLI spelling.
     pub fn parse(name: &str) -> Option<SimMethod> {
-        match name {
-            "auto" => Some(SimMethod::Auto),
-            "statevec" => Some(SimMethod::Statevec),
-            "stabilizer" => Some(SimMethod::Stabilizer),
-            _ => None,
-        }
+        [SimMethod::Auto, SimMethod::Statevec, SimMethod::Stabilizer]
+            .into_iter()
+            .find(|m| m.to_string() == name)
     }
 
     /// Stable tag for config fingerprinting.
@@ -78,6 +75,15 @@ pub enum SimulatorKind {
     Statevec,
     /// Stabilizer tableau.
     Stabilizer,
+}
+
+impl SimulatorKind {
+    /// Parses the spelling [`Display`](std::fmt::Display) writes.
+    pub fn parse(name: &str) -> Option<SimulatorKind> {
+        [SimulatorKind::Statevec, SimulatorKind::Stabilizer]
+            .into_iter()
+            .find(|s| s.to_string() == name)
+    }
 }
 
 impl std::fmt::Display for SimulatorKind {

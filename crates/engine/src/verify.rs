@@ -39,12 +39,9 @@ pub enum VerifyLevel {
 impl VerifyLevel {
     /// Parses the wire/CLI spelling.
     pub fn parse(name: &str) -> Option<VerifyLevel> {
-        match name {
-            "off" => Some(VerifyLevel::Off),
-            "warn" => Some(VerifyLevel::Warn),
-            "strict" => Some(VerifyLevel::Strict),
-            _ => None,
-        }
+        [VerifyLevel::Off, VerifyLevel::Warn, VerifyLevel::Strict]
+            .into_iter()
+            .find(|l| l.to_string() == name)
     }
 
     /// Stable tag for config fingerprinting.

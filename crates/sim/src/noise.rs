@@ -64,6 +64,38 @@ impl Default for NoiseModel {
 }
 
 impl NoiseModel {
+    /// Checks every field is finite and in range: `gamma_per_us`,
+    /// `epsilon` and `k_base` ≥ 0, the two error rates in [0, 1], and
+    /// `n_ref` > 0. Out of range, Eq. 4 yields "success" above 1 or no
+    /// number at all.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let fields = [
+            ("gamma_per_us", self.gamma_per_us, "≥ 0"),
+            ("epsilon", self.epsilon, "≥ 0"),
+            ("single_qubit_error", self.single_qubit_error, "in [0, 1]"),
+            ("measurement_error", self.measurement_error, "in [0, 1]"),
+            ("k_base", self.k_base, "≥ 0"),
+            ("n_ref", self.n_ref, "> 0"),
+        ];
+        for (name, x, range) in fields {
+            let in_range = match range {
+                "≥ 0" => x >= 0.0,
+                "> 0" => x > 0.0,
+                _ => (0.0..=1.0).contains(&x),
+            };
+            if !(x.is_finite() && in_range) {
+                return Err(format!(
+                    "noise field `{name}` must be finite and {range}, got {x}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Per-shuttle heating `k` for a chain of `n_ions`, scaled by `√n`
     /// relative to the reference chain (§IV-E).
     pub fn k_for_chain(&self, n_ions: usize) -> f64 {
@@ -157,5 +189,63 @@ mod tests {
     fn single_qubit_fidelity_is_thermal_independent() {
         let n = NoiseModel::default();
         assert_eq!(n.single_qubit_fidelity(), 1.0 - n.single_qubit_error);
+    }
+
+    #[test]
+    fn validate_accepts_the_domain_and_names_the_field_outside_it() {
+        let d = NoiseModel::default();
+        assert_eq!(d.validate(), Ok(()));
+        let edges = NoiseModel {
+            gamma_per_us: 0.0,
+            epsilon: 0.0,
+            single_qubit_error: 1.0,
+            measurement_error: 0.0,
+            k_base: 0.0,
+            n_ref: 1e-9,
+        };
+        assert_eq!(edges.validate(), Ok(()));
+        let bad = [
+            (
+                "gamma_per_us",
+                NoiseModel {
+                    gamma_per_us: -1e-9,
+                    ..d
+                },
+            ),
+            (
+                "gamma_per_us",
+                NoiseModel {
+                    gamma_per_us: f64::INFINITY,
+                    ..d
+                },
+            ),
+            ("epsilon", NoiseModel { epsilon: -1.0, ..d }),
+            (
+                "single_qubit_error",
+                NoiseModel {
+                    single_qubit_error: 1.5,
+                    ..d
+                },
+            ),
+            (
+                "measurement_error",
+                NoiseModel {
+                    measurement_error: -0.1,
+                    ..d
+                },
+            ),
+            (
+                "k_base",
+                NoiseModel {
+                    k_base: f64::NAN,
+                    ..d
+                },
+            ),
+            ("n_ref", NoiseModel { n_ref: 0.0, ..d }),
+        ];
+        for (field, model) in bad {
+            let e = model.validate().unwrap_err();
+            assert!(e.contains(&format!("`{field}`")), "{field}: {e}");
+        }
     }
 }
