@@ -458,6 +458,45 @@ mod tests {
             let kind = resp.get_path("error.kind").and_then(Json::as_str);
             assert_eq!(kind, Some("invalid_request"), "{key}: {json}: {resp:?}");
         }
+        // Another backend's dimension is refused with one text, not
+        // silently dropped.
+        let inapplicable: [(&[&str], &str, &str); 4] = [
+            (
+                &["--ions-per-trap", "5"],
+                r#""ions_per_trap":5"#,
+                "`ions_per_trap` does not apply to the tilt backend",
+            ),
+            (
+                &["--backend", "scaled", "--ions-per-trap", "5"],
+                r#""backend":"scaled","ions_per_trap":5"#,
+                "`ions_per_trap` does not apply to the scaled backend",
+            ),
+            (
+                &["--elu-ions", "10"],
+                r#""elu_ions":10"#,
+                "`elu_ions` does not apply to the tilt backend",
+            ),
+            (
+                &["--backend", "qccd", "--elu-ions", "10"],
+                r#""backend":"qccd","elu_ions":10"#,
+                "`elu_ions` does not apply to the qccd backend",
+            ),
+        ];
+        for (flags, fields, want) in inapplicable {
+            let e = cli(flags).err();
+            assert!(
+                e.as_deref().is_some_and(|e| e.contains(want)),
+                "{flags:?}: {e:?}"
+            );
+            let (resp, _) = wire(fields);
+            let kind = resp.get_path("error.kind").and_then(Json::as_str);
+            assert_eq!(kind, Some("invalid_request"), "{fields}: {resp:?}");
+            let message = resp.get_path("error.message").and_then(Json::as_str);
+            assert!(
+                message.is_some_and(|m| m.contains(want)),
+                "{fields}: {resp:?}"
+            );
+        }
         // Every decoder name is a CLI flag covered above, or wire-only.
         for key in tilt_engine::overlay::KEYS {
             let flag = format!("--{}", key.replace('_', "-"));

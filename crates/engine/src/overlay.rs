@@ -216,7 +216,8 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// A dimension the target backend has no use for (`ions` on QCCD or
-    /// the ELU array, `head` on QCCD), or an invalid machine.
+    /// the ELU array, `head` on QCCD, `ions_per_trap` off QCCD,
+    /// `elu_ions` off the ELU array), or an invalid machine.
     pub fn overlay(mut self, o: &Overrides, width: usize) -> Result<EngineBuilder, String> {
         let base = self.backend;
         let base_tape = match base {
@@ -257,6 +258,8 @@ impl EngineBuilder {
         };
         let backend = match kind {
             BackendKind::Tilt => {
+                inapplicable("ions_per_trap", o.ions_per_trap, "ions")?;
+                inapplicable("elu_ions", o.elu_ions, "ions")?;
                 let ions = o
                     .ions
                     .or(base_tape.map(|s| s.n_ions()))
@@ -270,6 +273,7 @@ impl EngineBuilder {
             BackendKind::Qccd => {
                 inapplicable("ions", o.ions, "ions_per_trap")?;
                 inapplicable("head", o.head, "ions_per_trap")?;
+                inapplicable("elu_ions", o.elu_ions, "ions_per_trap")?;
                 let base_qccd = match base {
                     Some(Backend::Qccd(spec)) => Some(spec),
                     _ => None,
@@ -288,6 +292,7 @@ impl EngineBuilder {
             }
             BackendKind::Scaled => {
                 inapplicable("ions", o.ions, "elu_ions")?;
+                inapplicable("ions_per_trap", o.ions_per_trap, "elu_ions")?;
                 let base_elu = match base {
                     Some(Backend::Scaled(spec)) => Some(spec),
                     _ => None,

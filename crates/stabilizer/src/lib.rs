@@ -1,17 +1,33 @@
 //! Stabilizer (Clifford) simulation for QEC-scale workloads.
 //!
 //! An Aaronson–Gottesman CHP tableau simulator
-//! ([arXiv:quant-ph/0406196]) over the workspace's circuit IR. Where
-//! the dense state vector needs `2^n` amplitudes — capping the engine
-//! at a couple dozen qubits — the tableau stores `~n²/2` **bits**
-//! (0.5 MB at 1000 qubits), so syndrome-extraction circuits for
-//! 500+-qubit error-correction experiments simulate in milliseconds.
-//! The price: only Clifford programs qualify. Gates outside the group
-//! (`t`, `ccx`, rotations off the π/2 grid, `cp` off the π grid) are
-//! rejected with a structured [`NonCliffordGate`] error naming the
-//! gate and its program index, never silently approximated.
+//! ([arXiv:quant-ph/0406196]) over the workspace's circuit IR, in the
+//! qubit-major layout of Gidney's Stim ([arXiv:2103.02202]). Where the
+//! dense state vector needs `2^n` amplitudes — capping the engine at a
+//! couple dozen qubits — the tableau stores `4n²` **bits** (125 KiB at
+//! 501 qubits, 0.5 MB at 1000), so syndrome-extraction circuits for
+//! 500+-qubit error-correction experiments simulate in about a
+//! millisecond. The price: only Clifford programs qualify. Gates
+//! outside the group (`t`, `ccx`, rotations off the π/2 grid, `cp` off
+//! the π grid) are rejected with a structured [`NonCliffordGate`] error
+//! naming the gate and its program index, never silently approximated.
+//!
+//! **Layout.** Column `q` of the X and Z planes holds qubit `q`'s bit
+//! of every destabilizer and stabilizer row, so a gate is a few word
+//! operations over its operands' columns, and the search for a
+//! stabilizer that anticommutes with `Z_q` scans one column.
+//!
+//! **Sign cache.** The same columns are the bits of `U†X_qU` and
+//! `U†Z_qU` (the state is `U|0…0⟩`). [`Tableau`] caches their signs
+//! and updates them per gate, so a deterministic measurement reads its
+//! outcome from the cached sign of `U†Z_qU` in `O(n/64)`. A random
+//! measurement forgets the cache. A deterministic read whose sign is
+//! not known takes the fallback: it multiplies the contributing
+//! stabilizers column by column and caches the result. A circuit
+//! without random measurements never takes the fallback.
 //!
 //! [arXiv:quant-ph/0406196]: https://arxiv.org/abs/quant-ph/0406196
+//! [arXiv:2103.02202]: https://arxiv.org/abs/2103.02202
 //!
 //! # Example
 //!
@@ -98,7 +114,11 @@ impl StabilizerRun {
 /// [`NonCliffordGate`] at the first unsupported gate; the partial state
 /// is discarded.
 pub fn run(circuit: &Circuit, seed: u64) -> Result<StabilizerRun, NonCliffordGate> {
-    let mut t = Tableau::new(circuit.n_qubits());
+    run_on(&mut Tableau::new(circuit.n_qubits()), circuit, seed)
+}
+
+/// [`run`] on a given tableau, left for the caller to inspect.
+fn run_on(t: &mut Tableau, circuit: &Circuit, seed: u64) -> Result<StabilizerRun, NonCliffordGate> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut out = StabilizerRun {
         outcomes: Vec::new(),
@@ -529,5 +549,36 @@ mod tests {
         assert_eq!(r.outcomes.len(), 2_751);
         assert_eq!(r.deterministic_measurements, 2_751);
         assert!(r.outcomes.iter().all(|&b| !b));
+    }
+
+    /// Runner-independent gate on the sign cache: the fallback count
+    /// depends only on the circuit.
+    mod fallback_gate {
+        use super::*;
+
+        #[test]
+        fn quiet_repetition_code_never_takes_the_fallback() {
+            let c = tilt_benchmarks::qec::repetition_code(251, 10);
+            let mut t = Tableau::new(c.n_qubits());
+            let r = run_on(&mut t, &c, 7).unwrap();
+            assert_eq!(r.deterministic_measurements, 2_751);
+            assert_eq!(t.fallbacks, 0, "every syndrome read comes from the cache");
+        }
+
+        #[test]
+        fn a_read_after_a_random_measurement_takes_the_fallback() {
+            let mut c = Circuit::new(2);
+            c.h(q(0));
+            c.cnot(q(0), q(1));
+            c.measure(q(0));
+            c.measure(q(1));
+            let mut t = Tableau::new(2);
+            let r = run_on(&mut t, &c, 7).unwrap();
+            assert_eq!(
+                (r.random_measurements, r.deterministic_measurements),
+                (1, 1)
+            );
+            assert!(t.fallbacks >= 1, "the random read forgot the cache");
+        }
     }
 }
