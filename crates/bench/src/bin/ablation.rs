@@ -1,26 +1,35 @@
-//! Ablations of the design choices called out in DESIGN.md §5:
+//! Ablations of the design choices the paper fixes without evaluating:
 //!
-//! 1. Eq. 1 look-ahead decay `α` (QFT, head 16)
+//! 1. Eq. 1 look-ahead decay `α` (QFT, head 16). The paper fixes `α` in
+//!    `(0, 1)` without publishing it; the shipped 0.9 is not the best
+//!    value of this sweep (0.7 routes QFT with fewer swaps and moves).
 //! 2. look-ahead window size, where a window of 1 reduces Algorithm 1 to
 //!    current-gate greediness and suppresses opposing swaps
-//! 3. tape scheduler: Algorithm 2 greedy vs naive next-gate
+//! 3. tape scheduler: Algorithm 2 greedy (Eq. 2) vs
+//!    `SchedulerKind::NaiveNextGate`, which parks the head over the
+//!    oldest ready gate
 //! 4. `k ∝ √n` heating scaling vs constant `k`
 //! 5. QCCD sympathetic cooling on/off
 //! 6. initial-mapping strategy (BV, head 16)
 //! 7. LinQ optimality gap vs the exact minimal-swap router
 //!
-//! Run with: `cargo run --release -p bench --bin ablation`
+//! Every study but the last runs through `Engine::run`; the engine has
+//! no exact router, so study 7 compares swap counts from
+//! `RouterKind::route` and `optimal_route` directly.
+//!
+//! Run with: `cargo run --release -p tilt-bench --bin ablation`
 
-use bench::evaluate_tilt;
+use bench::run_tilt;
 use tilt_benchmarks::{bv::bv64, qaoa::qaoa64, qft::qft64, rcs::rcs64};
 use tilt_circuit::{Circuit, Qubit};
 use tilt_compiler::mapping::{InitialMapping, Mapping};
 use tilt_compiler::route::exact::{optimal_route, ExactConfig};
 use tilt_compiler::route::LinqConfig;
-use tilt_compiler::{Compiler, DeviceSpec, RouterKind, SchedulerKind};
-use tilt_qccd::{compile_qccd, estimate_qccd_success, QccdParams, QccdSpec};
+use tilt_compiler::{DeviceSpec, RouterKind, SchedulerKind};
+use tilt_engine::{Backend, EngineBuilder};
+use tilt_qccd::{QccdParams, QccdSpec};
 use tilt_report::{fmt_success, Table};
-use tilt_sim::{estimate_success, GateTimeModel, NoiseModel};
+use tilt_sim::NoiseModel;
 
 fn main() {
     alpha_sweep();
@@ -32,6 +41,10 @@ fn main() {
     optimality_gap();
 }
 
+fn linq(cfg: LinqConfig) -> EngineBuilder {
+    EngineBuilder::default().router(RouterKind::Linq(cfg))
+}
+
 fn alpha_sweep() {
     println!("Ablation 1: Eq. 1 look-ahead decay α (QFT, head 16)\n");
     let circuit = qft64();
@@ -41,14 +54,14 @@ fn alpha_sweep() {
             alpha,
             ..LinqConfig::default()
         };
-        let eval = evaluate_tilt(&circuit, 16, RouterKind::Linq(cfg));
-        let r = &eval.output.report;
+        let run = run_tilt(&circuit, 16, linq(cfg));
+        let r = &run.tilt_output().expect("a TILT run").report;
         table.row([
             format!("{alpha}"),
             r.swap_count.to_string(),
             format!("{:.2}", r.opposing_ratio),
             r.move_count.to_string(),
-            fmt_success(eval.success.success),
+            fmt_success(run.success),
         ]);
     }
     println!("{}", table.render());
@@ -65,14 +78,14 @@ fn lookahead_window() {
             lookahead,
             ..LinqConfig::default()
         };
-        let eval = evaluate_tilt(&circuit, 16, RouterKind::Linq(cfg));
-        let r = &eval.output.report;
+        let run = run_tilt(&circuit, 16, linq(cfg));
+        let r = &run.tilt_output().expect("a TILT run").report;
         table.row([
             lookahead.to_string(),
             r.swap_count.to_string(),
             format!("{:.2}", r.opposing_ratio),
             r.move_count.to_string(),
-            fmt_success(eval.success.success),
+            fmt_success(run.success),
         ]);
     }
     println!("{}", table.render());
@@ -88,20 +101,12 @@ fn scheduler_choice() {
             ("greedy (Alg. 2)", SchedulerKind::GreedyMaxExecutable),
             ("naive next-gate", SchedulerKind::NaiveNextGate),
         ] {
-            let spec = DeviceSpec::new(circuit.n_qubits(), 16).unwrap();
-            let mut compiler = Compiler::new(spec);
-            compiler.scheduler(kind);
-            let out = compiler.compile(&circuit).unwrap();
-            let s = estimate_success(
-                &out.program,
-                &NoiseModel::default(),
-                &GateTimeModel::default(),
-            );
+            let run = run_tilt(&circuit, 16, EngineBuilder::default().scheduler(kind));
             table.row([
                 name.to_string(),
                 label.to_string(),
-                out.report.move_count.to_string(),
-                fmt_success(s.success),
+                run.compile.move_count.to_string(),
+                fmt_success(run.success),
             ]);
         }
     }
@@ -113,8 +118,6 @@ fn scheduler_choice() {
 fn heating_scaling() {
     println!("Ablation 4: k ∝ √n heating scaling vs constant k (QFT, head 16)\n");
     let circuit = qft64();
-    let eval = evaluate_tilt(&circuit, 16, RouterKind::default());
-    let times = GateTimeModel::default();
     let sqrt_n = NoiseModel::default();
     // Constant-k model: the 64-ion chain heats like the 8-ion reference.
     let constant = NoiseModel {
@@ -123,11 +126,11 @@ fn heating_scaling() {
     };
     let mut table = Table::new(["heating model", "k(64)", "success"]);
     for (label, noise) in [("k ∝ √n (paper)", sqrt_n), ("constant k", constant)] {
-        let s = estimate_success(&eval.output.program, &noise, &times);
+        let run = run_tilt(&circuit, 16, EngineBuilder::default().noise(noise));
         table.row([
             label.to_string(),
             format!("{:.3}", noise.k_for_chain(64)),
-            fmt_success(s.success),
+            fmt_success(run.success),
         ]);
     }
     println!("{}", table.render());
@@ -137,17 +140,20 @@ fn heating_scaling() {
 
 fn qccd_cooling() {
     println!("Ablation 5: QCCD sympathetic cooling (QAOA)\n");
-    let native = tilt_compiler::decompose::decompose(&qaoa64());
+    let circuit = qaoa64();
     let spec = QccdSpec::for_qubits(64, 17).unwrap();
-    let program = compile_qccd(&native, &spec).unwrap();
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
     let mut table = Table::new(["cooling", "rounds", "peak quanta", "success"]);
     for (label, params) in [
         ("on (default)", QccdParams::default()),
         ("off", QccdParams::default().without_cooling()),
     ] {
-        let r = estimate_qccd_success(&program, &noise, &times, &params);
+        let run = EngineBuilder::default()
+            .backend(Backend::Qccd(spec))
+            .qccd_params(params)
+            .build()
+            .and_then(|engine| engine.run(&circuit))
+            .expect("QAOA fits 17-ion traps");
+        let r = run.qccd_report().expect("a QCCD run");
         table.row([
             label.to_string(),
             r.cooling_rounds.to_string(),
@@ -164,8 +170,6 @@ fn qccd_cooling() {
 fn initial_mapping_study() {
     println!("Ablation 6: initial-mapping strategy (BV, head 16)\n");
     let circuit = bv64();
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
     let mut table = Table::new(["strategy", "#swaps", "#moves", "success"]);
     let strategies = [
         ("identity", InitialMapping::Identity),
@@ -174,15 +178,16 @@ fn initial_mapping_study() {
         ("random (seed 1)", InitialMapping::Random(1)),
     ];
     for (label, strategy) in strategies {
-        let mut compiler = Compiler::new(DeviceSpec::tilt64(16));
-        compiler.initial_mapping(strategy);
-        let out = compiler.compile(&circuit).expect("BV compiles");
-        let s = estimate_success(&out.program, &noise, &times);
+        let run = run_tilt(
+            &circuit,
+            16,
+            EngineBuilder::default().initial_mapping(strategy),
+        );
         table.row([
             label.to_string(),
-            out.report.swap_count.to_string(),
-            out.report.move_count.to_string(),
-            fmt_success(s.success),
+            run.compile.swap_count.to_string(),
+            run.compile.move_count.to_string(),
+            fmt_success(run.success),
         ]);
     }
     println!("{}", table.render());

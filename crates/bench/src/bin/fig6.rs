@@ -7,11 +7,12 @@
 //! * Fig. 6c — tape-move count (lower is better)
 //! * Fig. 6d–f — success rates per application
 //!
-//! Run with: `cargo run --release -p bench --bin fig6`
+//! Run with: `cargo run --release -p tilt-bench --bin fig6`
 
-use bench::evaluate_tilt;
+use bench::run_tilt;
 use tilt_benchmarks::suite::long_distance_suite;
 use tilt_compiler::RouterKind;
+use tilt_engine::EngineBuilder;
 use tilt_report::{fmt_success, Table};
 
 const HEAD: usize = 16;
@@ -31,15 +32,15 @@ fn main() {
             ("baseline", RouterKind::Stochastic(Default::default())),
             ("LinQ", RouterKind::default()),
         ] {
-            let eval = evaluate_tilt(&b.circuit, HEAD, router);
-            let r = &eval.output.report;
+            let run = run_tilt(&b.circuit, HEAD, EngineBuilder::default().router(router));
+            let r = &run.tilt_output().expect("a TILT run").report;
             table.row([
                 b.name.to_string(),
                 label.to_string(),
                 format!("{:.2}", r.opposing_ratio),
                 r.swap_count.to_string(),
                 r.move_count.to_string(),
-                fmt_success(eval.success.success),
+                fmt_success(run.success),
             ]);
         }
     }

@@ -2,12 +2,13 @@
 //! and tape-move count of BV, QFT, and SQRT under `MaxSwapLen`
 //! restrictions from 15 down to 8 (head size 16).
 //!
-//! Run with: `cargo run --release -p bench --bin fig7`
+//! Run with: `cargo run --release -p tilt-bench --bin fig7`
 
-use bench::evaluate_tilt;
+use bench::run_tilt;
 use tilt_benchmarks::suite::long_distance_suite;
 use tilt_compiler::route::LinqConfig;
 use tilt_compiler::RouterKind;
+use tilt_engine::EngineBuilder;
 use tilt_report::{fmt_success, Table};
 
 const HEAD: usize = 16;
@@ -18,16 +19,15 @@ fn main() {
         let mut best: Option<(usize, f64)> = None;
         for max_swap_len in (8..=HEAD - 1).rev() {
             let router = RouterKind::Linq(LinqConfig::with_max_swap_len(max_swap_len));
-            let eval = evaluate_tilt(&b.circuit, HEAD, router);
-            let r = &eval.output.report;
+            let run = run_tilt(&b.circuit, HEAD, EngineBuilder::default().router(router));
             table.row([
                 max_swap_len.to_string(),
-                r.swap_count.to_string(),
-                r.move_count.to_string(),
-                fmt_success(eval.success.success),
+                run.compile.swap_count.to_string(),
+                run.compile.move_count.to_string(),
+                fmt_success(run.success),
             ]);
-            if best.is_none_or(|(_, s)| eval.success.success > s) {
-                best = Some((max_swap_len, eval.success.success));
+            if best.is_none_or(|(_, s)| run.success > s) {
+                best = Some((max_swap_len, run.success));
             }
         }
         let (best_len, best_success) = best.expect("sweep is non-empty");

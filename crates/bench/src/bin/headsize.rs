@@ -6,11 +6,11 @@
 //! behind that design choice: how much success rate does each extra laser
 //! buy, per application class?
 //!
-//! Run with: `cargo run --release -p bench --bin headsize`
+//! Run with: `cargo run --release -p tilt-bench --bin headsize`
 
-use bench::evaluate_tilt;
+use bench::run_tilt;
 use tilt_benchmarks::paper_suite;
-use tilt_compiler::RouterKind;
+use tilt_engine::EngineBuilder;
 use tilt_report::{fmt_success, Table};
 
 const HEADS: [usize; 6] = [8, 12, 16, 24, 32, 48];
@@ -28,8 +28,8 @@ fn main() {
     for b in paper_suite() {
         let mut cells = vec![b.name.to_string()];
         for head in HEADS {
-            let eval = evaluate_tilt(&b.circuit, head, RouterKind::default());
-            cells.push(fmt_success(eval.success.success));
+            let run = run_tilt(&b.circuit, head, EngineBuilder::default());
+            cells.push(fmt_success(run.success));
         }
         table.row(cells);
     }

@@ -9,15 +9,14 @@
 //!    photonically-linked TILT modules: shorter chains heat less per move
 //!    (`k ∝ √n`) but every cross-module gate costs an EPR pair.
 //!
-//! Run with: `cargo run --release -p bench --bin scaling`
+//! Run with: `cargo run --release -p tilt-bench --bin scaling`
 
+use bench::run_tilt;
 use tilt_benchmarks::{qaoa::qaoa_maxcut, qft::qft64};
-use tilt_compiler::{Compiler, DeviceSpec};
+use tilt_engine::{Backend, EngineBuilder, RunDetail};
 use tilt_report::{fmt_success, Table};
-use tilt_scale::{compile_scaled, estimate_scaled, ScaleSpec};
-use tilt_sim::{
-    estimate_success, estimate_success_with_cooling, CoolingPolicy, GateTimeModel, NoiseModel,
-};
+use tilt_scale::ScaleSpec;
+use tilt_sim::CoolingPolicy;
 
 fn main() {
     cooling_study();
@@ -26,12 +25,7 @@ fn main() {
 
 fn cooling_study() {
     println!("§VII study 1: sympathetic cooling on TILT (QFT-64, head 16)\n");
-    let out = Compiler::new(DeviceSpec::tilt64(16))
-        .compile(&qft64())
-        .expect("QFT compiles");
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
-
+    let circuit = qft64();
     let mut table = Table::new(["cooling policy", "rounds", "final quanta", "success"]);
     let policies: Vec<(String, CoolingPolicy)> = vec![
         ("none (paper's TILT)".into(), CoolingPolicy::never()),
@@ -41,7 +35,8 @@ fn cooling_study() {
         ("every move".into(), CoolingPolicy::periodic(1)),
     ];
     for (label, policy) in policies {
-        let r = estimate_success_with_cooling(&out.program, &noise, &times, &policy);
+        let run = run_tilt(&circuit, 16, EngineBuilder::default().cooling(policy));
+        let r = run.tilt_success().expect("a TILT run");
         table.row([
             label,
             r.cooling_rounds.to_string(),
@@ -57,8 +52,6 @@ fn cooling_study() {
 fn modular_study() {
     println!("§VII study 2: modular TILT via photonic interconnects (QAOA-128)\n");
     let circuit = qaoa_maxcut(128, 20, 7);
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
 
     let mut table = Table::new([
         "configuration",
@@ -69,23 +62,26 @@ fn modular_study() {
     ]);
 
     // Monolithic: one 128-ion tape, head 16.
-    let mono = Compiler::new(DeviceSpec::new(128, 16).expect("valid spec"))
-        .compile(&circuit)
-        .expect("monolithic compiles");
-    let mono_s = estimate_success(&mono.program, &noise, &times);
+    let mono = run_tilt(&circuit, 16, EngineBuilder::default());
     table.row([
         "monolithic 128-ion tape".to_string(),
         "1×128".to_string(),
         "0".to_string(),
-        mono.report.move_count.to_string(),
-        fmt_success(mono_s.success),
+        mono.compile.move_count.to_string(),
+        fmt_success(mono.success),
     ]);
 
     // Modular: ELUs of 66 (2×64 data) and 34 (4×32 data) ions.
     for ions_per_elu in [66usize, 34, 18] {
         let spec = ScaleSpec::new(ions_per_elu, 16.min(ions_per_elu)).expect("valid ELU");
-        let program = compile_scaled(&circuit, &spec).expect("modular compiles");
-        let r = estimate_scaled(&program, &noise, &times);
+        let run = EngineBuilder::default()
+            .backend(Backend::Scaled(spec))
+            .build()
+            .and_then(|engine| engine.run(&circuit))
+            .expect("modular compiles");
+        let RunDetail::Scaled { program, report: r } = &run.detail else {
+            unreachable!("a scaled run")
+        };
         table.row([
             format!("ELUs of {ions_per_elu} ions"),
             format!("{}×{}", program.elu_outputs.len(), ions_per_elu),

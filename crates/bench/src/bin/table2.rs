@@ -1,7 +1,7 @@
 //! Regenerates **Table II** of the TILT paper: the benchmark suite with
 //! qubit counts, two-qubit gate counts, and communication patterns.
 //!
-//! Run with: `cargo run --release -p bench --bin table2`
+//! Run with: `cargo run --release -p tilt-bench --bin table2`
 
 use tilt_benchmarks::paper_suite;
 use tilt_report::Table;
@@ -30,5 +30,6 @@ fn main() {
     println!("{}", table.render());
     bench::maybe_print_csv(&table);
     println!("Gate-count deltas vs the paper come from Toffoli/oracle lowering");
-    println!("conventions; see EXPERIMENTS.md for the per-benchmark accounting.");
+    println!("conventions; each row of `tilt_benchmarks::suite` gives its");
+    println!("accounting, and `tests/paper_claims.rs` classes every count.");
 }

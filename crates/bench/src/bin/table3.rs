@@ -2,27 +2,13 @@
 //! pass times, tape-move counts, travel distance, and estimated program
 //! execution time for head sizes 16 and 32.
 //!
-//! Run with: `cargo run --release -p bench --bin table3`
+//! Run with: `cargo run --release -p tilt-bench --bin table3`
 
-use bench::evaluate_tilt;
+use bench::run_tilt;
 use tilt_benchmarks::paper_suite;
-use tilt_compiler::RouterKind;
+use tilt_engine::EngineBuilder;
 use tilt_report::{fmt_secs, Table};
 use tilt_sim::ExecTimeModel;
-
-/// Paper-reported (moves, dist µm, texec s) for one head size.
-type PaperRow = (usize, usize, f64);
-
-/// Paper numbers per application, for side-by-side reading: head 16
-/// then head 32.
-const PAPER: [(&str, [PaperRow; 2]); 6] = [
-    ("ADDER", [(10, 104, 2.967), (5, 68, 3.252)]),
-    ("BV", [(4, 49, 0.856), (2, 33, 0.987)]),
-    ("QAOA", [(18, 232, 1.564), (4, 72, 1.357)]),
-    ("RCS", [(65, 992, 1.704), (11, 214, 0.856)]),
-    ("QFT", [(162, 2002, 24.820), (69, 1276, 33.876)]),
-    ("SQRT", [(168, 1816, 46.554), (76, 1068, 40.817)]),
-];
 
 fn main() {
     for (hi, head) in [16usize, 32].into_iter().enumerate() {
@@ -38,24 +24,20 @@ fn main() {
             "paper t_exec",
         ]);
         for b in paper_suite() {
-            let eval = evaluate_tilt(&b.circuit, head, RouterKind::default());
-            let r = &eval.output.report;
-            let dist_um = ExecTimeModel::default().travel_um(&eval.output.program);
-            let paper = PAPER
-                .iter()
-                .find(|(name, _)| *name == b.name)
-                .expect("paper row exists")
-                .1[hi];
+            let run = run_tilt(&b.circuit, head, EngineBuilder::default());
+            let program = run.tilt_program().expect("a TILT run");
+            let dist_um = ExecTimeModel::default().travel_um(program);
+            let paper = b.paper_table3[hi];
             table.row([
                 b.name.to_string(),
-                fmt_secs(r.t_swap),
-                fmt_secs(r.t_move),
-                r.move_count.to_string(),
+                fmt_secs(run.compile.t_swap),
+                fmt_secs(run.compile.t_move),
+                run.compile.move_count.to_string(),
                 format!("{dist_um:.0}"),
-                format!("{:.3}", eval.exec_time_us / 1e6),
-                paper.0.to_string(),
-                paper.1.to_string(),
-                format!("{:.3}", paper.2),
+                format!("{:.3}", run.exec_time_us / 1e6),
+                paper.moves.to_string(),
+                paper.dist.to_string(),
+                format!("{:.3}", paper.t_exec_s),
             ]);
         }
         println!("Table III: LinQ compilation results — head size {head}\n");
@@ -64,5 +46,6 @@ fn main() {
     }
     println!("Wall-clock pass times are host-dependent (the paper used a 32-core");
     println!("Xeon running a Python/Qiskit-based stack); orderings, not absolute");
-    println!("values, are the reproduction target. See also `cargo bench`.");
+    println!("values, are the reproduction target. `tests/paper_claims.rs`");
+    println!("classes every paper column against ours.");
 }

@@ -1,4 +1,4 @@
-//! Shared plumbing for the experiment harnesses.
+//! The one evaluation behind the experiment harnesses.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the TILT
 //! paper:
@@ -10,57 +10,71 @@
 //! | `fig6`   | Fig. 6 — LinQ vs baseline swap insertion |
 //! | `fig7`   | Fig. 7 — `MaxSwapLen` sweeps |
 //! | `fig8`   | Fig. 8 — TILT vs Ideal TI vs QCCD success rates |
-//! | `ablation` | DESIGN.md §5 — design-choice ablations |
+//! | `headsize` | head-size sweep behind the 32-laser choice of §I |
+//! | `ablation` | design-choice ablations (listed in its module doc) |
+//! | `scaling` | the §VII trapped-ion scaling studies |
 //!
-//! Performance is tracked outside this crate: the repository benchmark
-//! (`perfbench/`) times the end-to-end workloads, and
-//! `bench/ledger.jsonl` records them with the exact Algorithm 2 work
-//! behind Table III's `t_move` column, which `tilt-compiler`'s tests
-//! hold every change to.
+//! Run one with `cargo run --release -p tilt-bench --bin <name>`.
+//!
+//! Every configuration runs through
+//! [`Engine::run`](tilt_engine::Engine::run), the path users
+//! drive, and the harnesses read the [`RunReport`] it returns. The
+//! paper's own numbers live in `tilt_benchmarks::suite`, and
+//! `tests/paper_claims.rs` classes ours against them. Performance is
+//! tracked by the repository benchmark (`perfbench/`), not here.
 
 use tilt_circuit::Circuit;
-use tilt_compiler::{CompileOutput, Compiler, DeviceSpec, RouterKind};
-use tilt_qccd::{compile_qccd, estimate_qccd_success, QccdParams, QccdReport, QccdSpec};
-use tilt_sim::{
-    estimate_success, execution_time_us, ExecTimeModel, GateTimeModel, NoiseModel, SuccessReport,
-};
+use tilt_compiler::DeviceSpec;
+use tilt_engine::{Backend, EngineBuilder, RunReport};
+use tilt_qccd::QccdSpec;
 
-/// The trap sizes swept for the QCCD comparison (§VI-B: 15–35 ions per
-/// trap, best configuration reported).
+/// The trap sizes swept for the QCCD comparison (§VI-B, after Murali et
+/// al.: 15–35 ions per trap, best configuration reported).
 pub const QCCD_TRAP_SIZES: [usize; 6] = [15, 17, 20, 25, 30, 35];
 
-/// One evaluated TILT configuration.
-#[derive(Clone, Debug)]
-pub struct TiltEval {
-    /// Full compiler output (program + routing + report).
-    pub output: CompileOutput,
-    /// Success estimation under the default noise model.
-    pub success: SuccessReport,
-    /// Eq. 5 execution time in µs.
-    pub exec_time_us: f64,
-}
-
-/// Compiles `circuit` for a tape as wide as its register with the given
-/// head size and router, then simulates it under the default models.
+/// Runs `circuit` on a TILT tape as wide as its register with a head of
+/// `head` lasers, under whatever else `builder` carries (router,
+/// scheduler, initial mapping, noise, cooling).
 ///
 /// # Panics
 ///
-/// Panics if compilation fails — harness inputs are the fixed paper
-/// benchmarks, so failure is a bug worth crashing on.
-pub fn evaluate_tilt(circuit: &Circuit, head: usize, router: RouterKind) -> TiltEval {
+/// Panics if the engine rejects the configuration or the circuit —
+/// harness inputs are fixed paper configurations, so failure is a bug
+/// worth crashing on.
+pub fn run_tilt(circuit: &Circuit, head: usize, builder: EngineBuilder) -> RunReport {
     let spec = DeviceSpec::new(circuit.n_qubits(), head).expect("paper head sizes are valid");
-    let mut compiler = Compiler::new(spec);
-    compiler.router(router);
-    let output = compiler.compile(circuit).expect("paper benchmarks compile");
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
-    let success = estimate_success(&output.program, &noise, &times);
-    let exec_time_us = execution_time_us(&output.program, &times, &ExecTimeModel::default());
-    TiltEval {
-        output,
-        success,
-        exec_time_us,
-    }
+    run(circuit, builder.backend(Backend::Tilt(spec)))
+}
+
+/// The best QCCD run over the paper's trap-size sweep, with the winning
+/// ions-per-trap configuration.
+///
+/// # Panics
+///
+/// As [`run_tilt`].
+pub fn run_qccd_best(circuit: &Circuit) -> (RunReport, usize) {
+    QCCD_TRAP_SIZES
+        .iter()
+        .map(|&ions| {
+            let spec =
+                QccdSpec::for_qubits(circuit.n_qubits(), ions).expect("paper trap sizes are valid");
+            let builder = EngineBuilder::default().backend(Backend::Qccd(spec));
+            (run(circuit, builder), ions)
+        })
+        .max_by(|(a, _), (b, _)| {
+            a.success
+                .partial_cmp(&b.success)
+                .expect("success rates are comparable")
+        })
+        .expect("trap-size sweep is non-empty")
+}
+
+fn run(circuit: &Circuit, builder: EngineBuilder) -> RunReport {
+    builder
+        .build()
+        .expect("paper configurations are valid")
+        .run(circuit)
+        .expect("paper benchmarks compile")
 }
 
 /// Prints `table` as CSV to stdout when the `TILT_CSV` environment
@@ -73,31 +87,6 @@ pub fn maybe_print_csv(table: &tilt_report::Table) {
     }
 }
 
-/// Best QCCD result over the paper's trap-size sweep, with the winning
-/// ions-per-trap configuration.
-pub fn evaluate_qccd_best(circuit: &Circuit) -> (QccdReport, usize) {
-    let native = tilt_compiler::decompose::decompose(circuit);
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
-    QCCD_TRAP_SIZES
-        .iter()
-        .map(|&ions| {
-            let spec =
-                QccdSpec::for_qubits(circuit.n_qubits(), ions).expect("paper trap sizes are valid");
-            let program = compile_qccd(&native, &spec).expect("paper benchmarks fit");
-            (
-                estimate_qccd_success(&program, &noise, &times, &QccdParams::default()),
-                ions,
-            )
-        })
-        .max_by(|(a, _), (b, _)| {
-            a.success
-                .partial_cmp(&b.success)
-                .expect("success rates are comparable")
-        })
-        .expect("trap-size sweep is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,16 +95,18 @@ mod tests {
     #[test]
     fn evaluate_tilt_produces_consistent_report() {
         let c = bernstein_vazirani(16, &[true; 15]);
-        let eval = evaluate_tilt(&c, 8, RouterKind::default());
-        assert_eq!(eval.success.moves, eval.output.report.move_count);
-        assert!(eval.exec_time_us > 0.0);
+        let report = run_tilt(&c, 8, EngineBuilder::default());
+        let success = report.tilt_success().expect("a TILT run");
+        assert_eq!(success.report.moves, report.compile.move_count);
+        assert!(report.exec_time_us > 0.0);
     }
 
     #[test]
     fn qccd_sweep_returns_valid_config() {
         let c = bernstein_vazirani(16, &[true; 15]);
-        let (report, ions) = evaluate_qccd_best(&c);
+        let (report, ions) = run_qccd_best(&c);
         assert!(QCCD_TRAP_SIZES.contains(&ions));
+        assert!(report.qccd_report().is_some());
         assert!(report.success > 0.0);
     }
 }

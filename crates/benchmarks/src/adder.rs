@@ -92,7 +92,7 @@ mod tests {
         // Paper reports 545 2Q gates; the textbook Cuccaro construction with
         // 6-CNOT Toffolis gives 2n·8 + 1 = 497 for n = 31. The delta comes
         // from ScaffCC's slightly different Toffoli lowering; we accept the
-        // textbook count and document the difference in EXPERIMENTS.md.
+        // textbook count, and the ADDER row of `paper_suite` records it.
         let count = adder64().two_qubit_count();
         assert_eq!(count, 497);
         assert!((count as f64 - 545.0).abs() / 545.0 < 0.10);

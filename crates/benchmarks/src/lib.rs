@@ -46,4 +46,4 @@ pub mod stream;
 pub mod suite;
 pub mod util;
 
-pub use suite::{paper_suite, Benchmark, CommunicationPattern};
+pub use suite::{paper_suite, Benchmark, CommunicationPattern, PaperTable3, PAPER_FIG8_HEADLINE};

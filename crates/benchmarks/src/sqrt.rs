@@ -9,8 +9,8 @@
 //! root via X-conjugated multi-controlled Z over the 40-qubit search
 //! register, using the 38-qubit V-chain ancilla ladder — 78 qubits total.
 //! This preserves the communication signature (long-distance,
-//! ancilla-mediated two-qubit chains) and the gate-count scale; the
-//! substitution is documented in DESIGN.md §3.
+//! ancilla-mediated two-qubit chains) and the gate-count scale; the SQRT
+//! row of [`paper_suite`](crate::paper_suite) accounts for the count.
 
 use crate::util::mcz_vchain;
 use tilt_circuit::{Circuit, Qubit};
@@ -112,7 +112,8 @@ mod tests {
     fn table2_two_qubit_gates_in_range() {
         // Two MCZ-over-40 per iteration: 2·(12·38 + 1) = 914 two-qubit
         // gates vs the paper's 1028 (ScaffCC's oracle lowering differs
-        // slightly); within 12%, documented in EXPERIMENTS.md.
+        // slightly); within 12%, accounted for on the SQRT row of
+        // `paper_suite`.
         let count = sqrt78().two_qubit_count();
         assert_eq!(count, 914);
         assert!((count as f64 - 1028.0).abs() / 1028.0 < 0.12);

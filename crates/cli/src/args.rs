@@ -5,7 +5,7 @@ use std::fmt;
 use tilt_engine::overlay::{Overrides, Value};
 
 /// Parsed command-line options: one struct, one grammar for every
-/// subcommand.
+/// subcommand, each of which accepts the engine flags plus its own.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
     /// First positional argument (file path or benchmark name); empty
@@ -61,28 +61,15 @@ impl fmt::Display for ParseArgsError {
 impl Error for ParseArgsError {}
 
 impl Options {
-    /// Parses a subcommand's arguments: one positional target plus flags.
+    /// Parses `command`'s arguments: the engine flags, the flags
+    /// `command` reads, and one positional target (none for `serve`,
+    /// whose requests arrive on the wire).
     ///
     /// # Errors
     ///
-    /// Returns [`ParseArgsError`] on missing targets, unknown flags, or
-    /// unparseable values.
-    pub fn parse(args: &[String]) -> Result<Options, ParseArgsError> {
-        Options::parse_for(args, false)
-    }
-
-    /// Parses `serve` arguments: flags only (the serve flags included),
-    /// no positional target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseArgsError`] on unknown flags, missing values,
-    /// unparseable numbers, or stray positionals.
-    pub fn parse_serve(args: &[String]) -> Result<Options, ParseArgsError> {
-        Options::parse_for(args, true)
-    }
-
-    fn parse_for(args: &[String], serve: bool) -> Result<Options, ParseArgsError> {
+    /// Returns [`ParseArgsError`] on missing or stray targets, unknown
+    /// flags, flags `command` does not read, or unparseable values.
+    pub fn parse(command: &str, args: &[String]) -> Result<Options, ParseArgsError> {
         let mut opts = Options {
             target: String::new(),
             overrides: Overrides::default(),
@@ -100,6 +87,8 @@ impl Options {
             default_deadline_ms: 0,
         };
         let o = &mut opts.overrides;
+        // Besides the engine's, a command takes only the flags it reads.
+        let (run, lint, serve) = (command == "run", command == "lint", command == "serve");
         let mut positional: Vec<&String> = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -114,12 +103,12 @@ impl Options {
                     let key = flag[2..].replace('-', "_");
                     o.set(&key, Value::Arg(value()?)).map_err(ParseArgsError)?;
                 }
-                "--json" => opts.json = true,
-                "--emit-program" => opts.emit_program = true,
-                "--emit-qasm" => opts.emit_qasm = true,
-                "--batch" => opts.batch = true,
-                "--stream" => opts.stream = true,
-                "--stream-window" => {
+                "--json" if lint => opts.json = true,
+                "--emit-program" if run => opts.emit_program = true,
+                "--emit-qasm" if run => opts.emit_qasm = true,
+                "--batch" if run => opts.batch = true,
+                "--stream" if run || lint => opts.stream = true,
+                "--stream-window" if run || lint => {
                     let w = parse_num(value()?, flag)?;
                     if w == 0 {
                         return Err(ParseArgsError(
@@ -137,6 +126,22 @@ impl Options {
                 }
                 "--default-deadline-ms" if serve => {
                     opts.default_deadline_ms = parse_num(value()?, flag)? as u64;
+                }
+                "--json"
+                | "--emit-program"
+                | "--emit-qasm"
+                | "--batch"
+                | "--stream"
+                | "--stream-window"
+                | "--window"
+                | "--listen"
+                | "--cache-dir"
+                | "--max-in-flight"
+                | "--max-in-flight-bytes"
+                | "--default-deadline-ms" => {
+                    return Err(ParseArgsError(format!(
+                        "`{flag}` does not apply to `{command}`"
+                    )))
                 }
                 _ if flag.starts_with("--") => {
                     return Err(ParseArgsError(format!("unknown option `{flag}`")))
@@ -179,7 +184,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let o = Options::parse(&v(&["file.qasm"])).unwrap();
+        let o = Options::parse("run", &v(&["file.qasm"])).unwrap();
         assert_eq!(o.target, "file.qasm");
         // Nothing named: the engine overlay supplies every default.
         assert_eq!(o.overrides, Overrides::default());
@@ -188,23 +193,26 @@ mod tests {
 
     #[test]
     fn full_flag_set() {
-        let o = Options::parse(&v(&[
-            "x.qasm",
-            "--ions",
-            "64",
-            "--head",
-            "32",
-            "--router",
-            "stochastic",
-            "--max-swap-len",
-            "9",
-            "--alpha",
-            "0.7",
-            "--scheduler",
-            "naive",
-            "--emit-program",
-            "--emit-qasm",
-        ]))
+        let o = Options::parse(
+            "run",
+            &v(&[
+                "x.qasm",
+                "--ions",
+                "64",
+                "--head",
+                "32",
+                "--router",
+                "stochastic",
+                "--max-swap-len",
+                "9",
+                "--alpha",
+                "0.7",
+                "--scheduler",
+                "naive",
+                "--emit-program",
+                "--emit-qasm",
+            ]),
+        )
         .unwrap();
         let o_ = o.overrides;
         assert_eq!(o_.ions, Some(64));
@@ -218,39 +226,86 @@ mod tests {
 
     #[test]
     fn json_flag_parses() {
-        let o = Options::parse(&v(&["x", "--json"])).unwrap();
+        let o = Options::parse("lint", &v(&["x", "--json"])).unwrap();
         assert!(o.json);
-        assert!(!Options::parse(&v(&["x"])).unwrap().json);
+        assert!(!Options::parse("lint", &v(&["x"])).unwrap().json);
     }
 
     #[test]
     fn stream_flags_parse_and_reject_zero_window() {
-        let o = Options::parse(&v(&["x", "--stream", "--stream-window", "4096"])).unwrap();
+        let o = Options::parse("run", &v(&["x", "--stream", "--stream-window", "4096"])).unwrap();
         assert!(o.stream);
         assert_eq!(o.stream_window, Some(4096));
-        let o = Options::parse(&v(&["x", "--backend", "scaled", "--elu-ions", "10"])).unwrap();
+        let o =
+            Options::parse("run", &v(&["x", "--backend", "scaled", "--elu-ions", "10"])).unwrap();
         assert_eq!(o.overrides.backend, Some(BackendKind::Scaled));
         assert_eq!(o.overrides.elu_ions, Some(10));
-        let o = Options::parse(&v(&["x"])).unwrap();
+        let o = Options::parse("run", &v(&["x"])).unwrap();
         assert!(!o.stream);
         assert_eq!(o.overrides.backend, None);
         assert_eq!(o.stream_window, None);
-        let e = Options::parse(&v(&["x", "--stream-window", "0"])).unwrap_err();
+        let e = Options::parse("run", &v(&["x", "--stream-window", "0"])).unwrap_err();
         assert!(e.0.contains("positive"));
     }
 
     #[test]
+    fn each_command_refuses_the_flags_it_does_not_read() {
+        let refused: [(&str, &[&str]); 6] = [
+            ("run", &["x", "--json"]),
+            ("lint", &["x", "--emit-program"]),
+            ("timeline", &["x", "--stream"]),
+            ("bench", &["all", "--batch"]),
+            ("serve", &["--emit-qasm"]),
+            ("run", &["x", "--listen", "127.0.0.1:0"]),
+        ];
+        for (command, args) in refused {
+            let e = Options::parse(command, &v(args)).unwrap_err();
+            let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+            assert_eq!(e.0, format!("`{flag}` does not apply to `{command}`"));
+        }
+        // Each command still takes every flag of its own.
+        let accepted: [(&str, &[&str]); 3] = [
+            (
+                "run",
+                &["--emit-program", "--emit-qasm", "--batch", "--stream"],
+            ),
+            ("lint", &["--json", "--stream", "--stream-window", "3"]),
+            (
+                "serve",
+                &["--window", "3", "--listen", "h:0", "--cache-dir", "d"],
+            ),
+        ];
+        for (command, flags) in accepted {
+            let mut args = if command == "serve" {
+                vec![]
+            } else {
+                vec!["x"]
+            };
+            args.extend(flags);
+            let parsed = Options::parse(command, &v(&args));
+            assert!(parsed.is_ok(), "{command} {args:?}: {parsed:?}");
+        }
+        let serve = ["--max-in-flight", "1", "--max-in-flight-bytes", "1"];
+        let o = Options::parse("serve", &v(&serve)).unwrap();
+        assert_eq!((o.max_in_flight, o.max_in_flight_bytes), (1, 1));
+        let o = Options::parse("serve", &v(&["--default-deadline-ms", "5"])).unwrap();
+        assert_eq!(o.default_deadline_ms, 5);
+        let o = Options::parse("run", &v(&["x", "--stream-window", "5"])).unwrap();
+        assert_eq!(o.stream_window, Some(5));
+    }
+
+    #[test]
     fn rejects_unknown_flag() {
-        assert!(Options::parse(&v(&["x", "--bogus"])).is_err());
+        assert!(Options::parse("run", &v(&["x", "--bogus"])).is_err());
     }
 
     #[test]
     fn method_flag_parses_and_rejects_unknowns() {
-        let o = Options::parse(&v(&["x", "--method", "stabilizer"])).unwrap();
+        let o = Options::parse("run", &v(&["x", "--method", "stabilizer"])).unwrap();
         assert_eq!(o.overrides.method, Some(SimMethod::Stabilizer));
-        let o = Options::parse(&v(&["x"])).unwrap();
+        let o = Options::parse("run", &v(&["x"])).unwrap();
         assert_eq!(o.overrides.method, None, "simulation is off by default");
-        let e = Options::parse(&v(&["x", "--method", "magic"])).unwrap_err();
+        let e = Options::parse("run", &v(&["x", "--method", "magic"])).unwrap_err();
         assert!(e.0.contains("unknown method `magic`"));
     }
 
@@ -258,58 +313,61 @@ mod tests {
     fn exact_is_an_unknown_router() {
         // The exact search is studied in the ablation binary and the
         // semantics tests, not driven from the CLI.
-        let e = Options::parse(&v(&["x", "--router", "exact"])).unwrap_err();
+        let e = Options::parse("run", &v(&["x", "--router", "exact"])).unwrap_err();
         assert_eq!(e.0, "unknown router `exact`");
-        let e = Options::parse(&v(&["x", "--backend", "qpu9000"])).unwrap_err();
+        let e = Options::parse("run", &v(&["x", "--backend", "qpu9000"])).unwrap_err();
         assert_eq!(e.0, "unknown backend `qpu9000`");
     }
 
     #[test]
     fn rejects_missing_value() {
-        assert!(Options::parse(&v(&["x", "--head"])).is_err());
+        assert!(Options::parse("run", &v(&["x", "--head"])).is_err());
     }
 
     #[test]
     fn rejects_bad_number() {
-        assert!(Options::parse(&v(&["x", "--head", "lots"])).is_err());
+        assert!(Options::parse("run", &v(&["x", "--head", "lots"])).is_err());
     }
 
     #[test]
     fn rejects_extra_positionals() {
-        assert!(Options::parse(&v(&["a", "b"])).is_err());
+        assert!(Options::parse("run", &v(&["a", "b"])).is_err());
     }
 
     #[test]
     fn serve_options_defaults_and_flags() {
-        let o = Options::parse_serve(&v(&[])).unwrap();
+        let o = Options::parse("serve", &v(&[])).unwrap();
         assert_eq!((o.overrides, o.window), (Overrides::default(), 0));
         assert_eq!(o.listen, None);
         assert_eq!(o.cache_dir, None);
         assert_eq!(o.max_in_flight, 1024);
         assert_eq!(o.max_in_flight_bytes, 64 << 20);
         assert_eq!(o.default_deadline_ms, 0);
-        let o = Options::parse_serve(&v(&[
-            "--ions",
-            "32",
-            "--head",
-            "8",
-            "--window",
-            "16",
-            "--listen",
-            "127.0.0.1:0",
-            "--router",
-            "stochastic",
-            "--scheduler",
-            "naive",
-            "--cache-dir",
-            "/tmp/tilt-cache",
-            "--max-in-flight",
-            "4",
-            "--max-in-flight-bytes",
-            "65536",
-            "--default-deadline-ms",
-            "250",
-        ]))
+        let o = Options::parse(
+            "serve",
+            &v(&[
+                "--ions",
+                "32",
+                "--head",
+                "8",
+                "--window",
+                "16",
+                "--listen",
+                "127.0.0.1:0",
+                "--router",
+                "stochastic",
+                "--scheduler",
+                "naive",
+                "--cache-dir",
+                "/tmp/tilt-cache",
+                "--max-in-flight",
+                "4",
+                "--max-in-flight-bytes",
+                "65536",
+                "--default-deadline-ms",
+                "250",
+            ]),
+        )
         .unwrap();
         assert_eq!(
             (o.overrides.ions, o.overrides.head, o.window),
@@ -322,20 +380,20 @@ mod tests {
         assert_eq!(o.max_in_flight, 4);
         assert_eq!(o.max_in_flight_bytes, 65536);
         assert_eq!(o.default_deadline_ms, 250);
-        assert!(Options::parse_serve(&v(&["--cache-dir"])).is_err());
-        assert!(Options::parse_serve(&v(&["--max-in-flight", "many"])).is_err());
+        assert!(Options::parse("serve", &v(&["--cache-dir"])).is_err());
+        assert!(Options::parse("serve", &v(&["--max-in-flight", "many"])).is_err());
     }
 
     #[test]
     fn serve_options_reject_exact_and_positionals() {
-        assert!(Options::parse_serve(&v(&["--router", "exact"])).is_err());
-        assert!(Options::parse_serve(&v(&["file.qasm"])).is_err());
-        assert!(Options::parse_serve(&v(&["--bogus"])).is_err());
+        assert!(Options::parse("serve", &v(&["--router", "exact"])).is_err());
+        assert!(Options::parse("serve", &v(&["file.qasm"])).is_err());
+        assert!(Options::parse("serve", &v(&["--bogus"])).is_err());
     }
 
     #[test]
     fn router_kind_carries_flags() {
-        let o = Options::parse(&v(&["x", "--max-swap-len", "7", "--alpha", "0.5"])).unwrap();
+        let o = Options::parse("run", &v(&["x", "--max-swap-len", "7", "--alpha", "0.5"])).unwrap();
         assert_eq!(o.overrides.max_swap_len, Some(7));
         assert_eq!(o.overrides.alpha, Some(0.5));
         // The overlay turns the knobs into the LinQ router the engine runs.
@@ -372,7 +430,7 @@ mod tests {
         let cli = |flags: &[&str]| -> Result<Engine, String> {
             let mut args = vec!["x"];
             args.extend(flags);
-            let o = Options::parse(&v(&args)).map_err(|e| e.0)?;
+            let o = Options::parse("run", &v(&args)).map_err(|e| e.0)?;
             let builder = Engine::builder().overlay(&o.overrides, width)?;
             builder.build().map_err(|e| e.to_string())
         };
@@ -501,7 +559,7 @@ mod tests {
         for key in tilt_engine::overlay::KEYS {
             let flag = format!("--{}", key.replace('_', "-"));
             if matches!(key, "verify" | "noise") {
-                let e = Options::parse(&v(&["x", &flag, "strict"])).unwrap_err();
+                let e = Options::parse("run", &v(&["x", &flag, "strict"])).unwrap_err();
                 assert_eq!(e.0, format!("unknown option `{flag}`"));
             } else {
                 assert!(flags_seen.contains(&flag.as_str()), "{flag} is not covered");

@@ -133,7 +133,7 @@ fn describe_sim(report: &RunReport) -> String {
 /// `tilt-cli run <dir> --batch` — every `.qasm` in the directory as one
 /// batch, one table row per circuit.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
+    let opts = Options::parse("run", args).map_err(|e| e.to_string())?;
     if opts.stream {
         return run_stream_file(&opts);
     }
@@ -200,11 +200,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
 /// error-severity finding makes the command fail, so the exit code is
 /// the lint verdict.
 pub fn lint(args: &[String]) -> Result<String, String> {
-    let mut opts = Options::parse(args).map_err(|e| e.to_string())?;
-    if opts.stream
-        && (opts.overrides.method.is_some() || opts.emit_program || opts.emit_qasm || opts.batch)
-    {
-        return Err("`lint --stream` takes none of --method/--emit-*/--batch".into());
+    let mut opts = Options::parse("lint", args).map_err(|e| e.to_string())?;
+    if opts.stream && opts.overrides.method.is_some() {
+        return Err("`lint --stream` never materializes the circuit; drop --method".into());
     }
     // A stream is sized by its header and never parsed whole.
     let (circuit, width) = if opts.stream {
@@ -284,7 +282,7 @@ pub fn lint(args: &[String]) -> Result<String, String> {
 
 /// `tilt-cli timeline <file.qasm>`
 pub fn timeline(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
+    let opts = Options::parse("timeline", args).map_err(|e| e.to_string())?;
     let circuit = load_circuit(&opts)?;
     let report = engine(&opts.overrides, circuit.n_qubits())?
         .run(&circuit)
@@ -499,7 +497,7 @@ fn arm_fault_plan() -> Result<(), String> {
 /// snapshot at startup (entries failing digest verification are
 /// dropped individually) and writes it back at drain.
 pub fn serve(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse_serve(args).map_err(|e| e.to_string())?;
+    let opts = Options::parse("serve", args).map_err(|e| e.to_string())?;
     let builder = builder(&opts.overrides, SERVE_WIDTH)?;
     #[cfg(feature = "faults")]
     arm_fault_plan()?;
@@ -725,7 +723,7 @@ fn summary_line(summary: &ServiceSummary) -> String {
 
 /// `tilt-cli bench <name|all>`
 pub fn bench(args: &[String]) -> Result<String, String> {
-    let opts = Options::parse(args).map_err(|e| e.to_string())?;
+    let opts = Options::parse("bench", args).map_err(|e| e.to_string())?;
     let suite = tilt_benchmarks::paper_suite();
     let selected: Vec<_> = if opts.target == "all" {
         suite
@@ -1347,7 +1345,7 @@ mod tests {
         static FLAG: AtomicBool = AtomicBool::new(false);
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let opts = Options::parse_serve(&v(&["--ions", "8", "--head", "4"])).unwrap();
+        let opts = Options::parse("serve", &v(&["--ions", "8", "--head", "4"])).unwrap();
         let session = builder(&opts.overrides, SERVE_WIDTH).unwrap();
         let session = Service::new(session).unwrap().with_window(4);
 

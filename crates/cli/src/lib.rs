@@ -43,7 +43,7 @@ commands:
                          Engine session (stdin/stdout; --listen host:port for
                          TCP; --window N caps in-flight requests)
 
-options:
+options (every command takes the first ten; the rest only where marked):
   --backend B           tilt | qccd | scaled (default: tilt)
   --ions N              tilt: tape length (default: circuit width; serve: 64)
   --head L              laser-head size, per ELU on scaled (default: 16)
@@ -57,10 +57,10 @@ options:
   --json                lint: emit diagnostics as a JSON array
   --emit-program        run, tilt: print the scheduled gate/move stream
   --emit-qasm           run, tilt: print the routed physical circuit as OpenQASM
-  --batch               treat the run target as a directory of .qasm files
+  --batch               run: treat the target as a directory of .qasm files
   --stream              run/lint: stream the QASM through the windowed
                         pipeline without materializing the circuit
-  --stream-window N     input gates per streaming window (default: 65536)
+  --stream-window N     run/lint: input gates per window (default: 65536)
   --window N            serve: max in-flight requests (default: 4 x threads)
   --listen HOST:PORT    serve: accept TCP connections instead of stdin/stdout
   --cache-dir DIR       serve: persist the compile cache across restarts
@@ -146,6 +146,15 @@ mod tests {
             );
         }
         assert!(!USAGE.contains("--scaled") && !USAGE.contains("exact"));
+    }
+
+    #[test]
+    fn commands_refuse_the_flags_they_do_not_read() {
+        let e = run(&v(&["run", "x.qasm", "--head", "2", "--json"])).unwrap_err();
+        assert_eq!(e, "`--json` does not apply to `run`");
+        let serve = ["serve", "--ions", "4", "--head", "2", "--batch", "--json"];
+        let e = run(&v(&serve)).unwrap_err();
+        assert_eq!(e, "`--batch` does not apply to `serve`");
     }
 
     #[test]

@@ -35,10 +35,10 @@ pub struct LinqConfig {
     /// parameter; the best value is application-dependent.
     pub max_swap_len: Option<usize>,
     /// Look-ahead decay `α` of Eq. 1, `0 < α < 1`. The paper fixes a value
-    /// in this range without publishing it; 0.9 is our documented default,
-    /// calibrated on the QFT benchmark (see EXPERIMENTS.md): smaller values
-    /// collapse Eq. 1 into per-gate greediness and inflate swap counts
-    /// several-fold.
+    /// in this range without publishing it; 0.9 is our default. No
+    /// calibration backs it: ablation 1 of `tilt-bench`'s `ablation`
+    /// binary sweeps `α` on QFT at head 16, where 0.5 and 0.7 both route
+    /// with fewer swaps and tape moves than 0.9.
     pub alpha: f64,
     /// Number of upcoming two-qubit gates included in `G`. With `α = 0.5`
     /// contributions vanish numerically after a few tens of layers, so a

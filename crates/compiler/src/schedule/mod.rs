@@ -9,7 +9,8 @@
 //!
 //! A deliberately weak alternative, [`SchedulerKind::NaiveNextGate`], parks
 //! the head over the oldest ready gate each round; it exists to quantify
-//! the benefit of Eq. 2 (ablation, DESIGN.md §5).
+//! the benefit of Eq. 2 (ablation 3 in the module doc of `tilt-bench`'s
+//! `ablation` binary).
 //!
 //! One engine runs every policy: the horizon-bounded `StreamScheduler`
 //! (`streaming`), which [`schedule`] drives over a whole circuit and

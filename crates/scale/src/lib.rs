@@ -9,11 +9,11 @@
 //! are executed by gate teleportation — one EPR pair plus local
 //! CNOT-class gates and measurements in each endpoint ELU.
 //!
-//! The trade this crate lets you quantify (see `bench --bin scaling`):
-//! splitting a wide program over ELUs shortens every chain (per-move
-//! heating scales as `√n`, §III-A) and parallelizes tape motion, but each
-//! cross-ELU interaction costs an EPR pair of imperfect fidelity and
-//! non-trivial generation time.
+//! The trade this crate lets you quantify (see `cargo run --release -p
+//! tilt-bench --bin scaling`): splitting a wide program over ELUs
+//! shortens every chain (per-move heating scales as `√n`, §III-A) and
+//! parallelizes tape motion, but each cross-ELU interaction costs an EPR
+//! pair of imperfect fidelity and non-trivial generation time.
 //!
 //! # Example
 //!

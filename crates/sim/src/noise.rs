@@ -17,12 +17,13 @@
 
 /// Noise parameters of a trapped-ion device.
 ///
-/// Defaults are calibrated once against the paper's reported success-rate
-/// scales (see EXPERIMENTS.md) and held fixed across all experiments:
-/// `ε` is within the "as low as 10⁻³" two-qubit error budget of §II-B,
-/// `k` is below Honeywell's 2-quanta-per-shuttle bound (§IV-E, linear
+/// Defaults are chosen once and held fixed across all experiments: `ε`
+/// is within the "as low as 10⁻³" two-qubit error budget of §II-B, `k`
+/// is below Honeywell's 2-quanta-per-shuttle bound (§IV-E, linear
 /// shuttles are cheaper than split/merge), and `Γτ` contributes
-/// `~10⁻⁵`-per-gate background error.
+/// `~10⁻⁵`-per-gate background error. No fit to the paper's success
+/// rates backs the exact values; `tests/paper_claims.rs` classes the
+/// Fig. 8 numbers they produce against the paper's.
 ///
 /// # Example
 ///

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // QCCD: best trap size in the paper's 15–35 range — the same
         // circuit through sessions that differ only in their backend.
-        let qccd_best = [15usize, 17, 20, 25, 30, 35]
+        let qccd_best = bench::QCCD_TRAP_SIZES
             .iter()
             .map(|&ions| {
                 let spec = QccdSpec::for_qubits(circuit.n_qubits(), ions)

@@ -16,7 +16,7 @@ use tilt::report::{fmt_success, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A mid-sized Grover instance (the paper sweeps the 78-qubit SQRT;
-    // `cargo run -p bench --bin fig7` reproduces that exactly).
+    // `cargo run --release -p tilt-bench --bin fig7` reproduces that exactly).
     let circuit = grover_sqrt(16, 225, 1);
     let head = 8;
     let spec = DeviceSpec::new(circuit.n_qubits(), head)?;

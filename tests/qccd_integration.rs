@@ -1,33 +1,20 @@
 //! Cross-crate QCCD integration: the comparator architecture against the
-//! real paper benchmarks, plus the Fig. 8 shape claims as invariants.
+//! real paper benchmarks, plus the Fig. 8 shape claims as invariants. The
+//! same orderings, with their measured ratios pinned, are rows of
+//! `tests/paper_claims.rs`.
 
+use bench::{run_qccd_best, run_tilt};
 use tilt::compiler::decompose::decompose;
+use tilt::engine::EngineBuilder;
 use tilt::prelude::*;
 
 /// Best QCCD success over the paper's 15–35 ions-per-trap sweep.
 fn qccd_best_success(circuit: &Circuit) -> f64 {
-    let native = decompose(circuit);
-    let noise = NoiseModel::default();
-    let times = GateTimeModel::default();
-    [15usize, 17, 20, 25, 30, 35]
-        .iter()
-        .map(|&ions| {
-            let spec = QccdSpec::for_qubits(circuit.n_qubits(), ions).unwrap();
-            let program = compile_qccd(&native, &spec).unwrap();
-            estimate_qccd_success(&program, &noise, &times, &QccdParams::default()).success
-        })
-        .fold(0.0f64, f64::max)
+    run_qccd_best(circuit).0.success
 }
 
 fn tilt_success(circuit: &Circuit, head: usize) -> f64 {
-    let spec = DeviceSpec::new(circuit.n_qubits(), head).unwrap();
-    let out = Compiler::new(spec).compile(circuit).unwrap();
-    estimate_success(
-        &out.program,
-        &NoiseModel::default(),
-        &GateTimeModel::default(),
-    )
-    .success
+    run_tilt(circuit, head, EngineBuilder::default()).success
 }
 
 #[test]
