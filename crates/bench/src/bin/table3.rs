@@ -17,11 +17,12 @@ fn main() {
             "t_swap(s)",
             "t_move(s)",
             "#moves",
+            "dist(spacings)",
             "dist(um)",
             "t_exec(s)",
             "paper #moves",
-            "paper dist",
-            "paper t_exec",
+            "paper dist(spacings)",
+            "paper t_exec(s)",
         ]);
         for b in paper_suite() {
             let run = run_tilt(&b.circuit, head, EngineBuilder::default());
@@ -33,6 +34,7 @@ fn main() {
                 fmt_secs(run.compile.t_swap),
                 fmt_secs(run.compile.t_move),
                 run.compile.move_count.to_string(),
+                run.compile.move_distance.to_string(),
                 format!("{dist_um:.0}"),
                 format!("{:.3}", run.exec_time_us / 1e6),
                 paper.moves.to_string(),
@@ -44,6 +46,8 @@ fn main() {
         println!("{}", table.render());
         bench::maybe_print_csv(&table);
     }
+    println!("dist(spacings) is head travel in ion spacings, the paper's unit;");
+    println!("dist(um) is the same travel at the execution-time model's ion pitch.");
     println!("Wall-clock pass times are host-dependent (the paper used a 32-core");
     println!("Xeon running a Python/Qiskit-based stack); orderings, not absolute");
     println!("values, are the reproduction target. `tests/paper_claims.rs`");

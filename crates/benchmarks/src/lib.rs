@@ -36,7 +36,6 @@
 
 pub mod adder;
 pub mod bv;
-pub mod extended;
 pub mod qaoa;
 pub mod qec;
 pub mod qft;

@@ -30,8 +30,9 @@ impl Default for ExecTimeModel {
 }
 
 impl ExecTimeModel {
-    /// Total tape travel distance of `program` in µm (the `dist` column of
-    /// Table III).
+    /// Total tape travel distance of `program` in µm: its move distance
+    /// in ion spacings (the unit of Table III's `dist` column) times the
+    /// ion pitch.
     pub fn travel_um(&self, program: &TiltProgram) -> f64 {
         program.move_distance_ions() as f64 * self.ion_spacing_um
     }

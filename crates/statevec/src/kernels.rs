@@ -24,8 +24,8 @@
 //! Each kernel has exactly one public entry point, whose trailing `par`
 //! argument carries the caller's decision to fan out (`State` makes it
 //! once per call: above [`PARALLEL_THRESHOLD`] amplitudes on a host with
-//! more than one hardware thread, unless `RunOptions::parallel` forces
-//! it). With `par` set, the array is cut into power-of-two, block-aligned
+//! more than one hardware thread, unless `State::run_with` forces it).
+//! With `par` set, the array is cut into power-of-two, block-aligned
 //! chunks that rayon processes concurrently — disjoint slices, no unsafe
 //! aliasing — and every amplitude sees the same arithmetic as in a
 //! serial run. Two kernels split differently: `apply_1q` on the top
@@ -35,11 +35,10 @@
 //!
 //! # Dispatch tiers
 //!
-//! The arithmetic-heavy kernels (`apply_1q`, `apply_2q`, `diag_1q`,
-//! `phase_1q`, `scale_all`, `xx_rotate`, and the diag-run table sweep)
-//! resolve their instruction tier per chunk: the explicit-SIMD
-//! implementation when [`crate::simd`] resolves the `avx2_fma` tier,
-//! otherwise a private portable scalar body. Tests pin the two tiers
+//! The arithmetic-heavy kernels (`apply_1q`, `diag_1q`, `phase_1q` and
+//! `xx_rotate`) resolve their instruction tier per chunk: the
+//! explicit-SIMD implementation when [`crate::simd`] resolves the
+//! `avx2_fma` tier, otherwise a private portable scalar body. Tests pin the two tiers
 //! against each other with [`crate::simd::force_scalar`]. The
 //! permutation kernels move memory rather than compute and stay scalar
 //! (`swap_with_slice` is already memcpy-speed).
@@ -351,271 +350,6 @@ pub fn swap_qubits(amps: &mut [Complex], a: usize, b: usize, par: bool) {
     });
 }
 
-// --- batched diagonal runs ------------------------------------------------
-
-/// One factor of a batched diagonal run, normalized so the factor for
-/// the all-zeros setting of its operand bits is 1 (callers defer that
-/// common phase into the run-wide global factor).
-#[derive(Clone, Copy, Debug)]
-pub enum DiagTerm {
-    /// `diag(p[0], p[1])` on qubit `q`.
-    One {
-        /// Target qubit.
-        q: usize,
-        /// Factors indexed by the target bit.
-        p: [Complex; 2],
-    },
-    /// `diag(d[0], d[1], d[2], d[3])` on the pair `(qlo, qhi)` with
-    /// `qlo < qhi` and index `v = bit(qlo) + 2·bit(qhi)`.
-    Two {
-        /// Lower operand qubit.
-        qlo: usize,
-        /// Higher operand qubit.
-        qhi: usize,
-        /// Factors indexed by `v`.
-        d: [Complex; 4],
-    },
-}
-
-impl DiagTerm {
-    /// The highest qubit the term touches (the recursion pivot).
-    fn top_qubit(&self) -> usize {
-        match *self {
-            DiagTerm::One { q, .. } => q,
-            DiagTerm::Two { qhi, .. } => qhi,
-        }
-    }
-
-    /// This term's factor at basis index `x` (the per-amplitude
-    /// reference the batched sweep is tested against).
-    pub fn factor(&self, x: usize) -> Complex {
-        match *self {
-            DiagTerm::One { q, p } => p[(x >> q) & 1],
-            DiagTerm::Two { qlo, qhi, d } => d[((x >> qlo) & 1) | (((x >> qhi) & 1) << 1)],
-        }
-    }
-}
-
-/// Below this block size the run is collapsed into a phase lookup table
-/// instead of recursing further (the table sweep is one multiply per
-/// amplitude; deeper recursion would pay a call per handful of
-/// amplitudes).
-const DIAG_TABLE_MAX: usize = 256;
-
-/// `true` when `z` is 1 up to fp rounding of unit-modulus products
-/// (same classification the fusion pipeline uses).
-#[inline]
-fn is_unit(z: Complex) -> bool {
-    let d = z - Complex::ONE;
-    d.norm_sq() < 1e-30
-}
-
-/// Applies a whole run of diagonal factors in **one** hierarchical
-/// sweep: each amplitude is multiplied exactly once, by the product of
-/// every factor selected by its bits (consecutive fused diagonal blocks
-/// — QFT rows, QAOA cost layers — would otherwise each pay a separate
-/// pass over the state).
-///
-/// Two phases. **Build**: recursively split on the highest qubit any
-/// term touches — terms on that qubit partially evaluate into per-half
-/// scalars (or 1-qubit terms, for pairs) — until the remaining span
-/// fits [`DIAG_TABLE_MAX`], where the residual run collapses into a
-/// phase lookup table. The result is a small class tree computed
-/// **once** per run (one node per setting of the run's high qubits),
-/// not once per amplitude block. **Apply**: walk the state against the
-/// tree; every amplitude receives exactly one multiply, from its leaf's
-/// table or scalar. With `par`, disjoint block-aligned chunks fan out
-/// above the grain size.
-pub fn apply_diag_run(amps: &mut [Complex], terms: &[DiagTerm], par: bool) {
-    if let Some(t) = terms.iter().map(DiagTerm::top_qubit).max() {
-        assert_in_register(amps.len(), 1usize << t);
-    }
-    let tree = build_diag_tree(terms.to_vec(), Complex::ONE);
-    apply_diag_tree(amps, &tree, par);
-}
-
-/// One class of basis states in a batched diagonal run: all indices
-/// sharing a setting of the run's qubits above the node's level get the
-/// same residual factor structure.
-enum DiagNode {
-    /// No factors below this level beyond a constant (skipped when it
-    /// is 1 up to rounding).
-    Scale(Complex),
-    /// Residual factors over a span of at most [`DIAG_TABLE_MAX`]
-    /// amplitudes, collapsed into one lookup table.
-    Leaf(Vec<Complex>),
-    /// Blocks of `2^(h+1)` amplitudes split at qubit `h` into two
-    /// half-classes.
-    Split {
-        h: usize,
-        lo: Box<DiagNode>,
-        hi: Box<DiagNode>,
-    },
-}
-
-fn build_diag_tree(terms: Vec<DiagTerm>, scalar: Complex) -> DiagNode {
-    let Some(h) = terms.iter().map(DiagTerm::top_qubit).max() else {
-        return DiagNode::Scale(scalar);
-    };
-    let block = 2usize << h;
-    if block <= DIAG_TABLE_MAX {
-        let mut table = vec![scalar; block];
-        for (x, f) in table.iter_mut().enumerate() {
-            for t in &terms {
-                *f = *f * t.factor(x);
-            }
-        }
-        return DiagNode::Leaf(table);
-    }
-    let mut lo_terms = Vec::with_capacity(terms.len());
-    let mut hi_terms = Vec::with_capacity(terms.len());
-    let (mut lo_scalar, mut hi_scalar) = (scalar, scalar);
-    for t in terms {
-        match t {
-            DiagTerm::One { q, p } if q == h => {
-                lo_scalar = lo_scalar * p[0];
-                hi_scalar = hi_scalar * p[1];
-            }
-            DiagTerm::Two { qlo, qhi, d } if qhi == h => {
-                lo_terms.push(DiagTerm::One {
-                    q: qlo,
-                    p: [d[0], d[1]],
-                });
-                hi_terms.push(DiagTerm::One {
-                    q: qlo,
-                    p: [d[2], d[3]],
-                });
-            }
-            other => {
-                lo_terms.push(other);
-                hi_terms.push(other);
-            }
-        }
-    }
-    DiagNode::Split {
-        h,
-        lo: Box::new(build_diag_tree(lo_terms, lo_scalar)),
-        hi: Box::new(build_diag_tree(hi_terms, hi_scalar)),
-    }
-}
-
-fn apply_diag_tree(amps: &mut [Complex], node: &DiagNode, par: bool) {
-    match node {
-        DiagNode::Scale(s) => {
-            if !is_unit(*s) {
-                scale_all(amps, *s, par);
-            }
-        }
-        DiagNode::Leaf(table) => fan_out(amps, table.len(), par, |amps| sweep_table(amps, table)),
-        DiagNode::Split { h, lo, hi } => {
-            let block = 2usize << h;
-            fan_out(amps, block, par, |amps| {
-                for chunk in amps.chunks_exact_mut(block) {
-                    let (clo, chi) = chunk.split_at_mut(block / 2);
-                    apply_diag_tree(clo, lo, par);
-                    apply_diag_tree(chi, hi, par);
-                }
-            });
-        }
-    }
-}
-
-/// Elementwise multiply by a table whose length divides the chunking.
-/// Dispatching entry point.
-#[inline]
-fn sweep_table(amps: &mut [Complex], table: &[Complex]) {
-    if simd::active() {
-        simd::sweep_table(amps, table);
-    } else {
-        sweep_table_scalar(amps, table);
-    }
-}
-
-#[inline]
-fn sweep_table_scalar(amps: &mut [Complex], table: &[Complex]) {
-    for chunk in amps.chunks_exact_mut(table.len()) {
-        for (a, f) in chunk.iter_mut().zip(table) {
-            *a = *a * *f;
-        }
-    }
-}
-
-// --- fused two-qubit block kernels ----------------------------------------
-
-/// Applies a general 4×4 matrix to the qubit pair `(qlo, qhi)` with
-/// `qlo < qhi` and the matrix in the `v = bit(qlo) + 2·bit(qhi)`
-/// convention (callers transpose beforehand if needed).
-///
-/// One pass over the state replaces every pass the fused block absorbed.
-pub fn apply_2q(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4], par: bool) {
-    debug_assert!(qlo < qhi);
-    assert_in_register(amps.len(), 1usize << qhi);
-    fan_out(amps, 2usize << qhi, par, |amps| {
-        if simd::active() {
-            simd::apply_2q(amps, qlo, qhi, m);
-        } else {
-            apply_2q_scalar(amps, qlo, qhi, m);
-        }
-    });
-}
-
-/// Portable scalar body of [`apply_2q`].
-fn apply_2q_scalar(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4]) {
-    let (slo, shi) = (1usize << qlo, 1usize << qhi);
-    for block in amps.chunks_exact_mut(2 * shi) {
-        let (lo, hi) = block.split_at_mut(shi);
-        for (lc, hc) in lo
-            .chunks_exact_mut(2 * slo)
-            .zip(hi.chunks_exact_mut(2 * slo))
-        {
-            let (l0, l1) = lc.split_at_mut(slo);
-            let (h0, h1) = hc.split_at_mut(slo);
-            for (((a0, a1), a2), a3) in l0
-                .iter_mut()
-                .zip(l1.iter_mut())
-                .zip(h0.iter_mut())
-                .zip(h1.iter_mut())
-            {
-                let v = [*a0, *a1, *a2, *a3];
-                *a0 = m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2] + m[0][3] * v[3];
-                *a1 = m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2] + m[1][3] * v[3];
-                *a2 = m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2] + m[2][3] * v[3];
-                *a3 = m[3][0] * v[0] + m[3][1] * v[1] + m[3][2] * v[2] + m[3][3] * v[3];
-            }
-        }
-    }
-}
-
-/// Diagonal 4×4 `diag(d[0], d[1], d[2], d[3])` on `(qlo, qhi)`,
-/// `qlo < qhi`, same index convention as [`apply_2q`]: four contiguous
-/// run classes, one precomputed factor each.
-pub fn diag_2q(amps: &mut [Complex], qlo: usize, qhi: usize, d: [Complex; 4], par: bool) {
-    debug_assert!(qlo < qhi);
-    let shi = 1usize << qhi;
-    assert_in_register(amps.len(), shi);
-    fan_out(amps, 2 * shi, par, |amps| {
-        for block in amps.chunks_exact_mut(2 * shi) {
-            let (lo, hi) = block.split_at_mut(shi);
-            diag_1q(lo, qlo, d[0], d[1], false);
-            diag_1q(hi, qlo, d[2], d[3], false);
-        }
-    });
-}
-
-/// Multiplies every amplitude by `factor` (the deferred global phase
-/// a fused run accumulates).
-pub fn scale_all(amps: &mut [Complex], factor: Complex, par: bool) {
-    fan_out(amps, 1, par, |amps| {
-        if simd::active() {
-            simd::scale_all(amps, factor);
-        } else {
-            for a in amps {
-                *a = *a * factor;
-            }
-        }
-    });
-}
-
 // --- the XX Mølmer–Sørensen kernel ----------------------------------------
 
 /// `XX(θ) = exp(-iθ/2·X⊗X)` on qubits `a`, `b`: rotates the amplitude
@@ -760,67 +494,6 @@ mod tests {
                 assert_eq!(a, b, "n={n} swap({p},{q})");
             }
         }
-    }
-
-    #[test]
-    fn diag_run_matches_per_term_application() {
-        let n = 9usize;
-        let terms = vec![
-            DiagTerm::One {
-                q: 0,
-                p: [Complex::ONE, Complex::cis(0.3)],
-            },
-            DiagTerm::Two {
-                qlo: 1,
-                qhi: 7,
-                d: [
-                    Complex::ONE,
-                    Complex::cis(0.2),
-                    Complex::cis(-0.4),
-                    Complex::cis(1.1),
-                ],
-            },
-            DiagTerm::One {
-                q: 8,
-                p: [Complex::cis(-0.6), Complex::cis(0.6)],
-            },
-            DiagTerm::Two {
-                qlo: 3,
-                qhi: 4,
-                d: [
-                    Complex::ONE,
-                    Complex::ONE,
-                    Complex::ONE,
-                    Complex::new(-1.0, 0.0),
-                ],
-            },
-        ];
-        let init: Vec<Complex> = (0..1usize << n)
-            .map(|i| Complex::new((i % 17) as f64, (i % 5) as f64))
-            .collect();
-        for parallel in [false, true] {
-            let mut batched = init.clone();
-            apply_diag_run(&mut batched, &terms, parallel);
-            let mut reference = init.clone();
-            for (x, a) in reference.iter_mut().enumerate() {
-                for t in &terms {
-                    *a = *a * t.factor(x);
-                }
-            }
-            for (x, (got, want)) in batched.iter().zip(&reference).enumerate() {
-                assert!(
-                    (got.re - want.re).abs() < 1e-12 && (got.im - want.im).abs() < 1e-12,
-                    "parallel={parallel} index {x}: {got:?} vs {want:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_diag_run_is_identity() {
-        let mut v = ramp(16);
-        apply_diag_run(&mut v, &[], false);
-        assert_eq!(v, ramp(16));
     }
 
     #[test]

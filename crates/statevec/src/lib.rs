@@ -4,7 +4,10 @@
 //! crate checks *semantics*: that the native-gate decompositions and the
 //! routed physical circuits implement the same unitaries as the programs
 //! they came from. It is a verification tool for small registers
-//! (`n ≲ 16`), not a performance simulator.
+//! (`n ≲ 16`), not a performance simulator: every gate takes one path,
+//! gate by gate through the pair-indexed [`kernels`], and the seed's
+//! full-scan loop stays in [`naive`] as the oracle they are tested
+//! against.
 //!
 //! # Example
 //!
@@ -22,11 +25,10 @@
 //! ```
 
 pub mod complex;
-pub mod fuse;
 pub mod kernels;
 pub mod naive;
 pub mod simd;
 pub mod state;
 
 pub use complex::Complex;
-pub use state::{RunOptions, State, StateError, DEFAULT_MAX_QUBITS};
+pub use state::{State, StateError, DEFAULT_MAX_QUBITS};

@@ -159,11 +159,8 @@ macro_rules! shim {
 shim! {
     fn apply_1q(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2]);
     fn apply_1q_zip(lo: &mut [Complex], hi: &mut [Complex], m: [[Complex; 2]; 2]);
-    fn apply_2q(amps: &mut [Complex], qlo: usize, qhi: usize, m: [[Complex; 4]; 4]);
     fn diag_1q(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex);
     fn phase_1q(amps: &mut [Complex], q: usize, phase: Complex);
-    fn scale_all(amps: &mut [Complex], factor: Complex);
-    fn sweep_table(amps: &mut [Complex], table: &[Complex]);
     fn rotate_zip(xs: &mut [Complex], ys: &mut [Complex], cos: Complex, isin: Complex);
 }
 
@@ -223,81 +220,22 @@ mod avx {
         _mm256_fmaddsub_pd(a, bre, _mm256_mul_pd(aswap, bim))
     }
 
-    /// `acc + a·b` (lanewise complex), fused where the ISA allows.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn cmul_add(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: pure register arithmetic under the same
-        // target-feature contract as this fn.
-        unsafe { _mm256_add_pd(acc, cmul(a, b)) }
-    }
-
-    /// Multiplies every amplitude of `amps` by the constant `factor`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn scale_all(amps: &mut [Complex], factor: Complex) {
-        // SAFETY: register-only broadcast under this fn's features.
-        let f = unsafe { broadcast(factor) };
-        let n = amps.len() & !1;
-        let p = amps.as_mut_ptr();
-        let mut i = 0;
-        while i < n {
-            // SAFETY: `i + 1 < amps.len()` (n is len rounded down to
-            // even), so `p.add(i)` covers two in-bounds amplitudes of
-            // the exclusively borrowed slice.
-            unsafe { store2(p.add(i), cmul(load2(p.add(i)), f)) };
-            i += 2;
-        }
-        if n < amps.len() {
-            amps[n] = amps[n] * factor;
-        }
-    }
-
-    /// Elementwise multiply by a table whose length divides the
-    /// chunking (the batched diagonal run's leaf sweep). Tables are
-    /// power-of-two sized, so a table of length ≥ 2 vectorizes exactly;
-    /// a length-1 table is a plain scale.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn sweep_table(amps: &mut [Complex], table: &[Complex]) {
-        let t = table.len();
-        if t < 2 {
-            if let Some(&f) = table.first() {
-                // SAFETY: same slice, same feature contract.
-                unsafe { scale_all(amps, f) };
-            }
-            return;
-        }
-        let tp = table.as_ptr();
-        for chunk in amps.chunks_exact_mut(t) {
-            let p = chunk.as_mut_ptr();
-            let mut i = 0;
-            while i < t {
-                // SAFETY: `i + 1 < t`, `t` even (power of two ≥ 2), so
-                // both `p.add(i)` (chunk of length t) and `tp.add(i)`
-                // (table of length t) cover two in-bounds amplitudes.
-                unsafe { store2(p.add(i), cmul(load2(p.add(i)), load2(tp.add(i)))) };
-                i += 2;
-            }
-        }
-    }
-
     /// Multiplies a contiguous run by a constant — the tile primitive
-    /// of the diagonal kernels.
+    /// of the diagonal kernels (`f` is `scalar` broadcast).
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn scale_run(p: *mut Complex, len: usize, f: __m256d, scalar: Complex) {
-        let n = len & !1;
+    unsafe fn scale(run: &mut [Complex], f: __m256d, scalar: Complex) {
+        let n = run.len() & !1;
+        let p = run.as_mut_ptr();
         let mut i = 0;
         while i < n {
-            // SAFETY: caller guarantees `p..p+len` is exclusively
-            // writable; `i + 1 < len`, so the two-amplitude access
-            // stays inside the run.
+            // SAFETY: `i + 1 < run.len()` (n is the length rounded down
+            // to even), so `p.add(i)` covers two in-bounds amplitudes of
+            // the exclusively borrowed run.
             unsafe { store2(p.add(i), cmul(load2(p.add(i)), f)) };
             i += 2;
         }
-        if n < len {
-            // SAFETY: `n < len`, in-bounds of the caller's run; no
-            // other reference aliases it.
-            let a = unsafe { &mut *p.add(n) };
+        if let Some(a) = run.get_mut(n) {
             *a = *a * scalar;
         }
     }
@@ -312,17 +250,15 @@ mod avx {
         // SAFETY: register-only broadcasts under this fn's features.
         let (f0, f1) = unsafe { (broadcast(p0), broadcast(p1)) };
         for block in amps.chunks_exact_mut(2 * stride) {
-            let base = block.as_mut_ptr();
+            let (lo, hi) = block.split_at_mut(stride);
             let mut t = 0;
             while t < stride {
                 let tile = L1_TILE.min(stride - t);
-                // SAFETY: `t + tile <= stride`, so both runs —
-                // `[t, t+tile)` in the lo plane and
-                // `[stride+t, stride+t+tile)` in the hi plane — stay
-                // inside this exclusively borrowed 2·stride block.
+                // SAFETY: disjoint in-bounds reborrows of this block's
+                // planes, same feature contract.
                 unsafe {
-                    scale_run(base.add(t), tile, f0, p0);
-                    scale_run(base.add(stride + t), tile, f1, p1);
+                    scale(&mut lo[t..t + tile], f0, p0);
+                    scale(&mut hi[t..t + tile], f1, p1);
                 }
                 t += tile;
             }
@@ -337,9 +273,8 @@ mod avx {
         // SAFETY: register-only broadcast under this fn's features.
         let f = unsafe { broadcast(phase) };
         for block in amps.chunks_exact_mut(2 * stride) {
-            // SAFETY: the hi plane `[stride, 2·stride)` of this
-            // exclusively borrowed 2·stride block.
-            unsafe { scale_run(block.as_mut_ptr().add(stride), stride, f, phase) };
+            // SAFETY: the hi plane of this block, same feature contract.
+            unsafe { scale(&mut block[stride..], f, phase) };
         }
     }
 
@@ -372,8 +307,8 @@ mod avx {
             unsafe {
                 let x = load2(lp.add(i));
                 let y = load2(hp.add(i));
-                store2(lp.add(i), cmul_add(cmul(x, m00), y, m01));
-                store2(hp.add(i), cmul_add(cmul(x, m10), y, m11));
+                store2(lp.add(i), _mm256_add_pd(cmul(x, m00), cmul(y, m01)));
+                store2(hp.add(i), _mm256_add_pd(cmul(x, m10), cmul(y, m11)));
             }
             i += 2;
         }
@@ -407,7 +342,7 @@ mod avx {
                     let v = load2(p.add(i));
                     let x = _mm256_permute2f128_pd(v, v, 0x00); // [x, x]
                     let y = _mm256_permute2f128_pd(v, v, 0x11); // [y, y]
-                    store2(p.add(i), cmul_add(cmul(x, col0), y, col1));
+                    store2(p.add(i), _mm256_add_pd(cmul(x, col0), cmul(y, col1)));
                 }
                 i += 2;
             }
@@ -439,137 +374,6 @@ mod avx {
         // SAFETY: forwards the caller's equal-length disjoint planes
         // under the same feature contract.
         unsafe { apply_1q_zip(xs, ys, [[cos, isin], [isin, cos]]) };
-    }
-
-    /// Applies a general 4×4 matrix to the pair `(qlo, qhi)`,
-    /// `qlo < qhi`, `v = bit(qlo) + 2·bit(qhi)`.
-    ///
-    /// `qlo = 0` keeps the `(v=0, v=1)` and `(v=2, v=3)` members
-    /// adjacent in memory, so the block is combined column-wise like
-    /// the interleaved 1q case; `qlo ≥ 1` zips four contiguous runs.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn apply_2q(
-        amps: &mut [Complex],
-        qlo: usize,
-        qhi: usize,
-        m: [[Complex; 4]; 4],
-    ) {
-        let (slo, shi) = (1usize << qlo, 1usize << qhi);
-        if qlo == 0 {
-            // Row-pair columns: colab[j] = [m[a][j], m[b][j]].
-            let col = |a: usize, b: usize, j: usize| {
-                _mm256_setr_pd(m[a][j].re, m[a][j].im, m[b][j].re, m[b][j].im)
-            };
-            let c01: [__m256d; 4] = [col(0, 1, 0), col(0, 1, 1), col(0, 1, 2), col(0, 1, 3)];
-            let c23: [__m256d; 4] = [col(2, 3, 0), col(2, 3, 1), col(2, 3, 2), col(2, 3, 3)];
-            for block in amps.chunks_exact_mut(2 * shi) {
-                let (lo, hi) = block.split_at_mut(shi);
-                let (lp, hp) = (lo.as_mut_ptr(), hi.as_mut_ptr());
-                let mut i = 0;
-                while i < shi {
-                    // SAFETY: `shi` is a power of two ≥ 2 (qhi > qlo =
-                    // 0), so `i + 1 < shi` and both two-amplitude
-                    // accesses hit the disjoint, exclusively borrowed
-                    // lo/hi planes in-bounds.
-                    unsafe {
-                        let v01 = load2(lp.add(i)); // [a0, a1]
-                        let v23 = load2(hp.add(i)); // [a2, a3]
-                        let a0 = _mm256_permute2f128_pd(v01, v01, 0x00);
-                        let a1 = _mm256_permute2f128_pd(v01, v01, 0x11);
-                        let a2 = _mm256_permute2f128_pd(v23, v23, 0x00);
-                        let a3 = _mm256_permute2f128_pd(v23, v23, 0x11);
-                        let lo_out = cmul_add(
-                            cmul_add(cmul_add(cmul(a0, c01[0]), a1, c01[1]), a2, c01[2]),
-                            a3,
-                            c01[3],
-                        );
-                        let hi_out = cmul_add(
-                            cmul_add(cmul_add(cmul(a0, c23[0]), a1, c23[1]), a2, c23[2]),
-                            a3,
-                            c23[3],
-                        );
-                        store2(lp.add(i), lo_out);
-                        store2(hp.add(i), hi_out);
-                    }
-                    i += 2;
-                }
-            }
-            return;
-        }
-        // SAFETY: register-only broadcasts under this fn's features.
-        let mb: [[__m256d; 4]; 4] = unsafe {
-            [
-                [
-                    broadcast(m[0][0]),
-                    broadcast(m[0][1]),
-                    broadcast(m[0][2]),
-                    broadcast(m[0][3]),
-                ],
-                [
-                    broadcast(m[1][0]),
-                    broadcast(m[1][1]),
-                    broadcast(m[1][2]),
-                    broadcast(m[1][3]),
-                ],
-                [
-                    broadcast(m[2][0]),
-                    broadcast(m[2][1]),
-                    broadcast(m[2][2]),
-                    broadcast(m[2][3]),
-                ],
-                [
-                    broadcast(m[3][0]),
-                    broadcast(m[3][1]),
-                    broadcast(m[3][2]),
-                    broadcast(m[3][3]),
-                ],
-            ]
-        };
-        for block in amps.chunks_exact_mut(2 * shi) {
-            let (lo, hi) = block.split_at_mut(shi);
-            for (lc, hc) in lo
-                .chunks_exact_mut(2 * slo)
-                .zip(hi.chunks_exact_mut(2 * slo))
-            {
-                let (l0, l1) = lc.split_at_mut(slo);
-                let (h0, h1) = hc.split_at_mut(slo);
-                let p = [
-                    l0.as_mut_ptr(),
-                    l1.as_mut_ptr(),
-                    h0.as_mut_ptr(),
-                    h1.as_mut_ptr(),
-                ];
-                let mut i = 0;
-                while i < slo {
-                    // SAFETY: `slo` is a power of two ≥ 2 (qlo ≥ 1), so
-                    // `i + 1 < slo`; the four runs are disjoint
-                    // `slo`-length split-offs of this exclusively
-                    // borrowed block, so every two-amplitude access is
-                    // in-bounds and non-aliasing.
-                    unsafe {
-                        let v = [
-                            load2(p[0].add(i)),
-                            load2(p[1].add(i)),
-                            load2(p[2].add(i)),
-                            load2(p[3].add(i)),
-                        ];
-                        for r in 0..4 {
-                            let acc = cmul_add(
-                                cmul_add(
-                                    cmul_add(cmul(v[0], mb[r][0]), v[1], mb[r][1]),
-                                    v[2],
-                                    mb[r][2],
-                                ),
-                                v[3],
-                                mb[r][3],
-                            );
-                            store2(p[r].add(i), acc);
-                        }
-                    }
-                    i += 2;
-                }
-            }
-        }
     }
 }
 

@@ -8,18 +8,19 @@
 //!   is maximally entangling), `ZZ(θ) = exp(-iθ/2 Z⊗Z)`.
 //! * `CPhase(λ) = diag(1, 1, 1, e^{iλ})`.
 //!
-//! Gate application dispatches to the pair-indexed kernels of
+//! Gates take one path: gate by gate into the pair-indexed kernels of
 //! [`crate::kernels`] (see `crates/statevec/README.md` for the indexing
-//! scheme); each kernel in turn resolves to the active instruction tier
-//! of [`crate::simd`] — AVX2+FMA on hosts that support it, the portable
-//! scalar loops otherwise — so nothing at this layer depends on the
-//! tier. Whether to fan out over threads is decided once per
-//! [`State::apply`], [`State::run_with`] or [`State::run_sampled`] call
-//! and handed to each kernel as-is. The seed's branchy full-scan
-//! implementation is retained in [`crate::naive`] as the reference path.
+//! scheme). [`State::apply`] sends one gate; [`State::run`],
+//! [`State::run_with`] and [`State::run_sampled`] share one gate loop,
+//! which decides once per call whether to fan out over threads and
+//! hands that decision to each kernel as-is. Each kernel resolves to
+//! the active instruction tier of [`crate::simd`] — AVX2+FMA on hosts
+//! that support it, the portable scalar loops otherwise — so nothing at
+//! this layer depends on the tier. The seed's branchy full-scan
+//! implementation is retained in [`crate::naive`] as the reference
+//! oracle.
 
 use crate::complex::Complex;
-use crate::fuse::{self, FusedOp};
 use crate::kernels;
 use crate::naive;
 use rand::rngs::SmallRng;
@@ -64,36 +65,6 @@ impl std::fmt::Display for StateError {
 }
 
 impl std::error::Error for StateError {}
-
-/// How [`State::run_with`] should execute a circuit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Collapse runs of single-qubit gates before application
-    /// (semantically transparent; see [`crate::fuse`]).
-    pub fuse: bool,
-    /// `None` — parallelize when the state is large and the host has
-    /// threads (the default); `Some(true)` / `Some(false)` — force the
-    /// choice (used by the equivalence tests to pin each path).
-    pub parallel: Option<bool>,
-}
-
-impl RunOptions {
-    /// The default execution mode: fusion on, parallelism automatic.
-    pub fn optimized() -> Self {
-        RunOptions {
-            fuse: true,
-            parallel: None,
-        }
-    }
-
-    /// Gate-at-a-time serial execution through the optimized kernels.
-    pub fn serial_unfused() -> Self {
-        RunOptions {
-            fuse: false,
-            parallel: Some(false),
-        }
-    }
-}
 
 /// A pure quantum state over `n` qubits (`2^n` amplitudes).
 #[derive(Clone, Debug, PartialEq)]
@@ -240,55 +211,28 @@ impl State {
     }
 
     /// Applies every gate of `circuit` in program order through the
-    /// optimized pipeline (single-qubit fusion plus pair-indexed
-    /// kernels), consuming and returning the state for chaining.
-    pub fn run(self, circuit: &Circuit) -> State {
-        self.run_with(circuit, RunOptions::optimized())
-    }
-
-    /// [`State::run`] with explicit execution options.
+    /// pair-indexed kernels, consuming and returning the state for
+    /// chaining.
     ///
     /// # Panics
     ///
-    /// Panics when the circuit is wider than the state.
-    pub fn run_with(mut self, circuit: &Circuit, opts: RunOptions) -> State {
-        assert!(
-            circuit.n_qubits() <= self.n_qubits,
-            "circuit wider than state"
-        );
-        let parallel = kernels::should_parallelize(self.amps.len(), opts.parallel);
-        if opts.fuse {
-            // Unit-modulus factors common to a whole block are deferred
-            // into one end-of-run sweep: the unitary applied is
-            // identical (up to f64 rounding), but e.g. the ubiquitous
-            // `e^{-iλ/4}·diag(1,1,1,e^{iλ})` fused controlled-phase
-            // block touches 2^(n-2) amplitudes instead of 2^n.
-            //
-            // On top of that, *consecutive* diagonal blocks (QFT rows,
-            // QAOA cost layers) are batched into one run and applied by
-            // a single hierarchical sweep — diagonal ops commute, so
-            // deferring each term past later diagonal terms is exact.
-            let mut global = Complex::ONE;
-            let mut run = DiagRun::new();
-            for op in fuse::fuse(circuit) {
-                match classify_diag(&op, &mut global) {
-                    DiagClass::Term(term) => run.push(&mut self.amps, term, parallel),
-                    DiagClass::Absorbed => {}
-                    DiagClass::Opaque => {
-                        run.flush(&mut self.amps, parallel);
-                        apply_fused(&mut self.amps, op, parallel, &mut global);
-                    }
-                }
-            }
-            run.flush(&mut self.amps, parallel);
-            if !close(global, Complex::ONE) {
-                kernels::scale_all(&mut self.amps, global, parallel);
-            }
-        } else {
-            for g in circuit {
-                apply_kernel(&mut self.amps, g, parallel);
-            }
-        }
+    /// Panics when the circuit is wider than the state or measures
+    /// (use [`State::run_sampled`] for that).
+    pub fn run(self, circuit: &Circuit) -> State {
+        self.run_with(circuit, None)
+    }
+
+    /// [`State::run`] with the parallel decision pinned: `None` fans out
+    /// when the state is large and the host has threads (the default);
+    /// `Some(true)` / `Some(false)` force the choice, which the
+    /// equivalence tests use to pin each path and the same-run timing
+    /// gate to stay on one thread.
+    ///
+    /// # Panics
+    ///
+    /// As [`State::run`].
+    pub fn run_with(mut self, circuit: &Circuit, parallel: Option<bool>) -> State {
+        self.run_gates(circuit, parallel, None::<&mut SmallRng>);
         self
     }
 
@@ -372,35 +316,45 @@ impl State {
     /// Runs `circuit` gate by gate, dispatching `measure`/`reset`
     /// through [`State::measure_with`] / [`State::reset_with`] with
     /// draws from `rng`. Returns the final state and one bit per
-    /// `measure` gate in program order.
-    ///
-    /// Unlike [`State::run`] this path performs no fusion — mid-circuit
-    /// measurement is a nonlinear barrier — so use it only when the
-    /// program actually measures.
+    /// `measure` gate in program order. On a measurement-free circuit
+    /// the state is bit-identical to [`State::run`]'s.
     pub fn run_sampled<R: rand::Rng>(
         mut self,
         circuit: &Circuit,
         rng: &mut R,
     ) -> (State, Vec<bool>) {
+        let outcomes = self.run_gates(circuit, None, Some(rng));
+        (self, outcomes)
+    }
+
+    /// The one gate loop behind [`State::run_with`] and
+    /// [`State::run_sampled`]: decides parallelism once, sends unitaries
+    /// to the kernels and, when `rng` is given, samples `measure`/`reset`
+    /// from it (without one they reach the kernels' panic).
+    fn run_gates<R: rand::Rng>(
+        &mut self,
+        circuit: &Circuit,
+        parallel: Option<bool>,
+        mut rng: Option<&mut R>,
+    ) -> Vec<bool> {
         assert!(
             circuit.n_qubits() <= self.n_qubits,
             "circuit wider than state"
         );
-        let parallel = kernels::should_parallelize(self.amps.len(), None);
+        let parallel = kernels::should_parallelize(self.amps.len(), parallel);
         let mut outcomes = Vec::new();
         for g in circuit {
-            match *g {
-                Gate::Measure(q) => {
-                    let bit = self.measure_with(q.index(), rng.gen());
-                    outcomes.push(bit);
+            match (*g, rng.as_deref_mut()) {
+                (Gate::Measure(q), Some(rng)) => {
+                    outcomes.push(self.measure_with(q.index(), rng.gen()));
                 }
-                Gate::Reset(q) => {
+                (Gate::Reset(q), Some(rng)) => {
                     self.reset_with(q.index(), rng.gen());
                 }
-                ref unitary => apply_kernel(&mut self.amps, unitary, parallel),
+                _ => apply_kernel(&mut self.amps, g, parallel),
             }
         }
-        (self, outcomes)
+        outcomes
     }
 
     /// Relabels qubits: qubit `q` of `self` becomes qubit `perm[q]` of the
@@ -431,258 +385,6 @@ impl State {
             n_qubits: self.n_qubits,
             amps: out,
         }
-    }
-}
-
-/// `|a - b| < 1e-15` — fp-rounding-level agreement between unit-modulus
-/// fusion products. Genuinely different phases differ by far more, so
-/// this only classifies entries that drifted apart by accumulated
-/// rounding; treating them as equal perturbs amplitudes below the 1e-12
-/// equivalence tolerance even across hundreds of blocks.
-#[inline]
-fn close(a: Complex, b: Complex) -> bool {
-    (a - b).norm_sq() < 1e-30
-}
-
-/// How a fused op enters the diagonal-run batcher.
-enum DiagClass {
-    /// A diagonal factor, normalized to a leading 1 (the common phase
-    /// already moved into the deferred global factor).
-    Term(kernels::DiagTerm),
-    /// Diagonal and — after normalization — the identity: nothing to
-    /// apply beyond the global factor.
-    Absorbed,
-    /// Not diagonal; must flush the pending run and apply directly.
-    Opaque,
-}
-
-/// Classifies a fused op for run batching, accumulating each diagonal
-/// block's common phase into `global` (the same normalization
-/// [`apply_fused`] performs).
-fn classify_diag(op: &FusedOp, global: &mut Complex) -> DiagClass {
-    match *op {
-        FusedOp::OneQ { q, m } if fuse::is_diagonal2(&m) => {
-            *global = *global * m[0][0];
-            let rel = m[1][1] * m[0][0].conj();
-            if close(rel, Complex::ONE) {
-                DiagClass::Absorbed
-            } else {
-                DiagClass::Term(kernels::DiagTerm::One {
-                    q,
-                    p: [Complex::ONE, rel],
-                })
-            }
-        }
-        FusedOp::TwoQ { a, b, m } if fuse::is_diagonal4(&m) => {
-            // Orient to qlo < qhi: transposing the index bits of a
-            // diagonal swaps the |01⟩ and |10⟩ entries.
-            let raw = [m[0][0], m[1][1], m[2][2], m[3][3]];
-            let (qlo, qhi, d) = if a < b {
-                (a, b, raw)
-            } else {
-                (b, a, [raw[0], raw[2], raw[1], raw[3]])
-            };
-            *global = *global * d[0];
-            let rel = [
-                Complex::ONE,
-                d[1] * d[0].conj(),
-                d[2] * d[0].conj(),
-                d[3] * d[0].conj(),
-            ];
-            if rel[1..].iter().all(|&z| close(z, Complex::ONE)) {
-                DiagClass::Absorbed
-            } else {
-                DiagClass::Term(kernels::DiagTerm::Two { qlo, qhi, d: rel })
-            }
-        }
-        _ => DiagClass::Opaque,
-    }
-}
-
-/// Shortest run worth the hierarchical sweep: below this each term's
-/// specialized kernel (which touches only the affected subspace) is
-/// cheaper than one full-state pass.
-const MIN_DIAG_RUN: usize = 4;
-
-/// Most distinct qubits per batched run: the hierarchical sweep's
-/// bookkeeping tree has one node per setting of the run's qubits, so an
-/// unbounded run on an n-qubit register would cost as much as the naive
-/// per-index evaluation it replaces.
-const MAX_DIAG_RUN_QUBITS: u32 = 12;
-
-/// Pending batch of consecutive diagonal factors.
-struct DiagRun {
-    terms: Vec<kernels::DiagTerm>,
-    qubits: u64,
-}
-
-impl DiagRun {
-    fn new() -> Self {
-        DiagRun {
-            terms: Vec::new(),
-            qubits: 0,
-        }
-    }
-
-    /// Adds a term, flushing first when the run's qubit budget would
-    /// overflow.
-    fn push(&mut self, amps: &mut [Complex], term: kernels::DiagTerm, parallel: bool) {
-        let mask = match term {
-            kernels::DiagTerm::One { q, .. } => 1u64 << q,
-            kernels::DiagTerm::Two { qlo, qhi, .. } => (1u64 << qlo) | (1u64 << qhi),
-        };
-        if (self.qubits | mask).count_ones() > MAX_DIAG_RUN_QUBITS {
-            self.flush(amps, parallel);
-        }
-        self.qubits |= mask;
-        self.terms.push(term);
-    }
-
-    /// Applies and clears the pending run: long runs via the batched
-    /// hierarchical sweep, short ones through the per-term kernels
-    /// (identical numerics to unbatched dispatch).
-    fn flush(&mut self, amps: &mut [Complex], parallel: bool) {
-        if self.terms.len() >= MIN_DIAG_RUN {
-            kernels::apply_diag_run(amps, &self.terms, parallel);
-        } else {
-            for term in &self.terms {
-                apply_diag_term(amps, term, parallel);
-            }
-        }
-        self.terms.clear();
-        self.qubits = 0;
-    }
-}
-
-/// Applies one normalized diagonal term through the specialized
-/// sub-space kernels (the pre-batching dispatch, kept for short runs).
-fn apply_diag_term(amps: &mut [Complex], term: &kernels::DiagTerm, parallel: bool) {
-    match *term {
-        kernels::DiagTerm::One { q, p } => kernels::phase_1q(amps, q, p[1], parallel),
-        kernels::DiagTerm::Two { qlo, qhi, d } => {
-            if close(d[1], Complex::ONE) && close(d[2], Complex::ONE) {
-                // Controlled-phase shape: only the |11⟩ subspace moves.
-                if !close(d[3], Complex::ONE) {
-                    kernels::phase_both(amps, qlo, qhi, d[3], parallel);
-                }
-            } else {
-                kernels::diag_2q(amps, qlo, qhi, d, parallel);
-            }
-        }
-    }
-}
-
-/// Applies one fused op, deferring block-common unit-modulus factors
-/// into `global`.
-///
-/// Diagonal ops delegate to [`classify_diag`] + [`apply_diag_term`] —
-/// the same normalization the run batcher uses — so the d₀-deferral
-/// logic exists in one place. (In `State::run` the batcher intercepts
-/// diagonal ops before this function; the delegation keeps any other
-/// caller exactly equivalent.)
-fn apply_fused(amps: &mut [Complex], op: FusedOp, parallel: bool, global: &mut Complex) {
-    match classify_diag(&op, global) {
-        DiagClass::Term(term) => {
-            apply_diag_term(amps, &term, parallel);
-            return;
-        }
-        DiagClass::Absorbed => return,
-        DiagClass::Opaque => {}
-    }
-    match op {
-        FusedOp::OneQ { q, m } => apply_1q_dispatch(amps, q, m, parallel),
-        FusedOp::TwoQ { a, b, m } => {
-            let (qlo, qhi, m) = if a < b {
-                (a, b, m)
-            } else {
-                (b, a, fuse::transpose_qubits(m))
-            };
-            // A monomial block (a CNOT/SWAP possibly dressed with
-            // diagonal phases) goes to a masked phase sweep plus the
-            // contiguous-run swap kernels instead of a dense 4×4 pass.
-            if !apply_2q_monomial(amps, qlo, qhi, &m, parallel, global) {
-                kernels::apply_2q(amps, qlo, qhi, m, parallel);
-            }
-        }
-        FusedOp::Passthrough(g) => apply_kernel(amps, &g, parallel),
-    }
-}
-
-/// Dispatches `m` to the cheap kernels when it is *monomial*: exactly
-/// one nonzero entry per column, i.e. a basis permutation dressed with
-/// phases, `M = P·D` (a CNOT or SWAP block with only diagonal factors
-/// merged in — the fuser's cost model keeps these from densifying).
-/// The diagonal factor is applied first as a masked phase sweep (its
-/// common phase deferred into `global`), then the permutation through
-/// the contiguous-run swap kernels; the dense 4×4 pass this replaces
-/// costs roughly twice as much on such blocks. Returns `false` when
-/// `m` is not monomial or its permutation has no specialized kernel.
-fn apply_2q_monomial(
-    amps: &mut [Complex],
-    qlo: usize,
-    qhi: usize,
-    m: &fuse::Mat4,
-    parallel: bool,
-    global: &mut Complex,
-) -> bool {
-    // Column v's single nonzero entry at row p[v] carries the phase
-    // d[v]: M·x moves d[v]·x[v] to index p[v].
-    let mut p = [0usize; 4];
-    let mut d = [Complex::ZERO; 4];
-    for v in 0..4 {
-        let mut image = None;
-        for (r, row) in m.iter().enumerate() {
-            if row[v] != Complex::ZERO {
-                if image.is_some() {
-                    return false;
-                }
-                image = Some(r);
-            }
-        }
-        let Some(r) = image else { return false };
-        p[v] = r;
-        d[v] = m[r][v];
-    }
-    // Index convention: v = bit(qlo) + 2·bit(qhi). Permutations other
-    // than these (X-dressed variants) have no specialized kernel and
-    // stay on the dense path — they are rare and correct there.
-    if !matches!(p, [0, 1, 2, 3] | [0, 3, 2, 1] | [0, 1, 3, 2] | [0, 2, 1, 3]) {
-        return false;
-    }
-    // Apply D first: |d| = 1 up to rounding (products of unit-modulus
-    // entries), so the common phase defers into `global` exactly as in
-    // the diagonal-block path.
-    *global = *global * d[0];
-    let rel = [
-        Complex::ONE,
-        d[1] * d[0].conj(),
-        d[2] * d[0].conj(),
-        d[3] * d[0].conj(),
-    ];
-    if !rel[1..].iter().all(|&z| close(z, Complex::ONE)) {
-        apply_diag_term(amps, &kernels::DiagTerm::Two { qlo, qhi, d: rel }, parallel);
-    }
-    // Then P.
-    match p {
-        // Identity (e.g. CNOT·CNOT merged): nothing to move.
-        [0, 1, 2, 3] => {}
-        // Flip qhi when qlo is set: CNOT(ctrl = qlo, target = qhi).
-        [0, 3, 2, 1] => kernels::controlled_x(amps, 1usize << qlo, qhi, parallel),
-        // Flip qlo when qhi is set: CNOT(ctrl = qhi, target = qlo).
-        [0, 1, 3, 2] => kernels::controlled_x(amps, 1usize << qhi, qlo, parallel),
-        // Exchange the mixed basis states: SWAP.
-        [0, 2, 1, 3] => kernels::swap_qubits(amps, qlo, qhi, parallel),
-        _ => unreachable!("permutation was checked above"),
-    }
-    true
-}
-
-/// Routes a single-qubit matrix to the diagonal or general kernel.
-fn apply_1q_dispatch(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2], parallel: bool) {
-    if fuse::is_diagonal2(&m) {
-        kernels::diag_1q(amps, q, m[0][0], m[1][1], parallel);
-    } else {
-        kernels::apply_1q(amps, q, m, parallel);
     }
 }
 
@@ -733,15 +435,21 @@ fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
             kernels::diag_1q(amps, q.index(), lo, hi, parallel);
         }
         // Remaining single-qubit unitaries: pair-indexed 2×2 kernel.
-        Gate::H(_)
-        | Gate::X(_)
-        | Gate::Y(_)
-        | Gate::SqrtX(_)
-        | Gate::SqrtY(_)
-        | Gate::Rx(..)
-        | Gate::Ry(..) => {
-            let (q, m) = fuse::matrix_1q(gate).expect("single-qubit gate has a matrix");
-            apply_1q_dispatch(amps, q, m, parallel);
+        Gate::H(q)
+        | Gate::X(q)
+        | Gate::Y(q)
+        | Gate::SqrtX(q)
+        | Gate::SqrtY(q)
+        | Gate::Rx(q, _)
+        | Gate::Ry(q, _) => {
+            let m = matrix_1q(gate).expect("single-qubit gate has a matrix");
+            // `Rx(0)`/`Ry(0)` have (signed) zero off-diagonals: a phase
+            // sweep is exact for them and cheaper.
+            if is_diagonal2(&m) {
+                kernels::diag_1q(amps, q.index(), m[0][0], m[1][1], parallel);
+            } else {
+                kernels::apply_1q(amps, q.index(), m, parallel);
+            }
         }
         // Two-qubit diagonal gates.
         Gate::Cz(a, b) => {
@@ -772,6 +480,48 @@ fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
             kernels::xx_rotate(amps, a.index(), b.index(), cos, isin, parallel);
         }
     }
+}
+
+/// A 2×2 complex matrix (row-major).
+type Mat2 = [[Complex; 2]; 2];
+
+/// The 2×2 matrix of a non-diagonal single-qubit gate (the diagonal ones
+/// have phase kernels of their own), or `None` for anything else.
+fn matrix_1q(gate: &Gate) -> Option<Mat2> {
+    use std::f64::consts::FRAC_1_SQRT_2;
+    let c = Complex::new;
+    let m = match *gate {
+        Gate::H(_) => [
+            [c(FRAC_1_SQRT_2, 0.0), c(FRAC_1_SQRT_2, 0.0)],
+            [c(FRAC_1_SQRT_2, 0.0), c(-FRAC_1_SQRT_2, 0.0)],
+        ],
+        Gate::X(_) => [[Complex::ZERO, Complex::ONE], [Complex::ONE, Complex::ZERO]],
+        Gate::Y(_) => [[Complex::ZERO, -Complex::I], [Complex::I, Complex::ZERO]],
+        Gate::SqrtX(_) => {
+            let (p, m) = (c(0.5, 0.5), c(0.5, -0.5));
+            [[p, m], [m, p]]
+        }
+        Gate::SqrtY(_) => {
+            let p = c(0.5, 0.5);
+            [[p, -p], [p, p]]
+        }
+        Gate::Rx(_, t) => {
+            let (co, si) = ((t / 2.0).cos(), (t / 2.0).sin());
+            [[c(co, 0.0), c(0.0, -si)], [c(0.0, -si), c(co, 0.0)]]
+        }
+        Gate::Ry(_, t) => {
+            let (co, si) = ((t / 2.0).cos(), (t / 2.0).sin());
+            [[c(co, 0.0), c(-si, 0.0)], [c(si, 0.0), c(co, 0.0)]]
+        }
+        _ => return None,
+    };
+    Some(m)
+}
+
+/// True when `m` is diagonal (kernel dispatch can use a phase sweep).
+#[inline]
+fn is_diagonal2(m: &Mat2) -> bool {
+    m[0][1] == Complex::ZERO && m[1][0] == Complex::ZERO
 }
 
 #[cfg(test)]
@@ -1075,9 +825,9 @@ mod tests {
             fast.apply(g);
             slow.apply_naive(g);
             assert_eq!(fast, slow, "{g:?} diverged in apply");
-            let fused = probe.clone().run(&c);
+            let run = probe.clone().run(&c);
             let reference = probe.run_naive(&c);
-            let f = fused.fidelity(&reference);
+            let f = run.fidelity(&reference);
             assert!((f - 1.0).abs() < 1e-12, "{g:?} diverged in run: {f}");
         }
     }
@@ -1095,32 +845,5 @@ mod tests {
     #[should_panic(expected = "outside the register")]
     fn apply_rejects_out_of_range_two_qubit_operand() {
         State::zero(3).apply(&Gate::Cnot(Qubit(0), Qubit(7)));
-    }
-
-    #[test]
-    fn run_options_paths_agree() {
-        let mut c = Circuit::new(6);
-        c.h(Qubit(0));
-        for i in 0..5 {
-            c.cnot(Qubit(i), Qubit(i + 1));
-            c.t(Qubit(i));
-            c.rz(Qubit(i + 1), 0.3 + i as f64 * 0.1);
-        }
-        c.cphase(Qubit(0), Qubit(5), 1.1)
-            .zz(Qubit(2), Qubit(4), -0.8);
-        let probe = State::random(6, 99);
-        let fused = probe.clone().run_with(&c, RunOptions::optimized());
-        let unfused = probe.clone().run_with(&c, RunOptions::serial_unfused());
-        let forced_par = probe.clone().run_with(
-            &c,
-            RunOptions {
-                fuse: true,
-                parallel: Some(true),
-            },
-        );
-        let reference = probe.run_naive(&c);
-        for s in [&fused, &unfused, &forced_par] {
-            assert!((s.fidelity(&reference) - 1.0).abs() < 1e-12);
-        }
     }
 }

@@ -5,7 +5,8 @@
 //! so the runner's speed cancels out of each:
 //!
 //! * `naive_over_optimised`: the retained naive full-scan path
-//!   ([`State::run_naive`]) against the optimised kernels with fusion;
+//!   ([`State::run_naive`]) against the pair-indexed kernels, gate by
+//!   gate ([`State::run_with`]);
 //! * `scalar_over_simd`: the forced-scalar tier against the dispatched
 //!   kernel tier.
 //!
@@ -24,7 +25,7 @@
 use std::time::Instant;
 use tilt::benchmarks::qft::qft;
 use tilt::report::Json;
-use tilt::statevec::{simd, RunOptions, State};
+use tilt::statevec::{simd, State};
 
 const LEDGER: &str = include_str!("../bench/ledger.jsonl");
 
@@ -34,7 +35,7 @@ const MIN_SHARE: f64 = 0.8;
 /// Rounds of the optimised and scalar timings.
 const ROUNDS: usize = 9;
 
-/// Rounds that also time the naive path, ~20x slower than the others.
+/// Rounds that also time the naive path, ~2x slower than the others.
 const NAIVE_ROUNDS: usize = 5;
 
 /// Seconds `run` takes on a fresh copy of `probe`. The copy is made
@@ -60,11 +61,7 @@ fn statevec_speedups_hold_against_the_ledger() {
     let _tier = simd::test_tier_lock();
     let circuit = qft(20);
     let probe = State::random(20, 1);
-    let serial = RunOptions {
-        parallel: Some(false),
-        ..RunOptions::optimized()
-    };
-    let optimised = |s: State| s.run_with(&circuit, serial);
+    let optimised = |s: State| s.run_with(&circuit, Some(false));
     // Each round times the paths back to back and takes their ratios, so
     // the host's speed at that moment cancels out; the median over the
     // rounds drops the rounds that other processes slowed unevenly.

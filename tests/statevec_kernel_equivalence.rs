@@ -2,16 +2,18 @@
 //! retained naive reference path.
 //!
 //! Randomized circuits over the full gate set run through every
-//! execution mode — fused, unfused, serial, and forced-rayon — and each
-//! result must agree with the seed's full-scan implementation to a
-//! fidelity of 1e-12. The forced-parallel mode exercises the
-//! `rayon::join` splitting even below the auto-parallel threshold (and
-//! degrades to inline execution on single-core hosts, so the test is
-//! deterministic everywhere).
+//! execution mode — serial and forced-rayon, each under the dispatched
+//! and the forced-scalar kernel tier — and each result must agree with
+//! the seed's full-scan implementation to a fidelity of 1e-12. The
+//! forced-parallel mode exercises the `rayon::join` splitting even below
+//! the auto-parallel threshold (and degrades to inline execution on
+//! single-core hosts, so the test is deterministic everywhere).
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use tilt::circuit::{Circuit, Gate, Qubit};
-use tilt::statevec::{simd, Complex, RunOptions, State};
+use tilt::statevec::{simd, Complex, State};
 
 const EPS: f64 = 1e-12;
 
@@ -58,26 +60,50 @@ fn circuit_strategy() -> impl Strategy<Value = Circuit> {
     })
 }
 
-/// Every execution mode the optimized pipeline exposes.
-fn modes() -> [(&'static str, RunOptions); 4] {
-    [
-        ("fused/auto", RunOptions::optimized()),
-        ("unfused/serial", RunOptions::serial_unfused()),
-        (
-            "fused/rayon",
-            RunOptions {
-                fuse: true,
-                parallel: Some(true),
-            },
-        ),
-        (
-            "unfused/rayon",
-            RunOptions {
-                fuse: false,
-                parallel: Some(true),
-            },
-        ),
-    ]
+/// One execution mode: the parallel decision pinned either way, under
+/// the dispatched or the forced-scalar kernel tier.
+#[derive(Clone, Copy, Debug)]
+struct Mode {
+    parallel: bool,
+    scalar: bool,
+}
+
+/// Every execution mode of the kernel path.
+const MODES: [Mode; 4] = [
+    Mode {
+        parallel: false,
+        scalar: false,
+    },
+    Mode {
+        parallel: true,
+        scalar: false,
+    },
+    Mode {
+        parallel: false,
+        scalar: true,
+    },
+    Mode {
+        parallel: true,
+        scalar: true,
+    },
+];
+
+/// Runs `circuit` from `probe` in `mode`. The caller holds
+/// `simd::test_tier_lock()`, so the tier toggle cannot race another
+/// test.
+fn run_in(mode: Mode, probe: &State, circuit: &Circuit) -> State {
+    simd::force_scalar(mode.scalar);
+    let out = probe.clone().run_with(circuit, Some(mode.parallel));
+    simd::force_scalar(false);
+    out
+}
+
+/// `true` when the two states hold the same amplitude bits.
+fn bit_identical(a: &State, b: &State) -> bool {
+    (0..1usize << a.n_qubits()).all(|x| {
+        let (p, q) = (a.amplitude(x), b.amplitude(x));
+        p.re.to_bits() == q.re.to_bits() && p.im.to_bits() == q.im.to_bits()
+    })
 }
 
 proptest! {
@@ -91,15 +117,15 @@ proptest! {
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
         let reference = probe.clone().run_naive(&circuit);
-        for (name, opts) in modes() {
-            let out = probe.clone().run_with(&circuit, opts);
+        for mode in MODES {
+            let out = run_in(mode, &probe, &circuit);
             let f = out.fidelity(&reference);
             prop_assert!(
                 (f - 1.0).abs() < EPS,
-                "{name} diverged: fidelity {f}\ncircuit: {circuit}"
+                "{mode:?} diverged: fidelity {f}\ncircuit: {circuit}"
             );
             let norm = out.norm_sq();
-            prop_assert!((norm - 1.0).abs() < EPS, "{name} broke unitarity: {norm}");
+            prop_assert!((norm - 1.0).abs() < EPS, "{mode:?} broke unitarity: {norm}");
         }
     }
 
@@ -124,16 +150,28 @@ proptest! {
         }
     }
 
-    /// Fusion never changes the number of qubits a circuit acts on, and
-    /// fused execution from |0…0⟩ matches unfused execution.
+    /// `run` and `run_sampled` share one gate loop: on a circuit without
+    /// measurement they leave the same amplitude bits, serial and forced
+    /// parallel alike.
     #[test]
-    fn fused_equals_unfused_from_zero(circuit in circuit_strategy()) {
+    fn run_matches_run_sampled_bit_for_bit(circuit in circuit_strategy(), seed in 0u64..1000) {
         let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
-        let fused = State::zero(n).run_with(&circuit, RunOptions::optimized());
-        let unfused = State::zero(n).run_with(&circuit, RunOptions::serial_unfused());
-        let f = fused.fidelity(&unfused);
-        prop_assert!((f - 1.0).abs() < EPS, "fidelity {f}\ncircuit: {circuit}");
+        let probe = State::random(n, seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (sampled, bits) = probe.clone().run_sampled(&circuit, &mut rng);
+        prop_assert!(bits.is_empty());
+        let runs = [
+            ("run", probe.clone().run(&circuit)),
+            ("serial", probe.clone().run_with(&circuit, Some(false))),
+            ("parallel", probe.clone().run_with(&circuit, Some(true))),
+        ];
+        for (name, out) in runs {
+            prop_assert!(
+                bit_identical(&out, &sampled),
+                "{name} differs from run_sampled\ncircuit: {circuit}"
+            );
+        }
     }
 
     /// Permutation-dense circuits pin the parallel `CNOT`/`SWAP`/
@@ -144,31 +182,30 @@ proptest! {
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
         let reference = probe.clone().run_naive(&circuit);
-        for (name, opts) in modes() {
-            let out = probe.clone().run_with(&circuit, opts);
+        for mode in MODES {
+            let out = run_in(mode, &probe, &circuit);
             let f = out.fidelity(&reference);
             prop_assert!(
                 (f - 1.0).abs() < EPS,
-                "{name} diverged on permutation circuit: fidelity {f}\ncircuit: {circuit}"
+                "{mode:?} diverged on permutation circuit: fidelity {f}\ncircuit: {circuit}"
             );
         }
     }
 
     /// Diagonal-dense circuits (long `Rz`/`CZ`/`CPhase`/`ZZ` stretches)
-    /// exercise the batched hierarchical sweep; every mode must still
-    /// match naive.
+    /// pin the phase kernels to the naive path in every mode.
     #[test]
-    fn diagonal_run_batching_matches_naive(circuit in diagonal_strategy(), seed in 0u64..1000) {
+    fn diagonal_circuits_match_naive(circuit in diagonal_strategy(), seed in 0u64..1000) {
         let _guard = simd::test_tier_lock();
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
         let reference = probe.clone().run_naive(&circuit);
-        for (name, opts) in modes() {
-            let out = probe.clone().run_with(&circuit, opts);
+        for mode in MODES {
+            let out = run_in(mode, &probe, &circuit);
             let f = out.fidelity(&reference);
             prop_assert!(
                 (f - 1.0).abs() < EPS,
-                "{name} diverged on diagonal circuit: fidelity {f}\ncircuit: {circuit}"
+                "{mode:?} diverged on diagonal circuit: fidelity {f}\ncircuit: {circuit}"
             );
         }
     }
@@ -200,8 +237,7 @@ fn permutation_strategy() -> impl Strategy<Value = Circuit> {
     })
 }
 
-/// Circuits dominated by diagonal gates with occasional `H` separators,
-/// producing exactly the long fused-diagonal runs the batcher targets.
+/// Circuits dominated by diagonal gates with occasional `H` separators.
 fn diagonal_strategy() -> impl Strategy<Value = Circuit> {
     (4usize..9).prop_flat_map(|n| {
         let q = move || (0..n).prop_map(Qubit);
@@ -219,7 +255,7 @@ fn diagonal_strategy() -> impl Strategy<Value = Circuit> {
             pair().prop_map(|(a, b)| Gate::Cz(a, b)),
             (pair(), angle()).prop_map(|((a, b), t)| Gate::Cphase(a, b, t)),
             (pair(), angle()).prop_map(|((a, b), t)| Gate::Zz(a, b, t)),
-            // Rare non-diagonal separators force run flushes mid-circuit.
+            // Rare non-diagonal separators.
             q().prop_map(Gate::H),
         ];
         prop::collection::vec(gate, 1..80).prop_map(move |gates| Circuit::from_gates(n, gates))
@@ -249,42 +285,15 @@ fn deep_circuit_all_modes_agree() {
     }
     let probe = State::random(n, 2024);
     let reference = probe.clone().run_naive(&c);
-    for (name, opts) in modes() {
-        let out = probe.clone().run_with(&c, opts);
+    for mode in MODES {
+        let out = run_in(mode, &probe, &c);
         let f = out.fidelity(&reference);
-        assert!((f - 1.0).abs() < EPS, "{name}: fidelity {f}");
+        assert!((f - 1.0).abs() < EPS, "{mode:?}: fidelity {f}");
     }
 }
 
-/// Regression pin for the fusion cost model (ROADMAP item): the
-/// Clifford+T-lowered Cuccaro adder must fuse into *monomial*
-/// (permutation + phase) two-qubit blocks only — never dense 4×4s.
-/// Before the fix, `H`/rotations merging into CNOT blocks densified
-/// them, and the dense pass made fused execution ~2× slower than
-/// unfused on one core; monomial blocks dispatch to the cheap
-/// phase-sweep + swap kernels instead.
-#[test]
-fn cuccaro_adder_fuses_to_monomial_blocks_only() {
-    use tilt::benchmarks::adder::cuccaro_adder;
-    use tilt::statevec::fuse::{fuse, is_monomial4, FusedOp};
-    let adder = cuccaro_adder(8); // 18 qubits of raw CNOT/T/H traffic
-    let ops = fuse(&adder);
-    let mut two_q_blocks = 0usize;
-    for op in &ops {
-        if let FusedOp::TwoQ { m, .. } = op {
-            two_q_blocks += 1;
-            assert!(
-                is_monomial4(m),
-                "a dense fused block leaked into the adder stream: {m:?}"
-            );
-        }
-    }
-    assert!(two_q_blocks > 0, "the adder must produce fused 2q blocks");
-}
-
-/// The monomial fast path must stay exact: fused execution of a small
-/// Cuccaro adder (T-dressed CNOT traffic end to end) matches the naive
-/// reference in every mode.
+/// A small Cuccaro adder (T-dressed CNOT traffic end to end) matches
+/// the naive reference in every mode.
 #[test]
 fn cuccaro_adder_all_modes_agree() {
     use tilt::benchmarks::adder::cuccaro_adder;
@@ -293,10 +302,10 @@ fn cuccaro_adder_all_modes_agree() {
     let n = adder.n_qubits();
     let probe = State::random(n, 4242);
     let reference = probe.clone().run_naive(&adder);
-    for (name, opts) in modes() {
-        let out = probe.clone().run_with(&adder, opts);
+    for mode in MODES {
+        let out = run_in(mode, &probe, &adder);
         let f = out.fidelity(&reference);
-        assert!((f - 1.0).abs() < EPS, "{name}: fidelity {f}");
+        assert!((f - 1.0).abs() < EPS, "{mode:?}: fidelity {f}");
     }
 }
 
@@ -352,18 +361,6 @@ fn matrix2() -> impl Strategy<Value = [[Complex; 2]; 2]> {
     })
 }
 
-fn matrix4() -> impl Strategy<Value = [[Complex; 4]; 4]> {
-    prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 16).prop_map(|v| {
-        let c = |i: usize| Complex::new(v[i].0, v[i].1);
-        [
-            [c(0), c(1), c(2), c(3)],
-            [c(4), c(5), c(6), c(7)],
-            [c(8), c(9), c(10), c(11)],
-            [c(12), c(13), c(14), c(15)],
-        ]
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -389,44 +386,13 @@ proptest! {
         assert_close(&dispatched, &naive, "dispatched vs naive");
     }
 
-    /// `apply_2q` over random (qlo, qhi) pairs, covering the qlo = 0
-    /// interleaved path and the zipped-runs path.
-    #[test]
-    fn simd_apply_2q_matches_scalar_and_naive(
-        (_n, qlo, qhi, init) in (2usize..9).prop_flat_map(|n| {
-            (0..n, 0..n)
-                .prop_filter("distinct", |(a, b)| a != b)
-                .prop_flat_map(move |(a, b)| (Just(n), Just(a.min(b)), Just(a.max(b)), raw_state(n)))
-        }),
-        m in matrix4(),
-    ) {
-        use tilt::statevec::kernels::apply_2q;
-        let (dispatched, scalar) = both_tiers(&init, |amps| apply_2q(amps, qlo, qhi, m, false));
-        let mut naive = init.clone();
-        for x in 0..init.len() {
-            if x & (1 << qlo) == 0 && x & (1 << qhi) == 0 {
-                let idx = [x, x | (1 << qlo), x | (1 << qhi), x | (1 << qlo) | (1 << qhi)];
-                for (r, &xi) in idx.iter().enumerate() {
-                    let mut acc = Complex::ZERO;
-                    for (c, &xc) in idx.iter().enumerate() {
-                        acc += m[r][c] * init[xc];
-                    }
-                    naive[xi] = acc;
-                }
-            }
-        }
-        assert_close(&dispatched, &scalar, "dispatched vs scalar");
-        assert_close(&dispatched, &naive, "dispatched vs naive");
-    }
-
-    /// The diagonal/phase kernels (the cache-blocked plane sweeps) and
-    /// the global scale.
+    /// The diagonal/phase kernels (the cache-blocked plane sweeps).
     #[test]
     fn simd_diag_kernels_match_scalar_and_naive(
         (_n, q, init) in (1usize..9).prop_flat_map(|n| (Just(n), 0..n, raw_state(n))),
         (t0, t1) in (-6.0f64..6.0, -6.0f64..6.0),
     ) {
-        use tilt::statevec::kernels::{diag_1q, phase_1q, scale_all};
+        use tilt::statevec::kernels::{diag_1q, phase_1q};
         let (p0, p1) = (Complex::cis(t0), Complex::cis(t1));
 
         let (dispatched, scalar) = both_tiers(&init, |amps| diag_1q(amps, q, p0, p1, false));
@@ -446,11 +412,6 @@ proptest! {
             .collect();
         assert_close(&dispatched, &scalar, "phase_1q dispatched vs scalar");
         assert_close(&dispatched, &naive, "phase_1q dispatched vs naive");
-
-        let (dispatched, scalar) = both_tiers(&init, |amps| scale_all(amps, p0, false));
-        let naive: Vec<Complex> = init.iter().map(|&a| a * p0).collect();
-        assert_close(&dispatched, &scalar, "scale_all dispatched vs scalar");
-        assert_close(&dispatched, &naive, "scale_all dispatched vs naive");
     }
 
     /// The `XX(θ)` orbit rotation over random operand pairs (qlo = 0
@@ -481,84 +442,29 @@ proptest! {
         assert_close(&dispatched, &naive, "dispatched vs naive");
     }
 
-    /// The fused diag-run path: random term batches through the
-    /// hierarchical tree sweep (n up to 9 reaches the `Split` node above
-    /// the table cutoff; the SIMD table sweep runs the leaves).
-    #[test]
-    fn simd_diag_run_matches_scalar_and_naive(
-        (_n, init, terms) in (1usize..10).prop_flat_map(|n| {
-            let term = term_strategy(n);
-            (Just(n), raw_state(n), prop::collection::vec(term, 1..6))
-        }),
-    ) {
-        use tilt::statevec::kernels::apply_diag_run;
-        for parallel in [false, true] {
-            let (dispatched, scalar) =
-                both_tiers(&init, |amps| apply_diag_run(amps, &terms, parallel));
-            let mut naive = init.clone();
-            for (x, amp) in naive.iter_mut().enumerate() {
-                for t in &terms {
-                    *amp = *amp * t.factor(x);
-                }
-            }
-            assert_close(&dispatched, &scalar, "diag run dispatched vs scalar");
-            assert_close(&dispatched, &naive, "diag run dispatched vs naive");
-        }
-    }
-
-    /// Whole-circuit agreement across tiers: the full `run_with`
-    /// pipeline (fusion, batching, parallel splits) produces the same
-    /// state under forced-scalar as under normal dispatch.
+    /// Whole-circuit agreement across tiers: `run_with`, serial and
+    /// forced parallel, produces the same state under forced-scalar as
+    /// under normal dispatch.
     #[test]
     fn simd_full_pipeline_matches_scalar(circuit in circuit_strategy(), seed in 0u64..1000) {
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
-        for (name, opts) in modes() {
+        for parallel in [false, true] {
             let _guard = simd::test_tier_lock();
-            simd::force_scalar(false);
-            let dispatched = probe.clone().run_with(&circuit, opts);
-            simd::force_scalar(true);
-            let scalar = probe.clone().run_with(&circuit, opts);
-            simd::force_scalar(false);
+            let dispatched = run_in(Mode { parallel, scalar: false }, &probe, &circuit);
+            let scalar = run_in(Mode { parallel, scalar: true }, &probe, &circuit);
             drop(_guard);
             let f = dispatched.fidelity(&scalar);
             prop_assert!(
                 (f - 1.0).abs() < EPS,
-                "{name} tiers diverged: fidelity {f}\ncircuit: {circuit}"
+                "parallel={parallel}: tiers diverged: fidelity {f}\ncircuit: {circuit}"
             );
         }
     }
 }
 
-/// A random normalized diagonal term on qubits below `n` (the same
-/// shape the fusion batcher emits).
-fn term_strategy(n: usize) -> impl Strategy<Value = tilt::statevec::kernels::DiagTerm> {
-    use tilt::statevec::kernels::DiagTerm;
-    let one = (0..n, -6.0f64..6.0).prop_map(|(q, t)| DiagTerm::One {
-        q,
-        p: [Complex::ONE, Complex::cis(t)],
-    });
-    if n < 2 {
-        return one.boxed();
-    }
-    let two = (0..n, 0..n, -6.0f64..6.0, -6.0f64..6.0, -6.0f64..6.0)
-        .prop_filter("distinct", |(a, b, ..)| a != b)
-        .prop_map(|(a, b, t1, t2, t3)| DiagTerm::Two {
-            qlo: a.min(b),
-            qhi: a.max(b),
-            d: [
-                Complex::ONE,
-                Complex::cis(t1),
-                Complex::cis(t2),
-                Complex::cis(t3),
-            ],
-        });
-    prop_oneof![one, two].boxed()
-}
-
-/// A QFT-style ladder wide enough that one diagonal run spans more
-/// distinct qubits than the batcher's budget, forcing mid-run flushes
-/// (the QFT row shape is exactly the workload the batching targets).
+/// A 15-qubit QFT ladder: long controlled-phase rows between
+/// Hadamards, the shape of the same-run timing circuit.
 #[test]
 fn wide_diagonal_ladder_all_modes_agree() {
     let _guard = simd::test_tier_lock();
@@ -576,15 +482,16 @@ fn wide_diagonal_ladder_all_modes_agree() {
     }
     let probe = State::random(n, 77);
     let reference = probe.clone().run_naive(&c);
-    for (name, opts) in modes() {
-        let out = probe.clone().run_with(&c, opts);
+    for mode in MODES {
+        let out = run_in(mode, &probe, &c);
         let f = out.fidelity(&reference);
-        assert!((f - 1.0).abs() < EPS, "{name}: fidelity {f}");
+        assert!((f - 1.0).abs() < EPS, "{mode:?}: fidelity {f}");
     }
 }
 
 /// Serial and forced-parallel execution agree bit for bit above the
-/// auto-parallel threshold, fused and unfused, over every gate kind —
+/// auto-parallel threshold, and with `run_sampled`, over every gate
+/// kind —
 /// on low qubits and on the top qubit, whose single block `apply_1q`
 /// splits by zipping its halves rather than by chunking. Splitting
 /// only decides which thread touches an amplitude, never the arithmetic
@@ -625,28 +532,21 @@ fn serial_and_parallel_kernels_are_bit_identical() {
             Gate::H(q(b)),
         ]);
     }
-    // A controlled-phase ladder into the top qubit: one diagonal run
-    // long enough for the batched hierarchical sweep.
+    // A controlled-phase ladder into the top qubit.
     for k in 1..8 {
         gates.push(Gate::Cphase(q(top - k), q(top), PI / (1 << k) as f64));
     }
     let circuit = Circuit::from_gates(n, gates);
     let probe = State::random(n, 17);
-    for fuse in [false, true] {
-        let run = |parallel| {
-            let opts = RunOptions {
-                fuse,
-                parallel: Some(parallel),
-            };
-            probe.clone().run_with(&circuit, opts)
-        };
-        let (serial, parallel) = (run(false), run(true));
-        for x in 0..1usize << n {
-            let (a, b) = (serial.amplitude(x), parallel.amplitude(x));
-            assert!(
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                "fuse={fuse}: amplitude {x} differs: {a:?} vs {b:?}"
-            );
-        }
-    }
+    let serial = probe.clone().run_with(&circuit, Some(false));
+    let parallel = probe.clone().run_with(&circuit, Some(true));
+    let (sampled, _) = probe.run_sampled(&circuit, &mut SmallRng::seed_from_u64(17));
+    assert!(
+        bit_identical(&serial, &parallel),
+        "serial and parallel differ"
+    );
+    assert!(
+        bit_identical(&serial, &sampled),
+        "run and run_sampled differ"
+    );
 }
