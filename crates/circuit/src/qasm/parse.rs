@@ -80,6 +80,28 @@ pub fn parse_qasm(source: &str) -> Result<Circuit, ParseQasmError> {
     Ok(Circuit::from_gates(n, gates))
 }
 
+/// The width the first `qreg` declaration of `source` names, read
+/// without expanding any gate, so a caller can refuse an absurd register
+/// before [`parse_qasm`] sizes a whole-register `measure` to it. Later
+/// declarations do not matter: [`parse_qasm`] rejects a second `qreg`
+/// before any gate after it expands. `Ok(None)` when nothing declares
+/// a register.
+///
+/// # Errors
+///
+/// Returns [`ParseQasmError`] when that declaration is malformed.
+pub fn declared_qubits(source: &str) -> Result<Option<usize>, ParseQasmError> {
+    let mut in_gate_def = false;
+    for (lineno, line) in source.lines().enumerate() {
+        for stmt in statements(line, &mut in_gate_def) {
+            if let Some(rest) = stmt.strip_prefix("qreg") {
+                return Ok(parse_register_ref(rest, lineno + 1)?.1);
+            }
+        }
+    }
+    Ok(None)
+}
+
 /// The statements of one source line: line comment stripped, split on
 /// `;`. Custom gate-definition bodies are skipped (we know the semantics
 /// of the gates the emitter defines); `in_gate_def` carries an open body
@@ -128,6 +150,12 @@ pub(super) fn parse_statement(
                 let n = n_qubits.ok_or_else(|| ParseQasmError {
                     line,
                     message: "measure before qreg".into(),
+                })?;
+                // One gate per declared qubit: an absurd width is an
+                // error, not an allocation abort.
+                gates.try_reserve(n).map_err(|_| ParseQasmError {
+                    line,
+                    message: format!("cannot expand `measure` over a register of {n} qubits"),
                 })?;
                 gates.extend((0..n).map(|i| Gate::Measure(Qubit(i))));
             }

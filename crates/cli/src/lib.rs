@@ -61,7 +61,7 @@ options (every command takes the first ten; the rest only where marked):
   --stream              run/lint: stream the QASM through the windowed
                         pipeline without materializing the circuit
   --stream-window N     run/lint: input gates per window (default: 65536)
-  --window N            serve: max in-flight requests (default: 4 x threads)
+  --window N            serve: max in-flight requests (default: 8)
   --listen HOST:PORT    serve: accept TCP connections instead of stdin/stdout
   --cache-dir DIR       serve: persist the compile cache across restarts
   --max-in-flight N     serve: in-flight requests across connections

@@ -55,9 +55,6 @@ impl Fingerprint for SchedulerKind {
             SchedulerKind::GreedyMaxExecutable => {
                 h.write_tag(1);
             }
-            SchedulerKind::DistanceDiscounted { penalty_permille } => {
-                h.write_tag(2).write_u64(*penalty_permille as u64);
-            }
             SchedulerKind::NaiveNextGate => {
                 h.write_tag(3);
             }
@@ -117,14 +114,6 @@ mod tests {
         let kinds = [
             SchedulerKind::GreedyMaxExecutable.fingerprint(),
             SchedulerKind::NaiveNextGate.fingerprint(),
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 10,
-            }
-            .fingerprint(),
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 20,
-            }
-            .fingerprint(),
         ];
         for i in 0..kinds.len() {
             for j in i + 1..kinds.len() {

@@ -437,10 +437,6 @@ mod tests {
         stochastic.router(RouterKind::Stochastic(StochasticConfig::default()));
         let mut naive = Compiler::new(spec);
         naive.scheduler(SchedulerKind::NaiveNextGate);
-        let mut discounted = Compiler::new(spec);
-        discounted.scheduler(SchedulerKind::DistanceDiscounted {
-            penalty_permille: 250,
-        });
         let mut reverse = Compiler::new(spec);
         reverse.initial_mapping(InitialMapping::Reverse);
         let mut random = Compiler::new(spec);
@@ -450,7 +446,6 @@ mod tests {
             linq_capped,
             stochastic,
             naive,
-            discounted,
             reverse,
             random,
         ]

@@ -15,8 +15,7 @@
 //! One engine runs every policy: the horizon-bounded `StreamScheduler`
 //! (`streaming`), which [`schedule`] drives over a whole circuit and
 //! the windowed compiler drives gate by gate. It caches per-position
-//! scores, rescores only the positions a round could have changed, and
-//! skips those whose score ceiling cannot beat the round's incumbent.
+//! scores and rescores only the positions a round could have changed.
 //! The seed's rescan-every-position loop survives only as the test
 //! oracle every decision is checked against.
 
@@ -32,21 +31,10 @@ use tilt_circuit::Circuit;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// The paper's Algorithm 2: move to the position with the maximal
-    /// number of executable gates.
+    /// number of executable gates, ties going to the nearer position,
+    /// then the leftmost.
     #[default]
     GreedyMaxExecutable,
-    /// Eq. 2 with a travel-distance discount: position score is
-    /// `n_p · 1000 − penalty_permille · dist(head, p)`, so nearby
-    /// positions win ties *and* small gate deficits when travel is
-    /// expensive. `penalty_permille = 0` reduces to Algorithm 2 with its
-    /// nearest-tie-break. The paper presents Eq. 2 as "the general form"
-    /// of the cost function; this is the natural refinement when shuttle
-    /// time (not only heating) matters.
-    DistanceDiscounted {
-        /// Score penalty per ion spacing of head travel, in thousandths
-        /// of one executable gate.
-        penalty_permille: u32,
-    },
     /// Ablation baseline: move to the leftmost position covering the
     /// oldest ready gate, then drain whatever else that position covers.
     NaiveNextGate,
@@ -59,17 +47,6 @@ impl SchedulerKind {
             "greedy" => Some(SchedulerKind::GreedyMaxExecutable),
             "naive" => Some(SchedulerKind::NaiveNextGate),
             _ => None,
-        }
-    }
-
-    /// The travel penalty (permille of one executable gate per ion
-    /// spacing) the Eq. 2 scorers apply; `None` for policies that do
-    /// not score positions.
-    pub(crate) fn penalty_permille(&self) -> Option<i64> {
-        match *self {
-            SchedulerKind::GreedyMaxExecutable => Some(0),
-            SchedulerKind::DistanceDiscounted { penalty_permille } => Some(penalty_permille as i64),
-            SchedulerKind::NaiveNextGate => None,
         }
     }
 }
@@ -152,8 +129,8 @@ pub(crate) mod oracle {
             }
             let e = floor.saturating_add(horizon).min(n);
 
-            let pos = match kind.penalty_permille() {
-                None => {
+            let pos = match kind {
+                SchedulerKind::NaiveNextGate => {
                     let oldest = *tracker
                         .ready()
                         .iter()
@@ -163,20 +140,19 @@ pub(crate) mod oracle {
                     spec.covering_head_positions(gates[oldest].qubits().iter().map(|q| q.index()))
                         .map_or(0, |r| *r.start())
                 }
-                Some(penalty) => {
+                SchedulerKind::GreedyMaxExecutable => {
                     // Ties prefer the smaller head travel, then the
                     // leftmost position (the ascending scan keeps the
                     // first of equals).
-                    let mut best: Option<(i64, usize, usize)> = None;
+                    let mut best: Option<(usize, usize, usize)> = None;
                     for p in spec.head_positions() {
                         let count = executable_count(&dag, &tracker, gates, spec, p, e);
                         if count == 0 {
                             continue;
                         }
                         let dist = head.map_or(0, |h| h.abs_diff(p));
-                        let score = count as i64 * 1000 - penalty * dist as i64;
-                        if best.is_none_or(|(bs, bd, _)| score > bs || (score == bs && dist < bd)) {
-                            best = Some((score, dist, p));
+                        if best.is_none_or(|(bc, bd, _)| count > bc || (count == bc && dist < bd)) {
+                            best = Some((count, dist, p));
                         }
                     }
                     let Some((_, _, p)) = best else {
@@ -396,39 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_discount_prefers_nearby_work() {
-        // Head starts where two gates are executable on the left; one more
-        // gate waits on the right, one at centre. Undiscounted Algorithm 2
-        // always chases the max count; with a strong travel penalty the
-        // scheduler takes the closer position first.
-        let mut c = Circuit::new(32);
-        c.xx(Qubit(0), Qubit(1), 0.1);
-        c.xx(Qubit(12), Qubit(13), 0.1);
-        c.xx(Qubit(30), Qubit(31), 0.1);
-        let zero = schedule(
-            &c,
-            spec(32, 4),
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 0,
-            },
-        );
-        let plain = schedule(&c, spec(32, 4), SchedulerKind::GreedyMaxExecutable);
-        // Zero penalty reduces exactly to Algorithm 2.
-        assert_eq!(zero, plain);
-        let discounted = schedule(
-            &c,
-            spec(32, 4),
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 500,
-            },
-        );
-        // All gates still execute exactly once.
-        assert_eq!(discounted.gate_count(), c.len());
-        // The discounted schedule never travels farther in total.
-        assert!(discounted.move_distance_ions() <= plain.move_distance_ions());
-    }
-
-    #[test]
     fn engine_matches_oracle_on_structured_workloads() {
         // Mixed zones, chains, barriers, and single-qubit traffic: the
         // engine must reproduce the oracle's program op-for-op
@@ -516,14 +459,8 @@ mod tests {
         );
     }
 
-    const KINDS: [SchedulerKind; 4] = [
+    const KINDS: [SchedulerKind; 2] = [
         SchedulerKind::GreedyMaxExecutable,
-        SchedulerKind::DistanceDiscounted {
-            penalty_permille: 250,
-        },
-        SchedulerKind::DistanceDiscounted {
-            penalty_permille: 2000,
-        },
         SchedulerKind::NaiveNextGate,
     ];
 
@@ -541,9 +478,6 @@ mod tests {
     fn kind_strategy() -> impl Strategy<Value = SchedulerKind> {
         prop_oneof![
             Just(SchedulerKind::GreedyMaxExecutable),
-            (1u32..3000).prop_map(|penalty_permille| SchedulerKind::DistanceDiscounted {
-                penalty_permille
-            }),
             Just(SchedulerKind::NaiveNextGate),
         ]
     }

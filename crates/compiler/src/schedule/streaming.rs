@@ -48,23 +48,16 @@
 //!
 //! Per-position cascade counts are cached and only **dirty** positions
 //! — those a round's retired gates, or the successors they unlocked,
-//! could have changed — are candidates for rescoring. Candidates are
-//! visited in descending order of a sound score ceiling (`cover[p]`,
-//! the incomplete eligible gates covering `p`) and the walk stops at the
-//! first ceiling strictly below the incumbent; see the crate README for
-//! the proof sketch. Every decision matches the capped rescan oracle
-//! the `schedule` tests check it against.
+//! could have changed — are rescored, every one of them, each round.
+//! Every decision matches the capped rescan oracle the `schedule` tests
+//! check it against.
 //!
-//! The ceiling and the dirty marks cost O(1) per gate, whatever its
-//! covering range, because the argmax already walks every position once
-//! per round:
+//! The dirty marks cost O(1) per gate, whatever its covering range,
+//! because the argmax already walks every position once per round:
 //!
-//! - **Ceiling.** `cover_diff` is a difference array: a gate joining the
-//!   window adds 1 at `lo` and −1 at `hi + 1`, an executed one the
-//!   reverse, and the argmax walk reads `cover[p]` as the running sum.
-//! - **Dirty marks.** A range mark is the same +1/−1 pair on a second
-//!   difference array; the walk folds the running sum into the
-//!   per-position dirty flags and clears the pairs it passes.
+//! - **Dirty marks.** A range mark adds 1 at `lo` and −1 at `hi + 1` of
+//!   a difference array; the argmax walk reads the running sum,
+//!   rescores the positions it marks, and clears the pairs it passes.
 //! - **Ready lists.** The drain lists an unlocked successor at its
 //!   covering positions only when the successor does not join the
 //!   drain. One that joins runs in the same drain, so its entries would
@@ -137,10 +130,8 @@ impl BarrierSuccs {
 pub(crate) struct SchedulerWork {
     /// Scheduling rounds, barrier-relief rounds included.
     pub(crate) rounds: u64,
-    /// Dirty positions entered into a round's argmax.
+    /// Dirty positions rescored with a cascade walk.
     pub(crate) candidates: u64,
-    /// Candidates rescored with a cascade walk (the rest were pruned).
-    pub(crate) rescored: u64,
     /// Successor edges the cascade walks relaxed.
     pub(crate) cascade_steps: u64,
     /// Entries pushed onto the per-position ready lists.
@@ -152,8 +143,8 @@ pub(crate) struct SchedulerWork {
 /// The bounded-memory scheduler: push gates, drain [`TiltOp`]s.
 pub(crate) struct StreamScheduler {
     spec: DeviceSpec,
-    /// `Some(penalty)` for the Eq. 2 scorers, `None` for NaiveNextGate.
-    penalty: Option<i64>,
+    /// `true` for Algorithm 2's Eq. 2 scorer, `false` for NaiveNextGate.
+    greedy: bool,
     horizon: usize,
     n_positions: usize,
 
@@ -178,17 +169,11 @@ pub(crate) struct StreamScheduler {
     last_barrier: Option<usize>,
 
     // --- per-position scoring state (Eq. 2 engines only) -------------
-    /// Difference array (`n_positions + 1` entries) of the score
-    /// ceiling: its prefix sum through `p` is `cover[p]`, the
-    /// incomplete, *active*, non-barrier gates covering `p`.
-    cover_diff: Vec<i32>,
     counts: Vec<u32>,
-    dirty: Vec<bool>,
-    /// Range marks not yet folded into `dirty`, as a difference array
-    /// (`n_positions + 1` entries) the argmax walk folds and clears.
+    /// Dirty range marks as a difference array (`n_positions + 1`
+    /// entries) the argmax walk reads and clears.
     dirty_diff: Vec<i32>,
     ready_at: Vec<Vec<u32>>,
-    candidates: Vec<(i64, u32)>,
 
     // --- cascade scratch (aligned with `recs`) -----------------------
     /// `(epoch, unmet)`: the predecessors a gate still waits on in the
@@ -213,7 +198,7 @@ impl StreamScheduler {
         let n_positions = spec.n_head_positions();
         StreamScheduler {
             spec,
-            penalty: kind.penalty_permille(),
+            greedy: kind == SchedulerKind::GreedyMaxExecutable,
             horizon: horizon.max(1),
             n_positions,
             base: 0,
@@ -227,12 +212,9 @@ impl StreamScheduler {
             last_on: vec![NO_GATE; spec.n_ions()],
             span_start: 0,
             last_barrier: None,
-            cover_diff: vec![0; n_positions + 1],
             counts: vec![0; n_positions],
-            dirty: vec![false; n_positions],
             dirty_diff: vec![0; n_positions + 1],
             ready_at: vec![Vec::new(); n_positions],
-            candidates: Vec::new(),
             need: Vec::new(),
             epoch: 0,
             succ_epoch: Vec::new(),
@@ -413,20 +395,16 @@ impl StreamScheduler {
         }
     }
 
-    /// Activates gates `[active_end, e)`: they join the cover ceiling,
-    /// dirty their ranges (a newly eligible gate can only raise
-    /// scores), and enter the per-position ready lists when already
-    /// unblocked.
+    /// Activates gates `[active_end, e)`: they dirty their ranges (a
+    /// newly eligible gate can only raise scores) and enter the
+    /// per-position ready lists when already unblocked.
     fn activate(&mut self, e: usize) {
         let mut pushes = 0u64;
         for idx in self.active_end..e {
             let rec = &self.recs[idx - self.base];
             debug_assert!(!rec.done);
             let (lo, hi) = (rec.lo as usize, rec.hi as usize);
-            if self.penalty.is_some() {
-                if !rec.is_barrier() {
-                    add_range(&mut self.cover_diff, lo, hi, 1);
-                }
+            if self.greedy {
                 add_range(&mut self.dirty_diff, lo, hi, 1);
             }
             if rec.pending == 0 {
@@ -446,8 +424,8 @@ impl StreamScheduler {
             self.activate(e);
         }
 
-        let pos = match self.penalty {
-            Some(penalty) => match self.best_position(penalty, e) {
+        let pos = if self.greedy {
+            match self.best_position(e) {
                 Some(pos) => pos,
                 // Every eligible ready gate is a barrier (a countable
                 // ready gate would score ≥ 1 somewhere): complete the
@@ -456,15 +434,14 @@ impl StreamScheduler {
                     self.barrier_relief(e);
                     return;
                 }
-            },
+            }
+        } else {
             // NaiveNextGate: the oldest ready gate is exactly the floor
             // gate (all its predecessors are below the floor, hence
             // complete), parked at the leftmost covering position.
-            None => {
-                let rec = &self.recs[self.floor - self.base];
-                debug_assert_eq!(rec.pending, 0);
-                rec.lo as usize
-            }
+            let rec = &self.recs[self.floor - self.base];
+            debug_assert_eq!(rec.pending, 0);
+            rec.lo as usize
         };
 
         if self.head != Some(pos) {
@@ -491,7 +468,7 @@ impl StreamScheduler {
             "scheduler made no progress at position {pos}; this is a bug"
         );
 
-        if self.penalty.is_some() {
+        if self.greedy {
             self.mark_dirty_after_round(e);
         }
     }
@@ -564,21 +541,16 @@ impl StreamScheduler {
         self.mark_dirty_after_round(e);
     }
 
-    /// Dirty marking: every retired gate's range (with the cover
-    /// ceiling decrement), plus each still-eligible successor's range
-    /// intersected with its incomplete predecessors' ranges — a cascade
-    /// can only admit the successor where those predecessors are
-    /// themselves executable.
+    /// Dirty marking: every retired gate's range, plus each
+    /// still-eligible successor's range intersected with its incomplete
+    /// predecessors' ranges — a cascade can only admit the successor
+    /// where those predecessors are themselves executable.
     fn mark_dirty_after_round(&mut self, e: usize) {
         self.succ_epoch_counter += 1;
         let executed = std::mem::take(&mut self.executed);
         for &i in &executed {
             let rec = &self.recs[i - self.base];
-            let (lo, hi) = (rec.lo as usize, rec.hi as usize);
-            if !rec.is_barrier() {
-                add_range(&mut self.cover_diff, lo, hi, -1);
-            }
-            add_range(&mut self.dirty_diff, lo, hi, 1);
+            add_range(&mut self.dirty_diff, rec.lo as usize, rec.hi as usize, 1);
             for &s in succs_of(rec, &self.barrier_succs) {
                 let s = s as usize;
                 if s >= e {
@@ -633,56 +605,26 @@ impl StreamScheduler {
         (lo <= hi).then_some((lo as usize, hi as usize))
     }
 
-    /// The pruned argmax over the active window: clean positions
-    /// establish the incumbent from cached counts, dirty candidates are
-    /// walked in descending ceiling order and rescored exactly while
-    /// their bound could still win.
-    fn best_position(&mut self, penalty: i64, e: usize) -> Option<usize> {
-        let mut best: Option<(i64, usize, usize)> = None;
-        self.candidates.clear();
-        // The running sums of the two difference arrays are `cover[pos]`
-        // and the range marks pending at `pos`, folded in as we pass.
-        let (mut cover, mut marks) = (0i32, 0i32);
+    /// The argmax over the active window: every dirty position is
+    /// rescored with a cascade walk, every clean one keeps its cached
+    /// count.
+    fn best_position(&mut self, e: usize) -> Option<usize> {
+        let mut best: Option<(u32, usize, usize)> = None;
+        // The running sum of the difference array is the range marks
+        // pending at `pos`, cleared as we pass.
+        let mut marks = 0i32;
         for pos in 0..self.n_positions {
-            cover += self.cover_diff[pos];
             marks += std::mem::take(&mut self.dirty_diff[pos]);
-            let dist = self.head.map_or(0, |h| h.abs_diff(pos));
-            if marks > 0 || self.dirty[pos] {
-                self.dirty[pos] = true;
-                let bound = cover as i64 * 1000 - penalty * dist as i64;
-                self.candidates.push((bound, pos as u32));
-            } else if self.counts[pos] > 0 {
-                let score = self.counts[pos] as i64 * 1000 - penalty * dist as i64;
-                consider(&mut best, (score, dist, pos));
+            if marks > 0 {
+                self.work.candidates += 1;
+                self.counts[pos] = self.cascade_count(pos, e);
+            }
+            if self.counts[pos] > 0 {
+                let dist = self.head.map_or(0, |h| h.abs_diff(pos));
+                consider(&mut best, (self.counts[pos], dist, pos));
             }
         }
         self.dirty_diff[self.n_positions] = 0;
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.sort_unstable_by(|a, b| b.cmp(a));
-        let mut rescored = 0u64;
-        for &(bound, p) in &candidates {
-            if let Some((bs, _, _)) = best {
-                if bound < bs {
-                    // Exact ≤ bound < incumbent: pruned, stays dirty.
-                    break;
-                }
-            }
-            let pos = p as usize;
-            rescored += 1;
-            self.dirty[pos] = false;
-            let count = self.cascade_count(pos, e);
-            self.counts[pos] = count;
-            if count > 0 {
-                let dist = self.head.map_or(0, |h| h.abs_diff(pos));
-                consider(
-                    &mut best,
-                    (count as i64 * 1000 - penalty * dist as i64, dist, pos),
-                );
-            }
-        }
-        self.work.candidates += candidates.len() as u64;
-        self.work.rescored += rescored;
-        self.candidates = candidates;
         best.map(|(_, _, pos)| pos)
     }
 
@@ -775,24 +717,17 @@ impl StreamScheduler {
     }
 
     /// Checks the incremental scoring state against a recount: each
-    /// `cover[p]` is the number of incomplete, eligible, non-barrier
-    /// gates covering `p`, and each clean position's cached count is
-    /// the cascade count a fresh walk gives.
+    /// clean position's cached count is the cascade count a fresh walk
+    /// gives.
     #[cfg(test)]
     fn check_incremental_state(&mut self, e: usize) {
-        if self.penalty.is_none() {
+        if !self.greedy {
             return;
         }
-        let (mut cover, mut marks) = (0i32, 0i32);
+        let mut marks = 0i32;
         for p in 0..self.n_positions {
-            cover += self.cover_diff[p];
             marks += self.dirty_diff[p];
-            let live = self.recs[..e - self.base]
-                .iter()
-                .filter(|r| !r.done && !r.is_barrier() && r.covers(p))
-                .count();
-            assert_eq!(cover, live as i32, "cover[{p}] at E={e}");
-            if marks == 0 && !self.dirty[p] {
+            if marks == 0 {
                 let work = self.work;
                 let fresh = self.cascade_count(p, e);
                 self.work = work;
@@ -820,13 +755,13 @@ fn succs_of<'a>(rec: &'a GateRec, spill: &'a BarrierSuccs) -> &'a [u32] {
 }
 
 /// Keeps the better of `best` and `cand` under the argmax's total
-/// order on `(score, dist, pos)`: score descending, then the smaller
+/// order on `(count, dist, pos)`: count descending, then the smaller
 /// head travel, then the leftmost position.
-fn consider(best: &mut Option<(i64, usize, usize)>, cand: (i64, usize, usize)) {
-    let (score, dist, pos) = cand;
+fn consider(best: &mut Option<(u32, usize, usize)>, cand: (u32, usize, usize)) {
+    let (count, dist, pos) = cand;
     let better = match *best {
         None => true,
-        Some((bs, bd, bp)) => score > bs || (score == bs && (dist, pos) < (bd, bp)),
+        Some((bc, bd, bp)) => count > bc || (count == bc && (dist, pos) < (bd, bp)),
     };
     if better {
         *best = Some(cand);
@@ -897,14 +832,8 @@ mod tests {
         c
     }
 
-    const KINDS: [SchedulerKind; 4] = [
+    const KINDS: [SchedulerKind; 2] = [
         SchedulerKind::GreedyMaxExecutable,
-        SchedulerKind::DistanceDiscounted {
-            penalty_permille: 250,
-        },
-        SchedulerKind::DistanceDiscounted {
-            penalty_permille: 2000,
-        },
         SchedulerKind::NaiveNextGate,
     ];
 
@@ -942,23 +871,17 @@ mod tests {
         // workloads, recorded from that engine before it moved into the
         // oracle: at a horizon the circuit never reaches, the capped
         // loop must reproduce it exactly.
-        const SEED_ENGINE: [[&str; 4]; 3] = [
+        const SEED_ENGINE: [[&str; 2]; 3] = [
             [
                 "3cef4c574855e527e75063502492b6ab",
-                "67ff104fbed59e1b8d1b09a2c70ec650",
-                "ac7ea3a15a71fed0e8810e82f26a521e",
                 "733075d592069360c722603f033607eb",
             ],
             [
                 "09bfbbd4adbaa5e0cef30f12b11915ec",
-                "312e95b020c144328f78eedbda2e83d9",
-                "accb8f7a558be6fb9e1ae1ddeed7cb51",
                 "396905138c4c15d3ccfeb5049dc85484",
             ],
             [
                 "bae21ba18453bd53f54f236440387f97",
-                "57a3464557f464ff7927dd0b0fb079c6",
-                "d7f52df8fe5ad3cacd17bd65c2cf9f1e",
                 "ceea7585ddb198c9181b9b36f1661e30",
             ],
         ];
@@ -1050,32 +973,23 @@ mod tests {
 
     #[test]
     fn work_counters_pin_decisions_and_shrink_ready_lists() {
-        // (rounds, candidates, rescored, cascade steps, ready-list pushes,
-        // ready-list entries scanned) per kind in `KINDS` order and horizon,
-        // recorded from the engine that listed every gate the drain
-        // unlocked and looped over covering ranges per position. The
-        // decision work must match it exactly; the ready-list work must
-        // come in below it.
-        const BEFORE: [[[u64; 6]; 3]; 4] = [
+        // (rounds, candidates, cascade steps, ready-list pushes,
+        // ready-list entries scanned) per kind in `KINDS` order and
+        // horizon. The decision work is this engine's, which rescores
+        // every dirty position, and must match exactly; the ready-list
+        // work must come in below that of the engine that listed every
+        // gate the drain unlocked and looped over covering ranges per
+        // position.
+        const BEFORE: [[[u64; 5]; 3]; 2] = [
             [
-                [256, 4573, 975, 961, 3115, 4459],
-                [151, 2044, 1961, 4107, 3115, 4476],
-                [151, 1706, 1623, 3728, 3115, 4366],
+                [256, 3122, 1607, 3115, 4459],
+                [151, 1993, 4127, 3115, 4476],
+                [151, 1655, 3748, 3115, 4366],
             ],
             [
-                [282, 4958, 860, 489, 3115, 3972],
-                [162, 2093, 1978, 3955, 3115, 4501],
-                [162, 1792, 1677, 3684, 3115, 4407],
-            ],
-            [
-                [404, 5760, 1735, 491, 3115, 3993],
-                [256, 2647, 2209, 4925, 3115, 4831],
-                [256, 2242, 1961, 4787, 3115, 4786],
-            ],
-            [
-                [287, 0, 0, 0, 3115, 3206],
-                [208, 0, 0, 0, 3115, 3064],
-                [208, 0, 0, 0, 3115, 3064],
+                [287, 0, 0, 3115, 3206],
+                [208, 0, 0, 3115, 3064],
+                [208, 0, 0, 3115, 3064],
             ],
         ];
         let c = workload(24, 600, 11);
@@ -1085,10 +999,10 @@ mod tests {
                 .zip(before)
             {
                 let w = run_engine(&c, spec(24, 6), kind, horizon, false).work;
-                let [rounds, candidates, rescored, steps, pushes, scanned] = want;
+                let [rounds, candidates, steps, pushes, scanned] = want;
                 assert_eq!(
-                    (w.rounds, w.candidates, w.rescored, w.cascade_steps),
-                    (rounds, candidates, rescored, steps),
+                    (w.rounds, w.candidates, w.cascade_steps),
+                    (rounds, candidates, steps),
                     "decision work, kind {kind:?} H={horizon}"
                 );
                 assert!(
@@ -1198,7 +1112,6 @@ mod ledger_gate {
             let (w, mut sum) = (self.work, DROPPED_WORK.get());
             sum.rounds += w.rounds;
             sum.candidates += w.candidates;
-            sum.rescored += w.rescored;
             sum.cascade_steps += w.cascade_steps;
             sum.ready_pushes += w.ready_pushes;
             sum.ready_scanned += w.ready_scanned;
@@ -1229,7 +1142,6 @@ mod ledger_gate {
         SchedulerWork {
             rounds: count("rounds"),
             candidates: count("candidates"),
-            rescored: count("rescored"),
             cascade_steps: count("cascade_steps"),
             ready_pushes: count("ready_pushes"),
             ready_scanned: count("ready_scanned"),
@@ -1238,11 +1150,11 @@ mod ledger_gate {
 
     fn check(workload: &str, got: SchedulerWork) {
         let want = recorded(workload);
-        let decisions = |w: SchedulerWork| (w.rounds, w.candidates, w.rescored, w.cascade_steps);
+        let decisions = |w: SchedulerWork| (w.rounds, w.candidates, w.cascade_steps);
         assert_eq!(
             decisions(got),
             decisions(want),
-            "{workload}: (rounds, candidates, rescored, cascade_steps) differ from the \
+            "{workload}: (rounds, candidates, cascade_steps) differ from the \
              ledger; a change to scheduling decisions appends a ledger line"
         );
         for (name, got, want) in [

@@ -1,34 +1,22 @@
-//! The batch/service layer: many circuits through one session.
+//! The batch layer: many circuits through one session.
 //!
 //! Batch runs amortize everything the session already owns — validated
-//! specs, router configuration, the models — and add two further
-//! economies on top:
+//! specs, router configuration, the models — and run each circuit in
+//! turn on the calling thread, **in submission order**:
 //!
-//! * **Parallel fan-out.** Circuits within a window are compiled
-//!   concurrently on the work-stealing pool (`rayon::par_chunks_mut`),
-//!   each landing in its own pre-allocated result slot.
 //! * **Panic isolation.** A compile that panics costs exactly its own
-//!   circuit's result, never the worker, the pool, or the window.
+//!   circuit's result, never the rest of the batch.
+//! * **Bounded memory.** The callback variant observes circuit `i`
+//!   before circuit `i + 1` starts compiling, so memory stays
+//!   proportional to one circuit, not the batch.
 //!
-//! Reports stream back **in submission order**: the batch advances one
-//! bounded window at a time, so memory stays proportional to the window
-//! size (not the batch) and the callback variant observes circuit `i`
-//! before circuit `i + window` starts compiling.
+//! One thread keeps a batch on the path the benchmark measures (it times
+//! one thread) and matches the paper's sequential greedy compiler. On a
+//! multi-core host `tilt run --batch` therefore gets no multi-core
+//! wall-clock speedup; its CPU time is the same.
 
 use crate::{Engine, RunReport, TiltError};
-use rayon::prelude::*;
 use tilt_circuit::Circuit;
-
-/// Circuits processed concurrently per window (and the service's
-/// default in-flight window): four per pool thread, at least 8 — enough
-/// slack for the pool to stay busy across uneven circuit sizes, small
-/// enough that streaming consumers see results promptly.
-pub(crate) fn default_window() -> usize {
-    (rayon::current_num_threads() * 4).max(8)
-}
-
-/// One batch slot: the circuit moves in, the report moves out.
-type Slot = (Option<Circuit>, Option<Result<RunReport, TiltError>>);
 
 impl Engine {
     /// Runs every circuit through the session, returning one result per
@@ -66,8 +54,8 @@ impl Engine {
         reports
     }
 
-    /// [`Engine::run_batch`], delivering each report to `sink` as its
-    /// window completes — still in submission order, with `index`
+    /// [`Engine::run_batch`], delivering each report to `sink` as soon
+    /// as its circuit is done — still in submission order, with `index`
     /// counting from 0.
     ///
     /// Use this to render progress (one table row per circuit) or to
@@ -76,31 +64,10 @@ impl Engine {
     where
         F: FnMut(usize, Result<RunReport, TiltError>),
     {
-        let window = default_window();
-        let mut iter = circuits.into_iter();
-        let mut next_index = 0usize;
-        loop {
-            let mut slots: Vec<Slot> = iter
-                .by_ref()
-                .take(window)
-                .map(|c| (Some(c), None))
-                .collect();
-            if slots.is_empty() {
-                return;
-            }
-            // One slot per chunk: the pool steals whole circuits.
-            slots.par_chunks_mut(1).for_each(|chunk| {
-                let slot = &mut chunk[0];
-                let circuit = slot.0.take().expect("slot filled exactly once");
-                // Panic isolation: a compile that panics must cost
-                // exactly that circuit its result — not the worker, the
-                // pool, or the rest of the window.
-                slot.1 = Some(crate::error::isolated(|| self.run(&circuit)));
-            });
-            for (_, report) in slots {
-                sink(next_index, report.expect("window fully processed"));
-                next_index += 1;
-            }
+        for (index, circuit) in circuits.into_iter().enumerate() {
+            // Panic isolation: a compile that panics must cost exactly
+            // that circuit its result, not the rest of the batch.
+            sink(index, crate::error::isolated(|| self.run(&circuit)));
         }
     }
 }
@@ -165,9 +132,9 @@ mod tests {
             "{:?}",
             reports[1]
         );
-        assert!(reports[2].is_ok(), "pool and window survive the panic");
+        assert!(reports[2].is_ok(), "the batch survives the panic");
         drop(guard);
-        // The worker that panicked still compiles correctly afterwards.
+        // The engine that panicked still compiles correctly afterwards.
         let again = engine.run_batch(vec![chain(37, 2)]);
         assert!(again[0].is_ok());
     }
@@ -175,7 +142,6 @@ mod tests {
     #[test]
     fn streaming_preserves_submission_order_across_windows() {
         let engine = Engine::tilt(DeviceSpec::new(10, 4).unwrap());
-        // More circuits than one window so the loop iterates.
         let circuits: Vec<Circuit> = (0..100).map(|k| chain(10, 1 + k % 9)).collect();
         let mut seen = Vec::new();
         engine.run_batch_streaming(circuits, |i, r| {

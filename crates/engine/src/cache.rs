@@ -16,8 +16,8 @@
 //! depth, so a count bound alone would not cap memory). Entries are
 //! [`Arc`]-shared: a hit clones the `Arc` inside the lock and
 //! materializes the (potentially large) report clone *outside* it, so
-//! batch workers contend only for the map op, never for the payload
-//! copy. Counters (`hits`, `misses`, `evictions`, `entries`) feed the
+//! concurrent connections contend only for the map op, never for the
+//! payload copy. Counters (`hits`, `misses`, `evictions`, `entries`) feed the
 //! service's `{"op":"stats"}` probe.
 //!
 //! Circuit keys are **salted**: each cache holds a random 128-bit key
@@ -355,8 +355,7 @@ fn random_salt() -> u128 {
 /// A bounded, thread-safe, content-addressed compile cache.
 ///
 /// Share one instance (behind [`Arc`]) between an
-/// [`Engine`](crate::Engine) session, its batch workers, and any number
-/// of service loops; see the module docs for the design.
+/// [`Engine`](crate::Engine) session and any number of service loops; see the module docs for the design.
 pub struct CompileCache {
     capacity: usize,
     max_bytes: usize,
@@ -416,7 +415,7 @@ impl CompileCache {
         self.capacity
     }
 
-    /// The state lock, recovering from poison. A batch worker that
+    /// The state lock, recovering from poison. A compile that
     /// panics mid-insert (compiles can panic; see the fault harness)
     /// must not brick the cache for every future request: all state
     /// mutations under this lock are scoped so a mid-update panic at

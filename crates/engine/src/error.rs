@@ -29,10 +29,10 @@ pub enum TiltError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// A compile or simulate panicked inside a batch worker and was
-    /// caught at the isolation boundary. The request that carried the
-    /// poisoned circuit fails; the pool, the window, and every other
-    /// in-flight request survive.
+    /// A compile or simulate panicked and was caught at the isolation
+    /// boundary. The request that carried the poisoned circuit fails;
+    /// the batch, the window, and every other in-flight request
+    /// survive.
     Internal {
         /// The panic payload (when it was a string) or a placeholder.
         message: String,

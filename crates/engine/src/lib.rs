@@ -12,11 +12,10 @@
 //! * [`Engine::run`] — compile and estimate a single circuit, returning
 //!   the unified [`RunReport`]. It runs the backend's one pass, which
 //!   [`Engine::run_streaming`] runs over a gate stream (see [`stream`]).
-//! * [`Engine::run_batch`] — many circuits through one session,
-//!   fanned out over the work-stealing pool (the ROADMAP's "service
-//!   mode").
+//! * [`Engine::run_batch`] — many circuits through one session, one
+//!   after another on the calling thread.
 //! * [`Engine::run_batch_streaming`] — the same, delivering each report
-//!   to a callback in submission order as windows complete.
+//!   to a callback in submission order as each circuit completes.
 //!
 //! Errors from every backend unify into [`TiltError`], so `?` works
 //! regardless of which architecture a session targets.
@@ -478,8 +477,8 @@ impl Engine {
                 .as_ref()
                 .expect("get_full returns complete entries");
             // The Arc clone happened inside the lock; the (potentially
-            // large) report clone happens here, outside it, so cache
-            // hits from parallel batch workers do not serialize.
+            // large) report clone happens here, outside it, so hits
+            // from concurrent connections do not serialize.
             return Ok(report.clone());
         }
         let report = self.run_uncached(circuit)?;

@@ -103,8 +103,8 @@
 //! verifier found an invariant violation under `"verify":"strict"`),
 //! `overloaded` (shed by admission control; carries `retry_after_ms`),
 //! `deadline_exceeded` (shed by its deadline), and `internal` (a panic
-//! caught at the batch isolation boundary — the request is lost, the
-//! service is not).
+//! caught at the per-request isolation boundary — the request is lost,
+//! the service is not).
 //!
 //! # Admission control
 //!
@@ -149,15 +149,13 @@
 //! lane: it is shed if its deadline has passed, answered from the cache
 //! if its `(circuit, config)` pair is resident (parsed payloads only),
 //! shed if admission refuses it, and otherwise joins the window or, for
-//! a stream, runs at once. The window holds up to its bound of requests
-//! ([`Service::with_window`]), all under **one config fingerprint**,
-//! and fans out through
-//! [`Engine::run_batch_streaming`], which preserves submission order:
-//! consecutive requests under one config — the session's, or the same
-//! override fields repeated — compile in parallel and share its
-//! within-window dedup. A request that cannot join (a stream, or a run
-//! under another config) drains the window before taking its permit, as
-//! do `configure`, `stats`, `shutdown`, and error lines, so ordering
+//! a stream, drains the window and runs at once. The window holds up to
+//! its bound of requests ([`Service::with_window`], default 8), under
+//! any mix of configs, and compiles them one after another on the
+//! loop's thread, each under its own engine, writing each response as
+//! it completes. A later duplicate in the window is a cache hit on the
+//! entry its first occurrence inserted. `configure`, `stats`,
+//! `shutdown`, and error lines drain the window too, so ordering
 //! survives. Memory is proportional to the window, never to the total
 //! stream length; `stats.max_in_flight` reports the high-water mark so
 //! tests can pin the bound.
@@ -165,8 +163,12 @@
 //! Batching is **flush-before-blocking**: only input that is already
 //! buffered on the wire coalesces into a window — the loop drains
 //! every pending request before it blocks waiting for more bytes, so
-//! an interactive client gets its response immediately while a load
-//! generator streaming ahead still gets full windowed fan-out.
+//! an interactive client gets its response immediately.
+//!
+//! One loop runs on one thread, so on a multi-core host a load
+//! generator streaming ahead on one connection gets no multi-core
+//! wall-clock speedup from its window; CPU time is the same. `tilt
+//! serve --listen` runs one loop, on its own thread, per connection.
 //!
 //! # Shutdown
 //!
@@ -181,7 +183,6 @@
 //! rule, nothing buffered to lose).
 
 use crate::admission::{AdmissionControl, AdmissionPermit};
-use crate::batch::default_window;
 use crate::cache::{CacheCounters, CacheKey, CompileCache, WireReport};
 use crate::overlay::{self, Value};
 use crate::stream::{StreamOutcome, DEFAULT_STREAM_WINDOW};
@@ -195,6 +196,10 @@ use tilt_circuit::{qasm, Circuit, Gate};
 use tilt_compiler::{OpLines, TiltOp};
 use tilt_hash::{Digest, Hasher};
 use tilt_report::Json;
+
+/// Requests buffered per window when [`Service::with_window`] names no
+/// bound.
+const DEFAULT_WINDOW: usize = 8;
 
 /// Log-linear latency buckets: one per µs below 16 µs, then 8 per power
 /// of two up to 2^40 µs ≈ 12 days — far beyond any single compile.
@@ -426,8 +431,7 @@ impl ParseMemo {
 struct RunItem {
     id: Json,
     /// The engine it compiles under: the session's, or one built from
-    /// its override fields. Its config fingerprint keys the cache probe
-    /// and binds the window it joins.
+    /// its override fields. Its config fingerprint keys the cache probe.
     engine: Arc<Engine>,
     payload: Payload,
     emit_program: bool,
@@ -449,13 +453,12 @@ impl RunItem {
 
 /// What a run request compiles.
 enum Payload {
-    /// A parsed circuit: cached and windowed. The circuit is taken (not
-    /// cloned) by the window flush; the [`Arc`] is shared with the parse
-    /// memo, and a cache-hit response drops it untouched. `digest` is its
-    /// salted compile-cache key (the circuit half of its full key — see
+    /// A parsed circuit: cached and windowed. The [`Arc`] is shared with
+    /// the parse memo and never cloned. `digest` is its salted
+    /// compile-cache key (the circuit half of its full key — see
     /// [`CompileCache::circuit_key`]).
     Parsed {
-        circuit: Option<Arc<Circuit>>,
+        circuit: Arc<Circuit>,
         digest: Digest,
     },
     /// A QASM text pulled statement-by-statement through the
@@ -557,7 +560,7 @@ impl Service {
         Ok(Service {
             engine,
             proto: builder,
-            window: default_window(),
+            window: DEFAULT_WINDOW,
             stats: ServiceStats::new(),
             cache,
             parse_memo: ParseMemo::default(),
@@ -582,10 +585,10 @@ impl Service {
         self
     }
 
-    /// Caps the in-flight request window (`0` restores the default,
-    /// 4 × pool threads with a floor of 8).
+    /// Caps the in-flight request window (`0` restores the default of
+    /// 8).
     pub fn with_window(mut self, window: usize) -> Service {
-        self.window = if window > 0 { window } else { default_window() };
+        self.window = if window > 0 { window } else { DEFAULT_WINDOW };
         self
     }
 
@@ -593,11 +596,10 @@ impl Service {
     /// `shutdown` flag (checked between lines).
     ///
     /// Batching follows the **flush-before-blocking** rule: lines that
-    /// are already buffered batch together up to the window (a load
-    /// generator streaming ahead gets full fan-out), but the window is
-    /// drained before the loop ever blocks waiting for more input — an
-    /// interactive client sending one request and waiting for its
-    /// response is never left hanging.
+    /// are already buffered batch together up to the window, but the
+    /// window is drained before the loop ever blocks waiting for more
+    /// input — an interactive client sending one request and waiting for
+    /// its response is never left hanging.
     ///
     /// # Errors
     ///
@@ -809,10 +811,9 @@ impl Service {
             writeln!(output, "{}", resp.render())?;
             return output.flush();
         }
-        // The window compiles under one config fingerprint: a stream,
-        // or a run under another config, drains it before taking its
-        // own permit.
-        if !joins_window(pending, &item) {
+        // A stream writes its increments as it compiles, so it drains
+        // the window before taking its own permit.
+        if matches!(item.payload, Payload::Stream { .. }) {
             self.flush(pending, output)?;
         }
         let Ok(permit) = self.admit(bytes, &item.id, item.enqueued, pending) else {
@@ -866,24 +867,19 @@ impl Service {
         Ok(())
     }
 
-    /// Runs the buffered window through the engine its runs share (one
-    /// config fingerprint — see [`joins_window`]) and writes one response
-    /// line per request, in submission order.
+    /// Compiles the buffered window in submission order, each run under
+    /// its own engine, and writes one response line per request as it
+    /// completes.
     ///
-    /// Duplicate circuits **within** one window are compiled once: the
-    /// pre-window cache probe cannot catch them (their leader has not
-    /// compiled yet), and without dedup the batch workers would compile
-    /// both copies concurrently — wasted work, and nondeterministic
-    /// hit counts. Each follower is served from the cache after its
-    /// leader's insert lands (a genuine hit), so a duplicate pair
-    /// always accounts as exactly one miss plus one hit, regardless of
-    /// worker count.
+    /// A duplicate circuit later in the window finds the cache entry its
+    /// first occurrence inserted, so a duplicate pair accounts as
+    /// exactly one miss plus one hit.
     ///
     /// Pre-resolved entries (shed at enqueue) and runs whose deadline
-    /// expired while queued emit their error responses interleaved at
-    /// their submission positions — an expired run is shed **here,
-    /// before compiling**, and its admission permit is released with
-    /// the window.
+    /// expired while queued emit their error responses at their
+    /// submission positions — an expired run is shed **here, before
+    /// compiling**. Each entry releases its admission permit once its
+    /// response is on the wire.
     fn flush<W: Write>(
         &mut self,
         pending: &mut Vec<PendingItem>,
@@ -892,110 +888,31 @@ impl Service {
         if pending.is_empty() {
             return Ok(());
         }
-        let mut items = std::mem::take(pending);
-        let engine = window_engine(&items).cloned();
-        // Per run item, the slot its compile result lives in; per slot,
-        // the leader item index (the first occurrence of that circuit
-        // digest).
-        let mut slot_of: Vec<usize> = vec![0; items.len()];
-        let mut leader_of_slot: Vec<usize> = Vec::new();
-        let mut slot_of_digest: HashMap<Digest, usize> = HashMap::new();
-        let mut circuits: Vec<Circuit> = Vec::new();
         let now = Instant::now();
-        for (i, entry) in items.iter_mut().enumerate() {
-            let PendingItem::Run(item) = entry else {
-                continue;
-            };
-            if item.expired(now) {
-                // Dequeue-time deadline check: the compile never runs,
-                // and the circuit and permit go now.
-                self.stats.shed_deadline += 1;
-                *entry = PendingItem::Resolved {
-                    enqueued: item.enqueued,
-                    response: deadline_json(&item.id),
-                };
-                continue;
-            }
-            let Payload::Parsed { circuit, digest } = &mut item.payload else {
-                unreachable!("streams never join the window");
-            };
-            let arc = circuit.take().expect("each item is flushed once");
-            slot_of[i] = *slot_of_digest.entry(*digest).or_insert_with(|| {
-                leader_of_slot.push(i);
-                // Unshared payloads (memo since cleared) move for free;
-                // shared ones clone only here, on an actual compile.
-                circuits.push(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()));
-                circuits.len() - 1
-            });
-        }
-        let mut results: Vec<Option<Result<RunReport, TiltError>>> = Vec::new();
-        results.resize_with(circuits.len(), || None);
-        let mut io_err: Option<io::Error> = None;
-        let mut next = 0usize;
-        // Split borrows: the emitter mutates stats and output while the
-        // engine fans out the window. Responses stream as they become
-        // writable: slot results arrive in submission order, and a
-        // follower's leader always precedes it, so the write pointer
-        // `next` only ever waits on the slot that just completed — no
-        // response is held back for a later compile. Resolved entries
-        // are always writable and interleave at their positions.
-        let (stats, cache) = (&mut self.stats, &self.cache);
-        let emit_ready = |results: &[Option<Result<RunReport, TiltError>>],
-                          next: &mut usize,
-                          stats: &mut ServiceStats,
-                          output: &mut W,
-                          io_err: &mut Option<io::Error>| {
-            while io_err.is_none() && *next < items.len() {
-                let (resp, ok, enqueued) = match &items[*next] {
-                    PendingItem::Resolved { enqueued, response } => {
-                        (response.clone(), false, *enqueued)
-                    }
-                    PendingItem::Run(item) => {
-                        let s = slot_of[*next];
-                        let Some(result) = results[s].as_ref() else {
-                            break;
-                        };
-                        // A follower's leader has inserted, so its lookup
-                        // is a real cache hit (and counts as such); the
-                        // leader's result backstops an errored or
-                        // instantly evicted entry.
-                        let follower = leader_of_slot[s] != *next;
-                        match follower
-                            .then(|| cached_wire_response(cache, item))
-                            .flatten()
-                        {
-                            Some(resp) => (resp, true, item.enqueued),
-                            None => {
-                                let resp = run_response(&item.id, result, item.emit_program);
-                                (resp, result.is_ok(), item.enqueued)
-                            }
-                        }
-                    }
-                };
-                stats.record(enqueued.elapsed().as_micros() as u64, ok);
-                if let Err(e) = writeln!(output, "{}", resp.render()) {
-                    *io_err = Some(e);
+        for entry in std::mem::take(pending) {
+            let (line, ok, enqueued) = match &entry {
+                PendingItem::Resolved { enqueued, response } => {
+                    (response.render(), false, *enqueued)
                 }
-                *next += 1;
-            }
-        };
-        if let Some(engine) = engine.filter(|_| !circuits.is_empty()) {
-            engine.run_batch_streaming(circuits, |slot, result| {
-                results[slot] = Some(result);
-                emit_ready(&results, &mut next, &mut *stats, &mut *output, &mut io_err);
-            });
+                // Dequeue-time deadline check: the compile never runs.
+                PendingItem::Run(item) if item.expired(now) => {
+                    self.stats.shed_deadline += 1;
+                    (deadline_json(&item.id).render(), false, item.enqueued)
+                }
+                PendingItem::Run(item) => {
+                    let Payload::Parsed { circuit, .. } = &item.payload else {
+                        unreachable!("streams never join the window");
+                    };
+                    // Panic isolation: a compile that panics costs its
+                    // request, not the loop or the rest of the window.
+                    let result = crate::error::isolated(|| item.engine.run(circuit));
+                    let resp = run_response(&item.id, &result, item.emit_program);
+                    (resp.render(), result.is_ok(), item.enqueued)
+                }
+            };
+            self.stats.record(enqueued.elapsed().as_micros() as u64, ok);
+            writeln!(output, "{line}")?;
         }
-        // Drain the tail: trailing resolved entries after the last slot
-        // (and the whole window when every entry was pre-resolved — the
-        // batch never fires its sink for an empty circuit list).
-        emit_ready(&results, &mut next, &mut *stats, &mut *output, &mut io_err);
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        debug_assert_eq!(next, items.len(), "every buffered item was answered");
-        // `items` drops here, releasing every admission permit the
-        // window held — after all its responses are on the wire.
-        drop(items);
         output.flush()
     }
 
@@ -1029,7 +946,7 @@ impl Service {
                 io_err = Some(e);
             }
         };
-        // The same isolation boundary as the batch workers: a panicking
+        // The same isolation boundary as the window: a panicking
         // streaming compile costs its request, not the loop.
         let result = crate::error::isolated(|| {
             item.engine
@@ -1120,13 +1037,13 @@ impl Service {
                 },
             };
             let deadline = self.parse_deadline(obj, enqueued)?;
+            declared_width_gate(qasm_text)?;
             // The stream sizes its machine from the `qreg` header, so
             // the probe stops there; one the stream cannot start from
             // (missing or malformed) is as invalid as unparsable QASM.
-            let n_qubits = qasm::QasmStream::new(qasm_text.as_bytes())
+            qasm::QasmStream::new(qasm_text.as_bytes())
                 .require_n_qubits()
                 .map_err(|e| e.to_string())?;
-            width_gate(n_qubits)?;
             let payload = Payload::Stream {
                 qasm: qasm_text.into(),
                 window,
@@ -1140,8 +1057,8 @@ impl Service {
             let (circuit, digest) = match self.parse_memo.get(text_key, qasm_text) {
                 Some(hit) => (hit.circuit, hit.key),
                 None => {
+                    declared_width_gate(qasm_text)?;
                     let circuit = qasm::parse_qasm(qasm_text).map_err(|e| e.to_string())?;
-                    width_gate(circuit.n_qubits())?;
                     let key = self.cache.circuit_key(&circuit);
                     let circuit = Arc::new(circuit);
                     self.parse_memo.insert(
@@ -1160,10 +1077,7 @@ impl Service {
                 None => Arc::clone(&self.engine),
                 Some((_, engine)) => Arc::new(engine),
             };
-            let payload = Payload::Parsed {
-                circuit: Some(circuit),
-                digest,
-            };
+            let payload = Payload::Parsed { circuit, digest };
             (payload, deadline, engine)
         };
         Ok(RunItem {
@@ -1248,34 +1162,20 @@ impl Service {
     }
 }
 
-/// Width gate *before* any backend sizes itself to a register: the
-/// scaled partitioner and the QCCD trap array allocate proportionally
-/// to it, so a `qreg q[10^12]` request — parsed or streamed — must die
-/// here as a structured error, not as an allocation abort.
-fn width_gate(n_qubits: usize) -> Result<(), String> {
-    if n_qubits > MAX_REQUEST_IONS {
-        return Err(format!(
+/// Width gate on the register `qasm_text` declares, *before* the parser
+/// or any backend sizes itself to it: a whole-register `measure`
+/// expands to one gate per qubit, and the scaled partitioner and the
+/// QCCD trap array allocate proportionally to the width, so a
+/// `qreg q[10^12]` request — parsed or streamed, whatever its statement
+/// order — must die here as a structured error, not as an allocation
+/// abort.
+fn declared_width_gate(qasm_text: &str) -> Result<(), String> {
+    match qasm::declared_qubits(qasm_text).map_err(|e| e.to_string())? {
+        Some(n_qubits) if n_qubits > MAX_REQUEST_IONS => Err(format!(
             "circuit register of {n_qubits} qubits exceeds the service cap of {MAX_REQUEST_IONS}"
-        ));
+        )),
+        _ => Ok(()),
     }
-    Ok(())
-}
-
-/// The engine the window's runs compile under; `None` while it holds
-/// only pre-resolved responses.
-fn window_engine(pending: &[PendingItem]) -> Option<&Arc<Engine>> {
-    pending.iter().find_map(|entry| match entry {
-        PendingItem::Run(item) => Some(&item.engine),
-        PendingItem::Resolved { .. } => None,
-    })
-}
-
-/// Whether `item` may join the buffered window: parsed runs do, under
-/// the config fingerprint the window's runs already share.
-fn joins_window(pending: &[PendingItem], item: &RunItem) -> bool {
-    matches!(item.payload, Payload::Parsed { .. })
-        && window_engine(pending)
-            .is_none_or(|e| e.config_fingerprint() == item.engine.config_fingerprint())
 }
 
 /// The response for `item` if its `(circuit, config)` key is resident
@@ -1283,11 +1183,11 @@ fn joins_window(pending: &[PendingItem], item: &RunItem) -> bool {
 /// fresh compile, so hit and miss responses are byte-identical. Streams
 /// never hit: a cache entry holds no increment lines to replay.
 fn cached_wire_response(cache: &CompileCache, item: &RunItem) -> Option<Json> {
-    let Payload::Parsed { digest, .. } = item.payload else {
+    let Payload::Parsed { digest, .. } = &item.payload else {
         return None;
     };
     let key = CacheKey {
-        circuit: digest,
+        circuit: *digest,
         config: item.engine.config_fingerprint(),
     };
     let entry = cache.get_wire(key)?;
@@ -1668,6 +1568,29 @@ mod tests {
                 err_msg(resp).contains("exceeds the service cap"),
                 "{resp:?}"
             );
+        }
+        assert!(ok(&resps[3]), "the loop survives: {:?}", resps[3]);
+        assert_eq!(summary.stats.errors, 3);
+    }
+
+    #[test]
+    fn absurd_registers_are_gated_before_measure_expands() {
+        // `measure q -> c` expands to one gate per declared qubit, so
+        // the width gate must see the `qreg` before the parser runs,
+        // whether a gate precedes the declaration or not, and on the
+        // stream lane too.
+        let mut s = tilt_service(8, 4);
+        let input = concat!(
+            "{\"id\":1,\"qasm\":\"qreg q[1000000000000000000];\\nmeasure q -> c;\\n\"}\n",
+            "{\"id\":2,\"qasm\":\"h q[0];\\nqreg q[1000000000000000000];\\nmeasure q -> c;\\n\"}\n",
+            "{\"id\":3,\"stream\":true,\"qasm\":\"qreg q[1000000000000000000]; measure q -> c;\\n\"}\n",
+            "{\"id\":4,\"qasm\":\"qreg q[4];\\ncx q[0], q[3];\\n\"}\n",
+        );
+        let (resps, summary) = drive(&mut s, input);
+        assert_eq!(resps.len(), 4);
+        for resp in &resps[..3] {
+            assert_eq!(err_kind(resp), "invalid_request", "{resp:?}");
+            assert!(err_msg(resp).contains("service cap"), "{resp:?}");
         }
         assert!(ok(&resps[3]), "the loop survives: {:?}", resps[3]);
         assert_eq!(summary.stats.errors, 3);

@@ -15,6 +15,19 @@
 //! parallelizes tape motion, but each cross-ELU interaction costs an EPR
 //! pair of imperfect fidelity and non-trivial generation time.
 //!
+//! # A cost model, not an executable program
+//!
+//! The teleport template a remote gate lowers to carries the *cost* of
+//! gate teleportation: the local gates, measurements and comm-ion resets
+//! each endpoint ELU runs, and one EPR pair counted in
+//! `epr_pairs`. It prepares no EPR pair (the communication ions start
+//! in `|0⟩`, unentangled) and applies no classically controlled Pauli
+//! corrections, so an ELU program does not implement the remote gate:
+//! run it on a simulator and the logical circuit is not what comes out.
+//! The success and time estimates are what the crate is for;
+//! [`verify_scaled`] checks each ELU program's machine invariants, not
+//! that the array computes the logical circuit.
+//!
 //! # Example
 //!
 //! ```

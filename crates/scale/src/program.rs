@@ -61,6 +61,11 @@ impl ScaleReport {
 /// communication ion plus its measurement; in `B`, the original
 /// interaction applied from the communication ion plus its measurement;
 /// one EPR pair is consumed.
+///
+/// The template is a cost model: it prepares no EPR pair on the
+/// communication ions and applies no classically controlled Pauli
+/// corrections, so the ELU programs it yields are not an executable
+/// program for the remote gate (see the crate docs).
 pub(crate) struct Splitter {
     pub(crate) partition: Partition,
     n_qubits: usize,

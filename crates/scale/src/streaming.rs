@@ -12,16 +12,16 @@
 //! circuit length, and the per-ELU op streams plus the final
 //! [`ScaleReport`] are bit-identical to the in-memory path.
 //!
-//! Shard compiles fan out across the work-stealing pool: gates buffer
-//! into per-ELU inboxes during the split, and each macro-window the pool
-//! advances every shard's pipeline concurrently. Emitted increments are
-//! drained to the sink **in ELU order** after each fan-out, so the
-//! delivery order is deterministic regardless of pool scheduling.
+//! Gates buffer into per-ELU inboxes during the split, and each
+//! macro-window advances every shard's pipeline in turn on the calling
+//! thread. Emitted increments are drained to the sink **in ELU order**
+//! after each advance, so the delivery order is deterministic. On a
+//! multi-core host the shard advances get no multi-core wall-clock
+//! speedup; CPU time is the same.
 
 use crate::program::{aggregate, Splitter};
 use crate::spec::{ScaleError, ScaleSpec};
 use crate::ScaleReport;
-use rayon::prelude::*;
 use tilt_circuit::{Circuit, Gate};
 use tilt_compiler::pipeline::streaming::StreamSummary;
 use tilt_compiler::{CompileError, Mapping, ProgramSink, StreamingCompiler, TiltOp};
@@ -67,7 +67,7 @@ pub struct ScaledStreamSummary {
 struct Shard {
     /// `None` after [`Shard::finish`] consumes it.
     compiler: Option<StreamingCompiler>,
-    /// Gates split to this ELU since the last fan-out.
+    /// Gates split to this ELU since the last advance.
     inbox: Circuit,
     sink: ShardSink,
     summary: Option<StreamSummary>,
@@ -78,7 +78,7 @@ struct Shard {
 struct ShardSink {
     success: SuccessAccumulator,
     exec: ExecTimeAccumulator,
-    /// Routed gates and ops produced during the current fan-out,
+    /// Routed gates and ops produced during the current advance,
     /// awaiting the ordered drain.
     routed: Vec<Gate>,
     outbox: Vec<TiltOp>,
@@ -99,8 +99,7 @@ impl ProgramSink for ShardSink {
 }
 
 impl Shard {
-    /// Pushes every inboxed gate through this shard's pipeline. Runs on
-    /// a pool worker.
+    /// Pushes every inboxed gate through this shard's pipeline.
     fn feed(&mut self) {
         if let (Some(compiler), None) = (self.compiler.as_mut(), &self.err) {
             for &g in self.inbox.gates() {
@@ -115,7 +114,7 @@ impl Shard {
     }
 
     /// [`Shard::feed`] plus the end-of-stream flush; consumes the
-    /// pipeline. Runs on a pool worker.
+    /// pipeline.
     fn finish(&mut self) {
         self.feed();
         if self.err.is_none() {
@@ -134,16 +133,16 @@ pub struct ScaledStreamingCompiler {
     spec: ScaleSpec,
     splitter: Splitter,
     shards: Vec<Shard>,
-    /// Gates buffered across all inboxes since the last fan-out.
+    /// Gates buffered across all inboxes since the last advance.
     buffered: usize,
-    /// Total buffered gates that trigger a fan-out.
+    /// Total buffered gates that trigger an advance.
     window: usize,
     increments: usize,
 }
 
 impl ScaledStreamingCompiler {
     /// Starts a streaming session for an `n_qubits`-wide input stream on
-    /// the ELU array `spec`, fanning a shard advance every `window`
+    /// the ELU array `spec`, advancing every shard each `window`
     /// split gates (`usize::MAX` defers all compilation to
     /// [`ScaledStreamingCompiler::finish`]). The per-ELU success/time
     /// estimates fold under `noise` and `times`, exactly as
@@ -244,7 +243,7 @@ impl ScaledStreamingCompiler {
         compilers.map(StreamingCompiler::initial_mapping)
     }
 
-    /// Ingests the next program gate, fanning a shard advance when the
+    /// Ingests the next program gate, advancing every shard when the
     /// macro-window fills.
     ///
     /// # Errors
@@ -259,23 +258,23 @@ impl ScaledStreamingCompiler {
             *buffered += 1;
         })?;
         if self.buffered >= self.window {
-            self.fan_out(sink)?;
+            self.advance(sink)?;
         }
         Ok(())
     }
 
-    /// Advances every shard's pipeline on the pool, then drains emitted
-    /// increments to `sink` in ELU order.
-    fn fan_out(&mut self, sink: &mut dyn ScaledSink) -> Result<(), ScaleError> {
-        self.shards.par_chunks_mut(1).for_each(|chunk| {
-            chunk[0].feed();
-        });
+    /// Advances every shard's pipeline, then drains emitted increments
+    /// to `sink` in ELU order.
+    fn advance(&mut self, sink: &mut dyn ScaledSink) -> Result<(), ScaleError> {
+        for shard in &mut self.shards {
+            shard.feed();
+        }
         self.buffered = 0;
         self.drain(sink)
     }
 
     /// Ordered outbox drain + first-error check (ELU order, so the
-    /// reported error is deterministic regardless of pool scheduling).
+    /// reported error is the lowest failing ELU's).
     fn drain(&mut self, sink: &mut dyn ScaledSink) -> Result<(), ScaleError> {
         for (e, shard) in self.shards.iter_mut().enumerate() {
             if !shard.sink.routed.is_empty() {
@@ -300,9 +299,9 @@ impl ScaledStreamingCompiler {
     ///
     /// Per-ELU compile failures surfaced by the final flush.
     pub fn finish(mut self, sink: &mut dyn ScaledSink) -> Result<ScaledStreamSummary, ScaleError> {
-        self.shards.par_chunks_mut(1).for_each(|chunk| {
-            chunk[0].finish();
-        });
+        for shard in &mut self.shards {
+            shard.finish();
+        }
         self.drain(sink)?;
 
         let report = aggregate(

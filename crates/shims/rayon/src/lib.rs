@@ -1,185 +1,9 @@
-//! Offline stand-in for the [`rayon`](https://crates.io/crates/rayon)
-//! crate, exposing the small surface the statevector kernels use:
+//! Empty placeholder for the [`rayon`](https://crates.io/crates/rayon)
+//! crate.
 //!
-//! * [`join`] — potentially-parallel two-way fork/join.
-//! * [`current_num_threads`] — parallelism available to `join`.
-//! * [`prelude::ParallelSliceMut::par_chunks_mut`] — data-parallel
-//!   mutation of disjoint slice chunks, driven to completion by
-//!   [`prelude::ParChunksMut::for_each`].
-//!
-//! Unlike the first incarnation of this shim (which spawned a scoped
-//! thread per `join`), dispatch now runs on a real **work-stealing
-//! pool** ([`pool::Pool`]): a fixed worker set created lazily on first
-//! use, per-worker job deques, FIFO stealing, and a help-first wait
-//! loop, so fine-grained parallel splits cost a queue push instead of a
-//! thread spawn. See [`pool`] for the stealing discipline and shutdown
-//! semantics. On a single-core host every entry point degrades to
-//! straight serial execution with zero queue traffic.
-//!
-//! The pool is sized by `RAYON_NUM_THREADS` (mirroring real rayon) or,
-//! absent that, by [`std::thread::available_parallelism`].
-
-pub mod pool;
-
-pub use pool::Pool;
-
-/// Number of threads `join` may fan out over (the global pool's size,
-/// including the calling thread).
-pub fn current_num_threads() -> usize {
-    pool::global().threads()
-}
-
-/// Runs both closures, potentially in parallel, and returns both
-/// results.
-///
-/// The second closure is published to the global work-stealing pool
-/// while the first runs on the calling thread; if no worker steals it
-/// in the meantime the caller reclaims and runs it inline, so the
-/// serial fast path is one queue push + pop. Callers should still gate
-/// dispatch behind a work threshold (the statevector kernels do) —
-/// below a few microseconds of work the queue round-trip dominates.
-///
-/// # Panics
-///
-/// Propagates a panic from either closure (if both panic, the first
-/// closure's payload wins, matching the original shim's behaviour).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    pool::global().join(a, b)
-}
-
-pub mod prelude {
-    //! Traits imported by `use rayon::prelude::*`.
-
-    /// Lazily-parallel iterator over disjoint `&mut` chunks of a slice.
-    ///
-    /// Only [`for_each`](ParChunksMut::for_each) drives it; there is no
-    /// general `ParallelIterator` machinery in this shim.
-    pub struct ParChunksMut<'a, T> {
-        slice: &'a mut [T],
-        chunk: usize,
-    }
-
-    impl<'a, T: Send> ParChunksMut<'a, T> {
-        /// Applies `f` to every chunk, splitting the chunk list
-        /// recursively over the pool with [`crate::join`] so idle
-        /// workers steal whole runs of chunks.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&mut [T]) + Send + Sync,
-        {
-            let threads = crate::current_num_threads();
-            let n_chunks = self.slice.len().div_ceil(self.chunk.max(1));
-            if threads <= 1 || n_chunks <= 1 {
-                for c in self.slice.chunks_mut(self.chunk) {
-                    f(c);
-                }
-                return;
-            }
-            // Oversplit ~4× the thread count so stealing can rebalance
-            // uneven chunk costs, while each task still covers whole
-            // chunks.
-            let per_task = n_chunks.div_ceil(threads * 4).max(1);
-            split_for_each(self.slice, self.chunk, per_task, &f);
-        }
-    }
-
-    /// Recursive binary split of the chunk list down to `per_task`
-    /// chunks per leaf.
-    fn split_for_each<T: Send, F>(slice: &mut [T], chunk: usize, per_task: usize, f: &F)
-    where
-        F: Fn(&mut [T]) + Send + Sync,
-    {
-        let n_chunks = slice.len().div_ceil(chunk);
-        if n_chunks <= per_task {
-            for c in slice.chunks_mut(chunk) {
-                f(c);
-            }
-            return;
-        }
-        let mid = (n_chunks / 2) * chunk;
-        let (a, b) = slice.split_at_mut(mid);
-        crate::join(
-            || split_for_each(a, chunk, per_task, f),
-            || split_for_each(b, chunk, per_task, f),
-        );
-    }
-
-    /// Parallel chunking of mutable slices.
-    pub trait ParallelSliceMut<T: Send> {
-        /// Splits into chunks of `chunk_size` (last may be shorter) for
-        /// parallel mutation.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-    }
-
-    impl<T: Send> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-            assert!(chunk_size > 0, "chunk size must be positive");
-            ParChunksMut {
-                slice: self,
-                chunk: chunk_size,
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use super::*;
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn join_nests() {
-        let ((a, b), c) = join(|| join(|| 1, || 2), || 3);
-        assert_eq!((a, b, c), (1, 2, 3));
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        let mut v = vec![1u64; 10_000];
-        v.par_chunks_mut(128).for_each(|c| {
-            for x in c {
-                *x += 1;
-            }
-        });
-        assert!(v.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn par_chunks_mut_with_oversized_chunk() {
-        let mut v = vec![0u8; 7];
-        v.par_chunks_mut(100).for_each(|c| c.fill(9));
-        assert_eq!(v, vec![9; 7]);
-    }
-
-    #[test]
-    fn current_num_threads_is_positive_and_stable() {
-        let n = current_num_threads();
-        assert!(n >= 1);
-        assert_eq!(n, current_num_threads());
-    }
-
-    #[test]
-    fn deep_recursion_through_the_global_pool() {
-        fn fib(n: u64) -> u64 {
-            if n < 12 {
-                return (1..=n).fold((0, 1), |(a, b), _| (b, a + b)).0;
-            }
-            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        assert_eq!(fib(20), 6765);
-    }
-}
+//! The workspace runs every compile, batch, scaled-shard advance and
+//! state-vector kernel on the calling thread, so nothing uses this crate.
+//! Three manifests (`tilt-engine`, `tilt-scale`, `tilt-statevec`) still
+//! name it; dropping those lines rewrites the benchmark's lock file, so
+//! the crate and the lines go together with the next change to the
+//! benchmark.

@@ -158,7 +158,6 @@ macro_rules! shim {
 
 shim! {
     fn apply_1q(amps: &mut [Complex], q: usize, m: [[Complex; 2]; 2]);
-    fn apply_1q_zip(lo: &mut [Complex], hi: &mut [Complex], m: [[Complex; 2]; 2]);
     fn diag_1q(amps: &mut [Complex], q: usize, p0: Complex, p1: Complex);
     fn phase_1q(amps: &mut [Complex], q: usize, phase: Complex);
     fn rotate_zip(xs: &mut [Complex], ys: &mut [Complex], cos: Complex, isin: Complex);

@@ -10,15 +10,13 @@
 //!
 //! Gates take one path: gate by gate into the pair-indexed kernels of
 //! [`crate::kernels`] (see `crates/statevec/README.md` for the indexing
-//! scheme). [`State::apply`] sends one gate; [`State::run`],
-//! [`State::run_with`] and [`State::run_sampled`] share one gate loop,
-//! which decides once per call whether to fan out over threads and
-//! hands that decision to each kernel as-is. Each kernel resolves to
-//! the active instruction tier of [`crate::simd`] — AVX2+FMA on hosts
-//! that support it, the portable scalar loops otherwise — so nothing at
-//! this layer depends on the tier. The seed's branchy full-scan
-//! implementation is retained in [`crate::naive`] as the reference
-//! oracle.
+//! scheme). [`State::apply`] sends one gate; [`State::run`] and
+//! [`State::run_sampled`] share one gate loop, on the calling thread.
+//! Each kernel resolves to the active instruction tier of
+//! [`crate::simd`] — AVX2+FMA on hosts that support it, the portable
+//! scalar loops otherwise — so nothing at this layer depends on the
+//! tier. The seed's branchy full-scan implementation is retained in
+//! [`crate::naive`] as the reference oracle.
 
 use crate::complex::Complex;
 use crate::kernels;
@@ -188,16 +186,14 @@ impl State {
         self.amps.iter().map(|a| a.norm_sq()).sum()
     }
 
-    /// Applies `gate` in place through the optimized kernels
-    /// (parallelizing automatically on large states).
+    /// Applies `gate` in place through the optimized kernels.
     ///
     /// # Panics
     ///
     /// Panics on [`Gate::Measure`] (this is a pure-state verifier) and on
     /// operands outside the register.
     pub fn apply(&mut self, gate: &Gate) {
-        let parallel = kernels::should_parallelize(self.amps.len(), None);
-        apply_kernel(&mut self.amps, gate, parallel);
+        apply_kernel(&mut self.amps, gate);
     }
 
     /// Applies `gate` with the retained seed implementation (full-scan
@@ -218,21 +214,8 @@ impl State {
     ///
     /// Panics when the circuit is wider than the state or measures
     /// (use [`State::run_sampled`] for that).
-    pub fn run(self, circuit: &Circuit) -> State {
-        self.run_with(circuit, None)
-    }
-
-    /// [`State::run`] with the parallel decision pinned: `None` fans out
-    /// when the state is large and the host has threads (the default);
-    /// `Some(true)` / `Some(false)` force the choice, which the
-    /// equivalence tests use to pin each path and the same-run timing
-    /// gate to stay on one thread.
-    ///
-    /// # Panics
-    ///
-    /// As [`State::run`].
-    pub fn run_with(mut self, circuit: &Circuit, parallel: Option<bool>) -> State {
-        self.run_gates(circuit, parallel, None::<&mut SmallRng>);
+    pub fn run(mut self, circuit: &Circuit) -> State {
+        self.run_gates(circuit, None::<&mut SmallRng>);
         self
     }
 
@@ -323,25 +306,19 @@ impl State {
         circuit: &Circuit,
         rng: &mut R,
     ) -> (State, Vec<bool>) {
-        let outcomes = self.run_gates(circuit, None, Some(rng));
+        let outcomes = self.run_gates(circuit, Some(rng));
         (self, outcomes)
     }
 
-    /// The one gate loop behind [`State::run_with`] and
-    /// [`State::run_sampled`]: decides parallelism once, sends unitaries
-    /// to the kernels and, when `rng` is given, samples `measure`/`reset`
-    /// from it (without one they reach the kernels' panic).
-    fn run_gates<R: rand::Rng>(
-        &mut self,
-        circuit: &Circuit,
-        parallel: Option<bool>,
-        mut rng: Option<&mut R>,
-    ) -> Vec<bool> {
+    /// The one gate loop behind [`State::run`] and
+    /// [`State::run_sampled`]: sends unitaries to the kernels and, when
+    /// `rng` is given, samples `measure`/`reset` from it (without one
+    /// they reach the kernels' panic).
+    fn run_gates<R: rand::Rng>(&mut self, circuit: &Circuit, mut rng: Option<&mut R>) -> Vec<bool> {
         assert!(
             circuit.n_qubits() <= self.n_qubits,
             "circuit wider than state"
         );
-        let parallel = kernels::should_parallelize(self.amps.len(), parallel);
         let mut outcomes = Vec::new();
         for g in circuit {
             match (*g, rng.as_deref_mut()) {
@@ -351,7 +328,7 @@ impl State {
                 (Gate::Reset(q), Some(rng)) => {
                     self.reset_with(q.index(), rng.gen());
                 }
-                _ => apply_kernel(&mut self.amps, g, parallel),
+                _ => apply_kernel(&mut self.amps, g),
             }
         }
         outcomes
@@ -403,9 +380,8 @@ fn has_repeated_operands(gate: &Gate) -> bool {
     }
 }
 
-/// Optimized single-gate dispatch; `parallel` is passed through to
-/// every kernel unchanged.
-fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
+/// Optimized single-gate dispatch.
+fn apply_kernel(amps: &mut [Complex], gate: &Gate) {
     // The structured kernels assume distinct operand bits; degenerate
     // gates keep the seed's (naive-path) semantics — e.g. `Cz(q, q)`
     // acts as `Z(q)`, `Cnot(q, q)` as identity.
@@ -419,20 +395,20 @@ fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
             panic!("state-vector verifier cannot measure or reset")
         }
         // Diagonal single-qubit gates: phase sweeps over half the array.
-        Gate::Z(q) => kernels::phase_1q(amps, q.index(), Complex::new(-1.0, 0.0), parallel),
-        Gate::S(q) => kernels::phase_1q(amps, q.index(), Complex::I, parallel),
-        Gate::Sdg(q) => kernels::phase_1q(amps, q.index(), -Complex::I, parallel),
+        Gate::Z(q) => kernels::phase_1q(amps, q.index(), Complex::new(-1.0, 0.0)),
+        Gate::S(q) => kernels::phase_1q(amps, q.index(), Complex::I),
+        Gate::Sdg(q) => kernels::phase_1q(amps, q.index(), -Complex::I),
         Gate::T(q) => {
             let phase = Complex::cis(std::f64::consts::FRAC_PI_4);
-            kernels::phase_1q(amps, q.index(), phase, parallel);
+            kernels::phase_1q(amps, q.index(), phase);
         }
         Gate::Tdg(q) => {
             let phase = Complex::cis(-std::f64::consts::FRAC_PI_4);
-            kernels::phase_1q(amps, q.index(), phase, parallel);
+            kernels::phase_1q(amps, q.index(), phase);
         }
         Gate::Rz(q, t) => {
             let (lo, hi) = (Complex::cis(-t / 2.0), Complex::cis(t / 2.0));
-            kernels::diag_1q(amps, q.index(), lo, hi, parallel);
+            kernels::diag_1q(amps, q.index(), lo, hi);
         }
         // Remaining single-qubit unitaries: pair-indexed 2×2 kernel.
         Gate::H(q)
@@ -446,38 +422,36 @@ fn apply_kernel(amps: &mut [Complex], gate: &Gate, parallel: bool) {
             // `Rx(0)`/`Ry(0)` have (signed) zero off-diagonals: a phase
             // sweep is exact for them and cheaper.
             if is_diagonal2(&m) {
-                kernels::diag_1q(amps, q.index(), m[0][0], m[1][1], parallel);
+                kernels::diag_1q(amps, q.index(), m[0][0], m[1][1]);
             } else {
-                kernels::apply_1q(amps, q.index(), m, parallel);
+                kernels::apply_1q(amps, q.index(), m);
             }
         }
         // Two-qubit diagonal gates.
         Gate::Cz(a, b) => {
             let phase = Complex::new(-1.0, 0.0);
-            kernels::phase_both(amps, a.index(), b.index(), phase, parallel);
+            kernels::phase_both(amps, a.index(), b.index(), phase);
         }
         Gate::Cphase(a, b, lambda) => {
             let phase = Complex::cis(lambda);
-            kernels::phase_both(amps, a.index(), b.index(), phase, parallel);
+            kernels::phase_both(amps, a.index(), b.index(), phase);
         }
         Gate::Zz(a, b, t) => {
             let (same, diff) = (Complex::cis(-t / 2.0), Complex::cis(t / 2.0));
-            kernels::phase_parity(amps, a.index(), b.index(), same, diff, parallel);
+            kernels::phase_parity(amps, a.index(), b.index(), same, diff);
         }
-        // Permutation gates: contiguous-run swaps, fanned out over
-        // disjoint block ranges on large states (a single core is
-        // memcpy-bound, but multiple cores multiply the bandwidth).
-        Gate::Cnot(c, t) => kernels::controlled_x(amps, 1usize << c.index(), t.index(), parallel),
-        Gate::Swap(a, b) => kernels::swap_qubits(amps, a.index(), b.index(), parallel),
+        // Permutation gates: contiguous-run swaps.
+        Gate::Cnot(c, t) => kernels::controlled_x(amps, 1usize << c.index(), t.index()),
+        Gate::Swap(a, b) => kernels::swap_qubits(amps, a.index(), b.index()),
         Gate::Toffoli(c0, c1, t) => {
             let mask = (1usize << c0.index()) | (1usize << c1.index());
-            kernels::controlled_x(amps, mask, t.index(), parallel);
+            kernels::controlled_x(amps, mask, t.index());
         }
         // The entangling workhorse.
         Gate::Xx(a, b, t) => {
             let cos = Complex::new((t / 2.0).cos(), 0.0);
             let isin = Complex::new(0.0, -(t / 2.0).sin());
-            kernels::xx_rotate(amps, a.index(), b.index(), cos, isin, parallel);
+            kernels::xx_rotate(amps, a.index(), b.index(), cos, isin);
         }
     }
 }

@@ -51,7 +51,8 @@
 //! # Ok::<(), tilt::engine::TiltError>(())
 //! ```
 //!
-//! Batches amortize session setup and fan out over the thread pool:
+//! Batches amortize session setup, running each circuit in turn on the
+//! calling thread:
 //!
 //! ```
 //! use tilt::prelude::*;

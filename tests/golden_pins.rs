@@ -82,15 +82,9 @@ fn routers() -> [(&'static str, RouterKind); 3] {
     ]
 }
 
-fn schedulers() -> [(&'static str, SchedulerKind); 3] {
+fn schedulers() -> [(&'static str, SchedulerKind); 2] {
     [
         ("greedy", SchedulerKind::GreedyMaxExecutable),
-        (
-            "disc",
-            SchedulerKind::DistanceDiscounted {
-                penalty_permille: 250,
-            },
-        ),
         ("naive", SchedulerKind::NaiveNextGate),
     ]
 }
@@ -206,10 +200,6 @@ policy/qft24/linq/greedy/id ops=fdb52981c9239e131cdfaa8d39c718b1 routed=d2b9f5fa
 policy/qft24/linq/greedy/rev ops=456dd206216ec3081e741e6ef29cf340 routed=aadf62c8be1c4f595b24d1db3dfe527d maps=0bdbb644be0a262a7dc6235305bdad1d swaps=31 moves=44 ln=bfee41cc6db77c77 t=40fa4b4000000000\n\
 policy/qft24/linq/greedy/chain ops=fdb52981c9239e131cdfaa8d39c718b1 routed=d2b9f5fac99f9c2cc8842661f9fe6d6d maps=3e316b2c4462a638884e0aedf443529d swaps=31 moves=44 ln=bfee41cc6db77c77 t=40fa6f2000000000\n\
 policy/qft24/linq/greedy/rand ops=ec903f363d35d44e450530cd073e601d routed=78c219bb97d19cead6fdde42ae942c5a maps=4b8b3d446bc164cf93295f9d658e79ef swaps=69 moves=116 ln=c00466746df20d1b t=410131a000000000\n\
-policy/qft24/linq/disc/id ops=fdb52981c9239e131cdfaa8d39c718b1 routed=d2b9f5fac99f9c2cc8842661f9fe6d6d maps=3e316b2c4462a638884e0aedf443529d swaps=31 moves=44 ln=bfee41cc6db77c77 t=40fa6f2000000000\n\
-policy/qft24/linq/disc/rev ops=456dd206216ec3081e741e6ef29cf340 routed=aadf62c8be1c4f595b24d1db3dfe527d maps=0bdbb644be0a262a7dc6235305bdad1d swaps=31 moves=44 ln=bfee41cc6db77c77 t=40fa4b4000000000\n\
-policy/qft24/linq/disc/chain ops=fdb52981c9239e131cdfaa8d39c718b1 routed=d2b9f5fac99f9c2cc8842661f9fe6d6d maps=3e316b2c4462a638884e0aedf443529d swaps=31 moves=44 ln=bfee41cc6db77c77 t=40fa6f2000000000\n\
-policy/qft24/linq/disc/rand ops=57faa3084d1e6485299d786497b7e4b9 routed=78c219bb97d19cead6fdde42ae942c5a maps=4b8b3d446bc164cf93295f9d658e79ef swaps=69 moves=117 ln=c0047a219367a581 t=4101464000000000\n\
 policy/qft24/linq/naive/id ops=43bfb2f5b32090a0b3c7f38780513bc1 routed=d2b9f5fac99f9c2cc8842661f9fe6d6d maps=3e316b2c4462a638884e0aedf443529d swaps=31 moves=53 ln=bfefa173d623b1d1 t=40fbb5c000000000\n\
 policy/qft24/linq/naive/rev ops=63477a8f84e1cb818288617f2e0e42c0 routed=aadf62c8be1c4f595b24d1db3dfe527d maps=0bdbb644be0a262a7dc6235305bdad1d swaps=31 moves=83 ln=bff7157fc6d9f14e t=40fb71e000000000\n\
 policy/qft24/linq/naive/chain ops=43bfb2f5b32090a0b3c7f38780513bc1 routed=d2b9f5fac99f9c2cc8842661f9fe6d6d maps=3e316b2c4462a638884e0aedf443529d swaps=31 moves=53 ln=bfefa173d623b1d1 t=40fbb5c000000000\n\
@@ -218,10 +208,6 @@ policy/qft24/linq3/greedy/id ops=3c88e5b8b17eca1032cc3568306bd986 routed=cf90e90
 policy/qft24/linq3/greedy/rev ops=8b3921d563627d6a55a70fa29b9705c1 routed=5baa6f780a6891a252b8fcc68cb96c49 maps=6e585ff4dc04bfa664bf01d0dca44c01 swaps=83 moves=74 ln=bffb622374a5debc t=4100d1c000000000\n\
 policy/qft24/linq3/greedy/chain ops=3c88e5b8b17eca1032cc3568306bd986 routed=cf90e90c934c3ccfe58b568369599c55 maps=ee58e035809c83be3101b74c614537c1 swaps=83 moves=74 ln=bffb5f684171f422 t=4100f53000000000\n\
 policy/qft24/linq3/greedy/rand ops=498751f62fd951b679c80023096a8abc routed=d15c6076bf8e13b9ebac369357a6b302 maps=2a2fe68ab1a1481aaee349d5d7896c65 swaps=162 moves=157 ln=c010f4239e766dec t=41048fc000000000\n\
-policy/qft24/linq3/disc/id ops=f9b63a80917573d18a15b3cb6704d6d9 routed=cf90e90c934c3ccfe58b568369599c55 maps=ee58e035809c83be3101b74c614537c1 swaps=83 moves=73 ln=bffb34705ba0ec2f t=4100f08000000000\n\
-policy/qft24/linq3/disc/rev ops=84079853199f8cbd537ad16da37cbf4b routed=5baa6f780a6891a252b8fcc68cb96c49 maps=6e585ff4dc04bfa664bf01d0dca44c01 swaps=83 moves=73 ln=bffb34705ba0ec2f t=4100c9a000000000\n\
-policy/qft24/linq3/disc/chain ops=f9b63a80917573d18a15b3cb6704d6d9 routed=cf90e90c934c3ccfe58b568369599c55 maps=ee58e035809c83be3101b74c614537c1 swaps=83 moves=73 ln=bffb34705ba0ec2f t=4100f08000000000\n\
-policy/qft24/linq3/disc/rand ops=42fd09acf9b9aeb2982f78aec0286fb7 routed=d15c6076bf8e13b9ebac369357a6b302 maps=2a2fe68ab1a1481aaee349d5d7896c65 swaps=162 moves=156 ln=c010d9926f39f876 t=410481e000000000\n\
 policy/qft24/linq3/naive/id ops=a9a5e314e0ff841be38cc955d5a35b20 routed=cf90e90c934c3ccfe58b568369599c55 maps=ee58e035809c83be3101b74c614537c1 swaps=83 moves=116 ln=c0054dd02b7e2634 t=41011c5000000000\n\
 policy/qft24/linq3/naive/rev ops=269f3614df6c4247f8d5e8e2ecd9d94f routed=5baa6f780a6891a252b8fcc68cb96c49 maps=6e585ff4dc04bfa664bf01d0dca44c01 swaps=83 moves=85 ln=bfff110f69cfcf2b t=4100c2d000000000\n\
 policy/qft24/linq3/naive/chain ops=a9a5e314e0ff841be38cc955d5a35b20 routed=cf90e90c934c3ccfe58b568369599c55 maps=ee58e035809c83be3101b74c614537c1 swaps=83 moves=116 ln=c0054dd02b7e2634 t=41011c5000000000\n\
@@ -230,10 +216,6 @@ policy/qft24/stoch/greedy/id ops=5511bddbcc2473b6f613be2174c6e462 routed=c2bc11d
 policy/qft24/stoch/greedy/rev ops=3873b463d0c804fca50c2106bd9a0d68 routed=0dbf7e3f6f0d5e22ed51f0765623e668 maps=96bcbf02660c1f8e0dd6ce014bcc82f1 swaps=83 moves=115 ln=c0039d3c1155c49a t=4104280000000000\n\
 policy/qft24/stoch/greedy/chain ops=5511bddbcc2473b6f613be2174c6e462 routed=c2bc11df12c1dcf192b75f2e667ec55f maps=8f2f78643ebc6f611412f48efad0ee61 swaps=88 moves=146 ln=c007e60649b9e061 t=4104f28000000000\n\
 policy/qft24/stoch/greedy/rand ops=cb27ab62d5861b6981cc2eeea2583666 routed=5ba1b1dbdc832bcde3ed7cda553c30aa maps=d6dbd47a669fb05d45d9226a29e1d1fb swaps=144 moves=228 ln=c01683ba0df82cf2 t=410bc91000000000\n\
-policy/qft24/stoch/disc/id ops=822e35292df533c62f8f48129372ff5a routed=c2bc11df12c1dcf192b75f2e667ec55f maps=8f2f78643ebc6f611412f48efad0ee61 swaps=88 moves=146 ln=c007e95a40063de6 t=4104f23000000000\n\
-policy/qft24/stoch/disc/rev ops=c4afa9b518254a08b9e849e0a8a3916d routed=0dbf7e3f6f0d5e22ed51f0765623e668 maps=96bcbf02660c1f8e0dd6ce014bcc82f1 swaps=83 moves=112 ln=c0034abd509b9880 t=4104143000000000\n\
-policy/qft24/stoch/disc/chain ops=822e35292df533c62f8f48129372ff5a routed=c2bc11df12c1dcf192b75f2e667ec55f maps=8f2f78643ebc6f611412f48efad0ee61 swaps=88 moves=146 ln=c007e95a40063de6 t=4104f23000000000\n\
-policy/qft24/stoch/disc/rand ops=5ea14f4943d85d2f18788aa50557fab6 routed=5ba1b1dbdc832bcde3ed7cda553c30aa maps=d6dbd47a669fb05d45d9226a29e1d1fb swaps=144 moves=232 ln=c016d8ed8710fcbe t=410bea2000000000\n\
 policy/qft24/stoch/naive/id ops=193f4095dfc90c0c0ffdf7b738f16dd0 routed=c2bc11df12c1dcf192b75f2e667ec55f maps=8f2f78643ebc6f611412f48efad0ee61 swaps=88 moves=205 ln=c011048ae2aa208d t=410554f000000000\n\
 policy/qft24/stoch/naive/rev ops=d34ad3f748547441be6cb5670418727e routed=0dbf7e3f6f0d5e22ed51f0765623e668 maps=96bcbf02660c1f8e0dd6ce014bcc82f1 swaps=83 moves=158 ln=c008fbbac44e5a02 t=41048c6000000000\n\
 policy/qft24/stoch/naive/chain ops=193f4095dfc90c0c0ffdf7b738f16dd0 routed=c2bc11df12c1dcf192b75f2e667ec55f maps=8f2f78643ebc6f611412f48efad0ee61 swaps=88 moves=205 ln=c011048ae2aa208d t=410554f000000000\n\

@@ -54,6 +54,22 @@ proptest! {
     }
 }
 
+/// A whole-register `measure` over an absurd register is a parse error,
+/// not an allocation abort, in the parser and in the stream alike.
+#[test]
+fn whole_register_measure_over_an_absurd_register_errors() {
+    let src = "qreg q[1000000000000000000];\nmeasure q -> c;\n";
+    let err = qasm::parse_qasm(src).unwrap_err();
+    assert!(err.message.contains("cannot expand"), "{err}");
+    assert_eq!(
+        qasm::declared_qubits(src),
+        Ok(Some(1_000_000_000_000_000_000))
+    );
+    let one_line = "qreg q[1000000000000000000]; measure q -> c;\n";
+    let mut stream = qasm::QasmStream::new(one_line.as_bytes());
+    assert!(stream.require_n_qubits().is_err());
+}
+
 #[test]
 fn angle_expression_edge_cases_error_not_panic() {
     for angle in ["", "pi/", "*2", "((pi)", "1e", "pi pi", "1..2", "-"] {

@@ -6,13 +6,12 @@
 //!
 //! * `naive_over_optimised`: the retained naive full-scan path
 //!   ([`State::run_naive`]) against the pair-indexed kernels, gate by
-//!   gate ([`State::run_with`]);
+//!   gate ([`State::run`]);
 //! * `scalar_over_simd`: the forced-scalar tier against the dispatched
 //!   kernel tier.
 //!
-//! Every path runs on one thread, like the naive one: a parallel split
-//! would make the ratios depend on the runner's core count and on what
-//! else shares its cores.
+//! Every path runs on one thread, so the ratios do not depend on the
+//! runner's core count.
 //!
 //! Each must reach [`MIN_SHARE`] of the median the ledger's `same_run`
 //! field records. When this process dispatches to another kernel tier
@@ -61,7 +60,7 @@ fn statevec_speedups_hold_against_the_ledger() {
     let _tier = simd::test_tier_lock();
     let circuit = qft(20);
     let probe = State::random(20, 1);
-    let optimised = |s: State| s.run_with(&circuit, Some(false));
+    let optimised = |s: State| s.run(&circuit);
     // Each round times the paths back to back and takes their ratios, so
     // the host's speed at that moment cancels out; the median over the
     // rounds drops the rounds that other processes slowed unevenly.

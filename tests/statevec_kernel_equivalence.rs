@@ -2,12 +2,9 @@
 //! retained naive reference path.
 //!
 //! Randomized circuits over the full gate set run through every
-//! execution mode — serial and forced-rayon, each under the dispatched
-//! and the forced-scalar kernel tier — and each result must agree with
-//! the seed's full-scan implementation to a fidelity of 1e-12. The
-//! forced-parallel mode exercises the `rayon::join` splitting even below
-//! the auto-parallel threshold (and degrades to inline execution on
-//! single-core hosts, so the test is deterministic everywhere).
+//! execution mode — the dispatched and the forced-scalar kernel tier —
+//! and each result must agree with the seed's full-scan implementation
+//! to a fidelity of 1e-12.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -60,40 +57,22 @@ fn circuit_strategy() -> impl Strategy<Value = Circuit> {
     })
 }
 
-/// One execution mode: the parallel decision pinned either way, under
-/// the dispatched or the forced-scalar kernel tier.
+/// One execution mode: the dispatched or the forced-scalar kernel
+/// tier.
 #[derive(Clone, Copy, Debug)]
 struct Mode {
-    parallel: bool,
     scalar: bool,
 }
 
 /// Every execution mode of the kernel path.
-const MODES: [Mode; 4] = [
-    Mode {
-        parallel: false,
-        scalar: false,
-    },
-    Mode {
-        parallel: true,
-        scalar: false,
-    },
-    Mode {
-        parallel: false,
-        scalar: true,
-    },
-    Mode {
-        parallel: true,
-        scalar: true,
-    },
-];
+const MODES: [Mode; 2] = [Mode { scalar: false }, Mode { scalar: true }];
 
 /// Runs `circuit` from `probe` in `mode`. The caller holds
 /// `simd::test_tier_lock()`, so the tier toggle cannot race another
 /// test.
 fn run_in(mode: Mode, probe: &State, circuit: &Circuit) -> State {
     simd::force_scalar(mode.scalar);
-    let out = probe.clone().run_with(circuit, Some(mode.parallel));
+    let out = probe.clone().run(circuit);
     simd::force_scalar(false);
     out
 }
@@ -151,8 +130,7 @@ proptest! {
     }
 
     /// `run` and `run_sampled` share one gate loop: on a circuit without
-    /// measurement they leave the same amplitude bits, serial and forced
-    /// parallel alike.
+    /// measurement they leave the same amplitude bits.
     #[test]
     fn run_matches_run_sampled_bit_for_bit(circuit in circuit_strategy(), seed in 0u64..1000) {
         let _guard = simd::test_tier_lock();
@@ -161,21 +139,15 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (sampled, bits) = probe.clone().run_sampled(&circuit, &mut rng);
         prop_assert!(bits.is_empty());
-        let runs = [
-            ("run", probe.clone().run(&circuit)),
-            ("serial", probe.clone().run_with(&circuit, Some(false))),
-            ("parallel", probe.clone().run_with(&circuit, Some(true))),
-        ];
-        for (name, out) in runs {
-            prop_assert!(
-                bit_identical(&out, &sampled),
-                "{name} differs from run_sampled\ncircuit: {circuit}"
-            );
-        }
+        let out = probe.run(&circuit);
+        prop_assert!(
+            bit_identical(&out, &sampled),
+            "run differs from run_sampled\ncircuit: {circuit}"
+        );
     }
 
-    /// Permutation-dense circuits pin the parallel `CNOT`/`SWAP`/
-    /// `Toffoli` kernels (forced-rayon modes) to the naive path.
+    /// Permutation-dense circuits pin the `CNOT`/`SWAP`/`Toffoli`
+    /// kernels to the naive path in every mode.
     #[test]
     fn parallel_permutation_kernels_match_naive(circuit in permutation_strategy(), seed in 0u64..1000) {
         let _guard = simd::test_tier_lock();
@@ -212,7 +184,7 @@ proptest! {
 }
 
 /// Circuits made almost entirely of permutation gates, so the
-/// contiguous-run swap kernels (and their parallel splits) dominate.
+/// contiguous-run swap kernels dominate.
 fn permutation_strategy() -> impl Strategy<Value = Circuit> {
     (4usize..9).prop_flat_map(|n| {
         let q = move || (0..n).prop_map(Qubit);
@@ -262,9 +234,8 @@ fn diagonal_strategy() -> impl Strategy<Value = Circuit> {
     })
 }
 
-/// A deterministic deep-circuit check at a size that crosses the
-/// parallel threshold logic paths more meaningfully than the property
-/// sizes (kept small enough for CI).
+/// A deterministic deep-circuit check, deeper than the property
+/// circuits (kept small enough for CI).
 #[test]
 fn deep_circuit_all_modes_agree() {
     let _guard = simd::test_tier_lock();
@@ -373,7 +344,7 @@ proptest! {
         m in matrix2(),
     ) {
         use tilt::statevec::kernels::apply_1q;
-        let (dispatched, scalar) = both_tiers(&init, |amps| apply_1q(amps, q, m, false));
+        let (dispatched, scalar) = both_tiers(&init, |amps| apply_1q(amps, q, m));
         let mut naive = init.clone();
         for x in 0..init.len() {
             if x & (1 << q) == 0 {
@@ -395,7 +366,7 @@ proptest! {
         use tilt::statevec::kernels::{diag_1q, phase_1q};
         let (p0, p1) = (Complex::cis(t0), Complex::cis(t1));
 
-        let (dispatched, scalar) = both_tiers(&init, |amps| diag_1q(amps, q, p0, p1, false));
+        let (dispatched, scalar) = both_tiers(&init, |amps| diag_1q(amps, q, p0, p1));
         let naive: Vec<Complex> = init
             .iter()
             .enumerate()
@@ -404,7 +375,7 @@ proptest! {
         assert_close(&dispatched, &scalar, "diag_1q dispatched vs scalar");
         assert_close(&dispatched, &naive, "diag_1q dispatched vs naive");
 
-        let (dispatched, scalar) = both_tiers(&init, |amps| phase_1q(amps, q, p1, false));
+        let (dispatched, scalar) = both_tiers(&init, |amps| phase_1q(amps, q, p1));
         let naive: Vec<Complex> = init
             .iter()
             .enumerate()
@@ -428,7 +399,7 @@ proptest! {
         use tilt::statevec::kernels::xx_rotate;
         let cos = Complex::new((theta / 2.0).cos(), 0.0);
         let isin = Complex::new(0.0, -(theta / 2.0).sin());
-        let (dispatched, scalar) = both_tiers(&init, |amps| xx_rotate(amps, a, b, cos, isin, false));
+        let (dispatched, scalar) = both_tiers(&init, |amps| xx_rotate(amps, a, b, cos, isin));
         let mask = (1 << a) | (1 << b);
         let mut naive = init.clone();
         for x in 0..init.len() {
@@ -442,24 +413,21 @@ proptest! {
         assert_close(&dispatched, &naive, "dispatched vs naive");
     }
 
-    /// Whole-circuit agreement across tiers: `run_with`, serial and
-    /// forced parallel, produces the same state under forced-scalar as
-    /// under normal dispatch.
+    /// Whole-circuit agreement across tiers: `run` produces the same
+    /// state under forced-scalar as under normal dispatch.
     #[test]
     fn simd_full_pipeline_matches_scalar(circuit in circuit_strategy(), seed in 0u64..1000) {
         let n = circuit.n_qubits();
         let probe = State::random(n, seed);
-        for parallel in [false, true] {
-            let _guard = simd::test_tier_lock();
-            let dispatched = run_in(Mode { parallel, scalar: false }, &probe, &circuit);
-            let scalar = run_in(Mode { parallel, scalar: true }, &probe, &circuit);
-            drop(_guard);
-            let f = dispatched.fidelity(&scalar);
-            prop_assert!(
-                (f - 1.0).abs() < EPS,
-                "parallel={parallel}: tiers diverged: fidelity {f}\ncircuit: {circuit}"
-            );
-        }
+        let _guard = simd::test_tier_lock();
+        let dispatched = run_in(Mode { scalar: false }, &probe, &circuit);
+        let scalar = run_in(Mode { scalar: true }, &probe, &circuit);
+        drop(_guard);
+        let f = dispatched.fidelity(&scalar);
+        prop_assert!(
+            (f - 1.0).abs() < EPS,
+            "tiers diverged: fidelity {f}\ncircuit: {circuit}"
+        );
     }
 }
 
@@ -489,19 +457,15 @@ fn wide_diagonal_ladder_all_modes_agree() {
     }
 }
 
-/// Serial and forced-parallel execution agree bit for bit above the
-/// auto-parallel threshold, and with `run_sampled`, over every gate
-/// kind —
-/// on low qubits and on the top qubit, whose single block `apply_1q`
-/// splits by zipping its halves rather than by chunking. Splitting
-/// only decides which thread touches an amplitude, never the arithmetic
-/// it sees, so `==` on the bits (not a tolerance) is the contract.
+/// `run` and `run_sampled` agree bit for bit at 17 qubits over every
+/// gate kind, on low qubits and on the top qubit (one block spanning
+/// the whole array). Both take one gate loop, so `==` on the bits (not
+/// a tolerance) is the contract.
 #[test]
 fn serial_and_parallel_kernels_are_bit_identical() {
     use std::f64::consts::PI;
     let _guard = simd::test_tier_lock();
     let n = 17;
-    assert!(1usize << n > tilt::statevec::kernels::PARALLEL_THRESHOLD);
     let top = n - 1;
     let q = Qubit;
     let mut gates = Vec::new();
@@ -538,15 +502,7 @@ fn serial_and_parallel_kernels_are_bit_identical() {
     }
     let circuit = Circuit::from_gates(n, gates);
     let probe = State::random(n, 17);
-    let serial = probe.clone().run_with(&circuit, Some(false));
-    let parallel = probe.clone().run_with(&circuit, Some(true));
+    let run = probe.clone().run(&circuit);
     let (sampled, _) = probe.run_sampled(&circuit, &mut SmallRng::seed_from_u64(17));
-    assert!(
-        bit_identical(&serial, &parallel),
-        "serial and parallel differ"
-    );
-    assert!(
-        bit_identical(&serial, &sampled),
-        "run and run_sampled differ"
-    );
+    assert!(bit_identical(&run, &sampled), "run and run_sampled differ");
 }
