@@ -22,5 +22,5 @@ mod parse;
 pub mod stream;
 
 pub use emit::{to_qasm, write_qasm_stream};
-pub use parse::{declared_qubits, parse_qasm, ParseQasmError};
+pub use parse::{declared_qubits, parse_qasm, parse_qasm_with_budget, ParseQasmError};
 pub use stream::{QasmStream, QasmStreamError};

@@ -62,13 +62,27 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseQasmError> 
 /// # Ok::<(), tilt_circuit::qasm::ParseQasmError>(())
 /// ```
 pub fn parse_qasm(source: &str) -> Result<Circuit, ParseQasmError> {
+    parse_qasm_with_budget(source, usize::MAX)
+}
+
+/// [`parse_qasm`] with a gate budget: a whole-register `measure` that
+/// would grow the circuit past `max_gates` gates is an error, raised
+/// before it expands. One such statement expands to one gate per
+/// declared qubit, so a short source can otherwise ask for billions of
+/// gates.
+///
+/// # Errors
+///
+/// Every [`parse_qasm`] error, plus a whole-register `measure` past the
+/// budget.
+pub fn parse_qasm_with_budget(source: &str, max_gates: usize) -> Result<Circuit, ParseQasmError> {
     let mut n_qubits: Option<usize> = None;
     let mut gates: Vec<Gate> = Vec::new();
     let mut in_gate_def = false;
 
     for (lineno, line) in source.lines().enumerate() {
         for stmt in statements(line, &mut in_gate_def) {
-            parse_statement(stmt, lineno + 1, &mut n_qubits, &mut gates)?;
+            parse_statement(stmt, lineno + 1, &mut n_qubits, &mut gates, max_gates)?;
         }
     }
 
@@ -120,11 +134,14 @@ pub(super) fn statements<'l>(
         .filter(move |stmt| !skip && !stmt.is_empty())
 }
 
+/// Parses one statement, appending its gates to `gates`; a
+/// whole-register `measure` may grow `gates` to at most `max_gates`.
 pub(super) fn parse_statement(
     stmt: &str,
     line: usize,
     n_qubits: &mut Option<usize>,
     gates: &mut Vec<Gate>,
+    max_gates: usize,
 ) -> Result<(), ParseQasmError> {
     if stmt.starts_with("OPENQASM") || stmt.starts_with("include") || stmt.starts_with("creg") {
         return Ok(());
@@ -151,6 +168,15 @@ pub(super) fn parse_statement(
                     line,
                     message: "measure before qreg".into(),
                 })?;
+                if n > max_gates.saturating_sub(gates.len()) {
+                    return err(
+                        line,
+                        format!(
+                            "whole-register `measure` would grow the circuit past \
+                             the {max_gates}-gate budget"
+                        ),
+                    );
+                }
                 // One gate per declared qubit: an absurd width is an
                 // error, not an allocation abort.
                 gates.try_reserve(n).map_err(|_| ParseQasmError {

@@ -140,7 +140,13 @@ impl<R: BufRead> QasmStream<R> {
 
         // `parse_qasm`'s own per-line handling.
         for stmt in statements(&self.line, &mut self.in_gate_def) {
-            parse_statement(stmt, self.lineno, &mut self.n_qubits, &mut self.scratch)?;
+            parse_statement(
+                stmt,
+                self.lineno,
+                &mut self.n_qubits,
+                &mut self.scratch,
+                usize::MAX,
+            )?;
             if !self.scratch.is_empty() && self.n_qubits.is_none() {
                 self.scratch.clear();
                 return Err(QasmStreamError::Parse(ParseQasmError {

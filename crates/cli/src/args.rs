@@ -31,8 +31,6 @@ pub struct Options {
     /// Input gates per streaming window (`--stream-window`); `None` =
     /// the engine default.
     pub stream_window: Option<usize>,
-    /// `serve`: in-flight request window (`--window`), 0 = auto.
-    pub window: usize,
     /// `serve`: TCP listen address (`--listen`); stdin/stdout if absent.
     pub listen: Option<String>,
     /// `serve`: compile-cache snapshot directory (`--cache-dir`).
@@ -79,7 +77,6 @@ impl Options {
             batch: false,
             stream: false,
             stream_window: None,
-            window: 0,
             listen: None,
             cache_dir: None,
             max_in_flight: 1024,
@@ -117,7 +114,6 @@ impl Options {
                     }
                     opts.stream_window = Some(w);
                 }
-                "--window" if serve => opts.window = parse_num(value()?, flag)?,
                 "--listen" if serve => opts.listen = Some(value()?.clone()),
                 "--cache-dir" if serve => opts.cache_dir = Some(value()?.clone()),
                 "--max-in-flight" if serve => opts.max_in_flight = parse_num(value()?, flag)?,
@@ -133,7 +129,6 @@ impl Options {
                 | "--batch"
                 | "--stream"
                 | "--stream-window"
-                | "--window"
                 | "--listen"
                 | "--cache-dir"
                 | "--max-in-flight"
@@ -270,10 +265,7 @@ mod tests {
                 &["--emit-program", "--emit-qasm", "--batch", "--stream"],
             ),
             ("lint", &["--json", "--stream", "--stream-window", "3"]),
-            (
-                "serve",
-                &["--window", "3", "--listen", "h:0", "--cache-dir", "d"],
-            ),
+            ("serve", &["--listen", "h:0", "--cache-dir", "d"]),
         ];
         for (command, flags) in accepted {
             let mut args = if command == "serve" {
@@ -337,7 +329,7 @@ mod tests {
     #[test]
     fn serve_options_defaults_and_flags() {
         let o = Options::parse("serve", &v(&[])).unwrap();
-        assert_eq!((o.overrides, o.window), (Overrides::default(), 0));
+        assert_eq!(o.overrides, Overrides::default());
         assert_eq!(o.listen, None);
         assert_eq!(o.cache_dir, None);
         assert_eq!(o.max_in_flight, 1024);
@@ -350,8 +342,6 @@ mod tests {
                 "32",
                 "--head",
                 "8",
-                "--window",
-                "16",
                 "--listen",
                 "127.0.0.1:0",
                 "--router",
@@ -369,10 +359,7 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert_eq!(
-            (o.overrides.ions, o.overrides.head, o.window),
-            (Some(32), Some(8), 16)
-        );
+        assert_eq!((o.overrides.ions, o.overrides.head), (Some(32), Some(8)));
         assert_eq!(o.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.overrides.router, Some(RouterName::Stochastic));
         assert_eq!(o.overrides.scheduler, Some(SchedulerKind::NaiveNextGate));

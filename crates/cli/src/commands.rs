@@ -484,8 +484,7 @@ fn arm_fault_plan() -> Result<(), String> {
     Ok(())
 }
 
-/// `tilt-cli serve [--ions N] [--head L] [--window W] [--listen addr]
-/// [--cache-dir DIR]`
+/// `tilt-cli serve [--ions N] [--head L] [--listen addr] [--cache-dir DIR]`
 ///
 /// Runs the JSON-lines compile service over stdin/stdout (the default)
 /// or a TCP listener (`--listen host:port`, one service loop per
@@ -538,7 +537,6 @@ pub fn serve(args: &[String]) -> Result<String, String> {
         Ok(Service::new(builder.clone())
             .map_err(|e| e.to_string())?
             .with_admission(Arc::clone(&admission))
-            .with_window(opts.window)
             .with_default_deadline(deadline))
     };
     // Validate the session config before any I/O so a bad --ions/--head
@@ -647,8 +645,8 @@ fn spawn_connection<R: BufRead, W: Write>(
 /// handler runs (glibc `signal()` is `SA_RESTART`), so: close each
 /// socket's read side, and its loop sees EOF, drains and still writes;
 /// then sever a socket stuck writing to a client that stopped reading.
-/// A worker left after that is idle stdin (nothing buffered to lose, by
-/// flush-before-blocking) or a compile past the grace period (its
+/// A worker left after that is idle stdin (it answered every line it
+/// read, so nothing is lost) or a compile past the grace period (its
 /// response is forfeit): snapshot the cache and exit without it.
 fn drain(workers: &[Worker], cache: &CompileCache, persist: Option<&std::path::Path>) {
     let all_finished = || {
@@ -703,7 +701,7 @@ fn summary_line(summary: &ServiceSummary) -> String {
     let c = &summary.cache;
     format!(
         "tilt serve: {} responses ({} ok, {} errors), shed {} overloaded / {} deadline, \
-         p50 {} µs, p99 {} µs, max in-flight {}, \
+         p50 {} µs, p99 {} µs, \
          cache {}/{} hits ({:.1}%), {} entries ({:?})",
         s.served,
         s.ok,
@@ -712,7 +710,6 @@ fn summary_line(summary: &ServiceSummary) -> String {
         s.shed_deadline,
         s.p50_us(),
         s.p99_us(),
-        s.max_in_flight,
         c.hits,
         c.hits + c.misses,
         100.0 * c.hit_rate(),
@@ -1347,7 +1344,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let opts = Options::parse("serve", &v(&["--ions", "8", "--head", "4"])).unwrap();
         let session = builder(&opts.overrides, SERVE_WIDTH).unwrap();
-        let session = Service::new(session).unwrap().with_window(4);
+        let session = Service::new(session).unwrap();
 
         let mut client = std::net::TcpStream::connect(addr).unwrap();
         let (stream, peer) = listener.accept().unwrap();
@@ -1355,8 +1352,7 @@ mod tests {
         let server = spawn_connection(session, tcp, Some(peer), &FLAG);
         let mut reader = BufReader::new(client.try_clone().unwrap());
         // Interactive request/response: the service must answer while
-        // the connection stays open and idle (flush-before-blocking),
-        // not only at window boundaries or EOF.
+        // the connection stays open and idle, not only at EOF.
         client
             .write_all(b"{\"id\":1,\"qasm\":\"qreg q[8];\\nh q[0];\\ncx q[0], q[7];\\n\"}\n")
             .unwrap();

@@ -41,7 +41,7 @@ commands:
   bench    <name|all>    run a paper benchmark (adder, bv, qaoa, rcs, qft, sqrt)
   serve                  long-running JSON-lines compile service over the
                          Engine session (stdin/stdout; --listen host:port for
-                         TCP; --window N caps in-flight requests)
+                         TCP), answering each request before reading the next
 
 options (every command takes the first ten; the rest only where marked):
   --backend B           tilt | qccd | scaled (default: tilt)
@@ -61,7 +61,6 @@ options (every command takes the first ten; the rest only where marked):
   --stream              run/lint: stream the QASM through the windowed
                         pipeline without materializing the circuit
   --stream-window N     run/lint: input gates per window (default: 65536)
-  --window N            serve: max in-flight requests (default: 8)
   --listen HOST:PORT    serve: accept TCP connections instead of stdin/stdout
   --cache-dir DIR       serve: persist the compile cache across restarts
   --max-in-flight N     serve: in-flight requests across connections

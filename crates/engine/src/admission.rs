@@ -1,12 +1,13 @@
 //! Admission control: a global in-flight budget with load shedding.
 //!
-//! `tilt serve` queues run requests in bounded windows, but nothing
-//! bounded the *aggregate* — a flood (or many TCP connections at once)
-//! could pile up requests and bytes without limit. An
+//! Each `tilt serve` loop answers one request at a time, but nothing
+//! bounds the *aggregate* across loops — many TCP connections at once
+//! could pile up compiles and bytes without limit. An
 //! [`AdmissionControl`] is one process-wide budget shared by every
-//! service loop: each queued run request holds an [`AdmissionPermit`]
+//! service loop: each compiling run request holds an [`AdmissionPermit`]
 //! (one request slot plus its line's bytes) from admission until its
-//! response is written. A request that would exceed either bound is
+//! response is written, so a loop holds at most one permit at a time.
+//! A request that would exceed either bound is
 //! **shed immediately** with a structured
 //! `{"error":{"kind":"overloaded","retry_after_ms":N}}` response —
 //! bounded latency for everything admitted, an explicit retry signal

@@ -117,8 +117,8 @@
 //! `tilt serve` runs a persistent JSON-lines compile service over the
 //! same session API — one request per line in (QASM payload plus
 //! optional backend/router/noise overrides), one response per line out,
-//! in submission order, with windowed backpressure and per-request
-//! error isolation:
+//! in submission order, each answered before the next is read, with
+//! admission control and per-request error isolation:
 //!
 //! ```text
 //! $ printf '%s\n' \

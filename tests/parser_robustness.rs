@@ -70,6 +70,20 @@ fn whole_register_measure_over_an_absurd_register_errors() {
     assert!(stream.require_n_qubits().is_err());
 }
 
+/// The gate budget counts every gate of the circuit and refuses the
+/// whole-register `measure` that would cross it, before it expands.
+#[test]
+fn whole_register_measure_past_the_gate_budget_errors() {
+    // 1 + 4 + 4 = 9 gates.
+    let src = "qreg q[4];\nh q[0];\nmeasure q -> c;\nmeasure q -> c;\n";
+    let circuit = qasm::parse_qasm_with_budget(src, 9).unwrap();
+    assert_eq!(circuit.len(), 9);
+    let err = qasm::parse_qasm_with_budget(src, 8).unwrap_err();
+    assert_eq!(err.line, 4, "{err}");
+    assert!(err.message.contains("8-gate budget"), "{err}");
+    assert_eq!(qasm::parse_qasm(src).unwrap().len(), 9, "no budget");
+}
+
 #[test]
 fn angle_expression_edge_cases_error_not_panic() {
     for angle in ["", "pi/", "*2", "((pi)", "1e", "pi pi", "1..2", "-"] {

@@ -2,13 +2,14 @@
 //! compile panics, admission floods, expired deadlines, and snapshot
 //! write crashes.
 //!
-//! The pins: (a) a mid-batch compile panic yields exactly one
-//! `internal` error while its window neighbours answer byte-identically
-//! to an unfaulted run; (b) a flood past the admission budget is shed
-//! with `overloaded` + `retry_after_ms` while the admitted requests
-//! complete; (c) a request whose `deadline_ms` has expired is shed
-//! without compiling; (d) a fault-injected snapshot write failure
-//! leaves the previous snapshot intact and loadable.
+//! The pins: (a) a compile panic mid-stream yields exactly one
+//! `internal` error while its neighbours answer byte-identically to an
+//! unfaulted run; (b) a flood past the admission budget is shed with
+//! `overloaded` + `retry_after_ms`, and the same lines complete once the
+//! budget frees; (c) a request whose `deadline_ms` has expired — already
+//! on arrival, or while an earlier line compiles — is shed without
+//! compiling; (d) a fault-injected snapshot write failure leaves the
+//! previous snapshot intact and loadable.
 //!
 //! Every test here holds a fault guard for all of its engine work —
 //! including the tests that want *no* faults, which install
@@ -69,8 +70,8 @@ fn is_ok(resp: &Json) -> bool {
     resp.get("ok") == Some(&Json::Bool(true))
 }
 
-/// The k-th healthy request line: distinct ≤ 8-qubit circuits so the
-/// window never dedups them and the fault width never matches.
+/// The k-th healthy request line: distinct ≤ 8-qubit circuits so none
+/// is a cache hit on another and the fault width never matches.
 fn healthy_line(id: usize) -> String {
     let qasm_text = format!(
         "qreg q[8];\\nh q[{}];\\ncx q[{}], q[{}];\\n",
@@ -95,7 +96,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Pin (a): one poisoned circuit in the middle of a window panics its
+/// Pin (a): one poisoned circuit in the middle of the input panics its
 /// compile; the service answers it with a structured `internal` error
 /// and every neighbour's response is byte-identical to an unfaulted
 /// service's answer for the same request.
@@ -120,7 +121,7 @@ fn a_mid_batch_panic_is_isolated_to_one_internal_error() {
         faulted_input.push('\n');
     }
 
-    let mut service = Service::new(builder()).unwrap().with_window(8);
+    let mut service = Service::new(builder()).unwrap();
     let (lines, summary) = drive(&mut service, &faulted_input);
     assert_eq!(summary.cause, ShutdownCause::Eof);
     assert_eq!(lines.len(), 6);
@@ -139,7 +140,7 @@ fn a_mid_batch_panic_is_isolated_to_one_internal_error() {
     // answering the same requests. The fault plan stays armed for the
     // clean run — it only ever fires on width 37, which the clean
     // input never reaches.
-    let mut clean = Service::new(builder()).unwrap().with_window(8);
+    let mut clean = Service::new(builder()).unwrap();
     let (clean_lines, clean_summary) = drive(&mut clean, &clean_input);
     assert_eq!(clean_summary.stats.ok, 5);
     let neighbours: Vec<&String> = lines
@@ -160,8 +161,8 @@ fn a_mid_batch_panic_is_isolated_to_one_internal_error() {
 /// Pin: a non-Clifford program forced onto the stabilizer simulator
 /// mid-batch is a structured `non_clifford` wire error naming the gate
 /// and index — not an `internal` panic report — and the service keeps
-/// serving: its window neighbours answer byte-identically to an
-/// undisturbed service.
+/// serving: its neighbours answer byte-identically to an undisturbed
+/// service.
 #[test]
 fn a2_a_non_clifford_stabilizer_request_is_a_clean_wire_error() {
     const VICTIM: usize = 2;
@@ -184,7 +185,7 @@ fn a2_a_non_clifford_stabilizer_request_is_a_clean_wire_error() {
         mixed_input.push('\n');
     }
 
-    let mut service = Service::new(builder()).unwrap().with_window(8);
+    let mut service = Service::new(builder()).unwrap();
     let (lines, summary) = drive(&mut service, &mixed_input);
     assert_eq!(summary.cause, ShutdownCause::Eof);
     assert_eq!(lines.len(), 6);
@@ -202,7 +203,7 @@ fn a2_a_non_clifford_stabilizer_request_is_a_clean_wire_error() {
         "must name the index: {victim:?}"
     );
 
-    let mut clean = Service::new(builder()).unwrap().with_window(8);
+    let mut clean = Service::new(builder()).unwrap();
     let (clean_lines, clean_summary) = drive(&mut clean, &clean_input);
     assert_eq!(clean_summary.stats.ok, 5);
     let neighbours: Vec<&String> = lines
@@ -217,9 +218,9 @@ fn a2_a_non_clifford_stabilizer_request_is_a_clean_wire_error() {
     }
 }
 
-/// Pin (b): flooding past the in-flight budget sheds the excess with
-/// kind `overloaded` and a `retry_after_ms` hint, while every admitted
-/// request still completes successfully.
+/// Pin (b): while other loops hold the whole in-flight budget, a flood
+/// is shed with kind `overloaded` and a `retry_after_ms` hint; once
+/// those permits drop, the same lines complete successfully.
 #[test]
 fn b_flood_past_the_admission_budget_sheds_with_a_retry_hint() {
     // No faults — but hold a (benign) guard so this engine work can't
@@ -231,8 +232,11 @@ fn b_flood_past_the_admission_budget_sheds_with_a_retry_hint() {
     let admission = Arc::new(AdmissionControl::new(BUDGET, usize::MAX));
     let mut service = Service::new(builder())
         .unwrap()
-        .with_admission(Arc::clone(&admission))
-        .with_window(FLOOD + 1);
+        .with_admission(Arc::clone(&admission));
+    // The permits other connections would hold.
+    let held: Vec<_> = (0..BUDGET)
+        .map(|_| admission.try_admit(0).unwrap())
+        .collect();
 
     let input: String = (0..FLOOD).map(|id| healthy_line(id) + "\n").collect();
     let (lines, summary) = drive(&mut service, &input);
@@ -241,25 +245,29 @@ fn b_flood_past_the_admission_budget_sheds_with_a_retry_hint() {
     for (id, line) in lines.iter().enumerate() {
         let resp = parsed(line);
         assert_eq!(resp.get("id").unwrap().as_f64(), Some(id as f64));
-        if id < BUDGET {
-            assert!(
-                is_ok(&resp),
-                "admitted request {id} must complete: {resp:?}"
-            );
-        } else {
-            assert_eq!(error_kind(&resp), "overloaded", "{resp:?}");
-            let retry = resp
-                .get("error")
-                .unwrap()
-                .get("retry_after_ms")
-                .and_then(Json::as_f64)
-                .expect("overloaded responses carry retry_after_ms");
-            assert!(retry >= 1.0, "retry_after_ms must be positive: {resp:?}");
-        }
+        assert_eq!(error_kind(&resp), "overloaded", "{resp:?}");
+        let retry = resp
+            .get("error")
+            .unwrap()
+            .get("retry_after_ms")
+            .and_then(Json::as_f64)
+            .expect("overloaded responses carry retry_after_ms");
+        assert!(retry >= 1.0, "retry_after_ms must be positive: {resp:?}");
     }
-    assert_eq!(summary.stats.ok as usize, BUDGET);
-    assert_eq!(summary.stats.shed_overloaded as usize, FLOOD - BUDGET);
+    assert_eq!(summary.stats.ok, 0);
+    assert_eq!(summary.stats.shed_overloaded as usize, FLOOD);
     assert_eq!(summary.stats.shed_deadline, 0);
+
+    // With the budget free, the same lines compile.
+    drop(held);
+    let (lines, summary) = drive(&mut service, &input);
+    assert_eq!(lines.len(), FLOOD);
+    for (id, line) in lines.iter().enumerate() {
+        let resp = parsed(line);
+        assert_eq!(resp.get("id").unwrap().as_f64(), Some(id as f64));
+        assert!(is_ok(&resp), "request {id} must complete: {resp:?}");
+    }
+    assert_eq!(summary.stats.ok as usize, FLOOD);
 
     // Every permit drained once the responses were written.
     let counters = admission.counters();
@@ -296,6 +304,35 @@ fn c_an_expired_deadline_is_shed_without_compiling() {
     assert_eq!(summary.stats.shed_deadline, 1);
     assert_eq!(summary.stats.shed_overloaded, 0);
     assert_eq!(summary.stats.ok, 1);
+}
+
+/// Pin (c), pipelined: a deadline counts from the read that delivered
+/// its line, so a request whose deadline passes while an earlier line
+/// compiles is shed when its turn comes — without compiling.
+#[test]
+fn c2_a_deadline_that_expires_behind_an_earlier_compile_is_shed() {
+    let _guard = install(FaultPlan {
+        compile_delay_us: 200_000,
+        ..FaultPlan::default()
+    });
+
+    let healthy = healthy_line(1);
+    let late = format!(
+        "{},\"deadline_ms\":50}}",
+        healthy.strip_suffix('}').unwrap()
+    );
+    // One input, so both lines arrive in the same read.
+    let input = format!("{}\n{late}\n", healthy_line(0));
+    let mut service = Service::new(builder()).unwrap();
+    let (lines, summary) = drive(&mut service, &input);
+    assert_eq!(lines.len(), 2);
+
+    assert!(is_ok(&parsed(&lines[0])), "{}", lines[0]);
+    let shed = parsed(&lines[1]);
+    assert_eq!(error_kind(&shed), "deadline_exceeded", "{shed:?}");
+    assert_eq!(summary.stats.shed_deadline, 1);
+    // Only the first line compiled.
+    assert_eq!(summary.cache.misses, 1);
 }
 
 /// Pin (d): a fault-injected crash mid-snapshot-write (partial
@@ -367,10 +404,9 @@ fn a_poisoned_cache_lock_is_recovered_not_propagated() {
         ..FaultPlan::default()
     });
 
-    // Three distinct circuits, one per window (window 1 forces a
-    // flush — and a cache insert — per request). The first insert
-    // panics and poisons the lock; the rest must still be answered
-    // from a recovered cache.
+    // Three distinct circuits, each compiled and inserted in turn. The
+    // first insert panics and poisons the lock; the rest must still be
+    // answered from a recovered cache.
     let input = format!(
         "{}\n{}\n{}\n{}\n",
         healthy_line(0),
@@ -378,7 +414,7 @@ fn a_poisoned_cache_lock_is_recovered_not_propagated() {
         healthy_line(2),
         healthy_line(0)
     );
-    let mut service = Service::new(builder()).unwrap().with_window(1);
+    let mut service = Service::new(builder()).unwrap();
     let (lines, summary) = drive(&mut service, &input);
     assert_eq!(lines.len(), 4);
 

@@ -4,8 +4,8 @@
 //! [`Engine::run`] on the same circuits (program text, `ln_success`,
 //! `exec_time_us` — the JSON writer renders `f64` shortest-round-trip,
 //! so exact bit equality survives the wire), ≥ 1000 streamed requests
-//! through one service with window-sized (not batch-sized) buffering,
-//! and structured error responses for every per-request failure mode.
+//! through one service answered in submission order, and structured
+//! error responses for every per-request failure mode.
 
 use std::io::Cursor;
 use tilt::circuit::qasm;
@@ -47,7 +47,6 @@ fn drive(service: &mut Service, input: String) -> (Vec<Json>, tilt::engine::Serv
 #[test]
 fn thousand_streamed_requests_match_engine_run_byte_for_byte() {
     const N: usize = 1000;
-    const WINDOW: usize = 16;
 
     let mut input = String::new();
     for k in 0..N {
@@ -57,23 +56,16 @@ fn thousand_streamed_requests_match_engine_run_byte_for_byte() {
         ));
     }
 
-    let mut service = Service::new(builder()).unwrap().with_window(WINDOW);
+    let mut service = Service::new(builder()).unwrap();
     let (responses, summary) = drive(&mut service, input);
     assert_eq!(responses.len(), N);
     assert_eq!(summary.cause, ShutdownCause::Eof);
     assert_eq!(summary.stats.served as usize, N);
     assert_eq!(summary.stats.errors, 0);
-    // Bounded buffering: the high-water mark is the window, not the
-    // thousand-request stream.
-    assert!(
-        summary.stats.max_in_flight <= WINDOW,
-        "buffered {} requests with a window of {WINDOW}",
-        summary.stats.max_in_flight
-    );
 
     let engine = builder().build().unwrap();
     for (k, resp) in responses.iter().enumerate() {
-        // Submission order survives the windowed fan-out.
+        // Responses come back in submission order.
         assert_eq!(resp.get("id").unwrap().as_f64(), Some(k as f64), "row {k}");
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "row {k}: {resp:?}");
 
@@ -162,21 +154,18 @@ fn every_error_path_yields_a_structured_response_without_killing_the_loop() {
 
 #[test]
 fn mid_stream_eof_drains_buffered_requests_cleanly() {
-    // Requests below the window size, input ending without shutdown —
-    // and the final line truncated mid-object. The loop must answer
-    // the buffered circuits, answer the torn line with an error, and
-    // exit cleanly.
+    // Input ending without shutdown — and the final line truncated
+    // mid-object. The loop must answer the complete lines, answer the
+    // torn line with an error, and exit cleanly.
     let input = "{\"id\":0,\"qasm\":\"qreg q[4];\\ncx q[0], q[3];\\n\"}\n\
                  {\"id\":1,\"qasm\":\"qreg q[4];\\ncx q[1], q[2];\\n\"}\n\
                  {\"id\":2,\"qasm\":\"qreg q[4];\\ncx q"
         .to_string();
-    let mut service = Service::new(builder()).unwrap().with_window(64);
+    let mut service = Service::new(builder()).unwrap();
     let (responses, summary) = drive(&mut service, input);
     assert_eq!(summary.cause, ShutdownCause::Eof);
     assert_eq!(responses.len(), 3);
-    // The torn line errors *before* the buffered window flushes — but
-    // the flush-on-error rule keeps submission order: 0, 1, then the
-    // error for the torn 2.
+    // Submission order: 0, 1, then the error for the torn 2.
     assert_eq!(responses[0].get("id").unwrap().as_f64(), Some(0.0));
     assert_eq!(responses[1].get("id").unwrap().as_f64(), Some(1.0));
     assert_eq!(responses[2].get("ok"), Some(&Json::Bool(false)));
