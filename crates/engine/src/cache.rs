@@ -12,13 +12,15 @@
 //! # Shape
 //!
 //! A bounded LRU map under one mutex — bounded by **entry count and
-//! approximate payload bytes** (artifact size scales with circuit
-//! depth, so a count bound alone would not cap memory). Entries are
-//! [`Arc`]-shared: a hit clones the `Arc` inside the lock and
-//! materializes the (potentially large) report clone *outside* it, so
-//! concurrent connections contend only for the map op, never for the
-//! payload copy. Counters (`hits`, `misses`, `evictions`, `entries`) feed the
-//! service's `{"op":"stats"}` probe.
+//! approximate payload bytes** (program text scales with circuit
+//! depth, so a count bound alone would not cap memory). Each slot holds
+//! one [`WireReport`]: every field a service response carries, plus the
+//! scheduled TILT program text when an `emit_program` request recorded
+//! it. Entries are [`Arc`]-shared: a hit clones the `Arc` inside the
+//! lock and renders the response *outside* it, so concurrent
+//! connections contend only for the map op. Counters (`hits`,
+//! `misses`, `evictions`, `entries`) feed the service's
+//! `{"op":"stats"}` probe.
 //!
 //! Circuit keys are **salted**: each cache holds a random 128-bit key
 //! folded into the hasher's initial state ([`Hasher::keyed`]), because
@@ -28,23 +30,20 @@
 //! deterministic as the unsalted digest; across caches keys differ,
 //! which is why snapshots persist their salt.
 //!
-//! Each entry carries two views of one result:
-//!
-//! * `full` — the complete [`RunReport`] (programs included), returned
-//!   by [`Engine`](crate::Engine) hits so `run`/`run_batch` callers see
-//!   exactly what a fresh compile would have produced.
-//! * `wire` — the [`WireReport`] projection the JSON-lines service
-//!   renders. Always present; it is all a *persisted* entry can restore
-//!   (programs do not round-trip through the snapshot format), so
-//!   disk-loaded entries serve the wire and upgrade to `full` on the
-//!   next engine compile.
+//! [`Engine::run`](crate::Engine::run) records the wire view of every
+//! compile in an attached cache, without program text, and never
+//! answers from it; the service's probe is the only reader. A TILT
+//! entry without program text does not answer an `emit_program`
+//! request: that request compiles, and the service records the view
+//! again with the text.
 //!
 //! # Persistence
 //!
-//! [`CompileCache::save`] snapshots the wire view of every entry as one
-//! JSON object per line (through the workspace's own [`Json`] writer) to
+//! [`CompileCache::save`] snapshots every entry as one JSON object per
+//! line (through the workspace's own [`Json`] writer) to
 //! `compile-cache.jsonl` under a directory; [`CompileCache::load`]
-//! replays it. Every line ends in a fixed-width `,"check":"<32 hex>"}`
+//! replays it. An entry carries a `"program"` field only when it holds
+//! program text. Every line ends in a fixed-width `,"check":"<32 hex>"}`
 //! tail: a digest over the line's own bytes before the `check` field
 //! (plus the closing `}`), which `load` verifies before it parses
 //! anything. A corrupted, truncated, hand-edited, or version-skewed line
@@ -124,16 +123,16 @@ pub struct WireReport {
     pub success: f64,
     /// Execution-time estimate in µs.
     pub exec_time_us: f64,
-    /// Scheduled TILT program text, when materialized (rendered lazily:
-    /// at snapshot time, or carried by a loaded entry).
+    /// Scheduled TILT program text, when an `emit_program` request
+    /// recorded it (or a loaded snapshot line carried it).
     pub program_text: Option<String>,
     /// Logical-circuit simulation outcome, when the session simulated.
     pub sim: Option<SimReport>,
 }
 
 impl WireReport {
-    /// Projects a fresh run report onto the wire fields (program text
-    /// stays lazy — see [`CacheEntry::program_text`]).
+    /// Projects a fresh run report onto the wire fields, without
+    /// program text.
     pub fn of(report: &RunReport) -> WireReport {
         let scalars = [report.ln_success, report.success, report.exec_time_us];
         WireReport {
@@ -210,6 +209,13 @@ impl WireReport {
         })
     }
 
+    /// Whether this view can answer a request: a TILT entry recorded
+    /// without program text cannot answer one that asks for the text
+    /// (`emit_program`).
+    fn answers(&self, emit_program: bool) -> bool {
+        !emit_program || self.program_text.is_some() || self.backend != BackendKind::Tilt
+    }
+
     /// Renders the response body shared by fresh and cached paths.
     pub(crate) fn response(&self, id: &Json, emit_program: bool) -> Json {
         let mut resp = self.fields(Json::object().set("id", id.clone()).set("ok", true));
@@ -235,44 +241,12 @@ impl WireReport {
     }
 }
 
-/// One cached compile result.
-#[derive(Debug)]
-pub struct CacheEntry {
-    /// The complete report; `None` for entries restored from a snapshot
-    /// (programs do not round-trip through the wire format).
-    pub full: Option<RunReport>,
-    /// The wire projection, always present.
-    pub wire: WireReport,
-}
-
-impl CacheEntry {
-    /// Wraps a fresh run report.
-    pub fn of(report: RunReport) -> CacheEntry {
-        CacheEntry {
-            wire: WireReport::of(&report),
-            full: Some(report),
-        }
-    }
-
-    /// The scheduled TILT program text for this entry, materializing
-    /// from the full report when present.
-    pub fn program_text(&self) -> Option<String> {
-        if let Some(text) = &self.wire.program_text {
-            return Some(text.clone());
-        }
-        self.full
-            .as_ref()
-            .and_then(|r| r.tilt_program())
-            .map(std::string::ToString::to_string)
-    }
-}
-
 /// Counter snapshot of a cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups served from the cache.
+    /// Probes the cache answered.
     pub hits: u64,
-    /// Lookups that fell through to a fresh compile.
+    /// Probes it could not answer.
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
@@ -293,7 +267,7 @@ impl CacheCounters {
 }
 
 struct Slot {
-    entry: Arc<CacheEntry>,
+    wire: Arc<WireReport>,
     stamp: u64,
     /// Approximate payload bytes this entry pins (see
     /// [`approx_entry_bytes`]).
@@ -327,16 +301,10 @@ impl CacheState {
     }
 }
 
-/// Approximate resident size of one entry: wire strings plus a
-/// per-gate estimate for the retained full artifacts (scheduled ops,
-/// routed circuit, per-pass reports).
-fn approx_entry_bytes(entry: &CacheEntry) -> usize {
-    let text = entry.wire.program_text.as_ref().map_or(0, String::len);
-    let artifacts = entry
-        .full
-        .as_ref()
-        .map_or(0, |r| r.compile.native_gate_count * 64 + 512);
-    256 + text + artifacts
+/// Approximate resident size of one entry: a fixed cost plus its
+/// program text.
+fn approx_entry_bytes(wire: &WireReport) -> usize {
+    256 + wire.program_text.as_ref().map_or(0, String::len)
 }
 
 /// A random 128-bit key from the OS entropy the standard library seeds
@@ -449,37 +417,25 @@ impl CompileCache {
         }
     }
 
-    /// Full-report lookup for the engine: `Some` only when the entry
-    /// carries a complete [`RunReport`]. Counts a hit or a miss (a
-    /// wire-only entry counts as a miss — the compile it triggers
-    /// upgrades the entry in place).
-    pub(crate) fn get_full(&self, key: CacheKey) -> Option<Arc<CacheEntry>> {
+    /// The service's probe: the entry under `key` when it can answer a
+    /// request (see the module docs for the `emit_program` rule).
+    /// Counts a hit when it does and a miss when it does not.
+    pub(crate) fn get_wire(&self, key: CacheKey, emit_program: bool) -> Option<Arc<WireReport>> {
         let mut state = self.state();
-        match state.map.get(&key) {
-            Some(slot) if slot.entry.full.is_some() => {
-                let entry = Arc::clone(&slot.entry);
+        let wire = state
+            .map
+            .get(&key)
+            .map(|slot| &slot.wire)
+            .filter(|wire| wire.answers(emit_program))
+            .map(Arc::clone);
+        match wire {
+            Some(_) => {
                 state.hits += 1;
                 state.touch(key);
-                Some(entry)
             }
-            _ => {
-                state.misses += 1;
-                None
-            }
+            None => state.misses += 1,
         }
-    }
-
-    /// Wire-level probe for the service: `Some` for any resident entry.
-    /// Counts a hit when found and **nothing** on absence — a probe miss
-    /// falls through to the engine, whose own lookup counts the miss
-    /// exactly once.
-    pub(crate) fn get_wire(&self, key: CacheKey) -> Option<Arc<CacheEntry>> {
-        let mut state = self.state();
-        let slot = state.map.get(&key)?;
-        let entry = Arc::clone(&slot.entry);
-        state.hits += 1;
-        state.touch(key);
-        Some(entry)
+        wire
     }
 
     /// The wire view of a resident entry, for inspection: counts no hit
@@ -488,23 +444,23 @@ impl CompileCache {
         self.state()
             .map
             .get(&key)
-            .map(|slot| slot.entry.wire.clone())
+            .map(|slot| WireReport::clone(&slot.wire))
     }
 
     /// Inserts (or replaces) an entry, evicting least-recently-used
     /// entries while either bound (entry count, payload bytes) is
     /// exceeded.
-    pub(crate) fn insert(&self, key: CacheKey, entry: CacheEntry) {
+    pub(crate) fn insert(&self, key: CacheKey, wire: WireReport) {
         let mut state = self.state();
-        self.insert_locked(&mut state, key, Arc::new(entry));
+        self.insert_locked(&mut state, key, wire);
     }
 
-    fn insert_locked(&self, state: &mut CacheState, key: CacheKey, entry: Arc<CacheEntry>) {
+    fn insert_locked(&self, state: &mut CacheState, key: CacheKey, wire: WireReport) {
         // The injected panic fires before any mutation, so a poisoned
         // lock is the only damage the recovery path has to absorb.
         #[cfg(any(test, feature = "faults"))]
         crate::faults::cache_insert_seam();
-        let bytes = approx_entry_bytes(&entry);
+        let bytes = approx_entry_bytes(&wire);
         if bytes > self.max_bytes {
             // An entry bigger than the whole budget is served fresh
             // every time rather than flushing the cache for it.
@@ -512,7 +468,7 @@ impl CompileCache {
         }
         if let Some(slot) = state.map.get_mut(&key) {
             state.total_bytes = state.total_bytes - slot.bytes + bytes;
-            slot.entry = entry;
+            slot.wire = Arc::new(wire);
             slot.bytes = bytes;
             state.touch(key);
         } else {
@@ -521,7 +477,7 @@ impl CompileCache {
             state.map.insert(
                 key,
                 Slot {
-                    entry,
+                    wire: Arc::new(wire),
                     stamp,
                     bytes,
                 },
@@ -571,8 +527,7 @@ impl CompileCache {
                 .set("salt", Digest(state.salt).to_hex());
             push_sealed(&mut text, &header);
             for key in state.order.values() {
-                let slot = &state.map[key];
-                let wire = &slot.entry.wire;
+                let wire = &state.map[key].wire;
                 if !(wire.ln_success.is_finite()
                     && wire.success.is_finite()
                     && wire.exec_time_us.is_finite())
@@ -585,8 +540,8 @@ impl CompileCache {
                         .set("circuit", key.circuit.to_hex())
                         .set("config", key.config.to_hex()),
                 );
-                if let Some(program) = slot.entry.program_text() {
-                    payload = payload.set("program", program);
+                if let Some(program) = &wire.program_text {
+                    payload = payload.set("program", program.as_str());
                 }
                 // Simulation fields are flat and optional, so v1.0
                 // readers and sim-less entries are both unaffected.
@@ -645,8 +600,8 @@ impl CompileCache {
         let mut rejected = 0usize;
         for line in lines {
             match parse_snapshot_line(line) {
-                Some((key, entry)) => {
-                    self.insert_locked(&mut state, key, Arc::new(entry));
+                Some((key, wire)) => {
+                    self.insert_locked(&mut state, key, wire);
                     loaded += 1;
                 }
                 None => rejected += 1,
@@ -727,7 +682,7 @@ fn count_field(obj: &Json, field: &str) -> Option<usize> {
 }
 
 /// Verifies and decodes one snapshot line; `None` rejects it.
-fn parse_snapshot_line(line: &str) -> Option<(CacheKey, CacheEntry)> {
+fn parse_snapshot_line(line: &str) -> Option<(CacheKey, WireReport)> {
     let payload = verified_payload(line)?;
     let key = CacheKey {
         circuit: Digest::from_hex(payload.get("circuit")?.as_str()?)?,
@@ -763,7 +718,7 @@ fn parse_snapshot_line(line: &str) -> Option<(CacheKey, CacheEntry)> {
         },
         ..WireReport::from_fields(&payload)?
     };
-    Some((key, CacheEntry { full: None, wire }))
+    Some((key, wire))
 }
 
 #[cfg(test)]
@@ -777,24 +732,21 @@ mod tests {
         }
     }
 
-    fn entry(moves: usize) -> CacheEntry {
-        CacheEntry {
-            full: None,
-            wire: WireReport {
-                backend: BackendKind::Tilt,
-                swaps: 1,
-                opposing_swaps: 0,
-                moves,
-                move_distance: 4,
-                native_gates: 9,
-                native_two_qubit: 3,
-                epr_pairs: 0,
-                ln_success: -0.25,
-                success: 0.7788007830714049,
-                exec_time_us: 191.0,
-                program_text: Some(format!("move {moves}")),
-                sim: None,
-            },
+    fn entry(moves: usize) -> WireReport {
+        WireReport {
+            backend: BackendKind::Tilt,
+            swaps: 1,
+            opposing_swaps: 0,
+            moves,
+            move_distance: 4,
+            native_gates: 9,
+            native_two_qubit: 3,
+            epr_pairs: 0,
+            ln_success: -0.25,
+            success: 0.7788007830714049,
+            exec_time_us: 191.0,
+            program_text: Some(format!("move {moves}")),
+            sim: None,
         }
     }
 
@@ -804,11 +756,11 @@ mod tests {
         cache.insert(key(1), entry(1));
         cache.insert(key(2), entry(2));
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get_wire(key(1)).is_some());
+        assert!(cache.get_wire(key(1), false).is_some());
         cache.insert(key(3), entry(3));
-        assert!(cache.get_wire(key(2)).is_none(), "LRU entry evicted");
-        assert!(cache.get_wire(key(1)).is_some());
-        assert!(cache.get_wire(key(3)).is_some());
+        assert!(cache.get_wire(key(2), false).is_none(), "LRU entry evicted");
+        assert!(cache.get_wire(key(1), false).is_some());
+        assert!(cache.get_wire(key(3), false).is_some());
         let c = cache.counters();
         assert_eq!(c.evictions, 1);
         assert_eq!(c.entries, 2);
@@ -823,23 +775,67 @@ mod tests {
         let c = cache.counters();
         assert_eq!(c.evictions, 0);
         assert_eq!(c.entries, 2);
-        assert_eq!(cache.get_wire(key(1)).unwrap().wire.moves, 10);
+        assert_eq!(cache.get_wire(key(1), false).unwrap().moves, 10);
     }
 
     #[test]
-    fn wire_probe_counts_only_hits() {
+    fn wire_probe_counts_hits_and_misses() {
         let cache = CompileCache::new(4);
-        assert!(cache.get_wire(key(1)).is_none());
-        assert_eq!(cache.counters().misses, 0, "probe misses are uncounted");
+        assert!(cache.get_wire(key(1), false).is_none());
+        assert_eq!(cache.counters().misses, 1, "the probe counts its miss");
         cache.insert(key(1), entry(1));
-        assert!(cache.get_wire(key(1)).is_some());
+        assert!(cache.get_wire(key(1), false).is_some());
         assert_eq!(cache.counters().hits, 1);
-        // The engine-side lookup counts the miss exactly once.
-        assert!(cache.get_full(key(2)).is_none());
-        assert_eq!(cache.counters().misses, 1);
-        // A wire-only entry is a miss for the full lookup.
-        assert!(cache.get_full(key(1)).is_none());
-        assert_eq!(cache.counters().misses, 2);
+        // A TILT entry without program text cannot answer a request
+        // for the text; one with text, or a QCCD entry, can.
+        let mut textless = entry(2);
+        textless.program_text = None;
+        let mut qccd = textless.clone();
+        qccd.backend = BackendKind::Qccd;
+        cache.insert(key(2), textless);
+        cache.insert(key(3), qccd);
+        assert!(cache.get_wire(key(2), false).is_some());
+        assert!(cache.get_wire(key(2), true).is_none());
+        assert!(cache.get_wire(key(1), true).is_some());
+        assert!(cache.get_wire(key(3), true).is_some());
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses), (4, 2));
+    }
+
+    /// Saves one circuit's entry after `requests` (request lines without
+    /// a trailing newline) went through a TILT service, returning
+    /// whether the entry's snapshot line carries `"program"`.
+    fn saved_with_program(tag: &str, requests: &[&str]) -> bool {
+        let dir = std::env::temp_dir().join(format!("tilt-cache-{tag}-{}", std::process::id()));
+        let cache = Arc::new(CompileCache::new(8));
+        let builder = crate::Engine::builder()
+            .backend(crate::Backend::Tilt(
+                tilt_compiler::DeviceSpec::new(8, 4).unwrap(),
+            ))
+            .compile_cache(Arc::clone(&cache));
+        let circuit =
+            tilt_circuit::qasm::parse_qasm("qreg q[8];\nh q[0];\ncx q[0], q[7];\n").unwrap();
+        builder.clone().build().unwrap().run(&circuit).unwrap();
+        let input: String = requests.iter().map(|r| format!("{r}\n")).collect();
+        crate::Service::new(builder)
+            .unwrap()
+            .serve(std::io::Cursor::new(input), Vec::new(), None)
+            .unwrap();
+        assert_eq!(cache.save(&dir).unwrap(), 1);
+        let text = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        text.lines().nth(1).unwrap().contains("\"program\":")
+    }
+
+    #[test]
+    fn program_text_is_saved_only_for_emit_program_requests() {
+        let request = r#"{"id":1,"qasm":"qreg q[8];\nh q[0];\ncx q[0], q[7];\n"}"#;
+        let emit = r#"{"id":2,"emit_program":true,"qasm":"qreg q[8];\nh q[0];\ncx q[0], q[7];\n"}"#;
+        // `Engine::run` records the entry without text, and a plain
+        // request hits it without adding any.
+        assert!(!saved_with_program("textless", &[request]));
+        // An `emit_program` request compiles and records the text.
+        assert!(saved_with_program("text", &[request, emit]));
     }
 
     #[test]
@@ -853,9 +849,7 @@ mod tests {
         let restored = CompileCache::new(8);
         let (loaded, rejected) = restored.load(&dir).unwrap();
         assert_eq!((loaded, rejected), (2, 0));
-        let got = restored.get_wire(key(2)).unwrap();
-        assert_eq!(got.wire, entry(2).wire);
-        assert!(got.full.is_none(), "snapshots restore the wire view only");
+        assert_eq!(*restored.get_wire(key(2), false).unwrap(), entry(2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -864,7 +858,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tilt-cache-sim-{}", std::process::id()));
         let cache = CompileCache::new(8);
         let mut with_sim = entry(1);
-        with_sim.wire.sim = Some(SimReport {
+        with_sim.sim = Some(SimReport {
             simulator: SimulatorKind::Stabilizer,
             bitstring: "0110".to_string(),
             measurements: 4,
@@ -877,12 +871,12 @@ mod tests {
 
         let restored = CompileCache::new(8);
         assert_eq!(restored.load(&dir).unwrap(), (2, 0));
-        let got = restored.get_wire(key(1)).unwrap();
-        let sim = got.wire.sim.as_ref().expect("sim fields round-trip");
+        let got = restored.get_wire(key(1), false).unwrap();
+        let sim = got.sim.as_ref().expect("sim fields round-trip");
         assert_eq!(sim.simulator, SimulatorKind::Stabilizer);
         assert_eq!(sim.bitstring, "0110");
         assert_eq!(sim.deterministic_measurements, Some(3));
-        assert!(restored.get_wire(key(2)).unwrap().wire.sim.is_none());
+        assert!(restored.get_wire(key(2), false).unwrap().sim.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -909,8 +903,8 @@ mod tests {
         let (loaded, rejected) = restored.load(&dir).unwrap();
         assert_eq!(loaded, 1, "only the intact line survives");
         assert_eq!(rejected, 3);
-        assert!(restored.get_wire(key(1)).is_none());
-        assert!(restored.get_wire(key(2)).is_some());
+        assert!(restored.get_wire(key(1), false).is_none());
+        assert!(restored.get_wire(key(2), false).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -961,7 +955,7 @@ mod tests {
         // Each entry below weighs ~256 + text bytes; budget fits two.
         let big_text = |tag: usize| {
             let mut e = entry(tag);
-            e.wire.program_text = Some("x".repeat(2048));
+            e.program_text = Some("x".repeat(2048));
             e
         };
         let cache = CompileCache::bounded(100, 6000);
@@ -972,15 +966,18 @@ mod tests {
         let c = cache.counters();
         assert_eq!(c.entries, 2, "byte budget evicts despite spare capacity");
         assert_eq!(c.evictions, 1);
-        assert!(cache.get_wire(key(1)).is_none(), "oldest paid the bytes");
+        assert!(
+            cache.get_wire(key(1), false).is_none(),
+            "oldest paid the bytes"
+        );
 
         // A single entry above the whole budget is not cached at all —
         // and must not flush the resident entries.
         let mut giant = entry(9);
-        giant.wire.program_text = Some("y".repeat(8192));
+        giant.program_text = Some("y".repeat(8192));
         cache.insert(key(9), giant);
         let c = cache.counters();
-        assert!(cache.get_wire(key(9)).is_none());
+        assert!(cache.get_wire(key(9), false).is_none());
         assert_eq!(c.entries, 2, "residents survive an oversized insert");
     }
 
@@ -1000,10 +997,9 @@ mod tests {
             "lock must actually be poisoned"
         );
         // Every operation recovers instead of bricking the cache.
-        assert!(cache.get_wire(key(1)).is_some());
+        assert!(cache.get_wire(key(1), false).is_some());
         cache.insert(key(2), entry(2));
         assert_eq!(cache.counters().entries, 2);
-        assert!(cache.get_full(key(2)).is_none(), "wire-only entry");
         let dir = std::env::temp_dir().join(format!("tilt-cache-poison-{}", std::process::id()));
         assert_eq!(cache.save(&dir).unwrap(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -1035,7 +1031,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tilt-cache-nonfinite-{}", std::process::id()));
         let cache = CompileCache::new(8);
         let mut bad = entry(1);
-        bad.wire.ln_success = f64::NEG_INFINITY;
+        bad.ln_success = f64::NEG_INFINITY;
         cache.insert(key(1), bad);
         cache.insert(key(2), entry(2));
         assert_eq!(cache.save(&dir).unwrap(), 1);

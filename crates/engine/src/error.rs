@@ -31,8 +31,7 @@ pub enum TiltError {
     },
     /// A compile or simulate panicked and was caught at the isolation
     /// boundary. The request that carried the poisoned circuit fails;
-    /// the batch, the window, and every other in-flight request
-    /// survive.
+    /// the rest of its batch and the serve loop survive.
     Internal {
         /// The panic payload (when it was a string) or a placeholder.
         message: String,

@@ -101,7 +101,7 @@ impl Drop for FaultGuard {
     }
 }
 
-/// The compile-path seam: called once per uncached compile with the
+/// The compile-path seam: called once per compile with the
 /// circuit's register width. Applies latency, then panics when armed
 /// for this width or this compile index.
 pub(crate) fn before_compile(width: usize) {

@@ -66,7 +66,6 @@ pub use stream::{NullSink, StreamOutcome, StreamSink, DEFAULT_STREAM_WINDOW};
 pub use tilt_compiler::verify::{Diagnostic, Severity};
 pub use verify::VerifyLevel;
 
-use cache::CacheEntry;
 use std::sync::Arc;
 use stream::{Out, Run};
 use tilt_circuit::Circuit;
@@ -189,13 +188,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Attaches a content-addressed compile cache: runs whose
-    /// `(circuit digest, config fingerprint)` key is resident return the
-    /// cached report instead of recompiling. The cache is shared — hand
+    /// Attaches a content-addressed compile cache: every run records its
+    /// wire view under its `(circuit digest, config fingerprint)` key,
+    /// and a [`Service`] built from this builder answers repeats from
+    /// it. Runs themselves always compile. The cache is shared — hand
     /// the same [`Arc`] to several builders (or clone a builder, as the
-    /// service does for per-request overrides) and they serve each
-    /// other's hits. Cached results are byte-identical to fresh
-    /// compiles; see [`cache`](crate::cache) for the key model.
+    /// service does for per-request overrides) and they fill one cache;
+    /// see [`cache`](crate::cache) for the key model.
     pub fn compile_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -205,7 +204,7 @@ impl EngineBuilder {
     /// run also executes the *input* circuit on the simulator `method`
     /// selects and records the outcome in [`RunReport::sim`]. Off by
     /// default. The method (and seed) become part of the session's
-    /// config fingerprint, so cached reports carry matching outcomes.
+    /// config fingerprint, so cached entries carry matching outcomes.
     pub fn simulate(mut self, method: SimMethod) -> Self {
         self.sim_method = Some(method);
         self
@@ -223,7 +222,8 @@ impl EngineBuilder {
     /// invariants (see [`verify`](crate::verify) for the levels and
     /// [`tilt_compiler::verify`] for the rule taxonomy). Off by
     /// default; the level becomes part of the session's config
-    /// fingerprint so cached reports carry their diagnostics.
+    /// fingerprint, so no session answers from an entry recorded at
+    /// another level.
     pub fn verify(mut self, level: VerifyLevel) -> Self {
         self.verify = level;
         self
@@ -336,7 +336,7 @@ impl EngineBuilder {
                 self.gate_times.fingerprint_into(&mut h);
             }
         }
-        // Simulation outcomes live inside the cached report, so the method
+        // Simulation outcomes live inside the cached entry, so the method
         // and seed must split the key space; sessions without simulation
         // write nothing and keep their pre-simulation fingerprints.
         if let Some(method) = self.sim_method {
@@ -344,9 +344,9 @@ impl EngineBuilder {
             h.write_tag(method.tag());
             h.write_u64(self.sim_seed);
         }
-        // Diagnostics ride inside the cached report, so the level must
-        // split the key space; `Off` sessions write nothing and keep their
-        // pre-verifier fingerprints.
+        // A strict session fails runs another level accepts, so the
+        // level must split the key space; `Off` sessions write nothing
+        // and keep their pre-verifier fingerprints.
         if self.verify != VerifyLevel::Off {
             h.write_str("verify");
             h.write_tag(self.verify.tag());
@@ -444,7 +444,8 @@ impl Engine {
         self.config_fp
     }
 
-    /// Compiles and estimates one circuit.
+    /// Compiles and estimates one circuit. It always compiles: an
+    /// attached compile cache only records the result's wire view.
     ///
     /// # Errors
     ///
@@ -464,32 +465,6 @@ impl Engine {
     /// # Ok::<(), tilt_engine::TiltError>(())
     /// ```
     pub fn run(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
-        let Some(cache) = &self.cache else {
-            return self.run_uncached(circuit);
-        };
-        let key = CacheKey {
-            circuit: cache.circuit_key(circuit),
-            config: self.config_fp,
-        };
-        if let Some(entry) = cache.get_full(key) {
-            let report = entry
-                .full
-                .as_ref()
-                .expect("get_full returns complete entries");
-            // The Arc clone happened inside the lock; the (potentially
-            // large) report clone happens here, outside it, so hits
-            // from concurrent connections do not serialize.
-            return Ok(report.clone());
-        }
-        let report = self.run_uncached(circuit)?;
-        cache.insert(key, CacheEntry::of(report.clone()));
-        Ok(report)
-    }
-
-    /// The uncached compile→estimate path (also the upgrade path for
-    /// entries restored from a snapshot, which carry only wire data):
-    /// the backend's pass into a collecting sink.
-    fn run_uncached(&self, circuit: &Circuit) -> Result<RunReport, TiltError> {
         let run = Run {
             n_qubits: circuit.n_qubits(),
             whole: Some(circuit),
@@ -510,7 +485,7 @@ impl Engine {
             Some((method, seed)) => Some(sim::simulate(circuit, method, seed)?),
             None => None,
         };
-        Ok(RunReport {
+        let report = RunReport {
             backend: out.backend,
             compile: out.compile,
             ln_success: out.ln_success,
@@ -519,7 +494,18 @@ impl Engine {
             sim,
             diagnostics: out.diagnostics,
             detail: detail.expect("a collecting sink rebuilds the detail"),
-        })
+        };
+        // An attached cache records the wire view, without program text
+        // (rendering it costs more than the compile; an `emit_program`
+        // request records it through the service).
+        if let Some(cache) = &self.cache {
+            let key = CacheKey {
+                circuit: cache.circuit_key(circuit),
+                config: self.config_fp,
+            };
+            cache.insert(key, WireReport::of(&report));
+        }
+        Ok(report)
     }
 }
 

@@ -76,8 +76,8 @@
 //! the ELU index on the scaled backend and always 0 on tilt.
 //!
 //! Streaming requests take the one request lane (see *Backpressure and
-//! memory*). They bypass the compile cache and the parse memo (a cache
-//! entry holds no increment lines to replay), and compile through the
+//! memory*). They bypass the compile cache (a cache entry holds no
+//! increment lines to replay), and compile through the
 //! **shared session only** — per-request override fields are rejected
 //! with `invalid_request`; send `{"op":"configure"}` first to rebind.
 //! The `qreg` header is read when the request is parsed: a stream
@@ -136,11 +136,16 @@
 //!
 //! Every service owns a content-addressed [`CompileCache`] (shared with
 //! its engine and with override engines, and — in the CLI's TCP mode —
-//! across all connections): responses for a previously seen
-//! `(circuit digest, config fingerprint)` pair are served straight from
-//! cache, byte-identical to a fresh compile. `{"op":"stats"}` reports
-//! `cache: {hits, misses, evictions, entries}`; `tilt serve --cache-dir`
-//! persists the cache across restarts (see [`crate::cache`]).
+//! across all connections). Every compile records its [`WireReport`]
+//! there, and responses for a previously seen
+//! `(circuit digest, config fingerprint)` pair are rendered from it,
+//! byte-identical to a fresh compile. One rule keeps program text out
+//! of the cache until a client asks for it: a TILT entry recorded
+//! without program text does not answer an `emit_program` request, which
+//! compiles and records the entry again with the text, so the next one
+//! hits. `{"op":"stats"}` reports `cache: {hits, misses, evictions,
+//! entries}`; `tilt serve --cache-dir` persists the cache across
+//! restarts (see [`crate::cache`]).
 //!
 //! # Backpressure and memory
 //!
@@ -152,10 +157,8 @@
 //! compiled at once on the loop's thread under its own engine, its
 //! response written and flushed before the next line is touched. A
 //! repeated request is a cache hit on the entry its first occurrence
-//! inserted. The loop holds no request queue, so memory is one line
-//! plus one compile, never proportional to the stream length — and
-//! there is nothing to size: the `stats` fields `window` and
-//! `max_in_flight` and `tilt serve`'s `--window` flag are gone.
+//! recorded. The loop holds no request queue, so memory is one line
+//! plus one compile, never proportional to the stream length.
 //!
 //! A loop holds at most one admission permit at a time, so the budget
 //! binds across loops: `tilt serve --listen` runs one loop, on its own
@@ -179,15 +182,14 @@ use crate::admission::AdmissionControl;
 use crate::cache::{CacheCounters, CacheKey, CompileCache, WireReport};
 use crate::overlay::{self, Value};
 use crate::stream::{StreamOutcome, DEFAULT_STREAM_WINDOW};
-use crate::{Backend, Engine, EngineBuilder, Overrides, RunReport, TiltError};
-use std::collections::HashMap;
+use crate::{Backend, Engine, EngineBuilder, Overrides, TiltError};
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tilt_circuit::{qasm, Circuit, Gate};
+use tilt_circuit::{qasm, Circuit};
 use tilt_compiler::{OpLines, TiltOp};
-use tilt_hash::{Digest, Hasher};
+use tilt_hash::Digest;
 use tilt_report::Json;
 
 /// Log-linear latency buckets: one per µs below 16 µs, then 8 per power
@@ -206,13 +208,6 @@ const MAX_LINE_BYTES: usize = 16 << 20;
 /// followed by a 16 MiB run of `measure q -> c;` would otherwise expand
 /// to billions of gates before any other limit applied.
 const MAX_REQUEST_GATES: usize = MAX_LINE_BYTES / 4;
-
-/// Bounds on the parsed-payload memo (entries and retained bytes). The
-/// memo exists so that a repeated request costs neither its QASM parse
-/// nor its compile — the two O(gates) stages — leaving only JSON
-/// decode, two hash lookups, and response rendering on the warm path.
-const PARSE_MEMO_CAPACITY: usize = 512;
-const PARSE_MEMO_MAX_BYTES: usize = 64 << 20;
 
 /// Hard ceiling on any machine dimension (ions, ELU ions, trap ions) or
 /// circuit width a *request* can ask for. The service allocates data
@@ -372,52 +367,6 @@ pub struct ServiceSummary {
     pub cause: ShutdownCause,
 }
 
-/// Memo of parsed request payloads: QASM-text digest → the original
-/// text, the parsed circuit (shared with the memo, cloned only on a
-/// compile miss), and its salted cache key. Purely an accelerator over
-/// the compile cache — parsing is deterministic, so equal request text
-/// always yields the equal circuit the memo returns; a hit **verifies
-/// the text byte-for-byte**, so an engineered digest collision (FNV is
-/// not collision-resistant) degrades to a memo miss instead of serving
-/// another payload's circuit. Cleared wholesale when either bound
-/// (entries, retained bytes) trips: it rebuilds itself from traffic,
-/// so a crude bound beats LRU bookkeeping here.
-#[derive(Default)]
-struct ParseMemo {
-    map: HashMap<Digest, MemoHit>,
-    /// Approximate retained bytes (texts + gate lists).
-    bytes: usize,
-}
-
-#[derive(Clone)]
-struct MemoHit {
-    text: Arc<str>,
-    circuit: Arc<Circuit>,
-    key: Digest,
-}
-
-impl ParseMemo {
-    fn text_key(qasm_text: &str) -> Digest {
-        let mut h = Hasher::new();
-        h.write_str(qasm_text);
-        h.digest()
-    }
-
-    fn get(&self, key: Digest, qasm_text: &str) -> Option<MemoHit> {
-        let hit = self.map.get(&key)?;
-        (*hit.text == *qasm_text).then(|| hit.clone())
-    }
-
-    fn insert(&mut self, key: Digest, hit: MemoHit) {
-        if self.map.len() >= PARSE_MEMO_CAPACITY || self.bytes >= PARSE_MEMO_MAX_BYTES {
-            self.map.clear();
-            self.bytes = 0;
-        }
-        self.bytes += hit.text.len() + hit.circuit.len() * std::mem::size_of::<Gate>();
-        self.map.insert(key, hit);
-    }
-}
-
 /// One run request, from parse until its last response line.
 struct RunItem {
     id: Json,
@@ -435,14 +384,10 @@ struct RunItem {
 
 /// What a run request compiles.
 enum Payload {
-    /// A parsed circuit, answered from the cache when resident. The
-    /// [`Arc`] is shared with the parse memo and never cloned. `digest`
-    /// is its salted compile-cache key (the circuit half of its full
-    /// key — see [`CompileCache::circuit_key`]).
-    Parsed {
-        circuit: Arc<Circuit>,
-        digest: Digest,
-    },
+    /// A parsed circuit, answered from the cache when resident.
+    /// `digest` is its salted compile-cache key (the circuit half of its
+    /// full key — see [`CompileCache::circuit_key`]).
+    Parsed { circuit: Circuit, digest: Digest },
     /// A QASM text pulled statement-by-statement through the
     /// bounded-memory pipeline in compile windows of `window` input gates
     /// (`"stream": true`), never parsed into a [`Circuit`].
@@ -496,8 +441,6 @@ pub struct Service {
     /// engine, and (through the builder) every other service built from
     /// the same prototype.
     cache: Arc<CompileCache>,
-    /// Per-loop memo of parsed QASM payloads (see [`ParseMemo`]).
-    parse_memo: ParseMemo,
     /// Shared admission budget; `None` admits everything (the default,
     /// matching the pre-admission protocol exactly).
     admission: Option<Arc<AdmissionControl>>,
@@ -527,7 +470,6 @@ impl Service {
             proto: builder,
             stats: ServiceStats::new(),
             cache,
-            parse_memo: ParseMemo::default(),
             admission: None,
             default_deadline: None,
         })
@@ -746,12 +688,31 @@ impl Service {
             }
         };
         let (resp, ok) = match &item.payload {
-            Payload::Parsed { circuit, .. } => {
+            Payload::Parsed { circuit, digest } => {
                 // Panic isolation: a compile that panics costs its
                 // request, not the loop.
-                let result = crate::error::isolated(|| item.engine.run(circuit));
-                let ok = result.is_ok();
-                (run_response(&item.id, &result, item.emit_program), ok)
+                let result = crate::error::isolated(|| {
+                    let report = item.engine.run(circuit)?;
+                    let mut wire = WireReport::of(&report);
+                    let program = report.tilt_program().filter(|_| item.emit_program);
+                    wire.program_text = program.map(ToString::to_string);
+                    let resp = wire.response(&item.id, item.emit_program);
+                    if wire.program_text.is_some() {
+                        // The engine recorded the entry without program
+                        // text; record it again with the text, so the
+                        // next `emit_program` request hits.
+                        let key = CacheKey {
+                            circuit: *digest,
+                            config: item.engine.config_fingerprint(),
+                        };
+                        self.cache.insert(key, wire);
+                    }
+                    Ok(resp)
+                });
+                match result {
+                    Ok(resp) => (resp, true),
+                    Err(e) => (error_json(&item.id, error_kind(&e), &e.to_string()), false),
+                }
             }
             Payload::Stream { qasm, window } => run_stream(&item, qasm, *window, output)?,
         };
@@ -856,31 +817,12 @@ impl Service {
             };
             (payload, deadline, Arc::clone(&self.engine))
         } else {
-            // Parse memo: a repeated payload skips its QASM parse
-            // (parsing is deterministic, and the hit verified the text
-            // matches) and reuses the memoized cache key.
-            let text_key = ParseMemo::text_key(qasm_text);
-            let (circuit, digest) = match self.parse_memo.get(text_key, qasm_text) {
-                Some(hit) => (hit.circuit, hit.key),
-                None => {
-                    declared_width_gate(qasm_text)?;
-                    let circuit = qasm::parse_qasm_with_budget(qasm_text, MAX_REQUEST_GATES)
-                        .map_err(|e| e.to_string())?;
-                    let key = self.cache.circuit_key(&circuit);
-                    let circuit = Arc::new(circuit);
-                    self.parse_memo.insert(
-                        text_key,
-                        MemoHit {
-                            text: Arc::from(qasm_text),
-                            circuit: Arc::clone(&circuit),
-                            key,
-                        },
-                    );
-                    (circuit, key)
-                }
-            };
+            declared_width_gate(qasm_text)?;
+            let circuit = qasm::parse_qasm_with_budget(qasm_text, MAX_REQUEST_GATES)
+                .map_err(|e| e.to_string())?;
+            let digest = self.cache.circuit_key(&circuit);
             let deadline = self.parse_deadline(obj, enqueued)?;
-            let engine = match self.override_engine(obj, Some(circuit.as_ref()))? {
+            let engine = match self.override_engine(obj, Some(&circuit))? {
                 None => Arc::clone(&self.engine),
                 Some((_, engine)) => Arc::new(engine),
             };
@@ -984,10 +926,11 @@ fn declared_width_gate(qasm_text: &str) -> Result<(), String> {
     }
 }
 
-/// The response for `item` if its `(circuit, config)` key is resident
-/// in the cache, rendered through the same [`WireReport`] path as a
-/// fresh compile, so hit and miss responses are byte-identical. Streams
-/// never hit: a cache entry holds no increment lines to replay.
+/// The response for `item` if the cache holds an entry under its
+/// `(circuit, config)` key that can answer it, rendered through the same
+/// [`WireReport`] path as a fresh compile, so hit and miss responses
+/// are byte-identical. Streams never probe: a cache entry holds no
+/// increment lines to replay.
 fn cached_wire_response(cache: &CompileCache, item: &RunItem) -> Option<Json> {
     let Payload::Parsed { digest, .. } = &item.payload else {
         return None;
@@ -996,33 +939,8 @@ fn cached_wire_response(cache: &CompileCache, item: &RunItem) -> Option<Json> {
         circuit: *digest,
         config: item.engine.config_fingerprint(),
     };
-    let entry = cache.get_wire(key)?;
-    // Clone the wire view only when the response must carry program
-    // text the entry holds lazily — the common no-program hit renders
-    // straight from the shared entry.
-    if item.emit_program && entry.wire.program_text.is_none() {
-        let mut wire = entry.wire.clone();
-        wire.program_text = entry.program_text();
-        Some(wire.response(&item.id, true))
-    } else {
-        Some(entry.wire.response(&item.id, item.emit_program))
-    }
-}
-
-/// Renders one run result as its response line — through the same
-/// [`WireReport`] projection the cache serves hits from, so fresh and
-/// cached responses are byte-identical by construction.
-fn run_response(id: &Json, result: &Result<RunReport, TiltError>, emit_program: bool) -> Json {
-    match result {
-        Err(e) => error_json(id, error_kind(e), &e.to_string()),
-        Ok(report) => {
-            let mut wire = WireReport::of(report);
-            if emit_program {
-                wire.program_text = report.tilt_program().map(std::string::ToString::to_string);
-            }
-            wire.response(id, emit_program)
-        }
-    }
+    let wire = cache.get_wire(key, item.emit_program)?;
+    Some(wire.response(&item.id, item.emit_program))
 }
 
 /// The wire `kind` of a failed run, streamed or not.
@@ -1294,15 +1212,12 @@ mod tests {
     fn verify_failure_maps_to_its_wire_kind() {
         // The engine only produces `TiltError::Verify` for corrupted
         // artifacts, which a live compile never yields — pin the
-        // response mapping directly.
-        let resp = run_response(
-            &Json::from(9.0),
-            &Err(TiltError::Verify {
-                count: 3,
-                first: "error[tilt/head-span] op 0: example".into(),
-            }),
-            false,
-        );
+        // response the run lane renders for it directly.
+        let e = TiltError::Verify {
+            count: 3,
+            first: "error[tilt/head-span] op 0: example".into(),
+        };
+        let resp = error_json(&Json::from(9.0), error_kind(&e), &e.to_string());
         assert!(!ok(&resp));
         assert_eq!(err_kind(&resp), "verify_failed");
         assert!(err_msg(&resp).contains("3 diagnostic(s)"));
@@ -1699,24 +1614,50 @@ mod tests {
     }
 
     #[test]
-    fn parse_memo_verifies_text_before_serving() {
-        // A digest collision between two different payloads (FNV is
-        // not collision-resistant) must degrade to a miss, never serve
-        // the other payload's circuit.
-        let mut memo = ParseMemo::default();
-        let key = ParseMemo::text_key("qreg q[2];\ncx q[0], q[1];\n");
-        memo.insert(
-            key,
-            MemoHit {
-                text: Arc::from("qreg q[2];\ncx q[0], q[1];\n"),
-                circuit: Arc::new(Circuit::new(2)),
-                key: Digest(7),
-            },
+    fn emit_program_compiles_past_a_textless_tilt_entry() {
+        let mut s = tilt_service(8, 4);
+        let qasm = "qreg q[8];\\nh q[0];\\ncx q[0], q[7];\\n";
+        let qccd = "\"backend\":\"qccd\",\"ions_per_trap\":5";
+        let emit = "\"emit_program\":true";
+        let stats = "{\"op\":\"stats\"}\n";
+        let input = [
+            format!("{{\"id\":1,\"qasm\":\"{qasm}\"}}\n"),
+            format!("{{\"id\":2,\"qasm\":\"{qasm}\",{emit}}}\n{stats}"),
+            format!("{{\"id\":3,\"qasm\":\"{qasm}\",{emit}}}\n{stats}"),
+            format!("{{\"id\":4,\"qasm\":\"{qasm}\",{qccd}}}\n"),
+            format!("{{\"id\":5,\"qasm\":\"{qasm}\",{qccd},{emit}}}\n{stats}"),
+        ]
+        .concat();
+        let (resps, _) = drive(&mut s, &input);
+        let counts = |resp: &Json| {
+            let cache = resp.get("stats").unwrap().get("cache").unwrap();
+            let count = |field| cache.get(field).unwrap().as_f64().unwrap();
+            (count("hits"), count("misses"))
+        };
+        // The plain request recorded no program text, so its
+        // `emit_program` duplicate is a miss that compiles.
+        assert_eq!(counts(&resps[2]), (0.0, 2.0));
+        let circuit = qasm::parse_qasm("qreg q[8];\nh q[0];\ncx q[0], q[7];\n").unwrap();
+        let fresh = Engine::tilt(tilt_compiler::DeviceSpec::new(8, 4).unwrap())
+            .run(&circuit)
+            .unwrap();
+        assert_eq!(
+            resps[1].get("program").and_then(Json::as_str),
+            Some(fresh.tilt_program().unwrap().to_string().as_str())
         );
-        assert!(memo.get(key, "qreg q[2];\ncx q[0], q[1];\n").is_some());
-        assert!(
-            memo.get(key, "some colliding other text").is_none(),
-            "a hit requires the exact original text"
+        // The compile recorded the text, so the next one hits.
+        assert_eq!(counts(&resps[4]), (1.0, 2.0));
+        assert_eq!(
+            resps[1].render().replace("\"id\":2", "\"id\":3"),
+            resps[3].render()
+        );
+        // A QCCD entry has no program text to miss.
+        assert_eq!(counts(&resps[7]), (2.0, 3.0));
+        assert_eq!(resps[5].get("backend").unwrap().as_str(), Some("qccd"));
+        assert!(resps[6].get("program").is_none());
+        assert_eq!(
+            resps[5].render().replace("\"id\":4", "\"id\":5"),
+            resps[6].render()
         );
     }
 
@@ -2072,8 +2013,11 @@ mod tests {
         let report = builder
             .build()
             .unwrap()
-            .run(&qasm::parse_qasm(qasm).unwrap());
-        run_response(&Json::from(id as f64), &report, false).render()
+            .run(&qasm::parse_qasm(qasm).unwrap())
+            .unwrap();
+        WireReport::of(&report)
+            .response(&Json::from(id as f64), false)
+            .render()
     }
 
     fn tilt_8_4() -> EngineBuilder {

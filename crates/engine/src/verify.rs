@@ -19,7 +19,8 @@
 //!   finding fails the run with [`TiltError::Verify`], streamed or not.
 //!
 //! The level is folded into the session's config fingerprint (when not
-//! `Off`), so cached reports carry the diagnostics their key promised.
+//! `Off`), so a session at one level never answers from an entry
+//! another level recorded.
 
 use crate::error::TiltError;
 use tilt_compiler::verify::{Diagnostic, Severity};

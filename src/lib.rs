@@ -128,12 +128,12 @@
 //! {"ok":true,"shutdown":true}
 //! ```
 //!
-//! Compilation is **content-addressed**: every result is keyed by
-//! `(circuit digest, config fingerprint)` in a shared
-//! [`CompileCache`](engine::CompileCache), so repeated circuits are
-//! served byte-identically without recompiling. The service caches by
-//! default; `--cache-dir` makes the cache survive restarts (snapshot
-//! entries are digest-verified on reload):
+//! The service is **content-addressed**: every compile records its wire
+//! view under `(circuit digest, config fingerprint)` in a shared
+//! [`CompileCache`](engine::CompileCache), and a repeated request is
+//! answered from it byte-identically without recompiling.
+//! `--cache-dir` makes the cache survive restarts (snapshot entries are
+//! digest-verified on reload):
 //!
 //! ```text
 //! $ tilt serve --ions 64 --head 16 --cache-dir /var/cache/tilt
