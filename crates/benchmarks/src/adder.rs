@@ -6,8 +6,7 @@
 //! touches three *adjacent* tape positions, which is why the paper
 //! classifies ADDER as "short-distance gates".
 
-use crate::util::toffoli_cnot;
-use tilt_circuit::{Circuit, Qubit};
+use tilt_circuit::{toffoli_network, Circuit, Qubit};
 
 /// Qubit layout of [`cuccaro_adder`]: `c, b0, a0, b1, a1, …, b_{n-1},
 /// a_{n-1}, z` so that every MAJ/UMA acts on three neighbours.
@@ -25,12 +24,12 @@ fn layout(n: usize) -> (Qubit, Vec<Qubit>, Vec<Qubit>, Qubit) {
 fn maj(c: &mut Circuit, x: Qubit, y: Qubit, z: Qubit) {
     c.cnot(z, y);
     c.cnot(z, x);
-    toffoli_cnot(c, x, y, z);
+    c.extend(toffoli_network(x, y, z));
 }
 
 /// UMA block (2-CNOT variant): undoes MAJ and writes the sum bit.
 fn uma(c: &mut Circuit, x: Qubit, y: Qubit, z: Qubit) {
-    toffoli_cnot(c, x, y, z);
+    c.extend(toffoli_network(x, y, z));
     c.cnot(z, x);
     c.cnot(x, y);
 }

@@ -85,7 +85,7 @@ mod tests {
     fn all_gates_target_the_ancilla() {
         let c = bv64();
         for g in c.iter().filter(|g| g.is_two_qubit()) {
-            assert_eq!(g.qubits()[1], Qubit(63));
+            assert_eq!(g.operands()[1], Qubit(63));
         }
     }
 

@@ -20,9 +20,9 @@
 //! pure-Clifford syndrome-extraction workloads (repetition-code and
 //! surface-style memory experiments, hundreds of qubits) for the
 //! stabilizer simulation backend, and the [`stream`] module provides
-//! lazy gate-stream versions of the scalable generators (bit-identical
-//! to their `Circuit` counterparts) for the bounded-memory streaming
-//! compile pipeline.
+//! the scalable generators as lazy gate streams (the QFT and RCS
+//! builders collect them) for the bounded-memory streaming compile
+//! pipeline.
 //!
 //! # Example
 //!

@@ -2,18 +2,19 @@
 //!
 //! The QFT row of Table II: the 64-qubit QFT has `64·63/2 = 2016`
 //! controlled-phase rotations; lowered to the CNOT level (two CNOTs per
-//! rotation, see [`crate::util::cphase_cnot`]) that is exactly the 4032
-//! two-qubit gates the paper reports. Rotations couple every qubit pair,
-//! so the circuit is dominated by long-distance gates — the worst case for
-//! TILT (Fig. 8b).
+//! rotation, see [`tilt_circuit::cphase_network`]) that is exactly the
+//! 4032 two-qubit gates the paper reports. Rotations couple every qubit
+//! pair, so the circuit is dominated by long-distance gates — the worst
+//! case for TILT (Fig. 8b).
 //!
 //! The trailing qubit-reversal swap network is omitted, as is conventional
 //! for compiled QFT kernels (the reversal is classical re-indexing).
 
-use crate::util::cphase_cnot;
-use tilt_circuit::{Circuit, Qubit};
+use crate::stream::qft_stream;
+use tilt_circuit::Circuit;
 
-/// Builds the `n`-qubit QFT at the CNOT level.
+/// Builds the `n`-qubit QFT at the CNOT level: the gates of
+/// [`qft_stream`], collected.
 ///
 /// # Example
 ///
@@ -24,15 +25,7 @@ use tilt_circuit::{Circuit, Qubit};
 /// assert_eq!(c.two_qubit_count(), 2 * (4 * 3) / 2);
 /// ```
 pub fn qft(n: usize) -> Circuit {
-    let mut c = Circuit::new(n);
-    for i in 0..n {
-        c.h(Qubit(i));
-        for j in (i + 1)..n {
-            let angle = std::f64::consts::PI / f64::powi(2.0, (j - i) as i32);
-            cphase_cnot(&mut c, Qubit(j), Qubit(i), angle);
-        }
-    }
-    c
+    Circuit::from_gates(n, qft_stream(n))
 }
 
 /// The Table II QFT benchmark: 64 qubits, 4032 two-qubit gates.

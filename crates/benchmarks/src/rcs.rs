@@ -7,9 +7,8 @@
 //! single-qubit gates from `{√X, √Y, T}` between cycles. Mapped row-major
 //! onto the tape, gates are nearest-neighbour (distance 1 or `cols`).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use tilt_circuit::{Circuit, Gate, Qubit};
+use crate::stream::rcs_stream;
+use tilt_circuit::Circuit;
 
 /// The four entangling patterns of the supremacy-style cycle.
 ///
@@ -66,14 +65,14 @@ fn pattern_pairs(rows: usize, cols: usize, pattern: Pattern) -> Vec<(usize, usiz
 }
 
 /// The CZ pairs of entangling cycle `cycle` (patterns rotate with
-/// period 4) — shared with the lazy generator in [`crate::stream`] so
-/// the two emit identical entangling layers.
+/// period 4), for the generator in [`crate::stream`].
 pub(crate) fn rcs_cycle_order(rows: usize, cols: usize, cycle: usize) -> Vec<(usize, usize)> {
     pattern_pairs(rows, cols, CYCLE_ORDER[cycle % 4])
 }
 
 /// Builds a random-circuit-sampling benchmark on a `rows × cols` grid with
-/// `cycles` entangling cycles, seeded deterministically.
+/// `cycles` entangling cycles, seeded deterministically: the gates of
+/// [`rcs_stream`], collected.
 ///
 /// Each cycle applies a random gate from `{√X, √Y, T}` to every qubit
 /// (never repeating the previous choice on the same qubit, per the Google
@@ -90,34 +89,7 @@ pub(crate) fn rcs_cycle_order(rows: usize, cols: usize, cycle: usize) -> Vec<(us
 /// assert_eq!(c.two_qubit_count(), 560); // Table II
 /// ```
 pub fn random_circuit_sampling(rows: usize, cols: usize, cycles: usize, seed: u64) -> Circuit {
-    let n = rows * cols;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut c = Circuit::new(n);
-
-    for i in 0..n {
-        c.h(Qubit(i));
-    }
-    // Previous single-qubit gate choice per qubit (0 = √X, 1 = √Y, 2 = T).
-    let mut prev: Vec<Option<u8>> = vec![None; n];
-    for cycle in 0..cycles {
-        for (q, prev_q) in prev.iter_mut().enumerate() {
-            let mut choice = rng.gen_range(0..3u8);
-            while Some(choice) == *prev_q {
-                choice = rng.gen_range(0..3u8);
-            }
-            *prev_q = Some(choice);
-            let gate = match choice {
-                0 => Gate::SqrtX(Qubit(q)),
-                1 => Gate::SqrtY(Qubit(q)),
-                _ => Gate::T(Qubit(q)),
-            };
-            c.push(gate);
-        }
-        for (a, b) in pattern_pairs(rows, cols, CYCLE_ORDER[cycle % 4]) {
-            c.cz(Qubit(a), Qubit(b));
-        }
-    }
-    c
+    Circuit::from_gates(rows * cols, rcs_stream(rows, cols, cycles, seed))
 }
 
 /// The Table II RCS benchmark: 8×8 grid, 20 cycles, 560 CZ gates.
@@ -172,7 +144,7 @@ mod tests {
         let mut prev: Vec<Option<&str>> = vec![None; 4];
         for g in &c {
             if g.is_single_qubit_unitary() && g.name() != "h" {
-                let q = g.qubits()[0].index();
+                let q = g.operands()[0].index();
                 assert_ne!(prev[q], Some(g.name()));
                 prev[q] = Some(g.name());
             }

@@ -1,15 +1,12 @@
-//! Lazy gate-stream versions of the scalable generators.
+//! The scalable generators as lazy gate streams.
 //!
 //! The streaming compile pipeline takes `IntoIterator<Item = Gate>`, so
 //! million-gate benchmark inputs should never exist as a materialized
-//! [`Circuit`] — that would reintroduce the O(gates) footprint the
-//! pipeline exists to avoid. The generators here yield the exact gate
-//! sequence of their `Circuit`-building counterparts ([`qft::qft`] and
-//! [`rcs::random_circuit_sampling`]), one gate at a time, holding only
-//! O(qubits) state: the same helpers produce each local chunk (so the
-//! decompositions cannot drift), and the RCS stream drives its RNG in
-//! the same order as the circuit builder (so the random choices are
-//! bit-identical).
+//! [`Circuit`](tilt_circuit::Circuit) — that would reintroduce the
+//! O(gates) footprint the pipeline exists to avoid. The generators here
+//! yield the QFT and RCS gate sequences one gate at a time, holding only
+//! O(qubits) state; [`qft::qft`] and [`rcs::random_circuit_sampling`]
+//! are these streams, collected.
 //!
 //! [`qft::qft`]: crate::qft::qft
 //! [`rcs::random_circuit_sampling`]: crate::rcs::random_circuit_sampling
@@ -17,31 +14,29 @@
 //! # Example
 //!
 //! ```
-//! use tilt_benchmarks::qft::qft;
 //! use tilt_benchmarks::stream::qft_stream;
 //!
-//! let streamed: Vec<_> = qft_stream(6).collect();
-//! assert_eq!(streamed, qft(6).gates().to_vec());
+//! // n Hadamards and n(n-1)/2 five-gate controlled-phase networks.
+//! assert_eq!(qft_stream(6).count(), 6 + 15 * 5);
 //! ```
 
 use crate::rcs::rcs_cycle_order;
-use crate::util::cphase_cnot;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use tilt_circuit::{Circuit, Gate, Qubit};
+use tilt_circuit::{cphase_network, Gate, Qubit};
 
-/// The `n`-qubit QFT of [`crate::qft::qft`] as a lazy gate stream.
+/// The `n`-qubit QFT at the CNOT level as a lazy gate stream: for each
+/// target `i`, a Hadamard, then the [`cphase_network`] of angle
+/// `π/2^(j-i)` from every later qubit `j`.
 ///
-/// Yields exactly `qft(n).gates()`, never holding more than one
-/// controlled-phase expansion in memory.
+/// Never holds more than one controlled-phase network in memory.
 pub fn qft_stream(n: usize) -> QftStream {
     QftStream {
         n,
         i: 0,
         j: 0,
         buf: VecDeque::new(),
-        scratch: Circuit::new(n),
     }
 }
 
@@ -55,9 +50,6 @@ pub struct QftStream {
     /// Hadamard is still pending.
     j: usize,
     buf: VecDeque<Gate>,
-    /// Reused per-chunk circuit so every refill goes through the same
-    /// [`cphase_cnot`] helper as the monolithic builder.
-    scratch: Circuit,
 }
 
 impl Iterator for QftStream {
@@ -76,9 +68,7 @@ impl Iterator for QftStream {
             } else {
                 let (i, j) = (self.i, self.j);
                 let angle = std::f64::consts::PI / f64::powi(2.0, (j - i) as i32);
-                self.scratch.reset(self.n);
-                cphase_cnot(&mut self.scratch, Qubit(j), Qubit(i), angle);
-                self.buf.extend(self.scratch.iter().copied());
+                self.buf.extend(cphase_network(Qubit(j), Qubit(i), angle));
             }
             self.j += 1;
             if self.j >= self.n {
@@ -89,10 +79,11 @@ impl Iterator for QftStream {
     }
 }
 
-/// The RCS benchmark of [`crate::rcs::random_circuit_sampling`] as a
-/// lazy gate stream: same grid, same cycle patterns, same seeded RNG
-/// consumed in the same order — the yielded sequence is bit-identical
-/// to the circuit builder's gate list.
+/// The random-circuit-sampling benchmark of
+/// [`crate::rcs::random_circuit_sampling`] as a lazy gate stream: a
+/// Hadamard layer, then per cycle a seeded random gate from
+/// `{√X, √Y, T}` on every qubit (never the qubit's previous choice) and
+/// the CZs of the cycle's pattern.
 ///
 /// Holds O(`rows·cols`) state (the per-qubit previous-choice table and
 /// one cycle's gates), independent of `cycles` — crank `cycles` up for
@@ -118,7 +109,7 @@ pub struct RcsStream {
     cycles: usize,
     rng: SmallRng,
     /// Previous single-qubit gate choice per qubit (0 = √X, 1 = √Y,
-    /// 2 = T), mirroring the circuit builder's no-repeat rule.
+    /// 2 = T), for the no-repeat rule.
     prev: Vec<Option<u8>>,
     cycle: usize,
     emitted_h: bool,
@@ -166,31 +157,40 @@ impl Iterator for RcsStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qft::qft;
-    use crate::rcs::random_circuit_sampling;
 
+    // Digests recorded from the loop builders that `qft` and
+    // `random_circuit_sampling` replaced with collecting these streams.
     #[test]
-    fn qft_stream_is_bit_identical_to_the_circuit_builder() {
-        for n in [0, 1, 2, 5, 16] {
-            let streamed: Vec<Gate> = qft_stream(n).collect();
-            assert_eq!(streamed, qft(n).gates().to_vec(), "n = {n}");
+    fn qft_stream_digests_are_pinned() {
+        for (n, hex) in [
+            (0, "0880945b4fab1be95aa0733055273845"),
+            (1, "66a5c94f5f757277b806e89ae5846876"),
+            (2, "26991da0b617e1090f23468374c9d011"),
+            (5, "6a3d6455b91e11ef7555cec3f6449542"),
+            (16, "a090a144478688008120be1af607a995"),
+            (64, "c19e9018a37fcaec9e55d47677457d45"),
+        ] {
+            assert_eq!(crate::qft::qft(n).digest().to_hex(), hex, "n = {n}");
         }
     }
 
     #[test]
-    fn rcs_stream_is_bit_identical_to_the_circuit_builder() {
-        for (rows, cols, cycles, seed) in
-            [(2, 2, 0, 7), (2, 3, 5, 1), (4, 4, 9, 11), (8, 8, 20, 11)]
-        {
-            let streamed: Vec<Gate> = rcs_stream(rows, cols, cycles, seed).collect();
+    fn rcs_stream_digests_are_pinned() {
+        use crate::rcs::random_circuit_sampling;
+        for ((rows, cols, cycles, seed), hex) in [
+            ((2, 2, 0, 7), "de30933f056ed906b782f49d0be11ad9"),
+            ((2, 3, 5, 1), "4344942cf2ed8601087b31d43d83badc"),
+            ((4, 4, 9, 11), "1ae9f1c2d820f72fef35ea34df9c5058"),
+        ] {
+            let digest = random_circuit_sampling(rows, cols, cycles, seed).digest();
             assert_eq!(
-                streamed,
-                random_circuit_sampling(rows, cols, cycles, seed)
-                    .gates()
-                    .to_vec(),
+                digest.to_hex(),
+                hex,
                 "{rows}x{cols} cycles {cycles} seed {seed}"
             );
         }
+        let rcs64 = crate::rcs::rcs64().digest();
+        assert_eq!(rcs64.to_hex(), "bdaf33c3fd463f5a10e094bcb36a9bb9");
     }
 
     #[test]

@@ -219,6 +219,21 @@ mod tests {
     }
 
     #[test]
+    fn suite_digests_are_pinned() {
+        let pins = [
+            ("ADDER", "b82f713ad3b751045975833b1fcf42cf"),
+            ("BV", "e3927cd2084e7413f71fc9e09c68bf7d"),
+            ("QAOA", "f1d3e6a09a8ebcbc49ece649461a36ef"),
+            ("RCS", "bdaf33c3fd463f5a10e094bcb36a9bb9"),
+            ("QFT", "c19e9018a37fcaec9e55d47677457d45"),
+            ("SQRT", "7abd19ead19a30ba131bb8532f979537"),
+        ];
+        for (b, (name, hex)) in paper_suite().iter().zip(pins) {
+            assert_eq!((b.name, b.circuit.digest().to_hex().as_str()), (name, hex));
+        }
+    }
+
+    #[test]
     fn suite_is_deterministic() {
         let a = paper_suite();
         let b = paper_suite();

@@ -1,49 +1,9 @@
-//! Shared circuit-construction helpers.
+//! Multi-controlled gates for the generators.
 //!
-//! The generators emit circuits at the CNOT level, so multi-controlled
-//! operations are lowered here with the textbook constructions: the 6-CNOT /
-//! 7-T Toffoli and the V-chain multi-controlled X.
+//! The generators emit circuits at the CNOT level, so a multi-controlled
+//! X is a V-chain of [`toffoli_network`]s over clean ancillas.
 
-use tilt_circuit::{Circuit, Qubit};
-
-/// Appends the standard 6-CNOT, 7-T decomposition of a Toffoli gate with
-/// controls `c0`, `c1` and target `t`.
-///
-/// This is the decomposition ScaffCC-style toolchains use when lowering
-/// arithmetic benchmarks to two-qubit gates, so circuits built from it have
-/// Table II-comparable 2Q-gate counts.
-pub fn toffoli_cnot(c: &mut Circuit, c0: Qubit, c1: Qubit, t: Qubit) {
-    c.h(t);
-    c.cnot(c1, t);
-    c.tdg(t);
-    c.cnot(c0, t);
-    c.t(t);
-    c.cnot(c1, t);
-    c.tdg(t);
-    c.cnot(c0, t);
-    c.t(c1);
-    c.t(t);
-    c.cnot(c0, c1);
-    c.h(t);
-    c.t(c0);
-    c.tdg(c1);
-    c.cnot(c0, c1);
-}
-
-/// Appends a controlled-phase rotation `cu1(λ)` lowered to two CNOTs and
-/// three Rz rotations.
-///
-/// `cu1(λ) = Rz(λ/2)_a · CX_{ab} · Rz(-λ/2)_b · CX_{ab} · Rz(λ/2)_b`
-/// up to global phase. QFT built from this helper counts two 2Q gates per
-/// controlled rotation, which is exactly how Table II reaches 4032 for the
-/// 64-qubit QFT (64·63/2 rotations × 2).
-pub fn cphase_cnot(c: &mut Circuit, a: Qubit, b: Qubit, lambda: f64) {
-    c.rz(a, lambda / 2.0);
-    c.cnot(a, b);
-    c.rz(b, -lambda / 2.0);
-    c.cnot(a, b);
-    c.rz(b, lambda / 2.0);
-}
+use tilt_circuit::{toffoli_network, Circuit, Qubit};
 
 /// Appends a multi-controlled X over `controls` onto `target` using the
 /// V-chain construction with clean ancillas.
@@ -63,7 +23,7 @@ pub fn mcx_vchain(c: &mut Circuit, controls: &[Qubit], ancillas: &[Qubit], targe
             c.cnot(controls[0], target);
         }
         2 => {
-            toffoli_cnot(c, controls[0], controls[1], target);
+            c.extend(toffoli_network(controls[0], controls[1], target));
         }
         k => {
             assert!(
@@ -73,16 +33,24 @@ pub fn mcx_vchain(c: &mut Circuit, controls: &[Qubit], ancillas: &[Qubit], targe
                 ancillas.len()
             );
             // Compute: a0 = c0 AND c1, a_i = c_{i+1} AND a_{i-1}.
-            toffoli_cnot(c, controls[0], controls[1], ancillas[0]);
+            c.extend(toffoli_network(controls[0], controls[1], ancillas[0]));
             for i in 2..k {
-                toffoli_cnot(c, controls[i], ancillas[i - 2], ancillas[i - 1]);
+                c.extend(toffoli_network(
+                    controls[i],
+                    ancillas[i - 2],
+                    ancillas[i - 1],
+                ));
             }
             c.cnot(ancillas[k - 2], target);
             // Uncompute in reverse.
             for i in (2..k).rev() {
-                toffoli_cnot(c, controls[i], ancillas[i - 2], ancillas[i - 1]);
+                c.extend(toffoli_network(
+                    controls[i],
+                    ancillas[i - 2],
+                    ancillas[i - 1],
+                ));
             }
-            toffoli_cnot(c, controls[0], controls[1], ancillas[0]);
+            c.extend(toffoli_network(controls[0], controls[1], ancillas[0]));
         }
     }
 }
@@ -101,22 +69,6 @@ pub fn mcz_vchain(c: &mut Circuit, qubits: &[Qubit], ancillas: &[Qubit]) {
 mod tests {
     use super::*;
     use tilt_circuit::validate;
-
-    #[test]
-    fn toffoli_cnot_uses_six_cnots() {
-        let mut c = Circuit::new(3);
-        toffoli_cnot(&mut c, Qubit(0), Qubit(1), Qubit(2));
-        assert_eq!(c.two_qubit_count(), 6);
-        assert!(validate(&c).is_ok());
-    }
-
-    #[test]
-    fn cphase_cnot_uses_two_cnots() {
-        let mut c = Circuit::new(2);
-        cphase_cnot(&mut c, Qubit(0), Qubit(1), 0.5);
-        assert_eq!(c.two_qubit_count(), 2);
-        assert_eq!(c.single_qubit_count(), 3);
-    }
 
     #[test]
     fn mcx_degenerates_to_cnot_and_toffoli() {

@@ -53,7 +53,7 @@ impl Circuit {
         debug_assert!(
             gates
                 .iter()
-                .flat_map(Gate::qubits)
+                .flat_map(Gate::operands)
                 .all(|q| q.index() < n_qubits),
             "gate references qubit outside register"
         );
@@ -168,7 +168,7 @@ impl Circuit {
                 barrier_level = level.iter().copied().max().unwrap_or(0).max(barrier_level);
                 continue;
             }
-            let qs = g.qubits();
+            let qs = g.operands();
             let start = qs
                 .iter()
                 .map(|q| level[q.index()])
@@ -205,7 +205,7 @@ impl Circuit {
         let mut pairs = std::collections::HashMap::new();
         for g in &self.gates {
             if g.is_two_qubit() {
-                let qs = g.qubits();
+                let qs = g.operands();
                 let key = (qs[0].min(qs[1]), qs[0].max(qs[1]));
                 *pairs.entry(key).or_insert(0) += 1;
             }
@@ -389,7 +389,7 @@ mod tests {
         let c = ghz(3);
         let mapped = c.map_qubits(10, |q| Qubit(q.index() + 7));
         assert_eq!(mapped.n_qubits(), 10);
-        assert_eq!(mapped.gates()[1].qubits(), vec![Qubit(7), Qubit(8)]);
+        assert_eq!(*mapped.gates()[1].operands(), [Qubit(7), Qubit(8)]);
     }
 
     #[test]

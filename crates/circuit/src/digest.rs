@@ -52,19 +52,12 @@ fn gate_tag(g: &Gate) -> u8 {
 
 impl Fingerprint for Gate {
     fn fingerprint_into(&self, h: &mut Hasher) {
-        use Gate::*;
         h.write_tag(gate_tag(self));
-        for q in self.operands().iter() {
+        for q in self.operands() {
             h.write_usize(q.index());
         }
-        match self {
-            Rx(_, a) | Ry(_, a) | Rz(_, a) => {
-                h.write_f64(*a);
-            }
-            Cphase(_, _, a) | Zz(_, _, a) | Xx(_, _, a) => {
-                h.write_f64(*a);
-            }
-            _ => {}
+        if let Some(a) = self.angle() {
+            h.write_f64(a);
         }
     }
 }

@@ -28,7 +28,7 @@ use std::fmt;
 ///
 /// let g = Gate::Cnot(Qubit(0), Qubit(5));
 /// assert!(g.is_two_qubit());
-/// assert_eq!(g.qubits(), vec![Qubit(0), Qubit(5)]);
+/// assert_eq!(*g.operands(), [Qubit(0), Qubit(5)]);
 /// assert_eq!(g.span(), Some(5));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -96,38 +96,12 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// The qubits this gate acts on, in declaration order.
+    /// The gate's operands in declaration order, as a fixed-capacity,
+    /// allocation-free list that derefs to a slice and iterates by value.
     ///
-    /// [`Gate::Barrier`] returns an empty vector: it constrains *all* qubits
-    /// but owns none.
-    pub fn qubits(&self) -> Vec<Qubit> {
-        use Gate::*;
-        match *self {
-            H(q)
-            | X(q)
-            | Y(q)
-            | Z(q)
-            | S(q)
-            | Sdg(q)
-            | T(q)
-            | Tdg(q)
-            | SqrtX(q)
-            | SqrtY(q)
-            | Rx(q, _)
-            | Ry(q, _)
-            | Rz(q, _)
-            | Measure(q)
-            | Reset(q) => vec![q],
-            Cnot(a, b) | Cz(a, b) | Swap(a, b) => vec![a, b],
-            Cphase(a, b, _) | Zz(a, b, _) | Xx(a, b, _) => vec![a, b],
-            Toffoli(a, b, c) => vec![a, b, c],
-            Barrier => vec![],
-        }
-    }
-
-    /// The gate's operands as a fixed-capacity, allocation-free slice
-    /// — [`Gate::qubits`] allocates a `Vec` per call, which hot paths
-    /// (the tape scheduler's cascade walks) cannot afford.
+    /// [`Gate::Barrier`] has none: it constrains *all* qubits but owns
+    /// none.
+    #[inline]
     pub fn operands(&self) -> Operands {
         use Gate::*;
         let (arr, len) = match *self {
@@ -156,14 +130,18 @@ impl Gate {
     }
 
     /// Number of qubits the gate acts on (0 for [`Gate::Barrier`]).
+    #[inline]
     pub fn arity(&self) -> usize {
+        self.operands().len()
+    }
+
+    /// The rotation angle of an angle-carrying gate (`Rx`, `Ry`, `Rz`,
+    /// `Cphase`, `Zz`, `Xx`), in radians; `None` for every other gate.
+    pub fn angle(&self) -> Option<f64> {
         use Gate::*;
-        match self {
-            Barrier => 0,
-            H(_) | X(_) | Y(_) | Z(_) | S(_) | Sdg(_) | T(_) | Tdg(_) | SqrtX(_) | SqrtY(_)
-            | Rx(..) | Ry(..) | Rz(..) | Measure(_) | Reset(_) => 1,
-            Cnot(..) | Cz(..) | Cphase(..) | Zz(..) | Xx(..) | Swap(..) => 2,
-            Toffoli(..) => 3,
+        match *self {
+            Rx(_, a) | Ry(_, a) | Rz(_, a) | Cphase(_, _, a) | Zz(_, _, a) | Xx(_, _, a) => Some(a),
+            _ => None,
         }
     }
 
@@ -199,11 +177,9 @@ impl Gate {
     /// For two-qubit gates, the distance `d_g = |q1 - q2|` between the
     /// operands in ion spacings; `None` otherwise.
     pub fn span(&self) -> Option<usize> {
-        let qs = self.qubits();
-        if qs.len() == 2 {
-            Some(qs[0].distance(qs[1]))
-        } else {
-            None
+        match *self.operands() {
+            [a, b] => Some(a.distance(b)),
+            _ => None,
         }
     }
 
@@ -301,8 +277,57 @@ impl Gate {
     }
 }
 
-/// Fixed-capacity operand list returned by [`Gate::operands`]; derefs
-/// to a slice of the gate's qubits in declaration order.
+/// The standard 6-CNOT, 7-T network of a Toffoli with controls `c0`,
+/// `c1` and target `t`.
+///
+/// This is the one CNOT-level Toffoli of the workspace: the benchmark
+/// generators emit it and `tilt_compiler::decompose` lowers
+/// [`Gate::Toffoli`] through it. ScaffCC-style toolchains lower
+/// arithmetic benchmarks with the same network, so circuits built from
+/// it have Table II-comparable 2Q-gate counts.
+pub fn toffoli_network(c0: Qubit, c1: Qubit, t: Qubit) -> [Gate; 15] {
+    use Gate::*;
+    [
+        H(t),
+        Cnot(c1, t),
+        Tdg(t),
+        Cnot(c0, t),
+        T(t),
+        Cnot(c1, t),
+        Tdg(t),
+        Cnot(c0, t),
+        T(c1),
+        T(t),
+        Cnot(c0, c1),
+        H(t),
+        T(c0),
+        Tdg(c1),
+        Cnot(c0, c1),
+    ]
+}
+
+/// A controlled-phase rotation `cu1(λ)` as two CNOTs and three `Rz`:
+/// `cu1(λ) = Rz(λ/2)_a · CX_{ab} · Rz(-λ/2)_b · CX_{ab} · Rz(λ/2)_b` up to
+/// global phase.
+///
+/// This is the one CNOT-level controlled phase of the workspace: the QFT
+/// generator emits it and `tilt_compiler::decompose` lowers
+/// [`Gate::Cphase`] through it. Two 2Q gates per rotation is how Table II
+/// reaches 4032 for the 64-qubit QFT (64·63/2 rotations × 2).
+pub fn cphase_network(a: Qubit, b: Qubit, lambda: f64) -> [Gate; 5] {
+    use Gate::*;
+    [
+        Rz(a, lambda / 2.0),
+        Cnot(a, b),
+        Rz(b, -lambda / 2.0),
+        Cnot(a, b),
+        Rz(b, lambda / 2.0),
+    ]
+}
+
+/// Fixed-capacity operand list returned by [`Gate::operands`]: it
+/// derefs to a slice of the gate's qubits in declaration order and
+/// iterates them by value.
 #[derive(Clone, Copy, Debug)]
 pub struct Operands {
     arr: [Qubit; 3],
@@ -317,24 +342,27 @@ impl std::ops::Deref for Operands {
     }
 }
 
+impl IntoIterator for Operands {
+    type Item = Qubit;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Qubit, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.arr.into_iter().take(self.len)
+    }
+}
+
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Gate::*;
-        match self {
-            Rx(q, a) | Ry(q, a) | Rz(q, a) => write!(f, "{}({:.4}) {}", self.name(), a, q),
-            Cphase(a, b, t) | Zz(a, b, t) | Xx(a, b, t) => {
-                write!(f, "{}({:.4}) {}, {}", self.name(), t, a, b)
-            }
-            Barrier => write!(f, "barrier"),
-            _ => {
-                write!(f, "{}", self.name())?;
-                let qs = self.qubits();
-                for (i, q) in qs.iter().enumerate() {
-                    write!(f, "{}{}", if i == 0 { " " } else { ", " }, q)?;
-                }
-                Ok(())
-            }
+        f.write_str(self.name())?;
+        if let Some(a) = self.angle() {
+            write!(f, "({a:.4})")?;
         }
+        let mut sep = " ";
+        for q in self.operands() {
+            write!(f, "{sep}{q}")?;
+            sep = ", ";
+        }
+        Ok(())
     }
 }
 
@@ -345,17 +373,40 @@ mod tests {
     #[test]
     fn arity_matches_qubits_len() {
         let gates = [
-            Gate::H(Qubit(0)),
-            Gate::Rx(Qubit(1), 0.5),
-            Gate::Cnot(Qubit(0), Qubit(1)),
-            Gate::Xx(Qubit(2), Qubit(3), 0.25),
-            Gate::Toffoli(Qubit(0), Qubit(1), Qubit(2)),
-            Gate::Measure(Qubit(4)),
-            Gate::Barrier,
+            (Gate::H(Qubit(0)), 1),
+            (Gate::Rx(Qubit(1), 0.5), 1),
+            (Gate::Cnot(Qubit(0), Qubit(1)), 2),
+            (Gate::Xx(Qubit(2), Qubit(3), 0.25), 2),
+            (Gate::Toffoli(Qubit(0), Qubit(1), Qubit(2)), 3),
+            (Gate::Measure(Qubit(4)), 1),
+            (Gate::Barrier, 0),
         ];
-        for g in gates {
-            assert_eq!(g.arity(), g.qubits().len(), "{g:?}");
+        for (g, arity) in gates {
+            assert_eq!(g.arity(), arity, "{g:?}");
+            assert_eq!(g.operands().into_iter().count(), arity, "{g:?}");
         }
+    }
+
+    #[test]
+    fn toffoli_network_uses_six_cnots() {
+        let net = toffoli_network(Qubit(0), Qubit(1), Qubit(2));
+        assert_eq!(net.iter().filter(|g| g.is_two_qubit()).count(), 6);
+        assert_eq!(
+            net.iter()
+                .filter(|g| matches!(g, Gate::T(_) | Gate::Tdg(_)))
+                .count(),
+            7
+        );
+    }
+
+    #[test]
+    fn cphase_network_uses_two_cnots() {
+        let net = cphase_network(Qubit(0), Qubit(1), 0.5);
+        assert_eq!(net.iter().filter(|g| g.is_two_qubit()).count(), 2);
+        assert_eq!(
+            net.iter().filter(|g| g.is_single_qubit_unitary()).count(),
+            3
+        );
     }
 
     #[test]
@@ -385,7 +436,7 @@ mod tests {
     fn map_qubits_shifts_operands() {
         let g = Gate::Cphase(Qubit(1), Qubit(2), 0.5);
         let shifted = g.map_qubits(|q| Qubit(q.index() + 10));
-        assert_eq!(shifted.qubits(), vec![Qubit(11), Qubit(12)]);
+        assert_eq!(*shifted.operands(), [Qubit(11), Qubit(12)]);
         // Angle preserved.
         match shifted {
             Gate::Cphase(_, _, t) => assert_eq!(t, 0.5),
@@ -398,6 +449,15 @@ mod tests {
         assert_eq!(Gate::Cnot(Qubit(0), Qubit(1)).to_string(), "cx q0, q1");
         assert_eq!(Gate::Rx(Qubit(2), 0.5).to_string(), "rx(0.5000) q2");
         assert_eq!(Gate::Barrier.to_string(), "barrier");
+        assert_eq!(
+            Gate::Cphase(Qubit(1), Qubit(0), 0.6180339887).to_string(),
+            "cp(0.6180) q1, q0"
+        );
+        assert_eq!(
+            Gate::Toffoli(Qubit(2), Qubit(3), Qubit(1)).to_string(),
+            "ccx q2, q3, q1"
+        );
+        assert_eq!(Gate::Measure(Qubit(2)).to_string(), "measure q2");
     }
 
     #[test]

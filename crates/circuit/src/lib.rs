@@ -33,7 +33,7 @@ pub mod stats;
 pub mod validate;
 
 pub use circuit::Circuit;
-pub use gate::{Gate, Operands};
+pub use gate::{cphase_network, toffoli_network, Gate, Operands};
 pub use qubit::Qubit;
 pub use stats::CircuitStats;
 pub use validate::{validate, validate_gate, ValidateCircuitError};

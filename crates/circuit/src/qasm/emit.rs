@@ -92,36 +92,32 @@ pub fn write_qasm_stream<W: std::io::Write>(
     Ok(())
 }
 
+/// Writes one gate line: the gate's [`Gate::name`], its angle, then its
+/// operands. `Cphase` is spelled `cu1` (qelib1's name for it), and
+/// measurement and barriers take their QASM statement forms.
 fn emit_gate(out: &mut String, g: &Gate) {
-    use Gate::*;
-    let q = |q: crate::Qubit| format!("q[{}]", q.index());
-    let line = match *g {
-        H(a) => format!("h {};", q(a)),
-        X(a) => format!("x {};", q(a)),
-        Y(a) => format!("y {};", q(a)),
-        Z(a) => format!("z {};", q(a)),
-        S(a) => format!("s {};", q(a)),
-        Sdg(a) => format!("sdg {};", q(a)),
-        T(a) => format!("t {};", q(a)),
-        Tdg(a) => format!("tdg {};", q(a)),
-        SqrtX(a) => format!("sx {};", q(a)),
-        SqrtY(a) => format!("sy {};", q(a)),
-        Rx(a, t) => format!("rx({t}) {};", q(a)),
-        Ry(a, t) => format!("ry({t}) {};", q(a)),
-        Rz(a, t) => format!("rz({t}) {};", q(a)),
-        Cnot(a, b) => format!("cx {}, {};", q(a), q(b)),
-        Cz(a, b) => format!("cz {}, {};", q(a), q(b)),
-        Cphase(a, b, t) => format!("cu1({t}) {}, {};", q(a), q(b)),
-        Zz(a, b, t) => format!("rzz({t}) {}, {};", q(a), q(b)),
-        Xx(a, b, t) => format!("rxx({t}) {}, {};", q(a), q(b)),
-        Swap(a, b) => format!("swap {}, {};", q(a), q(b)),
-        Toffoli(a, b, c) => format!("ccx {}, {}, {};", q(a), q(b), q(c)),
-        Measure(a) => format!("measure {} -> c[{}];", q(a), a.index()),
-        Reset(a) => format!("reset {};", q(a)),
-        Barrier => "barrier q;".to_string(),
+    let name = match *g {
+        Gate::Measure(q) => {
+            let _ = writeln!(out, "measure q[{0}] -> c[{0}];", q.index());
+            return;
+        }
+        Gate::Barrier => {
+            out.push_str("barrier q;\n");
+            return;
+        }
+        Gate::Cphase(..) => "cu1",
+        _ => g.name(),
     };
-    out.push_str(&line);
-    out.push('\n');
+    out.push_str(name);
+    if let Some(a) = g.angle() {
+        let _ = write!(out, "({a})");
+    }
+    let mut sep = " ";
+    for q in g.operands() {
+        let _ = write!(out, "{sep}q[{}]", q.index());
+        sep = ", ";
+    }
+    out.push_str(";\n");
 }
 
 #[cfg(test)]
@@ -185,35 +181,70 @@ mod tests {
 
     #[test]
     fn every_gate_kind_emits() {
-        let mut c = Circuit::new(3);
-        c.h(Qubit(0))
-            .x(Qubit(0))
-            .y(Qubit(0))
-            .z(Qubit(0))
-            .s(Qubit(0))
-            .sdg(Qubit(0))
-            .t(Qubit(0))
-            .tdg(Qubit(0))
-            .push(Gate::SqrtX(Qubit(0)))
-            .push(Gate::SqrtY(Qubit(0)))
-            .rx(Qubit(0), 1.0)
-            .ry(Qubit(0), 1.0)
-            .rz(Qubit(0), 1.0)
-            .cnot(Qubit(0), Qubit(1))
-            .cz(Qubit(0), Qubit(1))
-            .cphase(Qubit(0), Qubit(1), 0.5)
-            .zz(Qubit(0), Qubit(1), 0.5)
-            .xx(Qubit(0), Qubit(1), 0.5)
-            .swap(Qubit(0), Qubit(1))
-            .toffoli(Qubit(0), Qubit(1), Qubit(2))
-            .barrier()
-            .measure(Qubit(2));
-        let text = to_qasm(&c);
-        // One `;`-terminated line per gate plus the four preamble lines
-        // (OPENQASM, include, qreg, creg).
-        assert_eq!(
-            text.lines().filter(|l| l.ends_with(';')).count() - 4,
-            c.len()
+        // Every arm at non-round angles, on permuted operands; the bytes
+        // were recorded from the per-arm emitter this one replaced.
+        let (a, b, c, d) = (Qubit(3), Qubit(0), Qubit(2), Qubit(1));
+        let circuit = Circuit::from_gates(
+            4,
+            [
+                Gate::H(a),
+                Gate::X(b),
+                Gate::Y(c),
+                Gate::Z(d),
+                Gate::S(a),
+                Gate::Sdg(b),
+                Gate::T(c),
+                Gate::Tdg(d),
+                Gate::SqrtX(a),
+                Gate::SqrtY(b),
+                Gate::Rx(c, 0.123456789),
+                Gate::Ry(d, -1.9876543210123),
+                Gate::Rz(a, 2.5066282746310002),
+                Gate::Cnot(a, b),
+                Gate::Cz(c, a),
+                Gate::Cphase(d, b, 0.6180339887),
+                Gate::Zz(b, c, -0.3333333333333333),
+                Gate::Xx(c, d, 1.0e-7),
+                Gate::Swap(d, a),
+                Gate::Toffoli(c, a, d),
+                Gate::Barrier,
+                Gate::Measure(c),
+                Gate::Reset(b),
+            ],
         );
+        let expected = "\
+OPENQASM 2.0;
+include \"qelib1.inc\";
+gate rxx(theta) a, b { h a; h b; cx a, b; rz(theta) b; cx a, b; h a; h b; }
+gate rzz(theta) a, b { cx a, b; rz(theta) b; cx a, b; }
+gate sx a { sdg a; h a; sdg a; }
+gate sy a { s a; s a; h a; }
+qreg q[4];
+creg c[4];
+h q[3];
+x q[0];
+y q[2];
+z q[1];
+s q[3];
+sdg q[0];
+t q[2];
+tdg q[1];
+sx q[3];
+sy q[0];
+rx(0.123456789) q[2];
+ry(-1.9876543210123) q[1];
+rz(2.5066282746310002) q[3];
+cx q[3], q[0];
+cz q[2], q[3];
+cu1(0.6180339887) q[1], q[0];
+rzz(-0.3333333333333333) q[0], q[2];
+rxx(0.0000001) q[2], q[1];
+swap q[1], q[3];
+ccx q[2], q[3], q[1];
+barrier q;
+measure q[2] -> c[2];
+reset q[0];
+";
+        assert_eq!(to_qasm(&circuit), expected);
     }
 }

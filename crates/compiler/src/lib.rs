@@ -117,7 +117,7 @@ mod dag {
                 // Gate operands: at most three qubits — collect, sort,
                 // dedup in place on the flat tail.
                 let start = pred_edges.len();
-                for q in gate.qubits() {
+                for q in gate.operands() {
                     if let Some(p) = last_on[q.index()] {
                         if !pred_edges[start..].contains(&p) {
                             pred_edges.push(p);
@@ -130,7 +130,7 @@ mod dag {
                         pred_edges.push(b);
                     }
                 }
-                for q in gate.qubits() {
+                for q in gate.operands() {
                     last_on[q.index()] = Some(i);
                 }
                 since_barrier.push(i);

@@ -291,7 +291,7 @@ mod tests {
         c.cnot(Qubit(0), Qubit(2));
         let m = Mapping::from_log_to_phys(vec![2, 1, 0]);
         let physical = m.apply(&c);
-        assert_eq!(physical.gates()[0].qubits(), vec![Qubit(2), Qubit(0)]);
+        assert_eq!(*physical.gates()[0].operands(), [Qubit(2), Qubit(0)]);
     }
 
     #[test]

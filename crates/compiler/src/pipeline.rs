@@ -193,7 +193,7 @@ mod tests {
         let out = compile(&c, 16, 8);
         let spec = *out.program.spec();
         for (g, pos) in out.program.gates() {
-            for q in g.qubits() {
+            for q in g.operands() {
                 assert!(spec.covers(pos, q.index()));
             }
         }

@@ -347,7 +347,7 @@ pub(crate) mod oracle {
             if !g.is_two_qubit() {
                 continue;
             }
-            let qs = g.qubits();
+            let qs = g.operands();
             let (a, b) = (qs[0], qs[1]);
             let layer = level[a.index()].max(level[b.index()]).max(barrier_level);
             level[a.index()] = layer + 1;
@@ -376,7 +376,7 @@ pub(crate) mod oracle {
 
         for g in native {
             if g.is_two_qubit() {
-                let qs = g.qubits();
+                let qs = g.operands();
                 while mapping.distance(qs[0], qs[1]) >= spec.head_size() {
                     let (pa, pb) = {
                         let state = RouteState {

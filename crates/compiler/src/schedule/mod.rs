@@ -137,7 +137,7 @@ pub(crate) mod oracle {
                         .filter(|&&i| i < e)
                         .min()
                         .expect("floor gate is always ready and eligible");
-                    spec.covering_head_positions(gates[oldest].qubits().iter().map(|q| q.index()))
+                    spec.covering_head_positions(gates[oldest].operands().iter().map(|q| q.index()))
                         .map_or(0, |r| *r.start())
                 }
                 SchedulerKind::GreedyMaxExecutable => {
@@ -211,7 +211,7 @@ pub(crate) mod oracle {
     /// True when every operand of `g` is covered by the head at `pos`
     /// (barriers fit anywhere).
     fn fits(g: Gate, spec: DeviceSpec, pos: usize) -> bool {
-        g.qubits().iter().all(|q| spec.covers(pos, q.index()))
+        g.operands().iter().all(|q| spec.covers(pos, q.index()))
     }
 
     /// Eq. 2's `n_p` below the bound `e`: ready gates covered by the
@@ -426,7 +426,7 @@ mod tests {
         let p = schedule(&c, spec(16, 4), SchedulerKind::GreedyMaxExecutable);
         assert_eq!(p.move_count(), 1);
         for (g, pos) in p.gates() {
-            for q in g.qubits() {
+            for q in g.operands() {
                 assert!(spec(16, 4).covers(pos, q.index()));
             }
         }

@@ -244,7 +244,7 @@ impl ProgramSink for TiltVerifier {
                 ));
             }
             let key = order_key(&gate);
-            for q in gate.qubits() {
+            for q in gate.operands() {
                 let qi = q.index();
                 if qi >= n || !self.spec.covers(head_pos, qi) {
                     head_span(format!(
@@ -306,7 +306,7 @@ impl ProgramSink for TiltVerifier {
             decompose_gate(&mut self.lowered, g);
             for lg in self.lowered.gates() {
                 let key = order_key(lg);
-                for q in lg.qubits() {
+                for q in lg.operands() {
                     if let Some(Some(queue)) = self.expected.get_mut(q.index()) {
                         queue.push_back(key);
                     }
@@ -375,7 +375,7 @@ mod tests {
             .position(|op| matches!(op, TiltOp::Gate { gate, .. } if gate.is_two_qubit()))
             .unwrap();
         if let TiltOp::Gate { gate, head_pos } = &mut ops[idx] {
-            let hi = gate.qubits().iter().map(|q| q.index()).max().unwrap();
+            let hi = gate.operands().iter().map(|q| q.index()).max().unwrap();
             *head_pos = if hi >= spec.head_size() {
                 0
             } else {
@@ -513,7 +513,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter_map(|(i, op)| match op {
-                TiltOp::Gate { gate, .. } if !gate.qubits().is_empty() => Some(i),
+                TiltOp::Gate { gate, .. } if !gate.operands().is_empty() => Some(i),
                 _ => None,
             })
             .collect();
@@ -527,7 +527,7 @@ mod tests {
                 else {
                     continue;
                 };
-                let shared = gi.qubits().iter().any(|q| gj.qubits().contains(q));
+                let shared = gi.operands().iter().any(|q| gj.operands().contains(q));
                 if shared && gi != gj {
                     (a, b) = (i, j);
                     break 'outer;

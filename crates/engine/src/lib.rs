@@ -431,11 +431,6 @@ impl Engine {
         &self.gate_times
     }
 
-    /// The session's compile cache, when one is attached.
-    pub fn compile_cache(&self) -> Option<&Arc<CompileCache>> {
-        self.cache.as_ref()
-    }
-
     /// Fingerprint of this session's resolved configuration — combined
     /// with [`tilt_circuit::Circuit::digest`], the complete compile-cache
     /// key. Two engines with equal fingerprints produce byte-identical

@@ -146,7 +146,7 @@ impl ScaledSink for ScaledVerifier {
             };
             let i = elu.gates_seen;
             elu.gates_seen += 1;
-            for q in g.qubits() {
+            for q in g.operands() {
                 if q.index() >= capacity + COMM_SLOTS {
                     elu.comm_slot.push(Diagnostic::error(
                         "scaled/comm-slot-budget",
@@ -197,7 +197,7 @@ impl ScaledSink for ScaledVerifier {
                 }
                 Gate::Barrier => {}
                 g => {
-                    for q in g.qubits() {
+                    for q in g.operands() {
                         if q.index() < ions && elu.measured[q.index()] {
                             elu.unreset.push(Diagnostic::error(
                                 "scaled/measured-unreset",

@@ -32,7 +32,7 @@ fn every_scheduled_gate_fits_under_its_head_position() {
         let out = compile(&b.circuit, 16);
         let spec = *out.program.spec();
         for (gate, pos) in out.program.gates() {
-            for q in gate.qubits() {
+            for q in gate.operands() {
                 assert!(
                     spec.covers(pos, q.index()),
                     "{}: {gate:?} at head {pos} leaves {q} uncovered",
@@ -67,7 +67,7 @@ fn routed_circuit_replays_to_the_original_logical_program() {
             .iter()
             .filter(|g| g.is_two_qubit())
             .map(|g| {
-                let q = g.qubits();
+                let q = g.operands();
                 (q[0].min(q[1]), q[0].max(q[1]))
             })
             .collect();
@@ -79,7 +79,7 @@ fn routed_circuit_replays_to_the_original_logical_program() {
             match g {
                 Gate::Swap(a, b) => mapping.swap_positions(a.index(), b.index()),
                 g if g.is_two_qubit() => {
-                    let q = g.qubits();
+                    let q = g.operands();
                     let la = mapping.logical_at(q[0].index());
                     let lb = mapping.logical_at(q[1].index());
                     replayed.push((la.min(lb), la.max(lb)));

@@ -65,7 +65,7 @@ proptest! {
             .map(|g| g.map_qubits(|q| Qubit(q.index() % n)))
             .filter(|g| {
                 // map_qubits can collapse distinct operands; drop those.
-                let qs = g.qubits();
+                let qs = g.operands();
                 qs.iter().collect::<std::collections::HashSet<_>>().len() == qs.len()
             })
             .collect();

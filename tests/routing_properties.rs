@@ -112,7 +112,7 @@ proptest! {
         let lowered = tilt::compiler::decompose::decompose(&out.routed.circuit);
         prop_assert_eq!(out.program.gate_count(), lowered.len());
         for (gate, pos) in out.program.gates() {
-            for q in gate.qubits() {
+            for q in gate.operands() {
                 prop_assert!(spec.covers(pos, q.index()));
             }
         }
@@ -131,13 +131,13 @@ proptest! {
         // Expected per-qubit sequences from program order.
         let mut expected: Vec<Vec<Gate>> = vec![Vec::new(); n];
         for g in &lowered {
-            for q in g.qubits() {
+            for q in g.operands() {
                 expected[q.index()].push(*g);
             }
         }
         let mut actual: Vec<Vec<Gate>> = vec![Vec::new(); n];
         for (g, _) in out.program.gates() {
-            for q in g.qubits() {
+            for q in g.operands() {
                 actual[q.index()].push(*g);
             }
         }

@@ -8,7 +8,7 @@
 //! something else.
 
 use proptest::prelude::*;
-use tilt::circuit::{Circuit, Gate, Qubit};
+use tilt::circuit::{cphase_network, toffoli_network, Circuit, Gate, Qubit};
 use tilt::compiler::decompose::decompose;
 use tilt::prelude::*;
 use tilt_statevec::State;
@@ -29,40 +29,6 @@ fn paper_cnot_recipe_is_exact() {
     let mut cnot = Circuit::new(2);
     cnot.cnot(Qubit(0), Qubit(1));
     assert!(circuits_equivalent(2, &cnot, &decompose(&cnot)));
-}
-
-#[test]
-fn every_program_gate_decomposes_exactly() {
-    let gates: Vec<(usize, Gate)> = vec![
-        (1, Gate::H(Qubit(0))),
-        (1, Gate::X(Qubit(0))),
-        (1, Gate::Y(Qubit(0))),
-        (1, Gate::Z(Qubit(0))),
-        (1, Gate::S(Qubit(0))),
-        (1, Gate::Sdg(Qubit(0))),
-        (1, Gate::T(Qubit(0))),
-        (1, Gate::Tdg(Qubit(0))),
-        (1, Gate::SqrtX(Qubit(0))),
-        (1, Gate::SqrtY(Qubit(0))),
-        (2, Gate::Cnot(Qubit(0), Qubit(1))),
-        (2, Gate::Cnot(Qubit(1), Qubit(0))),
-        (2, Gate::Cz(Qubit(0), Qubit(1))),
-        (2, Gate::Cphase(Qubit(0), Qubit(1), 0.73)),
-        (2, Gate::Zz(Qubit(0), Qubit(1), -1.21)),
-        (2, Gate::Swap(Qubit(0), Qubit(1))),
-        (3, Gate::Toffoli(Qubit(0), Qubit(1), Qubit(2))),
-        (3, Gate::Toffoli(Qubit(2), Qubit(0), Qubit(1))),
-    ];
-    for (n, g) in gates {
-        let mut c = Circuit::new(n);
-        c.push(g);
-        let native = decompose(&c);
-        assert!(native.is_native());
-        assert!(
-            circuits_equivalent(n, &c, &native),
-            "decomposition of {g:?} is not unitarily equivalent"
-        );
-    }
 }
 
 #[test]
@@ -192,5 +158,81 @@ proptest! {
         let perm: Vec<usize> = out.routed.final_mapping.log_to_phys().to_vec();
         let f = logical_state.permute_qubits(&perm).fidelity(&physical_state);
         prop_assert!((f - 1.0).abs() < EPS, "fidelity {f}");
+    }
+}
+
+/// The arm after `g`, on the operands `a`, `b`, `c` and angle `t`:
+/// walking it from `H` visits every [`Gate`] arm once. The match has no
+/// wildcard, so a new arm fails to compile here until it joins the walk.
+fn next_arm(g: Gate, [a, b, c]: [Qubit; 3], t: f64) -> Option<Gate> {
+    use Gate::*;
+    Some(match g {
+        H(_) => X(a),
+        X(_) => Y(a),
+        Y(_) => Z(a),
+        Z(_) => S(a),
+        S(_) => Sdg(a),
+        Sdg(_) => T(a),
+        T(_) => Tdg(a),
+        Tdg(_) => SqrtX(a),
+        SqrtX(_) => SqrtY(a),
+        SqrtY(_) => Rx(a, t),
+        Rx(..) => Ry(a, t),
+        Ry(..) => Rz(a, t),
+        Rz(..) => Cnot(a, b),
+        Cnot(..) => Cz(a, b),
+        Cz(..) => Cphase(a, b, t),
+        Cphase(..) => Zz(a, b, t),
+        Zz(..) => Xx(a, b, t),
+        Xx(..) => Swap(a, b),
+        Swap(..) => Toffoli(a, b, c),
+        Toffoli(..) => Measure(a),
+        Measure(_) => Reset(a),
+        Reset(_) => Barrier,
+        Barrier => return None,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every gate arm, on random distinct operands in random order and at
+    /// a random angle, lowers to native gates implementing the same
+    /// unitary; the non-unitary arms pass through unchanged. A lone
+    /// Toffoli or CPhase lowers exactly as its CNOT-level network does.
+    #[test]
+    fn every_program_gate_decomposes_exactly(
+        (a, b, c) in (0usize..4, 0usize..4, 0usize..4)
+            .prop_filter("distinct", |(a, b, c)| a != b && b != c && a != c),
+        t in -6.3f64..6.3,
+    ) {
+        const N: usize = 4;
+        let qs = [Qubit(a), Qubit(b), Qubit(c)];
+        let [qa, qb, qc] = qs;
+        let arms: Vec<Gate> =
+            std::iter::successors(Some(Gate::H(qa)), |&g| next_arm(g, qs, t)).collect();
+        prop_assert_eq!(arms.len(), 23);
+        for g in arms {
+            let program = Circuit::from_gates(N, [g]);
+            let native = decompose(&program);
+            prop_assert!(native.is_native(), "{g:?}");
+            if matches!(g, Gate::Measure(_) | Gate::Reset(_) | Gate::Barrier) {
+                prop_assert_eq!(native, program);
+            } else {
+                prop_assert!(
+                    circuits_equivalent(N, &program, &native),
+                    "decomposition of {g:?} is not unitarily equivalent"
+                );
+            }
+        }
+        let lowered = |gates: &[Gate]| decompose(&Circuit::from_gates(N, gates.iter().copied()));
+        prop_assert_eq!(
+            lowered(&[Gate::Toffoli(qa, qb, qc)]),
+            lowered(&toffoli_network(qa, qb, qc))
+        );
+        prop_assert_eq!(
+            lowered(&[Gate::Cphase(qa, qb, t)]),
+            lowered(&cphase_network(qa, qb, t))
+        );
     }
 }

@@ -148,7 +148,7 @@ fn corrupted_operand_fold_matches_the_whole_walk() {
     for pick in [0, gates.len() / 3, gates.len() - 1] {
         let mut ops = out.program.ops().to_vec();
         if let TiltOp::Gate { gate, .. } = &mut ops[gates[pick]] {
-            let target = gate.qubits()[0];
+            let target = gate.operands()[0];
             *gate = gate.map_qubits(|q| {
                 if q == target {
                     Qubit(spec.n_ions() + 3)
@@ -202,7 +202,7 @@ fn scrambled_schedule_fold_matches_the_whole_walk() {
     let mut ops = out.program.ops().to_vec();
     let on_q0: Vec<usize> = (0..ops.len())
         .filter(
-            |&i| matches!(ops[i], TiltOp::Gate { gate, .. } if gate.qubits().contains(&Qubit(0))),
+            |&i| matches!(ops[i], TiltOp::Gate { gate, .. } if gate.operands().contains(&Qubit(0))),
         )
         .collect();
     ops.swap(on_q0[0], on_q0[1]);

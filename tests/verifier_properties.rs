@@ -103,7 +103,7 @@ proptest! {
         let mut ops = out.program.ops().to_vec();
         if let TiltOp::Gate { gate, .. } = &mut ops[idx] {
             // Send the first operand off the tape entirely.
-            let target = gate.qubits()[0];
+            let target = gate.operands()[0];
             *gate = gate.map_qubits(|q| if q == target { Qubit(spec.n_ions() + 3) } else { q });
         }
         let mut corrupt = out.clone();
@@ -212,7 +212,7 @@ fn scrambled_schedule_is_always_diagnosed() {
         .iter()
         .enumerate()
         .filter(
-            |(_, op)| matches!(op, TiltOp::Gate { gate, .. } if gate.qubits().contains(&Qubit(0))),
+            |(_, op)| matches!(op, TiltOp::Gate { gate, .. } if gate.operands().contains(&Qubit(0))),
         )
         .map(|(i, _)| i)
         .collect();
